@@ -17,13 +17,11 @@ from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import (
-    ConsistencyError,
     GroupCtx,
     Mat,
     PreconditionError,
     decoder,
     encoder,
-    identity,
     make_ctx,
     num_to_json,
     reduce_mat,
@@ -32,7 +30,6 @@ from .groups import (
     ConjClassRef,
     class_codes,
     conj_class_size_formula,
-    enumerate_group,
     u_power_ref,
 )
 from .subgroups import (
@@ -52,7 +49,7 @@ from .subgroups import (
     standard_subgroup,
     is_slim,
 )
-from .fibers import FiberDescriptor, commutator_fiber_codes
+from .fibers import FiberDescriptor, commutator_fiber_codes, recovery_count
 
 # -------------------- exponent tables --------------------
 
@@ -202,20 +199,6 @@ def _mod_count(ctx: GroupCtx, codes: FrozenSet, level: int) -> int:
     return len({enc(reduce_mat(dec(c), q)) for c in codes})
 
 
-def _recovery_cap(ref: ConjClassRef, p: int, i: int) -> Optional[int]:
-    if ref.kind == "sigma":
-        if p >= 3:
-            return 2
-        return {1: 1, 2: 2}.get(i, 4)
-    if ref.kind == "tau":
-        if p == 3:
-            return 1 if i == 1 else 3
-        return 2
-    if p >= 3:
-        return (p - 1) // 2 * p ** (i - 1)
-    return {1: 1, 2: 2}.get(i, 2 ** (i - 2))
-
-
 @dataclass
 class SlimBoundReport:
     kind: str
@@ -338,7 +321,6 @@ def _chain_checks(
             return
         idxs = list(range(1, l + 1))
         y = _y_sets(h, ref, idxs)
-        ymod = {i: _mod_count(ctx, y[i], r + max(i, 1)) for i in [0] + idxs}
         ok = len(y[l]) <= p ** (2 * (depth - l)) * _mod_count(ctx, y[l], r + l)
         rep.add("chain:last", ok)
         for i in range(2, l + 1):
@@ -359,7 +341,7 @@ def _chain_checks(
         total += p ** (depth - 1) * _count_reduced(h, ref, r + 1)
         rep.add("chain:total", cnt <= total, "%d <= %d" % (cnt, total))
         for i in idxs:
-            cap = _recovery_cap(ref, p, i)
+            cap = recovery_count(_fiber_kind(ref), p, depth, depth - i)
             rep.add("chain:recovery%d" % i, _mod_count(ctx, y[i], r + i) <= cap)
         return
     # p = 2 short chains at desk exponents
@@ -924,7 +906,7 @@ def _case_p79(sub: str) -> CaseReport:
         ch.expect("#B n Conj(tau)", _bcde("B", "tau", p), 0)
         bu = ch.expect("#B n Conj(u)", _bcde("B", "u", p), 2)
         rec = _p79_master(ch, int(bs), 0, int(bu))
-        cusp_expected = ch.expect(
+        ch.expect(
             "cusp equals 37/(3*5^3)", [v for label, v in ch.steps if label == "cusp (t=3)"][-1],
             Fraction(37, 3 * 5**3),
         )

@@ -7,11 +7,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .core import (
     DEFAULT_MAX_ELEMENTS,
+    ConsistencyError,
     FeasibilityError,
     PreconditionError,
     decoder,
@@ -23,7 +23,6 @@ from .core import (
 from .groups import (
     ConjClassRef,
     class_codes,
-    conj_class_size_formula,
     enumerate_group,
     partition_into_classes,
     u_power_ref,
@@ -34,14 +33,13 @@ from .bounds import (
     BOUND_KINDS,
     bound_sequence,
     section7_all,
-    section7_case_ids,
-    verify_main_theorem_desk,
     verify_section7,
 )
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _parse_class(text: str, ctx) -> ConjClassRef:
@@ -65,7 +63,6 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
 
 
 def _cmd_genus(args) -> int:
-    ctx = make_ctx(args.p, args.n)
     h = parse_subgroup_spec(args.subgroup, args.p, args.n, seed=args.seed, cap=args.max_elements)
     rep = genus_report(h)
     payload = rep.to_json_dict()
@@ -154,30 +151,15 @@ def _cmd_bounds(args) -> int:
     return EXIT_OK
 
 
-def _run_pool(jobs: List[Callable[[], object]], threads: int) -> List[object]:
-    if threads <= 1 or len(jobs) <= 1:
-        return [j() for j in jobs]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futs = [pool.submit(j) for j in jobs]
-        return [f.result() for f in futs]
-
-
 def _cmd_verify(args) -> int:
     from . import suites
 
     t0 = time.monotonic()
-    if args.suite == "section7":
-        if args.case:
-            reports = [verify_section7(args.case)]
-        else:
-            ids = section7_case_ids()
-            reports = _run_pool([lambda cid=c: verify_section7(cid) for c in ids], args.threads)
-            reports.sort(key=lambda r: r.case_id)
-        ok = all(r.verdict in ("match", "positive_but_differs") for r in reports)
-        payload = {"suite": "section7", "ok": ok, "cases": [r.to_json_dict() for r in reports]}
-        lines = []
-        for r in reports:
-            lines.append(
+    if args.suite in ("section7", "main-theorem-desk"):
+        if args.suite == "section7":
+            cases = [verify_section7(args.case)] if args.case else section7_all()
+            ok = suites.section7_ok(cases)
+            lines = [
                 "%-10s %-22s printed %s recomputed %s%s"
                 % (
                     r.case_id,
@@ -186,41 +168,29 @@ def _cmd_verify(args) -> int:
                     r.recomputed_value,
                     ("  [%s]" % r.notes) if r.verdict != "match" else "",
                 )
-            )
-        lines.append("section7: %s" % ("PASS" if ok else "FAIL"))
+                for r in cases
+            ]
+        else:
+            parts = [int(args.case)] if args.case else suites.DESK_DEFAULT_PARTS
+            cases = suites.desk_results(parts, args.seed)
+            ok = suites.desk_ok(cases)
+            lines = [
+                "part %d %-28s %-8s checked %-5d min delta %s  %s"
+                % (r.part, r.label, r.status, r.checked, r.min_delta, r.notes)
+                for r in cases
+            ]
+        payload = {"suite": args.suite, "ok": ok, "cases": [r.to_json_dict() for r in cases]}
+        lines.append("%s: %s" % (args.suite, "PASS" if ok else "FAIL"))
         _emit(args, payload, lines)
         return EXIT_OK if ok else EXIT_VERIFY_FAIL
-    if args.suite == "main-theorem-desk":
-        parts = [int(args.case)] if args.case else [1, 2, 3, 5, 6, 7]
-        results = []
-        for part in parts:
-            results.extend(verify_main_theorem_desk(part, seed=args.seed))
-        ok = all(r.status != "fail" for r in results)
-        payload = {"suite": "main-theorem-desk", "ok": ok, "cases": [r.to_json_dict() for r in results]}
-        lines = [
-            "part %d %-28s %-8s checked %-5d min delta %s  %s"
-            % (r.part, r.label, r.status, r.checked, r.min_delta, r.notes)
-            for r in results
-        ]
-        lines.append("main-theorem-desk: %s" % ("PASS" if ok else "FAIL"))
-        _emit(args, payload, lines)
-        return EXIT_OK if ok else EXIT_VERIFY_FAIL
-    runner = suites.SUITES.get(args.suite)
-    if runner is None and args.suite != "all":
+    if args.suite != "all" and args.suite not in suites.SUITES:
         print("unknown suite %r; available: %s" % (args.suite, ", ".join(suites.suite_names())), file=sys.stderr)
         return EXIT_USAGE
     names = suites.suite_names() if args.suite == "all" else [args.suite]
     results = []
     for name in names:
-        if name in ("section7", "main-theorem-desk"):
-            sub = argparse.Namespace(**vars(args))
-            sub.suite = name
-            sub.case = None
-            code = _cmd_verify_quiet(sub)
-            results.append((name, code == EXIT_OK, ""))
-        else:
-            okay, detail = suites.SUITES[name](seed=args.seed, cap=args.max_elements)
-            results.append((name, okay, detail))
+        okay, detail = suites.SUITES[name](seed=args.seed, cap=args.max_elements)
+        results.append((name, okay, detail))
     ok = all(r[1] for r in results)
     payload = {
         "suite": args.suite,
@@ -232,16 +202,6 @@ def _cmd_verify(args) -> int:
     lines.append("%s: %s (%.1fs)" % (args.suite, "PASS" if ok else "FAIL", time.monotonic() - t0))
     _emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
-
-
-def _cmd_verify_quiet(args) -> int:
-    import io
-    from contextlib import redirect_stdout
-
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = _cmd_verify(args)
-    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=int(os.environ.get("SL2_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS)),
             help="materialization cap (env SL2_MAX_ELEMENTS)",
         )
-        sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("genus", help="genus report for a subgroup")
     common(sp)
@@ -304,6 +263,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (FeasibilityError, PreconditionError, ValueError, KeyError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
+    except ConsistencyError as e:
+        print("internal error: %s" % e, file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -116,6 +116,17 @@ def _rho_split(m: int) -> List[int]:
         c += 1
 
 
+def primitive_root(p: int, n: int = 1) -> int:
+    """Least g >= 2 generating (Z/p^nZ)^*; exists for odd p (and p^n = 4)."""
+    m = p**n
+    phi = (p - 1) * p ** (n - 1)
+    qs = list(factorize(phi))
+    for g in range(2, m):
+        if g % p and all(pow(g, phi // q, m) != 1 for q in qs):
+            return g
+    raise RuntimeError("no primitive root mod %d^%d" % (p, n))
+
+
 def sl2_order(p: int, n: int) -> int:
     """#SL2(Z/p^nZ) = (p+1)(p-1)p^(3n-2)."""
     return (p + 1) * (p - 1) * p ** (3 * n - 2)
@@ -147,9 +158,6 @@ class GroupCtx:
             raise ValueError("modulus %d is not %d^%d" % (self.modulus, self.p, self.n))
         if self.order != sl2_order(self.p, self.n):
             raise ValueError("wrong group order for SL2(Z/%d^%dZ)" % (self.p, self.n))
-
-    def at_level(self, m: int) -> "GroupCtx":
-        return make_ctx(self.p, m)
 
 
 @lru_cache(maxsize=None)

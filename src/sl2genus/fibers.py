@@ -11,7 +11,7 @@ trusted as the source of truth.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional
 
 from .core import (
     ConsistencyError,
@@ -30,7 +30,7 @@ from .core import (
     tau,
     upper_u,
 )
-from .groups import ConjClassRef, class_codes, u_power_ref
+from .groups import ConjClassRef, capped_orbit, class_codes, u_power_ref
 
 _FIBER_KINDS = ("sigma", "tau", "u")
 
@@ -100,25 +100,18 @@ def _resolve_alpha_prime(desc: FiberDescriptor) -> Mat:
     raise PreconditionError("alpha_ref %r is not a class element" % (desc.alpha_ref,))
 
 
-def _additive_span(gens: List[Mat], modulus: int) -> Set[Mat]:
-    zero = (0, 0, 0, 0)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                z = (
-                    (x[0] + g[0]) % modulus,
-                    (x[1] + g[1]) % modulus,
-                    (x[2] + g[2]) % modulus,
-                    (x[3] + g[3]) % modulus,
-                )
-                if z not in seen:
-                    seen.add(z)
-                    nxt.append(z)
-        frontier = nxt
-    return seen
+def _additive_span(gens: List[Mat], modulus: int) -> FrozenSet:
+    """The Z-span of gens in M2(Z/modulus), capped by the whole module."""
+
+    def add(x: Mat, g: Mat) -> Mat:
+        return (
+            (x[0] + g[0]) % modulus,
+            (x[1] + g[1]) % modulus,
+            (x[2] + g[2]) % modulus,
+            (x[3] + g[3]) % modulus,
+        )
+
+    return capped_orbit((0, 0, 0, 0), gens, add, None, modulus**4)
 
 
 def commutator_fiber_codes(desc: FiberDescriptor, alpha_like: Mat) -> FrozenSet:

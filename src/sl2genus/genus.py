@@ -20,8 +20,6 @@ from .core import (
     _mul,
     decoder,
     encoder,
-    identity,
-    make_ctx,
     minus_one,
     num_to_json,
     sigma as sigma_mat,
@@ -121,7 +119,7 @@ def fix_points(h: Subgroup, a: Mat) -> int:
     return int(via_identity)
 
 
-def cusp_orbit_ratio(h: Subgroup, _precomputed: Optional[Tuple[List[Mat], Dict]] = None) -> Fraction:
+def cusp_orbit_ratio(h: Subgroup) -> Fraction:
     """#(<u>\\G/H) / [G:H], via the u^(p^s) class counts; cross-checked by a
     direct orbit count of <u> acting on G/H when the group is small enough."""
     ctx = h.ctx
@@ -132,7 +130,7 @@ def cusp_orbit_ratio(h: Subgroup, _precomputed: Optional[Tuple[List[Mat], Dict]]
         cls = class_codes(u_power_ref(ctx, s))
         ratio += Fraction(p - 1, p ** (s + 1)) * Fraction(len(hcodes & cls), len(cls))
     if ctx.order <= DIRECT_CHECK_CAP:
-        reps, coset_of = _precomputed or coset_space(h)
+        reps, coset_of = coset_space(h)
         enc = encoder(ctx)
         m = ctx.modulus
         u = upper_u(ctx)
@@ -152,18 +150,29 @@ def cusp_orbit_ratio(h: Subgroup, _precomputed: Optional[Tuple[List[Mat], Dict]]
     return ratio
 
 
-def delta(h: Subgroup) -> Fraction:
-    """1 - 3 r_sigma - 4 r_tau - 6 (cusp ratio), all exact."""
+def _delta_terms(h: Subgroup) -> Tuple[int, int, Fraction, Fraction]:
+    """(#H n Conj(sigma), #H n Conj(tau), cusp ratio, delta)."""
     ctx = h.ctx
     hcodes = h.codes()
     cls_s = class_codes(ConjClassRef(ctx, "sigma"))
     cls_t = class_codes(ConjClassRef(ctx, "tau"))
-    return (
-        1
-        - 3 * Fraction(len(hcodes & cls_s), len(cls_s))
-        - 4 * Fraction(len(hcodes & cls_t), len(cls_t))
-        - 6 * cusp_orbit_ratio(h)
-    )
+    cs, ct = len(hcodes & cls_s), len(hcodes & cls_t)
+    cusp = cusp_orbit_ratio(h)
+    d = 1 - 3 * Fraction(cs, len(cls_s)) - 4 * Fraction(ct, len(cls_t)) - 6 * cusp
+    return cs, ct, cusp, d
+
+
+def delta(h: Subgroup) -> Fraction:
+    """1 - 3 r_sigma - 4 r_tau - 6 (cusp ratio), all exact."""
+    return _delta_terms(h)[3]
+
+
+def _genus_from_delta(h: Subgroup, d: Fraction) -> int:
+    index = h.ctx.order // h.order
+    g = 1 + Fraction(index, 12) * d
+    if g.denominator != 1 or g < 0:
+        raise ConsistencyError("genus %s is not a non-negative integer" % g)
+    return int(g)
 
 
 def genus(h: Subgroup) -> int:
@@ -172,11 +181,7 @@ def genus(h: Subgroup) -> int:
         raise PreconditionError(
             "genus formula needs -1 in H; use genus_with_minus_one for <H, -1>"
         )
-    index = h.ctx.order // h.order
-    g = 1 + Fraction(index, 12) * delta(h)
-    if g.denominator != 1 or g < 0:
-        raise ConsistencyError("genus %s is not a non-negative integer" % g)
-    return int(g)
+    return _genus_from_delta(h, delta(h))
 
 
 def genus_with_minus_one(h: Subgroup) -> int:
@@ -228,22 +233,11 @@ class GenusReport:
 
 def genus_report(h: Subgroup) -> GenusReport:
     ctx = h.ctx
-    hcodes = h.codes()
-    cls_s = class_codes(ConjClassRef(ctx, "sigma"))
-    cls_t = class_codes(ConjClassRef(ctx, "tau"))
-    cs, ct = len(hcodes & cls_s), len(hcodes & cls_t)
-    cusp = cusp_orbit_ratio(h)
-    index = ctx.order // h.order
-    d = 1 - 3 * Fraction(cs, len(cls_s)) - 4 * Fraction(ct, len(cls_t)) - 6 * cusp
+    cs, ct, cusp, d = _delta_terms(h)
     fs = fix_points(h, sigma_mat(ctx))
     ft = fix_points(h, tau_mat(ctx))
-    g: Optional[int] = None
-    if minus_one(ctx) in h:
-        gval = 1 + Fraction(index, 12) * d
-        if gval.denominator != 1 or gval < 0:
-            raise ConsistencyError("genus %s is not a non-negative integer" % gval)
-        g = int(gval)
-    return GenusReport(index, cs, ct, cusp, d, g, fs, ft)
+    g = _genus_from_delta(h, d) if minus_one(ctx) in h else None
+    return GenusReport(ctx.order // h.order, cs, ct, cusp, d, g, fs, ft)
 
 
 # -------------------- closed-form genera at level p --------------------

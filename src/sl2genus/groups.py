@@ -1,19 +1,19 @@
 """Enumeration of SL2(Z/p^nZ), conjugacy classes and centralizers.
 
-Element sets store packed codes (see core.encoder).  Orbits are computed by
-frontier expansion conjugating with the two generators u, t(u) only, which
-keeps memory at O(#class) instead of O(#group).
+Element sets store packed codes (see core.encoder).  Closures and orbits all
+go through one breadth-first kernel, capped_orbit; conjugacy classes are
+expanded by conjugating with the two generators u, t(u) only, which keeps
+memory at O(#class) instead of O(#group).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     DEFAULT_MAX_ELEMENTS,
     ConsistencyError,
-    ContextMismatchError,
     FeasibilityError,
     GroupCtx,
     Mat,
@@ -24,9 +24,10 @@ from .core import (
     encoder,
     identity,
     is_prime,
+    lower_u,
     mat_pow,
     neg,
-    lower_u,
+    primitive_root,
     sigma,
     sl2_order,
     tau,
@@ -61,42 +62,38 @@ class ElementSet:
         for c in self.codes:
             yield dec(c)
 
-    def same_ctx(self, other: "ElementSet") -> None:
-        if self.ctx != other.ctx:
-            raise ContextMismatchError(
-                "element sets live in different contexts (%r vs %r)" % (self.ctx, other.ctx)
-            )
 
+def capped_orbit(start, steps: Sequence, act: Callable, key: Optional[Callable], cap: int) -> FrozenSet:
+    """Keys of everything reached from start by repeated act(x, g), g in steps
+    (key None: the values are their own keys).
 
-def _closure_codes(
-    gens: Iterable[Mat], ctx: GroupCtx, cap: int, include_inverses: bool = True
-) -> FrozenSet:
-    m = ctx.modulus
-    enc = encoder(ctx)
-    step: List[Mat] = []
-    for g in gens:
-        step.append(g)
-        if include_inverses:
-            step.append(_inv(g, m))
-    one = identity(ctx)
-    seen = {enc(one)}
-    frontier = [one]
+    Breadth-first; raises FeasibilityError as soon as more than cap keys are
+    seen.  For a closure or a conjugation orbit in a finite group the steps
+    need no inverses: the monoid a set generates is the group it generates.
+    """
+    seen = {key(start) if key else start}
+    frontier = [start]
     while frontier:
-        nxt: List[Mat] = []
+        nxt = []
         for x in frontier:
-            for g in step:
-                z = _mul(x, g, m)
-                c = enc(z)
+            for g in steps:
+                z = act(x, g)
+                c = key(z) if key else z
                 if c not in seen:
                     seen.add(c)
                     if len(seen) > cap:
                         raise FeasibilityError(
-                            "closure exceeded cap of %d elements; raise --max-elements "
+                            "orbit exceeded the cap of %d elements; raise --max-elements "
                             "or SL2_MAX_ELEMENTS" % cap
                         )
                     nxt.append(z)
         frontier = nxt
     return frozenset(seen)
+
+
+def _closure_codes(gens: Iterable[Mat], ctx: GroupCtx, cap: int) -> FrozenSet:
+    m = ctx.modulus
+    return capped_orbit(identity(ctx), list(gens), lambda x, g: _mul(x, g, m), encoder(ctx), cap)
 
 
 def enumerate_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSet:
@@ -112,15 +109,6 @@ def enumerate_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSe
     return ElementSet(ctx, codes)
 
 
-def gl2_enumerate(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSet:
-    from .core import gl2_order
-
-    if gl2_order(ctx.p, ctx.n) > cap:
-        raise FeasibilityError("GL2 enumeration above cap of %d" % cap)
-    codes = _closure_codes(gl2_generators(ctx), ctx, cap)
-    return ElementSet(ctx, codes)
-
-
 def gl2_generators(ctx: GroupCtx) -> List[Mat]:
     """u, t(u) plus diagonal matrices generating the determinant image."""
     m = ctx.modulus
@@ -131,23 +119,9 @@ def gl2_generators(ctx: GroupCtx) -> List[Mat]:
         if ctx.n >= 3:
             gens.append((5 % m, 0, 0, 1))
     else:
-        g = _primitive_root_mod_pn(ctx.p, ctx.n)
+        g = primitive_root(ctx.p, ctx.n)
         gens.append((g, 0, 0, 1))
     return gens
-
-
-def _primitive_root_mod_pn(p: int, n: int) -> int:
-    m = p**n
-    target = (p - 1) * p ** (n - 1)
-    from .core import factorize
-
-    qs = list(factorize(target))
-    for g in range(2, m):
-        if g % p == 0:
-            continue
-        if all(pow(g, target // q, m) != 1 for q in qs):
-            return g
-    raise RuntimeError("no primitive root mod %d^%d" % (p, n))  # pragma: no cover
 
 
 # -------------------- conjugacy class references --------------------
@@ -202,14 +176,6 @@ class ConjClassRef:
             return mat_pow(upper_u(ctx), 2, ctx)
         assert self.rep is not None
         return self.rep
-
-
-def sigma_ref(ctx: GroupCtx) -> ConjClassRef:
-    return ConjClassRef(ctx, "sigma")
-
-
-def tau_ref(ctx: GroupCtx) -> ConjClassRef:
-    return ConjClassRef(ctx, "tau")
 
 
 def u_power_ref(ctx: GroupCtx, r: int = 0) -> ConjClassRef:
@@ -281,42 +247,25 @@ def conj_class_brute(
     cap: int = DEFAULT_MAX_ELEMENTS,
     ambient: str = "SL2",
 ) -> ElementSet:
-    """Full conjugation orbit {g^-1 rep g} by frontier expansion over generators."""
+    """Full conjugation orbit {g^-1 rep g} by breadth-first expansion over generators."""
     m = ctx.modulus
     dt = (rep[0] * rep[3] - rep[1] * rep[2]) % m
     if ambient == "SL2" and dt != 1 % m:
         raise PreconditionError("representative %r is not in SL2 (det=%d)" % (rep, dt))
     gens = gl2_generators(ctx) if ambient == "GL2" else [upper_u(ctx), lower_u(ctx)]
-    pairs = []
-    for g in gens:
-        gi = _inv(g, m)
-        pairs.append((g, gi))
-        pairs.append((gi, g))
-    enc = encoder(ctx)
-    seen = {enc(rep)}
-    frontier = [rep]
-    while frontier:
-        nxt: List[Mat] = []
-        for x in frontier:
-            for g, gi in pairs:
-                z = _mul(gi, _mul(x, g, m), m)
-                c = enc(z)
-                if c not in seen:
-                    seen.add(c)
-                    if len(seen) > cap:
-                        raise FeasibilityError(
-                            "conjugacy orbit exceeded cap of %d elements" % cap
-                        )
-                    nxt.append(z)
-        frontier = nxt
-    return ElementSet(ctx, frozenset(seen))
+    pairs = [(g, _inv(g, m)) for g in gens]
+    codes = capped_orbit(rep, pairs, lambda x, g: _mul(g[1], _mul(x, g[0], m), m), encoder(ctx), cap)
+    return ElementSet(ctx, codes)
 
 
 _CLASS_CACHE: Dict[Tuple[int, int, str, int], FrozenSet] = {}
 
 
 def class_codes(ref: ConjClassRef, cap: int = DEFAULT_MAX_ELEMENTS) -> FrozenSet:
-    """Cached orbit codes for a class reference (brute force, any kind)."""
+    """Cached orbit codes for a class reference (brute force, any kind).
+
+    A cached class larger than cap raises FeasibilityError, as a fresh
+    enumeration under that cap would."""
     ctx = ref.ctx
     if ref.kind == "custom":
         return conj_class_brute(ref.representative(), ctx, cap).codes
@@ -325,6 +274,11 @@ def class_codes(ref: ConjClassRef, cap: int = DEFAULT_MAX_ELEMENTS) -> FrozenSet
     if got is None:
         got = conj_class_brute(ref.representative(), ctx, cap).codes
         _CLASS_CACHE[key] = got
+    elif len(got) > cap:
+        raise FeasibilityError(
+            "class of %d elements is above the cap of %d; raise --max-elements "
+            "or SL2_MAX_ELEMENTS" % (len(got), cap)
+        )
     return got
 
 

@@ -17,7 +17,6 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 from .core import (
     DEFAULT_MAX_ELEMENTS,
     ConsistencyError,
-    ContextMismatchError,
     FeasibilityError,
     GroupCtx,
     Mat,
@@ -34,11 +33,12 @@ from .core import (
     mat,
     minus_one,
     parse_mat,
+    primitive_root,
     reduce_mat,
     sigma,
     upper_u,
 )
-from .groups import ElementSet, _closure_codes, enumerate_group
+from .groups import ElementSet, _closure_codes, capped_orbit, enumerate_group
 
 # -------------------- the subgroup value --------------------
 
@@ -98,9 +98,6 @@ class Subgroup:
             got = frozenset(enc(reduce_mat(dec(c), m)) for c in self.codes())
             self._reduced[level] = got
         return got
-
-    def reduce_to(self, level: int) -> "Subgroup":
-        return Subgroup.from_codes(make_ctx(self.ctx.p, level), self.reduced_codes(level), self.ambient)
 
     def conjugate(self, g: Mat) -> "Subgroup":
         m = self.ctx.modulus
@@ -261,7 +258,7 @@ def borel(p: int) -> Subgroup:
     ctx = make_ctx(p, 1)
     gens = [upper_u(ctx)]
     if p > 2:
-        g = _primitive_root(p)
+        g = primitive_root(p)
         gens.append(mat(g, 0, 0, pow(g, -1, p), ctx))
     got = closure(gens, ctx)
     if got.order != p * (p - 1):
@@ -274,7 +271,7 @@ def split_cartan_normalizer(p: int) -> Subgroup:
     ctx = make_ctx(p, 1)
     gens = [sigma(ctx)]
     if p > 2:
-        g = _primitive_root(p)
+        g = primitive_root(p)
         gens.append(mat(g, 0, 0, pow(g, -1, p), ctx))
     got = closure(gens, ctx)
     if got.order != 2 * (p - 1):
@@ -325,16 +322,6 @@ def nonsplit_cartan_normalizer(p: int, lam: Optional[int] = None) -> Subgroup:
     return got
 
 
-def _primitive_root(p: int) -> int:
-    from .core import factorize
-
-    qs = list(factorize(p - 1))
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
-            return g
-    raise RuntimeError("no primitive root mod %d" % p)  # pragma: no cover
-
-
 def order_three_subgroup() -> Subgroup:
     """F = the subgroup of order 3 of SL2(Z/2Z)."""
     ctx = make_ctx(2, 1)
@@ -382,21 +369,11 @@ def _pgl_order(x: Mat, p: int) -> int:
 
 
 def _pgl_closure(gens: List[Mat], p: int, cap: int = 200) -> Optional[FrozenSet]:
-    one = (1, 0, 0, 1)
-    seen = {one}
-    frontier = [one]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                z = _pgl_canon(_mul(x, g, p), p)
-                if z not in seen:
-                    if len(seen) >= cap:
-                        return None
-                    seen.add(z)
-                    nxt.append(z)
-        frontier = nxt
-    return frozenset(seen)
+    """The subgroup of PGL2(F_p) the gens generate, or None above cap elements."""
+    try:
+        return capped_orbit((1, 0, 0, 1), gens, lambda x, g: _pgl_canon(_mul(x, g, p), p), None, cap)
+    except FeasibilityError:
+        return None
 
 
 def exceptional_availability(p: int, iso: str) -> bool:
@@ -489,8 +466,6 @@ def standard_subgroup(kind: str, p: int, seed: int = 0) -> Subgroup:
     if tag == "SplitCartanNorm":
         return split_cartan_normalizer(p)
     if tag == "NonsplitCartanNorm":
-        if p < 3:
-            raise PreconditionError("nonsplit Cartan normalizer needs p >= 3")
         return nonsplit_cartan_normalizer(p)
     if tag == "F":
         if p != 2:
@@ -604,18 +579,7 @@ def all_subgroups(
                 conj_perm.append([index[enc(_mul(hi, _mul(x, h, m), m))] for x in mats])
 
     def close(gens: Tuple[int, ...]) -> FrozenSet:
-        seen = {e}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    z = mul(x, g)
-                    if z not in seen:
-                        seen.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        return frozenset(seen)
+        return capped_orbit(e, gens, mul, None, k)
 
     trivial = frozenset([e])
     seen_all: Dict[FrozenSet, None] = {trivial: None}
@@ -649,11 +613,6 @@ def all_subgroups(
             reps.append((knew, kgens))
     rev = {i: c for c, i in index.items()}
     return [frozenset(rev[i] for i in s) for s in seen_all]
-
-
-def subgroups_of_group(h: Subgroup) -> List[Subgroup]:
-    subs = all_subgroups(h.elements())
-    return [Subgroup.from_codes(h.ctx, s, h.ambient) for s in subs]
 
 
 # -------------------- random sampling --------------------
@@ -733,7 +692,7 @@ def sample_slim_subgroups(
     out: List[Subgroup] = []
     seen: set = set()
     tries = max_tries or 120 * count
-    for trial in range(tries):
+    for _ in range(tries):
         if len(out) >= count:
             break
         gens: List[Mat] = []
@@ -826,7 +785,7 @@ def _l21_samples(ctx: GroupCtx, crit: int, trials: int, rng: random.Random) -> I
 def _l25_check(p: int, trials: int, rng: random.Random) -> bool:
     ctx = make_ctx(p, 2)
     m = ctx.modulus
-    g = _primitive_root_mod_p2(p)
+    g = primitive_root(p, 2)
     units = {(1 + p * t) % m for t in range(p)}
     one = identity(ctx)
     sl2_pool = sorted(enumerate_group(make_ctx(p, 1)).codes)
@@ -847,15 +806,3 @@ def _l25_check(p: int, trials: int, rng: random.Random) -> bool:
         if not units <= small:
             return False
     return True
-
-
-def _primitive_root_mod_p2(p: int) -> int:
-    m = p * p
-    target = p * (p - 1)
-    from .core import factorize
-
-    qs = list(factorize(target))
-    for g in range(2, m):
-        if g % p and all(pow(g, target // q, m) != 1 for q in qs):
-            return g
-    raise RuntimeError("no primitive root mod %d" % m)  # pragma: no cover

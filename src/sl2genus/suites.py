@@ -9,7 +9,8 @@ literally and compared against computed sets element for element.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Tuple
+from collections import Counter
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .core import (
     DEFAULT_MAX_ELEMENTS,
@@ -34,7 +35,6 @@ from .groups import (
     conj_class_brute,
     conj_class_size_formula,
     enumerate_group,
-    group_order,
     partition_into_classes,
     u_power_ref,
 )
@@ -59,7 +59,16 @@ from .fibers import (
     reduction_fiber_sizes,
     verify_orthogonality,
 )
-from .bounds import fiber_count_bound_check, slim_bound_report
+from .bounds import (
+    CaseReport,
+    DeskResult,
+    _bcde,
+    _e_bounds,
+    fiber_count_bound_check,
+    section7_all,
+    slim_bound_report,
+    verify_main_theorem_desk,
+)
 
 # ---- golden tables ----
 
@@ -143,12 +152,6 @@ _BCDE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 _E_PRIMES = (5, 7, 11, 13, 17)
 
 
-def _bcde_expected(group: str, alpha: str, p: int) -> int:
-    from .bounds import _bcde
-
-    return _bcde(group, alpha, p)
-
-
 def suite_lemma4_6(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
     for p in _BCDE_PRIMES:
         ctx = make_ctx(p, 1)
@@ -161,7 +164,7 @@ def suite_lemma4_6(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool
         for gname, sub in groups.items():
             for alpha, cc in cls.items():
                 got = len(sub.codes() & cc)
-                want = _bcde_expected(gname, alpha, p)
+                want = _bcde(gname, alpha, p)
                 if got != want:
                     return False, "#%s n Conj(%s) = %d != %d at p=%d" % (gname, alpha, got, want, p)
     for p in _E_PRIMES:
@@ -169,7 +172,7 @@ def suite_lemma4_6(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool
         cls_s = class_codes(ConjClassRef(ctx, "sigma"))
         cls_t = class_codes(ConjClassRef(ctx, "tau"))
         cls_u = class_codes(u_power_ref(ctx, 0))
-        bs, bt = (30, 20) if p % 5 in (1, 4) else (18, 8)
+        bs, bt = _e_bounds(p)
         for iso in ("A4", "S4", "A5"):
             if not exceptional_availability(p, iso):
                 continue
@@ -288,7 +291,6 @@ def suite_lemma5_6(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool
 def _golden_recovery(kind: str, p: int, n: int, r: int) -> frozenset:
     ctx = make_ctx(p, r + n if kind == "u" else n)
     enc = encoder(ctx)
-    mm = ctx.modulus
     if kind == "sigma":
         if p >= 3:
             return frozenset(
@@ -465,6 +467,40 @@ def suite_section2(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool
     return True, "L2_1 and L2_5 finite shadows"
 
 
+def section7_ok(reports: List[CaseReport]) -> bool:
+    return all(r.verdict in ("match", "positive_but_differs") for r in reports)
+
+
+def suite_section7(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
+    reports = section7_all()
+    verdicts = Counter(r.verdict for r in reports)
+    detail = ", ".join("%d %s" % (verdicts[v], v) for v in sorted(verdicts))
+    return section7_ok(reports), "%d cases: %s" % (len(reports), detail)
+
+
+# Part 4 (sampling inside SL2(Z/625Z)) is left out of the default run for its
+# cost; `verify --suite main-theorem-desk --case 4` runs it.
+DESK_DEFAULT_PARTS = (1, 2, 3, 5, 6, 7)
+
+
+def desk_results(parts: Sequence[int], seed: int) -> List[DeskResult]:
+    return [r for part in parts for r in verify_main_theorem_desk(part, seed=seed)]
+
+
+def desk_ok(results: List[DeskResult]) -> bool:
+    return all(r.status != "fail" for r in results)
+
+
+def suite_main_theorem_desk(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
+    results = desk_results(DESK_DEFAULT_PARTS, seed)
+    failed = sum(r.status == "fail" for r in results)
+    return desk_ok(results), "parts %s: %d cases, %d failed; part 4 is not in the default run" % (
+        ",".join(map(str, DESK_DEFAULT_PARTS)),
+        len(results),
+        failed,
+    )
+
+
 SUITES: Dict[str, Callable[..., Tuple[bool, str]]] = {
     "lemma4.5": suite_lemma4_5,
     "lemma4.6": suite_lemma4_6,
@@ -477,8 +513,10 @@ SUITES: Dict[str, Callable[..., Tuple[bool, str]]] = {
     "lemma6.1": suite_lemma6_1,
     "cor6.5": suite_cor6_5,
     "section2": suite_section2,
+    "section7": suite_section7,
+    "main-theorem-desk": suite_main_theorem_desk,
 }
 
 
 def suite_names() -> List[str]:
-    return list(SUITES) + ["section7", "main-theorem-desk"]
+    return list(SUITES)

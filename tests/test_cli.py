@@ -1,6 +1,10 @@
 import json
+import re
 
-from sl2genus.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, run
+from sl2genus import cli, suites
+from sl2genus.bounds import DeskResult
+from sl2genus.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, run
+from sl2genus.core import ConsistencyError
 
 
 def _run(capsys, *argv):
@@ -65,11 +69,51 @@ def test_verify_named_suite(capsys):
     assert json.loads(out)["ok"] is True
 
 
+# The wall-clock fields, the only part of a JSON payload that may differ
+# between two runs with the same seed and flags.
+ELAPSED = re.compile(r'"elapsed_ms": \d+')
+
+
 def test_json_determinism(capsys):
     args = ("verify", "--suite", "lemma4.10", "--seed", "7", "--output", "json")
     _, out1, _ = _run(capsys, *args)
     _, out2, _ = _run(capsys, *args)
     assert out1 == out2  # no timing fields in suite payloads
+    for args in (
+        ("genus", "--p", "5", "--n", "2", "--subgroup", "preimage:D@1", "--output", "json"),
+        ("verify", "--suite", "section7", "--seed", "7", "--output", "json"),
+    ):
+        code1, out1, _ = _run(capsys, *args)
+        code2, out2, _ = _run(capsys, *args)
+        assert code1 == code2 == EXIT_OK
+        assert ELAPSED.sub("", out1) == ELAPSED.sub("", out2)
+
+
+def test_verify_all_reports_section7_and_desk_details(capsys, monkeypatch):
+    monkeypatch.setattr(suites, "suite_names", lambda: ["lemma4.10", "section7", "main-theorem-desk"])
+    monkeypatch.setattr(
+        suites,
+        "verify_main_theorem_desk",
+        lambda part, seed=0: [DeskResult(part, "stub", "pass", 1, None, seed, "")],
+    )
+    code, out, _ = _run(capsys, "verify", "--suite", "all", "--output", "json")
+    assert code == EXIT_OK
+    details = {r["name"]: r["detail"] for r in json.loads(out)["results"]}
+    assert list(details) == ["lemma4.10", "section7", "main-theorem-desk"]
+    assert details["section7"].startswith("23 cases: ")
+    assert details["main-theorem-desk"] == (
+        "parts 1,2,3,5,6,7: 6 cases, 0 failed; part 4 is not in the default run"
+    )
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(h):
+        raise ConsistencyError("routes disagree")
+
+    monkeypatch.setattr(cli, "genus_report", broken)
+    code, _, err = _run(capsys, "genus", "--p", "13", "--n", "1", "--subgroup", "B")
+    assert code == EXIT_INTERNAL == 3
+    assert err.startswith("internal error: routes disagree")
 
 
 def test_usage_errors(capsys):
