@@ -1125,20 +1125,24 @@ def section7_case_ids() -> List[str]:
     return ["L7.1"] + sorted(_SECTION7)
 
 
-def verify_section7(case_id: str) -> CaseReport:
-    t0 = time.monotonic()
+def section7_case(case_id: str) -> Callable[[], CaseReport]:
+    """The builder of one section-7 case; KeyError for an id naming no case."""
     if case_id == "L7.1":
-        rep = _case_l71(None)
-    elif case_id.startswith("L7.1:"):
+        return lambda: _case_l71(None)
+    if case_id.startswith("L7.1:"):
         q = int(case_id.split(":", 1)[1])
         if q < 17 or not all(q % d for d in range(2, min(q, 100))):
             raise KeyError("L7.1 cases exist for primes p >= 17")
-        rep = _case_l71(q)
-    else:
-        builder = _SECTION7.get(case_id)
-        if builder is None:
-            raise KeyError("unknown section-7 case %r" % case_id)
-        rep = builder()
+        return lambda: _case_l71(q)
+    builder = _SECTION7.get(case_id)
+    if builder is None:
+        raise KeyError("unknown section-7 case %r" % case_id)
+    return builder
+
+
+def verify_section7(case_id: str) -> CaseReport:
+    t0 = time.monotonic()
+    rep = section7_case(case_id)()
     rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return rep
 
@@ -1345,4 +1349,4 @@ def verify_main_theorem_desk(
         ns = samples or 25
         ctx = make_ctx(2, 7)
         return [_bounds_sampled(7, "B@2^7 (reduced from 2^11)", ctx, borel(2), ns, seed)]
-    raise ValueError("parts run 1..7, got %d" % part)
+    raise PreconditionError("parts run 1..7, got %d" % part)

@@ -33,6 +33,7 @@ from .bounds import (
     BOUND_KINDS,
     bound_sequence,
     section7_all,
+    section7_case,
     verify_section7,
 )
 
@@ -40,6 +41,20 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+
+class UsageError(Exception):
+    """An argument or spec on the command line that does not parse."""
+
+
+def _parsed(fn, *args, **kwargs):
+    """fn(*args, **kwargs), for a function that reads command-line input: a
+    ValueError or KeyError it raises is a usage error.  The same exceptions
+    raised later, inside a computation, are internal errors."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, KeyError) as e:
+        raise UsageError(e) from e
 
 
 def _parse_class(text: str, ctx) -> ConjClassRef:
@@ -62,8 +77,12 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
             print(line)
 
 
+def _subgroup(args):
+    return _parsed(parse_subgroup_spec, args.subgroup, args.p, args.n, seed=args.seed, cap=args.max_elements)
+
+
 def _cmd_genus(args) -> int:
-    h = parse_subgroup_spec(args.subgroup, args.p, args.n, seed=args.seed, cap=args.max_elements)
+    h = _subgroup(args)
     rep = genus_report(h)
     payload = rep.to_json_dict()
     payload["subgroup"] = args.subgroup
@@ -85,7 +104,7 @@ def _cmd_genus(args) -> int:
 def _cmd_class_table(args) -> int:
     from .core import identity, mat_pow, neg, sigma, tau, upper_u
 
-    ctx = make_ctx(args.p, args.n)
+    ctx = _parsed(make_ctx, args.p, args.n)
     g = enumerate_group(ctx, args.max_elements)
     classes = partition_into_classes(g)
     named = {}
@@ -128,9 +147,9 @@ def _cmd_class_table(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    ctx = make_ctx(args.p, args.n)
-    h = parse_subgroup_spec(args.subgroup, args.p, args.n, seed=args.seed, cap=args.max_elements)
-    ref = _parse_class(args.cls, ctx)
+    ctx = _parsed(make_ctx, args.p, args.n)
+    h = _subgroup(args)
+    ref = _parsed(_parse_class, args.cls, ctx)
     cls = class_codes(ref, cap=args.max_elements)
     cnt = count_in_subgroup(h, ref)
     payload = {
@@ -157,6 +176,8 @@ def _cmd_verify(args) -> int:
     t0 = time.monotonic()
     if args.suite in ("section7", "main-theorem-desk"):
         if args.suite == "section7":
+            if args.case:
+                _parsed(section7_case, args.case)
             cases = [verify_section7(args.case)] if args.case else section7_all()
             ok = suites.section7_ok(cases)
             lines = [
@@ -171,7 +192,7 @@ def _cmd_verify(args) -> int:
                 for r in cases
             ]
         else:
-            parts = [int(args.case)] if args.case else suites.DESK_DEFAULT_PARTS
+            parts = [_parsed(int, args.case)] if args.case else suites.DESK_DEFAULT_PARTS
             cases = suites.desk_results(parts, args.seed)
             ok = suites.desk_ok(cases)
             lines = [
@@ -260,10 +281,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (FeasibilityError, PreconditionError, ValueError, KeyError) as e:
+    except (UsageError, FeasibilityError, PreconditionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    except ConsistencyError as e:
+    except (ConsistencyError, ValueError, KeyError) as e:
         print("internal error: %s" % e, file=sys.stderr)
         return EXIT_INTERNAL
 

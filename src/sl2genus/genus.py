@@ -3,7 +3,9 @@
 Everything is exact rational arithmetic.  The three ingredient counts
 (elliptic points of order 2 and 3, cusps) are each computed two independent
 ways -- directly on the coset space and through the class-counting identity
--- and any disagreement raises ConsistencyError.
+-- and any disagreement raises ConsistencyError.  G is enumerated once per
+context, and genus_report builds the coset space once per report and hands
+it to both fixed-point counts and the cusp count.
 """
 
 from __future__ import annotations
@@ -26,8 +28,11 @@ from .core import (
     tau as tau_mat,
     upper_u,
 )
-from .groups import ConjClassRef, class_codes, conj_class_brute, u_power_ref
+from .groups import ConjClassRef, class_codes, conj_class_brute, enumerate_group, u_power_ref
 from .subgroups import Subgroup
+
+# coset_space(h): (coset representatives, element code -> coset index).
+Cosets = Tuple[List[Mat], Dict]
 
 # Above this group order the coset-space cross-check is skipped and only the
 # class-counting route is used (it is an exact identity, not an estimate).
@@ -57,19 +62,19 @@ def legendre(a: int, p: int) -> int:
 # -------------------- coset machinery --------------------
 
 
-def coset_space(h: Subgroup) -> Tuple[List[Mat], Dict]:
-    """Left cosets gH of the full group; returns (reps, code -> coset index)."""
-    from .groups import enumerate_group
+def coset_space(h: Subgroup) -> Cosets:
+    """Left cosets gH of the full group; returns (reps, code -> coset index).
 
+    Which element represents a coset is unspecified; the fixed-point and
+    cusp counts do not depend on it."""
     ctx = h.ctx
-    g_all = enumerate_group(ctx)
     dec = decoder(ctx)
     enc = encoder(ctx)
     m = ctx.modulus
     hmats = [dec(c) for c in h.codes()]
     coset_of: Dict = {}
     reps: List[Mat] = []
-    for c in sorted(g_all.codes):
+    for c in enumerate_group(ctx).codes:
         if c in coset_of:
             continue
         g = dec(c)
@@ -99,9 +104,12 @@ def _class_of(ctx: GroupCtx, a: Mat) -> FrozenSet:
     return conj_class_brute(a, ctx).codes
 
 
-def fix_points(h: Subgroup, a: Mat) -> int:
+def fix_points(h: Subgroup, a: Mat, cosets: Optional[Cosets] = None) -> int:
     """#{gH : a gH = gH}, computed on cosets and through
-    #Fix_a / [G:H] = #(H n Conj(a)) / #Conj(a); the two must agree."""
+    #Fix_a / [G:H] = #(H n Conj(a)) / #Conj(a); the two must agree.
+
+    cosets is coset_space(h) if the caller has it already; without it the
+    coset route builds its own."""
     ctx = h.ctx
     cls = _class_of(ctx, a)
     inter = len(h.codes() & cls)
@@ -110,7 +118,7 @@ def fix_points(h: Subgroup, a: Mat) -> int:
     if via_identity.denominator != 1:
         raise ConsistencyError("fixed-point identity gave a non-integer")
     if ctx.order <= DIRECT_CHECK_CAP:
-        reps, coset_of = coset_space(h)
+        reps, coset_of = cosets if cosets is not None else coset_space(h)
         direct = _fix_direct(h, a, reps, coset_of)
         if direct != via_identity:
             raise ConsistencyError(
@@ -119,9 +127,10 @@ def fix_points(h: Subgroup, a: Mat) -> int:
     return int(via_identity)
 
 
-def cusp_orbit_ratio(h: Subgroup) -> Fraction:
+def cusp_orbit_ratio(h: Subgroup, cosets: Optional[Cosets] = None) -> Fraction:
     """#(<u>\\G/H) / [G:H], via the u^(p^s) class counts; cross-checked by a
-    direct orbit count of <u> acting on G/H when the group is small enough."""
+    direct orbit count of <u> acting on G/H when the group is small enough.
+    cosets as in fix_points."""
     ctx = h.ctx
     p, n = ctx.p, ctx.n
     hcodes = h.codes()
@@ -130,7 +139,7 @@ def cusp_orbit_ratio(h: Subgroup) -> Fraction:
         cls = class_codes(u_power_ref(ctx, s))
         ratio += Fraction(p - 1, p ** (s + 1)) * Fraction(len(hcodes & cls), len(cls))
     if ctx.order <= DIRECT_CHECK_CAP:
-        reps, coset_of = coset_space(h)
+        reps, coset_of = cosets if cosets is not None else coset_space(h)
         enc = encoder(ctx)
         m = ctx.modulus
         u = upper_u(ctx)
@@ -150,14 +159,14 @@ def cusp_orbit_ratio(h: Subgroup) -> Fraction:
     return ratio
 
 
-def _delta_terms(h: Subgroup) -> Tuple[int, int, Fraction, Fraction]:
+def _delta_terms(h: Subgroup, cosets: Optional[Cosets] = None) -> Tuple[int, int, Fraction, Fraction]:
     """(#H n Conj(sigma), #H n Conj(tau), cusp ratio, delta)."""
     ctx = h.ctx
     hcodes = h.codes()
     cls_s = class_codes(ConjClassRef(ctx, "sigma"))
     cls_t = class_codes(ConjClassRef(ctx, "tau"))
     cs, ct = len(hcodes & cls_s), len(hcodes & cls_t)
-    cusp = cusp_orbit_ratio(h)
+    cusp = cusp_orbit_ratio(h, cosets)
     d = 1 - 3 * Fraction(cs, len(cls_s)) - 4 * Fraction(ct, len(cls_t)) - 6 * cusp
     return cs, ct, cusp, d
 
@@ -233,9 +242,10 @@ class GenusReport:
 
 def genus_report(h: Subgroup) -> GenusReport:
     ctx = h.ctx
-    cs, ct, cusp, d = _delta_terms(h)
-    fs = fix_points(h, sigma_mat(ctx))
-    ft = fix_points(h, tau_mat(ctx))
+    cosets = coset_space(h) if ctx.order <= DIRECT_CHECK_CAP else None
+    cs, ct, cusp, d = _delta_terms(h, cosets)
+    fs = fix_points(h, sigma_mat(ctx), cosets)
+    ft = fix_points(h, tau_mat(ctx), cosets)
     g = _genus_from_delta(h, d) if minus_one(ctx) in h else None
     return GenusReport(ctx.order // h.order, cs, ct, cusp, d, g, fs, ft)
 

@@ -9,6 +9,7 @@ memory at O(#class) instead of O(#group).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -97,16 +98,24 @@ def _closure_codes(gens: Iterable[Mat], ctx: GroupCtx, cap: int) -> FrozenSet:
 
 
 def enumerate_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSet:
-    """Materialize SL2(Z/p^nZ) as the closure of <u, t(u)>."""
+    """Materialize SL2(Z/p^nZ) as the closure of <u, t(u)>.
+
+    The closure runs once per context; the cap is checked on every call, so a
+    group enumerated once still raises FeasibilityError under a lower cap."""
     if ctx.order > cap:
         raise FeasibilityError(
             "SL2(Z/%d^%dZ) has %d elements, above the cap of %d; raise --max-elements "
             "or SL2_MAX_ELEMENTS" % (ctx.p, ctx.n, ctx.order, cap)
         )
-    codes = _closure_codes((upper_u(ctx), lower_u(ctx)), ctx, cap)
+    return ElementSet(ctx, _group_codes(ctx))
+
+
+@lru_cache(maxsize=None)
+def _group_codes(ctx: GroupCtx) -> FrozenSet:
+    codes = _closure_codes((upper_u(ctx), lower_u(ctx)), ctx, ctx.order)
     if len(codes) != ctx.order:
         raise ConsistencyError("closure of <u, t(u)> missed elements")  # pragma: no cover
-    return ElementSet(ctx, codes)
+    return codes
 
 
 def gl2_generators(ctx: GroupCtx) -> List[Mat]:

@@ -116,6 +116,16 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert err.startswith("internal error: routes disagree")
 
 
+def test_computation_value_and_key_errors_are_internal(capsys, monkeypatch):
+    def broken(h):
+        raise KeyError("no such coset")
+
+    monkeypatch.setattr(cli, "genus_report", broken)
+    code, _, err = _run(capsys, "genus", "--p", "13", "--n", "1", "--subgroup", "B")
+    assert code == EXIT_INTERNAL
+    assert err.startswith("internal error: ")
+
+
 def test_usage_errors(capsys):
     code, _, err = _run(capsys, "verify", "--suite", "not-a-suite")
     assert code == EXIT_USAGE
@@ -125,6 +135,20 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, err = _run(capsys, "verify", "--suite", "section7", "--case", "P9.1")
     assert code == EXIT_USAGE
+    for argv in (
+        ("genus", "--p", "4", "--n", "1", "--subgroup", "B"),
+        ("class-table", "--p", "4", "--n", "1"),
+        ("genus", "--p", "5", "--n", "1", "--subgroup", "nonsense"),
+        ("genus", "--p", "5", "--n", "1", "--subgroup", "gens:1,2;3"),
+        ("genus", "--p", "5", "--n", "1", "--subgroup", "preimage:B@x"),
+        ("count", "--p", "13", "--n", "1", "--subgroup", "B", "--class", "u^p^x"),
+        ("count", "--p", "13", "--n", "1", "--subgroup", "B", "--class", "rho"),
+        ("verify", "--suite", "main-theorem-desk", "--case", "x"),
+        ("verify", "--suite", "main-theorem-desk", "--case", "9"),
+    ):
+        code, _, err = _run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert err.startswith("error: "), argv
 
 
 def test_feasibility_error_names_the_flag(capsys):

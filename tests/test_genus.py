@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from sl2genus.core import (
     minus_one,
     sigma,
     tau,
+    upper_u,
 )
 from sl2genus.genus import (
     GenusReport,
@@ -176,3 +178,47 @@ def test_genus_report_json_round_trip():
     assert back == rep
     assert payload["genus"] == "0"
     assert payload["index"] == "14"
+
+
+def test_genus_report_builds_one_coset_space_and_reuses_the_group(monkeypatch):
+    # sl2genus.genus is the function; the module is reached through sys.modules
+    genus_mod = sys.modules["sl2genus.genus"]
+    groups_mod = sys.modules["sl2genus.groups"]
+    ctx = make_ctx(3, 2)
+    hs = [closure([upper_u(ctx)], ctx), closure([sigma(ctx)], ctx), closure([tau(ctx)], ctx)]
+    calls = {"coset_space": 0, "full_closures": 0}
+
+    def counted(fn, key, hit=lambda out: True):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls[key] += hit(out)
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(genus_mod, "coset_space", counted(genus_mod.coset_space, "coset_space"))
+    monkeypatch.setattr(
+        groups_mod,
+        "_closure_codes",
+        counted(groups_mod._closure_codes, "full_closures", lambda out: len(out) == ctx.order),
+    )
+    genus_report(hs[0])
+    assert calls["coset_space"] == 1
+    calls["full_closures"] = 0  # G may have been enumerated once, by this report
+    for h in hs[1:]:
+        genus_report(h)
+    assert calls == {"coset_space": 3, "full_closures": 0}
+
+
+def test_genus_report_matches_standalone_counts():
+    # genus_report shares one coset space; each standalone call builds its own
+    for p, n, count in ((2, 3, 8), (3, 2, 8), (5, 2, 6)):
+        ctx = make_ctx(p, n)
+        rng = random.Random((p, n, "shared-cosets").__repr__())
+        for h0 in sample_subgroups(ctx, count, rng):
+            for h in (h0, adjoin_minus_one(h0)):
+                rep = genus_report(h)
+                assert rep.fix_sigma == fix_points(h, sigma(ctx))
+                assert rep.fix_tau == fix_points(h, tau(ctx))
+                assert rep.cusp_ratio == cusp_orbit_ratio(h)
+                assert rep.delta == delta(h)

@@ -26,7 +26,7 @@ from sl2genus.core import (
     sigma,
 )
 from sl2genus.groups import ConjClassRef, class_codes, conj_class_brute, enumerate_group, gl2_generators
-from sl2genus.subgroups import Subgroup
+from sl2genus.subgroups import Subgroup, full_group
 
 CONTEXTS = ((2, 2), (3, 2), (5, 1), (2, 3))
 AMBIENTS = ("SL2", "GL2")
@@ -175,6 +175,18 @@ def test_class_cache_respects_a_lower_cap():
     with pytest.raises(FeasibilityError, match="max-elements"):
         class_codes(ref, cap=10)
     assert class_codes(ref, cap=750) == full
+
+
+def test_group_cache_respects_a_lower_cap():
+    ctx = make_ctx(3, 2)
+    full = enumerate_group(ctx)  # warm the cache
+    assert len(full) == ctx.order == 648
+    with pytest.raises(FeasibilityError, match="max-elements"):
+        enumerate_group(ctx, cap=ctx.order - 1)
+    with pytest.raises(FeasibilityError, match="max-elements"):
+        full_group(ctx, cap=ctx.order - 1)
+    assert enumerate_group(ctx, cap=ctx.order).codes == full.codes
+    assert full_group(ctx, cap=ctx.order).codes() == full.codes
 
 
 def test_closure_cap_names_the_flag():
