@@ -53,7 +53,6 @@ from .genus import (
     cusp_orbit_ratio,
     delta,
     fix_points,
-    genus,
     genus_report,
     genus_with_minus_one,
     legendre,

@@ -1,11 +1,12 @@
 """Slim-subgroup bounds and exact re-verification of the delta_H case chains.
 
 bound_sequence evaluates the eight closed-form upper-bound sequences for
-#(H n Conj(alpha)) over slim subgroups H.  check_slim_bound tests every
-applicable inequality on a concrete slim subgroup, including the underlying
-step-by-step decomposition over the fiber groups V.  verify_section7 re-derives
-each printed inequality chain in exact rationals and compares the final
-fraction with the printed one.
+#(H n Conj(alpha)) over slim subgroups H, and corrected_bound adds their
+correction term from #(H mod p^(r+k) n Conj(alpha)).  check_slim_bound
+tests every applicable inequality on a concrete slim subgroup, including the
+underlying step-by-step decomposition over the fiber groups V.
+verify_section7 re-derives each printed inequality chain in exact rationals
+and compares the final fraction with the printed one.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import (
     PreconditionError,
     decoder,
     encoder,
+    is_prime,
     make_ctx,
     num_to_json,
     reduce_mat,
@@ -50,6 +52,7 @@ from .subgroups import (
     is_slim,
 )
 from .fibers import FiberDescriptor, commutator_fiber_codes, recovery_count
+from .genus import cusp_series, delta, delta_from_ratios
 
 # -------------------- exponent tables --------------------
 
@@ -139,6 +142,27 @@ def bound_sequence(kind: str, p: int, n: int) -> int:
     return 2 ** (3 * lp - 2) - 2 ** (n + 1)
 
 
+def _correction(kind: str, p: int) -> Tuple[int, int, int]:
+    """(e, c, k) of the bound a(kind, p)_n + p^(n-e) (#(H mod p^(r+k) n Conj) - c)."""
+    return {
+        "a_sigma_p": (1, 2, 1),
+        "a_tau_p": (1, 2, 1),
+        "a_tau_3": (1, 1, 1),
+        "a_u_p": (1, (p - 1) // 2, 1),
+        "a_sigma_2": (2, 2, 2),
+        "a_tau_2": (2, 8, 3),
+        "a_u_2": (1, 2, 3),
+        "b_u_2": (3, 4, 3),
+    }[kind]
+
+
+def corrected_bound(kind: str, p: int, n: int, count: int) -> int:
+    """The bound on #(H n Conj(alpha)) for slim H at depth n, given count =
+    #(H mod p^(r+k) n Conj(alpha)) (or an upper bound for it)."""
+    e, c, _k = _correction(kind, p)
+    return bound_sequence(kind, p, n) + p ** (n - e) * (count - c)
+
+
 # -------------------- slim-subgroup checks --------------------
 
 
@@ -214,13 +238,21 @@ class SlimBoundReport:
         self.checks.append((label, ok, detail))
 
 
+# The bound kinds of each class, in the order their checks are reported.
+_CLASS_BOUNDS = {
+    "sigma": ("a_sigma_p", "a_sigma_2"),
+    "tau": ("a_tau_p", "a_tau_3", "a_tau_2"),
+    "u_power": ("a_u_p", "a_u_2", "b_u_2"),
+}
+
+
 def slim_bound_report(h: Subgroup, ref: ConjClassRef) -> SlimBoundReport:
     """Every applicable closed-form inequality plus the filtration bound and
     the step-by-step decomposition chain, on a concrete slim subgroup."""
     ctx = h.ctx
     if ref.ctx != ctx:
         raise PreconditionError("class reference bound to a different context")
-    if ref.kind not in ("sigma", "tau", "u_power"):
+    if ref.kind not in _CLASS_BOUNDS:
         raise PreconditionError("bounds exist for sigma, tau, u_power classes")
     if not is_slim(h):
         raise PreconditionError("subgroup is not slim")
@@ -228,63 +260,16 @@ def slim_bound_report(h: Subgroup, ref: ConjClassRef) -> SlimBoundReport:
     r = ref.r if ref.kind == "u_power" else 0
     depth = ctx.n - r
     rep = SlimBoundReport(ref.kind, r, h.order)
-    if depth < 2:
-        raise PreconditionError("no closed-form bound applies at depth %d" % depth)
-
     cnt = len(h.codes() & class_codes(ref))
     applied = False
-    if ref.kind == "sigma":
-        if p >= 3:
-            rhs = bound_sequence("a_sigma_p", p, depth) + p ** (depth - 1) * (
-                _count_reduced(h, ref, 1) - 2
-            )
-            rep.add("a_sigma_p", cnt <= rhs, "%d <= %d" % (cnt, rhs))
-            applied = True
-        elif depth >= 3:
-            rhs = bound_sequence("a_sigma_2", 2, depth) + 2 ** (depth - 2) * (
-                _count_reduced(h, ref, 2) - 2
-            )
-            rep.add("a_sigma_2", cnt <= rhs, "%d <= %d" % (cnt, rhs))
-            applied = True
-    elif ref.kind == "tau":
-        if p >= 5:
-            rhs = bound_sequence("a_tau_p", p, depth) + p ** (depth - 1) * (
-                _count_reduced(h, ref, 1) - 2
-            )
-            rep.add("a_tau_p", cnt <= rhs, "%d <= %d" % (cnt, rhs))
-            applied = True
-        elif p == 3:
-            rhs = bound_sequence("a_tau_3", 3, depth) + 3 ** (depth - 1) * (
-                _count_reduced(h, ref, 1) - 1
-            )
-            rep.add("a_tau_3", cnt <= rhs, "%d <= %d" % (cnt, rhs))
-            applied = True
-        elif depth >= 5:
-            rhs = bound_sequence("a_tau_2", 2, depth) + 2 ** (depth - 2) * (
-                _count_reduced(h, ref, 3) - 8
-            )
-            rep.add("a_tau_2", cnt <= rhs, "%d <= %d" % (cnt, rhs))
-            applied = True
-    else:
-        if p >= 3:
-            rhs = bound_sequence("a_u_p", p, depth) + p ** (depth - 1) * (
-                _count_reduced(h, ref, r + 1) - (p - 1) // 2
-            )
-            rep.add("a_u_p", cnt <= rhs, "%d <= %d" % (cnt, rhs))
-            applied = True
-        else:
-            if depth >= 6:
-                rhs = bound_sequence("a_u_2", 2, depth) + 2 ** (depth - 1) * (
-                    _count_reduced(h, ref, r + 3) - 2
-                )
-                rep.add("a_u_2", cnt <= rhs, "%d <= %d" % (cnt, rhs))
-                applied = True
-            if depth >= 4:
-                rhs = bound_sequence("b_u_2", 2, depth) + 2 ** (depth - 3) * (
-                    _count_reduced(h, ref, r + 3) - 4
-                )
-                rep.add("b_u_2", cnt <= rhs, "%d <= %d" % (cnt, rhs))
-                applied = True
+    for kind in _CLASS_BOUNDS[ref.kind]:
+        try:
+            bound_sequence(kind, p, depth)
+        except PreconditionError:  # its preconditions say where a bound applies
+            continue
+        rhs = corrected_bound(kind, p, depth, _count_reduced(h, ref, r + _correction(kind, p)[2]))
+        rep.add(kind, cnt <= rhs, "%d <= %d" % (cnt, rhs))
+        applied = True
     if not applied:
         raise PreconditionError(
             "no closed-form bound applies to %s at p=%d, depth %d" % (ref.kind, p, depth)
@@ -344,25 +329,20 @@ def _chain_checks(
             cap = recovery_count(_fiber_kind(ref), p, depth, depth - i)
             rep.add("chain:recovery%d" % i, _mod_count(ctx, y[i], r + i) <= cap)
         return
-    # p = 2 short chains at desk exponents
-    if ref.kind == "sigma" and 3 <= depth <= 5:
-        y = _y_sets(h, ref, [1])
-        m1 = _mod_count(ctx, y[1], 2)
-        m0 = _mod_count(ctx, y[0], 2)
-        rep.add("chain:last", len(y[1]) <= 2 ** (2 * (depth - 2)) * m1)
-        rep.add("chain:first", len(y[0] - y[1]) <= 2 ** (depth - 2) * (m0 - m1))
-        total = (2 ** (2 * (depth - 2)) - 2 ** (depth - 2)) * m1 + 2 ** (depth - 2) * m0
-        rep.add("chain:total", cnt <= total, "%d <= %d" % (cnt, total))
-        rep.add("chain:recovery1", m1 <= 2)
-    elif ref.kind == "u_power" and 4 <= depth <= 6:
-        y = _y_sets(h, ref, [1])
-        m1 = _mod_count(ctx, y[1], r + 3)
-        m0 = _mod_count(ctx, y[0], r + 3)
-        rep.add("chain:last", len(y[1]) <= 2 ** (2 * (depth - 3)) * m1)
-        rep.add("chain:first", len(y[0] - y[1]) <= 2 ** (depth - 3) * (m0 - m1))
-        total = (2 ** (2 * (depth - 3)) - 2 ** (depth - 3)) * m1 + 2 ** (depth - 3) * m0
-        rep.add("chain:total", cnt <= total, "%d <= %d" % (cnt, total))
-        rep.add("chain:recovery1", m1 <= 4)
+    # p = 2 short chains at desk exponents k < depth <= k + 3, for sigma and
+    # u_power: (k, level of the mod counts, recovery cap)
+    short = {"sigma": (2, 2, 2), "u_power": (3, r + 3, 4)}.get(ref.kind)
+    if short is None or not short[0] < depth <= short[0] + 3:
+        return
+    k, level, cap = short
+    y = _y_sets(h, ref, [1])
+    m1 = _mod_count(ctx, y[1], level)
+    m0 = _mod_count(ctx, y[0], level)
+    rep.add("chain:last", len(y[1]) <= 2 ** (2 * (depth - k)) * m1)
+    rep.add("chain:first", len(y[0] - y[1]) <= 2 ** (depth - k) * (m0 - m1))
+    total = (2 ** (2 * (depth - k)) - 2 ** (depth - k)) * m1 + 2 ** (depth - k) * m0
+    rep.add("chain:total", cnt <= total, "%d <= %d" % (cnt, total))
+    rep.add("chain:recovery1", m1 <= cap)
 
 
 def check_slim_bound(h: Subgroup, ref: ConjClassRef) -> bool:
@@ -529,13 +509,6 @@ def _e_bounds(p: int) -> Tuple[int, int]:
     return 18, 8
 
 
-def _cusp(p: int, per_s: Sequence[Fraction], t: int) -> Fraction:
-    out = Fraction(1, p**t)
-    for s, ratio in enumerate(per_s):
-        out += Fraction(p - 1, p ** (s + 1)) * ratio
-    return out
-
-
 def _finish(case_id: str, ch: _Chain, printed: Fraction, recomputed: Fraction, notes: str) -> CaseReport:
     if ch.flags:
         verdict = "positive_but_differs" if recomputed > 0 else "fail"
@@ -551,7 +524,7 @@ def _l71_value(p: int) -> Fraction:
 
 def _case_l71(p: Optional[int]) -> CaseReport:
     ch = _Chain()
-    primes = [q for q in range(5, 51) if all(q % d for d in range(2, q))]
+    primes = [q for q in range(5, 51) if is_prime(q)]
     for q in primes:
         v = _l71_value(q)
         ch.step("value at p=%d" % q, v)
@@ -560,17 +533,14 @@ def _case_l71(p: Optional[int]) -> CaseReport:
     ebs, ebt = _e_bounds(target)
     ch.require("E sigma bound <= 30", ebs <= 30)
     ch.require("E tau bound <= 20", ebt <= 20)
+    cls_min = (target - 1) * target
     ch.require(
         "class sizes >= (p-1)p",
-        _cls("sigma", target, 1) >= (target - 1) * target
-        and _cls("tau", target, 1) >= (target - 1) * target,
+        _cls("sigma", target, 1) >= cls_min and _cls("tau", target, 1) >= cls_min,
     )
     rec = ch.step(
         "1 - 3*30/((p-1)p) - 4*20/((p-1)p) - 6/p at p=%d" % target,
-        1
-        - Fraction(3 * 30, (target - 1) * target)
-        - Fraction(4 * 20, (target - 1) * target)
-        - Fraction(6, target),
+        delta_from_ratios(Fraction(30, cls_min), Fraction(20, cls_min), Fraction(1, target)),
     )
     printed = _l71_value(target)
     return _finish(
@@ -591,12 +561,12 @@ def _case_p72() -> CaseReport:
     bt = ch.expect("#B n Conj(tau)", _bcde("B", "tau", p), 38)
     bu = ch.expect("#B n Conj(u)", _bcde("B", "u", p), 9)
     bt_bound = ch.expect(
-        "a(tau,p)_2 + p(38-2)", bound_sequence("a_tau_p", p, 2) + p * (int(bt) - 2), 74 * 19
+        "a(tau,p)_2 + p(38-2)", corrected_bound("a_tau_p", p, 2, int(bt)), 74 * 19
     )
     r_tau = ch.expect("tau ratio", Fraction(int(bt_bound), int(cls_t)), Fraction(37, 10 * 19**2))
     r_u = ch.expect("u ratio via p^2 fibers", Fraction(p * p * int(bu), int(cls_u)), Fraction(1, p + 1))
-    cusp = ch.expect("cusp bound (t=1)", _cusp(p, [r_u], 1), Fraction(1, 10))
-    rec = ch.step("delta lower bound", 1 - 0 - 4 * r_tau - 6 * cusp)
+    cusp = ch.expect("cusp bound (t=1)", cusp_series(p, [r_u]), Fraction(1, 10))
+    rec = ch.step("delta lower bound", delta_from_ratios(0, r_tau, cusp))
     return _finish("P7.2", ch, Fraction(1805 - 74 - 1083, 5 * 19**2), rec, "Borel at p=19, level p^2")
 
 
@@ -609,12 +579,12 @@ def _case_p73() -> CaseReport:
     ch.expect("#B n Conj(tau)", _bcde("B", "tau", p), 0)
     bu = ch.expect("#B n Conj(u)", _bcde("B", "u", p), 8)
     bs_bound = ch.expect(
-        "a(sigma,p)_2 + p(34-2)", bound_sequence("a_sigma_p", p, 2) + p * (int(bs) - 2), 66 * 17
+        "a(sigma,p)_2 + p(34-2)", corrected_bound("a_sigma_p", p, 2, int(bs)), 66 * 17
     )
     r_sig = ch.expect("sigma ratio", Fraction(int(bs_bound), int(cls_s)), Fraction(11, 3 * 17**2))
     r_u = ch.expect("u ratio via p^2 fibers", Fraction(p * p * int(bu), int(cls_u)), Fraction(1, p + 1))
-    cusp = ch.expect("cusp bound (t=1)", _cusp(p, [r_u], 1), Fraction(1, 9))
-    rec = ch.step("delta lower bound", 1 - 3 * r_sig - 0 - 6 * cusp)
+    cusp = ch.expect("cusp bound (t=1)", cusp_series(p, [r_u]), Fraction(1, 9))
+    rec = ch.step("delta lower bound", delta_from_ratios(r_sig, 0, cusp))
     return _finish("P7.3", ch, Fraction(867 - 33 - 578, 3 * 17**2), rec, "Borel at p=17, level p^2")
 
 
@@ -629,19 +599,19 @@ def _case_p74_b() -> CaseReport:
     bt = ch.expect("#B n Conj(tau)", _bcde("B", "tau", p), 26)
     bu = ch.expect("#B n Conj(u)", _bcde("B", "u", p), 6)
     st_bound = ch.expect(
-        "a(sigma,p)_2 + p(26-2)", bound_sequence("a_sigma_p", p, 2) + p * (int(bs) - 2), 50 * 13
+        "a(sigma,p)_2 + p(26-2)", corrected_bound("a_sigma_p", p, 2, int(bs)), 50 * 13
     )
     r_sig = ch.expect("sigma ratio", Fraction(int(st_bound), int(cls_s)), Fraction(25, 7 * 13**2))
     r_tau = ch.expect(
         "tau ratio",
-        Fraction(bound_sequence("a_tau_p", p, 2) + p * (int(bt) - 2), int(cls_t)),
+        Fraction(corrected_bound("a_tau_p", p, 2, int(bt)), int(cls_t)),
         Fraction(25, 7 * 13**2),
     )
     # branch: H contains V_u
     r_up1 = ch.expect("Vu branch: u^p ratio", Fraction(int(bu), int(cls_up)), Fraction(1, p + 1))
     r_u1 = ch.expect("Vu branch: u ratio", Fraction(p * p * int(bu), int(cls_u)), Fraction(1, p + 1))
-    cusp1 = ch.expect("Vu branch: cusp (t=2)", _cusp(p, [r_u1, r_up1], 2), Fraction(1, 13))
-    rec1 = ch.step("Vu branch: delta lower bound", 1 - 3 * r_sig - 4 * r_tau - 6 * cusp1)
+    cusp1 = ch.expect("Vu branch: cusp (t=2)", cusp_series(p, [r_u1, r_up1]), Fraction(1, 13))
+    rec1 = ch.step("Vu branch: delta lower bound", delta_from_ratios(r_sig, r_tau, cusp1))
     printed1 = ch.step("Vu branch: printed", Fraction(1183 - 75 - 100 - 546, 7 * 13**2))
     ch.require("Vu branch matches", rec1 == printed1)
     # branch: H does not contain V_u
@@ -650,8 +620,8 @@ def _case_p74_b() -> CaseReport:
         Fraction(p * int(bu), int(cls_u)),
         Fraction(1, p * (p + 1)),
     )
-    cusp2 = ch.expect("no-Vu branch: cusp (t=1)", _cusp(p, [r_u2], 1), Fraction(97, 7 * 13**2))
-    rec2 = ch.step("no-Vu branch: delta lower bound", 1 - 3 * r_sig - 4 * r_tau - 6 * cusp2)
+    cusp2 = ch.expect("no-Vu branch: cusp (t=1)", cusp_series(p, [r_u2]), Fraction(97, 7 * 13**2))
+    rec2 = ch.step("no-Vu branch: delta lower bound", delta_from_ratios(r_sig, r_tau, cusp2))
     printed2 = ch.step("no-Vu branch: printed", Fraction(1183 - 75 - 100 - 582, 7 * 13**2))
     ch.require("no-Vu branch matches", rec2 == printed2)
     return _finish(
@@ -669,16 +639,16 @@ def _case_p74_e() -> CaseReport:
     ch.expect("E tau bound", et, 8)
     r_sig = ch.expect(
         "sigma ratio",
-        Fraction(bound_sequence("a_sigma_p", p, 2) + p * (es - 2), int(cls_s)),
+        Fraction(corrected_bound("a_sigma_p", p, 2, es), int(cls_s)),
         Fraction(3, 13**2),
     )
     r_tau = ch.expect(
         "tau ratio",
-        Fraction(bound_sequence("a_tau_p", p, 2) + p * (et - 2), int(cls_t)),
+        Fraction(corrected_bound("a_tau_p", p, 2, et), int(cls_t)),
         Fraction(16, 7 * 13**2),
     )
-    cusp = ch.expect("cusp (t=1, E n Conj(u) empty)", _cusp(p, [Fraction(0)], 1), Fraction(1, 13))
-    rec = ch.step("delta lower bound", 1 - 3 * r_sig - 4 * r_tau - 6 * cusp)
+    cusp = ch.expect("cusp (t=1, E n Conj(u) empty)", cusp_series(p, [Fraction(0)]), Fraction(1, 13))
+    rec = ch.step("delta lower bound", delta_from_ratios(r_sig, r_tau, cusp))
     return _finish("P7.4:E", ch, Fraction(1183 - 63 - 64 - 546, 7 * 13**2), rec, "exceptional at p=13")
 
 
@@ -693,12 +663,12 @@ def _p75_master(ch: _Chain, bs: int, bt: int, bu: int, branch: str) -> Fraction:
     cls_upp = ch.expect("#Conj(u^p^2)", _cls("u", p, 3, r=2), 24)
     if bs:
         r_sig = ch.step(
-            "sigma ratio", Fraction(bound_sequence("a_sigma_p", p, 3) + p * p * (bs - 2), cls_s)
+            "sigma ratio", Fraction(corrected_bound("a_sigma_p", p, 3, bs), cls_s)
         )
     else:
         r_sig = ch.step("sigma ratio (empty at level one)", Fraction(0))
     r_tau = ch.step(
-        "tau ratio", Fraction(bound_sequence("a_tau_p", p, 3) + p * p * (bt - 2), cls_t)
+        "tau ratio", Fraction(corrected_bound("a_tau_p", p, 3, bt), cls_t)
     )
     if branch == "Vu":
         r_u = ch.expect("u ratio", Fraction(p**4 * bu, int(cls_u)), Fraction(1, p + 1))
@@ -707,7 +677,7 @@ def _p75_master(ch: _Chain, bs: int, bt: int, bu: int, branch: str) -> Fraction:
         )
         r_upp = ch.expect("u^p^2 ratio", Fraction((p - 1) // 2, int(cls_upp)), Fraction(1, p + 1))
         cusp = ch.expect(
-            "cusp (t=3)", _cusp(p, [r_u, r_up, r_upp], 3), Fraction(p * p + 1, (p + 1) * p * p)
+            "cusp (t=3)", cusp_series(p, [r_u, r_up, r_upp]), Fraction(p * p + 1, (p + 1) * p * p)
         )
     else:
         if bu:
@@ -718,12 +688,12 @@ def _p75_master(ch: _Chain, bs: int, bt: int, bu: int, branch: str) -> Fraction:
             r_u = ch.step("u ratio (empty at level one)", Fraction(0))
         up_cnt = ch.expect(
             "a(u,p)_2 + p(#Conj(u^p) mod p^2 - (p-1)/2)",
-            bound_sequence("a_u_p", p, 2) + p * (_cls("u", p, 2, r=1) - (p - 1) // 2),
+            corrected_bound("a_u_p", p, 2, _cls("u", p, 2, r=1)),
             (p - 1) * p * p,
         )
         r_up = ch.expect("u^p ratio", Fraction(int(up_cnt), int(cls_up)), Fraction(2, p + 1))
-        cusp = ch.step("cusp (t=2)", _cusp(p, [r_u, r_up], 2))
-    return ch.step("delta lower bound", 1 - 3 * r_sig - 4 * r_tau - 6 * cusp)
+        cusp = ch.step("cusp (t=2)", cusp_series(p, [r_u, r_up]))
+    return ch.step("delta lower bound", delta_from_ratios(r_sig, r_tau, cusp))
 
 
 def _case_p75(sub: str) -> CaseReport:
@@ -776,17 +746,17 @@ def _case_p76(sub: str) -> CaseReport:
         bu = ch.expect("#B n Conj(u)", _bcde("B", "u", p), 5)
         r_up1 = ch.expect("Vu branch: u^p ratio", Fraction(int(bu), int(cls_up)), Fraction(1, p + 1))
         r_u1 = ch.expect("Vu branch: u ratio", Fraction(p * p * int(bu), int(cls_u)), Fraction(1, p + 1))
-        cusp1 = ch.expect("Vu branch: cusp (t=2)", _cusp(p, [r_u1, r_up1], 2), Fraction(1, 11))
-        rec1 = ch.step("Vu branch: delta lower bound", 1 - 6 * cusp1)
+        cusp1 = ch.expect("Vu branch: cusp (t=2)", cusp_series(p, [r_u1, r_up1]), Fraction(1, 11))
+        rec1 = ch.step("Vu branch: delta lower bound", delta_from_ratios(0, 0, cusp1))
         printed1 = ch.step("Vu branch: printed", Fraction(11 - 6, 11))
         ch.require("Vu branch matches", rec1 == printed1)
         r_u2 = ch.expect(
             "no-Vu branch: u ratio", Fraction(p * int(bu), int(cls_u)), Fraction(1, p * (p + 1))
         )
         cusp2 = ch.expect(
-            "no-Vu branch: cusp (t=1)", _cusp(p, [r_u2], 1), Fraction(71, 2 * 3 * 11**2)
+            "no-Vu branch: cusp (t=1)", cusp_series(p, [r_u2]), Fraction(71, 2 * 3 * 11**2)
         )
-        rec2 = ch.step("no-Vu branch: delta lower bound", 1 - 6 * cusp2)
+        rec2 = ch.step("no-Vu branch: delta lower bound", delta_from_ratios(0, 0, cusp2))
         printed2 = ch.step("no-Vu branch: printed", Fraction(121 - 71, 11**2))
         ch.require("no-Vu branch matches", rec2 == printed2)
         return _finish(
@@ -804,16 +774,16 @@ def _case_p76(sub: str) -> CaseReport:
         ch.expect("E tau bound", et, 20)
     r_sig = ch.expect(
         "sigma ratio",
-        Fraction(bound_sequence("a_sigma_p", p, 2) + p * (es - 2), int(cls_s)),
+        Fraction(corrected_bound("a_sigma_p", p, 2, es), int(cls_s)),
         Fraction(5, 11**2),
     )
     r_tau = ch.expect(
         "tau ratio",
-        Fraction(bound_sequence("a_tau_p", p, 2) + p * (et - 2), int(cls_t)),
+        Fraction(corrected_bound("a_tau_p", p, 2, et), int(cls_t)),
         Fraction(4, 11**2),
     )
-    cusp = ch.expect("cusp (t=1)", _cusp(p, [Fraction(0)], 1), Fraction(1, 11))
-    rec = ch.step("delta lower bound", 1 - 3 * r_sig - 4 * r_tau - 6 * cusp)
+    cusp = ch.expect("cusp (t=1)", cusp_series(p, [Fraction(0)]), Fraction(1, 11))
+    rec = ch.step("delta lower bound", delta_from_ratios(r_sig, r_tau, cusp))
     printed = Fraction(121 - 15 - 16 - 66, 11**2)
     notes = "exceptional at p=11" if sub == "E" else "dominated by the exceptional chain at p=11"
     return _finish("P7.6:%s" % sub, ch, printed, rec, notes)
@@ -829,7 +799,7 @@ def _case_p78() -> CaseReport:
     ch.expect("#C n Conj(u)", _bcde("C", "u", p), 0)
     corrected = ch.expect(
         "a(sigma,p)_3 + p^2(6-2) [coefficient p^(n-1) of the sigma bound]",
-        bound_sequence("a_sigma_p", p, 3) + p * p * (int(cs) - 2),
+        corrected_bound("a_sigma_p", p, 3, int(cs)),
         54 * 5**2,
     )
     printed_step = ch.step(
@@ -846,12 +816,12 @@ def _case_p78() -> CaseReport:
     r_sig = ch.expect("sigma ratio", Fraction(int(corrected), int(cls_s)), Fraction(9, 5**3))
     up_cnt = ch.expect(
         "a(u,p)_2 + p(12-2)",
-        bound_sequence("a_u_p", p, 2) + p * (_cls("u", p, 2, r=1) - (p - 1) // 2),
+        corrected_bound("a_u_p", p, 2, _cls("u", p, 2, r=1)),
         4 * 5**2,
     )
     r_up = ch.expect("u^p ratio", Fraction(int(up_cnt), int(cls_up)), Fraction(1, 3))
-    cusp = ch.expect("cusp (t=2)", _cusp(p, [Fraction(0), r_up], 2), Fraction(7, 3 * 5**2))
-    rec = ch.step("delta lower bound", 1 - 3 * r_sig - 0 - 6 * cusp)
+    cusp = ch.expect("cusp (t=2)", cusp_series(p, [Fraction(0), r_up]), Fraction(7, 3 * 5**2))
+    rec = ch.step("delta lower bound", delta_from_ratios(r_sig, 0, cusp))
     return _finish(
         "P7.8",
         ch,
@@ -869,11 +839,11 @@ def _p79_master(ch: _Chain, bs: int, bt: int, bu: int) -> Fraction:
     cls_up = ch.expect("#Conj(u^p)", _cls("u", p, 4, r=1), 12 * 5**4)
     cls_upp = ch.expect("#Conj(u^p^2)", _cls("u", p, 4, r=2), 12 * 5**2)
     r_sig = ch.step(
-        "sigma ratio", Fraction(bound_sequence("a_sigma_p", p, 4) + p**3 * (bs - 2), int(cls_s))
+        "sigma ratio", Fraction(corrected_bound("a_sigma_p", p, 4, bs), int(cls_s))
     )
     if bt:
         r_tau = ch.step(
-            "tau ratio", Fraction(bound_sequence("a_tau_p", p, 4) + p**3 * (bt - 2), int(cls_t))
+            "tau ratio", Fraction(corrected_bound("a_tau_p", p, 4, bt), int(cls_t))
         )
     else:
         r_tau = ch.step("tau ratio (empty at level one)", Fraction(0))
@@ -884,18 +854,18 @@ def _p79_master(ch: _Chain, bs: int, bt: int, bu: int) -> Fraction:
         r_u = ch.step("u ratio (empty at level one)", Fraction(0))
     up_cnt = ch.expect(
         "a(u,p)_3 + p^2(12-2)",
-        bound_sequence("a_u_p", p, 3) + p * p * (_cls("u", p, 2, r=1) - (p - 1) // 2),
+        corrected_bound("a_u_p", p, 3, _cls("u", p, 2, r=1)),
         12 * 5**3,
     )
     r_up = ch.expect("u^p ratio", Fraction(int(up_cnt), int(cls_up)), Fraction(1, 5))
     upp_cnt = ch.expect(
         "a(u,p)_2 + p(12-2)",
-        bound_sequence("a_u_p", p, 2) + p * (_cls("u", p, 2, r=1) - (p - 1) // 2),
+        corrected_bound("a_u_p", p, 2, _cls("u", p, 2, r=1)),
         4 * 5**2,
     )
     r_upp = ch.expect("u^p^2 ratio", Fraction(int(upp_cnt), int(cls_upp)), Fraction(1, 3))
-    cusp = ch.step("cusp (t=3)", _cusp(p, [r_u, r_up, r_upp], 3))
-    return ch.step("delta lower bound", 1 - 3 * r_sig - 4 * r_tau - 6 * cusp)
+    cusp = ch.step("cusp (t=3)", cusp_series(p, [r_u, r_up, r_upp]))
+    return ch.step("delta lower bound", delta_from_ratios(r_sig, r_tau, cusp))
 
 
 def _case_p79(sub: str) -> CaseReport:
@@ -933,9 +903,7 @@ def _p710_cusp_terms(ch: _Chain) -> List[Fraction]:
     terms = []
     for i in range(1, 5):
         nn = 6 - i
-        cnt = bound_sequence("a_u_p", p, nn) + 3 ** (nn - 1) * (
-            _cls("u", p, i + 1, r=i) - (p - 1) // 2
-        )
+        cnt = corrected_bound("a_u_p", p, nn, _cls("u", p, i + 1, r=i))
         ch.expect("a(u,3)_%d + 3^%d(4-1) = %d" % (nn, nn - 1, cnt), cnt, bound_sequence("a_u_p", p, nn) + 3**nn)
         terms.append(Fraction(cnt, _cls("u", p, 6, r=i)))
     return terms
@@ -951,14 +919,14 @@ def _case_p710(sub: str) -> CaseReport:
         ch.expect("#B n Conj(sigma)", _bcde("B", "sigma", p), 0)
         bt = ch.expect("#B n Conj(tau)", _bcde("B", "tau", p), 1)
         bu = ch.expect("#B n Conj(u)", _bcde("B", "u", p), 1)
-        t_cnt = ch.expect("a(tau,3)_6", bound_sequence("a_tau_3", p, 6) + 3**5 * (int(bt) - 1), 13 * 3**6)
+        t_cnt = ch.expect("a(tau,3)_6", corrected_bound("a_tau_3", p, 6, int(bt)), 13 * 3**6)
         r_tau = ch.expect("tau ratio", Fraction(int(t_cnt), int(cls_t)), Fraction(13, 4 * 3**4))
-        u_cnt = ch.expect("a(u,3)_6", bound_sequence("a_u_p", p, 6) + 3**5 * (int(bu) - 1), 17 * 3**6)
+        u_cnt = ch.expect("a(u,3)_6", corrected_bound("a_u_p", p, 6, int(bu)), 17 * 3**6)
         r_u = ch.expect("u ratio", Fraction(int(u_cnt), int(cls_u)), Fraction(17, 4 * 3**4))
         cusp = ch.expect(
-            "cusp (t=5)", _cusp(p, [r_u] + _p710_cusp_terms(ch), 5), Fraction(43, 2 * 3**5)
+            "cusp (t=5)", cusp_series(p, [r_u] + _p710_cusp_terms(ch)), Fraction(43, 2 * 3**5)
         )
-        rec = ch.step("delta lower bound", 1 - 0 - 4 * r_tau - 6 * cusp)
+        rec = ch.step("delta lower bound", delta_from_ratios(0, r_tau, cusp))
         return _finish("P7.10:B", ch, Fraction(81 - 13 - 43, 3**4), rec, "Borel at p=3, level 3^6")
     # SL, C, D all run on the full level-one class counts with u excluded
     if sub in ("C", "D"):
@@ -976,17 +944,17 @@ def _case_p710(sub: str) -> CaseReport:
     fs = ch.expect("#Conj(sigma) mod 3", _cls("sigma", p, 1), 6)
     ft = ch.expect("#Conj(tau) mod 3", _cls("tau", p, 1), 4)
     s_cnt = ch.expect(
-        "a(sigma,3)_6 + 3^5(6-2)", bound_sequence("a_sigma_p", p, 6) + 3**5 * (int(fs) - 2), 14 * 3**6
+        "a(sigma,3)_6 + 3^5(6-2)", corrected_bound("a_sigma_p", p, 6, int(fs)), 14 * 3**6
     )
     r_sig = ch.expect("sigma ratio", Fraction(int(s_cnt), int(cls_s)), Fraction(7, 3**5))
     t_cnt = ch.expect(
-        "a(tau,3)_6 + 3^5(4-1)", bound_sequence("a_tau_3", p, 6) + 3**5 * (int(ft) - 1), 14 * 3**6
+        "a(tau,3)_6 + 3^5(4-1)", corrected_bound("a_tau_3", p, 6, int(ft)), 14 * 3**6
     )
     r_tau = ch.expect("tau ratio", Fraction(int(t_cnt), int(cls_t)), Fraction(7, 2 * 3**4))
     cusp = ch.expect(
-        "cusp (t=5, u term 0)", _cusp(p, [Fraction(0)] + _p710_cusp_terms(ch), 5), Fraction(13, 3**5)
+        "cusp (t=5, u term 0)", cusp_series(p, [Fraction(0)] + _p710_cusp_terms(ch)), Fraction(13, 3**5)
     )
-    rec = ch.step("delta lower bound", 1 - 3 * r_sig - 4 * r_tau - 6 * cusp)
+    rec = ch.step("delta lower bound", delta_from_ratios(r_sig, r_tau, cusp))
     return _finish("P7.10:%s" % sub, ch, Fraction(81 - 7 - 14 - 26, 3**4), rec, note)
 
 
@@ -1009,16 +977,16 @@ def _case_p711() -> CaseReport:
     ch.expect("#f2,1^-1(B) n Conj(u^2)", _brute_count_mod(b, "u", 2, r=1), 3)
     fu3 = ch.expect("#f3,1^-1(B) n Conj(u)", _brute_count_mod(b, "u", 3), 4)
     s_cnt = ch.expect(
-        "a(sigma,2)_11 + 2^9(2-2)", bound_sequence("a_sigma_2", p, 11) + 2**9 * (int(fs) - 2), 11 * 2**12
+        "a(sigma,2)_11 + 2^9(2-2)", corrected_bound("a_sigma_2", p, 11, int(fs)), 11 * 2**12
     )
     r_sig = ch.expect("sigma ratio", Fraction(int(s_cnt), int(cls_s)), Fraction(11, 3 * 2**7))
     u_cnt = ch.expect(
-        "a(u,2)_11 + 2^10(4-2)", bound_sequence("a_u_2", p, 11) + 2**10 * (int(fu3) - 2), 23 * 2**11
+        "a(u,2)_11 + 2^10(4-2)", corrected_bound("a_u_2", p, 11, int(fu3)), 23 * 2**11
     )
     terms = [ch.expect("u ratio", Fraction(int(u_cnt), _cls("u", p, 11)), Fraction(23, 3 * 2**7))]
     u2_cnt = ch.expect(
         "a(u,2)_10 + 2^9(12-2)",
-        bound_sequence("a_u_2", p, 10) + 2**9 * (_cls("u", p, 4, r=1) - 2),
+        corrected_bound("a_u_2", p, 10, _cls("u", p, 4, r=1)),
         19 * 2**10,
     )
     terms.append(
@@ -1026,11 +994,11 @@ def _case_p711() -> CaseReport:
     )
     for i in range(2, 8):
         nn = 11 - i
-        cnt = bound_sequence("b_u_2", p, nn) + 2 ** (nn - 3) * (_cls("u", p, i + 3, r=i) - 4)
+        cnt = corrected_bound("b_u_2", p, nn, _cls("u", p, i + 3, r=i))
         ch.expect("b(u,2)_%d + 2^%d(12-4)" % (nn, nn - 3), cnt, bound_sequence("b_u_2", p, nn) + 2 ** (nn))
         terms.append(ch.step("u^2^%d ratio" % i, Fraction(cnt, _cls("u", p, 11, r=i))))
-    cusp = ch.expect("cusp (t=8)", _cusp(p, terms, 8), Fraction(11, 3 * 2**5))
-    rec = ch.step("delta lower bound", 1 - 3 * r_sig - 0 - 6 * cusp)
+    cusp = ch.expect("cusp (t=8)", cusp_series(p, terms), Fraction(11, 3 * 2**5))
+    rec = ch.step("delta lower bound", delta_from_ratios(r_sig, 0, cusp))
     return _finish("P7.11", ch, Fraction(128 - 11 - 88, 2**7), rec, "Borel at p=2, level 2^11")
 
 
@@ -1039,7 +1007,7 @@ def _p712_tail_terms(ch: _Chain, start: int) -> List[Fraction]:
     terms = []
     for i in range(start, 7):
         nn = 10 - i
-        cnt = bound_sequence("b_u_2", p, nn) + 2 ** (nn - 3) * (_cls("u", p, i + 3, r=i) - 4)
+        cnt = corrected_bound("b_u_2", p, nn, _cls("u", p, i + 3, r=i))
         ch.expect("b(u,2)_%d + 2^%d(12-4)" % (nn, nn - 3), cnt, bound_sequence("b_u_2", p, nn) + 2**nn)
         terms.append(ch.step("u^2^%d ratio" % i, Fraction(cnt, _cls("u", p, 10, r=i))))
     return terms
@@ -1058,13 +1026,13 @@ def _case_p712(sub: str) -> CaseReport:
         ft3 = ch.expect("#f3,1^-1(F) n Conj(tau)", _brute_count_mod(f, "tau", 3), 32)
         t_cnt = ch.expect(
             "a(tau,2)_10 + 2^8(32-8)",
-            bound_sequence("a_tau_2", p, 10) + 2**8 * (int(ft3) - 8),
+            corrected_bound("a_tau_2", p, 10, int(ft3)),
             13 * 2**11,
         )
         r_tau = ch.expect("tau ratio", Fraction(int(t_cnt), int(cls_t)), Fraction(13, 2**8))
         terms = [ch.step("u ratio (empty)", Fraction(0))] + _p712_tail_terms(ch, 1)
-        cusp = ch.expect("cusp (t=7)", _cusp(p, terms, 7), Fraction(23, 3 * 2**6))
-        rec = ch.step("delta lower bound", 1 - 0 - 4 * r_tau - 6 * cusp)
+        cusp = ch.expect("cusp (t=7)", cusp_series(p, terms), Fraction(23, 3 * 2**6))
+        rec = ch.step("delta lower bound", delta_from_ratios(0, r_tau, cusp))
         return _finish(
             "P7.12:F", ch, Fraction(64 - 13 - 46, 2**6), rec, "order-3 image at p=2, level 2^10"
         )
@@ -1077,19 +1045,19 @@ def _case_p712(sub: str) -> CaseReport:
     ch.expect("#A1 n Conj(u^2)", len(a1.codes() & class_codes(u_power_ref(ctx4, 1))), 0)
     ft3 = ch.expect("#f3,2^-1(A1) n Conj(tau)", _brute_count_mod(a1, "tau", 3), 8)
     s_cnt = ch.expect(
-        "a(sigma,2)_10 + 2^8(3-2)", bound_sequence("a_sigma_2", p, 10) + 2**8 * (int(a1s) - 2), 73 * 2**8
+        "a(sigma,2)_10 + 2^8(3-2)", corrected_bound("a_sigma_2", p, 10, int(a1s)), 73 * 2**8
     )
     r_sig = ch.expect("sigma ratio", Fraction(int(s_cnt), int(cls_s)), Fraction(73, 3 * 2**9))
     t_cnt = ch.expect(
-        "a(tau,2)_10 + 2^8(8-8)", bound_sequence("a_tau_2", p, 10) + 2**8 * (int(ft3) - 8), 5 * 2**12
+        "a(tau,2)_10 + 2^8(8-8)", corrected_bound("a_tau_2", p, 10, int(ft3)), 5 * 2**12
     )
     r_tau = ch.expect("tau ratio", Fraction(int(t_cnt), int(cls_t)), Fraction(5, 2**7))
     terms = [
         ch.step("u ratio (empty)", Fraction(0)),
         ch.step("u^2 ratio (empty)", Fraction(0)),
     ] + _p712_tail_terms(ch, 2)
-    cusp = ch.expect("cusp (t=7)", _cusp(p, terms, 7), Fraction(31, 3 * 2**7))
-    rec = ch.step("delta lower bound", 1 - 3 * r_sig - 4 * r_tau - 6 * cusp)
+    cusp = ch.expect("cusp (t=7)", cusp_series(p, terms), Fraction(31, 3 * 2**7))
+    rec = ch.step("delta lower bound", delta_from_ratios(r_sig, r_tau, cusp))
     return _finish(
         "P7.12:SL", ch, Fraction(512 - 73 - 80 - 248, 2**9), rec, "full mod-2 image, level 2^10"
     )
@@ -1131,7 +1099,7 @@ def section7_case(case_id: str) -> Callable[[], CaseReport]:
         return lambda: _case_l71(None)
     if case_id.startswith("L7.1:"):
         q = int(case_id.split(":", 1)[1])
-        if q < 17 or not all(q % d for d in range(2, min(q, 100))):
+        if q < 17 or not is_prime(q):
             raise KeyError("L7.1 cases exist for primes p >= 17")
         return lambda: _case_l71(q)
     builder = _SECTION7.get(case_id)
@@ -1180,7 +1148,6 @@ class DeskResult:
 
 def _delta_positive_exhaustive(part: int, label: str, container: Subgroup) -> DeskResult:
     from .core import minus_one
-    from .genus import delta
 
     t0 = time.monotonic()
     ctx = container.ctx
@@ -1213,8 +1180,6 @@ def _delta_positive_sampled(
     samples: int,
     seed: int,
 ) -> DeskResult:
-    from .genus import delta
-
     t0 = time.monotonic()
     rng = random.Random((seed, part, label).__repr__())
     subs = sample_slim_subgroups(ctx, samples, rng, mod_p_target=target)

@@ -210,7 +210,7 @@ def _cmd_verify(args) -> int:
     names = suites.suite_names() if args.suite == "all" else [args.suite]
     results = []
     for name in names:
-        okay, detail = suites.SUITES[name](seed=args.seed, cap=args.max_elements)
+        okay, detail = suites.SUITES[name](seed=args.seed)
         results.append((name, okay, detail))
     ok = all(r[1] for r in results)
     payload = {
@@ -232,30 +232,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(sp, needs_pn=True):
+    def common(sp, needs_pn=True, seed=False, cap=False):
+        """The shared flags, each only on the subcommands that read it."""
         if needs_pn:
             sp.add_argument("--p", type=int, required=True, help="prime p")
             sp.add_argument("--n", type=int, default=1, help="level exponent n >= 1")
         sp.add_argument("--output", choices=("text", "json"), default="text")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument(
-            "--max-elements",
-            type=int,
-            default=int(os.environ.get("SL2_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS)),
-            help="materialization cap (env SL2_MAX_ELEMENTS)",
-        )
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        if cap:
+            sp.add_argument(
+                "--max-elements",
+                type=int,
+                default=int(os.environ.get("SL2_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS)),
+                help="materialization cap (env SL2_MAX_ELEMENTS)",
+            )
 
     sp = sub.add_parser("genus", help="genus report for a subgroup")
-    common(sp)
+    common(sp, seed=True, cap=True)
     sp.add_argument("--subgroup", required=True, help="B|C|D|E:A4|F|A1|full|gens:...|preimage:S@m")
     sp.set_defaults(func=_cmd_genus)
 
     sp = sub.add_parser("class-table", help="conjugacy classes of SL2(Z/p^nZ)")
-    common(sp)
+    common(sp, cap=True)
     sp.set_defaults(func=_cmd_class_table)
 
     sp = sub.add_parser("count", help="#(H n Conj(alpha))")
-    common(sp)
+    common(sp, seed=True, cap=True)
     sp.add_argument("--subgroup", required=True)
     sp.add_argument("--class", dest="cls", required=True, help="sigma|tau|u|u^p^r")
     sp.set_defaults(func=_cmd_count)
@@ -266,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_bounds)
 
     sp = sub.add_parser("verify", help="verification suites")
-    common(sp, needs_pn=False)
+    common(sp, needs_pn=False, seed=True)
     sp.add_argument("--suite", required=True, help="suite name or 'all'")
     sp.add_argument("--case", help="single case id (section7) or part number (main-theorem-desk)")
     sp.set_defaults(func=_cmd_verify)

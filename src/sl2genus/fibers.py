@@ -3,15 +3,14 @@
 For alpha among sigma, tau, u^(p^r) and m < n <= 2m, the translated fiber
 V_alpha = alpha^-1 (f^-1(alpha) n Conj(alpha)) is a rank-2 module over
 Z/p^(n-m)Z.  V is always computed from that definition and then compared to
-the commutator form {1 + p^m (X a^-1 - a^-1 X)} and, for the standard
-representatives, to the explicit parametrizations; the closed forms are never
-trusted as the source of truth.
+the commutator form {1 + p^m (X a^-1 - a^-1 X)} and to the explicit
+parametrizations; the closed forms are never trusted as the source of truth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List
 
 from .core import (
     ConsistencyError,
@@ -37,10 +36,8 @@ _FIBER_KINDS = ("sigma", "tau", "u")
 
 @dataclass(frozen=True)
 class FiberDescriptor:
-    """Which fiber V_alpha^(r+n, r+m) to compute.
-
-    alpha_ref, when given, is a class element modulo p^(r+n-m); the default is
-    the standard representative.  r is forced to 0 for sigma and tau.
+    """Which fiber V_alpha^(r+n, r+m) to compute, over the standard
+    representative alpha.  r is forced to 0 for sigma and tau.
     """
 
     p: int
@@ -48,7 +45,6 @@ class FiberDescriptor:
     n: int
     m: int
     kind: str
-    alpha_ref: Optional[Mat] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _FIBER_KINDS:
@@ -84,20 +80,17 @@ class FiberDescriptor:
 
 
 def _resolve_alpha_prime(desc: FiberDescriptor) -> Mat:
-    """A class element at level r+m matching alpha_ref mod p^(r+n-m)."""
+    """The first class element at level r+m matching the standard
+    representative mod p^(r+n-m)."""
     ref_mod = desc.p ** (desc.r + desc.n - desc.m)
-    want = (
-        reduce_mat(desc.standard_rep(), ref_mod)
-        if desc.alpha_ref is None
-        else reduce_mat(desc.alpha_ref, ref_mod)
-    )
+    want = reduce_mat(desc.standard_rep(), ref_mod)
     ctx_m = make_ctx(desc.p, desc.r + desc.m)
     dec = decoder(ctx_m)
     for c in sorted(class_codes(desc.class_ref(desc.r + desc.m))):
         x = dec(c)
         if reduce_mat(x, ref_mod) == want:
             return x
-    raise PreconditionError("alpha_ref %r is not a class element" % (desc.alpha_ref,))
+    raise ConsistencyError("no class element lifts the standard representative")  # pragma: no cover
 
 
 def _additive_span(gens: List[Mat], modulus: int) -> FrozenSet:
@@ -144,7 +137,7 @@ def fiber_group(desc: FiberDescriptor) -> FrozenSet:
 
     Returns packed codes at level r+n.  Raises ConsistencyError if the fiber
     fails to be a subgroup of order p^(2(n-m)) matching the commutator form
-    (and, for standard representatives, the explicit parametrization).
+    and the explicit parametrization.
     """
     p, r, n, m = desc.p, desc.r, desc.n, desc.m
     ctx = desc.full_ctx()
@@ -181,7 +174,7 @@ def fiber_group(desc: FiberDescriptor) -> FrozenSet:
             raise ConsistencyError("fiber member %r is not 1 mod p^(r+m)" % (x,))
     if v != commutator_fiber_codes(desc, alpha_prime):
         raise ConsistencyError("fiber differs from its commutator form")
-    if desc.alpha_ref is None and v != _parametrized_codes(desc):
+    if v != _parametrized_codes(desc):
         raise ConsistencyError("fiber differs from the explicit parametrization")
     return v
 
@@ -263,9 +256,9 @@ def verify_orthogonality(desc: FiberDescriptor) -> bool:
 # -------------------- recovery counts --------------------
 
 
-def recovery_count(kind: str, p: int, n: int, m: int, r: int = 0) -> int:
+def recovery_count(kind: str, p: int, n: int, m: int) -> int:
     """Number of class elements alpha'' mod p^(r+n-m) sharing a given fiber
-    group V (closed forms)."""
+    group V (closed forms; the same for every r)."""
     if kind not in _FIBER_KINDS:
         raise ValueError("kind must be one of %r" % (_FIBER_KINDS,))
     if not (1 <= m < n <= 2 * m):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import (
     ConsistencyError,
@@ -127,17 +127,32 @@ def fix_points(h: Subgroup, a: Mat, cosets: Optional[Cosets] = None) -> int:
     return int(via_identity)
 
 
+def cusp_series(p: int, ratios: Sequence[Fraction]) -> Fraction:
+    """1/p^t + sum_s (p-1)/p^(s+1) r_s over r_0..r_(t-1), with t = len(ratios).
+
+    With r_s = #(H n Conj(u^(p^s))) / #Conj(u^(p^s)) and t = n this is the cusp
+    ratio; with upper bounds for the r_s it bounds the cusp ratio from above."""
+    out = Fraction(1, p ** len(ratios))
+    for s, r in enumerate(ratios):
+        out += Fraction(p - 1, p ** (s + 1)) * r
+    return out
+
+
+def delta_from_ratios(r_sigma: Fraction, r_tau: Fraction, cusp: Fraction) -> Fraction:
+    """delta_H = 1 - 3 r_sigma - 4 r_tau - 6 cusp, from the class ratios
+    #(H n Conj) / #Conj of sigma and tau and the cusp ratio; upper bounds for
+    them give a lower bound for delta_H."""
+    return 1 - 3 * r_sigma - 4 * r_tau - 6 * cusp
+
+
 def cusp_orbit_ratio(h: Subgroup, cosets: Optional[Cosets] = None) -> Fraction:
     """#(<u>\\G/H) / [G:H], via the u^(p^s) class counts; cross-checked by a
     direct orbit count of <u> acting on G/H when the group is small enough.
     cosets as in fix_points."""
     ctx = h.ctx
-    p, n = ctx.p, ctx.n
     hcodes = h.codes()
-    ratio = Fraction(1, p**n)
-    for s in range(n):
-        cls = class_codes(u_power_ref(ctx, s))
-        ratio += Fraction(p - 1, p ** (s + 1)) * Fraction(len(hcodes & cls), len(cls))
+    classes = [class_codes(u_power_ref(ctx, s)) for s in range(ctx.n)]
+    ratio = cusp_series(ctx.p, [Fraction(len(hcodes & cls), len(cls)) for cls in classes])
     if ctx.order <= DIRECT_CHECK_CAP:
         reps, coset_of = cosets if cosets is not None else coset_space(h)
         enc = encoder(ctx)
@@ -167,12 +182,12 @@ def _delta_terms(h: Subgroup, cosets: Optional[Cosets] = None) -> Tuple[int, int
     cls_t = class_codes(ConjClassRef(ctx, "tau"))
     cs, ct = len(hcodes & cls_s), len(hcodes & cls_t)
     cusp = cusp_orbit_ratio(h, cosets)
-    d = 1 - 3 * Fraction(cs, len(cls_s)) - 4 * Fraction(ct, len(cls_t)) - 6 * cusp
+    d = delta_from_ratios(Fraction(cs, len(cls_s)), Fraction(ct, len(cls_t)), cusp)
     return cs, ct, cusp, d
 
 
 def delta(h: Subgroup) -> Fraction:
-    """1 - 3 r_sigma - 4 r_tau - 6 (cusp ratio), all exact."""
+    """delta_H (delta_from_ratios of the exact class and cusp ratios of H)."""
     return _delta_terms(h)[3]
 
 

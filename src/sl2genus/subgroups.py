@@ -27,11 +27,13 @@ from .core import (
     _mul,
     decoder,
     encoder,
+    factorize,
     identity,
     lower_u,
     make_ctx,
     mat,
     minus_one,
+    neg,
     parse_mat,
     primitive_root,
     reduce_mat,
@@ -139,15 +141,13 @@ def full_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
 def adjoin_minus_one(h: Subgroup) -> Subgroup:
     """<H, -1>; since -1 is a central involution this is H u (-1)H."""
     ctx = h.ctx
-    m = ctx.modulus
     enc = encoder(ctx)
     dec = decoder(ctx)
-    neg1 = minus_one(ctx)
+    # a set frozen once gets a table sized to its elements; the union H | -H
+    # sizes it for both operands, twice that when -1 is already in H
     codes = set(h.codes())
-    for c in h.codes():
-        x = dec(c)
-        codes.add(enc(_mul(neg1, x, m)))
-    return Subgroup.from_codes(ctx, frozenset(codes), h.ambient, gens=h.gens + (neg1,))
+    codes.update(enc(neg(dec(c), ctx)) for c in h.codes())
+    return Subgroup.from_codes(ctx, codes, h.ambient, gens=h.gens + (minus_one(ctx),))
 
 
 # -------------------- reduction preimage and filtration --------------------
@@ -279,18 +279,14 @@ def split_cartan_normalizer(p: int) -> Subgroup:
     return got
 
 
-def nonsplit_cartan_normalizer(p: int, lam: Optional[int] = None) -> Subgroup:
-    """Norm-one torus {(x y; ly x)} and its flip; order 2(p+1).
-
-    lam defaults to the smallest positive quadratic non-residue mod p.
+def nonsplit_cartan_normalizer(p: int) -> Subgroup:
+    """Norm-one torus {(x y; ly x)} and its flip; order 2(p+1), with l the
+    smallest positive quadratic non-residue mod p.
     """
     if p < 3:
         raise PreconditionError("nonsplit Cartan normalizer needs p >= 3")
     ctx = make_ctx(p, 1)
-    if lam is None:
-        lam = smallest_nonresidue(p)
-    elif pow(lam, (p - 1) // 2, p) != p - 1:
-        raise PreconditionError("%d is not a quadratic non-residue mod %d" % (lam, p))
+    lam = smallest_nonresidue(p)
     torus_gen = None
     best_order = 0
     from .core import element_order
@@ -388,7 +384,7 @@ def exceptional_availability(p: int, iso: str) -> bool:
     raise ValueError("unknown exceptional type %r" % iso)
 
 
-def exceptional_subgroup(p: int, iso: str = "S4", seed: int = 0, max_tries: int = 40000) -> Subgroup:
+def exceptional_subgroup(p: int, iso: str = "S4", seed: int = 0) -> Subgroup:
     """E = (preimage of an A4/S4/A5 in PGL2(F_p)) n SL2(F_p).
 
     The PGL2 subgroup is found by seeded random generator search and
@@ -405,7 +401,7 @@ def exceptional_subgroup(p: int, iso: str = "S4", seed: int = 0, max_tries: int 
     rng = random.Random((seed, p, iso).__repr__())
     invol: List[Mat] = []
     other: List[Mat] = []
-    for _ in range(max_tries):
+    for _ in range(40_000):
         if invol and other:
             a = rng.choice(invol)
             b = rng.choice(other)
@@ -564,8 +560,7 @@ def all_subgroups(
             orbit.append(j)
             j = mul(j, i)
         o = len(orbit)
-        qs = {q for q in range(2, o + 1) if o % q == 0 and all(q % r for r in range(2, q))}
-        if len(qs) == 1 and o > 1:  # prime power order
+        if len(factorize(o)) == 1:  # prime power order
             key = frozenset(orbit)
             cyc.setdefault(key, i)
     pool = sorted(cyc.items(), key=lambda kv: (len(kv[0]), kv[1]))
@@ -618,28 +613,18 @@ def all_subgroups(
 # -------------------- random sampling --------------------
 
 
-def sample_subgroups(
-    ctx: GroupCtx,
-    count: int,
-    rng: random.Random,
-    universe: Optional[ElementSet] = None,
-    max_tries: int = 0,
-    cap: int = DEFAULT_MAX_ELEMENTS,
-) -> List[Subgroup]:
+def sample_subgroups(ctx: GroupCtx, count: int, rng: random.Random) -> List[Subgroup]:
     """Random generator pairs/triples, deduplicated by the element-set hash."""
-    if universe is None:
-        universe = enumerate_group(ctx, cap)
-    pool = sorted(universe.codes)
+    pool = sorted(enumerate_group(ctx).codes)
     dec = decoder(ctx)
     out: List[Subgroup] = []
     seen: set = set()
-    tries = max_tries or 40 * count
-    for _ in range(tries):
+    for _ in range(40 * count):
         if len(out) >= count:
             break
         k = rng.choice((1, 2, 2, 3))
         gens = tuple(dec(pool[rng.randrange(len(pool))]) for _ in range(k))
-        h = Subgroup(ctx, gens, cap=cap)
+        h = Subgroup(ctx, gens)
         key = h.codes()
         if key not in seen:
             seen.add(key)
@@ -670,9 +655,6 @@ def sample_slim_subgroups(
     count: int,
     rng: random.Random,
     mod_p_target: Optional[Subgroup] = None,
-    max_tries: int = 0,
-    cap: int = DEFAULT_MAX_ELEMENTS,
-    require_minus_one: bool = False,
 ) -> List[Subgroup]:
     """Seeded rejection sampling of slim subgroups, optionally with the mod-p
     image inside a given level-one subgroup.
@@ -688,11 +670,10 @@ def sample_slim_subgroups(
         level1_pool = sorted(enumerate_group(make_ctx(p, 1)).mats())
         top = len(level1_pool)
     slim_cap = top * p ** (2 * (n - 1)) * (p if p == 2 else 1) + 1
-    slim_cap = min(slim_cap, cap)
+    slim_cap = min(slim_cap, DEFAULT_MAX_ELEMENTS)
     out: List[Subgroup] = []
     seen: set = set()
-    tries = max_tries or 120 * count
-    for _ in range(tries):
+    for _ in range(120 * count):
         if len(out) >= count:
             break
         gens: List[Mat] = []
@@ -706,8 +687,6 @@ def sample_slim_subgroups(
             # kernel elements from upper layers keep the closure slim more often
             s = rng.randrange((n + 1) // 2, n)
             gens.append(_random_kernel_element(ctx, s, rng))
-        if require_minus_one:
-            gens.append(minus_one(ctx))
         try:
             h = closure(gens, ctx, cap=slim_cap)
         except FeasibilityError:

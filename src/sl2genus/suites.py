@@ -13,7 +13,6 @@ from collections import Counter
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .core import (
-    DEFAULT_MAX_ELEMENTS,
     GroupCtx,
     PreconditionError,
     decoder,
@@ -126,7 +125,7 @@ def golden_conj4_classes() -> Dict[str, frozenset]:
     return out
 
 
-def suite_lemma4_5(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
+def suite_lemma4_5(seed: int = 0) -> Tuple[bool, str]:
     ctx = make_ctx(2, 2)
     golden = golden_conj4_classes()
     sizes = sorted(len(v) for v in golden.values())
@@ -152,7 +151,7 @@ _BCDE_PRIMES = (5, 7, 11, 13, 17, 19, 23)
 _E_PRIMES = (5, 7, 11, 13, 17)
 
 
-def suite_lemma4_6(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
+def suite_lemma4_6(seed: int = 0) -> Tuple[bool, str]:
     for p in _BCDE_PRIMES:
         ctx = make_ctx(p, 1)
         cls = {
@@ -186,7 +185,7 @@ def suite_lemma4_6(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool
     return True, "B/C/D exact at p in %s; E bounds at p in %s" % (_BCDE_PRIMES, _E_PRIMES)
 
 
-def suite_lemma4_10(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
+def suite_lemma4_10(seed: int = 0) -> Tuple[bool, str]:
     ctx = make_ctx(2, 2)
     a1 = a1_subgroup()
     if a1.codes() != _codes_of(A1_TABLE, ctx):
@@ -206,7 +205,7 @@ def suite_lemma4_10(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[boo
 _SIZE_GRID = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1))
 
 
-def suite_lemma5_1(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
+def suite_lemma5_1(seed: int = 0) -> Tuple[bool, str]:
     for p, n in _SIZE_GRID:
         ctx = make_ctx(p, n)
         for kind in ("sigma", "tau"):
@@ -232,7 +231,7 @@ def suite_lemma5_1(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool
     return True, "class sizes and centralizers on %s" % (_SIZE_GRID,)
 
 
-def suite_lemma5_2(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
+def suite_lemma5_2(seed: int = 0) -> Tuple[bool, str]:
     for p, n in _SIZE_GRID:
         ctx = make_ctx(p, n)
         for r in range(0, n):
@@ -263,7 +262,7 @@ _FIBER_GRID = (
 )
 
 
-def suite_lemma5_3(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
+def suite_lemma5_3(seed: int = 0) -> Tuple[bool, str]:
     for kind, p, r, n, m in _FIBER_GRID:
         desc = FiberDescriptor(p, r, n, m, kind)
         v = fiber_group(desc)  # raises ConsistencyError on any structural failure
@@ -280,7 +279,7 @@ def suite_lemma5_3(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool
     return True, "%d fiber descriptors plus the p=2 size-2 fibers" % len(_FIBER_GRID)
 
 
-def suite_lemma5_6(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
+def suite_lemma5_6(seed: int = 0) -> Tuple[bool, str]:
     for kind, p, r, n, m in _FIBER_GRID:
         desc = FiberDescriptor(p, r, n, m, kind)
         if not verify_orthogonality(desc):
@@ -383,7 +382,7 @@ _RECOVERY_COUNT_GRID = (
 )
 
 
-def suite_lemma5_8_16(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
+def suite_lemma5_8_16(seed: int = 0) -> Tuple[bool, str]:
     for kind, p, n, r in _RECOVERY_GRID:
         ctx = make_ctx(p, r + n if kind == "u" else n)
         got = recovery_set_brute(kind, ctx, r=r)
@@ -391,7 +390,7 @@ def suite_lemma5_8_16(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[b
         if got != want:
             return False, "recovery set mismatch for %s at p=%d n=%d r=%d" % (kind, p, n, r)
     for kind, p, n, m, r in _RECOVERY_COUNT_GRID:
-        want = recovery_count(kind, p, n, m, r=r)
+        want = recovery_count(kind, p, n, m)
         got = recovery_count_brute(kind, p, n, m, r=r)
         if got != want:
             return False, "recovery count %d != %d for %s p=%d n=%d m=%d r=%d" % (
@@ -415,7 +414,7 @@ def _sample_grid(seed: int, per_ctx: int) -> List[Tuple[GroupCtx, List[Subgroup]
     return out
 
 
-def suite_lemma6_1(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
+def suite_lemma6_1(seed: int = 0) -> Tuple[bool, str]:
     total = 0
     for ctx, subs in _sample_grid(seed, 25):
         for h in subs:
@@ -433,7 +432,7 @@ def suite_lemma6_1(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool
     return True, "filtration and closed-form bounds on %d sampled (H, class) pairs" % total
 
 
-def suite_cor6_5(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
+def suite_cor6_5(seed: int = 0) -> Tuple[bool, str]:
     # exhaustive at SL2(Z/9Z), sampled at SL2(Z/27Z)
     ctx9 = make_ctx(3, 2)
     g9 = enumerate_group(ctx9)
@@ -459,7 +458,7 @@ def suite_cor6_5(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, 
     return True, "%d fiber-count checks" % checked
 
 
-def suite_section2(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
+def suite_section2(seed: int = 0) -> Tuple[bool, str]:
     if not section2_property_check("L2_1", trials=20, seed=seed):
         return False, "mod p^2 surjectivity criterion failed"
     if not section2_property_check("L2_5", trials=12, seed=seed):
@@ -471,7 +470,7 @@ def section7_ok(reports: List[CaseReport]) -> bool:
     return all(r.verdict in ("match", "positive_but_differs") for r in reports)
 
 
-def suite_section7(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
+def suite_section7(seed: int = 0) -> Tuple[bool, str]:
     reports = section7_all()
     verdicts = Counter(r.verdict for r in reports)
     detail = ", ".join("%d %s" % (verdicts[v], v) for v in sorted(verdicts))
@@ -491,7 +490,7 @@ def desk_ok(results: List[DeskResult]) -> bool:
     return all(r.status != "fail" for r in results)
 
 
-def suite_main_theorem_desk(seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Tuple[bool, str]:
+def suite_main_theorem_desk(seed: int = 0) -> Tuple[bool, str]:
     results = desk_results(DESK_DEFAULT_PARTS, seed)
     failed = sum(r.status == "fail" for r in results)
     return desk_ok(results), "parts %s: %d cases, %d failed; part 4 is not in the default run" % (

@@ -187,7 +187,7 @@ def test_criterion_08_fiber_structure():
         assert len(v) == p ** (2 * (n - m))
         assert verify_orthogonality(desc), (kind, p, r, n, m)
         if not (p == 2 and kind == "tau" and m < 2):
-            assert recovery_count_brute(kind, p, n, m, r=r) == recovery_count(kind, p, n, m, r=r)
+            assert recovery_count_brute(kind, p, n, m, r=r) == recovery_count(kind, p, n, m)
     # size-2 fibers outside the hypotheses (p = 2)
     assert reduction_fiber_sizes("sigma", 2, 2, 1) == frozenset({2})
     for r in (0, 1):

@@ -230,3 +230,109 @@ def test_desk_smoke_parts_6_7():
     for part in (6, 7):
         for r in verify_main_theorem_desk(part, samples=4):
             assert r.status == "pass", (r.label, r.notes)
+
+
+# ---- differential test: the kind table against the per-class ladder ----
+
+
+def _ladder_oracle(h, ref):
+    """The closed-form checks and the p = 2 short chain of slim_bound_report,
+    written as one if/elif branch per class, prime and depth, with every
+    correction term spelled out (the form they had before the kind table)."""
+    from sl2genus.bounds import _count_reduced, _mod_count, _y_sets
+    from sl2genus.groups import class_codes
+
+    ctx = h.ctx
+    p = ctx.p
+    r = ref.r if ref.kind == "u_power" else 0
+    depth = ctx.n - r
+    if depth < 2:
+        raise PreconditionError("no closed-form bound applies at depth %d" % depth)
+    cnt = len(h.codes() & class_codes(ref))
+    checks = []
+
+    def add(kind, rhs):
+        checks.append((kind, cnt <= rhs, "%d <= %d" % (cnt, rhs)))
+
+    def a(kind):
+        return bound_sequence(kind, p, depth)
+
+    def red(level):
+        return _count_reduced(h, ref, level)
+
+    if ref.kind == "sigma":
+        if p >= 3:
+            add("a_sigma_p", a("a_sigma_p") + p ** (depth - 1) * (red(1) - 2))
+        elif depth >= 3:
+            add("a_sigma_2", a("a_sigma_2") + 2 ** (depth - 2) * (red(2) - 2))
+    elif ref.kind == "tau":
+        if p >= 5:
+            add("a_tau_p", a("a_tau_p") + p ** (depth - 1) * (red(1) - 2))
+        elif p == 3:
+            add("a_tau_3", a("a_tau_3") + 3 ** (depth - 1) * (red(1) - 1))
+        elif depth >= 5:
+            add("a_tau_2", a("a_tau_2") + 2 ** (depth - 2) * (red(3) - 8))
+    elif p >= 3:
+        add("a_u_p", a("a_u_p") + p ** (depth - 1) * (red(r + 1) - (p - 1) // 2))
+    else:
+        if depth >= 6:
+            add("a_u_2", a("a_u_2") + 2 ** (depth - 1) * (red(r + 3) - 2))
+        if depth >= 4:
+            add("b_u_2", a("b_u_2") + 2 ** (depth - 3) * (red(r + 3) - 4))
+    if not checks:
+        raise PreconditionError("no closed-form bound applies")
+
+    chain = []
+    if p == 2 and ref.kind == "sigma" and 3 <= depth <= 5:
+        y = _y_sets(h, ref, [1])
+        m1, m0 = _mod_count(ctx, y[1], 2), _mod_count(ctx, y[0], 2)
+        chain.append(("chain:last", len(y[1]) <= 2 ** (2 * (depth - 2)) * m1, ""))
+        chain.append(("chain:first", len(y[0] - y[1]) <= 2 ** (depth - 2) * (m0 - m1), ""))
+        total = (2 ** (2 * (depth - 2)) - 2 ** (depth - 2)) * m1 + 2 ** (depth - 2) * m0
+        chain.append(("chain:total", cnt <= total, "%d <= %d" % (cnt, total)))
+        chain.append(("chain:recovery1", m1 <= 2, ""))
+    elif p == 2 and ref.kind == "u_power" and 4 <= depth <= 6:
+        y = _y_sets(h, ref, [1])
+        m1, m0 = _mod_count(ctx, y[1], r + 3), _mod_count(ctx, y[0], r + 3)
+        chain.append(("chain:last", len(y[1]) <= 2 ** (2 * (depth - 3)) * m1, ""))
+        chain.append(("chain:first", len(y[0] - y[1]) <= 2 ** (depth - 3) * (m0 - m1), ""))
+        total = (2 ** (2 * (depth - 3)) - 2 ** (depth - 3)) * m1 + 2 ** (depth - 3) * m0
+        chain.append(("chain:total", cnt <= total, "%d <= %d" % (cnt, total)))
+        chain.append(("chain:recovery1", m1 <= 4, ""))
+    return checks, chain
+
+
+def _assert_report_matches_oracle(h, ref, reached):
+    try:
+        want, want_chain = _ladder_oracle(h, ref)
+    except PreconditionError:
+        with pytest.raises(PreconditionError):
+            slim_bound_report(h, ref)
+        return
+    got = slim_bound_report(h, ref).checks
+    assert [c for c in got if c[0] in BOUND_KINDS] == want
+    if h.ctx.p == 2:
+        assert [c for c in got if c[0].startswith("chain:")] == want_chain
+    reached.update(c[0] for c in want)
+
+
+def test_slim_bound_report_matches_the_ladder_oracle(sl2_mod9_subgroups):
+    reached = set()
+    for p, n, count in ((5, 2, 15), (3, 3, 15), (2, 4, 15), (2, 5, 10), (2, 6, 6), (2, 7, 4)):
+        ctx = make_ctx(p, n)
+        refs = [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")]
+        refs += [u_power_ref(ctx, r) for r in range(n)]  # r = n-1 has depth 1: no bound
+        subs = sample_slim_subgroups(ctx, count, random.Random("ladder-%d-%d" % (p, n)))
+        assert subs
+        for h in subs:
+            for ref in refs:
+                _assert_report_matches_oracle(h, ref, reached)
+    ctx, lattice = sl2_mod9_subgroups
+    from sl2genus.subgroups import is_slim
+
+    for codes in lattice:
+        h = Subgroup.from_codes(ctx, codes)
+        if is_slim(h):
+            for ref in (ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau"), u_power_ref(ctx, 0)):
+                _assert_report_matches_oracle(h, ref, reached)
+    assert reached == set(BOUND_KINDS)

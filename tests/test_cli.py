@@ -145,10 +145,20 @@ def test_usage_errors(capsys):
         ("count", "--p", "13", "--n", "1", "--subgroup", "B", "--class", "rho"),
         ("verify", "--suite", "main-theorem-desk", "--case", "x"),
         ("verify", "--suite", "main-theorem-desk", "--case", "9"),
+        ("verify", "--suite", "section7", "--case", "L7.1:10201"),  # 101^2
     ):
         code, _, err = _run(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert err.startswith("error: "), argv
+    # each subcommand declares only the flags it reads
+    for argv in (
+        ("bounds", "--kind", "a_sigma_p", "--p", "5", "--n", "3", "--seed", "1"),
+        ("bounds", "--kind", "a_sigma_p", "--p", "5", "--n", "3", "--max-elements", "10"),
+        ("class-table", "--p", "3", "--n", "1", "--seed", "1"),
+        ("verify", "--suite", "lemma4.5", "--max-elements", "10"),
+    ):
+        code, _, _ = _run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
 
 
 def test_feasibility_error_names_the_flag(capsys):

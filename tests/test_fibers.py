@@ -146,7 +146,7 @@ def test_recovery_counts_brute_grid():
         ("u", 2, 5, 3, 0),
         ("u", 2, 4, 3, 1),
     ):
-        assert recovery_count_brute(kind, p, n, m, r=r) == recovery_count(kind, p, n, m, r=r)
+        assert recovery_count_brute(kind, p, n, m, r=r) == recovery_count(kind, p, n, m)
 
 
 def test_recovery_sets_match_golden_lists():

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -171,6 +172,13 @@ def test_delta_is_conjugation_invariant():
         assert delta(conj) == base
 
 
+def test_package_attribute_genus_is_the_module():
+    import sl2genus
+
+    assert isinstance(sl2genus.genus, types.ModuleType)
+    assert sl2genus.genus is sys.modules["sl2genus.genus"]
+
+
 def test_genus_report_json_round_trip():
     rep = genus_report(borel(13))
     payload = json.loads(json.dumps(rep.to_json_dict()))
@@ -181,7 +189,7 @@ def test_genus_report_json_round_trip():
 
 
 def test_genus_report_builds_one_coset_space_and_reuses_the_group(monkeypatch):
-    # sl2genus.genus is the function; the module is reached through sys.modules
+    # the functions are patched where genus_report and closure look them up
     genus_mod = sys.modules["sl2genus.genus"]
     groups_mod = sys.modules["sl2genus.groups"]
     ctx = make_ctx(3, 2)

@@ -1,7 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+function reads each of its parameters.
 
 No linter is part of the toolchain, so this walks the syntax tree with the
-standard library.  ``__init__.py`` is skipped: its imports are re-exports.
+standard library.  ``__init__.py`` is skipped by the import check: its imports
+are re-exports.
 """
 
 import ast
@@ -40,3 +42,51 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _suite_functions(tree):
+    """Names of the values of the module-level SUITES dict."""
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "SUITES":
+            return {v.id for v in node.value.values if isinstance(v, ast.Name)}
+    return set()
+
+
+def _unread_parameters(source: str):
+    """(line, function, parameter) for each parameter the body never reads.
+    The SUITES values all take ``seed`` whether or not they use it."""
+    tree = ast.parse(source)
+    suites = _suite_functions(tree)
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(node, "name", "<lambda>")
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        for arg in params:
+            if arg.arg not in read and not (name in suites and arg.arg == "seed"):
+                out.append((node.lineno, name, arg.arg))
+    return out
+
+
+def test_the_check_sees_an_unread_parameter():
+    src = (
+        "def f(a, b=0, *args, c, **kw):\n    return a + c + len(args)\n\n"
+        "def suite_x(seed=0, cap=1):\n    return True\n\n"
+        "SUITES: dict = {'x': suite_x}\n"
+        "g = lambda x, y: x\n"
+    )
+    assert sorted(_unread_parameters(src)) == [
+        (1, "f", "b"),
+        (1, "f", "kw"),
+        (4, "suite_x", "cap"),
+        (8, "<lambda>", "y"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    assert _unread_parameters(path.read_text()) == []

@@ -128,6 +128,10 @@ def test_adjoin_minus_one():
     assert hh.order == 2 * h.order
     assert minus_one(c5) in hh
     assert adjoin_minus_one(hh).order == hh.order
+    for p, n in ((2, 3), (3, 2), (5, 2)):
+        ctx = make_ctx(p, n)
+        for h in sample_subgroups(ctx, 8, random.Random("adjoin-%d-%d" % (p, n))):
+            assert adjoin_minus_one(h).codes() == closure(h.gens + (minus_one(ctx),), ctx).codes()
 
 
 def test_parse_subgroup_spec():
