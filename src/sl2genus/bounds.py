@@ -15,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     GroupCtx,
@@ -25,6 +25,7 @@ from .core import (
     encoder,
     is_prime,
     make_ctx,
+    minus_one,
     num_to_json,
     reduce_mat,
 )
@@ -40,14 +41,10 @@ from .subgroups import (
     all_subgroups,
     borel,
     exceptional_availability,
-    exceptional_subgroup,
     filtration_level,
-    full_group,
-    nonsplit_cartan_normalizer,
     order_three_subgroup,
     preimage,
     sample_slim_subgroups,
-    split_cartan_normalizer,
     standard_subgroup,
     is_slim,
 )
@@ -257,7 +254,7 @@ def slim_bound_report(h: Subgroup, ref: ConjClassRef) -> SlimBoundReport:
     if not is_slim(h):
         raise PreconditionError("subgroup is not slim")
     p = ctx.p
-    r = ref.r if ref.kind == "u_power" else 0
+    r = ref.r
     depth = ctx.n - r
     rep = SlimBoundReport(ref.kind, r, h.order)
     cnt = len(h.codes() & class_codes(ref))
@@ -283,7 +280,8 @@ def slim_bound_report(h: Subgroup, ref: ConjClassRef) -> SlimBoundReport:
 def _filtration_checks(h: Subgroup, rep: SlimBoundReport) -> None:
     ctx = h.ctx
     p, n = ctx.p, ctx.n
-    sizes = {s: filtration_level(h, s).order for s in range(1, n + 1)}
+    # |H_s| = |H| / |H mod p^s|; the reductions are cached on h
+    sizes = {s: h.order // len(h.reduced_codes(s)) for s in range(1, n + 1)}
     t0 = 2 if p == 2 else 1
     ok = True
     detail = ""
@@ -349,6 +347,22 @@ def check_slim_bound(h: Subgroup, ref: ConjClassRef) -> bool:
     return slim_bound_report(h, ref).ok
 
 
+def _applicable_refs(ctx: GroupCtx) -> List[ConjClassRef]:
+    refs = [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")]
+    return refs + [u_power_ref(ctx, r) for r in range(ctx.n - 1)]
+
+
+def bound_reports(h: Subgroup) -> Iterator[SlimBoundReport]:
+    """slim_bound_report(h, ref) for each sigma, tau and u^(p^r) class that
+    has a closed-form bound at the level of h."""
+    for ref in _applicable_refs(h.ctx):
+        try:
+            rep = slim_bound_report(h, ref)
+        except PreconditionError:  # no closed-form bound at this level
+            continue
+        yield rep
+
+
 # --- fiber-count side conditions ---
 
 
@@ -357,7 +371,7 @@ def fiber_image_bound_check(h: Subgroup, ref: ConjClassRef, t: int, i: int) -> b
     p^(r+t+1)."""
     ctx = h.ctx
     p = ctx.p
-    r = ref.r if ref.kind == "u_power" else 0
+    r = ref.r
     if not (1 <= i <= t and r + t + i <= ctx.n):
         raise PreconditionError("need 1 <= i <= t and r+t+i <= n")
     dec_ti = decoder(make_ctx(p, r + t + i))
@@ -392,7 +406,7 @@ def fiber_count_bound_check(h: Subgroup, ref: ConjClassRef, i: int, d: int) -> b
     elements when the top filtration layer is not the fiber group V."""
     ctx = h.ctx
     p = ctx.p
-    r = ref.r if ref.kind == "u_power" else 0
+    r = ref.r
     depth = ctx.n - r
     if not (i >= 1 and d >= 0 and i + d <= depth and 2 * i + d <= depth):
         raise PreconditionError("hypotheses of the fiber-count bound violated")
@@ -443,23 +457,25 @@ class CaseReport:
 
 
 class _Chain:
-    """Accumulates labelled exact steps; equality failures become flags."""
+    """Accumulates labelled exact steps; equality failures become flags.
+
+    step and expect record Fraction(value) and hand back the value they were
+    given, so an integer count stays an integer for the next step."""
 
     def __init__(self) -> None:
         self.steps: List[Tuple[str, Fraction]] = []
         self.flags: List[str] = []
 
-    def step(self, label: str, value) -> Fraction:
-        v = Fraction(value)
-        self.steps.append((label, v))
-        return v
+    def step(self, label: str, value):
+        self.steps.append((label, Fraction(value)))
+        return value
 
-    def expect(self, label: str, got, want) -> Fraction:
+    def expect(self, label: str, got, want):
         g, w = Fraction(got), Fraction(want)
         self.steps.append((label, g))
         if g != w:
             self.flags.append("%s: recomputed %s != expected %s" % (label, g, w))
-        return g
+        return got
 
     def require(self, label: str, cond: bool) -> None:
         if not cond:
@@ -503,6 +519,14 @@ def _bcde(group: str, alpha: str, p: int) -> int:
     raise ValueError("unknown group letter %r" % group)
 
 
+def _level_one_counts(ch: _Chain, group: str, p: int, printed: Tuple[int, int, int]) -> Tuple[int, ...]:
+    """#K n Conj(alpha) for alpha = sigma, tau, u, each checked against its printed value."""
+    return tuple(
+        ch.expect("#%s n Conj(%s)" % (group, alpha), _bcde(group, alpha, p), want)
+        for alpha, want in zip(("sigma", "tau", "u"), printed)
+    )
+
+
 def _e_bounds(p: int) -> Tuple[int, int]:
     if p % 5 in (1, 4):
         return 30, 20
@@ -516,6 +540,13 @@ def _finish(case_id: str, ch: _Chain, printed: Fraction, recomputed: Fraction, n
     else:
         verdict = "match" if (recomputed == printed and recomputed > 0) else "fail"
     return CaseReport(case_id, ch.steps, printed, recomputed, verdict, notes)
+
+
+def _branch_printed(ch: _Chain, branch: str, rec: Fraction, printed: Fraction) -> Fraction:
+    """Close a V_u branch: its printed value, and whether rec reproduces it."""
+    ch.step("%s branch: printed" % branch, printed)
+    ch.require("%s branch matches" % branch, rec == printed)
+    return printed
 
 
 def _l71_value(p: int) -> Fraction:
@@ -557,14 +588,12 @@ def _case_p72() -> CaseReport:
     ch = _Chain()
     cls_t = ch.expect("#Conj(tau) mod 19^2", _cls("tau", p, 2), 20 * 19**3)
     cls_u = ch.step("#Conj(u) mod 19^2", _cls("u", p, 2))
-    ch.expect("#B n Conj(sigma)", _bcde("B", "sigma", p), 0)
-    bt = ch.expect("#B n Conj(tau)", _bcde("B", "tau", p), 38)
-    bu = ch.expect("#B n Conj(u)", _bcde("B", "u", p), 9)
+    _, bt, bu = _level_one_counts(ch, "B", p, (0, 38, 9))
     bt_bound = ch.expect(
-        "a(tau,p)_2 + p(38-2)", corrected_bound("a_tau_p", p, 2, int(bt)), 74 * 19
+        "a(tau,p)_2 + p(38-2)", corrected_bound("a_tau_p", p, 2, bt), 74 * 19
     )
-    r_tau = ch.expect("tau ratio", Fraction(int(bt_bound), int(cls_t)), Fraction(37, 10 * 19**2))
-    r_u = ch.expect("u ratio via p^2 fibers", Fraction(p * p * int(bu), int(cls_u)), Fraction(1, p + 1))
+    r_tau = ch.expect("tau ratio", Fraction(bt_bound, cls_t), Fraction(37, 10 * 19**2))
+    r_u = ch.expect("u ratio via p^2 fibers", Fraction(p * p * bu, cls_u), Fraction(1, p + 1))
     cusp = ch.expect("cusp bound (t=1)", cusp_series(p, [r_u]), Fraction(1, 10))
     rec = ch.step("delta lower bound", delta_from_ratios(0, r_tau, cusp))
     return _finish("P7.2", ch, Fraction(1805 - 74 - 1083, 5 * 19**2), rec, "Borel at p=19, level p^2")
@@ -575,14 +604,12 @@ def _case_p73() -> CaseReport:
     ch = _Chain()
     cls_s = ch.expect("#Conj(sigma) mod 17^2", _cls("sigma", p, 2), 18 * 17**3)
     cls_u = ch.step("#Conj(u) mod 17^2", _cls("u", p, 2))
-    bs = ch.expect("#B n Conj(sigma)", _bcde("B", "sigma", p), 34)
-    ch.expect("#B n Conj(tau)", _bcde("B", "tau", p), 0)
-    bu = ch.expect("#B n Conj(u)", _bcde("B", "u", p), 8)
+    bs, _, bu = _level_one_counts(ch, "B", p, (34, 0, 8))
     bs_bound = ch.expect(
-        "a(sigma,p)_2 + p(34-2)", corrected_bound("a_sigma_p", p, 2, int(bs)), 66 * 17
+        "a(sigma,p)_2 + p(34-2)", corrected_bound("a_sigma_p", p, 2, bs), 66 * 17
     )
-    r_sig = ch.expect("sigma ratio", Fraction(int(bs_bound), int(cls_s)), Fraction(11, 3 * 17**2))
-    r_u = ch.expect("u ratio via p^2 fibers", Fraction(p * p * int(bu), int(cls_u)), Fraction(1, p + 1))
+    r_sig = ch.expect("sigma ratio", Fraction(bs_bound, cls_s), Fraction(11, 3 * 17**2))
+    r_u = ch.expect("u ratio via p^2 fibers", Fraction(p * p * bu, cls_u), Fraction(1, p + 1))
     cusp = ch.expect("cusp bound (t=1)", cusp_series(p, [r_u]), Fraction(1, 9))
     rec = ch.step("delta lower bound", delta_from_ratios(r_sig, 0, cusp))
     return _finish("P7.3", ch, Fraction(867 - 33 - 578, 3 * 17**2), rec, "Borel at p=17, level p^2")
@@ -595,35 +622,31 @@ def _case_p74_b() -> CaseReport:
     cls_t = ch.expect("#Conj(tau)", _cls("tau", p, 2), 14 * 13**3)
     cls_u = ch.step("#Conj(u)", _cls("u", p, 2))
     cls_up = ch.expect("#Conj(u^p)", _cls("u", p, 2, r=1), 84)
-    bs = ch.expect("#B n Conj(sigma)", _bcde("B", "sigma", p), 26)
-    bt = ch.expect("#B n Conj(tau)", _bcde("B", "tau", p), 26)
-    bu = ch.expect("#B n Conj(u)", _bcde("B", "u", p), 6)
+    bs, bt, bu = _level_one_counts(ch, "B", p, (26, 26, 6))
     st_bound = ch.expect(
-        "a(sigma,p)_2 + p(26-2)", corrected_bound("a_sigma_p", p, 2, int(bs)), 50 * 13
+        "a(sigma,p)_2 + p(26-2)", corrected_bound("a_sigma_p", p, 2, bs), 50 * 13
     )
-    r_sig = ch.expect("sigma ratio", Fraction(int(st_bound), int(cls_s)), Fraction(25, 7 * 13**2))
+    r_sig = ch.expect("sigma ratio", Fraction(st_bound, cls_s), Fraction(25, 7 * 13**2))
     r_tau = ch.expect(
         "tau ratio",
-        Fraction(corrected_bound("a_tau_p", p, 2, int(bt)), int(cls_t)),
+        Fraction(corrected_bound("a_tau_p", p, 2, bt), cls_t),
         Fraction(25, 7 * 13**2),
     )
     # branch: H contains V_u
-    r_up1 = ch.expect("Vu branch: u^p ratio", Fraction(int(bu), int(cls_up)), Fraction(1, p + 1))
-    r_u1 = ch.expect("Vu branch: u ratio", Fraction(p * p * int(bu), int(cls_u)), Fraction(1, p + 1))
+    r_up1 = ch.expect("Vu branch: u^p ratio", Fraction(bu, cls_up), Fraction(1, p + 1))
+    r_u1 = ch.expect("Vu branch: u ratio", Fraction(p * p * bu, cls_u), Fraction(1, p + 1))
     cusp1 = ch.expect("Vu branch: cusp (t=2)", cusp_series(p, [r_u1, r_up1]), Fraction(1, 13))
     rec1 = ch.step("Vu branch: delta lower bound", delta_from_ratios(r_sig, r_tau, cusp1))
-    printed1 = ch.step("Vu branch: printed", Fraction(1183 - 75 - 100 - 546, 7 * 13**2))
-    ch.require("Vu branch matches", rec1 == printed1)
+    printed1 = _branch_printed(ch, "Vu", rec1, Fraction(1183 - 75 - 100 - 546, 7 * 13**2))
     # branch: H does not contain V_u
     r_u2 = ch.expect(
         "no-Vu branch: u ratio via <=p fibers",
-        Fraction(p * int(bu), int(cls_u)),
+        Fraction(p * bu, cls_u),
         Fraction(1, p * (p + 1)),
     )
     cusp2 = ch.expect("no-Vu branch: cusp (t=1)", cusp_series(p, [r_u2]), Fraction(97, 7 * 13**2))
     rec2 = ch.step("no-Vu branch: delta lower bound", delta_from_ratios(r_sig, r_tau, cusp2))
-    printed2 = ch.step("no-Vu branch: printed", Fraction(1183 - 75 - 100 - 582, 7 * 13**2))
-    ch.require("no-Vu branch matches", rec2 == printed2)
+    printed2 = _branch_printed(ch, "no-Vu", rec2, Fraction(1183 - 75 - 100 - 582, 7 * 13**2))
     return _finish(
         "P7.4:B", ch, min(printed1, printed2), min(rec1, rec2), "Borel at p=13; both V_u branches"
     )
@@ -639,12 +662,12 @@ def _case_p74_e() -> CaseReport:
     ch.expect("E tau bound", et, 8)
     r_sig = ch.expect(
         "sigma ratio",
-        Fraction(corrected_bound("a_sigma_p", p, 2, es), int(cls_s)),
+        Fraction(corrected_bound("a_sigma_p", p, 2, es), cls_s),
         Fraction(3, 13**2),
     )
     r_tau = ch.expect(
         "tau ratio",
-        Fraction(corrected_bound("a_tau_p", p, 2, et), int(cls_t)),
+        Fraction(corrected_bound("a_tau_p", p, 2, et), cls_t),
         Fraction(16, 7 * 13**2),
     )
     cusp = ch.expect("cusp (t=1, E n Conj(u) empty)", cusp_series(p, [Fraction(0)]), Fraction(1, 13))
@@ -671,18 +694,18 @@ def _p75_master(ch: _Chain, bs: int, bt: int, bu: int, branch: str) -> Fraction:
         "tau ratio", Fraction(corrected_bound("a_tau_p", p, 3, bt), cls_t)
     )
     if branch == "Vu":
-        r_u = ch.expect("u ratio", Fraction(p**4 * bu, int(cls_u)), Fraction(1, p + 1))
+        r_u = ch.expect("u ratio", Fraction(p**4 * bu, cls_u), Fraction(1, p + 1))
         r_up = ch.expect(
-            "u^p ratio", Fraction(p * p * (p - 1) // 2, int(cls_up)), Fraction(1, p + 1)
+            "u^p ratio", Fraction(p * p * (p - 1) // 2, cls_up), Fraction(1, p + 1)
         )
-        r_upp = ch.expect("u^p^2 ratio", Fraction((p - 1) // 2, int(cls_upp)), Fraction(1, p + 1))
+        r_upp = ch.expect("u^p^2 ratio", Fraction((p - 1) // 2, cls_upp), Fraction(1, p + 1))
         cusp = ch.expect(
             "cusp (t=3)", cusp_series(p, [r_u, r_up, r_upp]), Fraction(p * p + 1, (p + 1) * p * p)
         )
     else:
         if bu:
             r_u = ch.expect(
-                "u ratio via <=p^3 fibers", Fraction(p**3 * bu, int(cls_u)), Fraction(1, (p + 1) * p)
+                "u ratio via <=p^3 fibers", Fraction(p**3 * bu, cls_u), Fraction(1, (p + 1) * p)
             )
         else:
             r_u = ch.step("u ratio (empty at level one)", Fraction(0))
@@ -691,7 +714,7 @@ def _p75_master(ch: _Chain, bs: int, bt: int, bu: int, branch: str) -> Fraction:
             corrected_bound("a_u_p", p, 2, _cls("u", p, 2, r=1)),
             (p - 1) * p * p,
         )
-        r_up = ch.expect("u^p ratio", Fraction(int(up_cnt), int(cls_up)), Fraction(2, p + 1))
+        r_up = ch.expect("u^p ratio", Fraction(up_cnt, cls_up), Fraction(2, p + 1))
         cusp = ch.step("cusp (t=2)", cusp_series(p, [r_u, r_up]))
     return ch.step("delta lower bound", delta_from_ratios(r_sig, r_tau, cusp))
 
@@ -700,15 +723,11 @@ def _case_p75(sub: str) -> CaseReport:
     p = 7
     ch = _Chain()
     if sub == "B":
-        bs = ch.expect("#B n Conj(sigma)", _bcde("B", "sigma", p), 0)
-        bt = ch.expect("#B n Conj(tau)", _bcde("B", "tau", p), 14)
-        bu = ch.expect("#B n Conj(u)", _bcde("B", "u", p), 3)
-        rec1 = _p75_master(ch, int(bs), int(bt), int(bu), "Vu")
-        printed1 = ch.step("Vu branch: printed", Fraction(686 - 110 - 525, 2 * 7**3))
-        ch.require("Vu branch matches", rec1 == printed1)
-        rec2 = _p75_master(ch, int(bs), int(bt), int(bu), "noVu")
-        printed2 = ch.step("no-Vu branch: printed", Fraction(686 - 110 - 273, 2 * 7**3))
-        ch.require("no-Vu branch matches", rec2 == printed2)
+        counts = _level_one_counts(ch, "B", p, (0, 14, 3))
+        rec1 = _p75_master(ch, *counts, "Vu")
+        printed1 = _branch_printed(ch, "Vu", rec1, Fraction(686 - 110 - 525, 2 * 7**3))
+        rec2 = _p75_master(ch, *counts, "noVu")
+        printed2 = _branch_printed(ch, "no-Vu", rec2, Fraction(686 - 110 - 273, 2 * 7**3))
         return _finish("P7.5:B", ch, min(printed1, printed2), min(rec1, rec2), "Borel at p=7, level p^3")
     if sub == "E":
         es, et = _e_bounds(p)
@@ -718,10 +737,7 @@ def _case_p75(sub: str) -> CaseReport:
         printed = Fraction(343 - 57 - 52 - 105, 7**3)
         return _finish("P7.5:E", ch, printed, rec, "exceptional at p=7, level p^3")
     # C and D are dominated by the exceptional chain
-    counts = {
-        "C": (_bcde("C", "sigma", p), _bcde("C", "tau", p), _bcde("C", "u", p)),
-        "D": (_bcde("D", "sigma", p), _bcde("D", "tau", p), _bcde("D", "u", p)),
-    }[sub]
+    counts = [_bcde(sub, alpha, p) for alpha in ("sigma", "tau", "u")]
     es, et = _e_bounds(p)
     ch.require("sigma count %d <= %d" % (counts[0], es), counts[0] <= es)
     ch.require("tau count %d <= %d" % (counts[1], et), counts[1] <= et)
@@ -741,24 +757,20 @@ def _case_p76(sub: str) -> CaseReport:
     cls_u = ch.step("#Conj(u)", _cls("u", p, 2))
     cls_up = ch.step("#Conj(u^p)", _cls("u", p, 2, r=1))
     if sub == "B":
-        ch.expect("#B n Conj(sigma)", _bcde("B", "sigma", p), 0)
-        ch.expect("#B n Conj(tau)", _bcde("B", "tau", p), 0)
-        bu = ch.expect("#B n Conj(u)", _bcde("B", "u", p), 5)
-        r_up1 = ch.expect("Vu branch: u^p ratio", Fraction(int(bu), int(cls_up)), Fraction(1, p + 1))
-        r_u1 = ch.expect("Vu branch: u ratio", Fraction(p * p * int(bu), int(cls_u)), Fraction(1, p + 1))
+        _, _, bu = _level_one_counts(ch, "B", p, (0, 0, 5))
+        r_up1 = ch.expect("Vu branch: u^p ratio", Fraction(bu, cls_up), Fraction(1, p + 1))
+        r_u1 = ch.expect("Vu branch: u ratio", Fraction(p * p * bu, cls_u), Fraction(1, p + 1))
         cusp1 = ch.expect("Vu branch: cusp (t=2)", cusp_series(p, [r_u1, r_up1]), Fraction(1, 11))
         rec1 = ch.step("Vu branch: delta lower bound", delta_from_ratios(0, 0, cusp1))
-        printed1 = ch.step("Vu branch: printed", Fraction(11 - 6, 11))
-        ch.require("Vu branch matches", rec1 == printed1)
+        printed1 = _branch_printed(ch, "Vu", rec1, Fraction(11 - 6, 11))
         r_u2 = ch.expect(
-            "no-Vu branch: u ratio", Fraction(p * int(bu), int(cls_u)), Fraction(1, p * (p + 1))
+            "no-Vu branch: u ratio", Fraction(p * bu, cls_u), Fraction(1, p * (p + 1))
         )
         cusp2 = ch.expect(
             "no-Vu branch: cusp (t=1)", cusp_series(p, [r_u2]), Fraction(71, 2 * 3 * 11**2)
         )
         rec2 = ch.step("no-Vu branch: delta lower bound", delta_from_ratios(0, 0, cusp2))
-        printed2 = ch.step("no-Vu branch: printed", Fraction(121 - 71, 11**2))
-        ch.require("no-Vu branch matches", rec2 == printed2)
+        printed2 = _branch_printed(ch, "no-Vu", rec2, Fraction(121 - 71, 11**2))
         return _finish(
             "P7.6:B", ch, min(printed1, printed2), min(rec1, rec2), "Borel at p=11; both V_u branches"
         )
@@ -774,12 +786,12 @@ def _case_p76(sub: str) -> CaseReport:
         ch.expect("E tau bound", et, 20)
     r_sig = ch.expect(
         "sigma ratio",
-        Fraction(corrected_bound("a_sigma_p", p, 2, es), int(cls_s)),
+        Fraction(corrected_bound("a_sigma_p", p, 2, es), cls_s),
         Fraction(5, 11**2),
     )
     r_tau = ch.expect(
         "tau ratio",
-        Fraction(corrected_bound("a_tau_p", p, 2, et), int(cls_t)),
+        Fraction(corrected_bound("a_tau_p", p, 2, et), cls_t),
         Fraction(4, 11**2),
     )
     cusp = ch.expect("cusp (t=1)", cusp_series(p, [Fraction(0)]), Fraction(1, 11))
@@ -794,16 +806,14 @@ def _case_p78() -> CaseReport:
     ch = _Chain()
     cls_s = ch.expect("#Conj(sigma)", _cls("sigma", p, 3), 6 * 5**5)
     cls_up = ch.expect("#Conj(u^p)", _cls("u", p, 3, r=1), 12 * 5**2)
-    cs = ch.expect("#C n Conj(sigma)", _bcde("C", "sigma", p), 6)
-    ch.expect("#C n Conj(tau)", _bcde("C", "tau", p), 0)
-    ch.expect("#C n Conj(u)", _bcde("C", "u", p), 0)
+    cs, _, _ = _level_one_counts(ch, "C", p, (6, 0, 0))
     corrected = ch.expect(
         "a(sigma,p)_3 + p^2(6-2) [coefficient p^(n-1) of the sigma bound]",
-        corrected_bound("a_sigma_p", p, 3, int(cs)),
+        corrected_bound("a_sigma_p", p, 3, cs),
         54 * 5**2,
     )
     printed_step = ch.step(
-        "printed step a(sigma,p)_3 + p^3(6-2)", bound_sequence("a_sigma_p", p, 3) + p**3 * (int(cs) - 2)
+        "printed step a(sigma,p)_3 + p^3(6-2)", bound_sequence("a_sigma_p", p, 3) + p**3 * (cs - 2)
     )
     ch.require(
         "printed coefficient p^3 differs from the p^(n-1) coefficient",
@@ -813,13 +823,13 @@ def _case_p78() -> CaseReport:
         "printed factor p^3(6-2) is inconsistent with the p^(n-1) coefficient "
         "of the sigma bound; the printed total 54*5^2 matches p^2"
     )
-    r_sig = ch.expect("sigma ratio", Fraction(int(corrected), int(cls_s)), Fraction(9, 5**3))
+    r_sig = ch.expect("sigma ratio", Fraction(corrected, cls_s), Fraction(9, 5**3))
     up_cnt = ch.expect(
         "a(u,p)_2 + p(12-2)",
         corrected_bound("a_u_p", p, 2, _cls("u", p, 2, r=1)),
         4 * 5**2,
     )
-    r_up = ch.expect("u^p ratio", Fraction(int(up_cnt), int(cls_up)), Fraction(1, 3))
+    r_up = ch.expect("u^p ratio", Fraction(up_cnt, cls_up), Fraction(1, 3))
     cusp = ch.expect("cusp (t=2)", cusp_series(p, [Fraction(0), r_up]), Fraction(7, 3 * 5**2))
     rec = ch.step("delta lower bound", delta_from_ratios(r_sig, 0, cusp))
     return _finish(
@@ -839,17 +849,17 @@ def _p79_master(ch: _Chain, bs: int, bt: int, bu: int) -> Fraction:
     cls_up = ch.expect("#Conj(u^p)", _cls("u", p, 4, r=1), 12 * 5**4)
     cls_upp = ch.expect("#Conj(u^p^2)", _cls("u", p, 4, r=2), 12 * 5**2)
     r_sig = ch.step(
-        "sigma ratio", Fraction(corrected_bound("a_sigma_p", p, 4, bs), int(cls_s))
+        "sigma ratio", Fraction(corrected_bound("a_sigma_p", p, 4, bs), cls_s)
     )
     if bt:
         r_tau = ch.step(
-            "tau ratio", Fraction(corrected_bound("a_tau_p", p, 4, bt), int(cls_t))
+            "tau ratio", Fraction(corrected_bound("a_tau_p", p, 4, bt), cls_t)
         )
     else:
         r_tau = ch.step("tau ratio (empty at level one)", Fraction(0))
     if bu:
         u_cnt = ch.expect("a(u,p)_4", bound_sequence("a_u_p", p, 4), 18 * 5**4)
-        r_u = ch.expect("u ratio", Fraction(int(u_cnt), int(cls_u)), Fraction(3, 2 * 5**2))
+        r_u = ch.expect("u ratio", Fraction(u_cnt, cls_u), Fraction(3, 2 * 5**2))
     else:
         r_u = ch.step("u ratio (empty at level one)", Fraction(0))
     up_cnt = ch.expect(
@@ -857,13 +867,13 @@ def _p79_master(ch: _Chain, bs: int, bt: int, bu: int) -> Fraction:
         corrected_bound("a_u_p", p, 3, _cls("u", p, 2, r=1)),
         12 * 5**3,
     )
-    r_up = ch.expect("u^p ratio", Fraction(int(up_cnt), int(cls_up)), Fraction(1, 5))
+    r_up = ch.expect("u^p ratio", Fraction(up_cnt, cls_up), Fraction(1, 5))
     upp_cnt = ch.expect(
         "a(u,p)_2 + p(12-2)",
         corrected_bound("a_u_p", p, 2, _cls("u", p, 2, r=1)),
         4 * 5**2,
     )
-    r_upp = ch.expect("u^p^2 ratio", Fraction(int(upp_cnt), int(cls_upp)), Fraction(1, 3))
+    r_upp = ch.expect("u^p^2 ratio", Fraction(upp_cnt, cls_upp), Fraction(1, 3))
     cusp = ch.step("cusp (t=3)", cusp_series(p, [r_u, r_up, r_upp]))
     return ch.step("delta lower bound", delta_from_ratios(r_sig, r_tau, cusp))
 
@@ -872,10 +882,8 @@ def _case_p79(sub: str) -> CaseReport:
     p = 5
     ch = _Chain()
     if sub == "B":
-        bs = ch.expect("#B n Conj(sigma)", _bcde("B", "sigma", p), 10)
-        ch.expect("#B n Conj(tau)", _bcde("B", "tau", p), 0)
-        bu = ch.expect("#B n Conj(u)", _bcde("B", "u", p), 2)
-        rec = _p79_master(ch, int(bs), 0, int(bu))
+        bs, _, bu = _level_one_counts(ch, "B", p, (10, 0, 2))
+        rec = _p79_master(ch, bs, 0, bu)
         ch.expect(
             "cusp equals 37/(3*5^3)", [v for label, v in ch.steps if label == "cusp (t=3)"][-1],
             Fraction(37, 3 * 5**3),
@@ -916,13 +924,11 @@ def _case_p710(sub: str) -> CaseReport:
     cls_t = ch.expect("#Conj(tau)", _cls("tau", p, 6), 4 * 3**10)
     cls_u = ch.expect("#Conj(u)", _cls("u", p, 6), 4 * 3**10)
     if sub == "B":
-        ch.expect("#B n Conj(sigma)", _bcde("B", "sigma", p), 0)
-        bt = ch.expect("#B n Conj(tau)", _bcde("B", "tau", p), 1)
-        bu = ch.expect("#B n Conj(u)", _bcde("B", "u", p), 1)
-        t_cnt = ch.expect("a(tau,3)_6", corrected_bound("a_tau_3", p, 6, int(bt)), 13 * 3**6)
-        r_tau = ch.expect("tau ratio", Fraction(int(t_cnt), int(cls_t)), Fraction(13, 4 * 3**4))
-        u_cnt = ch.expect("a(u,3)_6", corrected_bound("a_u_p", p, 6, int(bu)), 17 * 3**6)
-        r_u = ch.expect("u ratio", Fraction(int(u_cnt), int(cls_u)), Fraction(17, 4 * 3**4))
+        _, bt, bu = _level_one_counts(ch, "B", p, (0, 1, 1))
+        t_cnt = ch.expect("a(tau,3)_6", corrected_bound("a_tau_3", p, 6, bt), 13 * 3**6)
+        r_tau = ch.expect("tau ratio", Fraction(t_cnt, cls_t), Fraction(13, 4 * 3**4))
+        u_cnt = ch.expect("a(u,3)_6", corrected_bound("a_u_p", p, 6, bu), 17 * 3**6)
+        r_u = ch.expect("u ratio", Fraction(u_cnt, cls_u), Fraction(17, 4 * 3**4))
         cusp = ch.expect(
             "cusp (t=5)", cusp_series(p, [r_u] + _p710_cusp_terms(ch)), Fraction(43, 2 * 3**5)
         )
@@ -944,13 +950,13 @@ def _case_p710(sub: str) -> CaseReport:
     fs = ch.expect("#Conj(sigma) mod 3", _cls("sigma", p, 1), 6)
     ft = ch.expect("#Conj(tau) mod 3", _cls("tau", p, 1), 4)
     s_cnt = ch.expect(
-        "a(sigma,3)_6 + 3^5(6-2)", corrected_bound("a_sigma_p", p, 6, int(fs)), 14 * 3**6
+        "a(sigma,3)_6 + 3^5(6-2)", corrected_bound("a_sigma_p", p, 6, fs), 14 * 3**6
     )
-    r_sig = ch.expect("sigma ratio", Fraction(int(s_cnt), int(cls_s)), Fraction(7, 3**5))
+    r_sig = ch.expect("sigma ratio", Fraction(s_cnt, cls_s), Fraction(7, 3**5))
     t_cnt = ch.expect(
-        "a(tau,3)_6 + 3^5(4-1)", corrected_bound("a_tau_3", p, 6, int(ft)), 14 * 3**6
+        "a(tau,3)_6 + 3^5(4-1)", corrected_bound("a_tau_3", p, 6, ft), 14 * 3**6
     )
-    r_tau = ch.expect("tau ratio", Fraction(int(t_cnt), int(cls_t)), Fraction(7, 2 * 3**4))
+    r_tau = ch.expect("tau ratio", Fraction(t_cnt, cls_t), Fraction(7, 2 * 3**4))
     cusp = ch.expect(
         "cusp (t=5, u term 0)", cusp_series(p, [Fraction(0)] + _p710_cusp_terms(ch)), Fraction(13, 3**5)
     )
@@ -966,6 +972,19 @@ def _brute_count_mod(h: Subgroup, kind: str, level: int, r: int = 0) -> int:
     return len(target.codes() & class_codes(ref))
 
 
+def _b_u2_tail(ch: _Chain, top: int, start: int) -> List[Fraction]:
+    """The u^(2^i) ratio bounds of the level-2^top chains, i = start..top-4,
+    each from b(u,2)_(top-i) corrected by #Conj(u^(2^i)) mod 2^(i+3)."""
+    p = 2
+    terms = []
+    for i in range(start, top - 3):
+        nn = top - i
+        cnt = corrected_bound("b_u_2", p, nn, _cls("u", p, i + 3, r=i))
+        ch.expect("b(u,2)_%d + 2^%d(12-4)" % (nn, nn - 3), cnt, bound_sequence("b_u_2", p, nn) + 2**nn)
+        terms.append(ch.step("u^2^%d ratio" % i, Fraction(cnt, _cls("u", p, top, r=i))))
+    return terms
+
+
 def _case_p711() -> CaseReport:
     p = 2
     ch = _Chain()
@@ -977,40 +996,25 @@ def _case_p711() -> CaseReport:
     ch.expect("#f2,1^-1(B) n Conj(u^2)", _brute_count_mod(b, "u", 2, r=1), 3)
     fu3 = ch.expect("#f3,1^-1(B) n Conj(u)", _brute_count_mod(b, "u", 3), 4)
     s_cnt = ch.expect(
-        "a(sigma,2)_11 + 2^9(2-2)", corrected_bound("a_sigma_2", p, 11, int(fs)), 11 * 2**12
+        "a(sigma,2)_11 + 2^9(2-2)", corrected_bound("a_sigma_2", p, 11, fs), 11 * 2**12
     )
-    r_sig = ch.expect("sigma ratio", Fraction(int(s_cnt), int(cls_s)), Fraction(11, 3 * 2**7))
+    r_sig = ch.expect("sigma ratio", Fraction(s_cnt, cls_s), Fraction(11, 3 * 2**7))
     u_cnt = ch.expect(
-        "a(u,2)_11 + 2^10(4-2)", corrected_bound("a_u_2", p, 11, int(fu3)), 23 * 2**11
+        "a(u,2)_11 + 2^10(4-2)", corrected_bound("a_u_2", p, 11, fu3), 23 * 2**11
     )
-    terms = [ch.expect("u ratio", Fraction(int(u_cnt), _cls("u", p, 11)), Fraction(23, 3 * 2**7))]
+    terms = [ch.expect("u ratio", Fraction(u_cnt, _cls("u", p, 11)), Fraction(23, 3 * 2**7))]
     u2_cnt = ch.expect(
         "a(u,2)_10 + 2^9(12-2)",
         corrected_bound("a_u_2", p, 10, _cls("u", p, 4, r=1)),
         19 * 2**10,
     )
     terms.append(
-        ch.expect("u^2 ratio", Fraction(int(u2_cnt), _cls("u", p, 11, r=1)), Fraction(19, 3 * 2**6))
+        ch.expect("u^2 ratio", Fraction(u2_cnt, _cls("u", p, 11, r=1)), Fraction(19, 3 * 2**6))
     )
-    for i in range(2, 8):
-        nn = 11 - i
-        cnt = corrected_bound("b_u_2", p, nn, _cls("u", p, i + 3, r=i))
-        ch.expect("b(u,2)_%d + 2^%d(12-4)" % (nn, nn - 3), cnt, bound_sequence("b_u_2", p, nn) + 2 ** (nn))
-        terms.append(ch.step("u^2^%d ratio" % i, Fraction(cnt, _cls("u", p, 11, r=i))))
+    terms += _b_u2_tail(ch, 11, 2)
     cusp = ch.expect("cusp (t=8)", cusp_series(p, terms), Fraction(11, 3 * 2**5))
     rec = ch.step("delta lower bound", delta_from_ratios(r_sig, 0, cusp))
     return _finish("P7.11", ch, Fraction(128 - 11 - 88, 2**7), rec, "Borel at p=2, level 2^11")
-
-
-def _p712_tail_terms(ch: _Chain, start: int) -> List[Fraction]:
-    p = 2
-    terms = []
-    for i in range(start, 7):
-        nn = 10 - i
-        cnt = corrected_bound("b_u_2", p, nn, _cls("u", p, i + 3, r=i))
-        ch.expect("b(u,2)_%d + 2^%d(12-4)" % (nn, nn - 3), cnt, bound_sequence("b_u_2", p, nn) + 2**nn)
-        terms.append(ch.step("u^2^%d ratio" % i, Fraction(cnt, _cls("u", p, 10, r=i))))
-    return terms
 
 
 def _case_p712(sub: str) -> CaseReport:
@@ -1026,11 +1030,11 @@ def _case_p712(sub: str) -> CaseReport:
         ft3 = ch.expect("#f3,1^-1(F) n Conj(tau)", _brute_count_mod(f, "tau", 3), 32)
         t_cnt = ch.expect(
             "a(tau,2)_10 + 2^8(32-8)",
-            corrected_bound("a_tau_2", p, 10, int(ft3)),
+            corrected_bound("a_tau_2", p, 10, ft3),
             13 * 2**11,
         )
-        r_tau = ch.expect("tau ratio", Fraction(int(t_cnt), int(cls_t)), Fraction(13, 2**8))
-        terms = [ch.step("u ratio (empty)", Fraction(0))] + _p712_tail_terms(ch, 1)
+        r_tau = ch.expect("tau ratio", Fraction(t_cnt, cls_t), Fraction(13, 2**8))
+        terms = [ch.step("u ratio (empty)", Fraction(0))] + _b_u2_tail(ch, 10, 1)
         cusp = ch.expect("cusp (t=7)", cusp_series(p, terms), Fraction(23, 3 * 2**6))
         rec = ch.step("delta lower bound", delta_from_ratios(0, r_tau, cusp))
         return _finish(
@@ -1045,17 +1049,17 @@ def _case_p712(sub: str) -> CaseReport:
     ch.expect("#A1 n Conj(u^2)", len(a1.codes() & class_codes(u_power_ref(ctx4, 1))), 0)
     ft3 = ch.expect("#f3,2^-1(A1) n Conj(tau)", _brute_count_mod(a1, "tau", 3), 8)
     s_cnt = ch.expect(
-        "a(sigma,2)_10 + 2^8(3-2)", corrected_bound("a_sigma_2", p, 10, int(a1s)), 73 * 2**8
+        "a(sigma,2)_10 + 2^8(3-2)", corrected_bound("a_sigma_2", p, 10, a1s), 73 * 2**8
     )
-    r_sig = ch.expect("sigma ratio", Fraction(int(s_cnt), int(cls_s)), Fraction(73, 3 * 2**9))
+    r_sig = ch.expect("sigma ratio", Fraction(s_cnt, cls_s), Fraction(73, 3 * 2**9))
     t_cnt = ch.expect(
-        "a(tau,2)_10 + 2^8(8-8)", corrected_bound("a_tau_2", p, 10, int(ft3)), 5 * 2**12
+        "a(tau,2)_10 + 2^8(8-8)", corrected_bound("a_tau_2", p, 10, ft3), 5 * 2**12
     )
-    r_tau = ch.expect("tau ratio", Fraction(int(t_cnt), int(cls_t)), Fraction(5, 2**7))
+    r_tau = ch.expect("tau ratio", Fraction(t_cnt, cls_t), Fraction(5, 2**7))
     terms = [
         ch.step("u ratio (empty)", Fraction(0)),
         ch.step("u^2 ratio (empty)", Fraction(0)),
-    ] + _p712_tail_terms(ch, 2)
+    ] + _b_u2_tail(ch, 10, 2)
     cusp = ch.expect("cusp (t=7)", cusp_series(p, terms), Fraction(31, 3 * 2**7))
     rec = ch.step("delta lower bound", delta_from_ratios(r_sig, r_tau, cusp))
     return _finish(
@@ -1108,11 +1112,16 @@ def section7_case(case_id: str) -> Callable[[], CaseReport]:
     return builder
 
 
-def verify_section7(case_id: str) -> CaseReport:
+def _timed(build: Callable, *args):
+    """build(*args), a CaseReport or DeskResult, with the call's wall time in its elapsed_ms."""
     t0 = time.monotonic()
-    rep = section7_case(case_id)()
+    rep = build(*args)
     rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
     return rep
+
+
+def verify_section7(case_id: str) -> CaseReport:
+    return _timed(section7_case(case_id))
 
 
 def section7_all() -> List[CaseReport]:
@@ -1146,92 +1155,86 @@ class DeskResult:
         }
 
 
-def _delta_positive_exhaustive(part: int, label: str, container: Subgroup) -> DeskResult:
-    from .core import minus_one
-
-    t0 = time.monotonic()
-    ctx = container.ctx
-    neg = encoder(ctx)(minus_one(ctx))
-    worst: Optional[Fraction] = None
-    checked = 0
-    for codes in all_subgroups(container.elements()):
-        if neg not in codes:
-            continue
-        d = delta(Subgroup.from_codes(ctx, codes))
+def _delta_min(subs: Iterable[Subgroup]) -> Tuple[int, Optional[Fraction], str]:
+    """(subgroups checked, least delta, status), stopping at the first delta <= 0."""
+    checked, worst = 0, None
+    for h in subs:
+        d = delta(h)
         checked += 1
         if worst is None or d < worst:
             worst = d
         if d <= 0:
-            return DeskResult(
-                part, label, "fail", checked, d, None, "found delta <= 0",
-                int((time.monotonic() - t0) * 1000),
-            )
-    return DeskResult(
-        part, label, "pass", checked, worst, None, "exhaustive over subgroups containing -1",
-        int((time.monotonic() - t0) * 1000),
+            return checked, worst, "fail"
+    return checked, worst, "pass"
+
+
+def _desk_sample(
+    part: int, label: str, ctx: GroupCtx, target: Subgroup, samples: int, seed: int
+) -> Tuple[List[Subgroup], str]:
+    """The seeded slim sample of one desk case, and the note on a shortfall."""
+    rng = random.Random((seed, part, label).__repr__())
+    subs = sample_slim_subgroups(ctx, samples, rng, mod_p_target=target)
+    if len(subs) < samples:
+        return subs, "; requested %d, sampler yielded %d" % (samples, len(subs))
+    return subs, ""
+
+
+def _delta_positive_exhaustive(label: str, container: Subgroup) -> DeskResult:
+    ctx = container.ctx
+    neg = encoder(ctx)(minus_one(ctx))
+    checked, worst, status = _delta_min(
+        Subgroup.from_codes(ctx, codes) for codes in all_subgroups(container.elements()) if neg in codes
     )
+    notes = "exhaustive over subgroups containing -1" if status == "pass" else "found delta <= 0"
+    return DeskResult(1, label, status, checked, worst, None, notes)
 
 
 def _delta_positive_sampled(
-    part: int,
-    label: str,
-    ctx: GroupCtx,
-    target: Optional[Subgroup],
-    samples: int,
-    seed: int,
+    part: int, label: str, ctx: GroupCtx, target: Subgroup, samples: int, seed: int
 ) -> DeskResult:
-    t0 = time.monotonic()
-    rng = random.Random((seed, part, label).__repr__())
-    subs = sample_slim_subgroups(ctx, samples, rng, mod_p_target=target)
-    worst: Optional[Fraction] = None
-    for h in subs:
-        d = delta(h)
-        if worst is None or d < worst:
-            worst = d
-        if d <= 0:
-            return DeskResult(
-                part, label, "fail", len(subs), d, seed, "found slim subgroup with delta <= 0",
-                int((time.monotonic() - t0) * 1000),
-            )
-    notes = "sampled slim subgroups"
-    if len(subs) < samples:
-        notes += "; requested %d, sampler yielded %d" % (samples, len(subs))
-    return DeskResult(part, label, "pass", len(subs), worst, seed, notes, int((time.monotonic() - t0) * 1000))
+    subs, short = _desk_sample(part, label, ctx, target, samples, seed)
+    _, worst, status = _delta_min(subs)
+    notes = "sampled slim subgroups" + short if status == "pass" else "found slim subgroup with delta <= 0"
+    return DeskResult(part, label, status, len(subs), worst, seed, notes)
 
 
 def _bounds_sampled(
-    part: int, label: str, ctx: GroupCtx, target: Optional[Subgroup], samples: int, seed: int
+    part: int, label: str, ctx: GroupCtx, target: Subgroup, samples: int, seed: int
 ) -> DeskResult:
-    t0 = time.monotonic()
-    rng = random.Random((seed, part, label).__repr__())
-    subs = sample_slim_subgroups(ctx, samples, rng, mod_p_target=target)
+    subs, short = _desk_sample(part, label, ctx, target, samples, seed)
     checked = 0
     for h in subs:
-        for ref in _applicable_refs(ctx):
-            try:
-                rep = slim_bound_report(h, ref)
-            except PreconditionError:
-                continue
+        for rep in bound_reports(h):
             checked += 1
             if not rep.ok:
                 bad = [c for c in rep.checks if not c[1]]
                 return DeskResult(
                     part, label, "fail", checked, None, seed,
                     "bound violation %r on subgroup of order %d" % (bad[0], h.order),
-                    int((time.monotonic() - t0) * 1000),
                 )
-    notes = "bound-chain validity at reduced exponent (%d inequality sets)" % checked
-    if len(subs) < samples:
-        notes += "; requested %d, sampler yielded %d" % (samples, len(subs))
-    return DeskResult(part, label, "pass", len(subs), None, seed, notes, int((time.monotonic() - t0) * 1000))
+    notes = "bound-chain validity at reduced exponent (%d inequality sets)" % checked + short
+    return DeskResult(part, label, "pass", len(subs), None, seed, notes)
 
 
-def _applicable_refs(ctx: GroupCtx) -> List[ConjClassRef]:
-    refs = [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")]
-    for r in range(0, max(ctx.n - 1, 1)):
-        if r + 2 <= ctx.n:
-            refs.append(u_power_ref(ctx, r))
-    return refs
+def _exceptional_kinds(p: int) -> List[str]:
+    return ["E:" + iso for iso in ("A4", "S4", "A5") if exceptional_availability(p, iso)]
+
+
+def _desk_cases(part: int) -> List[Tuple[int, int, List[str], str]]:
+    """(p, level, level-one subgroup kinds, label note) of the cases of a desk part."""
+    return {
+        1: [(23, 1, ["B"], ""), (11, 1, ["C"], ""), (13, 1, ["C", "D"], "")]
+        + [(p, 1, _exceptional_kinds(p), "") for p in (17, 19)],
+        2: [(p, 2, ["B", "D"] + _exceptional_kinds(p), "") for p in (11, 13)],
+        3: [(5, 3, ["C"], ""), (7, 3, ["B", "C", "D", "E:S4"], "")],
+        4: [(5, 4, ["B", "D", "E:S4"], "")],
+        5: [(3, 5, ["B", "C", "D", "SL"], " (reduced from 3^6)")],
+        6: [(2, 7, ["F", "SL"], " (reduced from 2^10)")],
+        7: [(2, 7, ["B"], " (reduced from 2^11)")],
+    }[part]
+
+
+_DESK_SAMPLES = {2: 40, 3: 20, 4: 4, 5: 25, 6: 25, 7: 25}
 
 
 def verify_main_theorem_desk(
@@ -1244,74 +1247,17 @@ def verify_main_theorem_desk(
     exponents (n <= 5 for p = 3, n <= 7 for p = 2) and report bound-chain
     validity rather than the full positivity statement.
     """
-    if part == 1:
-        out = []
-        for kind, p in (("B", 23), ("C", 11), ("C", 13), ("D", 13)):
-            out.append(_delta_positive_exhaustive(1, "%s@%d" % (kind, p), standard_subgroup(kind, p)))
-        for p in (17, 19):
-            for iso in ("A4", "S4", "A5"):
-                if exceptional_availability(p, iso):
-                    out.append(
-                        _delta_positive_exhaustive(1, "E:%s@%d" % (iso, p), exceptional_subgroup(p, iso, seed=seed))
-                    )
-        return out
-    if part == 2:
-        ns = samples or 40
-        out = []
-        for p in (11, 13):
-            ctx = make_ctx(p, 2)
-            kinds = [("B", borel(p)), ("D", nonsplit_cartan_normalizer(p))]
-            for iso in ("A4", "S4", "A5"):
-                if exceptional_availability(p, iso):
-                    kinds.append(("E:" + iso, exceptional_subgroup(p, iso, seed=seed)))
-            for kname, target in kinds:
-                out.append(_delta_positive_sampled(2, "%s@%d^2" % (kname, p), ctx, target, ns, seed))
-        return out
-    if part == 3:
-        ns = samples or 20
-        out = [
-            _delta_positive_sampled(3, "C@5^3", make_ctx(5, 3), split_cartan_normalizer(5), ns, seed)
-        ]
-        for kname, target in (
-            ("B", borel(7)),
-            ("C", split_cartan_normalizer(7)),
-            ("D", nonsplit_cartan_normalizer(7)),
-            ("E:S4", exceptional_subgroup(7, "S4", seed=seed)),
-        ):
-            out.append(_delta_positive_sampled(3, "%s@7^3" % kname, make_ctx(7, 3), target, ns, seed))
-        return out
-    if part == 4:
-        ns = samples or 4
-        ctx = make_ctx(5, 4)
-        out = []
-        for kname, target in (
-            ("B", borel(5)),
-            ("D", nonsplit_cartan_normalizer(5)),
-            ("E:S4", exceptional_subgroup(5, "S4", seed=seed)),
-        ):
-            out.append(_delta_positive_sampled(4, "%s@5^4" % kname, ctx, target, ns, seed))
-        return out
-    if part == 5:
-        ns = samples or 25
-        ctx = make_ctx(3, 5)
-        out = []
-        for kname, target in (
-            ("B", borel(3)),
-            ("C", split_cartan_normalizer(3)),
-            ("D", nonsplit_cartan_normalizer(3)),
-            ("SL", full_group(make_ctx(3, 1))),
-        ):
-            out.append(_bounds_sampled(5, "%s@3^5 (reduced from 3^6)" % kname, ctx, target, ns, seed))
-        return out
-    if part == 6:
-        ns = samples or 25
-        ctx = make_ctx(2, 7)
-        return [
-            _bounds_sampled(6, "F@2^7 (reduced from 2^10)", ctx, order_three_subgroup(), ns, seed),
-            _bounds_sampled(6, "SL@2^7 (reduced from 2^10)", ctx, full_group(make_ctx(2, 1)), ns, seed),
-        ]
-    if part == 7:
-        ns = samples or 25
-        ctx = make_ctx(2, 7)
-        return [_bounds_sampled(7, "B@2^7 (reduced from 2^11)", ctx, borel(2), ns, seed)]
-    raise PreconditionError("parts run 1..7, got %d" % part)
+    if not 1 <= part <= 7:
+        raise PreconditionError("parts run 1..7, got %d" % part)
+    out = []
+    for p, n, kinds, note in _desk_cases(part):
+        for kind in kinds:
+            target = standard_subgroup("full" if kind == "SL" else kind, p, seed=seed)
+            if part == 1:
+                out.append(_timed(_delta_positive_exhaustive, "%s@%d" % (kind, p), target))
+                continue
+            run = _delta_positive_sampled if part <= 4 else _bounds_sampled
+            label = "%s@%d^%d%s" % (kind, p, n, note)
+            ns = samples or _DESK_SAMPLES[part]
+            out.append(_timed(run, part, label, make_ctx(p, n), target, ns, seed))
+    return out

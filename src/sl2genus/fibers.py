@@ -198,7 +198,7 @@ def _parametrized_codes(desc: FiberDescriptor) -> FrozenSet:
     mm = ctx.modulus
     enc = encoder(ctx)
     span = p ** (n - m)
-    q = p ** (m if desc.kind != "u" else r + m)
+    q = p ** (r + m)
     out = set()
     for a in range(span):
         for b in range(span):

@@ -27,7 +27,6 @@ from .core import (
     is_prime,
     lower_u,
     mat_pow,
-    neg,
     primitive_root,
     sigma,
     sl2_order,
@@ -135,7 +134,7 @@ def gl2_generators(ctx: GroupCtx) -> List[Mat]:
 
 # -------------------- conjugacy class references --------------------
 
-_KINDS = ("sigma", "tau", "u_power", "neg_sigma", "neg_tau", "neg_u", "u_square", "custom")
+_KINDS = ("sigma", "tau", "u_power", "custom")
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ class ConjClassRef:
     """A named conjugacy class bound to a context.
 
     ``u_power`` with exponent r refers to Conj(u^(p^r)); the class is
-    nontrivial only while r + 1 <= n.
+    nontrivial only while r + 1 <= n.  ``sigma`` and ``tau`` take r = 0.
     """
 
     ctx: GroupCtx
@@ -154,6 +153,8 @@ class ConjClassRef:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError("unknown class kind %r" % (self.kind,))
+        if self.kind in ("sigma", "tau") and self.r != 0:
+            raise PreconditionError("%s takes no exponent r, got r=%d" % (self.kind, self.r))
         if self.kind == "u_power":
             if self.r < 0 or self.r + 1 > self.ctx.n:
                 raise PreconditionError(
@@ -175,14 +176,6 @@ class ConjClassRef:
             return tau(ctx)
         if self.kind == "u_power":
             return mat_pow(upper_u(ctx), ctx.p**self.r, ctx)
-        if self.kind == "neg_sigma":
-            return neg(sigma(ctx), ctx)
-        if self.kind == "neg_tau":
-            return neg(tau(ctx), ctx)
-        if self.kind == "neg_u":
-            return neg(upper_u(ctx), ctx)
-        if self.kind == "u_square":
-            return mat_pow(upper_u(ctx), 2, ctx)
         assert self.rep is not None
         return self.rep
 

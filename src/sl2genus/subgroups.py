@@ -217,10 +217,8 @@ def filtration_level(h: Subgroup, s: int) -> Subgroup:
         raise ValueError("filtration level s=%d outside 1..%d" % (s, n))
     q = h.ctx.p**s
     dec = decoder(h.ctx)
-    one = identity(h.ctx)
-    keep = frozenset(
-        c for c in h.codes() if reduce_mat(dec(c), q) == reduce_mat(one, q)
-    )
+    one = reduce_mat(identity(h.ctx), q)
+    keep = frozenset(c for c in h.codes() if reduce_mat(dec(c), q) == one)
     return Subgroup.from_codes(h.ctx, keep, h.ambient)
 
 
@@ -433,45 +431,29 @@ def _pullback_to_sl2(pgl_codes: FrozenSet, p: int) -> Subgroup:
     return got
 
 
-_KIND_ALIASES = {
-    "B": "Borel",
-    "Borel": "Borel",
-    "C": "SplitCartanNorm",
-    "SplitCartanNorm": "SplitCartanNorm",
-    "D": "NonsplitCartanNorm",
-    "NonsplitCartanNorm": "NonsplitCartanNorm",
-    "F": "F",
-    "A1": "A1",
-    "full": "FullSL2",
-    "FullSL2": "FullSL2",
-}
-
-
 def standard_subgroup(kind: str, p: int, seed: int = 0) -> Subgroup:
     """The named subgroups at their natural level (B/C/D/E/F at p, A1 at p^2)."""
-    if kind.startswith("E:") or kind.startswith("Exceptional:"):
-        iso = kind.split(":", 1)[1]
+    if kind.startswith("E:"):
         if p < 5:
             raise PreconditionError("exceptional subgroups need p >= 5")
-        return exceptional_subgroup(p, iso, seed=seed)
-    tag = _KIND_ALIASES.get(kind)
-    if tag is None:
-        raise ValueError("unknown subgroup kind %r" % kind)
-    if tag == "Borel":
+        return exceptional_subgroup(p, kind[2:], seed=seed)
+    if kind == "B":
         return borel(p)
-    if tag == "SplitCartanNorm":
+    if kind == "C":
         return split_cartan_normalizer(p)
-    if tag == "NonsplitCartanNorm":
+    if kind == "D":
         return nonsplit_cartan_normalizer(p)
-    if tag == "F":
+    if kind == "F":
         if p != 2:
             raise PreconditionError("F is a subgroup of SL2(Z/2Z)")
         return order_three_subgroup()
-    if tag == "A1":
+    if kind == "A1":
         if p != 2:
             raise PreconditionError("A1 is a subgroup of SL2(Z/4Z)")
         return a1_subgroup()
-    return full_group(make_ctx(p, 1))
+    if kind == "full":
+        return full_group(make_ctx(p, 1))
+    raise ValueError("unknown subgroup kind %r" % kind)
 
 
 # -------------------- subgroup spec strings --------------------
@@ -565,21 +547,18 @@ def all_subgroups(
             cyc.setdefault(key, i)
     pool = sorted(cyc.items(), key=lambda kv: (len(kv[0]), kv[1]))
 
+    # x -> g^-1 x g on indices; an orbit needs no inverse steps (see capped_orbit)
     conj_perm: List[List[int]] = []
-    if conjugacy_gens:
-        enc = encoder(ctx)
-        for g in conjugacy_gens:
-            for h in (g, _inv(g, m)):
-                hi = _inv(h, m)
-                conj_perm.append([index[enc(_mul(hi, _mul(x, h, m), m))] for x in mats])
+    for g in conjugacy_gens or ():
+        gi = _inv(g, m)
+        conj_perm.append([index[enc(_mul(gi, _mul(x, g, m), m))] for x in mats])
 
-    def close(gens: Tuple[int, ...]) -> FrozenSet:
-        return capped_orbit(e, gens, mul, None, k)
+    def conjugate(s: FrozenSet, perm: List[int]) -> FrozenSet:
+        return frozenset(perm[x] for x in s)
 
     trivial = frozenset([e])
     seen_all: Dict[FrozenSet, None] = {trivial: None}
     reps: List[Tuple[FrozenSet, Tuple[int, ...]]] = [(trivial, ())]
-    out: List[FrozenSet] = [trivial]
     wl = 0
     while wl < len(reps):
         h, hgens = reps[wl]
@@ -588,26 +567,15 @@ def all_subgroups(
             if cset <= h:
                 continue
             kgens = hgens + (cgen,)
-            knew = close(kgens)
+            knew = capped_orbit(e, kgens, mul, None, k)
             if knew in seen_all:
                 continue
-            # record the full conjugacy orbit, queue one representative
-            orbit = [knew]
-            seen_all[knew] = None
-            if conj_perm:
-                bi = 0
-                while bi < len(orbit):
-                    s = orbit[bi]
-                    bi += 1
-                    for perm in conj_perm:
-                        t = frozenset(perm[x] for x in s)
-                        if t not in seen_all:
-                            seen_all[t] = None
-                            orbit.append(t)
-            out.extend(orbit)
+            # record the full conjugacy orbit (at most [G : N(H)] <= k subgroups),
+            # queue one representative
+            for t in capped_orbit(knew, conj_perm, conjugate, None, k):
+                seen_all[t] = None
             reps.append((knew, kgens))
-    rev = {i: c for c, i in index.items()}
-    return [frozenset(rev[i] for i in s) for s in seen_all]
+    return [frozenset(codes[i] for i in s) for s in seen_all]
 
 
 # -------------------- random sampling --------------------

@@ -14,7 +14,6 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from .core import (
     GroupCtx,
-    PreconditionError,
     decoder,
     encoder,
     lower_u,
@@ -63,9 +62,9 @@ from .bounds import (
     DeskResult,
     _bcde,
     _e_bounds,
+    bound_reports,
     fiber_count_bound_check,
     section7_all,
-    slim_bound_report,
     verify_main_theorem_desk,
 )
 
@@ -418,13 +417,7 @@ def suite_lemma6_1(seed: int = 0) -> Tuple[bool, str]:
     total = 0
     for ctx, subs in _sample_grid(seed, 25):
         for h in subs:
-            refs = [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")]
-            refs += [u_power_ref(ctx, r) for r in range(ctx.n - 1)]
-            for ref in refs:
-                try:
-                    rep = slim_bound_report(h, ref)
-                except PreconditionError:  # no applicable bound at this level
-                    continue
+            for rep in bound_reports(h):
                 total += 1
                 if not rep.ok:
                     bad = [c for c in rep.checks if not c[1]]

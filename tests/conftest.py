@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from sl2genus.core import lower_u, make_ctx, upper_u
@@ -18,3 +21,15 @@ def sl2_mod4_subgroups():
     ctx = make_ctx(2, 2)
     g = enumerate_group(ctx)
     return ctx, all_subgroups(g, conjugacy_gens=[upper_u(ctx), lower_u(ctx)])
+
+
+@pytest.fixture(scope="session")
+def report_digest():
+    """SHA-256 of the JSON of a list of CaseReport/DeskResult values with their
+    wall-clock elapsed_ms removed: the part of a report a code change must keep."""
+
+    def digest(reports):
+        rows = [{k: v for k, v in r.to_json_dict().items() if k != "elapsed_ms"} for r in reports]
+        return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+    return digest

@@ -261,9 +261,10 @@ def test_criterion_10_section7_audit():
     _report(10, "%d cases, every printed fraction reproduced (P7.8 flagged)" % len(reports), t0, 10)
 
 
-def test_criterion_11_main_theorem_part1():
+def test_criterion_11_main_theorem_part1(report_digest):
     t0 = time.monotonic()
     results = verify_main_theorem_desk(1)
+    assert report_digest(results) == "f5c3be681a5d12ac3cf3b331cc934b3a73585df1c8a2cbb1ce789e2ccaace8ad"
     labels = {r.label for r in results}
     for want in ("B@23", "C@11", "C@13", "D@13"):
         assert want in labels

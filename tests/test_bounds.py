@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sl2genus import bounds
 from sl2genus.bounds import (
     BOUND_KINDS,
     bound_sequence,
@@ -11,6 +12,7 @@ from sl2genus.bounds import (
     fiber_image_bound_check,
     n_prime,
     n_upper_bound,
+    section7_all,
     section7_case_ids,
     slim_bound_report,
     verify_main_theorem_desk,
@@ -180,7 +182,7 @@ def test_section7_case_ids_cover_spec_set():
         assert want in ids
 
 
-def test_section7_verdicts():
+def test_section7_verdicts(report_digest):
     for cid in section7_case_ids():
         rep = verify_section7(cid)
         if cid == "P7.8":
@@ -190,6 +192,8 @@ def test_section7_verdicts():
         else:
             assert rep.verdict == "match", (cid, rep.notes)
             assert rep.recomputed_value == rep.printed_value > 0
+    # every chain label, value and step, verdict and note, as first recorded
+    assert report_digest(section7_all()) == "98ba867c78a9a36ee25a8baf492bb82fe52e21464d3cbae53da8164d406ffa7d"
 
 
 def test_section7_key_fractions():
@@ -226,10 +230,46 @@ def test_desk_part_arguments():
         verify_main_theorem_desk(8)
 
 
-def test_desk_smoke_parts_6_7():
+def test_desk_smoke_parts_6_7(report_digest):
+    digests = {
+        6: "530905a46a09a84a824b017331f7d44c918cef26c72a8e35b7e0658b963bb53b",
+        7: "50fb8b77bf340a4dea3bf8dfc41b5ba4297e3d281ca7ade1738d8769d3c8c80e",
+    }
     for part in (6, 7):
-        for r in verify_main_theorem_desk(part, samples=4):
+        results = verify_main_theorem_desk(part, samples=4)
+        for r in results:
             assert r.status == "pass", (r.label, r.notes)
+        assert report_digest(results) == digests[part]
+
+
+def test_desk_failure_paths(monkeypatch):
+    """Every delta 0 and every bound report failing: each case fails on its
+    first subgroup, and the sampled cases keep their seed."""
+
+    def failing_report(h, ref):
+        rep = bounds.SlimBoundReport(ref.kind, ref.r, h.order)
+        rep.add("forced", False, "x")
+        return rep
+
+    monkeypatch.setattr(bounds, "delta", lambda h: Fraction(0))
+    monkeypatch.setattr(bounds, "slim_bound_report", failing_report)
+    got = [
+        (r.label, r.status, r.checked, r.min_delta, r.seed, r.notes)
+        for part, samples in ((1, None), (2, 1), (6, 1))
+        for r in verify_main_theorem_desk(part, samples=samples)
+    ]
+    part1 = ["B@23", "C@11", "C@13", "D@13", "E:A4@17", "E:S4@17", "E:A4@19", "E:S4@19", "E:A5@19"]
+    part2 = ["B@11^2", "D@11^2", "E:A4@11^2", "E:S4@11^2", "E:A5@11^2"]
+    part2 += ["B@13^2", "D@13^2", "E:A4@13^2", "E:S4@13^2"]  # no A5 at p = 13
+    violation = "bound violation ('forced', False, 'x') on subgroup of order %d"
+    assert got == (
+        [(label, "fail", 1, 0, None, "found delta <= 0") for label in part1]
+        + [(label, "fail", 1, 0, 0, "found slim subgroup with delta <= 0") for label in part2]
+        + [
+            ("F@2^7 (reduced from 2^10)", "fail", 1, None, 0, violation % 24),
+            ("SL@2^7 (reduced from 2^10)", "fail", 1, None, 0, violation % 512),
+        ]
+    )
 
 
 # ---- differential test: the kind table against the per-class ladder ----

@@ -139,6 +139,7 @@ def test_usage_errors(capsys):
         ("genus", "--p", "4", "--n", "1", "--subgroup", "B"),
         ("class-table", "--p", "4", "--n", "1"),
         ("genus", "--p", "5", "--n", "1", "--subgroup", "nonsense"),
+        ("genus", "--p", "13", "--n", "1", "--subgroup", "Borel"),  # specs are B, C, D, ...
         ("genus", "--p", "5", "--n", "1", "--subgroup", "gens:1,2;3"),
         ("genus", "--p", "5", "--n", "1", "--subgroup", "preimage:B@x"),
         ("count", "--p", "13", "--n", "1", "--subgroup", "B", "--class", "u^p^x"),

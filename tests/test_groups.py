@@ -132,6 +132,16 @@ def test_u_power_ref_validation():
         ConjClassRef(ctx, "custom", rep=mat(3, 0, 0, 1, ctx))
 
 
+def test_class_ref_kinds():
+    ctx = make_ctx(3, 2)
+    for kind in ("sigma", "tau"):  # only the u_power family takes an exponent
+        with pytest.raises(PreconditionError):
+            ConjClassRef(ctx, kind, r=1)
+    for kind in ("neg_sigma", "neg_tau", "neg_u", "u_square"):
+        with pytest.raises(ValueError, match="unknown class kind"):
+            ConjClassRef(ctx, kind)
+
+
 def test_gl2_conjugacy_orbit():
     # sigma and -sigma are GL2- but not SL2-conjugate at level 4
     ctx = make_ctx(2, 2)

@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-function reads each of its parameters.
+"""Every name a library module imports is used in that module, every
+function reads each of its parameters, and every private module-level name
+is used somewhere under src/.
 
 No linter is part of the toolchain, so this walks the syntax tree with the
 standard library.  ``__init__.py`` is skipped by the import check: its imports
@@ -90,3 +91,49 @@ def test_the_check_sees_an_unread_parameter():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unread_parameters(path):
     assert _unread_parameters(path.read_text()) == []
+
+
+def _unreferenced_privates(sources):
+    """(module, line, name) for each private module-level function, class or
+    constant that no other top-level statement of any module refers to."""
+    defs = []
+    uses = []
+    for mod, source in sources.items():
+        for i, stmt in enumerate(ast.parse(source).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                names = [stmt.target.id]
+            else:
+                names = []
+            defs += [(mod, i, stmt.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
+            used = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name)
+            uses.append((mod, i, used))
+    return sorted(
+        (mod, line, name)
+        for mod, i, line, name in defs
+        if not any(name in used for m, j, used in uses if (m, j) != (mod, i))
+    )
+
+
+def test_the_check_sees_an_unused_private_name():
+    sources = {
+        "a.py": "def _used():\n    pass\n\ndef _recursive():\n    return _recursive()\n\n"
+        "_K = 1\n_STALE: int = 2\nx = _used()\n",
+        "b.py": "from a import _K\n",
+    }
+    assert _unreferenced_privates(sources) == [("a.py", 4, "_recursive"), ("a.py", 8, "_STALE")]
+
+
+def test_no_unused_private_names():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert _unreferenced_privates(sources) == []

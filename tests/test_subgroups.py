@@ -107,6 +107,15 @@ def test_filtration_levels():
         filtration_level(g, 3)
 
 
+def test_filtration_sizes_from_reductions():
+    # |H_s| = |H| / |H mod p^s|, the sizes slim_bound_report's filtration check uses
+    for p, n in ((5, 2), (3, 3), (2, 4), (2, 5)):
+        ctx = make_ctx(p, n)
+        for h in sample_slim_subgroups(ctx, 10, random.Random((p, n).__repr__())):
+            for s in range(1, n + 1):
+                assert filtration_level(h, s).order == h.order // len(h.reduced_codes(s))
+
+
 def test_slimness():
     c9 = make_ctx(3, 2)
     assert not is_slim(full_group(c9))
