@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
+    DEFAULT_MAX_ELEMENTS,
     GroupCtx,
     Mat,
     PreconditionError,
@@ -31,6 +32,7 @@ from .core import (
 )
 from .groups import (
     ConjClassRef,
+    cached,
     class_codes,
     conj_class_size_formula,
     u_power_ref,
@@ -176,40 +178,27 @@ def _fiber_kind(ref: ConjClassRef) -> str:
     return "u" if ref.kind == "u_power" else ref.kind
 
 
-_V_MEMO: Dict = {}
+def _v_codes(desc: FiberDescriptor, x: Mat) -> FrozenSet:
+    """V_x for the fiber desc, in its commutator form.
 
-
-def _v_codes(h: Subgroup, ref: ConjClassRef, i: int, x: Mat) -> FrozenSet:
-    """V_x^(N, N-i) at the full level N of h.ctx (N = r + depth of the class).
-
-    Depends on x only through x mod p^(r+i), never on H, so the cache is
-    shared across subgroups.
+    It depends on x only through x mod p^(r+n-m), never on H, so it is kept
+    in the memo of desc.full_ctx() and shared across subgroups.
     """
-    p = h.ctx.p
-    r = ref.r
-    depth = h.ctx.n - r
-    key = (p, r, depth, _fiber_kind(ref), i, encoder(make_ctx(p, r + i))(reduce_mat(x, p ** (r + i))))
-    got = _V_MEMO.get(key)
-    if got is None:
-        desc = FiberDescriptor(p, r, depth, depth - i, _fiber_kind(ref))
-        got = commutator_fiber_codes(desc, x)
-        _V_MEMO[key] = got
-    return got
+    key = (desc, reduce_mat(x, desc.p ** (desc.r + desc.n - desc.m)))
+    return cached(desc.full_ctx(), key, lambda: commutator_fiber_codes(desc, x), DEFAULT_MAX_ELEMENTS)
 
 
 def _y_sets(h: Subgroup, ref: ConjClassRef, idxs: Sequence[int]) -> Dict[int, FrozenSet]:
     """Y_0 and Y_i = {x in H n Conj : H_(N-i) = V_x} for the requested i."""
     ctx = h.ctx
     dec = decoder(ctx)
+    depth = ctx.n - ref.r
     y0 = h.codes() & class_codes(ref)
     out: Dict[int, FrozenSet] = {0: y0}
     for i in idxs:
         filt = filtration_level(h, ctx.n - i).codes()
-        got = set()
-        for c in y0:
-            if filt == _v_codes(h, ref, i, dec(c)):
-                got.add(c)
-        out[i] = frozenset(got)
+        desc = FiberDescriptor(ctx.p, ref.r, depth, depth - i, _fiber_kind(ref))
+        out[i] = frozenset(c for c in y0 if filt == _v_codes(desc, dec(c)))
     return out
 
 
@@ -382,19 +371,13 @@ def fiber_image_bound_check(h: Subgroup, ref: ConjClassRef, t: int, i: int) -> b
         encoder(make_ctx(p, r + t + i))(reduce_mat(x, p ** (r + t + i)))
         for x in (decoder(ctx)(c) for c in filtration_level(h, r + t).codes())
     )
-    memo: Dict = {}
     by_base: Dict[Mat, List[Mat]] = {}
     for c in ht:
         x = dec_ti(c)
         by_base.setdefault(reduce_mat(x, mod_t), []).append(x)
     desc = FiberDescriptor(p, r, t + i, t, _fiber_kind(ref))
     for base, fib in by_base.items():
-        key = base
-        v = memo.get(key)
-        if v is None:
-            v = commutator_fiber_codes(desc, base)
-            memo[key] = v
-        if filt == v:
+        if filt == _v_codes(desc, base):
             continue
         if len({reduce_mat(x, mod_t1) for x in fib}) > p:
             return False
@@ -415,6 +398,7 @@ def fiber_count_bound_check(h: Subgroup, ref: ConjClassRef, i: int, d: int) -> b
     dec = decoder(ctx)
     hi = h.codes() & class_codes(ref)
     filt = filtration_level(h, ctx.n - i).codes()
+    desc = FiberDescriptor(p, r, depth, depth - i, _fiber_kind(ref))
     lo_level = r + i + d
     lo_mod = p**lo_level
     counts: Dict[Mat, int] = {}
@@ -424,7 +408,7 @@ def fiber_count_bound_check(h: Subgroup, ref: ConjClassRef, i: int, d: int) -> b
         base = reduce_mat(x, lo_mod)
         counts[base] = counts.get(base, 0) + 1
         if base not in bad_v:
-            bad_v[base] = filt != _v_codes(h, ref, i, x)
+            bad_v[base] = filt != _v_codes(desc, x)
     limit = p ** (depth - 1 - d)
     return all(cnt <= limit for base, cnt in counts.items() if bad_v[base])
 
@@ -525,6 +509,16 @@ def _level_one_counts(ch: _Chain, group: str, p: int, printed: Tuple[int, int, i
         ch.expect("#%s n Conj(%s)" % (group, alpha), _bcde(group, alpha, p), want)
         for alpha, want in zip(("sigma", "tau", "u"), printed)
     )
+
+
+def _dominated(ch: _Chain, group: str, p: int, bs: int, bt: int, strict: bool) -> None:
+    """Require K's level-one sigma and tau counts below (strict) or at most
+    bs and bt, and no u in K: then the chain run on (bs, bt) bounds K's."""
+    op = "<" if strict else "<="
+    for alpha, bound in (("sigma", bs), ("tau", bt)):
+        got = _bcde(group, alpha, p)
+        ch.require("%s count %d %s %d" % (alpha, got, op, bound), got < bound if strict else got <= bound)
+    ch.require("u count is 0", _bcde(group, "u", p) == 0)
 
 
 def _e_bounds(p: int) -> Tuple[int, int]:
@@ -737,11 +731,8 @@ def _case_p75(sub: str) -> CaseReport:
         printed = Fraction(343 - 57 - 52 - 105, 7**3)
         return _finish("P7.5:E", ch, printed, rec, "exceptional at p=7, level p^3")
     # C and D are dominated by the exceptional chain
-    counts = [_bcde(sub, alpha, p) for alpha in ("sigma", "tau", "u")]
     es, et = _e_bounds(p)
-    ch.require("sigma count %d <= %d" % (counts[0], es), counts[0] <= es)
-    ch.require("tau count %d <= %d" % (counts[1], et), counts[1] <= et)
-    ch.require("u count is 0", counts[2] == 0)
+    _dominated(ch, sub, p, es, et, strict=False)
     rec = _p75_master(ch, es, et, 0, "noVu")
     printed = Fraction(343 - 57 - 52 - 105, 7**3)
     return _finish(
@@ -776,11 +767,7 @@ def _case_p76(sub: str) -> CaseReport:
         )
     es, et = _e_bounds(p)
     if sub == "D":
-        ds = _bcde("D", "sigma", p)
-        dt = _bcde("D", "tau", p)
-        ch.require("sigma count %d < %d" % (ds, es), ds < es)
-        ch.require("tau count %d < %d" % (dt, et), dt < et)
-        ch.require("u count is 0", _bcde("D", "u", p) == 0)
+        _dominated(ch, "D", p, es, et, strict=True)
     else:
         ch.expect("E sigma bound (p = +-1 mod 5)", es, 30)
         ch.expect("E tau bound", et, 20)
@@ -892,9 +879,7 @@ def _case_p79(sub: str) -> CaseReport:
         return _finish("P7.9:B", ch, printed, rec, "Borel at p=5, level 5^4")
     es, et = _e_bounds(p)
     if sub == "D":
-        ch.require("sigma count %d < %d" % (_bcde("D", "sigma", p), es), _bcde("D", "sigma", p) < es)
-        ch.require("tau count %d < %d" % (_bcde("D", "tau", p), et), _bcde("D", "tau", p) < et)
-        ch.require("u count is 0", _bcde("D", "u", p) == 0)
+        _dominated(ch, "D", p, es, et, strict=True)
     else:
         ch.expect("E sigma bound", es, 18)
         ch.expect("E tau bound", et, 8)
@@ -936,11 +921,7 @@ def _case_p710(sub: str) -> CaseReport:
         return _finish("P7.10:B", ch, Fraction(81 - 13 - 43, 3**4), rec, "Borel at p=3, level 3^6")
     # SL, C, D all run on the full level-one class counts with u excluded
     if sub in ("C", "D"):
-        ds = _bcde(sub, "sigma", p)
-        dt = _bcde(sub, "tau", p)
-        ch.require("sigma count %d <= 6" % ds, ds <= 6)
-        ch.require("tau count %d <= 4" % dt, dt <= 4)
-        ch.require("u count is 0", _bcde(sub, "u", p) == 0)
+        _dominated(ch, sub, p, 6, 4, strict=False)
         note = "dominated by the mod-3-surjective chain"
     else:
         ch.require(

@@ -4,13 +4,14 @@ A matrix is a plain 4-tuple ``(a, b, c, d)`` of fully reduced residues, read
 row-major as (a b; c d).  Every operation takes the :class:`GroupCtx` that
 fixes the ambient modulus; there is no floating point anywhere.
 
-Matrices are immutable values and all functions here are pure, so contexts
-and matrices can be shared freely across threads.
+Matrices are immutable values and all functions here are pure.  A context
+compares and hashes by (p, n) alone; its memo only ever gains entries, and
+an entry never changes once stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
@@ -142,12 +143,17 @@ def gl2_order(p: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class GroupCtx:
-    """Ambient ring/group descriptor for SL2(Z/p^nZ)."""
+    """Ambient ring/group descriptor for SL2(Z/p^nZ).
+
+    memo holds the sets derived from the context alone (G, the class orbits,
+    the fiber groups V); groups.cached is its one reader and writer.
+    """
 
     p: int
     n: int
     modulus: int
     order: int
+    memo: Dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:

@@ -5,7 +5,8 @@ Everything is exact rational arithmetic.  The three ingredient counts
 ways -- directly on the coset space and through the class-counting identity
 -- and any disagreement raises ConsistencyError.  G is enumerated once per
 context, and genus_report builds the coset space once per report and hands
-it to both fixed-point counts and the cusp count.
+it to both fixed-point counts and the cusp count.  G and the class orbits
+are materialized under the cap the subgroup carries (Subgroup.cap).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import (
     ConsistencyError,
-    GroupCtx,
     Mat,
     PreconditionError,
     _mul,
@@ -43,7 +43,7 @@ def count_in_subgroup(h: Subgroup, ref: ConjClassRef) -> int:
     """#(H n Conj(alpha)), intersecting the materialized sets."""
     if ref.ctx != h.ctx:
         raise PreconditionError("class reference bound to a different context")
-    cls = class_codes(ref)
+    cls = class_codes(ref, h.cap)
     hc = h.codes()
     small, big = (hc, cls) if len(hc) <= len(cls) else (cls, hc)
     return sum(1 for c in small if c in big)
@@ -74,7 +74,7 @@ def coset_space(h: Subgroup) -> Cosets:
     hmats = [dec(c) for c in h.codes()]
     coset_of: Dict = {}
     reps: List[Mat] = []
-    for c in enumerate_group(ctx).codes:
+    for c in enumerate_group(ctx, h.cap).codes:
         if c in coset_of:
             continue
         g = dec(c)
@@ -91,17 +91,18 @@ def _fix_direct(h: Subgroup, a: Mat, reps: List[Mat], coset_of: Dict) -> int:
     return sum(1 for i, g in enumerate(reps) if coset_of[enc(_mul(a, g, m))] == i)
 
 
-def _class_of(ctx: GroupCtx, a: Mat) -> FrozenSet:
+def _class_of(h: Subgroup, a: Mat) -> FrozenSet:
+    ctx, cap = h.ctx, h.cap
     if a == sigma_mat(ctx):
-        return class_codes(ConjClassRef(ctx, "sigma"))
+        return class_codes(ConjClassRef(ctx, "sigma"), cap)
     if a == tau_mat(ctx):
-        return class_codes(ConjClassRef(ctx, "tau"))
+        return class_codes(ConjClassRef(ctx, "tau"), cap)
     m = ctx.modulus
     for r in range(ctx.n):
         q = ctx.p**r
         if a == (1, q % m, 0, 1):  # u^(p^r)
-            return class_codes(u_power_ref(ctx, r))
-    return conj_class_brute(a, ctx).codes
+            return class_codes(u_power_ref(ctx, r), cap)
+    return conj_class_brute(a, ctx, cap).codes
 
 
 def fix_points(h: Subgroup, a: Mat, cosets: Optional[Cosets] = None) -> int:
@@ -111,7 +112,7 @@ def fix_points(h: Subgroup, a: Mat, cosets: Optional[Cosets] = None) -> int:
     cosets is coset_space(h) if the caller has it already; without it the
     coset route builds its own."""
     ctx = h.ctx
-    cls = _class_of(ctx, a)
+    cls = _class_of(h, a)
     inter = len(h.codes() & cls)
     index = ctx.order // h.order
     via_identity = Fraction(index * inter, len(cls))
@@ -151,7 +152,7 @@ def cusp_orbit_ratio(h: Subgroup, cosets: Optional[Cosets] = None) -> Fraction:
     cosets as in fix_points."""
     ctx = h.ctx
     hcodes = h.codes()
-    classes = [class_codes(u_power_ref(ctx, s)) for s in range(ctx.n)]
+    classes = [class_codes(u_power_ref(ctx, s), h.cap) for s in range(ctx.n)]
     ratio = cusp_series(ctx.p, [Fraction(len(hcodes & cls), len(cls)) for cls in classes])
     if ctx.order <= DIRECT_CHECK_CAP:
         reps, coset_of = cosets if cosets is not None else coset_space(h)
@@ -178,8 +179,8 @@ def _delta_terms(h: Subgroup, cosets: Optional[Cosets] = None) -> Tuple[int, int
     """(#H n Conj(sigma), #H n Conj(tau), cusp ratio, delta)."""
     ctx = h.ctx
     hcodes = h.codes()
-    cls_s = class_codes(ConjClassRef(ctx, "sigma"))
-    cls_t = class_codes(ConjClassRef(ctx, "tau"))
+    cls_s = class_codes(ConjClassRef(ctx, "sigma"), h.cap)
+    cls_t = class_codes(ConjClassRef(ctx, "tau"), h.cap)
     cs, ct = len(hcodes & cls_s), len(hcodes & cls_t)
     cusp = cusp_orbit_ratio(h, cosets)
     d = delta_from_ratios(Fraction(cs, len(cls_s)), Fraction(ct, len(cls_t)), cusp)

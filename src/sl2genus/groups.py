@@ -3,14 +3,14 @@
 Element sets store packed codes (see core.encoder).  Closures and orbits all
 go through one breadth-first kernel, capped_orbit; conjugacy classes are
 expanded by conjugating with the two generators u, t(u) only, which keeps
-memory at O(#class) instead of O(#group).
+memory at O(#class) instead of O(#group).  Every set derived from a context
+alone is stored once, in its memo, through cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence
 
 from .core import (
     DEFAULT_MAX_ELEMENTS,
@@ -91,26 +91,41 @@ def capped_orbit(start, steps: Sequence, act: Callable, key: Optional[Callable],
     return frozenset(seen)
 
 
+def cached(ctx: GroupCtx, key: Hashable, build: Callable[[], FrozenSet], cap: int) -> FrozenSet:
+    """ctx.memo[key], built by build() on the first call.
+
+    Every call checks the stored set against cap, so an entry built under a
+    higher cap still raises FeasibilityError under a lower one."""
+    got = ctx.memo.get(key)
+    if got is None:
+        got = ctx.memo[key] = build()
+    if len(got) > cap:
+        raise FeasibilityError(
+            "%r modulo %d holds %d elements, above the cap of %d; raise --max-elements "
+            "or SL2_MAX_ELEMENTS" % (key, ctx.modulus, len(got), cap)
+        )
+    return got
+
+
 def _closure_codes(gens: Iterable[Mat], ctx: GroupCtx, cap: int) -> FrozenSet:
     m = ctx.modulus
     return capped_orbit(identity(ctx), list(gens), lambda x, g: _mul(x, g, m), encoder(ctx), cap)
 
 
 def enumerate_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSet:
-    """Materialize SL2(Z/p^nZ) as the closure of <u, t(u)>.
+    """Materialize SL2(Z/p^nZ) as the closure of <u, t(u)>, once per context.
 
-    The closure runs once per context; the cap is checked on every call, so a
-    group enumerated once still raises FeasibilityError under a lower cap."""
+    The order is checked against cap before the closure runs, which would
+    otherwise hold cap elements before it failed."""
     if ctx.order > cap:
         raise FeasibilityError(
             "SL2(Z/%d^%dZ) has %d elements, above the cap of %d; raise --max-elements "
             "or SL2_MAX_ELEMENTS" % (ctx.p, ctx.n, ctx.order, cap)
         )
-    return ElementSet(ctx, _group_codes(ctx))
+    return ElementSet(ctx, cached(ctx, "G", lambda: _group_closure(ctx), cap))
 
 
-@lru_cache(maxsize=None)
-def _group_codes(ctx: GroupCtx) -> FrozenSet:
+def _group_closure(ctx: GroupCtx) -> FrozenSet:
     codes = _closure_codes((upper_u(ctx), lower_u(ctx)), ctx, ctx.order)
     if len(codes) != ctx.order:
         raise ConsistencyError("closure of <u, t(u)> missed elements")  # pragma: no cover
@@ -260,28 +275,14 @@ def conj_class_brute(
     return ElementSet(ctx, codes)
 
 
-_CLASS_CACHE: Dict[Tuple[int, int, str, int], FrozenSet] = {}
-
-
 def class_codes(ref: ConjClassRef, cap: int = DEFAULT_MAX_ELEMENTS) -> FrozenSet:
-    """Cached orbit codes for a class reference (brute force, any kind).
-
-    A cached class larger than cap raises FeasibilityError, as a fresh
-    enumeration under that cap would."""
-    ctx = ref.ctx
+    """Orbit codes for a class reference (brute force, any kind); the named
+    kinds are stored in the context's memo under (kind, r)."""
     if ref.kind == "custom":
-        return conj_class_brute(ref.representative(), ctx, cap).codes
-    key = (ctx.p, ctx.n, ref.kind, ref.r)
-    got = _CLASS_CACHE.get(key)
-    if got is None:
-        got = conj_class_brute(ref.representative(), ctx, cap).codes
-        _CLASS_CACHE[key] = got
-    elif len(got) > cap:
-        raise FeasibilityError(
-            "class of %d elements is above the cap of %d; raise --max-elements "
-            "or SL2_MAX_ELEMENTS" % (len(got), cap)
-        )
-    return got
+        return conj_class_brute(ref.representative(), ref.ctx, cap).codes
+    return cached(
+        ref.ctx, (ref.kind, ref.r), lambda: conj_class_brute(ref.representative(), ref.ctx, cap).codes, cap
+    )
 
 
 def centralizer_brute(rep: Mat, group: ElementSet) -> ElementSet:

@@ -48,14 +48,15 @@ from .groups import ElementSet, _closure_codes, capped_orbit, enumerate_group
 @dataclass(eq=False)
 class Subgroup:
     """A subgroup given by generators; the element set is materialized lazily
-    and never mutated afterwards."""
+    and never mutated afterwards.  _reduced is the memo of what derives from
+    H alone: H mod p^s under the key s, H_s under ("H_s", s)."""
 
     ctx: GroupCtx
     gens: Tuple[Mat, ...]
     ambient: str = "SL2"
     cap: int = DEFAULT_MAX_ELEMENTS
     _codes: Optional[FrozenSet] = field(default=None, repr=False)
-    _reduced: Dict[int, FrozenSet] = field(default_factory=dict, repr=False)
+    _reduced: Dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_codes(
@@ -97,8 +98,7 @@ class Subgroup:
             dec = decoder(self.ctx)
             enc = encoder(sub)
             m = sub.modulus
-            got = frozenset(enc(reduce_mat(dec(c), m)) for c in self.codes())
-            self._reduced[level] = got
+            got = self._reduced[level] = frozenset(enc(reduce_mat(dec(c), m)) for c in self.codes())
         return got
 
     def conjugate(self, g: Mat) -> "Subgroup":
@@ -211,15 +211,19 @@ def preimage(h: Subgroup, dst: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Sub
 
 
 def filtration_level(h: Subgroup, s: int) -> Subgroup:
-    """H_s = H n (1 + p^s M2), the kernel of reduction mod p^s restricted to H."""
+    """H_s = H n (1 + p^s M2), the kernel of reduction mod p^s restricted to H;
+    built once per (H, s) and kept in h's memo."""
     n = h.ctx.n
     if not 1 <= s <= n:
         raise ValueError("filtration level s=%d outside 1..%d" % (s, n))
-    q = h.ctx.p**s
-    dec = decoder(h.ctx)
-    one = reduce_mat(identity(h.ctx), q)
-    keep = frozenset(c for c in h.codes() if reduce_mat(dec(c), q) == one)
-    return Subgroup.from_codes(h.ctx, keep, h.ambient)
+    got = h._reduced.get(("H_s", s))
+    if got is None:
+        q = h.ctx.p**s
+        dec = decoder(h.ctx)
+        one = reduce_mat(identity(h.ctx), q)
+        keep = frozenset(c for c in h.codes() if reduce_mat(dec(c), q) == one)
+        got = h._reduced[("H_s", s)] = Subgroup.from_codes(h.ctx, keep, h.ambient)
+    return got
 
 
 def last_kernel_codes(ctx: GroupCtx) -> FrozenSet:
@@ -465,7 +469,8 @@ def parse_subgroup_spec(
     """CLI subgroup mini-language.
 
     "B", "C", "D", "E:A4|S4|A5", "F", "A1", "full",
-    "gens:a,b;c,d|a,b;c,d|...", "preimage:<spec>@<m>".
+    "gens:a,b;c,d|a,b;c,d|...", "preimage:<spec>@<m>".  The subgroup carries
+    cap, which the genus and count routes apply to G and the class orbits.
     """
     spec = spec.strip()
     ctx = make_ctx(p, n)
@@ -474,20 +479,21 @@ def parse_subgroup_spec(
         src_level = int(at)
         if src_level > n:
             raise ValueError("preimage source level %d exceeds n=%d" % (src_level, n))
-        h = parse_subgroup_spec(inner, p, src_level, seed=seed, cap=cap)
-        return preimage(h, ctx, cap=cap)
-    if spec.startswith("gens:"):
-        gens = [parse_mat(g, ctx) for g in spec[len("gens:") :].split("|")]
-        return closure(gens, ctx, cap=cap)
-    if spec == "full":
-        return full_group(ctx, cap=cap)
-    natural = 2 if spec == "A1" else 1
-    if n != natural:
-        raise ValueError(
-            "subgroup %r lives at level %d; use preimage:%s@%d for level %d"
-            % (spec, natural, spec, natural, n)
-        )
-    return standard_subgroup(spec, p, seed=seed)
+        h = preimage(parse_subgroup_spec(inner, p, src_level, seed=seed, cap=cap), ctx, cap=cap)
+    elif spec.startswith("gens:"):
+        h = closure([parse_mat(g, ctx) for g in spec[len("gens:") :].split("|")], ctx, cap=cap)
+    elif spec == "full":
+        h = full_group(ctx, cap=cap)
+    else:
+        natural = 2 if spec == "A1" else 1
+        if n != natural:
+            raise ValueError(
+                "subgroup %r lives at level %d; use preimage:%s@%d for level %d"
+                % (spec, natural, spec, natural, n)
+            )
+        h = standard_subgroup(spec, p, seed=seed)
+    h.cap = cap
+    return h
 
 
 # -------------------- exhaustive lattice enumeration --------------------
@@ -666,6 +672,7 @@ def sample_slim_subgroups(
         key = h.codes()
         if key not in seen:
             seen.add(key)
+            h.cap = DEFAULT_MAX_ELEMENTS  # slim_cap bounds the closure, not what H is used for
             out.append(h)
     return out
 

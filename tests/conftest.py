@@ -2,10 +2,19 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import settings
 
 from sl2genus.core import lower_u, make_ctx, upper_u
 from sl2genus.groups import enumerate_group
 from sl2genus.subgroups import all_subgroups
+
+# Tier-1 draws the same Hypothesis examples on every run: the cost of an
+# example depends heavily on the draw, so random draws made timings measure
+# the draw.  --hypothesis-profile=explore draws fresh random examples and
+# keeps a failure database, for deeper runs.
+settings.register_profile("explore", settings.get_profile("default"))
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

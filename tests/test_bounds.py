@@ -376,3 +376,43 @@ def test_slim_bound_report_matches_the_ladder_oracle(sl2_mod9_subgroups):
             for ref in (ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau"), u_power_ref(ctx, 0)):
                 _assert_report_matches_oracle(h, ref, reached)
     assert reached == set(BOUND_KINDS)
+
+
+# ---- the subgroup memo: H_s is built once per (H, s), with the same results ----
+
+
+def test_filtration_memo_keeps_the_y_sets(sl2_mod9_subgroups):
+    """Every slim subgroup of SL2(Z/9Z) plus seeded slim samples at 25, 27 and
+    16: the filtration check and the Y_i sets hash as they did before H_s was
+    memoized, and a second filtration_level call returns the stored H_s."""
+    import hashlib
+
+    from sl2genus.bounds import SlimBoundReport, _filtration_checks, _y_sets
+    from sl2genus.subgroups import filtration_level, is_slim
+
+    ctx9, lattice = sl2_mod9_subgroups
+    subs = [h for h in (Subgroup.from_codes(ctx9, c) for c in sorted(lattice, key=sorted)) if is_slim(h)]
+    for p, n in ((5, 2), (3, 3), (2, 4)):
+        subs += sample_slim_subgroups(make_ctx(p, n), 10, random.Random("memo-%d-%d" % (p, n)))
+    rows = []
+    nonempty = 0
+    for h in subs:
+        ctx = h.ctx
+        rep = SlimBoundReport("sigma", 0, h.order)
+        _filtration_checks(h, rep)
+        rows.append(repr(rep.checks))
+        if ctx.p == 2:
+            refs = [(ConjClassRef(ctx, "sigma"), [1]), (u_power_ref(ctx, 0), [1])]
+        else:
+            refs = [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")]
+            refs += [u_power_ref(ctx, r) for r in range(ctx.n - 1)]
+            refs = [(ref, list(range(1, (ctx.n - ref.r) // 2 + 1))) for ref in refs]
+        for ref, idxs in refs:
+            y = _y_sets(h, ref, idxs)
+            nonempty += any(y[i] for i in idxs)
+            rows.append(repr(sorted((i, sorted(v)) for i, v in y.items())))
+        for s in range(1, ctx.n + 1):
+            assert filtration_level(h, s) is filtration_level(h, s)
+    assert (len(subs), nonempty) == (471, 27)
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "1abb11ddf3d17f94bf982a884570962799c6edeced3fd7388d403408f713e6a8"

@@ -151,6 +151,15 @@ def test_usage_errors(capsys):
         code, _, err = _run(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert err.startswith("error: "), argv
+    # genus applies the cap to G and the class orbits, as count does
+    spec = ("--p", "5", "--n", "2", "--subgroup", "gens:1,5;0,1")
+    for argv in (("genus",) + spec, ("count",) + spec + ("--class", "sigma")):
+        code, _, err = _run(capsys, *argv, "--max-elements", "100")
+        assert code == EXIT_USAGE, argv
+        assert "--max-elements" in err, argv
+    code, capped, _ = _run(capsys, "genus", *spec, "--output", "json", "--max-elements", "15000")
+    assert code == EXIT_OK  # 15000 = #SL2(Z/25Z)
+    assert capped == _run(capsys, "genus", *spec, "--output", "json")[1]
     # each subcommand declares only the flags it reads
     for argv in (
         ("bounds", "--kind", "a_sigma_p", "--p", "5", "--n", "3", "--seed", "1"),

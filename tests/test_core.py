@@ -204,3 +204,10 @@ def test_mat_pow():
     assert mat_pow(u, 13, ctx) == identity(ctx)
     assert mat_pow(u, -1, ctx) == mat_inv(u, ctx)
     assert mat_pow(sigma(ctx), 2, ctx) == minus_one(ctx)
+
+
+def test_hypothesis_profile(request):
+    """Derandomized by default; --hypothesis-profile=explore wins over that."""
+    explore = request.config.getoption("hypothesis_profile") == "explore"
+    assert settings.default.derandomize is not explore
+    assert (settings.default.database is None) is not explore

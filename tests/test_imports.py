@@ -1,6 +1,6 @@
 """Every name a library module imports is used in that module, every
-function reads each of its parameters, and every private module-level name
-is used somewhere under src/.
+function reads each of its parameters, every private module-level name
+is used somewhere under src/, and no module keeps a cache of its own.
 
 No linter is part of the toolchain, so this walks the syntax tree with the
 standard library.  ``__init__.py`` is skipped by the import check: its imports
@@ -137,3 +137,68 @@ def test_the_check_sees_an_unused_private_name():
 def test_no_unused_private_names():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert _unreferenced_privates(sources) == []
+
+
+# Caches live in the memo of a group context (groups.cached) or of a
+# subgroup; the two lru_caches left are the context and encoder factories.
+_LRU_ALLOWED = {"make_ctx", "_packers"}
+_CONTAINERS = (ast.Dict, ast.Set, ast.List, ast.DictComp, ast.SetComp, ast.ListComp)
+_MUTATORS = {
+    "add", "append", "clear", "discard", "extend", "insert", "pop", "popitem",
+    "remove", "setdefault", "update",
+}
+
+
+def _module_state(source: str):
+    """(line, name) for each module-level dict, set or list that a function
+    mutates, and for each function other than make_ctx and _packers that an
+    lru_cache or cache decorates."""
+    tree = ast.parse(source)
+    containers = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets = stmt.targets
+        elif isinstance(stmt, ast.AnnAssign):
+            targets = [stmt.target]
+        else:
+            continue
+        v = stmt.value
+        if isinstance(v, _CONTAINERS) or getattr(getattr(v, "func", None), "id", None) in ("dict", "set", "list"):
+            containers.update((t.id, stmt.lineno) for t in targets if isinstance(t, ast.Name))
+    out = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        local = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                hit = node.value
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _MUTATORS:
+                hit = node.func.value
+            else:
+                continue
+            if isinstance(hit, ast.Name) and hit.id in containers and hit.id not in local:
+                out.add((containers[hit.id], hit.id))
+        for dec in getattr(fn, "decorator_list", ()):
+            d = dec.func if isinstance(dec, ast.Call) else dec
+            if getattr(d, "attr", getattr(d, "id", None)) in ("lru_cache", "cache") and fn.name not in _LRU_ALLOWED:
+                out.add((fn.lineno, fn.name))
+    return sorted(out)
+
+
+def test_the_check_sees_module_state():
+    src = (
+        "import functools\nfrom functools import lru_cache\n\n"
+        "_MEMO = {}\n_SEEN: set = set()\nTABLE = {'a': 1}\n\n"
+        "def f(k):\n    _MEMO[k] = 1\n    _SEEN.add(k)\n    out = []\n    out.append(k)\n"
+        "    return TABLE[k]\n\n"
+        "@lru_cache(maxsize=None)\ndef g(x):\n    return x\n\n"
+        "@functools.cache\ndef h(x):\n    return x\n\n"
+        "@lru_cache\ndef make_ctx(p):\n    return p\n"
+    )
+    assert _module_state(src) == [(4, "_MEMO"), (5, "_SEEN"), (16, "g"), (20, "h")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_caches(path):
+    assert _module_state(path.read_text()) == []
