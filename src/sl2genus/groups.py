@@ -1,7 +1,8 @@
 """Enumeration of SL2(Z/p^nZ), conjugacy classes and centralizers.
 
 Element sets store packed codes (see core.encoder).  Closures and orbits all
-go through one breadth-first kernel, capped_orbit; conjugacy classes are
+go through one breadth-first kernel, capped_orbit (the one other such loop,
+subgroups._certified_not_slim, keeps a lift per key); conjugacy classes are
 expanded by conjugating with the two generators u, t(u) only, which keeps
 memory at O(#class) instead of O(#group).  Every set derived from a context
 alone is stored once, in its memo, through cached.

@@ -26,6 +26,7 @@ from .core import (
     _inv,
     _mul,
     decoder,
+    element_order,
     encoder,
     factorize,
     identity,
@@ -40,7 +41,7 @@ from .core import (
     sigma,
     upper_u,
 )
-from .groups import ElementSet, _closure_codes, capped_orbit, enumerate_group
+from .groups import ElementSet, _closure_codes, cached, capped_orbit, enumerate_group
 
 # -------------------- the subgroup value --------------------
 
@@ -139,14 +140,14 @@ def full_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
 
 
 def adjoin_minus_one(h: Subgroup) -> Subgroup:
-    """<H, -1>; since -1 is a central involution this is H u (-1)H."""
+    """<H, -1>; -1 is a central involution, so this is H u (-1)H, or H's own code set if -1 is in H."""
     ctx = h.ctx
     enc = encoder(ctx)
     dec = decoder(ctx)
-    # a set frozen once gets a table sized to its elements; the union H | -H
-    # sizes it for both operands, twice that when -1 is already in H
-    codes = set(h.codes())
-    codes.update(enc(neg(dec(c), ctx)) for c in h.codes())
+    codes = h.codes()
+    if enc(minus_one(ctx)) not in codes:
+        codes = set(codes)  # frozen once, the table fits H u -H; a union H | -H sizes it for both
+        codes.update(enc(neg(dec(c), ctx)) for c in h.codes())
     return Subgroup.from_codes(ctx, codes, h.ambient, gens=h.gens + (minus_one(ctx),))
 
 
@@ -227,11 +228,11 @@ def filtration_level(h: Subgroup, s: int) -> Subgroup:
 
 
 def last_kernel_codes(ctx: GroupCtx) -> FrozenSet:
-    """(1 + p^(n-1) M2)^{det=1}, the p^3-element kernel of the last reduction."""
+    """(1 + p^(n-1) M2)^{det=1}, the p^3-element kernel of the last reduction, in the context memo."""
     if ctx.n < 2:
         raise PreconditionError("last kernel needs level n >= 2")
     enc = encoder(ctx)
-    return frozenset(enc(k) for k in _kernel_step(ctx))
+    return cached(ctx, "K_last", lambda: frozenset(enc(k) for k in _kernel_step(ctx)), ctx.order)
 
 
 def is_slim(h: Subgroup) -> bool:
@@ -289,31 +290,12 @@ def nonsplit_cartan_normalizer(p: int) -> Subgroup:
         raise PreconditionError("nonsplit Cartan normalizer needs p >= 3")
     ctx = make_ctx(p, 1)
     lam = smallest_nonresidue(p)
-    torus_gen = None
-    best_order = 0
-    from .core import element_order
-
-    for x in range(p):
-        for y in range(p):
-            if (x * x - lam * y * y) % p == 1 % p:
-                cand = mat(x, y, lam * y, x, ctx)
-                o = element_order(cand, ctx)
-                if o > best_order:
-                    best_order = o
-                    torus_gen = cand
-        if best_order == p + 1:
-            break
-    if torus_gen is None or best_order != p + 1:
+    pairs = [(x, y) for x in range(p) for y in range(p)]
+    torus = (mat(x, y, lam * y, x, ctx) for x, y in pairs if (x * x - lam * y * y) % p == 1)
+    torus_gen = next((t for t in torus if element_order(t, ctx) == p + 1), None)  # orders divide p + 1
+    if torus_gen is None:
         raise ConsistencyError("norm-one torus generator not found")  # pragma: no cover
-    flip = None
-    for x in range(p):
-        for y in range(p):
-            if (-x * x + lam * y * y) % p == 1 % p:
-                flip = mat(x, y, -lam * y, -x, ctx)
-                break
-        if flip is not None:
-            break
-    assert flip is not None
+    flip = next(mat(x, y, -lam * y, -x, ctx) for x, y in pairs if (lam * y * y - x * x) % p == 1)
     got = closure([torus_gen, flip], ctx)
     if got.order != 2 * (p + 1):
         raise ConsistencyError("D order %d != 2(p+1)" % got.order)  # pragma: no cover
@@ -624,6 +606,66 @@ def _lift_to(x: Mat, ctx: GroupCtx) -> Mat:
     return _sl2_lift_one(reduce_mat(x, ctx.modulus), ctx.modulus)
 
 
+def _slim_cap(ctx: GroupCtx, top: int) -> int:
+    """One more than the largest slim subgroup with mod-p image in a top-element target."""
+    return min(top * ctx.p ** (2 * ctx.n - 2) * (2 if ctx.p == 2 else 1) + 1, DEFAULT_MAX_ELEMENTS)
+
+
+def _slim_candidate(ctx: GroupCtx, level1_pool: List[Mat], rng: random.Random) -> List[Mat]:
+    """1-3 lifts of pool elements, each times a kernel element or not, maybe one more kernel element."""
+    n = ctx.n
+    gens: List[Mat] = []
+    for _ in range(rng.choice((1, 1, 2, 2, 2, 3))):
+        x = _lift_to(level1_pool[rng.randrange(len(level1_pool))], ctx)
+        if n > 1 and rng.random() < 0.5:
+            x = _mul(x, _random_kernel_element(ctx, rng.randrange(1, n), rng), ctx.modulus)
+        gens.append(x)
+    if n > 1 and rng.random() < 0.5:
+        # kernel elements from upper layers keep the closure slim more often
+        gens.append(_random_kernel_element(ctx, rng.randrange((n + 1) // 2, n), rng))
+    return gens
+
+
+def _certified_not_slim(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> bool:
+    """True only if H = <gens> (n >= 2) contains the last kernel K_(n-1) or
+    holds more than cap elements; H itself is never closed.
+
+    Schreier's lemma along the last reduction: walk H mod p^(n-1)
+    breadth-first with level-n products and keep the first lift t of each
+    reduced element.  A product z reaching that element again gives
+    z t^-1 = 1 + p^(n-1) W in H n K_(n-1), and K_(n-1) is F_p^3 through
+    (W00, W01, W10), for p = 2 as well.  Rank 3 means K_(n-1) <= H; more than
+    cap reduced elements means #H > cap, since #H >= #(H mod p^(n-1)).
+    """
+    p, m = ctx.p, ctx.modulus
+    q = m // p
+    one = identity(ctx)
+    inverse_lift = {reduce_mat(one, q): one}  # inverse of the first lift, by reduction
+    span = {(0, 0, 0)}  # the span in F_p^3 of the W seen so far, of rank at most 2 here
+    frontier = [one]
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for g in gens:
+                z = _mul(t, g, m)
+                key = reduce_mat(z, q)
+                ti = inverse_lift.get(key)
+                if ti is None:
+                    inverse_lift[key] = (z[3], -z[1] % m, -z[2] % m, z[0])
+                    if len(inverse_lift) > cap:
+                        return True
+                    nxt.append(z)
+                    continue
+                k = _mul(z, ti, m)
+                w = ((k[0] - 1) // q, k[1] // q, k[2] // q)
+                if w not in span:
+                    if len(span) == p * p:
+                        return True  # a third independent W
+                    span = {tuple((a + j * b) % p for a, b in zip(v, w)) for v in span for j in range(p)}
+        frontier = nxt
+    return False
+
+
 def sample_slim_subgroups(
     ctx: GroupCtx,
     count: int,
@@ -633,34 +675,24 @@ def sample_slim_subgroups(
     """Seeded rejection sampling of slim subgroups, optionally with the mod-p
     image inside a given level-one subgroup.
 
-    A slim subgroup has #H_1 <= p^(2(n-1)) (one extra factor p at p=2), so
-    closures beyond #target * that bound are aborted as certainly non-slim.
+    A slim subgroup has #H_1 <= p^(2(n-1)) (one extra factor p at p=2), so a
+    candidate above #target * that bound (the slim cap) is certainly not slim.
+    At n >= 2, _certified_not_slim first rejects, unclosed, each candidate that
+    contains the last kernel or has more than slim-cap elements mod p^(n-1).
+    It draws nothing from rng and rejects only what the closure under the slim
+    cap or is_slim would reject, so it leaves the sample unchanged; the other
+    candidates are closed and checked.
     """
-    p, n = ctx.p, ctx.n
-    if mod_p_target is not None:
-        level1_pool = sorted(mod_p_target.mats())
-        top = len(level1_pool)
-    else:
-        level1_pool = sorted(enumerate_group(make_ctx(p, 1)).mats())
-        top = len(level1_pool)
-    slim_cap = top * p ** (2 * (n - 1)) * (p if p == 2 else 1) + 1
-    slim_cap = min(slim_cap, DEFAULT_MAX_ELEMENTS)
+    level1_pool = sorted((mod_p_target if mod_p_target is not None else full_group(make_ctx(ctx.p, 1))).mats())
+    slim_cap = _slim_cap(ctx, len(level1_pool))
     out: List[Subgroup] = []
     seen: set = set()
     for _ in range(120 * count):
         if len(out) >= count:
             break
-        gens: List[Mat] = []
-        shape = rng.choice((1, 1, 2, 2, 2, 3))
-        for _ in range(shape):
-            x = _lift_to(level1_pool[rng.randrange(top)], ctx)
-            if n > 1 and rng.random() < 0.5:
-                x = _mul(x, _random_kernel_element(ctx, rng.randrange(1, n), rng), ctx.modulus)
-            gens.append(x)
-        if n > 1 and rng.random() < 0.5:
-            # kernel elements from upper layers keep the closure slim more often
-            s = rng.randrange((n + 1) // 2, n)
-            gens.append(_random_kernel_element(ctx, s, rng))
+        gens = _slim_candidate(ctx, level1_pool, rng)
+        if ctx.n > 1 and _certified_not_slim(gens, ctx, slim_cap):
+            continue
         try:
             h = closure(gens, ctx, cap=slim_cap)
         except FeasibilityError:

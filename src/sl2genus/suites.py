@@ -470,9 +470,7 @@ def suite_section7(seed: int = 0) -> Tuple[bool, str]:
     return section7_ok(reports), "%d cases: %s" % (len(reports), detail)
 
 
-# Part 4 (sampling inside SL2(Z/625Z)) is left out of the default run for its
-# cost; `verify --suite main-theorem-desk --case 4` runs it.
-DESK_DEFAULT_PARTS = (1, 2, 3, 5, 6, 7)
+DESK_DEFAULT_PARTS = (1, 2, 3, 4, 5, 6, 7)
 
 
 def desk_results(parts: Sequence[int], seed: int) -> List[DeskResult]:
@@ -486,7 +484,7 @@ def desk_ok(results: List[DeskResult]) -> bool:
 def suite_main_theorem_desk(seed: int = 0) -> Tuple[bool, str]:
     results = desk_results(DESK_DEFAULT_PARTS, seed)
     failed = sum(r.status == "fail" for r in results)
-    return desk_ok(results), "parts %s: %d cases, %d failed; part 4 is not in the default run" % (
+    return desk_ok(results), "parts %s: %d cases, %d failed" % (
         ",".join(map(str, DESK_DEFAULT_PARTS)),
         len(results),
         failed,

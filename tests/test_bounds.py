@@ -416,3 +416,44 @@ def test_filtration_memo_keeps_the_y_sets(sl2_mod9_subgroups):
     assert (len(subs), nonempty) == (471, 27)
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == "1abb11ddf3d17f94bf982a884570962799c6edeced3fd7388d403408f713e6a8"
+
+
+# ---- the sampler's certificate: the seeded sample lists hash as before it ----
+
+_SAMPLE_DIGESTS = {
+    "criterion9-5^2": "c5fe06db76eed34bcd5cdfabea20f107070254ab9ab2da2319d29fe7d9b60b70",
+    "criterion9-3^3": "b88643b5afff4e0f2c9dc7e62dab1cd7f40a74c1f5e7a9a90c1b7efd2ac0161e",
+    "criterion9-2^4": "5393e38be17e54467306aeec0fdb003b6e7dbb41d86143fa61feabd4b6d099ad",
+    "desk-2": "ff5bd36644ecaa18e92bf14e51e9f3fbfee6d221b42cbdf0a33d6943c74cf5f1",
+    "desk-3": "de7481762b342f0fa354b5d83b67496e05b42f11494692fbce5cc7888ef12d40",
+    "desk-4": "552ead93bfc15fd8247ea1194bae973be2a7ea7e2269fbc556ae9b445008a98b",
+    "desk-5": "b459c504de8b32cc1d5c49f16489e27bbe8b89ce13c8379345ab6fbf398a1931",
+    "desk-6": "76b382e5a74024a882650cb4c49aa9e179d5552c62940c26a71b7bdb46c62917",
+    "desk-7": "952a9fc14867911bf7dd4cc4744b192178f15ffad0953fafd759bc0c781f9c98",
+}
+
+
+@pytest.mark.parametrize("case", list(_SAMPLE_DIGESTS))
+def test_seeded_sample_lists_hash_as_before_the_certificate(case):
+    """Criterion 9's samples (500 at each context) and the default samples of
+    desk parts 2-7 at seed 0: the same subgroups, in the same order, as the
+    sampler gave when it closed every candidate."""
+    import hashlib
+
+    from sl2genus.bounds import _DESK_SAMPLES, _desk_cases, _desk_sample
+    from sl2genus.subgroups import standard_subgroup
+
+    kind, at = case.split("-")
+    if kind == "criterion9":
+        p, n = map(int, at.split("^"))
+        subs = sample_slim_subgroups(make_ctx(p, n), 500, random.Random((p, n, "criterion9").__repr__()))
+    else:
+        part = int(at)
+        subs = []
+        for p, n, kinds, note in _desk_cases(part):
+            for k in kinds:
+                target = standard_subgroup("full" if k == "SL" else k, p)
+                label = "%s@%d^%d%s" % (k, p, n, note)
+                subs += _desk_sample(part, label, make_ctx(p, n), target, _DESK_SAMPLES[part], 0)[0]
+    rows = "\n".join(repr(sorted(h.codes())) for h in subs)
+    assert hashlib.sha256(rows.encode()).hexdigest() == _SAMPLE_DIGESTS[case]

@@ -101,9 +101,7 @@ def test_verify_all_reports_section7_and_desk_details(capsys, monkeypatch):
     details = {r["name"]: r["detail"] for r in json.loads(out)["results"]}
     assert list(details) == ["lemma4.10", "section7", "main-theorem-desk"]
     assert details["section7"].startswith("23 cases: ")
-    assert details["main-theorem-desk"] == (
-        "parts 1,2,3,5,6,7: 6 cases, 0 failed; part 4 is not in the default run"
-    )
+    assert details["main-theorem-desk"] == "parts 1,2,3,4,5,6,7: 7 cases, 0 failed"
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

@@ -3,10 +3,12 @@ import random
 import pytest
 
 from sl2genus.core import (
+    FeasibilityError,
     PreconditionError,
     decoder,
     encoder,
     identity,
+    lower_u,
     make_ctx,
     mat,
     mat_inv,
@@ -18,6 +20,9 @@ from sl2genus.core import (
 from sl2genus.groups import ConjClassRef, class_codes, conj_class_brute, enumerate_group, u_power_ref
 from sl2genus.subgroups import (
     Subgroup,
+    _certified_not_slim,
+    _slim_candidate,
+    _slim_cap,
     a1_subgroup,
     adjoin_minus_one,
     all_subgroups,
@@ -27,6 +32,7 @@ from sl2genus.subgroups import (
     filtration_level,
     full_group,
     is_slim,
+    last_kernel_codes,
     nonsplit_cartan_normalizer,
     order_three_subgroup,
     parse_subgroup_spec,
@@ -248,6 +254,65 @@ def test_sample_slim_subgroups_are_slim_and_in_target():
     for h in subs:
         assert is_slim(h)
         assert h.reduced_codes(1) <= target.codes()
+
+
+# (p, n, mod-p target kind or None, rng seed string, candidates): the rng
+# streams of criterion 9 and of desk part 4's B@5^4 case, so the candidates are
+# the ones those samplers draw first.  A closure that goes over the slim cap
+# at (5,4) holds 312,501 elements, so that context checks only four.
+_CERTIFICATE_CASES = [
+    (5, 2, None, (5, 2, "criterion9").__repr__(), 60),
+    (3, 3, None, (3, 3, "criterion9").__repr__(), 60),
+    (2, 4, None, (2, 4, "criterion9").__repr__(), 60),
+    (5, 4, "B", (0, 4, "B@5^4").__repr__(), 4),
+]
+
+
+@pytest.mark.parametrize("p,n,kind,seed,count", _CERTIFICATE_CASES, ids=["5^2", "3^3", "2^4", "5^4-B"])
+def test_certificate_agrees_with_closure(p, n, kind, seed, count):
+    """The Schreier-kernel certificate against the brute-force closure under
+    the slim cap, on candidate tuples drawn as the sampler draws them: a True
+    verdict means the closure goes over the cap or contains the last kernel;
+    a False one (the walk ran to its end) means it goes over the cap or is slim."""
+    ctx = make_ctx(p, n)
+    pool = sorted((standard_subgroup(kind, p) if kind else full_group(make_ctx(p, 1))).mats())
+    cap = _slim_cap(ctx, len(pool))
+    rng = random.Random(seed)
+    verdicts = []
+    for _ in range(count):
+        gens = _slim_candidate(ctx, pool, rng)
+        verdict = _certified_not_slim(gens, ctx, cap)
+        try:
+            h = closure(gens, ctx, cap=cap)
+        except FeasibilityError:
+            h = None
+        if verdict:
+            assert h is None or last_kernel_codes(ctx) <= h.codes(), gens
+        else:
+            assert h is None or is_slim(h), gens
+        verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
+
+
+def test_certificate_sees_the_kernel_and_the_cap():
+    ctx = make_ctx(3, 2)
+    u, t = upper_u(ctx), lower_u(ctx)
+    assert _certified_not_slim([u, t], ctx, ctx.order)  # <u, t(u)> = SL2(Z/9Z)
+    assert not _certified_not_slim([u], ctx, ctx.order)  # order 9, slim
+    assert _certified_not_slim([u], ctx, 2)  # u mod 3 already has 3 elements
+    assert not _certified_not_slim([u], ctx, 3)
+
+
+def test_last_kernel_lives_in_the_context_memo():
+    ctx = make_ctx(5, 2)
+    k = last_kernel_codes(ctx)
+    assert len(k) == 125 and ctx.memo["K_last"] is k and last_kernel_codes(ctx) is k
+
+
+def test_adjoin_minus_one_keeps_the_set_when_minus_one_is_in():
+    ctx = make_ctx(3, 2)
+    h = adjoin_minus_one(closure([upper_u(ctx)], ctx))
+    assert adjoin_minus_one(h).codes() is h.codes()
 
 
 def test_section2_checks():
