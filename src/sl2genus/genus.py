@@ -2,11 +2,12 @@
 
 Everything is exact rational arithmetic.  The three ingredient counts
 (elliptic points of order 2 and 3, cusps) are each computed two independent
-ways -- directly on the coset space and through the class-counting identity
--- and any disagreement raises ConsistencyError.  G is enumerated once per
-context, and genus_report builds the coset space once per report and hands
-it to both fixed-point counts and the cusp count.  G and the class orbits
-are materialized under the cap the subgroup carries (Subgroup.cap).
+ways -- through the class-counting identity at level n, and directly on the
+coset space G_m/H_m at the level m of H (K_m = ker(G -> G_m) lies in H, so
+G/H and G_m/H_m are isomorphic G-sets) -- and any disagreement raises
+ConsistencyError.  genus_report builds the coset space once per report for
+all three counts.  G_m and the class orbits are materialized under the cap
+the subgroup carries (Subgroup.cap).
 """
 
 from __future__ import annotations
@@ -17,13 +18,16 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import (
     ConsistencyError,
+    GroupCtx,
     Mat,
     PreconditionError,
     _mul,
     decoder,
     encoder,
+    make_ctx,
     minus_one,
     num_to_json,
+    reduce_mat,
     sigma as sigma_mat,
     tau as tau_mat,
     upper_u,
@@ -31,11 +35,11 @@ from .core import (
 from .groups import ConjClassRef, class_codes, conj_class_brute, enumerate_group, u_power_ref
 from .subgroups import Subgroup
 
-# coset_space(h): (coset representatives, element code -> coset index).
+# coset_space(h): (coset representatives, element code -> coset index), at the level of H.
 Cosets = Tuple[List[Mat], Dict]
 
-# Above this group order the coset-space cross-check is skipped and only the
-# class-counting route is used (it is an exact identity, not an estimate).
+# Above this order of G_m, m the level of H, the coset cross-check is skipped
+# and only the class-counting route is used (an exact identity, not an estimate).
 DIRECT_CHECK_CAP = 130_000
 
 
@@ -43,10 +47,7 @@ def count_in_subgroup(h: Subgroup, ref: ConjClassRef) -> int:
     """#(H n Conj(alpha)), intersecting the materialized sets."""
     if ref.ctx != h.ctx:
         raise PreconditionError("class reference bound to a different context")
-    cls = class_codes(ref, h.cap)
-    hc = h.codes()
-    small, big = (hc, cls) if len(hc) <= len(cls) else (cls, hc)
-    return sum(1 for c in small if c in big)
+    return len(h.codes() & class_codes(ref, h.cap))  # set & iterates over the smaller set
 
 
 def legendre(a: int, p: int) -> int:
@@ -62,19 +63,30 @@ def legendre(a: int, p: int) -> int:
 # -------------------- coset machinery --------------------
 
 
+def _level_ctx(h: Subgroup) -> GroupCtx:
+    """The context of the level m of H, the least m with #H = #(H mod p^m) p^(3(n-m)):
+    #H <= #(H mod p^m) #K_m always, with equality exactly when K_m <= H.  Kept in h's memo."""
+    p, n = h.ctx.p, h.ctx.n
+    if "level" not in h._reduced:
+        k = [p ** (3 * (n - s)) for s in range(n + 1)]  # k[s] = #K_s
+        h._reduced["level"] = next(
+            s for s in range(1, n + 1) if h.order % k[s] == 0 and len(h.reduced_codes(s)) * k[s] == h.order
+        )
+    return make_ctx(p, h._reduced["level"])
+
+
 def coset_space(h: Subgroup) -> Cosets:
-    """Left cosets gH of the full group; returns (reps, code -> coset index).
+    """Left cosets g H_m of G_m, with m the level of H; returns (reps, code ->
+    coset index), both at level m.
 
     Which element represents a coset is unspecified; the fixed-point and
     cusp counts do not depend on it."""
-    ctx = h.ctx
-    dec = decoder(ctx)
-    enc = encoder(ctx)
-    m = ctx.modulus
-    hmats = [dec(c) for c in h.codes()]
+    sub = _level_ctx(h)
+    dec, enc, m = decoder(sub), encoder(sub), sub.modulus
+    hmats = [dec(c) for c in h.reduced_codes(sub.n)]
     coset_of: Dict = {}
     reps: List[Mat] = []
-    for c in enumerate_group(ctx, h.cap).codes:
+    for c in enumerate_group(sub, h.cap).codes:
         if c in coset_of:
             continue
         g = dec(c)
@@ -85,10 +97,20 @@ def coset_space(h: Subgroup) -> Cosets:
     return reps, coset_of
 
 
-def _fix_direct(h: Subgroup, a: Mat, reps: List[Mat], coset_of: Dict) -> int:
-    enc = encoder(h.ctx)
-    m = h.ctx.modulus
-    return sum(1 for i, g in enumerate(reps) if coset_of[enc(_mul(a, g, m))] == i)
+def _direct_cosets(h: Subgroup) -> Optional[Cosets]:
+    """coset_space(h), or None (no direct route) when G_m holds more than DIRECT_CHECK_CAP elements."""
+    return coset_space(h) if _level_ctx(h).order <= DIRECT_CHECK_CAP else None
+
+
+def _coset_perm(h: Subgroup, a: Mat, cosets: Optional[Cosets]) -> Optional[List[int]]:
+    """The coset index of a gH_m for each coset gH_m, on cosets or else on
+    _direct_cosets(h); None without a direct route."""
+    cosets = cosets if cosets is not None else _direct_cosets(h)
+    if cosets is None:
+        return None
+    (reps, coset_of), sub = cosets, _level_ctx(h)
+    enc, m, a = encoder(sub), sub.modulus, reduce_mat(a, sub.modulus)
+    return [coset_of[enc(_mul(a, g, m))] for g in reps]
 
 
 def _class_of(h: Subgroup, a: Mat) -> FrozenSet:
@@ -118,9 +140,9 @@ def fix_points(h: Subgroup, a: Mat, cosets: Optional[Cosets] = None) -> int:
     via_identity = Fraction(index * inter, len(cls))
     if via_identity.denominator != 1:
         raise ConsistencyError("fixed-point identity gave a non-integer")
-    if ctx.order <= DIRECT_CHECK_CAP:
-        reps, coset_of = cosets if cosets is not None else coset_space(h)
-        direct = _fix_direct(h, a, reps, coset_of)
+    perm = _coset_perm(h, a, cosets)
+    if perm is not None:
+        direct = sum(1 for i, j in enumerate(perm) if i == j)
         if direct != via_identity:
             raise ConsistencyError(
                 "fixed-point count mismatch: direct %d vs identity %s" % (direct, via_identity)
@@ -148,28 +170,21 @@ def delta_from_ratios(r_sigma: Fraction, r_tau: Fraction, cusp: Fraction) -> Fra
 
 def cusp_orbit_ratio(h: Subgroup, cosets: Optional[Cosets] = None) -> Fraction:
     """#(<u>\\G/H) / [G:H], via the u^(p^s) class counts; cross-checked by a
-    direct orbit count of <u> acting on G/H when the group is small enough.
+    direct orbit count of <u> acting on G_m/H_m when G_m is small enough.
     cosets as in fix_points."""
     ctx = h.ctx
     hcodes = h.codes()
     classes = [class_codes(u_power_ref(ctx, s), h.cap) for s in range(ctx.n)]
     ratio = cusp_series(ctx.p, [Fraction(len(hcodes & cls), len(cls)) for cls in classes])
-    if ctx.order <= DIRECT_CHECK_CAP:
-        reps, coset_of = cosets if cosets is not None else coset_space(h)
-        enc = encoder(ctx)
-        m = ctx.modulus
-        u = upper_u(ctx)
-        step = [coset_of[enc(_mul(u, g, m))] for g in reps]
-        seen = [False] * len(reps)
-        orbits = 0
-        for i in range(len(reps)):
-            if not seen[i]:
-                orbits += 1
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = step[j]
-        direct = Fraction(orbits, len(reps))
+    step = _coset_perm(h, upper_u(ctx), cosets)
+    if step is not None:
+        seen, orbits = set(), 0
+        for i in range(len(step)):
+            orbits += i not in seen  # each unseen coset starts a new <u>-orbit
+            while i not in seen:
+                seen.add(i)
+                i = step[i]
+        direct = Fraction(orbits, len(step))
         if direct != ratio:
             raise ConsistencyError("cusp ratio mismatch: direct %s vs formula %s" % (direct, ratio))
     return ratio
@@ -258,7 +273,7 @@ class GenusReport:
 
 def genus_report(h: Subgroup) -> GenusReport:
     ctx = h.ctx
-    cosets = coset_space(h) if ctx.order <= DIRECT_CHECK_CAP else None
+    cosets = _direct_cosets(h)
     cs, ct, cusp, d = _delta_terms(h, cosets)
     fs = fix_points(h, sigma_mat(ctx), cosets)
     ft = fix_points(h, tau_mat(ctx), cosets)

@@ -49,8 +49,9 @@ from .groups import ElementSet, _closure_codes, cached, capped_orbit, enumerate_
 @dataclass(eq=False)
 class Subgroup:
     """A subgroup given by generators; the element set is materialized lazily
-    and never mutated afterwards.  _reduced is the memo of what derives from
-    H alone: H mod p^s under the key s, H_s under ("H_s", s)."""
+    and never mutated afterwards.  Non-empty gens generate H (from_codes may
+    leave them empty).  _reduced is the memo of what derives from H alone:
+    H mod p^s under the key s, H_s under ("H_s", s), the level under "level"."""
 
     ctx: GroupCtx
     gens: Tuple[Mat, ...]
@@ -88,7 +89,7 @@ class Subgroup:
         return ElementSet(self.ctx, self.codes())
 
     def reduced_codes(self, level: int) -> FrozenSet:
-        """Codes of the image H mod p^level (level <= n)."""
+        """Codes of the image H mod p^level (level <= n), closing the reduced generators if H has any."""
         if level == self.ctx.n:
             return self.codes()
         if level > self.ctx.n or level < 1:
@@ -96,10 +97,12 @@ class Subgroup:
         got = self._reduced.get(level)
         if got is None:
             sub = make_ctx(self.ctx.p, level)
-            dec = decoder(self.ctx)
-            enc = encoder(sub)
-            m = sub.modulus
-            got = self._reduced[level] = frozenset(enc(reduce_mat(dec(c), m)) for c in self.codes())
+            dec, enc, m = decoder(self.ctx), encoder(sub), sub.modulus
+            if self.gens:
+                got = _closure_codes([reduce_mat(g, m) for g in self.gens], sub, self.cap)
+            else:
+                got = frozenset(enc(reduce_mat(dec(c), m)) for c in self.codes())
+            self._reduced[level] = got
         return got
 
     def conjugate(self, g: Mat) -> "Subgroup":
@@ -148,7 +151,7 @@ def adjoin_minus_one(h: Subgroup) -> Subgroup:
     if enc(minus_one(ctx)) not in codes:
         codes = set(codes)  # frozen once, the table fits H u -H; a union H | -H sizes it for both
         codes.update(enc(neg(dec(c), ctx)) for c in h.codes())
-    return Subgroup.from_codes(ctx, codes, h.ambient, gens=h.gens + (minus_one(ctx),))
+    return Subgroup.from_codes(ctx, codes, h.ambient, gens=h.gens + (minus_one(ctx),) if h.gens else ())
 
 
 # -------------------- reduction preimage and filtration --------------------

@@ -9,15 +9,21 @@ import pytest
 from sl2genus.core import (
     PreconditionError,
     decoder,
+    encoder,
     make_ctx,
+    mat_mul,
     minus_one,
+    reduce_mat,
     sigma,
     tau,
     upper_u,
 )
 from sl2genus.genus import (
     GenusReport,
+    _coset_perm,
+    _level_ctx,
     closed_form_genus,
+    coset_space,
     cusp_orbit_ratio,
     delta,
     fix_points,
@@ -34,6 +40,7 @@ from sl2genus.subgroups import (
     closure,
     full_group,
     nonsplit_cartan_normalizer,
+    parse_subgroup_spec,
     sample_subgroups,
     split_cartan_normalizer,
     standard_subgroup,
@@ -230,3 +237,116 @@ def test_genus_report_matches_standalone_counts():
                 assert rep.fix_tau == fix_points(h, tau(ctx))
                 assert rep.cusp_ratio == cusp_orbit_ratio(h)
                 assert rep.delta == delta(h)
+
+
+def _level_route_subgroups(p, n):
+    # fresh subgroups, so no reduction is memoised yet: seeded samples with
+    # generators, <H, -1> for each, and preimages without generators
+    specs = {
+        2: ("preimage:F@1", "preimage:A1@2"),
+        3: ("preimage:B@1", "preimage:C@1"),
+        5: ("preimage:B@1", "preimage:D@1"),
+    }
+    ctx = make_ctx(p, n)
+    hs = sample_subgroups(ctx, 6, random.Random((p, n, "level-route").__repr__()))
+    hs += [adjoin_minus_one(h) for h in hs]
+    return hs + [parse_subgroup_spec(spec, p, n) for spec in specs[p]]
+
+
+def _level_n_perm(reps, coset_of, a, ctx):
+    # the permutation gH -> a gH of the test's own level-n coset space
+    enc = encoder(ctx)
+    return [coset_of[enc(mat_mul(a, g, ctx))] for g in reps]
+
+
+def _cycles(perm):
+    seen, count = set(), 0
+    for i in range(len(perm)):
+        if i not in seen:
+            count += 1
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return count
+
+
+def _kernel(ctx, q):
+    dec = decoder(ctx)
+    return {c for c in enumerate_group(ctx).codes if reduce_mat(dec(c), q) == (1, 0, 0, 1)}
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2)])
+def test_reduced_codes_close_the_reduced_generators(p, n):
+    dec = decoder(make_ctx(p, n))
+    for h in _level_route_subgroups(p, n):
+        for s in range(1, n + 1):
+            enc = encoder(make_ctx(p, s))
+            assert h.reduced_codes(s) == {enc(reduce_mat(dec(c), p**s)) for c in h.codes()}
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2)])
+def test_coset_counts_at_the_level_of_h_equal_the_counts_at_level_n(p, n):
+    # the test's own coset space of G at level n against the library's G_m/H_m
+    ctx = make_ctx(p, n)
+    dec, enc = decoder(ctx), encoder(ctx)
+    levels = set()
+    for h in _level_route_subgroups(p, n):
+        reps, coset_of = [], {}
+        hmats = list(h.mats())
+        for c in sorted(enumerate_group(ctx).codes):
+            if c not in coset_of:
+                coset_of.update((enc(mat_mul(dec(c), x, ctx)), len(reps)) for x in hmats)
+                reps.append(dec(c))
+        sub = _level_ctx(h)
+        levels.add(sub.n)
+        # the level is the least m with K_m = ker(G -> G_m) inside H
+        assert _kernel(ctx, sub.modulus) <= h.codes()
+        assert sub.n == 1 or not _kernel(ctx, sub.modulus // p) <= h.codes()
+        low = coset_space(h)
+        assert len(low[0]) == len(reps) == ctx.order // h.order
+        for a in (sigma(ctx), tau(ctx)):
+            fixed = sum(i == j for i, j in enumerate(_level_n_perm(reps, coset_of, a, ctx)))
+            assert sum(i == j for i, j in enumerate(_coset_perm(h, a, low))) == fixed
+        orbits = _cycles(_level_n_perm(reps, coset_of, upper_u(ctx), ctx))
+        assert _cycles(_coset_perm(h, upper_u(ctx), low)) == orbits
+        assert cusp_orbit_ratio(h, low) == Fraction(orbits, len(reps))
+    assert min(levels) < n and n in levels
+
+
+def _record_results(monkeypatch, module, names):
+    results = {name: [] for name in names}
+    for name in names:
+
+        def wrapper(*args, _fn=getattr(module, name), _name=name):
+            results[_name].append(_fn(*args))
+            return results[_name][-1]
+
+        monkeypatch.setattr(module, name, wrapper)
+    return results
+
+
+def test_level_one_report_at_5_3_runs_the_coset_route(monkeypatch):
+    # |G| = 1,875,000 is above DIRECT_CHECK_CAP, but H has level 1 and |G_1| = 120
+    h = parse_subgroup_spec("preimage:B@1", 5, 3)
+    results = _record_results(monkeypatch, sys.modules["sl2genus.genus"], ("coset_space", "_coset_perm"))
+    rep = genus_report(h)
+    assert len(results["coset_space"]) == 1
+    assert len(results["_coset_perm"]) == 3 and None not in results["_coset_perm"]  # Fix_sigma, Fix_tau, u
+    assert rep.to_json_dict() == {
+        "count_sigma": "6250",
+        "count_tau": "0",
+        "cusp_ratio": {"den": "3", "num": "1"},
+        "delta": {"den": "1", "num": "-2"},
+        "fix_sigma": "2",
+        "fix_tau": "0",
+        "genus": "0",
+        "index": "6",
+    }
+
+
+def test_level_one_report_at_7_2_never_enumerates_level_two(monkeypatch):
+    h = parse_subgroup_spec("preimage:B@1", 7, 2)
+    results = _record_results(monkeypatch, sys.modules["sl2genus.genus"], ("enumerate_group",))
+    rep = genus_report(h)
+    assert [es.ctx.n for es in results["enumerate_group"]] == [1]
+    assert (rep.index, rep.fix_tau, rep.cusp_ratio) == (8, 2, Fraction(1, 4))

@@ -17,7 +17,7 @@ from sl2genus.core import (
     sigma,
     upper_u,
 )
-from sl2genus.groups import ConjClassRef, class_codes, conj_class_brute, enumerate_group, u_power_ref
+from sl2genus.groups import ConjClassRef, _closure_codes, class_codes, conj_class_brute, enumerate_group, u_power_ref
 from sl2genus.subgroups import (
     Subgroup,
     _certified_not_slim,
@@ -313,6 +313,36 @@ def test_adjoin_minus_one_keeps_the_set_when_minus_one_is_in():
     ctx = make_ctx(3, 2)
     h = adjoin_minus_one(closure([upper_u(ctx)], ctx))
     assert adjoin_minus_one(h).codes() is h.codes()
+
+
+def test_nonempty_gens_generate_the_subgroup():
+    # reduced_codes closes the reduced generators, so every constructor that
+    # sets gens must set a generating tuple; a subgroup without gens has ()
+    c5, c32 = make_ctx(5, 1), make_ctx(3, 2)
+    u_codes = Subgroup.from_codes(c5, closure([upper_u(c5)], c5).codes())
+    built = [
+        closure([upper_u(c32), sigma(c32)], c32),
+        full_group(c5),
+        full_group(c32),
+        adjoin_minus_one(closure([upper_u(c5)], c5)),
+        adjoin_minus_one(u_codes),
+        adjoin_minus_one(preimage(borel(3), c32)),
+        borel(7),
+        split_cartan_normalizer(7),
+        nonsplit_cartan_normalizer(7),
+        order_three_subgroup(),
+        a1_subgroup(),
+        exceptional_subgroup(13, "S4"),
+    ]
+    specs = [(s, 7, 1) for s in ("B", "C", "D", "E:S4", "full", "gens:0,1;-1,0|1,1;0,1")]
+    specs += [("F", 2, 1), ("A1", 2, 2), ("preimage:B@1", 3, 2), ("preimage:A1@2", 2, 3), ("full", 2, 3)]
+    built += [parse_subgroup_spec(*spec) for spec in specs]
+    with_gens = 0
+    for h in built:
+        if h.gens:
+            with_gens += 1
+            assert _closure_codes(h.gens, h.ctx, h.cap) == h.codes()
+    assert adjoin_minus_one(u_codes).gens == () and with_gens >= 12
 
 
 def test_section2_checks():
