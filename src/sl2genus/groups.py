@@ -1,16 +1,17 @@
 """Enumeration of SL2(Z/p^nZ), conjugacy classes and centralizers.
 
-Element sets store packed codes (see core.encoder).  Closures and orbits all
-go through one breadth-first kernel, capped_orbit (the one other such loop,
-subgroups._certified_not_slim, keeps a lift per key); conjugacy classes are
-expanded by conjugating with the two generators u, t(u) only, which keeps
-memory at O(#class) instead of O(#group).  Every set derived from a context
-alone is stored once, in its memo, through cached.
+Element sets store packed codes (see core.encoder).  Closures extend a closed
+group coset by coset through extend_closure; orbits go through one
+breadth-first kernel, capped_orbit (the sampler's certificate walk keeps a lift
+per key and stays its own loop); conjugacy classes are expanded by conjugating
+with u, t(u) only, which keeps memory at O(#class) instead of O(#group).  Every
+set derived from a context alone is stored once, in its memo, through cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence
 
 from .core import (
@@ -83,12 +84,39 @@ def capped_orbit(start, steps: Sequence, act: Callable, key: Optional[Callable],
                 if c not in seen:
                     seen.add(c)
                     if len(seen) > cap:
-                        raise FeasibilityError(
-                            "orbit exceeded the cap of %d elements; raise --max-elements "
-                            "or SL2_MAX_ELEMENTS" % cap
-                        )
+                        raise _over_cap(cap)
                     nxt.append(z)
         frontier = nxt
+    return frozenset(seen)
+
+
+def _over_cap(cap: int) -> FeasibilityError:
+    return FeasibilityError("orbit exceeded the cap of %d elements; raise --max-elements or SL2_MAX_ELEMENTS" % cap)
+
+
+def extend_closure(known: Iterable, gens: Sequence, new: Iterable, mul: Callable, key, value, cap: int) -> FrozenSet:
+    """Keys of <H, new>, where known holds the keys of a closed group H that gens generate.  Dimino's
+    algorithm (Butler, LNCS 559, 1991): a new generator in H is skipped; otherwise the group so far,
+    H_prev, is decoded once, and each right coset H_prev r it meets is added whole and walked on by
+    every generator so far.  key and value map values to keys and back (None: values are their own
+    keys).  Raises FeasibilityError once more than cap keys are seen."""
+    seen = set(known)
+    steps = list(gens)
+    for g in new:
+        if (key(g) if key else g) in seen:
+            continue
+        prev = [value(c) for c in seen] if value else list(seen)
+        steps.append(g)
+        reps = [prev[0]]  # any element of H_prev stands for H_prev; reps grows while it is walked
+        for r in reps:
+            for s in steps:
+                y = mul(r, s)
+                if (key(y) if key else y) not in seen:
+                    coset = map(mul, prev, repeat(y))
+                    seen.update(map(key, coset) if key else coset)
+                    if len(seen) > cap:
+                        raise _over_cap(cap)
+                    reps.append(y)
     return frozenset(seen)
 
 
@@ -109,8 +137,8 @@ def cached(ctx: GroupCtx, key: Hashable, build: Callable[[], FrozenSet], cap: in
 
 
 def _closure_codes(gens: Iterable[Mat], ctx: GroupCtx, cap: int) -> FrozenSet:
-    m = ctx.modulus
-    return capped_orbit(identity(ctx), list(gens), lambda x, g: _mul(x, g, m), encoder(ctx), cap)
+    m, enc = ctx.modulus, encoder(ctx)
+    return extend_closure((enc(identity(ctx)),), (), gens, lambda x, g: _mul(x, g, m), enc, decoder(ctx), cap)
 
 
 def enumerate_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSet:

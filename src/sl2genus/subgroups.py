@@ -41,7 +41,7 @@ from .core import (
     sigma,
     upper_u,
 )
-from .groups import ElementSet, _closure_codes, cached, capped_orbit, enumerate_group
+from .groups import ElementSet, _closure_codes, cached, capped_orbit, enumerate_group, extend_closure
 
 # -------------------- the subgroup value --------------------
 
@@ -62,11 +62,14 @@ class Subgroup:
 
     @classmethod
     def from_codes(
-        cls, ctx: GroupCtx, codes: FrozenSet, ambient: str = "SL2", gens: Tuple[Mat, ...] = ()
+        cls,
+        ctx: GroupCtx,
+        codes: FrozenSet,
+        ambient: str = "SL2",
+        gens: Tuple[Mat, ...] = (),
+        cap: int = DEFAULT_MAX_ELEMENTS,
     ) -> "Subgroup":
-        s = cls(ctx, gens, ambient)
-        s._codes = frozenset(codes)
-        return s
+        return cls(ctx, gens, ambient, cap, _codes=frozenset(codes))
 
     def codes(self) -> FrozenSet:
         if self._codes is None:
@@ -111,7 +114,7 @@ class Subgroup:
         enc = encoder(self.ctx)
         dec = decoder(self.ctx)
         codes = frozenset(enc(_mul(gi, _mul(dec(c), g, m), m)) for c in self.codes())
-        return Subgroup.from_codes(self.ctx, codes, self.ambient)
+        return Subgroup.from_codes(self.ctx, codes, self.ambient, cap=self.cap)
 
 
 def closure(
@@ -139,7 +142,7 @@ def closure(
 
 def full_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     es = enumerate_group(ctx, cap)
-    return Subgroup.from_codes(ctx, es.codes, "SL2", gens=(upper_u(ctx), lower_u(ctx)))
+    return Subgroup.from_codes(ctx, es.codes, "SL2", gens=(upper_u(ctx), lower_u(ctx)), cap=cap)
 
 
 def adjoin_minus_one(h: Subgroup) -> Subgroup:
@@ -151,7 +154,7 @@ def adjoin_minus_one(h: Subgroup) -> Subgroup:
     if enc(minus_one(ctx)) not in codes:
         codes = set(codes)  # frozen once, the table fits H u -H; a union H | -H sizes it for both
         codes.update(enc(neg(dec(c), ctx)) for c in h.codes())
-    return Subgroup.from_codes(ctx, codes, h.ambient, gens=h.gens + (minus_one(ctx),) if h.gens else ())
+    return Subgroup.from_codes(ctx, codes, h.ambient, h.gens + (minus_one(ctx),) if h.gens else (), h.cap)
 
 
 # -------------------- reduction preimage and filtration --------------------
@@ -208,7 +211,7 @@ def preimage(h: Subgroup, dst: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Sub
                 out.add(enc(_mul(lift, k, m)))
         codes = frozenset(out)
         ctx = nxt
-    got = Subgroup.from_codes(dst, codes, "SL2")
+    got = Subgroup.from_codes(dst, codes, "SL2", cap=cap)
     if got.order != start_order * dst.p ** (3 * (dst.n - h.ctx.n)):
         raise ConsistencyError("preimage order mismatch")  # pragma: no cover
     return got
@@ -226,7 +229,7 @@ def filtration_level(h: Subgroup, s: int) -> Subgroup:
         dec = decoder(h.ctx)
         one = reduce_mat(identity(h.ctx), q)
         keep = frozenset(c for c in h.codes() if reduce_mat(dec(c), q) == one)
-        got = h._reduced[("H_s", s)] = Subgroup.from_codes(h.ctx, keep, h.ambient)
+        got = h._reduced[("H_s", s)] = Subgroup.from_codes(h.ctx, keep, h.ambient, cap=h.cap)
     return got
 
 
@@ -354,7 +357,7 @@ def _pgl_order(x: Mat, p: int) -> int:
 def _pgl_closure(gens: List[Mat], p: int, cap: int = 200) -> Optional[FrozenSet]:
     """The subgroup of PGL2(F_p) the gens generate, or None above cap elements."""
     try:
-        return capped_orbit((1, 0, 0, 1), gens, lambda x, g: _pgl_canon(_mul(x, g, p), p), None, cap)
+        return extend_closure(((1, 0, 0, 1),), (), gens, lambda x, g: _pgl_canon(_mul(x, g, p), p), None, None, cap)
     except FeasibilityError:
         return None
 
@@ -493,36 +496,44 @@ def all_subgroups(
     """Every subgroup of the (closed) universe, as code frozensets.
 
     Cyclic-extension search: each subgroup is grown from a class
-    representative by one prime-power cyclic subgroup at a time; when
-    conjugacy_gens generate the universe, only class representatives are
-    extended and orbits are expanded afterwards.
+    representative by one prime-power cyclic subgroup at a time, extending the
+    closed representative (groups.extend_closure); when conjugacy_gens generate
+    the universe, only class representatives are extended and orbits are
+    expanded afterwards.  The product table composes rows along a walk from the
+    identity, row(s x) = row(s) o row(x).
     """
     ctx = universe.ctx
     if len(universe) > EXHAUSTIVE_CAP:
         raise FeasibilityError(
             "exhaustive subgroup enumeration capped at %d elements" % EXHAUSTIVE_CAP
         )
-    dec = decoder(ctx)
+    dec, enc, m = decoder(ctx), encoder(ctx), ctx.modulus
     codes = sorted(universe.codes)
     index = {c: i for i, c in enumerate(codes)}
     k = len(codes)
-    m = ctx.modulus
     mats = [dec(c) for c in codes]
-    use_table = k * k <= 9_000_000
-    if use_table:
-        enc = encoder(ctx)
-        table = [[index[enc(_mul(x, y, m))] for y in mats] for x in mats]
+    e = index[enc(identity(ctx))]
+    if k * k <= 9_000_000:
+        table: List[Optional[List[int]]] = [None] * k
+        table[e], walk, steps = list(range(k)), [e], []
+        while len(walk) < k:
+            s = table.index(None)  # the next step of the walk, whose row takes direct products
+            table[s] = [index[enc(_mul(mats[s], y, m))] for y in mats]
+            walk.append(s)
+            steps.append(s)
+            for i in walk:  # walk grows while it is walked
+                for t in steps:
+                    j = table[t][i]
+                    if table[j] is None:
+                        table[j] = [table[t][c] for c in table[i]]
+                        walk.append(j)
 
         def mul(i: int, j: int) -> int:
             return table[i][j]
 
     else:  # pragma: no cover - only for unusually large universes
-        enc = encoder(ctx)
-
         def mul(i: int, j: int) -> int:
             return index[enc(_mul(mats[i], mats[j], m))]
-
-    e = index[encoder(ctx)(identity(ctx))]
 
     # prime-power cyclic subgroups, as (frozenset, generator index)
     cyc: Dict[FrozenSet, int] = {}
@@ -532,17 +543,12 @@ def all_subgroups(
         while j != e:
             orbit.append(j)
             j = mul(j, i)
-        o = len(orbit)
-        if len(factorize(o)) == 1:  # prime power order
-            key = frozenset(orbit)
-            cyc.setdefault(key, i)
+        if len(factorize(len(orbit))) == 1:  # prime power order
+            cyc.setdefault(frozenset(orbit), i)
     pool = sorted(cyc.items(), key=lambda kv: (len(kv[0]), kv[1]))
 
     # x -> g^-1 x g on indices; an orbit needs no inverse steps (see capped_orbit)
-    conj_perm: List[List[int]] = []
-    for g in conjugacy_gens or ():
-        gi = _inv(g, m)
-        conj_perm.append([index[enc(_mul(gi, _mul(x, g, m), m))] for x in mats])
+    conj_perm = [[index[enc(_mul(_inv(g, m), _mul(x, g, m), m))] for x in mats] for g in conjugacy_gens or ()]
 
     def conjugate(s: FrozenSet, perm: List[int]) -> FrozenSet:
         return frozenset(perm[x] for x in s)
@@ -550,22 +556,18 @@ def all_subgroups(
     trivial = frozenset([e])
     seen_all: Dict[FrozenSet, None] = {trivial: None}
     reps: List[Tuple[FrozenSet, Tuple[int, ...]]] = [(trivial, ())]
-    wl = 0
-    while wl < len(reps):
-        h, hgens = reps[wl]
-        wl += 1
-        for cset, cgen in pool:
-            if cset <= h:
+    for h, hgens in reps:  # reps grows while it is walked
+        for _, cgen in pool:
+            if cgen in h:
                 continue
-            kgens = hgens + (cgen,)
-            knew = capped_orbit(e, kgens, mul, None, k)
+            knew = extend_closure(h, hgens, (cgen,), mul, None, None, k)
             if knew in seen_all:
                 continue
             # record the full conjugacy orbit (at most [G : N(H)] <= k subgroups),
             # queue one representative
             for t in capped_orbit(knew, conj_perm, conjugate, None, k):
                 seen_all[t] = None
-            reps.append((knew, kgens))
+            reps.append((knew, hgens + (cgen,)))
     return [frozenset(codes[i] for i in s) for s in seen_all]
 
 

@@ -43,6 +43,7 @@ from sl2genus.subgroups import (
     split_cartan_normalizer,
     standard_subgroup,
 )
+from sl2genus.genus import genus_report
 from sl2genus.suites import A1_TABLE, _codes_of
 
 
@@ -343,6 +344,18 @@ def test_nonempty_gens_generate_the_subgroup():
             with_gens += 1
             assert _closure_codes(h.gens, h.ctx, h.cap) == h.codes()
     assert adjoin_minus_one(u_codes).gens == () and with_gens >= 12
+
+
+def test_derived_subgroups_keep_the_cap():
+    # each constructor that builds H from a code set hands on H's cap, or its own cap argument
+    ctx = make_ctx(5, 2)
+    h = closure([upper_u(ctx)], ctx, cap=1000)
+    derived = [adjoin_minus_one(h), h.conjugate(sigma(ctx)), filtration_level(h, 1)]
+    derived += [preimage(borel(5), ctx, cap=2500), full_group(make_ctx(5, 1), cap=1000)]
+    assert [d.cap for d in derived] == [1000, 1000, 1000, 2500, 1000]
+    for x in (h, adjoin_minus_one(h)):  # G = SL2(Z/25Z) holds 15,000 elements
+        with pytest.raises(FeasibilityError, match="max-elements"):
+            genus_report(x)
 
 
 def test_section2_checks():
