@@ -367,10 +367,7 @@ def fiber_image_bound_check(h: Subgroup, ref: ConjClassRef, t: int, i: int) -> b
     mod_t = p ** (r + t)
     mod_t1 = p ** (r + t + 1)
     ht = h.reduced_codes(r + t + i) & class_codes(_ref_at(ref, r + t + i))
-    filt = frozenset(
-        encoder(make_ctx(p, r + t + i))(reduce_mat(x, p ** (r + t + i)))
-        for x in (decoder(ctx)(c) for c in filtration_level(h, r + t).codes())
-    )
+    filt = filtration_level(h, r + t).reduced_codes(r + t + i)
     by_base: Dict[Mat, List[Mat]] = {}
     for c in ht:
         x = dec_ti(c)

@@ -146,7 +146,7 @@ class GroupCtx:
     """Ambient ring/group descriptor for SL2(Z/p^nZ).
 
     memo holds the sets derived from the context alone (G, the class orbits,
-    the fiber groups V, the last kernel); groups.cached alone reads and writes it.
+    the fiber groups V); groups.cached alone reads and writes it.
     """
 
     p: int

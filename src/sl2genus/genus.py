@@ -33,7 +33,7 @@ from .core import (
     upper_u,
 )
 from .groups import ConjClassRef, class_codes, conj_class_brute, enumerate_group, u_power_ref
-from .subgroups import Subgroup
+from .subgroups import Subgroup, level
 
 # coset_space(h): (coset representatives, element code -> coset index), at the level of H.
 Cosets = Tuple[List[Mat], Dict]
@@ -64,15 +64,8 @@ def legendre(a: int, p: int) -> int:
 
 
 def _level_ctx(h: Subgroup) -> GroupCtx:
-    """The context of the level m of H, the least m with #H = #(H mod p^m) p^(3(n-m)):
-    #H <= #(H mod p^m) #K_m always, with equality exactly when K_m <= H.  Kept in h's memo."""
-    p, n = h.ctx.p, h.ctx.n
-    if "level" not in h._reduced:
-        k = [p ** (3 * (n - s)) for s in range(n + 1)]  # k[s] = #K_s
-        h._reduced["level"] = next(
-            s for s in range(1, n + 1) if h.order % k[s] == 0 and len(h.reduced_codes(s)) * k[s] == h.order
-        )
-    return make_ctx(p, h._reduced["level"])
+    """The context of the level m of H (subgroups.level)."""
+    return make_ctx(h.ctx.p, level(h))
 
 
 def coset_space(h: Subgroup) -> Cosets:

@@ -2,10 +2,11 @@
 
 Element sets store packed codes (see core.encoder).  Closures extend a closed
 group coset by coset through extend_closure; orbits go through one
-breadth-first kernel, capped_orbit (the sampler's certificate walk keeps a lift
-per key and stays its own loop); conjugacy classes are expanded by conjugating
-with u, t(u) only, which keeps memory at O(#class) instead of O(#group).  Every
-set derived from a context alone is stored once, in its memo, through cached.
+breadth-first kernel, capped_orbit (the sampler's Schreier walk keeps a lift
+per key and builds H from the lifts, so it stays its own loop); conjugacy
+classes are expanded by conjugating with u, t(u) only, which keeps memory at
+O(#class) instead of O(#group).  Every set derived from a context alone is
+stored once, in its memo, through cached.
 """
 
 from __future__ import annotations

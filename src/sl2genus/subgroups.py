@@ -41,7 +41,7 @@ from .core import (
     sigma,
     upper_u,
 )
-from .groups import ElementSet, _closure_codes, cached, capped_orbit, enumerate_group, extend_closure
+from .groups import ElementSet, _closure_codes, capped_orbit, enumerate_group, extend_closure
 
 # -------------------- the subgroup value --------------------
 
@@ -197,8 +197,8 @@ def preimage(h: Subgroup, dst: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Sub
         nxt = make_ctx(ctx.p, ctx.n + 1)
         if len(codes) * ctx.p**3 > cap:
             raise FeasibilityError(
-                "preimage would hold %d elements, above the cap of %d"
-                % (len(codes) * ctx.p**3, cap)
+                "preimage would hold %d elements, above the cap of %d; raise --max-elements "
+                "or SL2_MAX_ELEMENTS" % (len(codes) * ctx.p**3, cap)
             )
         kern = _kernel_step(nxt)
         dec = decoder(ctx)
@@ -233,21 +233,29 @@ def filtration_level(h: Subgroup, s: int) -> Subgroup:
     return got
 
 
-def last_kernel_codes(ctx: GroupCtx) -> FrozenSet:
-    """(1 + p^(n-1) M2)^{det=1}, the p^3-element kernel of the last reduction, in the context memo."""
-    if ctx.n < 2:
-        raise PreconditionError("last kernel needs level n >= 2")
-    enc = encoder(ctx)
-    return cached(ctx, "K_last", lambda: frozenset(enc(k) for k in _kernel_step(ctx)), ctx.order)
+def _holds_kernel(h: Subgroup, s: int) -> bool:
+    """K_s = ker(G -> G_s) <= H, by orders: #H = #(H mod p^s) #(H n K_s) and
+    #K_s = p^(3(n-s)), so K_s <= H exactly when #H = #(H mod p^s) p^(3(n-s)).
+    A #H that p^(3(n-s)) does not divide decides it without reducing H."""
+    k = h.ctx.p ** (3 * (h.ctx.n - s))
+    return h.order % k == 0 and len(h.reduced_codes(s)) * k == h.order
+
+
+def level(h: Subgroup) -> int:
+    """The level of H, the least s >= 1 with K_s <= H; kept in h's memo."""
+    got = h._reduced.get("level")
+    if got is None:
+        got = h._reduced["level"] = next(s for s in range(1, h.ctx.n + 1) if _holds_kernel(h, s))
+    return got
 
 
 def is_slim(h: Subgroup) -> bool:
-    """H does not contain (1 + p^(n-1) M2)^{det=1}; at n=1, H is proper."""
+    """H does not contain K_(n-1) = (1 + p^(n-1) M2)^{det=1}; at n=1, H is proper."""
     if h.ambient != "SL2":
         raise PreconditionError("slimness is defined for SL2 subgroups")
     if h.ctx.n == 1:
         return h.order != h.ctx.order
-    return not last_kernel_codes(h.ctx) <= h.codes()
+    return not _holds_kernel(h, h.ctx.n - 1)
 
 
 # -------------------- standard subgroups --------------------
@@ -486,7 +494,7 @@ def parse_subgroup_spec(
 
 # -------------------- exhaustive lattice enumeration --------------------
 
-EXHAUSTIVE_CAP = 10_000
+EXHAUSTIVE_CAP = 3_000  # the k x k product table holds at most 9e6 entries
 
 
 def all_subgroups(
@@ -513,27 +521,22 @@ def all_subgroups(
     k = len(codes)
     mats = [dec(c) for c in codes]
     e = index[enc(identity(ctx))]
-    if k * k <= 9_000_000:
-        table: List[Optional[List[int]]] = [None] * k
-        table[e], walk, steps = list(range(k)), [e], []
-        while len(walk) < k:
-            s = table.index(None)  # the next step of the walk, whose row takes direct products
-            table[s] = [index[enc(_mul(mats[s], y, m))] for y in mats]
-            walk.append(s)
-            steps.append(s)
-            for i in walk:  # walk grows while it is walked
-                for t in steps:
-                    j = table[t][i]
-                    if table[j] is None:
-                        table[j] = [table[t][c] for c in table[i]]
-                        walk.append(j)
+    table: List[Optional[List[int]]] = [None] * k
+    table[e], walk, steps = list(range(k)), [e], []
+    while len(walk) < k:
+        s = table.index(None)  # the next step of the walk, whose row takes direct products
+        table[s] = [index[enc(_mul(mats[s], y, m))] for y in mats]
+        walk.append(s)
+        steps.append(s)
+        for i in walk:  # walk grows while it is walked
+            for t in steps:
+                j = table[t][i]
+                if table[j] is None:
+                    table[j] = [table[t][c] for c in table[i]]
+                    walk.append(j)
 
-        def mul(i: int, j: int) -> int:
-            return table[i][j]
-
-    else:  # pragma: no cover - only for unusually large universes
-        def mul(i: int, j: int) -> int:
-            return index[enc(_mul(mats[i], mats[j], m))]
+    def mul(i: int, j: int) -> int:
+        return table[i][j]
 
     # prime-power cyclic subgroups, as (frozenset, generator index)
     cyc: Dict[FrozenSet, int] = {}
@@ -622,53 +625,55 @@ def _slim_candidate(ctx: GroupCtx, level1_pool: List[Mat], rng: random.Random) -
     gens: List[Mat] = []
     for _ in range(rng.choice((1, 1, 2, 2, 2, 3))):
         x = _lift_to(level1_pool[rng.randrange(len(level1_pool))], ctx)
-        if n > 1 and rng.random() < 0.5:
+        if rng.random() < 0.5:
             x = _mul(x, _random_kernel_element(ctx, rng.randrange(1, n), rng), ctx.modulus)
         gens.append(x)
-    if n > 1 and rng.random() < 0.5:
+    if rng.random() < 0.5:
         # kernel elements from upper layers keep the closure slim more often
         gens.append(_random_kernel_element(ctx, rng.randrange((n + 1) // 2, n), rng))
     return gens
 
 
-def _certified_not_slim(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> bool:
-    """True only if H = <gens> (n >= 2) contains the last kernel K_(n-1) or
-    holds more than cap elements; H itself is never closed.
+def _slim_closure_codes(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[FrozenSet]:
+    """The codes of H = <gens> (n >= 2), or None if H contains the last kernel
+    K_(n-1) or holds more than cap elements.
 
     Schreier's lemma along the last reduction: walk H mod p^(n-1)
     breadth-first with level-n products and keep the first lift t of each
     reduced element.  A product z reaching that element again gives
-    z t^-1 = 1 + p^(n-1) W in H n K_(n-1), and K_(n-1) is F_p^3 through
-    (W00, W01, W10), for p = 2 as well.  Rank 3 means K_(n-1) <= H; more than
-    cap reduced elements means #H > cap, since #H >= #(H mod p^(n-1)).
+    z t^-1 = 1 + p^(n-1) W in H n K_(n-1), and these generate H n K_(n-1).
+    K_(n-1) is F_p^3 through (W00, W01, W10), with W11 = -W00 mod p, for
+    p = 2 as well.  Rank 3 means K_(n-1) <= H; otherwise H is the products
+    t k of the lifts and the span, #lifts * p^rank elements, and the walk
+    stops once that count passes cap.
     """
     p, m = ctx.p, ctx.modulus
     q = m // p
     one = identity(ctx)
+    lifts = [one]
     inverse_lift = {reduce_mat(one, q): one}  # inverse of the first lift, by reduction
     span = {(0, 0, 0)}  # the span in F_p^3 of the W seen so far, of rank at most 2 here
-    frontier = [one]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for g in gens:
-                z = _mul(t, g, m)
-                key = reduce_mat(z, q)
-                ti = inverse_lift.get(key)
-                if ti is None:
-                    inverse_lift[key] = (z[3], -z[1] % m, -z[2] % m, z[0])
-                    if len(inverse_lift) > cap:
-                        return True
-                    nxt.append(z)
-                    continue
+    for t in lifts:  # lifts grows while it is walked
+        for g in gens:
+            z = _mul(t, g, m)
+            key = reduce_mat(z, q)
+            ti = inverse_lift.get(key)
+            if ti is None:
+                inverse_lift[key] = (z[3], -z[1] % m, -z[2] % m, z[0])
+                lifts.append(z)
+            else:
                 k = _mul(z, ti, m)
                 w = ((k[0] - 1) // q, k[1] // q, k[2] // q)
-                if w not in span:
-                    if len(span) == p * p:
-                        return True  # a third independent W
-                    span = {tuple((a + j * b) % p for a, b in zip(v, w)) for v in span for j in range(p)}
-        frontier = nxt
-    return False
+                if w in span:
+                    continue
+                if len(span) == p * p:
+                    return None  # a third independent W
+                span = {tuple((a + j * b) % p for a, b in zip(v, w)) for v in span for j in range(p)}
+            if len(lifts) * len(span) > cap:
+                return None
+    enc = encoder(ctx)
+    kernel = [(1 + q * a, q * b, q * c, (1 - q * a) % m) for a, b, c in span]
+    return frozenset(enc(_mul(t, k, m)) for t in lifts for k in kernel)
 
 
 def sample_slim_subgroups(
@@ -677,17 +682,16 @@ def sample_slim_subgroups(
     rng: random.Random,
     mod_p_target: Optional[Subgroup] = None,
 ) -> List[Subgroup]:
-    """Seeded rejection sampling of slim subgroups, optionally with the mod-p
-    image inside a given level-one subgroup.
+    """Seeded rejection sampling of slim subgroups (n >= 2), optionally with
+    the mod-p image inside a given level-one subgroup.
 
     A slim subgroup has #H_1 <= p^(2(n-1)) (one extra factor p at p=2), so a
     candidate above #target * that bound (the slim cap) is certainly not slim.
-    At n >= 2, _certified_not_slim first rejects, unclosed, each candidate that
-    contains the last kernel or has more than slim-cap elements mod p^(n-1).
-    It draws nothing from rng and rejects only what the closure under the slim
-    cap or is_slim would reject, so it leaves the sample unchanged; the other
-    candidates are closed and checked.
+    Each candidate is closed once, by _slim_closure_codes, which rejects it
+    if it contains the last kernel or goes over the slim cap.
     """
+    if ctx.n < 2:
+        raise PreconditionError("slim sampling needs level n >= 2")
     level1_pool = sorted((mod_p_target if mod_p_target is not None else full_group(make_ctx(ctx.p, 1))).mats())
     slim_cap = _slim_cap(ctx, len(level1_pool))
     out: List[Subgroup] = []
@@ -696,20 +700,14 @@ def sample_slim_subgroups(
         if len(out) >= count:
             break
         gens = _slim_candidate(ctx, level1_pool, rng)
-        if ctx.n > 1 and _certified_not_slim(gens, ctx, slim_cap):
+        codes = _slim_closure_codes(gens, ctx, slim_cap)
+        if codes is None:
             continue
-        try:
-            h = closure(gens, ctx, cap=slim_cap)
-        except FeasibilityError:
-            continue
-        if not is_slim(h):
-            continue
+        h = Subgroup.from_codes(ctx, codes, gens=tuple(gens))
         if mod_p_target is not None and not h.reduced_codes(1) <= mod_p_target.codes():
             continue
-        key = h.codes()
-        if key not in seen:
-            seen.add(key)
-            h.cap = DEFAULT_MAX_ELEMENTS  # slim_cap bounds the closure, not what H is used for
+        if codes not in seen:
+            seen.add(codes)
             out.append(h)
     return out
 

@@ -145,13 +145,19 @@ def test_usage_errors(capsys):
         ("verify", "--suite", "main-theorem-desk", "--case", "x"),
         ("verify", "--suite", "main-theorem-desk", "--case", "9"),
         ("verify", "--suite", "section7", "--case", "L7.1:10201"),  # 101^2
+        ("verify", "--suite", "lemma4.10", "--case", "3"),  # only section7 and the desk take --case
+        ("verify", "--suite", "all", "--case", "3"),
     ):
         code, _, err = _run(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert err.startswith("error: "), argv
-    # genus applies the cap to G and the class orbits, as count does
+    for suite in ("lemma4.10", "all"):
+        assert "--case" in _run(capsys, "verify", "--suite", suite, "--case", "3")[2], suite
+    # genus applies the cap to G and the class orbits, as count does, and
+    # preimage to the 2,500 elements of the preimage of B mod 5
     spec = ("--p", "5", "--n", "2", "--subgroup", "gens:1,5;0,1")
-    for argv in (("genus",) + spec, ("count",) + spec + ("--class", "sigma")):
+    preimage_b = ("genus", "--p", "5", "--n", "2", "--subgroup", "preimage:B@1")
+    for argv in (("genus",) + spec, ("count",) + spec + ("--class", "sigma"), preimage_b):
         code, _, err = _run(capsys, *argv, "--max-elements", "100")
         assert code == EXIT_USAGE, argv
         assert "--max-elements" in err, argv

@@ -1,6 +1,7 @@
 """Every name a library module imports is used in that module, every
 function reads each of its parameters, every private module-level name
-is used somewhere under src/, and no module keeps a cache of its own.
+is used somewhere under src/, no module keeps a cache of its own, and only
+subgroups.py touches a subgroup's memo.
 
 No linter is part of the toolchain, so this walks the syntax tree with the
 standard library.  ``__init__.py`` is skipped by the import check: its imports
@@ -202,3 +203,24 @@ def test_the_check_sees_module_state():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_level_caches(path):
     assert _module_state(path.read_text()) == []
+
+
+def _subgroup_memo_uses(source: str):
+    """Lines that read or write a subgroup's private memo, ``._reduced``."""
+    tree = ast.parse(source)
+    return sorted({n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "_reduced"})
+
+
+def test_the_check_sees_a_subgroup_memo_use():
+    src = (
+        "def f(h):\n    h._reduced['level'] = 1\n    return h.reduced_codes(1)\n\n"
+        "g = lambda h: h._reduced.get(2)\n"
+    )
+    assert _subgroup_memo_uses(src) == [2, 5]
+
+
+# subgroups.py alone reads and writes the subgroup memo: what it holds
+# (reductions, H_s, the level) is derived there and only there.
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "subgroups.py"], ids=lambda p: p.name)
+def test_only_subgroups_uses_the_subgroup_memo(path):
+    assert _subgroup_memo_uses(path.read_text()) == []

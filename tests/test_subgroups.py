@@ -20,9 +20,10 @@ from sl2genus.core import (
 from sl2genus.groups import ConjClassRef, _closure_codes, class_codes, conj_class_brute, enumerate_group, u_power_ref
 from sl2genus.subgroups import (
     Subgroup,
-    _certified_not_slim,
+    _holds_kernel,
     _slim_candidate,
     _slim_cap,
+    _slim_closure_codes,
     a1_subgroup,
     adjoin_minus_one,
     all_subgroups,
@@ -32,7 +33,7 @@ from sl2genus.subgroups import (
     filtration_level,
     full_group,
     is_slim,
-    last_kernel_codes,
+    level,
     nonsplit_cartan_normalizer,
     order_three_subgroup,
     parse_subgroup_spec,
@@ -271,43 +272,77 @@ _CERTIFICATE_CASES = [
 
 @pytest.mark.parametrize("p,n,kind,seed,count", _CERTIFICATE_CASES, ids=["5^2", "3^3", "2^4", "5^4-B"])
 def test_certificate_agrees_with_closure(p, n, kind, seed, count):
-    """The Schreier-kernel certificate against the brute-force closure under
-    the slim cap, on candidate tuples drawn as the sampler draws them: a True
-    verdict means the closure goes over the cap or contains the last kernel;
-    a False one (the walk ran to its end) means it goes over the cap or is slim."""
+    """The sampler's Schreier walk against the brute-force closure under the
+    slim cap, on candidate tuples drawn as the sampler draws them: the walk
+    returns the closure's code set when the closure is slim and within the
+    cap, and None otherwise."""
     ctx = make_ctx(p, n)
     pool = sorted((standard_subgroup(kind, p) if kind else full_group(make_ctx(p, 1))).mats())
     cap = _slim_cap(ctx, len(pool))
     rng = random.Random(seed)
-    verdicts = []
+    outcomes = set()
     for _ in range(count):
         gens = _slim_candidate(ctx, pool, rng)
-        verdict = _certified_not_slim(gens, ctx, cap)
         try:
             h = closure(gens, ctx, cap=cap)
         except FeasibilityError:
             h = None
-        if verdict:
-            assert h is None or last_kernel_codes(ctx) <= h.codes(), gens
-        else:
-            assert h is None or is_slim(h), gens
-        verdicts.append(verdict)
-    assert True in verdicts and False in verdicts
+        want = h.codes() if h is not None and is_slim(h) else None
+        assert _slim_closure_codes(gens, ctx, cap) == want, gens
+        outcomes.add(want is None)
+    assert outcomes == {True, False}
 
 
 def test_certificate_sees_the_kernel_and_the_cap():
     ctx = make_ctx(3, 2)
     u, t = upper_u(ctx), lower_u(ctx)
-    assert _certified_not_slim([u, t], ctx, ctx.order)  # <u, t(u)> = SL2(Z/9Z)
-    assert not _certified_not_slim([u], ctx, ctx.order)  # order 9, slim
-    assert _certified_not_slim([u], ctx, 2)  # u mod 3 already has 3 elements
-    assert not _certified_not_slim([u], ctx, 3)
+    assert _slim_closure_codes([u, t], ctx, ctx.order) is None  # <u, t(u)> = SL2(Z/9Z)
+    assert _slim_closure_codes([u], ctx, 9) == closure([u], ctx).codes()  # order 9, slim
+    assert _slim_closure_codes([u], ctx, 2) is None  # u mod 3 already has 3 elements
+    assert _slim_closure_codes([u], ctx, 8) is None  # 3 lifts times a kernel part of 3
 
 
-def test_last_kernel_lives_in_the_context_memo():
-    ctx = make_ctx(5, 2)
-    k = last_kernel_codes(ctx)
-    assert len(k) == 125 and ctx.memo["K_last"] is k and last_kernel_codes(ctx) is k
+def test_slim_sampling_needs_level_two():
+    with pytest.raises(PreconditionError):
+        sample_slim_subgroups(make_ctx(5, 1), 3, random.Random(0))
+
+
+def _kernel_codes(ctx, s):
+    """K_s = ker(G -> G_s), the preimage of the trivial group at level s."""
+    low = make_ctx(ctx.p, s)
+    return preimage(Subgroup.from_codes(low, {encoder(low)(identity(low))}), ctx).codes()
+
+
+def test_order_test_matches_kernel_inclusion(sl2_mod9_subgroups):
+    """K_s <= H by orders against set inclusion, for every s, on every subgroup
+    of SL2(Z/9Z) and on seeded slim samples at 25, 27 and 16; the level and
+    is_slim follow it."""
+    ctx9, lattice = sl2_mod9_subgroups
+    subs = [Subgroup.from_codes(ctx9, c) for c in lattice]
+    for p, n in ((5, 2), (3, 3), (2, 4)):
+        subs += sample_slim_subgroups(make_ctx(p, n), 10, random.Random("levels-%d-%d" % (p, n)))
+    slim = 0
+    for h in subs:
+        n = h.ctx.n
+        inside = [_kernel_codes(h.ctx, s) <= h.codes() for s in range(1, n + 1)]
+        assert [_holds_kernel(h, s) for s in range(1, n + 1)] == inside
+        assert level(h) == inside.index(True) + 1
+        assert is_slim(h) == (not inside[n - 2])
+        slim += is_slim(h)
+    assert 0 < slim < len(subs)
+
+
+def test_lattice_search_refuses_a_universe_above_its_cap(monkeypatch):
+    import sl2genus.subgroups as subgroups
+
+    universe = enumerate_group(make_ctx(2, 4))  # SL2(Z/16Z), 3,072 elements
+
+    def no_table(*args):
+        raise AssertionError("the product table was started")
+
+    monkeypatch.setattr(subgroups, "_mul", no_table)
+    with pytest.raises(FeasibilityError, match="capped at 3000"):
+        all_subgroups(universe)
 
 
 def test_adjoin_minus_one_keeps_the_set_when_minus_one_is_in():
