@@ -88,6 +88,8 @@ def bound_sequence(kind: str, p: int, n: int) -> int:
     """The closed-form sequences, with l = floor(n/2) and l' = ceil(n/2)."""
     if kind not in BOUND_KINDS:
         raise ValueError("unknown bound kind %r" % kind)
+    if not is_prime(p):
+        raise PreconditionError("p must be prime, got %d" % p)
     l = n // 2
     lp = (n + 1) // 2
     if kind in ("a_sigma_p", "a_tau_p"):

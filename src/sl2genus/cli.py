@@ -227,6 +227,13 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
+def _cap(text: str) -> int:
+    """--max-elements, or its SL2_MAX_ELEMENTS default (argparse parses both): a positive integer."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("needs a positive integer (the flag or SL2_MAX_ELEMENTS), got %r" % text)
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="sl2genus",
@@ -245,8 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         if cap:
             sp.add_argument(
                 "--max-elements",
-                type=int,
-                default=int(os.environ.get("SL2_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS)),
+                type=_cap,
+                default=os.environ.get("SL2_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS),
                 help="materialization cap (env SL2_MAX_ELEMENTS)",
             )
 

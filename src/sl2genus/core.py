@@ -275,10 +275,6 @@ def det(x: Mat, ctx: GroupCtx) -> int:
     return (x[0] * x[3] - x[1] * x[2]) % ctx.modulus
 
 
-def trace(x: Mat, ctx: GroupCtx) -> int:
-    return (x[0] + x[3]) % ctx.modulus
-
-
 def _inv(x: Mat, m: int) -> Mat:
     a, b, c, d = x
     dt = (a * d - b * c) % m
@@ -306,10 +302,6 @@ def mat_pow(x: Mat, k: int, ctx: GroupCtx) -> Mat:
         x = _mul(x, x, m)
         k >>= 1
     return out
-
-
-def is_sl2(x: Mat, ctx: GroupCtx) -> bool:
-    return det(x, ctx) == 1 % ctx.modulus
 
 
 def reduce_mat(x: Mat, modulus: int) -> Mat:
@@ -375,7 +367,3 @@ def num_to_json(v) -> object:
     if isinstance(v, Fraction):
         return {"num": str(v.numerator), "den": str(v.denominator)}
     return v
-
-
-def json_from_fraction(obj: dict) -> Fraction:
-    return Fraction(int(obj["num"]), int(obj["den"]))

@@ -5,16 +5,18 @@ Everything is exact rational arithmetic.  The three ingredient counts
 ways -- through the class-counting identity at level n, and directly on the
 coset space G_m/H_m at the level m of H (K_m = ker(G -> G_m) lies in H, so
 G/H and G_m/H_m are isomorphic G-sets) -- and any disagreement raises
-ConsistencyError.  genus_report builds the coset space once per report for
-all three counts.  G_m and the class orbits are materialized under the cap
-the subgroup carries (Subgroup.cap).
+ConsistencyError.  The fixed points of an element depend on its class
+alone, so fix_points takes the class (a ConjClassRef), not a matrix.
+genus_report builds the coset space once per report for all three counts.
+G_m and the class orbits are materialized under the cap the subgroup
+carries (Subgroup.cap).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     ConsistencyError,
@@ -28,11 +30,9 @@ from .core import (
     minus_one,
     num_to_json,
     reduce_mat,
-    sigma as sigma_mat,
-    tau as tau_mat,
     upper_u,
 )
-from .groups import ConjClassRef, class_codes, conj_class_brute, enumerate_group, u_power_ref
+from .groups import ConjClassRef, class_codes, enumerate_group, u_power_ref
 from .subgroups import Subgroup, level
 
 # coset_space(h): (coset representatives, element code -> coset index), at the level of H.
@@ -106,34 +106,19 @@ def _coset_perm(h: Subgroup, a: Mat, cosets: Optional[Cosets]) -> Optional[List[
     return [coset_of[enc(_mul(a, g, m))] for g in reps]
 
 
-def _class_of(h: Subgroup, a: Mat) -> FrozenSet:
-    ctx, cap = h.ctx, h.cap
-    if a == sigma_mat(ctx):
-        return class_codes(ConjClassRef(ctx, "sigma"), cap)
-    if a == tau_mat(ctx):
-        return class_codes(ConjClassRef(ctx, "tau"), cap)
-    m = ctx.modulus
-    for r in range(ctx.n):
-        q = ctx.p**r
-        if a == (1, q % m, 0, 1):  # u^(p^r)
-            return class_codes(u_power_ref(ctx, r), cap)
-    return conj_class_brute(a, ctx, cap).codes
-
-
-def fix_points(h: Subgroup, a: Mat, cosets: Optional[Cosets] = None) -> int:
-    """#{gH : a gH = gH}, computed on cosets and through
-    #Fix_a / [G:H] = #(H n Conj(a)) / #Conj(a); the two must agree.
+def fix_points(h: Subgroup, ref: ConjClassRef, cosets: Optional[Cosets] = None) -> int:
+    """#{gH : a gH = gH} for a in the class ref names, computed on cosets and
+    through #Fix_a / [G:H] = #(H n Conj(a)) / #Conj(a); the two must agree.
+    The count depends on the class alone; the coset route acts with
+    ref.representative().
 
     cosets is coset_space(h) if the caller has it already; without it the
     coset route builds its own."""
-    ctx = h.ctx
-    cls = _class_of(h, a)
-    inter = len(h.codes() & cls)
-    index = ctx.order // h.order
-    via_identity = Fraction(index * inter, len(cls))
+    index = h.ctx.order // h.order
+    via_identity = Fraction(index * count_in_subgroup(h, ref), len(class_codes(ref, h.cap)))
     if via_identity.denominator != 1:
         raise ConsistencyError("fixed-point identity gave a non-integer")
-    perm = _coset_perm(h, a, cosets)
+    perm = _coset_perm(h, ref.representative(), cosets)
     if perm is not None:
         direct = sum(1 for i, j in enumerate(perm) if i == j)
         if direct != via_identity:
@@ -248,28 +233,13 @@ class GenusReport:
             d["genus"] = num_to_json(self.genus)
         return d
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GenusReport":
-        from .core import json_from_fraction
-
-        return cls(
-            index=int(d["index"]),
-            count_sigma=int(d["count_sigma"]),
-            count_tau=int(d["count_tau"]),
-            cusp_ratio=json_from_fraction(d["cusp_ratio"]),
-            delta=json_from_fraction(d["delta"]),
-            genus=int(d["genus"]) if "genus" in d else None,
-            fix_sigma=int(d["fix_sigma"]),
-            fix_tau=int(d["fix_tau"]),
-        )
-
 
 def genus_report(h: Subgroup) -> GenusReport:
     ctx = h.ctx
     cosets = _direct_cosets(h)
     cs, ct, cusp, d = _delta_terms(h, cosets)
-    fs = fix_points(h, sigma_mat(ctx), cosets)
-    ft = fix_points(h, tau_mat(ctx), cosets)
+    fs = fix_points(h, ConjClassRef(ctx, "sigma"), cosets)
+    ft = fix_points(h, ConjClassRef(ctx, "tau"), cosets)
     g = _genus_from_delta(h, d) if minus_one(ctx) in h else None
     return GenusReport(ctx.order // h.order, cs, ct, cusp, d, g, fs, ft)
 

@@ -179,7 +179,7 @@ def gl2_generators(ctx: GroupCtx) -> List[Mat]:
 
 # -------------------- conjugacy class references --------------------
 
-_KINDS = ("sigma", "tau", "u_power", "custom")
+_KINDS = ("sigma", "tau", "u_power")
 
 
 @dataclass(frozen=True)
@@ -193,25 +193,14 @@ class ConjClassRef:
     ctx: GroupCtx
     kind: str
     r: int = 0
-    rep: Optional[Mat] = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError("unknown class kind %r" % (self.kind,))
         if self.kind in ("sigma", "tau") and self.r != 0:
             raise PreconditionError("%s takes no exponent r, got r=%d" % (self.kind, self.r))
-        if self.kind == "u_power":
-            if self.r < 0 or self.r + 1 > self.ctx.n:
-                raise PreconditionError(
-                    "u_power(%d) is trivial modulo %d^%d" % (self.r, self.ctx.p, self.ctx.n)
-                )
-        if self.kind == "custom":
-            if self.rep is None:
-                raise ValueError("custom class needs a representative")
-            from .core import is_sl2
-
-            if not is_sl2(self.rep, self.ctx):
-                raise PreconditionError("custom representative %r is not in SL2" % (self.rep,))
+        if self.kind == "u_power" and not 0 <= self.r < self.ctx.n:
+            raise PreconditionError("u_power(%d) is trivial modulo %d^%d" % (self.r, self.ctx.p, self.ctx.n))
 
     def representative(self) -> Mat:
         ctx = self.ctx
@@ -219,10 +208,7 @@ class ConjClassRef:
             return sigma(ctx)
         if self.kind == "tau":
             return tau(ctx)
-        if self.kind == "u_power":
-            return mat_pow(upper_u(ctx), ctx.p**self.r, ctx)
-        assert self.rep is not None
-        return self.rep
+        return mat_pow(upper_u(ctx), ctx.p**self.r, ctx)
 
 
 def u_power_ref(ctx: GroupCtx, r: int = 0) -> ConjClassRef:
@@ -247,16 +233,14 @@ def conj_class_size_formula(ref: ConjClassRef) -> int:
         if p % 3 == 2:
             return (p - 1) * p ** (2 * n - 1)
         return (p + 1) * p ** (2 * n - 1)
-    if ref.kind == "u_power":
-        k = n - ref.r  # u^(p^r) sits in SL2(Z/p^(r+k)Z) with k >= 1
-        if p >= 3:
-            return (p * p - 1) // 2 * p ** (2 * k - 2)
-        if k == 1:
-            return 3
-        if k == 2:
-            return 6
-        return 3 * 2 ** (2 * k - 4)
-    raise PreconditionError("no closed-form class size for kind %r; use conj_class_brute" % ref.kind)
+    k = n - ref.r  # u^(p^r) sits in SL2(Z/p^(r+k)Z) with k >= 1
+    if p >= 3:
+        return (p * p - 1) // 2 * p ** (2 * k - 2)
+    if k == 1:
+        return 3
+    if k == 2:
+        return 6
+    return 3 * 2 ** (2 * k - 4)
 
 
 def centralizer_order_formula(ref: ConjClassRef) -> int:
@@ -306,10 +290,8 @@ def conj_class_brute(
 
 
 def class_codes(ref: ConjClassRef, cap: int = DEFAULT_MAX_ELEMENTS) -> FrozenSet:
-    """Orbit codes for a class reference (brute force, any kind); the named
-    kinds are stored in the context's memo under (kind, r)."""
-    if ref.kind == "custom":
-        return conj_class_brute(ref.representative(), ref.ctx, cap).codes
+    """Orbit codes of the class ref names (brute force), stored in the
+    context's memo under (kind, r)."""
     return cached(
         ref.ctx, (ref.kind, ref.r), lambda: conj_class_brute(ref.representative(), ref.ctx, cap).codes, cap
     )

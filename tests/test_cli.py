@@ -136,6 +136,8 @@ def test_usage_errors(capsys):
     for argv in (
         ("genus", "--p", "4", "--n", "1", "--subgroup", "B"),
         ("class-table", "--p", "4", "--n", "1"),
+        ("bounds", "--kind", "a_sigma_p", "--p", "4", "--n", "3"),
+        ("bounds", "--kind", "a_u_p", "--p", "9", "--n", "2"),
         ("genus", "--p", "5", "--n", "1", "--subgroup", "nonsense"),
         ("genus", "--p", "13", "--n", "1", "--subgroup", "Borel"),  # specs are B, C, D, ...
         ("genus", "--p", "5", "--n", "1", "--subgroup", "gens:1,2;3"),
@@ -173,6 +175,29 @@ def test_usage_errors(capsys):
     ):
         code, _, _ = _run(capsys, *argv)
         assert code == EXIT_USAGE, argv
+
+
+def test_the_cap_is_a_positive_integer(capsys, monkeypatch):
+    # argparse reads SL2_MAX_ELEMENTS as it reads --max-elements, and only on
+    # the subcommands that take a cap
+    genus = ("genus", "--p", "5", "--n", "1", "--subgroup", "B")
+    capped = (genus, ("count",) + genus[1:] + ("--class", "sigma"), ("class-table", "--p", "5", "--n", "1"))
+    for value in ("abc", "0", "-5", ""):
+        monkeypatch.setenv("SL2_MAX_ELEMENTS", value)
+        for argv in capped:
+            code, _, err = _run(capsys, *argv)
+            assert code == EXIT_USAGE, (value, argv)
+            assert "SL2_MAX_ELEMENTS" in err and "positive integer" in err, (value, argv)
+        assert _run(capsys, *genus, "--max-elements", "1000")[0] == EXIT_OK  # the flag wins
+    assert _run(capsys, "bounds", "--kind", "a_sigma_p", "--p", "5", "--n", "3")[0] == EXIT_OK
+    assert _run(capsys, "verify", "--suite", "lemma4.5")[0] == EXIT_OK
+    monkeypatch.setenv("SL2_MAX_ELEMENTS", "100")
+    code, _, err = _run(capsys, "genus", "--p", "5", "--n", "2", "--subgroup", "gens:1,5;0,1")
+    assert code == EXIT_USAGE and "--max-elements" in err  # the variable is the cap
+    monkeypatch.delenv("SL2_MAX_ELEMENTS")
+    for value in ("0", "-5"):  # refused when parsed, before any orbit runs
+        code, _, err = _run(capsys, *genus, "--max-elements", value)
+        assert code == EXIT_USAGE and "positive integer" in err, value
 
 
 def test_feasibility_error_names_the_flag(capsys):

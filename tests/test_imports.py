@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 function reads each of its parameters, every private module-level name
-is used somewhere under src/, no module keeps a cache of its own, and only
-subgroups.py touches a subgroup's memo.
+is used somewhere under src/, every public function and class is used
+somewhere under src/ or tests/, no module keeps a cache of its own, and
+only subgroups.py touches a subgroup's memo.
 
 No linter is part of the toolchain, so this walks the syntax tree with the
 standard library.  ``__init__.py`` is skipped by the import check: its imports
@@ -94,9 +95,10 @@ def test_no_unread_parameters(path):
     assert _unread_parameters(path.read_text()) == []
 
 
-def _unreferenced_privates(sources):
-    """(module, line, name) for each private module-level function, class or
-    constant that no other top-level statement of any module refers to."""
+def _unreferenced(sources, select):
+    """(module, line, name) for each module-level function, class or constant
+    that select(module, statement, name) picks and that no other top-level
+    statement of any module in sources refers to."""
     defs = []
     uses = []
     for mod, source in sources.items():
@@ -109,7 +111,7 @@ def _unreferenced_privates(sources):
                 names = [stmt.target.id]
             else:
                 names = []
-            defs += [(mod, i, stmt.lineno, n) for n in names if n.startswith("_") and not n.startswith("__")]
+            defs += [(mod, i, stmt.lineno, n) for n in names if select(mod, stmt, n)]
             used = set()
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -126,6 +128,22 @@ def _unreferenced_privates(sources):
     )
 
 
+def _unreferenced_privates(sources):
+    """The private module-level names of sources that nothing refers to."""
+    return _unreferenced(sources, lambda mod, stmt, name: name.startswith("_") and not name.startswith("__"))
+
+
+def _unreferenced_publics(sources, library):
+    """The public module-level functions and classes of the modules in library
+    that no other top-level statement of sources (library and tests) refers to."""
+    return _unreferenced(
+        sources,
+        lambda mod, stmt, name: mod in library
+        and not name.startswith("_")
+        and isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)),
+    )
+
+
 def test_the_check_sees_an_unused_private_name():
     sources = {
         "a.py": "def _used():\n    pass\n\ndef _recursive():\n    return _recursive()\n\n"
@@ -138,6 +156,23 @@ def test_the_check_sees_an_unused_private_name():
 def test_no_unused_private_names():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert _unreferenced_privates(sources) == []
+
+
+def test_the_check_sees_an_unused_public_name():
+    sources = {
+        "src/a.py": "def tested():\n    pass\n\ndef orphan():\n    return orphan()\n\n"
+        "class Called:\n    pass\n\nLIMIT = 3\nx = Called()\n",
+        "tests/test_a.py": "from a import tested\n\ndef test_untouched():\n    tested()\n",
+    }
+    assert _unreferenced_publics(sources, {"src/a.py"}) == [("src/a.py", 4, "orphan")]
+
+
+# Every public function and class of the library has a caller, in the library
+# or in a test; a name that only its own definition mentions gets deleted.
+def test_no_unused_public_names():
+    library = {"src/" + p.name: p.read_text() for p in SRC.glob("*.py")}
+    tests = {"tests/" + p.name: p.read_text() for p in Path(__file__).resolve().parent.glob("*.py")}
+    assert _unreferenced_publics({**library, **tests}, set(library)) == []
 
 
 # Caches live in the memo of a group context (groups.cached) or of a
