@@ -357,32 +357,6 @@ def bound_reports(h: Subgroup) -> Iterator[SlimBoundReport]:
 # --- fiber-count side conditions ---
 
 
-def fiber_image_bound_check(h: Subgroup, ref: ConjClassRef, t: int, i: int) -> bool:
-    """When H_(r+t)/H_(r+t+i) != V, fibers project to at most p elements mod
-    p^(r+t+1)."""
-    ctx = h.ctx
-    p = ctx.p
-    r = ref.r
-    if not (1 <= i <= t and r + t + i <= ctx.n):
-        raise PreconditionError("need 1 <= i <= t and r+t+i <= n")
-    dec_ti = decoder(make_ctx(p, r + t + i))
-    mod_t = p ** (r + t)
-    mod_t1 = p ** (r + t + 1)
-    ht = h.reduced_codes(r + t + i) & class_codes(_ref_at(ref, r + t + i))
-    filt = filtration_level(h, r + t).reduced_codes(r + t + i)
-    by_base: Dict[Mat, List[Mat]] = {}
-    for c in ht:
-        x = dec_ti(c)
-        by_base.setdefault(reduce_mat(x, mod_t), []).append(x)
-    desc = FiberDescriptor(p, r, t + i, t, _fiber_kind(ref))
-    for base, fib in by_base.items():
-        if filt == _v_codes(desc, base):
-            continue
-        if len({reduce_mat(x, mod_t1) for x in fib}) > p:
-            return False
-    return True
-
-
 def fiber_count_bound_check(h: Subgroup, ref: ConjClassRef, i: int, d: int) -> bool:
     """Fibers of the class map H -> H mod p^(r+i+d) have at most p^(n-1-d)
     elements when the top filtration layer is not the fiber group V."""

@@ -145,8 +145,9 @@ def gl2_order(p: int, n: int) -> int:
 class GroupCtx:
     """Ambient ring/group descriptor for SL2(Z/p^nZ).
 
-    memo holds the sets derived from the context alone (G, the class orbits,
-    the fiber groups V); groups.cached alone reads and writes it.
+    memo holds what derives from the context alone (G, the class orbits,
+    the fiber groups V, the row tables of the coset walk); groups.cached
+    alone reads and writes it.
     """
 
     p: int

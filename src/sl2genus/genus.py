@@ -3,19 +3,21 @@
 Everything is exact rational arithmetic.  The three ingredient counts
 (elliptic points of order 2 and 3, cusps) are each computed two independent
 ways -- through the class-counting identity at level n, and directly on the
-coset space G_m/H_m at the level m of H (K_m = ker(G -> G_m) lies in H, so
-G/H and G_m/H_m are isomorphic G-sets) -- and any disagreement raises
-ConsistencyError.  The fixed points of an element depend on its class
-alone, so fix_points takes the class (a ConjClassRef), not a matrix.
-genus_report builds the coset space once per report for all three counts.
-G_m and the class orbits are materialized under the cap the subgroup
-carries (Subgroup.cap).
+right cosets H_m g of G_m at the level m of H (K_m = ker(G -> G_m) lies in
+H, so H\\G and H_m\\G_m are isomorphic G-sets; gH -> Hg^-1 gives the same
+counts as on left cosets) -- and any disagreement raises ConsistencyError.
+The fixed points of an element depend on its class alone, so fix_points
+takes the class (a ConjClassRef), not a matrix.  genus_report walks the
+cosets once per report, from H_m on u and t(u) with packed-code row tables,
+for all three counts; G_m itself is never enumerated.  The walk and the
+class orbits run under the cap the subgroup carries (Subgroup.cap).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -26,17 +28,19 @@ from .core import (
     _mul,
     decoder,
     encoder,
+    lower_u,
     make_ctx,
     minus_one,
     num_to_json,
     reduce_mat,
     upper_u,
 )
-from .groups import ConjClassRef, class_codes, enumerate_group, u_power_ref
+from .groups import ConjClassRef, cached, check_order, class_codes, u_power_ref
 from .subgroups import Subgroup, level
 
-# coset_space(h): (coset representatives, element code -> coset index), at the level of H.
-Cosets = Tuple[List[Mat], Dict]
+# coset_space(h): (the first code of each right coset H_m g, code -> coset index,
+# the coset index of H_m g u for each coset), all at the level m of H.
+Cosets = Tuple[List[int], Dict[int, int], List[int]]
 
 # Above this order of G_m, m the level of H, the coset cross-check is skipped
 # and only the class-counting route is used (an exact identity, not an estimate).
@@ -68,47 +72,73 @@ def _level_ctx(h: Subgroup) -> GroupCtx:
     return make_ctx(h.ctx.p, level(h))
 
 
+def _row_table(ctx: GroupCtx, s: Mat, cap: int) -> Tuple[int, ...]:
+    """T[x] = enc(dec(x) s) for each packed row x = enc((a, b, 0, 0)), kept in ctx's memo."""
+    dec, enc, m = decoder(ctx), encoder(ctx), ctx.modulus
+    rows = range(enc((0, 0, 1, 0)))  # every a | b << k; the slots with a or b >= m go unread
+    return cached(ctx, ("rows", s), lambda: tuple(enc(_mul(dec(x), s, m)) for x in rows), cap)
+
+
+def _times(table: Sequence[int], codes) -> List[int]:
+    """The packed code of x s for each packed code x, given table = _row_table(ctx, s)."""
+    k2, low = len(table).bit_length() - 1, len(table) - 1  # the bits of a row, and their mask
+    return [table[x & low] | table[x >> k2] << k2 for x in codes]
+
+
 def coset_space(h: Subgroup) -> Cosets:
-    """Left cosets g H_m of G_m, with m the level of H; returns (reps, code ->
-    coset index), both at level m.
+    """The right cosets H_m g of G_m, m the level of H, by a Schreier walk
+    from H_m on u and t(u): a coset H_m g s not seen yet is the member list of
+    H_m g mapped through the row table of s.  Returns (the first code of each
+    coset, code -> coset index, the coset index of H_m g u for each coset).
 
-    Which element represents a coset is unspecified; the fixed-point and
-    cusp counts do not depend on it."""
+    Which code represents a coset is unspecified; the fixed-point and cusp
+    counts do not depend on it."""
     sub = _level_ctx(h)
-    dec, enc, m = decoder(sub), encoder(sub), sub.modulus
-    hmats = [dec(c) for c in h.reduced_codes(sub.n)]
-    coset_of: Dict = {}
-    reps: List[Mat] = []
-    for c in enumerate_group(sub, h.cap).codes:
-        if c in coset_of:
-            continue
-        g = dec(c)
-        i = len(reps)
-        reps.append(g)
-        for hm in hmats:
-            coset_of[enc(_mul(g, hm, m))] = i
-    return reps, coset_of
+    if sub.modulus > 65536:
+        raise PreconditionError("the coset walk needs packed codes; modulus %d is above 65536" % sub.modulus)
+    check_order(sub, h.cap)
+    tables = [_row_table(sub, s, h.cap) for s in (upper_u(sub), lower_u(sub))]
+    members: List[Optional[List[int]]] = [list(h.reduced_codes(sub.n))]
+    reps = [members[0][0]]  # reps[i] = members[i][0]
+    coset_of = dict.fromkeys(members[0], 0)
+    start = 0
+    while start < len(reps):  # one layer: the cosets the last layer found
+        layer, stop = reps[start:], len(reps)
+        for t in tables:
+            for i, y in enumerate(_times(t, layer), start):
+                if y not in coset_of:
+                    new = _times(t, members[i])
+                    coset_of.update(dict.fromkeys(new, len(reps)))
+                    members.append(new)
+                    reps.append(y)
+        members[start:stop] = repeat(None, stop - start)  # both generators applied: coset_of keeps the codes
+        start = stop
+    if len(coset_of) != sub.order:
+        raise ConsistencyError("the coset walk covered %d of %d elements" % (len(coset_of), sub.order))
+    return reps, coset_of, [coset_of[y] for y in _times(tables[0], reps)]
 
 
-def _direct_cosets(h: Subgroup) -> Optional[Cosets]:
-    """coset_space(h), or None (no direct route) when G_m holds more than DIRECT_CHECK_CAP elements."""
-    return coset_space(h) if _level_ctx(h).order <= DIRECT_CHECK_CAP else None
+def _direct_cosets(h: Subgroup, cosets: Optional[Cosets] = None) -> Optional[Cosets]:
+    """cosets, or else coset_space(h) if G_m holds at most DIRECT_CHECK_CAP elements, or else None."""
+    if cosets is None and _level_ctx(h).order <= DIRECT_CHECK_CAP:
+        return coset_space(h)
+    return cosets
 
 
 def _coset_perm(h: Subgroup, a: Mat, cosets: Optional[Cosets]) -> Optional[List[int]]:
-    """The coset index of a gH_m for each coset gH_m, on cosets or else on
-    _direct_cosets(h); None without a direct route."""
-    cosets = cosets if cosets is not None else _direct_cosets(h)
+    """The coset index of H_m g a for each right coset H_m g, on
+    _direct_cosets(h, cosets); None without a direct route."""
+    cosets = _direct_cosets(h, cosets)
     if cosets is None:
         return None
-    (reps, coset_of), sub = cosets, _level_ctx(h)
-    enc, m, a = encoder(sub), sub.modulus, reduce_mat(a, sub.modulus)
-    return [coset_of[enc(_mul(a, g, m))] for g in reps]
+    (reps, coset_of, _), sub = cosets, _level_ctx(h)
+    return [coset_of[y] for y in _times(_row_table(sub, reduce_mat(a, sub.modulus), h.cap), reps)]
 
 
 def fix_points(h: Subgroup, ref: ConjClassRef, cosets: Optional[Cosets] = None) -> int:
-    """#{gH : a gH = gH} for a in the class ref names, computed on cosets and
-    through #Fix_a / [G:H] = #(H n Conj(a)) / #Conj(a); the two must agree.
+    """#{gH : a gH = gH} for a in the class ref names, computed through
+    #Fix_a / [G:H] = #(H n Conj(a)) / #Conj(a) and on the right cosets as
+    #{Hg : Hg a = Hg} (gH -> Hg^-1 matches the two); the two must agree.
     The count depends on the class alone; the coset route acts with
     ref.representative().
 
@@ -148,14 +178,16 @@ def delta_from_ratios(r_sigma: Fraction, r_tau: Fraction, cusp: Fraction) -> Fra
 
 def cusp_orbit_ratio(h: Subgroup, cosets: Optional[Cosets] = None) -> Fraction:
     """#(<u>\\G/H) / [G:H], via the u^(p^s) class counts; cross-checked by a
-    direct orbit count of <u> acting on G_m/H_m when G_m is small enough.
+    direct orbit count of <u> acting on the right cosets H_m g when G_m is
+    small enough.
     cosets as in fix_points."""
     ctx = h.ctx
     hcodes = h.codes()
     classes = [class_codes(u_power_ref(ctx, s), h.cap) for s in range(ctx.n)]
     ratio = cusp_series(ctx.p, [Fraction(len(hcodes & cls), len(cls)) for cls in classes])
-    step = _coset_perm(h, upper_u(ctx), cosets)
-    if step is not None:
+    cosets = _direct_cosets(h, cosets)
+    if cosets is not None:
+        step = cosets[2]  # its cycles are the double cosets H\G/<u>, as many as <u>\G/H
         seen, orbits = set(), 0
         for i in range(len(step)):
             orbits += i not in seen  # each unseen coset starts a new <u>-orbit

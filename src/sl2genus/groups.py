@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Collection, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence
 
 from .core import (
     DEFAULT_MAX_ELEMENTS,
@@ -121,11 +121,11 @@ def extend_closure(known: Iterable, gens: Sequence, new: Iterable, mul: Callable
     return frozenset(seen)
 
 
-def cached(ctx: GroupCtx, key: Hashable, build: Callable[[], FrozenSet], cap: int) -> FrozenSet:
+def cached(ctx: GroupCtx, key: Hashable, build: Callable[[], Collection], cap: int) -> Collection:
     """ctx.memo[key], built by build() on the first call.
 
-    Every call checks the stored set against cap, so an entry built under a
-    higher cap still raises FeasibilityError under a lower one."""
+    Every call checks the stored collection against cap, so an entry built
+    under a higher cap still raises FeasibilityError under a lower one."""
     got = ctx.memo.get(key)
     if got is None:
         got = ctx.memo[key] = build()
@@ -147,12 +147,17 @@ def enumerate_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSe
 
     The order is checked against cap before the closure runs, which would
     otherwise hold cap elements before it failed."""
+    check_order(ctx, cap)
+    return ElementSet(ctx, cached(ctx, "G", lambda: _group_closure(ctx), cap))
+
+
+def check_order(ctx: GroupCtx, cap: int) -> None:
+    """Raise FeasibilityError when SL2(Z/p^nZ) holds more than cap elements."""
     if ctx.order > cap:
         raise FeasibilityError(
             "SL2(Z/%d^%dZ) has %d elements, above the cap of %d; raise --max-elements "
             "or SL2_MAX_ELEMENTS" % (ctx.p, ctx.n, ctx.order, cap)
         )
-    return ElementSet(ctx, cached(ctx, "G", lambda: _group_closure(ctx), cap))
 
 
 def _group_closure(ctx: GroupCtx) -> FrozenSet:

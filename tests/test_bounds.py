@@ -9,7 +9,6 @@ from sl2genus.bounds import (
     bound_sequence,
     check_slim_bound,
     fiber_count_bound_check,
-    fiber_image_bound_check,
     n_prime,
     n_upper_bound,
     section7_all,
@@ -150,7 +149,6 @@ def test_fiber_lemma_shadows():
     assert subs
     for h in subs:
         for ref in (ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau"), u_power_ref(ctx, 0)):
-            assert fiber_image_bound_check(h, ref, 1, 1)
             assert fiber_count_bound_check(h, ref, 1, 0)
             assert fiber_count_bound_check(h, ref, 1, 1)
 

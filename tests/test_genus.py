@@ -7,9 +7,12 @@ from fractions import Fraction
 import pytest
 
 from sl2genus.core import (
+    FeasibilityError,
     PreconditionError,
+    _mul,
     decoder,
     encoder,
+    lower_u,
     make_ctx,
     mat_mul,
     minus_one,
@@ -21,6 +24,8 @@ from sl2genus.core import (
 from sl2genus.genus import (
     _coset_perm,
     _level_ctx,
+    _row_table,
+    _times,
     closed_form_genus,
     coset_space,
     cusp_orbit_ratio,
@@ -331,8 +336,8 @@ def test_level_one_report_at_5_3_runs_the_coset_route(monkeypatch):
     h = parse_subgroup_spec("preimage:B@1", 5, 3)
     results = _record_results(monkeypatch, sys.modules["sl2genus.genus"], ("coset_space", "_coset_perm"))
     rep = genus_report(h)
-    assert len(results["coset_space"]) == 1
-    assert len(results["_coset_perm"]) == 3 and None not in results["_coset_perm"]  # Fix_sigma, Fix_tau, u
+    assert len(results["coset_space"]) == 1  # the walk, which also gives u's permutation
+    assert len(results["_coset_perm"]) == 2 and None not in results["_coset_perm"]  # Fix_sigma, Fix_tau
     assert rep.to_json_dict() == {
         "count_sigma": "6250",
         "count_tau": "0",
@@ -346,8 +351,56 @@ def test_level_one_report_at_5_3_runs_the_coset_route(monkeypatch):
 
 
 def test_level_one_report_at_7_2_never_enumerates_level_two(monkeypatch):
-    h = parse_subgroup_spec("preimage:B@1", 7, 2)
-    results = _record_results(monkeypatch, sys.modules["sl2genus.genus"], ("enumerate_group",))
-    rep = genus_report(h)
-    assert [es.ctx.n for es in results["enumerate_group"]] == [1]
+    # no report builds a G: any closure of <u, t(u)> fails the test, and the
+    # stored groups are taken out of the memo while it runs
+    def fail(ctx):
+        raise AssertionError("genus_report enumerated SL2(Z/%dZ)" % ctx.modulus)
+
+    monkeypatch.setattr(sys.modules["sl2genus.groups"], "_group_closure", fail)
+    for p, n in ((7, 1), (7, 2), (5, 1), (5, 2)):
+        monkeypatch.delitem(make_ctx(p, n).memo, "G", raising=False)
+    rep = genus_report(parse_subgroup_spec("preimage:B@1", 7, 2))
     assert (rep.index, rep.fix_tau, rep.cusp_ratio) == (8, 2, Fraction(1, 4))
+    ctx = make_ctx(5, 2)
+    h = closure([upper_u(ctx)], ctx)
+    assert _level_ctx(h).n == 2
+    assert genus_report(h).index == 600
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 2), (13, 1)])
+def test_row_tables_multiply_packed_codes(p, n):
+    ctx = make_ctx(p, n)
+    dec, enc, m = decoder(ctx), encoder(ctx), ctx.modulus
+    codes = list(enumerate_group(ctx).codes)
+    for s in (upper_u(ctx), lower_u(ctx)):
+        assert _times(_row_table(ctx, s, ctx.order), codes) == [enc(_mul(dec(x), s, m)) for x in codes]
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2)])
+def test_the_walk_splits_g_m_into_right_cosets_of_h_m(p, n):
+    # the test enumerates G_m; the library does not
+    for h in _level_route_subgroups(p, n):
+        sub = _level_ctx(h)
+        dec, enc, m = decoder(sub), encoder(sub), sub.modulus
+        hm = h.reduced_codes(sub.n)
+        reps, coset_of, step = coset_space(h)
+        assert coset_of.keys() == enumerate_group(sub).codes
+        blocks = {}
+        for c, i in coset_of.items():
+            blocks.setdefault(i, set()).add(c)
+        assert len(blocks) == len(reps) == sub.order // len(hm)
+        for i, g in enumerate(reps):
+            assert blocks[i] == {enc(_mul(dec(x), dec(g), m)) for x in hm}  # H_m g
+        assert step == _coset_perm(h, upper_u(sub), (reps, coset_of, step))
+
+
+def test_the_walk_checks_the_cap_before_it_builds_anything(monkeypatch):
+    ctx = make_ctx(5, 2)  # <u> has level 2, and G_2 = SL2(Z/25Z) holds 15,000 elements
+    keys = [("rows", s) for s in (upper_u(ctx), lower_u(ctx))]
+    for key in keys:
+        monkeypatch.delitem(ctx.memo, key, raising=False)
+    with pytest.raises(FeasibilityError, match="--max-elements"):
+        coset_space(Subgroup(ctx, (upper_u(ctx),), cap=14_999))
+    assert not any(key in ctx.memo for key in keys)
+    reps, coset_of, step = coset_space(Subgroup(ctx, (upper_u(ctx),), cap=15_000))
+    assert (len(reps), len(coset_of), len(step)) == (600, 15_000, 600)
