@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -29,6 +30,7 @@ from .core import (
     minus_one,
     num_to_json,
     reduce_mat,
+    reducer,
 )
 from .groups import (
     ConjClassRef,
@@ -51,7 +53,7 @@ from .subgroups import (
     is_slim,
 )
 from .fibers import FiberDescriptor, commutator_fiber_codes, recovery_count
-from .genus import cusp_series, delta, delta_from_ratios
+from .genus import count_in_subgroup, cusp_series, delta, delta_from_ratios
 
 # -------------------- exponent tables --------------------
 
@@ -205,10 +207,7 @@ def _y_sets(h: Subgroup, ref: ConjClassRef, idxs: Sequence[int]) -> Dict[int, Fr
 
 
 def _mod_count(ctx: GroupCtx, codes: FrozenSet, level: int) -> int:
-    dec = decoder(ctx)
-    q = ctx.p**level
-    enc = encoder(make_ctx(ctx.p, level))
-    return len({enc(reduce_mat(dec(c), q)) for c in codes})
+    return len(set(map(reducer(ctx, level), codes)))
 
 
 @dataclass
@@ -368,22 +367,10 @@ def fiber_count_bound_check(h: Subgroup, ref: ConjClassRef, i: int, d: int) -> b
         raise PreconditionError("hypotheses of the fiber-count bound violated")
     if p == 2 and ref.kind == "tau" and d < 1:
         raise PreconditionError("p=2 tau needs d >= 1")
-    dec = decoder(ctx)
-    hi = h.codes() & class_codes(ref)
-    filt = filtration_level(h, ctx.n - i).codes()
-    desc = FiberDescriptor(p, r, depth, depth - i, _fiber_kind(ref))
-    lo_level = r + i + d
-    lo_mod = p**lo_level
-    counts: Dict[Mat, int] = {}
-    bad_v: Dict[Mat, bool] = {}
-    for c in hi:
-        x = dec(c)
-        base = reduce_mat(x, lo_mod)
-        counts[base] = counts.get(base, 0) + 1
-        if base not in bad_v:
-            bad_v[base] = filt != _v_codes(desc, x)
+    # V_x depends on x mod p^(r+i) alone, so each fiber lies in Y_0 - Y_i whole or not at all
+    y = _y_sets(h, ref, [i])
     limit = p ** (depth - 1 - d)
-    return all(cnt <= limit for base, cnt in counts.items() if bad_v[base])
+    return all(cnt <= limit for cnt in Counter(map(reducer(ctx, r + i + d), y[0] - y[i])).values())
 
 
 # -------------------- section-7 audit --------------------
@@ -922,8 +909,7 @@ def _brute_count_mod(h: Subgroup, kind: str, level: int, r: int = 0) -> int:
     """#(f^-1(K) n Conj(alpha)) at 2-adic desk levels, by brute force."""
     target = preimage(h, make_ctx(2, level))
     ctx = target.ctx
-    ref = u_power_ref(ctx, r) if kind == "u" else ConjClassRef(ctx, kind)
-    return len(target.codes() & class_codes(ref))
+    return count_in_subgroup(target, u_power_ref(ctx, r) if kind == "u" else ConjClassRef(ctx, kind))
 
 
 def _b_u2_tail(ch: _Chain, top: int, start: int) -> List[Fraction]:
@@ -997,10 +983,10 @@ def _case_p712(sub: str) -> CaseReport:
     # full mod-2 image: mod 4 the image is conjugate to A1
     a1 = a1_subgroup()
     ctx4 = a1.ctx
-    a1s = ch.expect("#A1 n Conj(sigma)", len(a1.codes() & class_codes(ConjClassRef(ctx4, "sigma"))), 3)
-    ch.expect("#A1 n Conj(tau)", len(a1.codes() & class_codes(ConjClassRef(ctx4, "tau"))), 2)
-    ch.expect("#A1 n Conj(u)", len(a1.codes() & class_codes(u_power_ref(ctx4, 0))), 0)
-    ch.expect("#A1 n Conj(u^2)", len(a1.codes() & class_codes(u_power_ref(ctx4, 1))), 0)
+    a1s = ch.expect("#A1 n Conj(sigma)", count_in_subgroup(a1, ConjClassRef(ctx4, "sigma")), 3)
+    ch.expect("#A1 n Conj(tau)", count_in_subgroup(a1, ConjClassRef(ctx4, "tau")), 2)
+    ch.expect("#A1 n Conj(u)", count_in_subgroup(a1, u_power_ref(ctx4, 0)), 0)
+    ch.expect("#A1 n Conj(u^2)", count_in_subgroup(a1, u_power_ref(ctx4, 1)), 0)
     ft3 = ch.expect("#f3,2^-1(A1) n Conj(tau)", _brute_count_mod(a1, "tau", 3), 8)
     s_cnt = ch.expect(
         "a(sigma,2)_10 + 2^8(3-2)", corrected_bound("a_sigma_2", p, 10, a1s), 73 * 2**8

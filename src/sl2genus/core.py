@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 Mat = Tuple[int, int, int, int]
 
@@ -172,43 +172,77 @@ def make_ctx(p: int, n: int) -> GroupCtx:
     return GroupCtx(p, n, p**n, sl2_order(p, n))
 
 
-# -------------------- canonical encoding --------------------
+# -------------------- packed codes --------------------
 
-# Residue tuples pack into one machine word when the modulus fits 16 bits
-# (hash-set closure dominates runtime); beyond that the tuple itself is the
-# hashed form.
+# A matrix (a b; c d) modulo M packs into the int a | b << k | c << 2k | d << 3k,
+# k = bits(M - 1) per entry; closures are hash-set work, and an int hashes
+# fastest.  The layout is known here alone: encoder/decoder, reducer (the
+# code of x mod p^s from the code of x) and row_table/times (the codes of
+# x s from the codes of x).
+
+
+def _width(modulus: int) -> int:
+    """The bits of one packed entry modulo modulus."""
+    return (modulus - 1).bit_length()
 
 
 @lru_cache(maxsize=None)
-def _packers(modulus: int) -> Tuple[Callable[[Mat], object], Callable[[object], Mat]]:
-    if modulus <= 65536:
-        k = max((modulus - 1).bit_length(), 1)
-        k2, k3 = 2 * k, 3 * k
-        mask = (1 << k) - 1
+def _packers(modulus: int) -> Tuple[Callable[[Mat], int], Callable[[int], Mat]]:
+    k = _width(modulus)
+    k2, k3 = 2 * k, 3 * k
+    mask = (1 << k) - 1
 
-        def enc(x: Mat) -> int:
-            return x[0] | (x[1] << k) | (x[2] << k2) | (x[3] << k3)
+    def enc(x: Mat) -> int:
+        return x[0] | (x[1] << k) | (x[2] << k2) | (x[3] << k3)
 
-        def dec(code) -> Mat:
-            return (code & mask, (code >> k) & mask, (code >> k2) & mask, (code >> k3) & mask)
+    def dec(code: int) -> Mat:
+        return (code & mask, (code >> k) & mask, (code >> k2) & mask, (code >> k3) & mask)
 
-        return enc, dec
-
-    def enc_t(x: Mat):
-        return x
-
-    def dec_t(code) -> Mat:
-        return code
-
-    return enc_t, dec_t
+    return enc, dec
 
 
-def encoder(ctx: GroupCtx) -> Callable[[Mat], object]:
+def encoder(ctx: GroupCtx) -> Callable[[Mat], int]:
     return _packers(ctx.modulus)[0]
 
 
-def decoder(ctx: GroupCtx) -> Callable[[object], Mat]:
+def decoder(ctx: GroupCtx) -> Callable[[int], Mat]:
     return _packers(ctx.modulus)[1]
+
+
+def reducer(ctx: GroupCtx, level: int) -> Callable[[int], int]:
+    """The map from the code of x modulo p^n to the code of x mod p^level
+    (the reduction f_{n,level}), for 1 <= level <= n."""
+    if not 1 <= level <= ctx.n:
+        raise ReductionError("cannot reduce level %d codes to level %d" % (ctx.n, level))
+    q = ctx.p**level
+    k, j = _width(ctx.modulus), _width(q)
+    k2, k3, j2, j3 = 2 * k, 3 * k, 2 * j, 3 * j
+    mask = (1 << k) - 1
+
+    def red(code: int) -> int:
+        return (
+            (code & mask) % q
+            | ((code >> k) & mask) % q << j
+            | ((code >> k2) & mask) % q << j2
+            | (code >> k3) % q << j3
+        )
+
+    return red
+
+
+def row_table(ctx: GroupCtx, s: Mat) -> Tuple[int, ...]:
+    """T[a | b << k] = the packed row (a b) s, for every pair of k-bit entries
+    (the slots with a or b >= modulus go unread)."""
+    m, k = ctx.modulus, _width(ctx.modulus)
+    s0, s1, s2, s3 = s
+    size = range(1 << k)
+    return tuple((a * s0 + b * s2) % m | (a * s1 + b * s3) % m << k for b in size for a in size)
+
+
+def times(table: Sequence[int], codes: Iterable[int]) -> List[int]:
+    """The code of x s for each code x, given table = row_table(ctx, s)."""
+    k2, low = len(table).bit_length() - 1, len(table) - 1  # the bits of a row, and their mask
+    return [table[x & low] | table[x >> k2] << k2 for x in codes]
 
 
 # -------------------- matrices --------------------

@@ -9,8 +9,9 @@ parametrizations; the closed forms are never trusted as the source of truth.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List
+from typing import FrozenSet, List
 
 from .core import (
     ConsistencyError,
@@ -25,6 +26,7 @@ from .core import (
     make_ctx,
     mat_pow,
     reduce_mat,
+    reducer,
     sigma,
     tau,
     upper_u,
@@ -82,14 +84,13 @@ class FiberDescriptor:
 def _resolve_alpha_prime(desc: FiberDescriptor) -> Mat:
     """The first class element at level r+m matching the standard
     representative mod p^(r+n-m)."""
-    ref_mod = desc.p ** (desc.r + desc.n - desc.m)
-    want = reduce_mat(desc.standard_rep(), ref_mod)
-    ctx_m = make_ctx(desc.p, desc.r + desc.m)
-    dec = decoder(ctx_m)
+    ref_level = desc.r + desc.n - desc.m
+    full, ctx_m = desc.full_ctx(), make_ctx(desc.p, desc.r + desc.m)
+    want = reducer(full, ref_level)(encoder(full)(desc.standard_rep()))
+    red = reducer(ctx_m, ref_level)
     for c in sorted(class_codes(desc.class_ref(desc.r + desc.m))):
-        x = dec(c)
-        if reduce_mat(x, ref_mod) == want:
-            return x
+        if red(c) == want:
+            return decoder(ctx_m)(c)
     raise ConsistencyError("no class element lifts the standard representative")  # pragma: no cover
 
 
@@ -142,14 +143,10 @@ def fiber_group(desc: FiberDescriptor) -> FrozenSet:
     p, r, n, m = desc.p, desc.r, desc.n, desc.m
     ctx = desc.full_ctx()
     alpha_prime = _resolve_alpha_prime(desc)
-    mod_m = p ** (r + m)
     dec = decoder(ctx)
     enc = encoder(ctx)
-    fiber = [
-        dec(c)
-        for c in class_codes(desc.class_ref(r + n))
-        if reduce_mat(dec(c), mod_m) == alpha_prime
-    ]
+    red, want = reducer(ctx, r + m), encoder(make_ctx(p, r + m))(alpha_prime)
+    fiber = [dec(c) for c in class_codes(desc.class_ref(r + n)) if red(c) == want]
     expect = p ** (2 * (n - m))
     if len(fiber) != expect:
         raise ConsistencyError(
@@ -333,13 +330,7 @@ def reduction_fiber_sizes(kind: str, p: int, hi: int, lo: int, r: int = 0) -> Fr
     else:
         cls_hi = class_codes(ConjClassRef(desc_hi, kind))
         ref_lo = ConjClassRef(make_ctx(p, lo), kind)
-    dec = decoder(desc_hi)
-    mod_lo = p**lo
-    enc_lo = encoder(make_ctx(p, lo))
-    counts: Dict = {}
-    for c in cls_hi:
-        key = enc_lo(reduce_mat(dec(c), mod_lo))
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(map(reducer(desc_hi, lo), cls_hi))
     if set(counts) != set(class_codes(ref_lo)):
         raise ConsistencyError("class reduction is not onto the lower class")
     return frozenset(counts.values())

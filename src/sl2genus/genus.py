@@ -25,14 +25,13 @@ from .core import (
     GroupCtx,
     Mat,
     PreconditionError,
-    _mul,
-    decoder,
-    encoder,
     lower_u,
     make_ctx,
     minus_one,
     num_to_json,
     reduce_mat,
+    row_table,
+    times,
     upper_u,
 )
 from .groups import ConjClassRef, cached, check_order, class_codes, u_power_ref
@@ -73,16 +72,8 @@ def _level_ctx(h: Subgroup) -> GroupCtx:
 
 
 def _row_table(ctx: GroupCtx, s: Mat, cap: int) -> Tuple[int, ...]:
-    """T[x] = enc(dec(x) s) for each packed row x = enc((a, b, 0, 0)), kept in ctx's memo."""
-    dec, enc, m = decoder(ctx), encoder(ctx), ctx.modulus
-    rows = range(enc((0, 0, 1, 0)))  # every a | b << k; the slots with a or b >= m go unread
-    return cached(ctx, ("rows", s), lambda: tuple(enc(_mul(dec(x), s, m)) for x in rows), cap)
-
-
-def _times(table: Sequence[int], codes) -> List[int]:
-    """The packed code of x s for each packed code x, given table = _row_table(ctx, s)."""
-    k2, low = len(table).bit_length() - 1, len(table) - 1  # the bits of a row, and their mask
-    return [table[x & low] | table[x >> k2] << k2 for x in codes]
+    """core.row_table(ctx, s), kept in ctx's memo."""
+    return cached(ctx, ("rows", s), lambda: row_table(ctx, s), cap)
 
 
 def coset_space(h: Subgroup) -> Cosets:
@@ -94,8 +85,6 @@ def coset_space(h: Subgroup) -> Cosets:
     Which code represents a coset is unspecified; the fixed-point and cusp
     counts do not depend on it."""
     sub = _level_ctx(h)
-    if sub.modulus > 65536:
-        raise PreconditionError("the coset walk needs packed codes; modulus %d is above 65536" % sub.modulus)
     check_order(sub, h.cap)
     tables = [_row_table(sub, s, h.cap) for s in (upper_u(sub), lower_u(sub))]
     members: List[Optional[List[int]]] = [list(h.reduced_codes(sub.n))]
@@ -105,9 +94,9 @@ def coset_space(h: Subgroup) -> Cosets:
     while start < len(reps):  # one layer: the cosets the last layer found
         layer, stop = reps[start:], len(reps)
         for t in tables:
-            for i, y in enumerate(_times(t, layer), start):
+            for i, y in enumerate(times(t, layer), start):
                 if y not in coset_of:
-                    new = _times(t, members[i])
+                    new = times(t, members[i])
                     coset_of.update(dict.fromkeys(new, len(reps)))
                     members.append(new)
                     reps.append(y)
@@ -115,7 +104,7 @@ def coset_space(h: Subgroup) -> Cosets:
         start = stop
     if len(coset_of) != sub.order:
         raise ConsistencyError("the coset walk covered %d of %d elements" % (len(coset_of), sub.order))
-    return reps, coset_of, [coset_of[y] for y in _times(tables[0], reps)]
+    return reps, coset_of, [coset_of[y] for y in times(tables[0], reps)]
 
 
 def _direct_cosets(h: Subgroup, cosets: Optional[Cosets] = None) -> Optional[Cosets]:
@@ -132,7 +121,7 @@ def _coset_perm(h: Subgroup, a: Mat, cosets: Optional[Cosets]) -> Optional[List[
     if cosets is None:
         return None
     (reps, coset_of, _), sub = cosets, _level_ctx(h)
-    return [coset_of[y] for y in _times(_row_table(sub, reduce_mat(a, sub.modulus), h.cap), reps)]
+    return [coset_of[y] for y in times(_row_table(sub, reduce_mat(a, sub.modulus), h.cap), reps)]
 
 
 def fix_points(h: Subgroup, ref: ConjClassRef, cosets: Optional[Cosets] = None) -> int:

@@ -12,7 +12,6 @@ stored once, in its memo, through cached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Collection, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence
 
 from .core import (
@@ -95,25 +94,26 @@ def _over_cap(cap: int) -> FeasibilityError:
     return FeasibilityError("orbit exceeded the cap of %d elements; raise --max-elements or SL2_MAX_ELEMENTS" % cap)
 
 
-def extend_closure(known: Iterable, gens: Sequence, new: Iterable, mul: Callable, key, value, cap: int) -> FrozenSet:
+def extend_closure(known: Iterable, gens: Sequence, new: Iterable, right: Callable, key, value, cap: int) -> FrozenSet:
     """Keys of <H, new>, where known holds the keys of a closed group H that gens generate.  Dimino's
     algorithm (Butler, LNCS 559, 1991): a new generator in H is skipped; otherwise the group so far,
     H_prev, is decoded once, and each right coset H_prev r it meets is added whole and walked on by
-    every generator so far.  key and value map values to keys and back (None: values are their own
-    keys).  Raises FeasibilityError once more than cap keys are seen."""
+    every generator so far.  right(y) is the map x -> x y on values; key and value map values to keys
+    and back (None: values are their own keys).  Raises FeasibilityError once more than cap keys are
+    seen."""
     seen = set(known)
-    steps = list(gens)
+    steps = [right(s) for s in gens]
     for g in new:
         if (key(g) if key else g) in seen:
             continue
         prev = [value(c) for c in seen] if value else list(seen)
-        steps.append(g)
+        steps.append(right(g))
         reps = [prev[0]]  # any element of H_prev stands for H_prev; reps grows while it is walked
         for r in reps:
-            for s in steps:
-                y = mul(r, s)
+            for step in steps:
+                y = step(r)
                 if (key(y) if key else y) not in seen:
-                    coset = map(mul, prev, repeat(y))
+                    coset = map(right(y), prev)
                     seen.update(map(key, coset) if key else coset)
                     if len(seen) > cap:
                         raise _over_cap(cap)
@@ -139,7 +139,7 @@ def cached(ctx: GroupCtx, key: Hashable, build: Callable[[], Collection], cap: i
 
 def _closure_codes(gens: Iterable[Mat], ctx: GroupCtx, cap: int) -> FrozenSet:
     m, enc = ctx.modulus, encoder(ctx)
-    return extend_closure((enc(identity(ctx)),), (), gens, lambda x, g: _mul(x, g, m), enc, decoder(ctx), cap)
+    return extend_closure((enc(identity(ctx)),), (), gens, lambda g: lambda x: _mul(x, g, m), enc, decoder(ctx), cap)
 
 
 def enumerate_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSet:

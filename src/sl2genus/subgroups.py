@@ -38,6 +38,7 @@ from .core import (
     parse_mat,
     primitive_root,
     reduce_mat,
+    reducer,
     sigma,
     upper_u,
 )
@@ -99,12 +100,11 @@ class Subgroup:
             raise ReductionError("cannot reduce level %d subgroup to level %d" % (self.ctx.n, level))
         got = self._reduced.get(level)
         if got is None:
-            sub = make_ctx(self.ctx.p, level)
-            dec, enc, m = decoder(self.ctx), encoder(sub), sub.modulus
             if self.gens:
-                got = _closure_codes([reduce_mat(g, m) for g in self.gens], sub, self.cap)
+                sub = make_ctx(self.ctx.p, level)
+                got = _closure_codes([reduce_mat(g, sub.modulus) for g in self.gens], sub, self.cap)
             else:
-                got = frozenset(enc(reduce_mat(dec(c), m)) for c in self.codes())
+                got = frozenset(map(reducer(self.ctx, level), self.codes()))
             self._reduced[level] = got
         return got
 
@@ -225,10 +225,9 @@ def filtration_level(h: Subgroup, s: int) -> Subgroup:
         raise ValueError("filtration level s=%d outside 1..%d" % (s, n))
     got = h._reduced.get(("H_s", s))
     if got is None:
-        q = h.ctx.p**s
-        dec = decoder(h.ctx)
-        one = reduce_mat(identity(h.ctx), q)
-        keep = frozenset(c for c in h.codes() if reduce_mat(dec(c), q) == one)
+        red = reducer(h.ctx, s)
+        one = red(encoder(h.ctx)(identity(h.ctx)))
+        keep = frozenset(c for c in h.codes() if red(c) == one)
         got = h._reduced[("H_s", s)] = Subgroup.from_codes(h.ctx, keep, h.ambient, cap=h.cap)
     return got
 
@@ -365,7 +364,7 @@ def _pgl_order(x: Mat, p: int) -> int:
 def _pgl_closure(gens: List[Mat], p: int, cap: int = 200) -> Optional[FrozenSet]:
     """The subgroup of PGL2(F_p) the gens generate, or None above cap elements."""
     try:
-        return extend_closure(((1, 0, 0, 1),), (), gens, lambda x, g: _pgl_canon(_mul(x, g, p), p), None, None, cap)
+        return extend_closure(((1, 0, 0, 1),), (), gens, lambda g: lambda x: _pgl_canon(_mul(x, g, p), p), None, None, cap)
     except FeasibilityError:
         return None
 
@@ -507,8 +506,8 @@ def all_subgroups(
     representative by one prime-power cyclic subgroup at a time, extending the
     closed representative (groups.extend_closure); when conjugacy_gens generate
     the universe, only class representatives are extended and orbits are
-    expanded afterwards.  The product table composes rows along a walk from the
-    identity, row(s x) = row(s) o row(x).
+    expanded afterwards.  The product table is kept by columns, col[y][x] = x y,
+    composed along a walk from the identity: col(x s) = col(s) o col(x).
     """
     ctx = universe.ctx
     if len(universe) > EXHAUSTIVE_CAP:
@@ -521,22 +520,19 @@ def all_subgroups(
     k = len(codes)
     mats = [dec(c) for c in codes]
     e = index[enc(identity(ctx))]
-    table: List[Optional[List[int]]] = [None] * k
-    table[e], walk, steps = list(range(k)), [e], []
+    col: List[Optional[List[int]]] = [None] * k
+    col[e], walk, steps = list(range(k)), [e], []
     while len(walk) < k:
-        s = table.index(None)  # the next step of the walk, whose row takes direct products
-        table[s] = [index[enc(_mul(mats[s], y, m))] for y in mats]
+        s = col.index(None)  # the next step of the walk, whose column takes direct products
+        col[s] = [index[enc(_mul(x, mats[s], m))] for x in mats]
         walk.append(s)
         steps.append(s)
         for i in walk:  # walk grows while it is walked
             for t in steps:
-                j = table[t][i]
-                if table[j] is None:
-                    table[j] = [table[t][c] for c in table[i]]
+                j = col[t][i]
+                if col[j] is None:
+                    col[j] = [col[t][c] for c in col[i]]
                     walk.append(j)
-
-    def mul(i: int, j: int) -> int:
-        return table[i][j]
 
     # prime-power cyclic subgroups, as (frozenset, generator index)
     cyc: Dict[FrozenSet, int] = {}
@@ -545,7 +541,7 @@ def all_subgroups(
         j = i
         while j != e:
             orbit.append(j)
-            j = mul(j, i)
+            j = col[i][j]
         if len(factorize(len(orbit))) == 1:  # prime power order
             cyc.setdefault(frozenset(orbit), i)
     pool = sorted(cyc.items(), key=lambda kv: (len(kv[0]), kv[1]))
@@ -563,7 +559,7 @@ def all_subgroups(
         for _, cgen in pool:
             if cgen in h:
                 continue
-            knew = extend_closure(h, hgens, (cgen,), mul, None, None, k)
+            knew = extend_closure(h, hgens, (cgen,), lambda y: col[y].__getitem__, None, None, k)
             if knew in seen_all:
                 continue
             # record the full conjugacy orbit (at most [G : N(H)] <= k subgroups),

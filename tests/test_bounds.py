@@ -153,6 +153,53 @@ def test_fiber_lemma_shadows():
             assert fiber_count_bound_check(h, ref, 1, 1)
 
 
+def _old_fiber_count_bound_check(h, ref, i, d):
+    """fiber_count_bound_check as it was before it counted Y_0 - Y_i: each
+    fiber of H n Conj over H mod p^(r+i+d) is bad when its first element x has
+    H_(n-i) != V_x.  Returns (the verdict, whether a bad fiber meets the limit)."""
+    from sl2genus.bounds import _fiber_kind, _v_codes
+    from sl2genus.core import decoder, reduce_mat
+    from sl2genus.fibers import FiberDescriptor
+    from sl2genus.groups import class_codes
+    from sl2genus.subgroups import filtration_level
+
+    ctx = h.ctx
+    p, r = ctx.p, ref.r
+    depth = ctx.n - r
+    dec = decoder(ctx)
+    filt = filtration_level(h, ctx.n - i).codes()
+    desc = FiberDescriptor(p, r, depth, depth - i, _fiber_kind(ref))
+    lo_mod = p ** (r + i + d)
+    counts, bad_v = {}, {}
+    for c in h.codes() & class_codes(ref):
+        x = dec(c)
+        base = reduce_mat(x, lo_mod)
+        counts[base] = counts.get(base, 0) + 1
+        if base not in bad_v:
+            bad_v[base] = filt != _v_codes(desc, x)
+    limit = p ** (depth - 1 - d)
+    bad = [cnt for base, cnt in counts.items() if bad_v[base]]
+    return all(cnt <= limit for cnt in bad), limit in bad
+
+
+def test_fiber_count_bound_matches_the_per_fiber_oracle(sl2_mod9_subgroups):
+    """Cor. 6.5's inputs: every slim subgroup of SL2(Z/9Z) at d = 0, and
+    seeded slim samples at modulus 27 at d = 0 and 1."""
+    from sl2genus.subgroups import is_slim
+
+    ctx9, lattice = sl2_mod9_subgroups
+    cases = [(h, 0) for h in (Subgroup.from_codes(ctx9, c) for c in lattice) if is_slim(h)]
+    ctx27 = make_ctx(3, 3)
+    cases += [(h, d) for h in sample_slim_subgroups(ctx27, 10, random.Random(31)) for d in (0, 1)]
+    tight = 0
+    for h, d in cases:
+        for ref in (ConjClassRef(h.ctx, "sigma"), ConjClassRef(h.ctx, "tau"), u_power_ref(h.ctx, 0)):
+            want, at_limit = _old_fiber_count_bound_check(h, ref, 1, d)
+            assert fiber_count_bound_check(h, ref, 1, d) == want
+            tight += at_limit
+    assert tight > 0  # some bad fiber is exactly at the limit, so one element more would fail it
+
+
 def test_section7_case_ids_cover_spec_set():
     ids = set(section7_case_ids())
     for want in (

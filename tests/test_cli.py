@@ -206,3 +206,10 @@ def test_feasibility_error_names_the_flag(capsys):
     )
     assert code == EXIT_USAGE
     assert "max-elements" in err or "SL2_MAX_ELEMENTS" in err
+
+
+def test_genus_above_modulus_65536_stops_at_the_cap(capsys):
+    code, _, err = _run(
+        capsys, "genus", "--p", "257", "--n", "2", "--subgroup", "gens:0,1;-1,0", "--max-elements", "1000"
+    )
+    assert code == EXIT_USAGE and "--max-elements" in err

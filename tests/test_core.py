@@ -22,7 +22,9 @@ from sl2genus.core import (
     minus_one,
     neg,
     parse_mat,
+    reduce_mat,
     reduce_mod,
+    reducer,
     sigma,
     tau,
     upper_u,
@@ -143,15 +145,29 @@ def test_element_order_divides_group_order():
         assert ctx.order % element_order(x, ctx) == 0
 
 
-def test_encode_round_trip_packed_and_tuple():
+def test_encode_round_trip_packs_every_modulus_into_an_int():
     for p, n in ((2, 2), (3, 2), (13, 1), (65537, 1)):
         ctx = make_ctx(p, n)
         enc, dec = encoder(ctx), decoder(ctx)
         rng = random.Random((p, n).__repr__())
         for _ in range(50):
             x = tuple(rng.randrange(ctx.modulus) for _ in range(4))
-            assert dec(enc(x)) == x
-    assert isinstance(encoder(make_ctx(13, 1))(sigma(make_ctx(13, 1))), int)
+            assert isinstance(enc(x), int) and dec(enc(x)) == x
+
+
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (5, 2), (7, 2), (257, 2), (2, 17)])
+def test_reducer_maps_codes_as_reduce_mat_maps_matrices(p, n):
+    ctx = make_ctx(p, n)
+    enc = encoder(ctx)
+    rng = random.Random((p, n, "reducer").__repr__())
+    xs = [tuple(rng.randrange(ctx.modulus) for _ in range(4)) for _ in range(200)]
+    xs += [(ctx.modulus - 1,) * 4, (0, 0, 0, 0)]
+    for s in range(1, n + 1):
+        red, enc_s = reducer(ctx, s), encoder(make_ctx(p, s))
+        assert [red(enc(x)) for x in xs] == [enc_s(reduce_mat(x, p**s)) for x in xs]
+    for s in (0, n + 1):
+        with pytest.raises(ReductionError):
+            reducer(ctx, s)
 
 
 def test_parse_and_format():

@@ -19,13 +19,13 @@ from sl2genus.core import (
     reduce_mat,
     sigma,
     tau,
+    times,
     upper_u,
 )
 from sl2genus.genus import (
     _coset_perm,
     _level_ctx,
     _row_table,
-    _times,
     closed_form_genus,
     coset_space,
     cusp_orbit_ratio,
@@ -373,7 +373,7 @@ def test_row_tables_multiply_packed_codes(p, n):
     dec, enc, m = decoder(ctx), encoder(ctx), ctx.modulus
     codes = list(enumerate_group(ctx).codes)
     for s in (upper_u(ctx), lower_u(ctx)):
-        assert _times(_row_table(ctx, s, ctx.order), codes) == [enc(_mul(dec(x), s, m)) for x in codes]
+        assert times(_row_table(ctx, s, ctx.order), codes) == [enc(_mul(dec(x), s, m)) for x in codes]
 
 
 @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2)])

@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, every
 function reads each of its parameters, every private module-level name
 is used somewhere under src/, every public function and class is used
-somewhere under src/ or tests/, no module keeps a cache of its own, and
-only subgroups.py touches a subgroup's memo.
+somewhere under src/ or tests/, no module keeps a cache of its own, only
+subgroups.py touches a subgroup's memo, and only core.py knows the bit
+layout of a packed code.
 
 No linter is part of the toolchain, so this walks the syntax tree with the
 standard library.  ``__init__.py`` is skipped by the import check: its imports
@@ -259,3 +260,37 @@ def test_the_check_sees_a_subgroup_memo_use():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "subgroups.py"], ids=lambda p: p.name)
 def test_only_subgroups_uses_the_subgroup_memo(path):
     assert _subgroup_memo_uses(path.read_text()) == []
+
+
+def _decodes(node) -> bool:
+    """node is dec(...) or decoder(...)(...)."""
+    f = node.func if isinstance(node, ast.Call) else None
+    return getattr(f, "id", None) == "dec" or (isinstance(f, ast.Call) and getattr(f.func, "id", None) == "decoder")
+
+
+def _packed_format_uses(source: str):
+    """Lines that shift bits (<<, >>, <<=, >>=) or reduce a decoded code by
+    reduce_mat(dec(...), ...) rather than through core.reducer."""
+    out = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, (ast.BinOp, ast.AugAssign)) and isinstance(n.op, (ast.LShift, ast.RShift)):
+            out.add(n.lineno)
+        elif isinstance(n, ast.Call) and getattr(n.func, "id", None) == "reduce_mat" and n.args and _decodes(n.args[0]):
+            out.add(n.lineno)
+    return sorted(out)
+
+
+def test_the_check_sees_a_packed_format_use():
+    src = (
+        "def f(code, k, dec, x):\n    return code >> k, (code & 1) << k\n\n"
+        "def g(c, q, dec, ctx):\n    c >>= 1\n    y = reduce_mat(dec(c), q)\n    return y, reduce_mat(decoder(ctx)(c), q)\n\n"
+        "h = lambda x, q: reduce_mat(x, q) if x else 1 + 2\n"
+    )
+    assert _packed_format_uses(src) == [2, 5, 6, 7]
+
+
+# core.py alone knows how a matrix is packed: the encoding, the reduction
+# between levels (core.reducer) and the row-table products (core.times).
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
+def test_only_core_knows_the_packed_format(path):
+    assert _packed_format_uses(path.read_text()) == []

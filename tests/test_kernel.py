@@ -127,7 +127,7 @@ def _extend(known, gens, new, ctx, cap, products=None):
             products.append(1)
         return _mul(x, y, m)
 
-    return extend_closure(known, gens, new, mul, encoder(ctx), decoder(ctx), cap)
+    return extend_closure(known, gens, new, lambda y: lambda x: mul(x, y), encoder(ctx), decoder(ctx), cap)
 
 
 @settings(max_examples=60, deadline=None)

@@ -405,3 +405,13 @@ def test_a1_is_the_p2_counterexample():
     a1 = a1_subgroup()
     assert a1.reduced_codes(1) == enumerate_group(make_ctx(2, 1)).codes
     assert a1.order < 48
+
+
+def test_a_subgroup_above_modulus_65536_closes_on_int_codes():
+    ctx, ctx1 = make_ctx(257, 2), make_ctx(257, 1)
+    h = closure([sigma(ctx)], ctx)
+    assert h.order == 4 and minus_one(ctx) in h
+    assert all(isinstance(c, int) for c in h.codes())
+    mod_p = closure([sigma(ctx1)], ctx1).codes()
+    assert h.reduced_codes(1) == Subgroup.from_codes(ctx, h.codes()).reduced_codes(1) == mod_p
+    assert level(h) == 2 and is_slim(h)
