@@ -4,9 +4,10 @@ A matrix is a plain 4-tuple ``(a, b, c, d)`` of fully reduced residues, read
 row-major as (a b; c d).  Every operation takes the :class:`GroupCtx` that
 fixes the ambient modulus; there is no floating point anywhere.
 
-Matrices are immutable values and all functions here are pure.  A context
-compares and hashes by (p, n) alone; its memo only ever gains entries, and
-an entry never changes once stored.
+Matrices are immutable values and all functions here are pure; the map
+right_mul returns on packed codes builds its row table when that pays, and
+its values never depend on when.  A context compares and hashes by (p, n)
+alone; its memo only ever gains entries, and an entry never changes once stored.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 Mat = Tuple[int, int, int, int]
 
@@ -177,8 +178,8 @@ def make_ctx(p: int, n: int) -> GroupCtx:
 # A matrix (a b; c d) modulo M packs into the int a | b << k | c << 2k | d << 3k,
 # k = bits(M - 1) per entry; closures are hash-set work, and an int hashes
 # fastest.  The layout is known here alone: encoder/decoder, reducer (the
-# code of x mod p^s from the code of x) and row_table/times (the codes of
-# x s from the codes of x).
+# code of x mod p^s from the code of x) and right_mul (the code of x s from
+# the code of x, through row_table once that pays).
 
 
 def _width(modulus: int) -> int:
@@ -239,10 +240,34 @@ def row_table(ctx: GroupCtx, s: Mat) -> Tuple[int, ...]:
     return tuple((a * s0 + b * s2) % m | (a * s1 + b * s3) % m << k for b in size for a in size)
 
 
-def times(table: Sequence[int], codes: Iterable[int]) -> List[int]:
-    """The code of x s for each code x, given table = row_table(ctx, s)."""
-    k2, low = len(table).bit_length() - 1, len(table) - 1  # the bits of a row, and their mask
-    return [table[x & low] | table[x >> k2] << k2 for x in codes]
+def right_mul(ctx: GroupCtx, s: Mat, table: Optional[Sequence[int]] = None) -> Callable[[int], int]:
+    """The map x -> x s on packed codes, reading table = row_table(ctx, s) if
+    one is given.  Otherwise it multiplies entry by entry until it has mapped
+    as many codes as that table has slots, then builds and reads the table; a
+    table out of reach (2^34 slots at modulus 66,049) is never built."""
+    m, k = ctx.modulus, _width(ctx.modulus)
+    k2, k3, mask, low = 2 * k, 3 * k, (1 << k) - 1, (1 << 2 * k) - 1  # low: the bits of a row
+    s0, s1, s2, s3 = s
+    todo = low + 1  # the codes left to multiply entry by entry
+    if table is not None:
+        return lambda x: table[x & low] | table[x >> k2] << k2
+
+    def mul(x: int) -> int:
+        nonlocal table, todo
+        if table is None:
+            if todo:
+                todo -= 1
+                a, b, c, d = x & mask, x >> k & mask, x >> k2 & mask, x >> k3
+                return (
+                    (a * s0 + b * s2) % m
+                    | (a * s1 + b * s3) % m << k
+                    | (c * s0 + d * s2) % m << k2
+                    | (c * s1 + d * s3) % m << k3
+                )
+            table = row_table(ctx, s)
+        return table[x & low] | table[x >> k2] << k2
+
+    return mul
 
 
 # -------------------- matrices --------------------

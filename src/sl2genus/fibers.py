@@ -27,6 +27,7 @@ from .core import (
     mat_pow,
     reduce_mat,
     reducer,
+    right_mul,
     sigma,
     tau,
     upper_u,
@@ -177,16 +178,11 @@ def fiber_group(desc: FiberDescriptor) -> FrozenSet:
 
 
 def _assert_subgroup(codes: FrozenSet, ctx: GroupCtx) -> None:
-    dec = decoder(ctx)
-    enc = encoder(ctx)
-    m = ctx.modulus
-    mats = [dec(c) for c in codes]
-    if enc(identity(ctx)) not in codes:
+    if encoder(ctx)(identity(ctx)) not in codes:
         raise ConsistencyError("fiber misses the identity")
-    for x in mats:
-        for y in mats:
-            if enc(_mul(x, y, m)) not in codes:
-                raise ConsistencyError("fiber set is not closed under products")
+    dec = decoder(ctx)
+    if not all(codes.issuperset(map(right_mul(ctx, dec(y)), codes)) for y in codes):
+        raise ConsistencyError("fiber set is not closed under products")
 
 
 def _parametrized_codes(desc: FiberDescriptor) -> FrozenSet:

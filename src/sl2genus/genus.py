@@ -8,8 +8,8 @@ H, so H\\G and H_m\\G_m are isomorphic G-sets; gH -> Hg^-1 gives the same
 counts as on left cosets) -- and any disagreement raises ConsistencyError.
 The fixed points of an element depend on its class alone, so fix_points
 takes the class (a ConjClassRef), not a matrix.  genus_report walks the
-cosets once per report, from H_m on u and t(u) with packed-code row tables,
-for all three counts; G_m itself is never enumerated.  The walk and the
+cosets once per report (groups.right_cosets, from H_m on the row tables of u
+and t(u)), for all three counts; G_m itself is never enumerated.  The walk and the
 class orbits run under the cap the subgroup carries (Subgroup.cap).
 """
 
@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import (
     ConsistencyError,
@@ -30,11 +29,11 @@ from .core import (
     minus_one,
     num_to_json,
     reduce_mat,
+    right_mul,
     row_table,
-    times,
     upper_u,
 )
-from .groups import ConjClassRef, cached, check_order, class_codes, u_power_ref
+from .groups import ConjClassRef, cached, check_order, class_codes, right_cosets, u_power_ref
 from .subgroups import Subgroup, level
 
 # coset_space(h): (the first code of each right coset H_m g, code -> coset index,
@@ -71,40 +70,27 @@ def _level_ctx(h: Subgroup) -> GroupCtx:
     return make_ctx(h.ctx.p, level(h))
 
 
-def _row_table(ctx: GroupCtx, s: Mat, cap: int) -> Tuple[int, ...]:
-    """core.row_table(ctx, s), kept in ctx's memo."""
-    return cached(ctx, ("rows", s), lambda: row_table(ctx, s), cap)
+def _right_mul(ctx: GroupCtx, s: Mat, cap: int) -> Callable[[int], int]:
+    """core.right_mul(ctx, s) on row_table(ctx, s), which ctx's memo keeps."""
+    return right_mul(ctx, s, cached(ctx, ("rows", s), lambda: row_table(ctx, s), cap))
 
 
 def coset_space(h: Subgroup) -> Cosets:
-    """The right cosets H_m g of G_m, m the level of H, by a Schreier walk
-    from H_m on u and t(u): a coset H_m g s not seen yet is the member list of
-    H_m g mapped through the row table of s.  Returns (the first code of each
-    coset, code -> coset index, the coset index of H_m g u for each coset).
-
-    Which code represents a coset is unspecified; the fixed-point and cusp
-    counts do not depend on it."""
+    """The right cosets H_m g of G_m, m the level of H, walked from H_m on the
+    row tables of u and t(u) (groups.right_cosets).  Returns (the first code of
+    each coset, code -> coset index, the coset index of H_m g u for each coset);
+    which code represents a coset is unspecified, and no count depends on it."""
     sub = _level_ctx(h)
     check_order(sub, h.cap)
-    tables = [_row_table(sub, s, h.cap) for s in (upper_u(sub), lower_u(sub))]
-    members: List[Optional[List[int]]] = [list(h.reduced_codes(sub.n))]
-    reps = [members[0][0]]  # reps[i] = members[i][0]
-    coset_of = dict.fromkeys(members[0], 0)
-    start = 0
-    while start < len(reps):  # one layer: the cosets the last layer found
-        layer, stop = reps[start:], len(reps)
-        for t in tables:
-            for i, y in enumerate(times(t, layer), start):
-                if y not in coset_of:
-                    new = times(t, members[i])
-                    coset_of.update(dict.fromkeys(new, len(reps)))
-                    members.append(new)
-                    reps.append(y)
-        members[start:stop] = repeat(None, stop - start)  # both generators applied: coset_of keeps the codes
-        start = stop
+    u = _right_mul(sub, upper_u(sub), h.cap)
+    first = list(h.reduced_codes(sub.n))
+    reps, coset_of = [first[0]], dict.fromkeys(first, 0)
+    for coset in right_cosets(first, (u, _right_mul(sub, lower_u(sub), h.cap)), coset_of, h.cap):
+        coset_of.update(dict.fromkeys(coset, len(reps)))
+        reps.append(coset[0])
     if len(coset_of) != sub.order:
         raise ConsistencyError("the coset walk covered %d of %d elements" % (len(coset_of), sub.order))
-    return reps, coset_of, [coset_of[y] for y in times(tables[0], reps)]
+    return reps, coset_of, [coset_of[y] for y in map(u, reps)]
 
 
 def _direct_cosets(h: Subgroup, cosets: Optional[Cosets] = None) -> Optional[Cosets]:
@@ -121,7 +107,7 @@ def _coset_perm(h: Subgroup, a: Mat, cosets: Optional[Cosets]) -> Optional[List[
     if cosets is None:
         return None
     (reps, coset_of, _), sub = cosets, _level_ctx(h)
-    return [coset_of[y] for y in times(_row_table(sub, reduce_mat(a, sub.modulus), h.cap), reps)]
+    return [coset_of[y] for y in map(_right_mul(sub, reduce_mat(a, sub.modulus), h.cap), reps)]
 
 
 def fix_points(h: Subgroup, ref: ConjClassRef, cosets: Optional[Cosets] = None) -> int:

@@ -1,16 +1,17 @@
 """Enumeration of SL2(Z/p^nZ), conjugacy classes and centralizers.
 
-Element sets store packed codes (see core.encoder).  Closures extend a closed
-group coset by coset through extend_closure; orbits go through one
-breadth-first kernel, capped_orbit (the sampler's Schreier walk keeps a lift
-per key and builds H from the lifts, so it stays its own loop); conjugacy
-classes are expanded by conjugating with u, t(u) only, which keeps memory at
-O(#class) instead of O(#group).  Every set derived from a context alone is
-stored once, in its memo, through cached.
+Element sets store packed codes (see core.encoder).  One kernel walks right
+cosets, right_cosets: subgroups close on it through extend_closure, and the
+genus coset space is built on it.  Orbits go through capped_orbit (the
+sampler's Schreier walk keeps a lift per key and builds H from the lifts, so
+it stays its own loop); conjugacy classes are expanded by conjugating with u,
+t(u) only, which keeps memory at O(#class) instead of O(#group).  Every set
+derived from a context alone is stored once, in its memo, through cached.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Collection, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence
 
@@ -30,6 +31,7 @@ from .core import (
     lower_u,
     mat_pow,
     primitive_root,
+    right_mul,
     sigma,
     sl2_order,
     tau,
@@ -58,11 +60,6 @@ class ElementSet:
 
     def __contains__(self, x: Mat) -> bool:
         return encoder(self.ctx)(x) in self.codes
-
-    def mats(self) -> Iterator[Mat]:
-        dec = decoder(self.ctx)
-        for c in self.codes:
-            yield dec(c)
 
 
 def capped_orbit(start, steps: Sequence, act: Callable, key: Optional[Callable], cap: int) -> FrozenSet:
@@ -94,30 +91,36 @@ def _over_cap(cap: int) -> FeasibilityError:
     return FeasibilityError("orbit exceeded the cap of %d elements; raise --max-elements or SL2_MAX_ELEMENTS" % cap)
 
 
-def extend_closure(known: Iterable, gens: Sequence, new: Iterable, right: Callable, key, value, cap: int) -> FrozenSet:
-    """Keys of <H, new>, where known holds the keys of a closed group H that gens generate.  Dimino's
-    algorithm (Butler, LNCS 559, 1991): a new generator in H is skipped; otherwise the group so far,
-    H_prev, is decoded once, and each right coset H_prev r it meets is added whole and walked on by
-    every generator so far.  right(y) is the map x -> x y on values; key and value map values to keys
-    and back (None: values are their own keys).  Raises FeasibilityError once more than cap keys are
-    seen."""
+def right_cosets(first: List, steps: Sequence[Callable], seen: Collection, cap: int) -> Iterator[List]:
+    """Yield the member list of each right coset H r s not in seen, walking from
+    first, H's member list, one coset at a time in the order found (Dimino's
+    order; Butler, LNCS 559, 1991).  A step is x -> x s for one generator s, so
+    it maps H r onto H r s.  seen holds H and the cosets found so far; the caller
+    adds each yielded list to it before the next.  A list is dropped once every
+    step has mapped it.  Raises FeasibilityError once seen holds more than cap."""
+    pending = deque([first])
+    while pending:
+        members = pending.popleft()
+        for step in steps:
+            if step(members[0]) not in seen:
+                coset = list(map(step, members))
+                yield coset
+                if len(seen) > cap:
+                    raise _over_cap(cap)
+                pending.append(coset)
+
+
+def extend_closure(known: Iterable, gens: Sequence, new: Iterable, right: Callable, cap: int) -> FrozenSet:
+    """<H, new>, where known holds a closed group H that gens generate: each new
+    generator g outside the group so far extends it by right_cosets on every
+    generator so far, g included.  right(g) is the map x -> x g; cap as there."""
     seen = set(known)
     steps = [right(s) for s in gens]
     for g in new:
-        if (key(g) if key else g) in seen:
-            continue
-        prev = [value(c) for c in seen] if value else list(seen)
-        steps.append(right(g))
-        reps = [prev[0]]  # any element of H_prev stands for H_prev; reps grows while it is walked
-        for r in reps:
-            for step in steps:
-                y = step(r)
-                if (key(y) if key else y) not in seen:
-                    coset = map(right(y), prev)
-                    seen.update(map(key, coset) if key else coset)
-                    if len(seen) > cap:
-                        raise _over_cap(cap)
-                    reps.append(y)
+        if g not in seen:
+            steps.append(right(g))
+            for coset in right_cosets(list(seen), steps, seen, cap):
+                seen.update(coset)
     return frozenset(seen)
 
 
@@ -138,8 +141,9 @@ def cached(ctx: GroupCtx, key: Hashable, build: Callable[[], Collection], cap: i
 
 
 def _closure_codes(gens: Iterable[Mat], ctx: GroupCtx, cap: int) -> FrozenSet:
-    m, enc = ctx.modulus, encoder(ctx)
-    return extend_closure((enc(identity(ctx)),), (), gens, lambda g: lambda x: _mul(x, g, m), enc, decoder(ctx), cap)
+    enc = encoder(ctx)
+    by_code = {enc(g): g for g in gens}
+    return extend_closure((enc(identity(ctx)),), (), by_code, lambda c: right_mul(ctx, by_code[c]), cap)
 
 
 def enumerate_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSet:

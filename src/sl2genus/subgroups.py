@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -34,11 +35,11 @@ from .core import (
     make_ctx,
     mat,
     minus_one,
-    neg,
     parse_mat,
     primitive_root,
     reduce_mat,
     reducer,
+    right_mul,
     sigma,
     upper_u,
 )
@@ -123,18 +124,14 @@ def closure(
     ambient: str = "SL2",
     cap: int = DEFAULT_MAX_ELEMENTS,
 ) -> Subgroup:
-    """Smallest subgroup containing the generators (breadth-first closure)."""
+    """Smallest subgroup containing the generators (groups.extend_closure)."""
     m = ctx.modulus
     for g in gens:
         dt = (g[0] * g[3] - g[1] * g[2]) % m
-        if ambient == "SL2":
-            if dt != 1 % m:
-                raise PreconditionError("generator %r has det %d != 1" % (g, dt))
-        else:
-            from math import gcd
-
-            if gcd(dt, m) != 1:
-                raise NotInvertibleError("generator %r has non-unit det %d" % (g, dt))
+        if ambient == "SL2" and dt != 1 % m:
+            raise PreconditionError("generator %r has det %d != 1" % (g, dt))
+        if ambient != "SL2" and gcd(dt, m) != 1:
+            raise NotInvertibleError("generator %r has non-unit det %d" % (g, dt))
     s = Subgroup(ctx, tuple(gens), ambient, cap)
     s.codes()
     return s
@@ -148,12 +145,10 @@ def full_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
 def adjoin_minus_one(h: Subgroup) -> Subgroup:
     """<H, -1>; -1 is a central involution, so this is H u (-1)H, or H's own code set if -1 is in H."""
     ctx = h.ctx
-    enc = encoder(ctx)
-    dec = decoder(ctx)
     codes = h.codes()
-    if enc(minus_one(ctx)) not in codes:
+    if encoder(ctx)(minus_one(ctx)) not in codes:
         codes = set(codes)  # frozen once, the table fits H u -H; a union H | -H sizes it for both
-        codes.update(enc(neg(dec(c), ctx)) for c in h.codes())
+        codes.update(map(right_mul(ctx, minus_one(ctx)), h.codes()))
     return Subgroup.from_codes(ctx, codes, h.ambient, h.gens + (minus_one(ctx),) if h.gens else (), h.cap)
 
 
@@ -269,33 +264,33 @@ def smallest_nonresidue(p: int) -> int:
     raise RuntimeError("no non-residue mod %d" % p)  # pragma: no cover
 
 
-def borel(p: int) -> Subgroup:
+def borel(p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     """Upper triangular matrices of SL2(Z/pZ); order p(p-1)."""
     ctx = make_ctx(p, 1)
     gens = [upper_u(ctx)]
     if p > 2:
         g = primitive_root(p)
         gens.append(mat(g, 0, 0, pow(g, -1, p), ctx))
-    got = closure(gens, ctx)
+    got = closure(gens, ctx, cap=cap)
     if got.order != p * (p - 1):
         raise ConsistencyError("Borel order %d != p(p-1)" % got.order)  # pragma: no cover
     return got
 
 
-def split_cartan_normalizer(p: int) -> Subgroup:
+def split_cartan_normalizer(p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     """Monomial matrices of SL2(Z/pZ); order 2(p-1)."""
     ctx = make_ctx(p, 1)
     gens = [sigma(ctx)]
     if p > 2:
         g = primitive_root(p)
         gens.append(mat(g, 0, 0, pow(g, -1, p), ctx))
-    got = closure(gens, ctx)
+    got = closure(gens, ctx, cap=cap)
     if got.order != 2 * (p - 1):
         raise ConsistencyError("C order %d != 2(p-1)" % got.order)  # pragma: no cover
     return got
 
 
-def nonsplit_cartan_normalizer(p: int) -> Subgroup:
+def nonsplit_cartan_normalizer(p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     """Norm-one torus {(x y; ly x)} and its flip; order 2(p+1), with l the
     smallest positive quadratic non-residue mod p.
     """
@@ -309,22 +304,22 @@ def nonsplit_cartan_normalizer(p: int) -> Subgroup:
     if torus_gen is None:
         raise ConsistencyError("norm-one torus generator not found")  # pragma: no cover
     flip = next(mat(x, y, -lam * y, -x, ctx) for x, y in pairs if (lam * y * y - x * x) % p == 1)
-    got = closure([torus_gen, flip], ctx)
+    got = closure([torus_gen, flip], ctx, cap=cap)
     if got.order != 2 * (p + 1):
         raise ConsistencyError("D order %d != 2(p+1)" % got.order)  # pragma: no cover
     return got
 
 
-def order_three_subgroup() -> Subgroup:
+def order_three_subgroup(cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     """F = the subgroup of order 3 of SL2(Z/2Z)."""
     ctx = make_ctx(2, 1)
-    return closure([mat(1, 1, 1, 0, ctx)], ctx)
+    return closure([mat(1, 1, 1, 0, ctx)], ctx, cap=cap)
 
 
-def a1_subgroup() -> Subgroup:
+def a1_subgroup(cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     """The maximal mod-2-surjective proper subgroup <sigma, (1 1; 2 -1)> of SL2(Z/4Z)."""
     ctx = make_ctx(2, 2)
-    got = closure([sigma(ctx), mat(1, 1, 2, -1, ctx)], ctx)
+    got = closure([sigma(ctx), mat(1, 1, 2, -1, ctx)], ctx, cap=cap)
     if got.order != 12:
         raise ConsistencyError("A1 order %d != 12" % got.order)  # pragma: no cover
     return got
@@ -364,7 +359,7 @@ def _pgl_order(x: Mat, p: int) -> int:
 def _pgl_closure(gens: List[Mat], p: int, cap: int = 200) -> Optional[FrozenSet]:
     """The subgroup of PGL2(F_p) the gens generate, or None above cap elements."""
     try:
-        return extend_closure(((1, 0, 0, 1),), (), gens, lambda g: lambda x: _pgl_canon(_mul(x, g, p), p), None, None, cap)
+        return extend_closure(((1, 0, 0, 1),), (), gens, lambda g: lambda x: _pgl_canon(_mul(x, g, p), p), cap)
     except FeasibilityError:
         return None
 
@@ -381,7 +376,7 @@ def exceptional_availability(p: int, iso: str) -> bool:
     raise ValueError("unknown exceptional type %r" % iso)
 
 
-def exceptional_subgroup(p: int, iso: str = "S4", seed: int = 0) -> Subgroup:
+def exceptional_subgroup(p: int, iso: str = "S4", seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     """E = (preimage of an A4/S4/A5 in PGL2(F_p)) n SL2(F_p).
 
     The PGL2 subgroup is found by seeded random generator search and
@@ -406,7 +401,7 @@ def exceptional_subgroup(p: int, iso: str = "S4", seed: int = 0) -> Subgroup:
             if pg is not None and len(pg) == want_order:
                 stats = Counter(_pgl_order(x, p) for x in pg)
                 if dict(stats) == want_stats:
-                    return _pullback_to_sl2(pg, p)
+                    return _pullback_to_sl2(pg, p, cap)
         x = (rng.randrange(p), rng.randrange(p), rng.randrange(p), rng.randrange(p))
         if (x[0] * x[3] - x[1] * x[2]) % p == 0:
             continue
@@ -418,40 +413,42 @@ def exceptional_subgroup(p: int, iso: str = "S4", seed: int = 0) -> Subgroup:
     raise RuntimeError("exceptional %s search failed at p=%d (seed %d)" % (iso, p, seed))
 
 
-def _pullback_to_sl2(pgl_codes: FrozenSet, p: int) -> Subgroup:
+def _pullback_to_sl2(pgl: FrozenSet, p: int, cap: int) -> Subgroup:
+    """The elements of SL2(F_p) whose class lies in pgl, a subgroup of PGL2(F_p).
+    The lifts of a class x are the x c with c^2 det x = 1, so SL2(F_p) is never enumerated."""
     ctx = make_ctx(p, 1)
-    dec = decoder(ctx)
+    enc = encoder(ctx)
     keep = frozenset(
-        c for c in enumerate_group(ctx).codes if _pgl_canon(dec(c), p) in pgl_codes
+        enc(_mul(x, (c, 0, 0, c), p)) for x in pgl for c in range(1, p) if (x[0] * x[3] - x[1] * x[2]) * c * c % p == 1
     )
-    got = Subgroup.from_codes(ctx, keep)
+    got = Subgroup.from_codes(ctx, keep, cap=cap)
     if got.order not in (24, 48, 120):
         raise ConsistencyError("exceptional pullback has order %d" % got.order)  # pragma: no cover
     return got
 
 
-def standard_subgroup(kind: str, p: int, seed: int = 0) -> Subgroup:
-    """The named subgroups at their natural level (B/C/D/E/F at p, A1 at p^2)."""
+def standard_subgroup(kind: str, p: int, seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
+    """The named subgroups at their natural level (B/C/D/E/F at p, A1 at p^2), closed under cap."""
     if kind.startswith("E:"):
         if p < 5:
             raise PreconditionError("exceptional subgroups need p >= 5")
-        return exceptional_subgroup(p, kind[2:], seed=seed)
+        return exceptional_subgroup(p, kind[2:], seed=seed, cap=cap)
     if kind == "B":
-        return borel(p)
+        return borel(p, cap)
     if kind == "C":
-        return split_cartan_normalizer(p)
+        return split_cartan_normalizer(p, cap)
     if kind == "D":
-        return nonsplit_cartan_normalizer(p)
+        return nonsplit_cartan_normalizer(p, cap)
     if kind == "F":
         if p != 2:
             raise PreconditionError("F is a subgroup of SL2(Z/2Z)")
-        return order_three_subgroup()
+        return order_three_subgroup(cap)
     if kind == "A1":
         if p != 2:
             raise PreconditionError("A1 is a subgroup of SL2(Z/4Z)")
-        return a1_subgroup()
+        return a1_subgroup(cap)
     if kind == "full":
-        return full_group(make_ctx(p, 1))
+        return full_group(make_ctx(p, 1), cap)
     raise ValueError("unknown subgroup kind %r" % kind)
 
 
@@ -474,21 +471,17 @@ def parse_subgroup_spec(
         src_level = int(at)
         if src_level > n:
             raise ValueError("preimage source level %d exceeds n=%d" % (src_level, n))
-        h = preimage(parse_subgroup_spec(inner, p, src_level, seed=seed, cap=cap), ctx, cap=cap)
-    elif spec.startswith("gens:"):
-        h = closure([parse_mat(g, ctx) for g in spec[len("gens:") :].split("|")], ctx, cap=cap)
-    elif spec == "full":
-        h = full_group(ctx, cap=cap)
-    else:
-        natural = 2 if spec == "A1" else 1
-        if n != natural:
-            raise ValueError(
-                "subgroup %r lives at level %d; use preimage:%s@%d for level %d"
-                % (spec, natural, spec, natural, n)
-            )
-        h = standard_subgroup(spec, p, seed=seed)
-    h.cap = cap
-    return h
+        return preimage(parse_subgroup_spec(inner, p, src_level, seed=seed, cap=cap), ctx, cap=cap)
+    if spec.startswith("gens:"):
+        return closure([parse_mat(g, ctx) for g in spec[len("gens:") :].split("|")], ctx, cap=cap)
+    if spec == "full":
+        return full_group(ctx, cap=cap)
+    natural = 2 if spec == "A1" else 1
+    if n != natural:
+        raise ValueError(
+            "subgroup %r lives at level %d; use preimage:%s@%d for level %d" % (spec, natural, spec, natural, n)
+        )
+    return standard_subgroup(spec, p, seed=seed, cap=cap)
 
 
 # -------------------- exhaustive lattice enumeration --------------------
@@ -559,7 +552,7 @@ def all_subgroups(
         for _, cgen in pool:
             if cgen in h:
                 continue
-            knew = extend_closure(h, hgens, (cgen,), lambda y: col[y].__getitem__, None, None, k)
+            knew = extend_closure(h, hgens, (cgen,), lambda y: col[y].__getitem__, k)
             if knew in seen_all:
                 continue
             # record the full conjugacy orbit (at most [G : N(H)] <= k subgroups),

@@ -19,8 +19,9 @@ from .core import (
     lower_u,
     make_ctx,
     mat,
-    neg,
+    minus_one,
     parse_mat,
+    right_mul,
     sigma,
     tau,
     upper_u,
@@ -109,18 +110,13 @@ def _codes_of(texts: List[str], ctx: GroupCtx) -> frozenset:
     return frozenset(enc(parse_mat(t, ctx)) for t in texts)
 
 
-def _neg_codes(texts: List[str], ctx: GroupCtx) -> frozenset:
-    enc = encoder(ctx)
-    return frozenset(enc(neg(parse_mat(t, ctx), ctx)) for t in texts)
-
-
 def golden_conj4_classes() -> Dict[str, frozenset]:
     ctx = make_ctx(2, 2)
     out = {}
     for name, texts in CONJ4_TABLE.items():
         out[name] = _codes_of(texts, ctx)
         if name not in ("1", "-1"):
-            out["-" + name] = _neg_codes(texts, ctx)
+            out["-" + name] = frozenset(map(right_mul(ctx, minus_one(ctx)), out[name]))
     return out
 
 

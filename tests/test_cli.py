@@ -4,7 +4,8 @@ import re
 from sl2genus import cli, suites
 from sl2genus.bounds import DeskResult
 from sl2genus.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, run
-from sl2genus.core import ConsistencyError
+from sl2genus.core import ConsistencyError, make_ctx
+from sl2genus.subgroups import Subgroup
 
 
 def _run(capsys, *argv):
@@ -213,3 +214,31 @@ def test_genus_above_modulus_65536_stops_at_the_cap(capsys):
         capsys, "genus", "--p", "257", "--n", "2", "--subgroup", "gens:0,1;-1,0", "--max-elements", "1000"
     )
     assert code == EXIT_USAGE and "--max-elements" in err
+
+
+def test_an_exceptional_spec_never_enumerates_g(capsys, monkeypatch):
+    # E is lifted from its PGL2(F_p) classes, so SL2(F_101) (1,030,200 elements) stays out of the memo
+    ctx = make_ctx(101, 1)
+    monkeypatch.delitem(ctx.memo, "G", raising=False)
+    argv = ("count", "--p", "101", "--n", "1", "--subgroup", "E:S4", "--class", "sigma", "--output", "json")
+    code, out, _ = _run(capsys, *argv, "--max-elements", "20000")
+    assert code == EXIT_OK
+    assert json.loads(out)["count"] == "6"
+    assert "G" not in ctx.memo
+
+
+def test_a_level_one_spec_closes_under_the_cap(capsys, monkeypatch):
+    # B at p = 1009 holds 1,017,072 elements; its closure must stop at the cap, not finish above it
+    sizes = []
+    codes = Subgroup.codes
+
+    def spy(h):
+        got = codes(h)
+        sizes.append(len(got))
+        return got
+
+    monkeypatch.setattr(Subgroup, "codes", spy)
+    argv = ("count", "--p", "1009", "--n", "1", "--subgroup", "B", "--class", "u", "--max-elements", "1000")
+    code, _, err = _run(capsys, *argv)
+    assert code == EXIT_USAGE and "--max-elements" in err
+    assert all(n <= 1000 for n in sizes)

@@ -17,15 +17,16 @@ from sl2genus.core import (
     mat_mul,
     minus_one,
     reduce_mat,
+    right_mul,
+    row_table,
     sigma,
     tau,
-    times,
     upper_u,
 )
 from sl2genus.genus import (
     _coset_perm,
     _level_ctx,
-    _row_table,
+    _right_mul,
     closed_form_genus,
     coset_space,
     cusp_orbit_ratio,
@@ -373,7 +374,10 @@ def test_row_tables_multiply_packed_codes(p, n):
     dec, enc, m = decoder(ctx), encoder(ctx), ctx.modulus
     codes = list(enumerate_group(ctx).codes)
     for s in (upper_u(ctx), lower_u(ctx)):
-        assert times(_row_table(ctx, s, ctx.order), codes) == [enc(_mul(dec(x), s, m)) for x in codes]
+        want = [enc(_mul(dec(x), s, m)) for x in codes]
+        assert list(map(_right_mul(ctx, s, ctx.order), codes)) == want  # the memoized table
+        assert len(codes) > len(row_table(ctx, s))  # enough codes to cross the switch to the table
+        assert list(map(right_mul(ctx, s), codes)) == want  # entry by entry, then the table
 
 
 @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2)])

@@ -3,7 +3,8 @@ function reads each of its parameters, every private module-level name
 is used somewhere under src/, every public function and class is used
 somewhere under src/ or tests/, no module keeps a cache of its own, only
 subgroups.py touches a subgroup's memo, and only core.py knows the bit
-layout of a packed code.
+layout of a packed code.  Every name the benchmark's tracer wraps
+(perfbench/spans.py) still exists in the library.
 
 No linter is part of the toolchain, so this walks the syntax tree with the
 standard library.  ``__init__.py`` is skipped by the import check: its imports
@@ -11,6 +12,7 @@ are re-exports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -290,7 +292,60 @@ def test_the_check_sees_a_packed_format_use():
 
 
 # core.py alone knows how a matrix is packed: the encoding, the reduction
-# between levels (core.reducer) and the row-table products (core.times).
+# between levels (core.reducer) and the map x -> x s on codes (core.right_mul).
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
 def test_only_core_knows_the_packed_format(path):
     assert _packed_format_uses(path.read_text()) == []
+
+
+SPANS = SRC.parent.parent / "perfbench" / "spans.py"
+
+
+def _traced_names(source: str):
+    """The (module, attribute) pairs of TRACED and the names of SUITE_NAMES in
+    the tracer's source, read from its syntax tree (nothing there is run)."""
+    pairs, suites = [], []
+    for node in ast.parse(source).body:
+        target = getattr(node, "target", None) or (node.targets[0] if isinstance(node, ast.Assign) else None)
+        if getattr(target, "id", None) == "TRACED":
+            pairs = [(e.elts[0].value, e.elts[1].value) for e in node.value.elts]
+        elif getattr(target, "id", None) == "SUITE_NAMES":
+            suites = list(ast.literal_eval(node.value))
+    return pairs, suites
+
+
+def _untraceable(pairs, suites):
+    """The traced names the library lacks, looked up as the tracer does: a
+    function in its module's namespace, a method in its own class's."""
+    out = []
+    for modname, attr in pairs:
+        owner = importlib.import_module(modname)
+        cls_name, _, name = attr.rpartition(".")
+        owner = getattr(owner, cls_name, None) if cls_name else owner
+        if owner is None or name not in vars(owner):
+            out.append("%s.%s" % (modname, attr))
+    known = importlib.import_module("sl2genus.suites").SUITES
+    return out + ["suites.%s" % s for s in suites if s not in known]
+
+
+def test_the_check_sees_an_untraceable_name():
+    src = (
+        'TRACED: Tuple = (\n    ("sl2genus.genus", "coset_space", lambda a, r: len(r[0])),\n'
+        '    ("sl2genus.genus", "walk", None),\n    ("sl2genus.subgroups", "Subgroup.close", None),\n'
+        '    ("sl2genus.subgroups", "Closure.codes", None),\n)\nSUITE_NAMES = ("cor6.5", "lemma9.9")\n'
+    )
+    pairs, suites = _traced_names(src)
+    assert len(pairs) == 4 and suites == ["cor6.5", "lemma9.9"]
+    assert _untraceable(pairs, suites) == [
+        "sl2genus.genus.walk",
+        "sl2genus.subgroups.Subgroup.close",
+        "sl2genus.subgroups.Closure.codes",
+        "suites.lemma9.9",
+    ]
+
+
+# Renaming or deleting a traced kernel would otherwise null its per-layer metrics without failing anything.
+def test_every_traced_name_resolves():
+    pairs, suites = _traced_names(SPANS.read_text())
+    assert pairs and suites
+    assert _untraceable(pairs, suites) == []

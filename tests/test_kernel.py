@@ -3,9 +3,10 @@
 The oracles are independent reference routines: a breadth-first closure
 that also steps by every inverse generator (``groups.extend_closure`` adds
 whole cosets and steps by the generators alone, which is enough in a finite
-group), the lattice search as it was before it extended subgroups (it closed
-every candidate from the identity, with a table of direct products), and
-three separate primitive-root finders for p, p^2 and p^n that
+group), the right cosets {Hg : g in G} by brute force for the walk
+``groups.right_cosets``, the lattice search as it was before it extended
+subgroups (it closed every candidate from the identity, with a table of
+direct products), and three separate primitive-root finders for p, p^2 and p^n that
 ``core.primitive_root`` must agree with.
 """
 
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sl2genus import core
 from sl2genus.core import (
     FeasibilityError,
     _inv,
@@ -29,6 +31,8 @@ from sl2genus.core import (
     lower_u,
     make_ctx,
     primitive_root,
+    right_mul,
+    row_table,
     sigma,
     upper_u,
 )
@@ -40,6 +44,7 @@ from sl2genus.groups import (
     enumerate_group,
     extend_closure,
     gl2_generators,
+    right_cosets,
 )
 from sl2genus.subgroups import Subgroup, all_subgroups, borel, full_group
 
@@ -119,15 +124,18 @@ def extension_inputs(draw):
 
 
 def _extend(known, gens, new, ctx, cap, products=None):
-    """extend_closure on packed codes; products, if given, counts the products formed."""
-    m = ctx.modulus
+    """extend_closure on packed codes, gens and new passed as codes; products, if given, counts the products formed."""
+    m, enc, dec = ctx.modulus, encoder(ctx), decoder(ctx)
 
-    def mul(x, y):
-        if products is not None:
-            products.append(1)
-        return _mul(x, y, m)
+    def right(y):
+        def step(x):
+            if products is not None:
+                products.append(1)
+            return enc(_mul(dec(x), dec(y), m))
 
-    return extend_closure(known, gens, new, lambda y: lambda x: mul(x, y), encoder(ctx), decoder(ctx), cap)
+        return step
+
+    return extend_closure(known, [enc(g) for g in gens], [enc(g) for g in new], right, cap)
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,7 +157,36 @@ def test_a_generator_already_inside_changes_nothing(data):
     h = Subgroup(ctx, gens + (g,), ambient).codes()
     products = []
     assert _extend(h, gens + (g,), gens + (g,), ctx, len(h), products) == h
-    assert products == []
+    assert products == []  # no coset is mapped
+
+
+@settings(max_examples=40, deadline=None)
+@given(subgroup_inputs())
+def test_the_walk_meets_each_right_coset_once(data):
+    ctx, ambient, gens = data
+    h = Subgroup(ctx, gens, ambient).codes()
+    group = _ambient(ctx, ambient)
+    steps = [right_mul(ctx, s) for s in (gl2_generators(ctx) if ambient == "GL2" else (upper_u(ctx), lower_u(ctx)))]
+    seen, walked = set(h), [h]
+    for coset in right_cosets(list(h), steps, seen, len(group)):
+        seen.update(coset)
+        walked.append(frozenset(coset))
+    # the oracle: H g for every g of the group, by brute force
+    m, enc, dec = ctx.modulus, encoder(ctx), decoder(ctx)
+    hmats = [dec(c) for c in h]
+    want = {frozenset(enc(_mul(x, dec(g), m)) for x in hmats) for g in group}
+    assert len(walked) == len(set(walked)) and set(walked) == want
+
+
+@pytest.mark.parametrize("p, n, builds", [(7, 2, True), (2, 9, False)])
+def test_closures_on_both_sides_of_the_table_switch(monkeypatch, p, n, builds):
+    # SL2(Z/49Z) maps more codes than the 4,096 slots of a table; <u> at modulus 512 maps 512 of 262,144
+    ctx = make_ctx(p, n)
+    gens = (upper_u(ctx), lower_u(ctx)) if builds else (upper_u(ctx),)
+    built = []
+    monkeypatch.setattr(core, "row_table", lambda c, s: built.append(s) or row_table(c, s))
+    assert Subgroup(ctx, gens).codes() == _old_closure(gens, ctx)
+    assert bool(built) == builds
 
 
 @settings(max_examples=40, deadline=None)
