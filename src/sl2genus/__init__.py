@@ -54,7 +54,6 @@ from .genus import (
     delta,
     fix_points,
     genus_report,
-    genus_with_minus_one,
     legendre,
 )
 from .fibers import (
@@ -68,7 +67,6 @@ from .bounds import (
     BOUND_KINDS,
     CaseReport,
     bound_sequence,
-    check_slim_bound,
     section7_all,
     section7_case_ids,
     slim_bound_report,

@@ -2,7 +2,7 @@
 
 bound_sequence evaluates the eight closed-form upper-bound sequences for
 #(H n Conj(alpha)) over slim subgroups H, and corrected_bound adds their
-correction term from #(H mod p^(r+k) n Conj(alpha)).  check_slim_bound
+correction term from #(H mod p^(r+k) n Conj(alpha)).  slim_bound_report
 tests every applicable inequality on a concrete slim subgroup, including the
 underlying step-by-step decomposition over the fiber groups V.
 verify_section7 re-derives each printed inequality chain in exact rationals
@@ -331,10 +331,6 @@ def _chain_checks(
     total = (2 ** (2 * (depth - k)) - 2 ** (depth - k)) * m1 + 2 ** (depth - k) * m0
     rep.add("chain:total", cnt <= total, "%d <= %d" % (cnt, total))
     rep.add("chain:recovery1", m1 <= cap)
-
-
-def check_slim_bound(h: Subgroup, ref: ConjClassRef) -> bool:
-    return slim_bound_report(h, ref).ok
 
 
 def _applicable_refs(ctx: GroupCtx) -> List[ConjClassRef]:

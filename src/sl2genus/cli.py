@@ -11,14 +11,19 @@ from typing import List, Optional, Sequence
 
 from .core import (
     DEFAULT_MAX_ELEMENTS,
-    ConsistencyError,
     FeasibilityError,
     PreconditionError,
     decoder,
     format_mat,
+    identity,
     make_ctx,
+    mat_pow,
     minus_one,
+    neg,
     num_to_json,
+    sigma,
+    tau,
+    upper_u,
 )
 from .groups import (
     ConjClassRef,
@@ -49,11 +54,12 @@ class UsageError(Exception):
 
 def _parsed(fn, *args, **kwargs):
     """fn(*args, **kwargs), for a function that reads command-line input: a
-    ValueError or KeyError it raises is a usage error.  The same exceptions
+    ValueError or KeyError it raises is a usage error, and so is a
+    RecursionError (a subgroup spec nested too deeply).  The same exceptions
     raised later, inside a computation, are internal errors."""
     try:
         return fn(*args, **kwargs)
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, RecursionError) as e:
         raise UsageError(e) from e
 
 
@@ -102,18 +108,17 @@ def _cmd_genus(args) -> int:
 
 
 def _cmd_class_table(args) -> int:
-    from .core import identity, mat_pow, neg, sigma, tau, upper_u
-
     ctx = _parsed(make_ctx, args.p, args.n)
     g = enumerate_group(ctx, args.max_elements)
     classes = partition_into_classes(g)
+    # modulo 2, x = -x: a negated name must not overwrite the plain one
     named = {}
     named[identity(ctx)] = "1"
-    named[minus_one(ctx)] = "-1"
+    named.setdefault(minus_one(ctx), "-1")
     named[sigma(ctx)] = "sigma"
-    named[neg(sigma(ctx), ctx)] = "-sigma"
+    named.setdefault(neg(sigma(ctx), ctx), "-sigma")
     named[tau(ctx)] = "tau"
-    named[neg(tau(ctx), ctx)] = "-tau"
+    named.setdefault(neg(tau(ctx), ctx), "-tau")
     for r in range(ctx.n):
         u_r = mat_pow(upper_u(ctx), ctx.p**r, ctx)
         uname = "u" if r == 0 else "u^%d" % ctx.p**r
@@ -286,6 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # the bounds are exact integers of any length; print them whole
+        sys.set_int_max_str_digits(0)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
@@ -296,8 +303,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, FeasibilityError, PreconditionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
-    except (ConsistencyError, ValueError, KeyError) as e:
+    except Exception as e:  # a bug, not the input: ConsistencyError and anything unmapped
         print("internal error: %s" % e, file=sys.stderr)
+        sys.__excepthook__(type(e), e, e.__traceback__)  # the traceback, on stderr, to find the bug by
         return EXIT_INTERNAL
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 Mat = Tuple[int, int, int, int]
@@ -102,8 +103,6 @@ def _rho_split(m: int) -> List[int]:
         return []
     if is_prime(m):
         return [m]
-    from math import gcd
-
     c = 1
     while True:
         x = y = 2
@@ -382,8 +381,6 @@ def element_order(x: Mat, ctx: GroupCtx) -> int:
     """Least k >= 1 with x^k = 1, by dividing primes out of the group exponent."""
     m = ctx.modulus
     dt = (x[0] * x[3] - x[1] * x[2]) % m
-    from math import gcd
-
     if gcd(dt, m) != 1:
         raise NotInvertibleError("element with determinant %d mod %d has no order" % (dt, m))
     one = identity(ctx)

@@ -33,6 +33,7 @@ from .core import (
     upper_u,
 )
 from .groups import ConjClassRef, capped_orbit, class_codes, u_power_ref
+from .subgroups import _sl2_lift_one
 
 _FIBER_KINDS = ("sigma", "tau", "u")
 
@@ -115,8 +116,6 @@ def commutator_fiber_codes(desc: FiberDescriptor, alpha_like: Mat) -> FrozenSet:
     ctx = desc.full_ctx()
     m_mod = ctx.modulus
     q = desc.p**desc.m
-    from .subgroups import _sl2_lift_one
-
     a = _sl2_lift_one(reduce_mat(alpha_like, m_mod), m_mod)
     ai = _inv(a, m_mod)
     gens = []

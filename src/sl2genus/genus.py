@@ -203,16 +203,8 @@ def _genus_from_delta(h: Subgroup, d: Fraction) -> int:
 def genus(h: Subgroup) -> int:
     """g = 1 + [G:H] delta / 12; valid only when -1 in H."""
     if minus_one(h.ctx) not in h:
-        raise PreconditionError(
-            "genus formula needs -1 in H; use genus_with_minus_one for <H, -1>"
-        )
+        raise PreconditionError("genus formula needs -1 in H; take the genus of adjoin_minus_one(H) = <H, -1>")
     return _genus_from_delta(h, delta(h))
-
-
-def genus_with_minus_one(h: Subgroup) -> int:
-    from .subgroups import adjoin_minus_one
-
-    return genus(adjoin_minus_one(h))
 
 
 @dataclass(frozen=True)

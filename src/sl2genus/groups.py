@@ -30,7 +30,6 @@ from .core import (
     is_prime,
     lower_u,
     mat_pow,
-    primitive_root,
     right_mul,
     sigma,
     sl2_order,
@@ -171,21 +170,6 @@ def _group_closure(ctx: GroupCtx) -> FrozenSet:
     return codes
 
 
-def gl2_generators(ctx: GroupCtx) -> List[Mat]:
-    """u, t(u) plus diagonal matrices generating the determinant image."""
-    m = ctx.modulus
-    gens = [upper_u(ctx), lower_u(ctx)]
-    if ctx.p == 2:
-        if ctx.n >= 2:
-            gens.append(((-1) % m, 0, 0, 1))
-        if ctx.n >= 3:
-            gens.append((5 % m, 0, 0, 1))
-    else:
-        g = primitive_root(ctx.p, ctx.n)
-        gens.append((g, 0, 0, 1))
-    return gens
-
-
 # -------------------- conjugacy class references --------------------
 
 _KINDS = ("sigma", "tau", "u_power")
@@ -281,19 +265,15 @@ def centralizer_order_formula(ref: ConjClassRef) -> int:
 # -------------------- brute-force orbits --------------------
 
 
-def conj_class_brute(
-    rep: Mat,
-    ctx: GroupCtx,
-    cap: int = DEFAULT_MAX_ELEMENTS,
-    ambient: str = "SL2",
-) -> ElementSet:
-    """Full conjugation orbit {g^-1 rep g} by breadth-first expansion over generators."""
+def conj_class_brute(rep: Mat, ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSet:
+    """The SL2 class of rep, {g^-1 rep g : g in SL2(Z/p^nZ)}, by breadth-first
+    conjugation with u and t(u), which generate SL2.  A GL2 class is the union
+    over units e of the SL2 classes of d^-1 rep d with d = diag(e, 1)."""
     m = ctx.modulus
     dt = (rep[0] * rep[3] - rep[1] * rep[2]) % m
-    if ambient == "SL2" and dt != 1 % m:
+    if dt != 1 % m:
         raise PreconditionError("representative %r is not in SL2 (det=%d)" % (rep, dt))
-    gens = gl2_generators(ctx) if ambient == "GL2" else [upper_u(ctx), lower_u(ctx)]
-    pairs = [(g, _inv(g, m)) for g in gens]
+    pairs = [(g, _inv(g, m)) for g in (upper_u(ctx), lower_u(ctx))]
     codes = capped_orbit(rep, pairs, lambda x, g: _mul(g[1], _mul(x, g[0], m), m), encoder(ctx), cap)
     return ElementSet(ctx, codes)
 

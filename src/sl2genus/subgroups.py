@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from math import gcd
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -21,7 +20,6 @@ from .core import (
     FeasibilityError,
     GroupCtx,
     Mat,
-    NotInvertibleError,
     PreconditionError,
     ReductionError,
     _inv,
@@ -50,14 +48,14 @@ from .groups import ElementSet, _closure_codes, capped_orbit, enumerate_group, e
 
 @dataclass(eq=False)
 class Subgroup:
-    """A subgroup given by generators; the element set is materialized lazily
-    and never mutated afterwards.  Non-empty gens generate H (from_codes may
-    leave them empty).  _reduced is the memo of what derives from H alone:
-    H mod p^s under the key s, H_s under ("H_s", s), the level under "level"."""
+    """A subgroup of SL2(Z/p^nZ) given by generators; the element set is
+    materialized lazily and never mutated afterwards.  Non-empty gens generate H
+    (from_codes may leave them empty).  _reduced is the memo of what derives from
+    H alone: H mod p^s under the key s, H_s under ("H_s", s), the level under
+    "level"."""
 
     ctx: GroupCtx
     gens: Tuple[Mat, ...]
-    ambient: str = "SL2"
     cap: int = DEFAULT_MAX_ELEMENTS
     _codes: Optional[FrozenSet] = field(default=None, repr=False)
     _reduced: Dict = field(default_factory=dict, repr=False)
@@ -67,11 +65,10 @@ class Subgroup:
         cls,
         ctx: GroupCtx,
         codes: FrozenSet,
-        ambient: str = "SL2",
         gens: Tuple[Mat, ...] = (),
         cap: int = DEFAULT_MAX_ELEMENTS,
     ) -> "Subgroup":
-        return cls(ctx, gens, ambient, cap, _codes=frozenset(codes))
+        return cls(ctx, gens, cap, _codes=frozenset(codes))
 
     def codes(self) -> FrozenSet:
         if self._codes is None:
@@ -115,31 +112,25 @@ class Subgroup:
         enc = encoder(self.ctx)
         dec = decoder(self.ctx)
         codes = frozenset(enc(_mul(gi, _mul(dec(c), g, m), m)) for c in self.codes())
-        return Subgroup.from_codes(self.ctx, codes, self.ambient, cap=self.cap)
+        return Subgroup.from_codes(self.ctx, codes, cap=self.cap)
 
 
-def closure(
-    gens: Sequence[Mat],
-    ctx: GroupCtx,
-    ambient: str = "SL2",
-    cap: int = DEFAULT_MAX_ELEMENTS,
-) -> Subgroup:
-    """Smallest subgroup containing the generators (groups.extend_closure)."""
+def closure(gens: Sequence[Mat], ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
+    """The smallest subgroup of SL2(Z/p^nZ) containing the generators, closed by
+    groups.extend_closure; a generator of det != 1 raises PreconditionError."""
     m = ctx.modulus
     for g in gens:
         dt = (g[0] * g[3] - g[1] * g[2]) % m
-        if ambient == "SL2" and dt != 1 % m:
+        if dt != 1 % m:
             raise PreconditionError("generator %r has det %d != 1" % (g, dt))
-        if ambient != "SL2" and gcd(dt, m) != 1:
-            raise NotInvertibleError("generator %r has non-unit det %d" % (g, dt))
-    s = Subgroup(ctx, tuple(gens), ambient, cap)
+    s = Subgroup(ctx, tuple(gens), cap)
     s.codes()
     return s
 
 
 def full_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     es = enumerate_group(ctx, cap)
-    return Subgroup.from_codes(ctx, es.codes, "SL2", gens=(upper_u(ctx), lower_u(ctx)), cap=cap)
+    return Subgroup.from_codes(ctx, es.codes, gens=(upper_u(ctx), lower_u(ctx)), cap=cap)
 
 
 def adjoin_minus_one(h: Subgroup) -> Subgroup:
@@ -149,7 +140,7 @@ def adjoin_minus_one(h: Subgroup) -> Subgroup:
     if encoder(ctx)(minus_one(ctx)) not in codes:
         codes = set(codes)  # frozen once, the table fits H u -H; a union H | -H sizes it for both
         codes.update(map(right_mul(ctx, minus_one(ctx)), h.codes()))
-    return Subgroup.from_codes(ctx, codes, h.ambient, h.gens + (minus_one(ctx),) if h.gens else (), h.cap)
+    return Subgroup.from_codes(ctx, codes, h.gens + (minus_one(ctx),) if h.gens else (), h.cap)
 
 
 # -------------------- reduction preimage and filtration --------------------
@@ -179,8 +170,6 @@ def _kernel_step(ctx_next: GroupCtx) -> List[Mat]:
 
 def preimage(h: Subgroup, dst: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     """Full inverse image of H under the mod p^m reduction; order #H * p^(3(n-m))."""
-    if h.ambient != "SL2":
-        raise PreconditionError("preimage is implemented for SL2 subgroups only")
     if dst.p != h.ctx.p:
         raise ReductionError("preimage between different primes")
     if dst.n < h.ctx.n:
@@ -206,7 +195,7 @@ def preimage(h: Subgroup, dst: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Sub
                 out.add(enc(_mul(lift, k, m)))
         codes = frozenset(out)
         ctx = nxt
-    got = Subgroup.from_codes(dst, codes, "SL2", cap=cap)
+    got = Subgroup.from_codes(dst, codes, cap=cap)
     if got.order != start_order * dst.p ** (3 * (dst.n - h.ctx.n)):
         raise ConsistencyError("preimage order mismatch")  # pragma: no cover
     return got
@@ -223,7 +212,7 @@ def filtration_level(h: Subgroup, s: int) -> Subgroup:
         red = reducer(h.ctx, s)
         one = red(encoder(h.ctx)(identity(h.ctx)))
         keep = frozenset(c for c in h.codes() if red(c) == one)
-        got = h._reduced[("H_s", s)] = Subgroup.from_codes(h.ctx, keep, h.ambient, cap=h.cap)
+        got = h._reduced[("H_s", s)] = Subgroup.from_codes(h.ctx, keep, cap=h.cap)
     return got
 
 
@@ -245,8 +234,6 @@ def level(h: Subgroup) -> int:
 
 def is_slim(h: Subgroup) -> bool:
     """H does not contain K_(n-1) = (1 + p^(n-1) M2)^{det=1}; at n=1, H is proper."""
-    if h.ambient != "SL2":
-        raise PreconditionError("slimness is defined for SL2 subgroups")
     if h.ctx.n == 1:
         return h.order != h.ctx.order
     return not _holds_kernel(h, h.ctx.n - 1)
@@ -768,17 +755,19 @@ def _l25_check(p: int, trials: int, rng: random.Random) -> bool:
     one = identity(ctx)
     sl2_pool = sorted(enumerate_group(make_ctx(p, 1)).codes)
     dec1 = decoder(make_ctx(p, 1))
+    dec = decoder(ctx)
     for _ in range(trials):
         gens: List[Mat] = [mat(g, 0, 0, 1, ctx)]
         for _ in range(rng.choice((0, 1, 1))):
             gens.append(_lift_to(dec1(sl2_pool[rng.randrange(len(sl2_pool))]), ctx))
-        h = closure(gens, ctx, ambient="GL2")
-        dets = {(x[0] * x[3] - x[1] * x[2]) % m for x in h.mats()}
+        # H lies in GL2, not SL2: close its codes directly, no Subgroup
+        h = [dec(c) for c in _closure_codes(gens, ctx, DEFAULT_MAX_ELEMENTS)]
+        dets = {(x[0] * x[3] - x[1] * x[2]) % m for x in h}
         if len(dets) != (p - 1) * p:  # determinant image not full: hypothesis fails
             continue
         small = {
             (x[0] * x[3] - x[1] * x[2]) % m
-            for x in h.mats()
+            for x in h
             if reduce_mat(x, p) == reduce_mat(one, p)
         }
         if not units <= small:

@@ -44,6 +44,7 @@ from .subgroups import (
     borel,
     exceptional_availability,
     exceptional_subgroup,
+    is_slim,
     nonsplit_cartan_normalizer,
     sample_slim_subgroups,
     section2_property_check,
@@ -425,8 +426,6 @@ def suite_cor6_5(seed: int = 0) -> Tuple[bool, str]:
     # exhaustive at SL2(Z/9Z), sampled at SL2(Z/27Z)
     ctx9 = make_ctx(3, 2)
     g9 = enumerate_group(ctx9)
-    from .subgroups import is_slim
-
     checked = 0
     for codes in all_subgroups(g9, conjugacy_gens=[upper_u(ctx9), lower_u(ctx9)]):
         h = Subgroup.from_codes(ctx9, codes)

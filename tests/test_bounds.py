@@ -7,7 +7,6 @@ from sl2genus import bounds
 from sl2genus.bounds import (
     BOUND_KINDS,
     bound_sequence,
-    check_slim_bound,
     fiber_count_bound_check,
     n_prime,
     n_upper_bound,
@@ -102,9 +101,9 @@ def test_check_slim_bound_trivial_and_cyclic():
     ctx = make_ctx(3, 2)
     trivial = closure([], ctx)
     for ref in (ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau"), u_power_ref(ctx, 0)):
-        assert check_slim_bound(trivial, ref)
+        assert slim_bound_report(trivial, ref).ok
     u_cyc = closure([upper_u(ctx)], ctx)
-    assert check_slim_bound(u_cyc, u_power_ref(ctx, 0))
+    assert slim_bound_report(u_cyc, u_power_ref(ctx, 0)).ok
 
 
 def test_slim_bound_rejects_non_slim_and_level_one():

@@ -2,7 +2,7 @@ import json
 import re
 
 from sl2genus import cli, suites
-from sl2genus.bounds import DeskResult
+from sl2genus.bounds import DeskResult, bound_sequence
 from sl2genus.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, run
 from sl2genus.core import ConsistencyError, make_ctx
 from sl2genus.subgroups import Subgroup
@@ -30,6 +30,14 @@ def test_class_table_mod4(capsys):
     assert sizes == [1, 1, 3, 3, 6, 6, 6, 6, 8, 8]
     labels = {c["label"] for c in payload["classes"]}
     assert {"1", "-1", "sigma", "-sigma", "tau", "-tau", "u", "-u", "u^2", "-u^2"} <= labels
+
+
+def test_class_table_mod2_labels(capsys):
+    # modulo 2, -1 = 1, -sigma = sigma and -tau = tau: the plain names label the classes
+    code, out, _ = _run(capsys, "class-table", "--p", "2", "--n", "1", "--output", "json")
+    assert code == EXIT_OK
+    classes = json.loads(out)["classes"]
+    assert [(c["label"], c["size"]) for c in classes] == [("sigma", "3"), ("tau", "2"), ("1", "1")]
 
 
 def test_count_command(capsys):
@@ -123,6 +131,30 @@ def test_computation_value_and_key_errors_are_internal(capsys, monkeypatch):
     code, _, err = _run(capsys, "genus", "--p", "13", "--n", "1", "--subgroup", "B")
     assert code == EXIT_INTERNAL
     assert err.startswith("internal error: ")
+
+
+def test_any_unmapped_exception_is_internal(capsys, monkeypatch):
+    def broken(h):
+        raise RuntimeError("unforeseen")
+
+    monkeypatch.setattr(cli, "genus_report", broken)
+    code, _, err = _run(capsys, "genus", "--p", "13", "--n", "1", "--subgroup", "B")
+    assert code == EXIT_INTERNAL
+    assert err.startswith("internal error: unforeseen") and "Traceback" in err
+
+
+def test_a_spec_nested_too_deeply_is_a_usage_error(capsys):
+    spec = "preimage:" * 1200 + "B" + "@1" * 1200
+    code, _, err = _run(capsys, "genus", "--p", "3", "--n", "1", "--subgroup", spec)
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ")
+
+
+def test_a_bound_longer_than_the_int_to_str_limit_prints_whole(capsys):
+    # 6,995 digits, above CPython's default limit of 4,300 on int-to-str conversion (3.11+), which run lifts
+    code, out, _ = _run(capsys, "bounds", "--kind", "a_sigma_p", "--p", "5", "--n", "10000", "--output", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["value"] == str(bound_sequence("a_sigma_p", 5, 10000))
 
 
 def test_usage_errors(capsys):

@@ -34,7 +34,6 @@ from sl2genus.genus import (
     fix_points,
     genus,
     genus_report,
-    genus_with_minus_one,
     legendre,
 )
 from sl2genus.groups import ConjClassRef, enumerate_group, u_power_ref
@@ -129,7 +128,6 @@ def test_genus_requires_minus_one():
     h = closure([upper_u(c5)], c5)
     with pytest.raises(PreconditionError):
         genus(h)
-    assert genus_with_minus_one(h) == genus(adjoin_minus_one(h))
 
 
 def test_genus_of_full_group_is_zero():

@@ -137,11 +137,11 @@ def test_class_ref_kinds():
             ConjClassRef(ctx, kind)
 
 
-def test_gl2_conjugacy_orbit():
+def test_gl2_conjugacy_orbit(gl2_class):
     # sigma and -sigma are GL2- but not SL2-conjugate at level 4
     ctx = make_ctx(2, 2)
     sl2_orbit = conj_class_brute(sigma(ctx), ctx).codes
-    gl2_orbit = conj_class_brute(sigma(ctx), ctx, ambient="GL2").codes
+    gl2_orbit = gl2_class(sigma(ctx), ctx)
     from sl2genus.core import encoder, neg
 
     assert encoder(ctx)(neg(sigma(ctx), ctx)) not in sl2_orbit

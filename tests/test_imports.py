@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, every
-function reads each of its parameters, every private module-level name
+"""Every name a library module imports is used in that module, imports sit
+at module level unless an allowlist entry says why not, every function reads
+each of its parameters, every private module-level name
 is used somewhere under src/, every public function and class is used
 somewhere under src/ or tests/, no module keeps a cache of its own, only
 subgroups.py touches a subgroup's memo, and only core.py knows the bit
@@ -48,6 +49,42 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _local_imports(source: str):
+    """(function, name) for each name imported inside a function body, under
+    the innermost function."""
+    out = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if fn and isinstance(child, (ast.Import, ast.ImportFrom)):
+                out.extend((fn, alias.asname or alias.name) for alias in child.names)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    visit(ast.parse(source), None)
+    return sorted(out)
+
+
+def test_the_check_sees_a_function_local_import():
+    src = (
+        "import os\n\ndef f():\n    from math import gcd as g\n\n    def inner():\n        import json\n"
+        "    return g\n\nclass C:\n    def m(self):\n        from . import suites\n"
+    )
+    assert _local_imports(src) == [("f", "g"), ("inner", "json"), ("m", "suites")]
+
+
+# A function-local import hides a dependency from the top of its module; each
+# one kept names its reason.  An entry whose import is gone fails too.
+_LOCAL_IMPORTS_ALLOWED = {
+    ("cli.py", "_cmd_verify", "suites"): "only verify reads suites.py; at module level every cold CLI call "
+    "would compile it",
+}
+
+
+def test_imports_sit_at_module_level():
+    found = {(p.name, fn, name) for p in SRC.glob("*.py") for fn, name in _local_imports(p.read_text())}
+    assert found == set(_LOCAL_IMPORTS_ALLOWED)
 
 
 def _suite_functions(tree):

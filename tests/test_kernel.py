@@ -8,6 +8,11 @@ group), the right cosets {Hg : g in G} by brute force for the walk
 subgroups (it closed every candidate from the identity, with a table of
 direct products), and three separate primitive-root finders for p, p^2 and p^n that
 ``core.primitive_root`` must agree with.
+
+GL2 stays an input domain next to SL2: its subgroups close on codes through
+``groups._closure_codes`` (a Subgroup lies in SL2), and its classes, built in
+conftest.py as unions of SL2 classes, are checked against conjugation over all
+of GL2.
 """
 
 import hashlib
@@ -20,6 +25,7 @@ from hypothesis import strategies as st
 
 from sl2genus import core
 from sl2genus.core import (
+    DEFAULT_MAX_ELEMENTS,
     FeasibilityError,
     _inv,
     _mul,
@@ -38,12 +44,12 @@ from sl2genus.core import (
 )
 from sl2genus.groups import (
     ConjClassRef,
+    _closure_codes,
     capped_orbit,
     class_codes,
     conj_class_brute,
     enumerate_group,
     extend_closure,
-    gl2_generators,
     right_cosets,
 )
 from sl2genus.subgroups import Subgroup, all_subgroups, borel, full_group
@@ -74,6 +80,22 @@ def _old_closure(gens, ctx):
     return frozenset(seen)
 
 
+def _generators(ctx, ambient):
+    """u, t(u), and for GL2 diagonal matrices generating the determinant image."""
+    m = ctx.modulus
+    gens = [upper_u(ctx), lower_u(ctx)]
+    if ambient == "SL2":
+        return gens
+    if ctx.p == 2:
+        if ctx.n >= 2:
+            gens.append(((-1) % m, 0, 0, 1))
+        if ctx.n >= 3:
+            gens.append((5 % m, 0, 0, 1))
+    else:
+        gens.append((primitive_root(ctx.p, ctx.n), 0, 0, 1))
+    return gens
+
+
 _AMBIENT_CODES = {}
 
 
@@ -84,8 +106,13 @@ def _ambient(ctx, ambient):
         if ambient == "SL2":
             _AMBIENT_CODES[key] = enumerate_group(ctx).codes
         else:
-            _AMBIENT_CODES[key] = _old_closure(gl2_generators(ctx), ctx)
+            _AMBIENT_CODES[key] = _old_closure(_generators(ctx, ambient), ctx)
     return _AMBIENT_CODES[key]
+
+
+def _close(gens, ctx, cap=DEFAULT_MAX_ELEMENTS):
+    """The closure kernel on codes; a GL2 subgroup is no Subgroup, so every input closes here."""
+    return _closure_codes(gens, ctx, cap)
 
 
 @st.composite
@@ -103,16 +130,14 @@ def subgroup_inputs(draw):
 @given(subgroup_inputs())
 def test_closure_matches_inverse_stepping_oracle(data):
     ctx, ambient, gens = data
-    h = Subgroup(ctx, gens, ambient)
-    assert h.codes() == _old_closure(gens, ctx)
+    assert _close(gens, ctx) == _old_closure(gens, ctx)
 
 
 @settings(max_examples=60, deadline=None)
 @given(subgroup_inputs())
 def test_closure_order_divides_group_order(data):
     ctx, ambient, gens = data
-    h = Subgroup(ctx, gens, ambient)
-    assert len(_ambient(ctx, ambient)) % h.order == 0
+    assert len(_ambient(ctx, ambient)) % len(_close(gens, ctx)) == 0
 
 
 @st.composite
@@ -142,7 +167,7 @@ def _extend(known, gens, new, ctx, cap, products=None):
 @given(extension_inputs())
 def test_extending_a_closed_subgroup_matches_the_closure_of_all_generators(data):
     ctx, ambient, gens, g = data
-    h = Subgroup(ctx, gens, ambient).codes()
+    h = _close(gens, ctx)
     want = _old_closure(gens + (g,), ctx)
     assert _extend(h, gens, (g,), ctx, len(want)) == want
     if want != h:  # the cap boundary: #<H, g> keys pass, one fewer raises
@@ -154,7 +179,7 @@ def test_extending_a_closed_subgroup_matches_the_closure_of_all_generators(data)
 @given(extension_inputs())
 def test_a_generator_already_inside_changes_nothing(data):
     ctx, ambient, gens, g = data
-    h = Subgroup(ctx, gens + (g,), ambient).codes()
+    h = _close(gens + (g,), ctx)
     products = []
     assert _extend(h, gens + (g,), gens + (g,), ctx, len(h), products) == h
     assert products == []  # no coset is mapped
@@ -164,17 +189,23 @@ def test_a_generator_already_inside_changes_nothing(data):
 @given(subgroup_inputs())
 def test_the_walk_meets_each_right_coset_once(data):
     ctx, ambient, gens = data
-    h = Subgroup(ctx, gens, ambient).codes()
+    h = _close(gens, ctx)
     group = _ambient(ctx, ambient)
-    steps = [right_mul(ctx, s) for s in (gl2_generators(ctx) if ambient == "GL2" else (upper_u(ctx), lower_u(ctx)))]
+    steps = [right_mul(ctx, s) for s in _generators(ctx, ambient)]
     seen, walked = set(h), [h]
     for coset in right_cosets(list(h), steps, seen, len(group)):
         seen.update(coset)
         walked.append(frozenset(coset))
-    # the oracle: H g for every g of the group, by brute force
+    # the oracle: H g for every g of the group, by brute force; g lies in H g, and
+    # right cosets are equal or disjoint, so a g inside a coset already built adds nothing
     m, enc, dec = ctx.modulus, encoder(ctx), decoder(ctx)
     hmats = [dec(c) for c in h]
-    want = {frozenset(enc(_mul(x, dec(g), m)) for x in hmats) for g in group}
+    want, covered = set(), set()
+    for g in group:
+        if g not in covered:
+            coset = frozenset(enc(_mul(x, dec(g), m)) for x in hmats)
+            want.add(coset)
+            covered |= coset
     assert len(walked) == len(set(walked)) and set(walked) == want
 
 
@@ -193,27 +224,33 @@ def test_closures_on_both_sides_of_the_table_switch(monkeypatch, p, n, builds):
 @given(subgroup_inputs())
 def test_closure_cap_boundary(data):
     ctx, ambient, gens = data
-    h = Subgroup(ctx, gens, ambient).codes()
-    assert Subgroup(ctx, gens, ambient, cap=len(h)).codes() == h
+    h = _close(gens, ctx)
+    assert _close(gens, ctx, cap=len(h)) == h
     if len(h) > 1:  # the identity is known, not seen, so the trivial group never raises
         with pytest.raises(FeasibilityError, match="max-elements"):
-            Subgroup(ctx, gens, ambient, cap=len(h) - 1).codes()
+            _close(gens, ctx, cap=len(h) - 1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(subgroup_inputs())
 def test_closure_is_idempotent(data):
     ctx, ambient, gens = data
-    h = Subgroup(ctx, gens, ambient)
-    again = Subgroup(ctx, tuple(h.mats()), ambient)
-    assert again.codes() == h.codes()
+    h = _close(gens, ctx)
+    assert _close([decoder(ctx)(c) for c in h], ctx) == h
+
+
+@st.composite
+def class_inputs(draw):
+    """A context, the group to conjugate in, and x in SL2 (GL2 classes are built from SL2 classes)."""
+    ctx = make_ctx(*draw(st.sampled_from(CONTEXTS)))
+    pool = sorted(_ambient(ctx, "SL2"))
+    return ctx, draw(st.sampled_from(AMBIENTS)), decoder(ctx)(pool[draw(st.integers(0, len(pool) - 1))])
 
 
 @settings(max_examples=40, deadline=None)
-@given(subgroup_inputs())
-def test_conj_class_matches_conjugation_over_the_group(data):
-    ctx, ambient, gens = data
-    x = gens[0]
+@given(class_inputs())
+def test_conj_class_matches_conjugation_over_the_group(gl2_class, data):
+    ctx, ambient, x = data
     m = ctx.modulus
     enc = encoder(ctx)
     dec = decoder(ctx)
@@ -221,7 +258,7 @@ def test_conj_class_matches_conjugation_over_the_group(data):
     for c in _ambient(ctx, ambient):
         g = dec(c)
         want.add(enc(_mul(_inv(g, m), _mul(x, g, m), m)))
-    assert conj_class_brute(x, ctx, ambient=ambient).codes == want
+    assert (conj_class_brute(x, ctx).codes if ambient == "SL2" else gl2_class(x, ctx)) == want
 
 
 def _old_primitive_root_mod_p(p):

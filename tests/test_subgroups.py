@@ -17,7 +17,7 @@ from sl2genus.core import (
     sigma,
     upper_u,
 )
-from sl2genus.groups import ConjClassRef, _closure_codes, class_codes, conj_class_brute, enumerate_group, u_power_ref
+from sl2genus.groups import ConjClassRef, _closure_codes, class_codes, enumerate_group, u_power_ref
 from sl2genus.subgroups import (
     Subgroup,
     _holds_kernel,
@@ -61,8 +61,7 @@ def test_closure_examples():
 def test_closure_rejects_bad_generators():
     c5 = make_ctx(5, 1)
     with pytest.raises(PreconditionError):
-        closure([mat(2, 0, 0, 1, c5)], c5)  # det 2 in SL2 ambient
-    closure([mat(2, 0, 0, 1, c5)], c5, ambient="GL2")
+        closure([mat(2, 0, 0, 1, c5)], c5)  # det 2
 
 
 def test_standard_subgroup_orders():
@@ -199,11 +198,11 @@ def _mul_(x, y, m):
     return _mul(x, y, m)
 
 
-def test_no_proper_mod2_surjective_subgroup_has_gl2_conjugate_of_u(sl2_mod4_subgroups):
+def test_no_proper_mod2_surjective_subgroup_has_gl2_conjugate_of_u(sl2_mod4_subgroups, gl2_class):
     # exhaustive at N = 2 (the N = 3 case runs in the acceptance suite)
     ctx, subs = sl2_mod4_subgroups
     sl2_mod2 = enumerate_group(make_ctx(2, 1)).codes
-    gl2_u_orbit = conj_class_brute(upper_u(ctx), ctx, ambient="GL2").codes
+    gl2_u_orbit = gl2_class(upper_u(ctx), ctx)
     checked = 0
     for codes in subs:
         h = Subgroup.from_codes(ctx, codes)
@@ -214,11 +213,11 @@ def test_no_proper_mod2_surjective_subgroup_has_gl2_conjugate_of_u(sl2_mod4_subg
     assert checked >= 1  # A1 and its conjugates
 
 
-def test_no_proper_mod3_surjective_subgroup_has_gl2_conjugate_of_u(sl2_mod9_subgroups):
+def test_no_proper_mod3_surjective_subgroup_has_gl2_conjugate_of_u(sl2_mod9_subgroups, gl2_class):
     # exhaustive at N = 3
     ctx, subs = sl2_mod9_subgroups
     sl2_mod3 = enumerate_group(make_ctx(3, 1)).codes
-    gl2_u_orbit = conj_class_brute(upper_u(ctx), ctx, ambient="GL2").codes
+    gl2_u_orbit = gl2_class(upper_u(ctx), ctx)
     checked = 0
     for codes in subs:
         if len(codes) == ctx.order:
