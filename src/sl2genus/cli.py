@@ -46,6 +46,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: the reader of stdout went away, as a shell reports it
 
 
 class UsageError(Exception):
@@ -299,7 +300,14 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe may only show at the last write
+        return code
+    except BrokenPipeError:  # e.g. | head: stop quietly, and give shutdown a stdout it can flush
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (UsageError, FeasibilityError, PreconditionError) as e:
         print("error: %s" % e, file=sys.stderr)
         return EXIT_USAGE

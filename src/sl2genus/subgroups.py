@@ -50,15 +50,22 @@ from .groups import ElementSet, _closure_codes, capped_orbit, enumerate_group, e
 class Subgroup:
     """A subgroup of SL2(Z/p^nZ) given by generators; the element set is
     materialized lazily and never mutated afterwards.  Non-empty gens generate H
-    (from_codes may leave them empty).  _reduced is the memo of what derives from
-    H alone: H mod p^s under the key s, H_s under ("H_s", s), the level under
-    "level"."""
+    (from_codes may leave them empty), and one of det != 1 raises
+    PreconditionError.  _reduced is the memo of what derives from H alone:
+    H mod p^s under the key s, H_s under ("H_s", s), the level under "level"."""
 
     ctx: GroupCtx
     gens: Tuple[Mat, ...]
     cap: int = DEFAULT_MAX_ELEMENTS
     _codes: Optional[FrozenSet] = field(default=None, repr=False)
     _reduced: Dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        m = self.ctx.modulus
+        for g in self.gens:
+            dt = (g[0] * g[3] - g[1] * g[2]) % m
+            if dt != 1 % m:
+                raise PreconditionError("generator %r has det %d != 1" % (g, dt))
 
     @classmethod
     def from_codes(
@@ -118,11 +125,6 @@ class Subgroup:
 def closure(gens: Sequence[Mat], ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     """The smallest subgroup of SL2(Z/p^nZ) containing the generators, closed by
     groups.extend_closure; a generator of det != 1 raises PreconditionError."""
-    m = ctx.modulus
-    for g in gens:
-        dt = (g[0] * g[3] - g[1] * g[2]) % m
-        if dt != 1 % m:
-            raise PreconditionError("generator %r has det %d != 1" % (g, dt))
     s = Subgroup(ctx, tuple(gens), cap)
     s.codes()
     return s
@@ -484,8 +486,11 @@ def all_subgroups(
 
     Cyclic-extension search: each subgroup is grown from a class
     representative by one prime-power cyclic subgroup at a time, extending the
-    closed representative (groups.extend_closure); when conjugacy_gens generate
-    the universe, only class representatives are extended and orbits are
+    closed representative (groups.extend_closure).  Since <H, Z^x> = <H, Z> for
+    x in H, a representative H is extended by the first Z of each H-conjugation
+    orbit of the pool only, which skips exactly the candidates that would close
+    to a subgroup seen already.  When conjugacy_gens, elements of the universe,
+    generate it, only class representatives are extended and orbits are
     expanded afterwards.  The product table is kept by columns, col[y][x] = x y,
     composed along a walk from the identity: col(x s) = col(s) o col(x).
     """
@@ -514,20 +519,26 @@ def all_subgroups(
                     col[j] = [col[t][c] for c in col[i]]
                     walk.append(j)
 
-    # prime-power cyclic subgroups, as (frozenset, generator index)
-    cyc: Dict[FrozenSet, int] = {}
+    # prime-power cyclic subgroups, as (frozenset, generator index), with every
+    # element's inverse (its last power before the identity) and its generators
+    inv = [e] * k
+    cyc: Dict[FrozenSet, List[int]] = {}
     for i in range(k):
         orbit = [e]
         j = i
         while j != e:
             orbit.append(j)
             j = col[i][j]
+        inv[i] = orbit[-1]
         if len(factorize(len(orbit))) == 1:  # prime power order
-            cyc.setdefault(frozenset(orbit), i)
-    pool = sorted(cyc.items(), key=lambda kv: (len(kv[0]), kv[1]))
+            cyc.setdefault(frozenset(orbit), []).append(i)
+    pool = sorted(((z, gs[0]) for z, gs in cyc.items()), key=lambda kv: (len(kv[0]), kv[1]))
+    slot = {g: pos for pos, (z, _) in enumerate(pool) for g in cyc[z]}  # generator -> pool position
 
-    # x -> g^-1 x g on indices; an orbit needs no inverse steps (see capped_orbit)
-    conj_perm = [[index[enc(_mul(_inv(g, m), _mul(x, g, m), m))] for x in mats] for g in conjugacy_gens or ()]
+    def conj(x: int, g: int) -> int:  # g^-1 x g; an orbit needs no inverse steps (see capped_orbit)
+        return col[g][col[x][inv[g]]]
+
+    conj_perm = [[conj(x, index[enc(g)]) for x in range(k)] for g in conjugacy_gens or ()]
 
     def conjugate(s: FrozenSet, perm: List[int]) -> FrozenSet:
         return frozenset(perm[x] for x in s)
@@ -536,9 +547,11 @@ def all_subgroups(
     seen_all: Dict[FrozenSet, None] = {trivial: None}
     reps: List[Tuple[FrozenSet, Tuple[int, ...]]] = [(trivial, ())]
     for h, hgens in reps:  # reps grows while it is walked
-        for _, cgen in pool:
-            if cgen in h:
+        done = set()  # pool positions of the Z^x, x in H, of each Z extended: <H, Z^x> = <H, Z>
+        for pos, (_, cgen) in enumerate(pool):
+            if cgen in h or pos in done:
                 continue
+            done.update(slot[y] for y in capped_orbit(cgen, hgens, conj, None, k))
             knew = extend_closure(h, hgens, (cgen,), lambda y: col[y].__getitem__, k)
             if knew in seen_all:
                 continue

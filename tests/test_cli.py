@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 from sl2genus import cli, suites
 from sl2genus.bounds import DeskResult, bound_sequence
-from sl2genus.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, run
+from sl2genus.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, run
 from sl2genus.core import ConsistencyError, make_ctx
 from sl2genus.subgroups import Subgroup
 
@@ -121,6 +125,20 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     code, _, err = _run(capsys, "genus", "--p", "13", "--n", "1", "--subgroup", "B")
     assert code == EXIT_INTERNAL == 3
     assert err.startswith("internal error: routes disagree")
+
+
+def test_closed_stdout_exits_quietly_with_its_own_code():
+    # the reader closes the pipe before the child writes (its import alone takes longer), as | head -c 100 may
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, "-m", "sl2genus.cli", "bounds", "--kind", "a_sigma_p", "--p", "5", "--n", "10000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
+    assert err == b""
+    assert EXIT_BROKEN_PIPE not in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_USAGE, EXIT_INTERNAL)
 
 
 def test_computation_value_and_key_errors_are_internal(capsys, monkeypatch):

@@ -53,6 +53,7 @@ from sl2genus.groups import (
     right_cosets,
 )
 from sl2genus.subgroups import Subgroup, all_subgroups, borel, full_group
+from sl2genus.suites import suite_cor6_5
 
 CONTEXTS = ((2, 2), (3, 2), (5, 1), (2, 3))
 AMBIENTS = ("SL2", "GL2")
@@ -404,6 +405,9 @@ def _lattice_digest(subgroups):
         ("SL2(Z/8Z)", True),
         ("SL2(Z/9Z)", True),
         ("borel(23)", False),
+        ("SL2(Z/5Z)", False),  # SL2(Z/5Z) and SL2(Z/7Z) are not solvable: some subgroups
+        ("SL2(Z/5Z)", True),  # are reached through no normal subgroup of prime index
+        ("SL2(Z/7Z)", True),
     ],
 )
 def test_lattice_matches_the_reclosing_oracle(universe, conjugate):
@@ -411,10 +415,30 @@ def test_lattice_matches_the_reclosing_oracle(universe, conjugate):
     if universe == "borel(23)":  # the desk part-1 container at p = 23
         elements = borel(23).elements()
     else:
-        p, n = {"SL2(Z/4Z)": (2, 2), "SL2(Z/8Z)": (2, 3), "SL2(Z/9Z)": (3, 2)}[universe]
+        p, n = {
+            "SL2(Z/4Z)": (2, 2),
+            "SL2(Z/8Z)": (2, 3),
+            "SL2(Z/9Z)": (3, 2),
+            "SL2(Z/5Z)": (5, 1),
+            "SL2(Z/7Z)": (7, 1),
+        }[universe]
         elements = enumerate_group(make_ctx(p, n))
     gens = [upper_u(elements.ctx), lower_u(elements.ctx)] if conjugate else None
     assert all_subgroups(elements, conjugacy_gens=gens) == _old_all_subgroups(elements, conjugacy_gens=gens)
+
+
+def test_lattice_extends_once_per_conjugation_orbit_of_the_pool(monkeypatch):
+    # <H, Z^x> = <H, Z> for x in H, so H is extended by one Z per H-orbit: 1,263 closures, not 4,384
+    calls = []
+    monkeypatch.setattr("sl2genus.subgroups.extend_closure", lambda *a: calls.append(a) or extend_closure(*a))
+    ctx = make_ctx(3, 2)
+    assert len(all_subgroups(enumerate_group(ctx), conjugacy_gens=[upper_u(ctx), lower_u(ctx)])) == 456
+    assert len(calls) <= 1263
+
+
+def test_cor6_5_suite_checks_every_slim_subgroup_of_the_lattice():
+    # the one suite that drives the lattice search with conjugacy; its count before the pruning
+    assert suite_cor6_5(0) == (True, "1563 fiber-count checks")
 
 
 def test_sl2_mod9_lattice_hashes_as_before_the_extension(sl2_mod9_subgroups):

@@ -64,6 +64,16 @@ def test_closure_rejects_bad_generators():
         closure([mat(2, 0, 0, 1, c5)], c5)  # det 2
 
 
+def test_subgroup_rejects_generators_outside_sl2():
+    # the check sits in the constructor, so no path builds a Subgroup of order 4 inside GL2(F_5)
+    c5 = make_ctx(5, 1)
+    with pytest.raises(PreconditionError, match="det 2"):
+        Subgroup(c5, ((2, 0, 0, 1),))
+    with pytest.raises(PreconditionError, match="det 4"):
+        Subgroup.from_codes(c5, frozenset(), gens=(upper_u(c5), (4, 0, 0, 1)))
+    assert Subgroup(c5, (upper_u(c5),)).order == 5
+
+
 def test_standard_subgroup_orders():
     assert borel(5).order == 20
     assert borel(2).order == 2
