@@ -177,8 +177,9 @@ def make_ctx(p: int, n: int) -> GroupCtx:
 # A matrix (a b; c d) modulo M packs into the int a | b << k | c << 2k | d << 3k,
 # k = bits(M - 1) per entry; closures are hash-set work, and an int hashes
 # fastest.  The layout is known here alone: encoder/decoder, reducer (the
-# code of x mod p^s from the code of x) and right_mul (the code of x s from
-# the code of x, through row_table once that pays).
+# code of x mod p^s from the code of x), right_mul (the code of x s from
+# the code of x, through row_table once that pays) and conjugator (the code
+# of g^-1 x g from the code of x).
 
 
 def _width(modulus: int) -> int:
@@ -267,6 +268,25 @@ def right_mul(ctx: GroupCtx, s: Mat, table: Optional[Sequence[int]] = None) -> C
         return table[x & low] | table[x >> k2] << k2
 
     return mul
+
+
+def conjugator(ctx: GroupCtx, g: Mat) -> Callable[[int], int]:
+    """The map x -> g^-1 x g on packed codes, for any g of unit determinant."""
+    m, k = ctx.modulus, _width(ctx.modulus)
+    k2, k3, mask = 2 * k, 3 * k, (1 << k) - 1
+    (g0, g1, g2, g3), (h0, h1, h2, h3) = g, _inv(g, m)
+
+    def conj(x: int) -> int:
+        a, b, c, d = x & mask, x >> k & mask, x >> k2 & mask, x >> k3
+        r0, r1, r2, r3 = a * g0 + b * g2, a * g1 + b * g3, c * g0 + d * g2, c * g1 + d * g3  # x g
+        return (
+            (h0 * r0 + h1 * r2) % m
+            | (h0 * r1 + h1 * r3) % m << k
+            | (h2 * r0 + h3 * r2) % m << k2
+            | (h2 * r1 + h3 * r3) % m << k3
+        )
+
+    return conj
 
 
 # -------------------- matrices --------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import FrozenSet, List
+from typing import Callable, FrozenSet, List
 
 from .core import (
     ConsistencyError,
@@ -99,15 +99,11 @@ def _resolve_alpha_prime(desc: FiberDescriptor) -> Mat:
 def _additive_span(gens: List[Mat], modulus: int) -> FrozenSet:
     """The Z-span of gens in M2(Z/modulus), capped by the whole module."""
 
-    def add(x: Mat, g: Mat) -> Mat:
-        return (
-            (x[0] + g[0]) % modulus,
-            (x[1] + g[1]) % modulus,
-            (x[2] + g[2]) % modulus,
-            (x[3] + g[3]) % modulus,
-        )
+    def adder(g: Mat) -> Callable[[Mat], Mat]:
+        g0, g1, g2, g3 = g
+        return lambda x: ((x[0] + g0) % modulus, (x[1] + g1) % modulus, (x[2] + g2) % modulus, (x[3] + g3) % modulus)
 
-    return capped_orbit((0, 0, 0, 0), gens, add, None, modulus**4)
+    return capped_orbit((0, 0, 0, 0), [adder(g) for g in gens], modulus**4)
 
 
 def commutator_fiber_codes(desc: FiberDescriptor, alpha_like: Mat) -> FrozenSet:

@@ -1,19 +1,19 @@
 """Enumeration of SL2(Z/p^nZ), conjugacy classes and centralizers.
 
-Element sets store packed codes (see core.encoder).  One kernel walks right
-cosets, right_cosets: subgroups close on it through extend_closure, and the
-genus coset space is built on it.  Orbits go through capped_orbit (the
-sampler's Schreier walk keeps a lift per key and builds H from the lifts, so
-it stays its own loop); conjugacy classes are expanded by conjugating with u,
-t(u) only, which keeps memory at O(#class) instead of O(#group).  Every set
-derived from a context alone is stored once, in its memo, through cached.
-"""
+Element sets store packed codes (see core.encoder), and every kernel here
+walks codes through the maps of core (x -> x s, x -> g^-1 x g).  One kernel
+walks right cosets, right_cosets: subgroups close on it through
+extend_closure, and the genus coset space is built on it.  Orbits go through
+capped_orbit (the sampler's Schreier walk keeps a lift per key, so it stays
+its own loop); conjugacy classes are expanded by conjugating with u, t(u)
+only, which keeps memory at O(#class) instead of O(#group).  Every set
+derived from a context alone is stored once, in its memo, through cached."""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Collection, FrozenSet, Hashable, Iterable, Iterator, List, Optional, Sequence
+from typing import Callable, Collection, FrozenSet, Hashable, Iterable, Iterator, List, Sequence
 
 from .core import (
     DEFAULT_MAX_ELEMENTS,
@@ -22,8 +22,7 @@ from .core import (
     GroupCtx,
     Mat,
     PreconditionError,
-    _inv,
-    _mul,
+    conjugator,
     decoder,
     encoder,
     identity,
@@ -61,24 +60,23 @@ class ElementSet:
         return encoder(self.ctx)(x) in self.codes
 
 
-def capped_orbit(start, steps: Sequence, act: Callable, key: Optional[Callable], cap: int) -> FrozenSet:
-    """Keys of everything reached from start by repeated act(x, g), g in steps
-    (key None: the values are their own keys).
+def capped_orbit(start, steps: Sequence[Callable], cap: int) -> FrozenSet:
+    """Everything reached from start by repeated steps, each a map x -> y (the
+    form right_cosets takes).
 
-    Breadth-first; raises FeasibilityError as soon as more than cap keys are
+    Breadth-first; raises FeasibilityError as soon as more than cap values are
     seen.  For a closure or a conjugation orbit in a finite group the steps
     need no inverses: the monoid a set generates is the group it generates.
     """
-    seen = {key(start) if key else start}
+    seen = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in steps:
-                z = act(x, g)
-                c = key(z) if key else z
-                if c not in seen:
-                    seen.add(c)
+            for step in steps:
+                z = step(x)
+                if z not in seen:
+                    seen.add(z)
                     if len(seen) > cap:
                         raise _over_cap(cap)
                     nxt.append(z)
@@ -267,34 +265,33 @@ def centralizer_order_formula(ref: ConjClassRef) -> int:
 
 def conj_class_brute(rep: Mat, ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSet:
     """The SL2 class of rep, {g^-1 rep g : g in SL2(Z/p^nZ)}, by breadth-first
-    conjugation with u and t(u), which generate SL2.  A GL2 class is the union
-    over units e of the SL2 classes of d^-1 rep d with d = diag(e, 1)."""
+    conjugation of codes with u and t(u), which generate SL2.  A GL2 class is
+    the union over units e of the SL2 classes of d^-1 rep d with d = diag(e, 1)."""
     m = ctx.modulus
     dt = (rep[0] * rep[3] - rep[1] * rep[2]) % m
     if dt != 1 % m:
         raise PreconditionError("representative %r is not in SL2 (det=%d)" % (rep, dt))
-    pairs = [(g, _inv(g, m)) for g in (upper_u(ctx), lower_u(ctx))]
-    codes = capped_orbit(rep, pairs, lambda x, g: _mul(g[1], _mul(x, g[0], m), m), encoder(ctx), cap)
-    return ElementSet(ctx, codes)
+    steps = [conjugator(ctx, g) for g in (upper_u(ctx), lower_u(ctx))]
+    return ElementSet(ctx, capped_orbit(encoder(ctx)(rep), steps, cap))
 
 
 def class_codes(ref: ConjClassRef, cap: int = DEFAULT_MAX_ELEMENTS) -> FrozenSet:
-    """Orbit codes of the class ref names (brute force), stored in the
-    context's memo under (kind, r)."""
-    return cached(
-        ref.ctx, (ref.kind, ref.r), lambda: conj_class_brute(ref.representative(), ref.ctx, cap).codes, cap
-    )
+    """Orbit codes of the class ref names (brute force), stored in the context's
+    memo under (kind, r) once their count matches conj_class_size_formula."""
+
+    def build() -> FrozenSet:
+        codes = conj_class_brute(ref.representative(), ref.ctx, cap).codes
+        if len(codes) != conj_class_size_formula(ref):
+            raise ConsistencyError("%s orbit of %d elements, off its closed form" % (ref, len(codes)))
+        return codes
+
+    return cached(ref.ctx, (ref.kind, ref.r), build, cap)
 
 
 def centralizer_brute(rep: Mat, group: ElementSet) -> ElementSet:
-    m = group.ctx.modulus
-    dec = decoder(group.ctx)
-    out = set()
-    for c in group.codes:
-        g = dec(c)
-        if _mul(g, rep, m) == _mul(rep, g, m):
-            out.add(c)
-    return ElementSet(group.ctx, frozenset(out))
+    """The elements of group commuting with rep (unit det): the fixed points of x -> rep^-1 x rep."""
+    conj = conjugator(group.ctx, rep)
+    return ElementSet(group.ctx, frozenset(c for c in group.codes if conj(c) == c))
 
 
 def partition_into_classes(group: ElementSet) -> List[ElementSet]:

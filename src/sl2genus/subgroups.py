@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import product
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     DEFAULT_MAX_ELEMENTS,
@@ -22,8 +23,8 @@ from .core import (
     Mat,
     PreconditionError,
     ReductionError,
-    _inv,
     _mul,
+    conjugator,
     decoder,
     element_order,
     encoder,
@@ -114,11 +115,8 @@ class Subgroup:
         return got
 
     def conjugate(self, g: Mat) -> "Subgroup":
-        m = self.ctx.modulus
-        gi = _inv(g, m)
-        enc = encoder(self.ctx)
-        dec = decoder(self.ctx)
-        codes = frozenset(enc(_mul(gi, _mul(dec(c), g, m), m)) for c in self.codes())
+        """g^-1 H g, for any g of unit determinant."""
+        codes = frozenset(map(conjugator(self.ctx, g), self.codes()))
         return Subgroup.from_codes(self.ctx, codes, cap=self.cap)
 
 
@@ -156,18 +154,12 @@ def _sl2_lift_one(x: Mat, dst_modulus: int) -> Mat:
     return (a * di % dst_modulus, b, c * di % dst_modulus, d)
 
 
-def _kernel_step(ctx_next: GroupCtx) -> List[Mat]:
-    """Kernel of SL2(Z/p^(m+1)Z) -> SL2(Z/p^mZ): {1 + p^m W | tr W = 0 mod p}."""
-    p = ctx_next.p
-    q = ctx_next.modulus // p  # p^m
-    m = ctx_next.modulus
-    out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                d = (-a) % p
-                out.append(((1 + q * a) % m, q * b % m, q * c % m, (1 + q * d) % m))
-    return out
+def _last_kernel(ctx: GroupCtx, ws: Iterable[Tuple[int, int, int]]) -> List[Mat]:
+    """The elements 1 + p^(n-1) W of K_(n-1) = ker(SL2(Z/p^nZ) -> SL2(Z/p^(n-1)Z)),
+    n >= 2, one per (W00, W01, W10) in ws over F_p, with W11 = -W00 (tr W = 0 mod p)."""
+    m = ctx.modulus
+    q = m // ctx.p
+    return [((1 + q * a) % m, q * b, q * c, (1 - q * a) % m) for a, b, c in ws]
 
 
 def preimage(h: Subgroup, dst: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
@@ -186,16 +178,10 @@ def preimage(h: Subgroup, dst: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Sub
                 "preimage would hold %d elements, above the cap of %d; raise --max-elements "
                 "or SL2_MAX_ELEMENTS" % (len(codes) * ctx.p**3, cap)
             )
-        kern = _kernel_step(nxt)
-        dec = decoder(ctx)
-        enc = encoder(nxt)
-        m = nxt.modulus
-        out = set()
-        for c in codes:
-            lift = _sl2_lift_one(dec(c), m)
-            for k in kern:
-                out.add(enc(_mul(lift, k, m)))
-        codes = frozenset(out)
+        kern = [right_mul(nxt, k) for k in _last_kernel(nxt, product(range(ctx.p), repeat=3))]
+        dec, enc = decoder(ctx), encoder(nxt)
+        lifts = [enc(_sl2_lift_one(dec(c), nxt.modulus)) for c in codes]
+        codes = frozenset({k(t) for t in lifts for k in kern})
         ctx = nxt
     got = Subgroup.from_codes(dst, codes, cap=cap)
     if got.order != start_order * dst.p ** (3 * (dst.n - h.ctx.n)):
@@ -535,29 +521,29 @@ def all_subgroups(
     pool = sorted(((z, gs[0]) for z, gs in cyc.items()), key=lambda kv: (len(kv[0]), kv[1]))
     slot = {g: pos for pos, (z, _) in enumerate(pool) for g in cyc[z]}  # generator -> pool position
 
-    def conj(x: int, g: int) -> int:  # g^-1 x g; an orbit needs no inverse steps (see capped_orbit)
-        return col[g][col[x][inv[g]]]
+    def conj(g: int) -> Callable[[int], int]:  # x -> g^-1 x g; an orbit needs no inverse steps (see capped_orbit)
+        cg, gi = col[g], inv[g]
+        return lambda x: cg[col[x][gi]]
 
-    conj_perm = [[conj(x, index[enc(g)]) for x in range(k)] for g in conjugacy_gens or ()]
-
-    def conjugate(s: FrozenSet, perm: List[int]) -> FrozenSet:
-        return frozenset(perm[x] for x in s)
+    perms = [list(map(conj(index[enc(g)]), range(k))) for g in conjugacy_gens or ()]
+    conj_steps = [lambda s, perm=perm: frozenset(perm[x] for x in s) for perm in perms]
 
     trivial = frozenset([e])
     seen_all: Dict[FrozenSet, None] = {trivial: None}
     reps: List[Tuple[FrozenSet, Tuple[int, ...]]] = [(trivial, ())]
     for h, hgens in reps:  # reps grows while it is walked
         done = set()  # pool positions of the Z^x, x in H, of each Z extended: <H, Z^x> = <H, Z>
+        h_steps = [conj(g) for g in hgens]
         for pos, (_, cgen) in enumerate(pool):
             if cgen in h or pos in done:
                 continue
-            done.update(slot[y] for y in capped_orbit(cgen, hgens, conj, None, k))
+            done.update(slot[y] for y in capped_orbit(cgen, h_steps, k))
             knew = extend_closure(h, hgens, (cgen,), lambda y: col[y].__getitem__, k)
             if knew in seen_all:
                 continue
             # record the full conjugacy orbit (at most [G : N(H)] <= k subgroups),
             # queue one representative
-            for t in capped_orbit(knew, conj_perm, conjugate, None, k):
+            for t in capped_orbit(knew, conj_steps, k):
                 seen_all[t] = None
             reps.append((knew, hgens + (cgen,)))
     return [frozenset(codes[i] for i in s) for s in seen_all]
@@ -661,7 +647,7 @@ def _slim_closure_codes(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optiona
             if len(lifts) * len(span) > cap:
                 return None
     enc = encoder(ctx)
-    kernel = [(1 + q * a, q * b, q * c, (1 - q * a) % m) for a, b, c in span]
+    kernel = _last_kernel(ctx, span)
     return frozenset(enc(_mul(t, k, m)) for t in lifts for k in kernel)
 
 

@@ -1,6 +1,8 @@
 import pytest
 
+from sl2genus import groups
 from sl2genus.core import (
+    ConsistencyError,
     PreconditionError,
     decoder,
     identity,
@@ -12,6 +14,7 @@ from sl2genus.core import (
 )
 from sl2genus.groups import (
     ConjClassRef,
+    ElementSet,
     centralizer_brute,
     centralizer_order_formula,
     class_codes,
@@ -118,6 +121,22 @@ def test_centralizer_brute_matches_formula():
         g = enumerate_group(ctx)
         for ref in (ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau"), u_power_ref(ctx, 0)):
             assert len(centralizer_brute(ref.representative(), g).codes) == centralizer_order_formula(ref)
+
+
+def test_a_class_orbit_off_its_closed_form_is_not_stored(monkeypatch):
+    # an orbit that misses one element would change count_tau in a genus report without any error
+    ctx = make_ctx(5, 2)
+    monkeypatch.delitem(ctx.memo, ("tau", 0), raising=False)
+    brute = groups.conj_class_brute
+
+    def drop_one(rep, c, cap):
+        got = brute(rep, c, cap)
+        return ElementSet(c, got.codes - {min(got.codes)})
+
+    monkeypatch.setattr(groups, "conj_class_brute", drop_one)
+    with pytest.raises(ConsistencyError, match="closed form"):
+        class_codes(ConjClassRef(ctx, "tau"))
+    assert ("tau", 0) not in ctx.memo
 
 
 def test_u_power_ref_validation():

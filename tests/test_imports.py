@@ -3,9 +3,10 @@ at module level unless an allowlist entry says why not, every function reads
 each of its parameters, every private module-level name
 is used somewhere under src/, every public function and class is used
 somewhere under src/ or tests/, no module keeps a cache of its own, only
-subgroups.py touches a subgroup's memo, and only core.py knows the bit
-layout of a packed code.  Every name the benchmark's tracer wraps
-(perfbench/spans.py) still exists in the library.
+subgroups.py touches a subgroup's memo, only core.py knows the bit
+layout of a packed code, and groups.py multiplies no decoded matrices.
+Every name the benchmark's tracer wraps (perfbench/spans.py) still exists
+in the library.
 
 No linter is part of the toolchain, so this walks the syntax tree with the
 standard library.  ``__init__.py`` is skipped by the import check: its imports
@@ -333,6 +334,29 @@ def test_the_check_sees_a_packed_format_use():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "core.py"], ids=lambda p: p.name)
 def test_only_core_knows_the_packed_format(path):
     assert _packed_format_uses(path.read_text()) == []
+
+
+def _matrix_products_imported(source: str):
+    """The names _mul and _inv wherever source imports them, aliased or not."""
+    return sorted(
+        alias.name
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.ImportFrom)
+        for alias in n.names
+        if alias.name in ("_mul", "_inv")
+    )
+
+
+def test_the_check_sees_a_matrix_product_import():
+    src = "from .core import _inv, encoder\n\ndef f():\n    from .core import _mul as m\n    return m\n"
+    assert _matrix_products_imported(src) == ["_inv", "_mul"]
+
+
+# The orbit and coset kernels walk packed codes through core's maps
+# (right_mul, conjugator); a decoded product in groups.py would bring back
+# the decode/multiply/encode loop they replaced.
+def test_groups_multiplies_no_decoded_matrices():
+    assert _matrix_products_imported((SRC / "groups.py").read_text()) == []
 
 
 SPANS = SRC.parent.parent / "perfbench" / "spans.py"

@@ -6,8 +6,9 @@ whole cosets and steps by the generators alone, which is enough in a finite
 group), the right cosets {Hg : g in G} by brute force for the walk
 ``groups.right_cosets``, the lattice search as it was before it extended
 subgroups (it closed every candidate from the identity, with a table of
-direct products), and three separate primitive-root finders for p, p^2 and p^n that
-``core.primitive_root`` must agree with.
+direct products), conjugation and centralizers on decoded matrices for
+``core.conjugator`` and its callers, and three separate primitive-root finders
+for p, p^2 and p^n that ``core.primitive_root`` must agree with.
 
 GL2 stays an input domain next to SL2: its subgroups close on codes through
 ``groups._closure_codes`` (a Subgroup lies in SL2), and its classes, built in
@@ -27,8 +28,10 @@ from sl2genus import core
 from sl2genus.core import (
     DEFAULT_MAX_ELEMENTS,
     FeasibilityError,
+    NotInvertibleError,
     _inv,
     _mul,
+    conjugator,
     decoder,
     encoder,
     factorize,
@@ -46,6 +49,7 @@ from sl2genus.groups import (
     ConjClassRef,
     _closure_codes,
     capped_orbit,
+    centralizer_brute,
     class_codes,
     conj_class_brute,
     enumerate_group,
@@ -262,6 +266,83 @@ def test_conj_class_matches_conjugation_over_the_group(gl2_class, data):
     assert (conj_class_brute(x, ctx).codes if ambient == "SL2" else gl2_class(x, ctx)) == want
 
 
+@pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (5, 3), (257, 2)])
+@pytest.mark.parametrize("ambient", AMBIENTS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_conjugator_maps_codes_as_matrices_conjugate(p, n, ambient, data):
+    ctx = make_ctx(p, n)
+    m, enc = ctx.modulus, encoder(ctx)
+    entries = st.tuples(*[st.integers(0, m - 1)] * 4)
+    x = data.draw(entries)
+    a, b, c, d = data.draw(entries.filter(lambda g: (g[0] * g[3] - g[1] * g[2]) % p))
+    if ambient == "SL2":  # rescale the first column to det 1
+        di = pow((a * d - b * c) % m, -1, m)
+        a, c = a * di % m, c * di % m
+    g = (a, b, c, d)
+    assert conjugator(ctx, g)(enc(x)) == enc(_mul(_inv(g, m), _mul(x, g, m), m))
+    with pytest.raises(NotInvertibleError):
+        conjugator(ctx, (p % m, 0, 0, 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(class_inputs())
+def test_capped_orbit_cap_boundary(data):
+    ctx, _, x = data
+    steps = [conjugator(ctx, g) for g in (upper_u(ctx), lower_u(ctx))]
+    orbit = capped_orbit(encoder(ctx)(x), steps, DEFAULT_MAX_ELEMENTS)
+    assert capped_orbit(encoder(ctx)(x), steps, len(orbit)) == orbit
+    if len(orbit) > 1:  # the start is seen before any step, so a one-point orbit never raises
+        with pytest.raises(FeasibilityError, match="max-elements"):
+            capped_orbit(encoder(ctx)(x), steps, len(orbit) - 1)
+
+
+def _old_conjugate(h, g):
+    """Subgroup.conjugate as it was: g^-1 x g for each decoded x of H."""
+    m = h.ctx.modulus
+    gi = _inv(g, m)
+    enc = encoder(h.ctx)
+    dec = decoder(h.ctx)
+    return frozenset(enc(_mul(gi, _mul(dec(c), g, m), m)) for c in h.codes())
+
+
+def _old_centralizer(rep, group):
+    """centralizer_brute as it was: the decoded elements g with g rep = rep g."""
+    m = group.ctx.modulus
+    dec = decoder(group.ctx)
+    out = set()
+    for c in group.codes:
+        g = dec(c)
+        if _mul(g, rep, m) == _mul(rep, g, m):
+            out.add(c)
+    return frozenset(out)
+
+
+@st.composite
+def conjugate_inputs(draw):
+    """H = <gens> in SL2 and g in SL2 or GL2 over one of CONTEXTS."""
+    ctx = make_ctx(*draw(st.sampled_from(CONTEXTS)))
+    dec = decoder(ctx)
+    gens = draw(st.lists(st.sampled_from(sorted(_ambient(ctx, "SL2"))), min_size=1, max_size=2))
+    g = draw(st.sampled_from(sorted(_ambient(ctx, draw(st.sampled_from(AMBIENTS))))))
+    return Subgroup(ctx, tuple(map(dec, gens))), dec(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugate_inputs())
+def test_conjugate_matches_the_old_body(data):
+    h, g = data
+    assert h.conjugate(g).codes() == _old_conjugate(h, g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(conjugate_inputs())
+def test_centralizer_matches_the_old_body(data):
+    h, rep = data
+    for group in (h.elements(), enumerate_group(h.ctx)):
+        assert centralizer_brute(rep, group).codes == _old_centralizer(rep, group)
+
+
 def _old_primitive_root_mod_p(p):
     qs = list(factorize(p - 1))
     for g in range(2, p):
@@ -383,10 +464,10 @@ def _old_all_subgroups(universe, conjugacy_gens=None):
             if cset <= h:
                 continue
             kgens = hgens + (cgen,)
-            knew = capped_orbit(e, kgens, mul, None, k)
+            knew = capped_orbit(e, [lambda x, g=g: mul(x, g) for g in kgens], k)
             if knew in seen_all:
                 continue
-            for t in capped_orbit(knew, conj_perm, conjugate, None, k):
+            for t in capped_orbit(knew, [lambda s, perm=perm: conjugate(s, perm) for perm in conj_perm], k):
                 seen_all[t] = None
             reps.append((knew, kgens))
     return [frozenset(codes[i] for i in s) for s in seen_all]
