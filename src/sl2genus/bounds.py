@@ -247,7 +247,7 @@ def slim_bound_report(h: Subgroup, ref: ConjClassRef) -> SlimBoundReport:
     r = ref.r
     depth = ctx.n - r
     rep = SlimBoundReport(ref.kind, r, h.order)
-    cnt = len(h.codes() & class_codes(ref))
+    cnt = count_in_subgroup(h, ref)
     applied = False
     for kind in _CLASS_BOUNDS[ref.kind]:
         try:
@@ -294,28 +294,22 @@ def _chain_checks(
             return
         idxs = list(range(1, l + 1))
         y = _y_sets(h, ref, idxs)
-        ok = len(y[l]) <= p ** (2 * (depth - l)) * _mod_count(ctx, y[l], r + l)
-        rep.add("chain:last", ok)
+        m = {i: _mod_count(ctx, y[i], r + i) for i in idxs}  # M(i) = #(Y_i mod p^(r+i)), counted once
+        rep.add("chain:last", len(y[l]) <= p ** (2 * (depth - l)) * m[l])
         for i in range(2, l + 1):
             lhs = len(y[i - 1] - y[i])
-            rhs = p ** (depth - 1) * (
-                _mod_count(ctx, y[i - 1], r + i) - _mod_count(ctx, y[i], r + i)
-            )
+            rhs = p ** (depth - 1) * (_mod_count(ctx, y[i - 1], r + i) - m[i])
             rep.add("chain:step%d" % i, lhs <= rhs)
         lhs = len(y[0] - y[1])
-        rhs = p ** (depth - 1) * (
-            _mod_count(ctx, y[0], r + 1) - _mod_count(ctx, y[1], r + 1)
-        )
+        rhs = p ** (depth - 1) * (_mod_count(ctx, y[0], r + 1) - m[1])
         rep.add("chain:first", lhs <= rhs)
-        total = (p ** (2 * (depth - l)) - p ** (depth - 1)) * _mod_count(ctx, y[l], r + l)
-        total += (p * p - 1) * p ** (depth - 1) * sum(
-            _mod_count(ctx, y[i], r + i) for i in range(1, l)
-        )
+        total = (p ** (2 * (depth - l)) - p ** (depth - 1)) * m[l]
+        total += (p * p - 1) * p ** (depth - 1) * sum(m[i] for i in range(1, l))
         total += p ** (depth - 1) * _count_reduced(h, ref, r + 1)
         rep.add("chain:total", cnt <= total, "%d <= %d" % (cnt, total))
         for i in idxs:
             cap = recovery_count(_fiber_kind(ref), p, depth, depth - i)
-            rep.add("chain:recovery%d" % i, _mod_count(ctx, y[i], r + i) <= cap)
+            rep.add("chain:recovery%d" % i, m[i] <= cap)
         return
     # p = 2 short chains at desk exponents k < depth <= k + 3, for sigma and
     # u_power: (k, level of the mod counts, recovery cap)

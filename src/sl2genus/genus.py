@@ -1,16 +1,18 @@
 """Genus of the modular curve attached to a subgroup of SL2(Z/p^nZ).
 
 Everything is exact rational arithmetic.  The three ingredient counts
-(elliptic points of order 2 and 3, cusps) are each computed two independent
-ways -- through the class-counting identity at level n, and directly on the
-right cosets H_m g of G_m at the level m of H (K_m = ker(G -> G_m) lies in
-H, so H\\G and H_m\\G_m are isomorphic G-sets; gH -> Hg^-1 gives the same
-counts as on left cosets) -- and any disagreement raises ConsistencyError.
-The fixed points of an element depend on its class alone, so fix_points
-takes the class (a ConjClassRef), not a matrix.  genus_report walks the
-cosets once per report (groups.right_cosets, from H_m on the row tables of u
-and t(u)), for all three counts; G_m itself is never enumerated.  The walk and the
-class orbits run under the cap the subgroup carries (Subgroup.cap).
+(elliptic points of order 2 and 3, cusps) come from one route, the
+class-counting identity at level n: fix_points and cusp_orbit_ratio count
+#(H n Conj(alpha)) over #Conj(alpha).  The fixed points of an element depend
+on its class alone, so fix_points takes the class (a ConjClassRef), not a
+matrix.  genus_report is the one cross-check: it counts the same fixed points
+and cusps again on the right cosets H_m g of G_m at the level m of H
+(K_m = ker(G -> G_m) lies in H, so H\\G and H_m\\G_m are isomorphic G-sets;
+gH -> Hg^-1 gives the same counts as on left cosets), and any disagreement
+raises ConsistencyError.  It walks the cosets once per report
+(groups.right_cosets, from H_m on the row tables of u and t(u)); G_m itself is
+never enumerated.  delta and genus read the report.  The walk and the class
+orbits run under the cap the subgroup carries (Subgroup.cap).
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from .subgroups import Subgroup, level
 # the coset index of H_m g u for each coset), all at the level m of H.
 Cosets = Tuple[List[int], Dict[int, int], List[int]]
 
-# Above this order of G_m, m the level of H, the coset cross-check is skipped
-# and only the class-counting route is used (an exact identity, not an estimate).
+# Above this order of G_m, m the level of H, genus_report skips its coset
+# cross-check and reports the class-counting route alone (an exact identity,
+# not an estimate).
 DIRECT_CHECK_CAP = 130_000
 
 
@@ -93,43 +96,24 @@ def coset_space(h: Subgroup) -> Cosets:
     return reps, coset_of, [coset_of[y] for y in map(u, reps)]
 
 
-def _direct_cosets(h: Subgroup, cosets: Optional[Cosets] = None) -> Optional[Cosets]:
-    """cosets, or else coset_space(h) if G_m holds at most DIRECT_CHECK_CAP elements, or else None."""
-    if cosets is None and _level_ctx(h).order <= DIRECT_CHECK_CAP:
-        return coset_space(h)
-    return cosets
-
-
-def _coset_perm(h: Subgroup, a: Mat, cosets: Optional[Cosets]) -> Optional[List[int]]:
-    """The coset index of H_m g a for each right coset H_m g, on
-    _direct_cosets(h, cosets); None without a direct route."""
-    cosets = _direct_cosets(h, cosets)
-    if cosets is None:
-        return None
+def _coset_perm(h: Subgroup, a: Mat, cosets: Cosets) -> List[int]:
+    """The coset index of H_m g a for each right coset H_m g of cosets = coset_space(h)."""
     (reps, coset_of, _), sub = cosets, _level_ctx(h)
     return [coset_of[y] for y in map(_right_mul(sub, reduce_mat(a, sub.modulus), h.cap), reps)]
 
 
-def fix_points(h: Subgroup, ref: ConjClassRef, cosets: Optional[Cosets] = None) -> int:
-    """#{gH : a gH = gH} for a in the class ref names, computed through
-    #Fix_a / [G:H] = #(H n Conj(a)) / #Conj(a) and on the right cosets as
-    #{Hg : Hg a = Hg} (gH -> Hg^-1 matches the two); the two must agree.
-    The count depends on the class alone; the coset route acts with
-    ref.representative().
+def _class_ratio(h: Subgroup, ref: ConjClassRef) -> Fraction:
+    """#(H n Conj(alpha)) / #Conj(alpha)."""
+    return Fraction(count_in_subgroup(h, ref), len(class_codes(ref, h.cap)))
 
-    cosets is coset_space(h) if the caller has it already; without it the
-    coset route builds its own."""
-    index = h.ctx.order // h.order
-    via_identity = Fraction(index * count_in_subgroup(h, ref), len(class_codes(ref, h.cap)))
+
+def fix_points(h: Subgroup, ref: ConjClassRef) -> int:
+    """#{gH : a gH = gH} for a in the class ref names, through
+    #Fix_a / [G:H] = #(H n Conj(a)) / #Conj(a); the count depends on the class
+    alone.  genus_report checks it on the right cosets."""
+    via_identity = h.ctx.order // h.order * _class_ratio(h, ref)
     if via_identity.denominator != 1:
         raise ConsistencyError("fixed-point identity gave a non-integer")
-    perm = _coset_perm(h, ref.representative(), cosets)
-    if perm is not None:
-        direct = sum(1 for i, j in enumerate(perm) if i == j)
-        if direct != via_identity:
-            raise ConsistencyError(
-                "fixed-point count mismatch: direct %d vs identity %s" % (direct, via_identity)
-            )
     return int(via_identity)
 
 
@@ -151,60 +135,22 @@ def delta_from_ratios(r_sigma: Fraction, r_tau: Fraction, cusp: Fraction) -> Fra
     return 1 - 3 * r_sigma - 4 * r_tau - 6 * cusp
 
 
-def cusp_orbit_ratio(h: Subgroup, cosets: Optional[Cosets] = None) -> Fraction:
-    """#(<u>\\G/H) / [G:H], via the u^(p^s) class counts; cross-checked by a
-    direct orbit count of <u> acting on the right cosets H_m g when G_m is
-    small enough.
-    cosets as in fix_points."""
-    ctx = h.ctx
-    hcodes = h.codes()
-    classes = [class_codes(u_power_ref(ctx, s), h.cap) for s in range(ctx.n)]
-    ratio = cusp_series(ctx.p, [Fraction(len(hcodes & cls), len(cls)) for cls in classes])
-    cosets = _direct_cosets(h, cosets)
-    if cosets is not None:
-        step = cosets[2]  # its cycles are the double cosets H\G/<u>, as many as <u>\G/H
-        seen, orbits = set(), 0
-        for i in range(len(step)):
-            orbits += i not in seen  # each unseen coset starts a new <u>-orbit
-            while i not in seen:
-                seen.add(i)
-                i = step[i]
-        direct = Fraction(orbits, len(step))
-        if direct != ratio:
-            raise ConsistencyError("cusp ratio mismatch: direct %s vs formula %s" % (direct, ratio))
-    return ratio
-
-
-def _delta_terms(h: Subgroup, cosets: Optional[Cosets] = None) -> Tuple[int, int, Fraction, Fraction]:
-    """(#H n Conj(sigma), #H n Conj(tau), cusp ratio, delta)."""
-    ctx = h.ctx
-    hcodes = h.codes()
-    cls_s = class_codes(ConjClassRef(ctx, "sigma"), h.cap)
-    cls_t = class_codes(ConjClassRef(ctx, "tau"), h.cap)
-    cs, ct = len(hcodes & cls_s), len(hcodes & cls_t)
-    cusp = cusp_orbit_ratio(h, cosets)
-    d = delta_from_ratios(Fraction(cs, len(cls_s)), Fraction(ct, len(cls_t)), cusp)
-    return cs, ct, cusp, d
+def cusp_orbit_ratio(h: Subgroup) -> Fraction:
+    """#(<u>\\G/H) / [G:H], via the u^(p^s) class counts; genus_report checks it
+    against the <u>-orbits on the right cosets."""
+    return cusp_series(h.ctx.p, [_class_ratio(h, u_power_ref(h.ctx, s)) for s in range(h.ctx.n)])
 
 
 def delta(h: Subgroup) -> Fraction:
-    """delta_H (delta_from_ratios of the exact class and cusp ratios of H)."""
-    return _delta_terms(h)[3]
-
-
-def _genus_from_delta(h: Subgroup, d: Fraction) -> int:
-    index = h.ctx.order // h.order
-    g = 1 + Fraction(index, 12) * d
-    if g.denominator != 1 or g < 0:
-        raise ConsistencyError("genus %s is not a non-negative integer" % g)
-    return int(g)
+    """delta_H (delta_from_ratios of the exact class and cusp ratios of H), from genus_report."""
+    return genus_report(h).delta
 
 
 def genus(h: Subgroup) -> int:
-    """g = 1 + [G:H] delta / 12; valid only when -1 in H."""
+    """g = 1 + [G:H] delta / 12, from genus_report; valid only when -1 in H."""
     if minus_one(h.ctx) not in h:
         raise PreconditionError("genus formula needs -1 in H; take the genus of adjoin_minus_one(H) = <H, -1>")
-    return _genus_from_delta(h, delta(h))
+    return genus_report(h).genus
 
 
 @dataclass(frozen=True)
@@ -234,13 +180,39 @@ class GenusReport:
 
 
 def genus_report(h: Subgroup) -> GenusReport:
+    """Every count of H by class counting.  When G_m, m the level of H, holds at
+    most DIRECT_CHECK_CAP elements, Fix_sigma, Fix_tau and the <u>-orbits are
+    counted again on the right cosets H_m g (coset_space, built once), and any
+    difference raises ConsistencyError."""
     ctx = h.ctx
-    cosets = _direct_cosets(h)
-    cs, ct, cusp, d = _delta_terms(h, cosets)
-    fs = fix_points(h, ConjClassRef(ctx, "sigma"), cosets)
-    ft = fix_points(h, ConjClassRef(ctx, "tau"), cosets)
-    g = _genus_from_delta(h, d) if minus_one(ctx) in h else None
-    return GenusReport(ctx.order // h.order, cs, ct, cusp, d, g, fs, ft)
+    refs = ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")
+    counts = [count_in_subgroup(h, ref) for ref in refs]
+    fixed = [fix_points(h, ref) for ref in refs]
+    cusp = cusp_orbit_ratio(h)
+    if _level_ctx(h).order <= DIRECT_CHECK_CAP:
+        cosets = coset_space(h)
+        for ref, via_identity in zip(refs, fixed):
+            direct = sum(1 for i, j in enumerate(_coset_perm(h, ref.representative(), cosets)) if i == j)
+            if direct != via_identity:
+                raise ConsistencyError(
+                    "fixed-point count mismatch: direct %d vs identity %d" % (direct, via_identity)
+                )
+        step = cosets[2]  # its cycles are the double cosets H\\G/<u>, as many as <u>\\G/H
+        seen, orbits = set(), 0
+        for i in range(len(step)):
+            orbits += i not in seen  # each unseen coset starts a new <u>-orbit
+            while i not in seen:
+                seen.add(i)
+                i = step[i]
+        direct = Fraction(orbits, len(step))
+        if direct != cusp:
+            raise ConsistencyError("cusp ratio mismatch: direct %s vs formula %s" % (direct, cusp))
+    d = delta_from_ratios(*(Fraction(c, len(class_codes(ref, h.cap))) for c, ref in zip(counts, refs)), cusp)
+    index = ctx.order // h.order
+    g = 1 + Fraction(index, 12) * d if minus_one(ctx) in h else None
+    if g is not None and (g.denominator != 1 or g < 0):
+        raise ConsistencyError("genus %s is not a non-negative integer" % g)
+    return GenusReport(index, *counts, cusp, d, None if g is None else int(g), *fixed)
 
 
 # -------------------- closed-form genera at level p --------------------

@@ -22,6 +22,7 @@ from .core import (
     GroupCtx,
     Mat,
     PreconditionError,
+    _check_reduced,
     conjugator,
     decoder,
     encoder,
@@ -266,7 +267,9 @@ def centralizer_order_formula(ref: ConjClassRef) -> int:
 def conj_class_brute(rep: Mat, ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSet:
     """The SL2 class of rep, {g^-1 rep g : g in SL2(Z/p^nZ)}, by breadth-first
     conjugation of codes with u and t(u), which generate SL2.  A GL2 class is
-    the union over units e of the SL2 classes of d^-1 rep d with d = diag(e, 1)."""
+    the union over units e of the SL2 classes of d^-1 rep d with d = diag(e, 1).
+    An entry of rep outside [0, p^n) raises ContextMismatchError."""
+    _check_reduced(rep, ctx)
     m = ctx.modulus
     dt = (rep[0] * rep[3] - rep[1] * rep[2]) % m
     if dt != 1 % m:

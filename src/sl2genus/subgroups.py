@@ -23,6 +23,7 @@ from .core import (
     Mat,
     PreconditionError,
     ReductionError,
+    _check_reduced,
     _mul,
     conjugator,
     decoder,
@@ -51,9 +52,10 @@ from .groups import ElementSet, _closure_codes, capped_orbit, enumerate_group, e
 class Subgroup:
     """A subgroup of SL2(Z/p^nZ) given by generators; the element set is
     materialized lazily and never mutated afterwards.  Non-empty gens generate H
-    (from_codes may leave them empty), and one of det != 1 raises
-    PreconditionError.  _reduced is the memo of what derives from H alone:
-    H mod p^s under the key s, H_s under ("H_s", s), the level under "level"."""
+    (from_codes may leave them empty); one with an entry outside [0, p^n)
+    raises ContextMismatchError, and one of det != 1 raises PreconditionError.
+    _reduced is the memo of what derives from H alone: H mod p^s under the key
+    s, H_s under ("H_s", s), the level under "level"."""
 
     ctx: GroupCtx
     gens: Tuple[Mat, ...]
@@ -64,6 +66,7 @@ class Subgroup:
     def __post_init__(self) -> None:
         m = self.ctx.modulus
         for g in self.gens:
+            _check_reduced(g, self.ctx)
             dt = (g[0] * g[3] - g[1] * g[2]) % m
             if dt != 1 % m:
                 raise PreconditionError("generator %r has det %d != 1" % (g, dt))

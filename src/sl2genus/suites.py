@@ -59,6 +59,7 @@ from .fibers import (
     reduction_fiber_sizes,
     verify_orthogonality,
 )
+from .genus import count_in_subgroup
 from .bounds import (
     CaseReport,
     DeskResult,
@@ -150,33 +151,27 @@ _E_PRIMES = (5, 7, 11, 13, 17)
 def suite_lemma4_6(seed: int = 0) -> Tuple[bool, str]:
     for p in _BCDE_PRIMES:
         ctx = make_ctx(p, 1)
-        cls = {
-            "sigma": class_codes(ConjClassRef(ctx, "sigma")),
-            "tau": class_codes(ConjClassRef(ctx, "tau")),
-            "u": class_codes(u_power_ref(ctx, 0)),
-        }
+        refs = {"sigma": ConjClassRef(ctx, "sigma"), "tau": ConjClassRef(ctx, "tau"), "u": u_power_ref(ctx, 0)}
         groups = {"B": borel(p), "C": split_cartan_normalizer(p), "D": nonsplit_cartan_normalizer(p)}
         for gname, sub in groups.items():
-            for alpha, cc in cls.items():
-                got = len(sub.codes() & cc)
+            for alpha, ref in refs.items():
+                got = count_in_subgroup(sub, ref)
                 want = _bcde(gname, alpha, p)
                 if got != want:
                     return False, "#%s n Conj(%s) = %d != %d at p=%d" % (gname, alpha, got, want, p)
     for p in _E_PRIMES:
         ctx = make_ctx(p, 1)
-        cls_s = class_codes(ConjClassRef(ctx, "sigma"))
-        cls_t = class_codes(ConjClassRef(ctx, "tau"))
-        cls_u = class_codes(u_power_ref(ctx, 0))
+        ref_s, ref_t, ref_u = ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau"), u_power_ref(ctx, 0)
         bs, bt = _e_bounds(p)
         for iso in ("A4", "S4", "A5"):
             if not exceptional_availability(p, iso):
                 continue
             e = exceptional_subgroup(p, iso, seed=seed)
-            if len(e.codes() & cls_s) > bs:
+            if count_in_subgroup(e, ref_s) > bs:
                 return False, "E:%s sigma count above %d at p=%d" % (iso, bs, p)
-            if len(e.codes() & cls_t) > bt:
+            if count_in_subgroup(e, ref_t) > bt:
                 return False, "E:%s tau count above %d at p=%d" % (iso, bt, p)
-            if len(e.codes() & cls_u) != 0:
+            if count_in_subgroup(e, ref_u) != 0:
                 return False, "E:%s meets Conj(u) at p=%d" % (iso, p)
     return True, "B/C/D exact at p in %s; E bounds at p in %s" % (_BCDE_PRIMES, _E_PRIMES)
 
@@ -188,11 +183,11 @@ def suite_lemma4_10(seed: int = 0) -> Tuple[bool, str]:
         return False, "A1 differs from the twelve-element table"
     want = {"sigma": 3, "tau": 2}
     for kind, expect in want.items():
-        got = len(a1.codes() & class_codes(ConjClassRef(ctx, kind)))
+        got = count_in_subgroup(a1, ConjClassRef(ctx, kind))
         if got != expect:
             return False, "#A1 n Conj(%s) = %d != %d" % (kind, got, expect)
     for r, expect in ((0, 0), (1, 0)):
-        got = len(a1.codes() & class_codes(u_power_ref(ctx, r)))
+        got = count_in_subgroup(a1, u_power_ref(ctx, r))
         if got != expect:
             return False, "#A1 n Conj(u^%d) = %d != 0" % (2**r, got)
     return True, "A1 counts (3, 2, 0, 0)"

@@ -3,6 +3,7 @@ import pytest
 from sl2genus import groups
 from sl2genus.core import (
     ConsistencyError,
+    ContextMismatchError,
     PreconditionError,
     decoder,
     identity,
@@ -137,6 +138,14 @@ def test_a_class_orbit_off_its_closed_form_is_not_stored(monkeypatch):
     with pytest.raises(ConsistencyError, match="closed form"):
         class_codes(ConjClassRef(ctx, "tau"))
     assert ("tau", 0) not in ctx.memo
+
+
+def test_conj_class_brute_rejects_an_unreduced_representative():
+    # (6, 1, 0, 1) is u mod 5; walked as given, its orbit held 13 codes, one more than Conj(u)
+    c5 = make_ctx(5, 1)
+    with pytest.raises(ContextMismatchError, match="not reduced modulo 5"):
+        conj_class_brute((6, 1, 0, 1), c5)
+    assert len(conj_class_brute(upper_u(c5), c5)) == 12
 
 
 def test_u_power_ref_validation():

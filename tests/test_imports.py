@@ -4,9 +4,9 @@ each of its parameters, every private module-level name
 is used somewhere under src/, every public function and class is used
 somewhere under src/ or tests/, no module keeps a cache of its own, only
 subgroups.py touches a subgroup's memo, only core.py knows the bit
-layout of a packed code, and groups.py multiplies no decoded matrices.
-Every name the benchmark's tracer wraps (perfbench/spans.py) still exists
-in the library.
+layout of a packed code, groups.py multiplies no decoded matrices, and
+only genus_report walks cosets (coset_space).  Every name the benchmark's
+tracer wraps (perfbench/spans.py) still exists in the library.
 
 No linter is part of the toolchain, so this walks the syntax tree with the
 standard library.  ``__init__.py`` is skipped by the import check: its imports
@@ -357,6 +357,39 @@ def test_the_check_sees_a_matrix_product_import():
 # the decode/multiply/encode loop they replaced.
 def test_groups_multiplies_no_decoded_matrices():
     assert _matrix_products_imported((SRC / "groups.py").read_text()) == []
+
+
+def _referrers(source: str, name: str):
+    """(function, line) for each read of name, as a bare name or an attribute,
+    under the innermost enclosing function ("<module>" outside any)."""
+    out = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load)) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                out.append((fn, child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(out)
+
+
+def test_the_check_sees_a_second_coset_walk():
+    src = (
+        "def coset_space(h):\n    return h\n\ndef genus_report(h):\n    return coset_space(h)\n\n"
+        "def fix_points(h, walk=coset_space):\n    return genus.coset_space(h)\n\nx = list(map(coset_space, []))\n"
+    )
+    found = [("<module>", 10), ("fix_points", 7), ("fix_points", 8), ("genus_report", 5)]
+    assert _referrers(src, "coset_space") == found
+
+
+# genus_report is the one coset cross-check of the genus counts: any other
+# reader of coset_space would be a second place where the two routes meet.
+def test_only_genus_report_walks_cosets():
+    found = {(p.name, fn) for p in SRC.glob("*.py") for fn, _ in _referrers(p.read_text(), "coset_space")}
+    assert found == {("genus.py", "genus_report")}
 
 
 SPANS = SRC.parent.parent / "perfbench" / "spans.py"

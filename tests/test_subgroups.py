@@ -3,6 +3,7 @@ import random
 import pytest
 
 from sl2genus.core import (
+    ContextMismatchError,
     FeasibilityError,
     PreconditionError,
     decoder,
@@ -72,6 +73,16 @@ def test_subgroup_rejects_generators_outside_sl2():
     with pytest.raises(PreconditionError, match="det 4"):
         Subgroup.from_codes(c5, frozenset(), gens=(upper_u(c5), (4, 0, 0, 1)))
     assert Subgroup(c5, (upper_u(c5),)).order == 5
+
+
+def test_subgroup_rejects_unreduced_generators():
+    # (6, 1, 0, 1) is u mod 5; accepted, it gave an H of order 5 that did not contain its own generator
+    c5 = make_ctx(5, 1)
+    with pytest.raises(ContextMismatchError, match="not reduced modulo 5"):
+        Subgroup(c5, ((6, 1, 0, 1),))
+    with pytest.raises(ContextMismatchError):
+        Subgroup.from_codes(c5, frozenset(), gens=(upper_u(c5), (1, -1, 0, 1)))
+    assert (1, 1, 0, 1) in Subgroup(c5, ((1, 1, 0, 1),))
 
 
 def test_standard_subgroup_orders():
