@@ -1,23 +1,24 @@
 """Genus of the modular curve attached to a subgroup of SL2(Z/p^nZ).
 
-Everything is exact rational arithmetic.  The three ingredient counts
-(elliptic points of order 2 and 3, cusps) come from one route, the
-class-counting identity at level n: fix_points and cusp_orbit_ratio count
-#(H n Conj(alpha)) over #Conj(alpha).  The fixed points of an element depend
-on its class alone, so fix_points takes the class (a ConjClassRef), not a
-matrix.  genus_report is the one cross-check: it counts the same fixed points
-and cusps again on the right cosets H_m g of G_m at the level m of H
-(K_m = ker(G -> G_m) lies in H, so H\\G and H_m\\G_m are isomorphic G-sets;
-gH -> Hg^-1 gives the same counts as on left cosets), and any disagreement
-raises ConsistencyError.  It walks the cosets once per report
-(groups.right_cosets, from H_m on the row tables of u and t(u)); G_m itself is
-never enumerated.  delta and genus read the report.  The walk and the class
-orbits run under the cap the subgroup carries (Subgroup.cap).
+Everything is exact rational arithmetic.  The counts of X_H depend on H_m = H
+mod p^m alone, m the level of H (K_m = ker(G -> G_m) lies in H, so H\\G and
+H_m\\G_m are isomorphic G-sets): below level n, genus_report reports H_m and
+lifts its class counts by #Conj_n / #Conj_m, so neither H (whose order comes
+from the Schreier walk, Subgroup.order) nor a level-n class orbit is built.
+The three ingredient counts (elliptic points of order 2 and 3, cusps) come
+from one route, the class-counting identity: fix_points and cusp_orbit_ratio
+count #(H n Conj(alpha)) over #Conj(alpha); the fixed points of an element
+depend on its class alone, so fix_points takes a ConjClassRef.  genus_report
+is the one cross-check: it counts them again on the right cosets H_m g of G_m
+(gH -> Hg^-1 gives the counts on left cosets), walked once per report by
+groups.right_cosets from H_m on the row tables of u and t(u), and any
+disagreement raises ConsistencyError.  delta and genus read the report.  The
+walk and the class orbits run under the cap the subgroup carries (Subgroup.cap).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -35,7 +36,7 @@ from .core import (
     row_table,
     upper_u,
 )
-from .groups import ConjClassRef, cached, check_order, class_codes, right_cosets, u_power_ref
+from .groups import ConjClassRef, cached, check_order, class_codes, conj_class_size_formula, right_cosets, u_power_ref
 from .subgroups import Subgroup, level
 
 # coset_space(h): (the first code of each right coset H_m g, code -> coset index,
@@ -148,9 +149,10 @@ def delta(h: Subgroup) -> Fraction:
 
 def genus(h: Subgroup) -> int:
     """g = 1 + [G:H] delta / 12, from genus_report; valid only when -1 in H."""
-    if minus_one(h.ctx) not in h:
+    report = genus_report(h)
+    if report.genus is None:
         raise PreconditionError("genus formula needs -1 in H; take the genus of adjoin_minus_one(H) = <H, -1>")
-    return genus_report(h).genus
+    return report.genus
 
 
 @dataclass(frozen=True)
@@ -180,16 +182,23 @@ class GenusReport:
 
 
 def genus_report(h: Subgroup) -> GenusReport:
-    """Every count of H by class counting.  When G_m, m the level of H, holds at
-    most DIRECT_CHECK_CAP elements, Fix_sigma, Fix_tau and the <u>-orbits are
-    counted again on the right cosets H_m g (coset_space, built once), and any
-    difference raises ConsistencyError."""
-    ctx = h.ctx
+    """Every count of H by class counting; below level n, H_m's report with
+    count_sigma and count_tau times #Conj_n / #Conj_m (reduction is onto and
+    G-equivariant, so Conj_n fibres evenly over Conj_m, and the rest is equal).
+    When G_m holds at most DIRECT_CHECK_CAP elements, Fix_sigma, Fix_tau and
+    the <u>-orbits are counted again on the right cosets H_m g (coset_space,
+    built once), and any difference raises ConsistencyError."""
+    ctx, m = h.ctx, level(h)
     refs = ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")
+    if m < ctx.n:
+        sub = make_ctx(ctx.p, m)
+        low = genus_report(Subgroup.from_codes(sub, h.reduced_codes(m), cap=h.cap))
+        lift = [conj_class_size_formula(ref) // conj_class_size_formula(ConjClassRef(sub, ref.kind)) for ref in refs]
+        return replace(low, count_sigma=low.count_sigma * lift[0], count_tau=low.count_tau * lift[1])
     counts = [count_in_subgroup(h, ref) for ref in refs]
     fixed = [fix_points(h, ref) for ref in refs]
     cusp = cusp_orbit_ratio(h)
-    if _level_ctx(h).order <= DIRECT_CHECK_CAP:
+    if ctx.order <= DIRECT_CHECK_CAP:
         cosets = coset_space(h)
         for ref, via_identity in zip(refs, fixed):
             direct = sum(1 for i, j in enumerate(_coset_perm(h, ref.representative(), cosets)) if i == j)

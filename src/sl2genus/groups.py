@@ -4,7 +4,7 @@ Element sets store packed codes (see core.encoder), and every kernel here
 walks codes through the maps of core (x -> x s, x -> g^-1 x g).  One kernel
 walks right cosets, right_cosets: subgroups close on it through
 extend_closure, and the genus coset space is built on it.  Orbits go through
-capped_orbit (the sampler's Schreier walk keeps a lift per key, so it stays
+capped_orbit (the Schreier walk of subgroups keeps a lift per key, so it stays
 its own loop); conjugacy classes are expanded by conjugating with u, t(u)
 only, which keeps memory at O(#class) instead of O(#group).  Every set
 derived from a context alone is stored once, in its memo, through cached."""
@@ -58,6 +58,7 @@ class ElementSet:
         return len(self.codes)
 
     def __contains__(self, x: Mat) -> bool:
+        _check_reduced(x, self.ctx)
         return encoder(self.ctx)(x) in self.codes
 
 

@@ -43,19 +43,20 @@ from .core import (
     sigma,
     upper_u,
 )
-from .groups import ElementSet, _closure_codes, capped_orbit, enumerate_group, extend_closure
+from .groups import ElementSet, _closure_codes, _over_cap, capped_orbit, enumerate_group, extend_closure
 
 # -------------------- the subgroup value --------------------
 
 
 @dataclass(eq=False)
 class Subgroup:
-    """A subgroup of SL2(Z/p^nZ) given by generators; the element set is
-    materialized lazily and never mutated afterwards.  Non-empty gens generate H
-    (from_codes may leave them empty); one with an entry outside [0, p^n)
-    raises ContextMismatchError, and one of det != 1 raises PreconditionError.
-    _reduced is the memo of what derives from H alone: H mod p^s under the key
-    s, H_s under ("H_s", s), the level under "level"."""
+    """A subgroup of SL2(Z/p^nZ) given by generators; the element set is built
+    on demand (codes), never mutated afterwards, and until then order reads #H
+    from the Schreier walk.  Non-empty gens generate H (from_codes may leave
+    them empty); one with an entry outside [0, p^n) raises
+    ContextMismatchError, and one of det != 1 raises PreconditionError.
+    _reduced is the memo of what derives from H alone: H mod p^s under the
+    key s, H_s under ("H_s", s), the level under "level", #H under "order"."""
 
     ctx: GroupCtx
     gens: Tuple[Mat, ...]
@@ -83,14 +84,31 @@ class Subgroup:
 
     def codes(self) -> FrozenSet:
         if self._codes is None:
-            self._codes = _closure_codes(self.gens, self.ctx, self.cap)
+            codes = _closure_codes(self.gens, self.ctx, self.cap)
+            if len(codes) != self._reduced.get("order", len(codes)):
+                raise ConsistencyError("closure of %d elements, Schreier walk %d" % (len(codes), self.order))
+            self._codes = codes
         return self._codes
 
     @property
     def order(self) -> int:
-        return len(self.codes())
+        """#H, FeasibilityError above cap.  Before codes, for gens at n >= 2: #lifts *
+        p^rank from _schreier_walk, or #(H mod p^(n-1)) * p^3 once it finds K_(n-1) <= H."""
+        if self._codes is not None or not self.gens or self.ctx.n == 1:
+            return len(self.codes())
+        if "order" not in self._reduced:
+            walk = _schreier_walk(self.gens, self.ctx, self.cap)
+            if walk is None:
+                raise _over_cap(self.cap)
+            (lifts, span), n, p = walk, self.ctx.n, self.ctx.p
+            got = len(lifts) * len(span) if span is not None else len(self.reduced_codes(n - 1)) * p**3
+            if got > self.cap:
+                raise _over_cap(self.cap)
+            self._reduced["order"] = got
+        return self._reduced["order"]
 
     def __contains__(self, x: Mat) -> bool:
+        _check_reduced(x, self.ctx)
         return encoder(self.ctx)(x) in self.codes()
 
     def mats(self) -> Iterator[Mat]:
@@ -137,8 +155,11 @@ def full_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
 
 
 def adjoin_minus_one(h: Subgroup) -> Subgroup:
-    """<H, -1>; -1 is a central involution, so this is H u (-1)H, or H's own code set if -1 is in H."""
+    """<H, -1>; -1 is a central involution, so this is H u (-1)H, or H's own code set if -1 is in H.
+    An unmaterialized H gives <gens, -1>, unmaterialized too."""
     ctx = h.ctx
+    if h._codes is None:
+        return Subgroup(ctx, h.gens + (minus_one(ctx),), h.cap)
     codes = h.codes()
     if encoder(ctx)(minus_one(ctx)) not in codes:
         codes = set(codes)  # frozen once, the table fits H u -H; a union H | -H sizes it for both
@@ -612,18 +633,16 @@ def _slim_candidate(ctx: GroupCtx, level1_pool: List[Mat], rng: random.Random) -
     return gens
 
 
-def _slim_closure_codes(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[FrozenSet]:
-    """The codes of H = <gens> (n >= 2), or None if H contains the last kernel
-    K_(n-1) or holds more than cap elements.
-
-    Schreier's lemma along the last reduction: walk H mod p^(n-1)
-    breadth-first with level-n products and keep the first lift t of each
-    reduced element.  A product z reaching that element again gives
+def _schreier_walk(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[Tuple[List[Mat], Optional[set]]]:
+    """Schreier's lemma along the last reduction (n >= 2): walk H = <gens> mod
+    p^(n-1) breadth-first with level-n products and keep the first lift t of
+    each reduced element.  A product z reaching that element again gives
     z t^-1 = 1 + p^(n-1) W in H n K_(n-1), and these generate H n K_(n-1).
-    K_(n-1) is F_p^3 through (W00, W01, W10), with W11 = -W00 mod p, for
-    p = 2 as well.  Rank 3 means K_(n-1) <= H; otherwise H is the products
-    t k of the lifts and the span, #lifts * p^rank elements, and the walk
-    stops once that count passes cap.
+    K_(n-1) is F_p^3 through (W00, W01, W10), with W11 = -W00 mod p, for p = 2
+    as well.  Below rank 3, H is the products t k of the lifts and the span,
+    #H = #lifts * p^rank.  Returns (lifts, span); the span is None once it
+    reaches rank 3 (K_(n-1) <= H; the walk stops there, its lifts partial),
+    and the whole is None once #lifts * p^rank passes cap (then #H > cap).
     """
     p, m = ctx.p, ctx.modulus
     q = m // p
@@ -645,13 +664,22 @@ def _slim_closure_codes(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optiona
                 if w in span:
                     continue
                 if len(span) == p * p:
-                    return None  # a third independent W
+                    return lifts, None  # a third independent W
                 span = {tuple((a + j * b) % p for a, b in zip(v, w)) for v in span for j in range(p)}
             if len(lifts) * len(span) > cap:
                 return None
-    enc = encoder(ctx)
-    kernel = _last_kernel(ctx, span)
-    return frozenset(enc(_mul(t, k, m)) for t in lifts for k in kernel)
+    return lifts, span
+
+
+def _slim_closure_codes(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[FrozenSet]:
+    """The codes of H = <gens> (n >= 2) as the products t k of the lifts and the
+    kernel span of _schreier_walk, or None if H contains the last kernel
+    K_(n-1) (rank 3) or holds more than cap elements."""
+    walk = _schreier_walk(gens, ctx, cap)
+    if walk is None or walk[1] is None:
+        return None
+    enc, m, kernel = encoder(ctx), ctx.modulus, _last_kernel(ctx, walk[1])
+    return frozenset(enc(_mul(t, k, m)) for t in walk[0] for k in kernel)
 
 
 def sample_slim_subgroups(

@@ -406,3 +406,34 @@ def test_the_walk_checks_the_cap_before_it_builds_anything(monkeypatch):
     assert not any(key in ctx.memo for key in keys)
     reps, coset_of, step = coset_space(Subgroup(ctx, (upper_u(ctx),), cap=15_000))
     assert (len(reps), len(coset_of), len(step)) == (600, 15_000, 600)
+
+
+def test_a_report_below_level_n_closes_nothing_at_level_n(monkeypatch):
+    # <u, t(u)> = SL2(Z/49Z) has level 1: its order comes from the Schreier walk
+    # and its report from SL2(Z/7Z), so neither H, <H, -1> nor a class orbit is
+    # built modulo 49; under a cap below #G = 115,248 both still raise
+    calls = []
+
+    def recording(fn, ctx_of):
+        def wrapped(*args, **kwargs):
+            calls.append(ctx_of(*args).n)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    mods = [m for name, m in sys.modules.items() if name.startswith("sl2genus.")]
+    for name, ctx_of in (("_closure_codes", lambda gens, ctx, cap: ctx), ("class_codes", lambda ref, *cap: ref.ctx)):
+        true_fn = getattr(sys.modules["sl2genus.groups"], name)
+        for mod in mods:
+            if vars(mod).get(name) is true_fn:
+                monkeypatch.setattr(mod, name, recording(true_fn, ctx_of))
+    ctx = make_ctx(7, 2)
+    h = Subgroup(ctx, (upper_u(ctx), lower_u(ctx)))
+    reports = [genus_report(h), genus_report(adjoin_minus_one(h))]
+    assert [(r.index, r.genus) for r in reports] == [(1, 0), (1, 0)]
+    assert 1 in calls and 2 not in calls
+    for wrap in (lambda x: x, adjoin_minus_one):
+        with pytest.raises(FeasibilityError, match="max-elements"):
+            wrap(Subgroup(ctx, h.gens, cap=100_000)).order
+        with pytest.raises(FeasibilityError, match="max-elements"):
+            genus_report(wrap(Subgroup(ctx, h.gens, cap=100_000)))

@@ -392,6 +392,21 @@ def test_only_genus_report_walks_cosets():
     assert found == {("genus.py", "genus_report")}
 
 
+def test_the_check_sees_a_read_of_codes():
+    src = (
+        "def count_in_subgroup(h, ref):\n    return len(h.codes() & class_codes(ref))\n\n"
+        "def genus_report(h):\n    return len(h.codes), h.reduced_codes(1)\n"
+    )
+    assert _referrers(src, "codes") == [("count_in_subgroup", 2), ("genus_report", 5)]
+
+
+# genus_report reads H at its level: below level n it reports H_m, so H's code
+# set at level n is read by count_in_subgroup alone (on the level-n route), and
+# no other reader can quietly close H at level n inside a report.
+def test_only_count_in_subgroup_reads_codes_in_genus():
+    assert {fn for fn, _ in _referrers((SRC / "genus.py").read_text(), "codes")} == {"count_in_subgroup"}
+
+
 SPANS = SRC.parent.parent / "perfbench" / "spans.py"
 
 

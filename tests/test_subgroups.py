@@ -22,6 +22,8 @@ from sl2genus.groups import ConjClassRef, _closure_codes, class_codes, enumerate
 from sl2genus.subgroups import (
     Subgroup,
     _holds_kernel,
+    _last_kernel,
+    _lift_to,
     _slim_candidate,
     _slim_cap,
     _slim_closure_codes,
@@ -45,7 +47,7 @@ from sl2genus.subgroups import (
     split_cartan_normalizer,
     standard_subgroup,
 )
-from sl2genus.genus import genus_report
+from sl2genus.genus import count_in_subgroup, cusp_orbit_ratio, fix_points, genus_report
 from sl2genus.suites import A1_TABLE, _codes_of
 
 
@@ -83,6 +85,18 @@ def test_subgroup_rejects_unreduced_generators():
     with pytest.raises(ContextMismatchError):
         Subgroup.from_codes(c5, frozenset(), gens=(upper_u(c5), (1, -1, 0, 1)))
     assert (1, 1, 0, 1) in Subgroup(c5, ((1, 1, 0, 1),))
+
+
+def test_membership_rejects_unreduced_matrices():
+    # packed unchecked, 33 = 1 + 32 spilled its bit 5 into the b field and read as u,
+    # and -1 with negative entries was not found although -1 is in H
+    ctx = make_ctx(5, 2)
+    h = closure([upper_u(ctx), minus_one(ctx)], ctx)
+    for x in ((33, 0, 0, 1), (-1, 0, 0, -1)):
+        for where in (h, h.elements()):
+            with pytest.raises(ContextMismatchError, match="not reduced modulo 25"):
+                x in where
+    assert upper_u(ctx) in h and minus_one(ctx) in h.elements()
 
 
 def test_standard_subgroup_orders():
@@ -435,3 +449,45 @@ def test_a_subgroup_above_modulus_65536_closes_on_int_codes():
     mod_p = closure([sigma(ctx1)], ctx1).codes()
     assert h.reduced_codes(1) == Subgroup.from_codes(ctx, h.codes()).reduced_codes(1) == mod_p
     assert level(h) == 2 and is_slim(h)
+
+
+def _random_sl2(ctx, rng):
+    m = ctx.modulus
+    while True:
+        a, b, c = (rng.randrange(m) for _ in range(3))
+        if a % ctx.p:
+            return (a, b, c, (1 + b * c) * pow(a, -1, m) % m)
+
+
+def _walk_cases():
+    """(ctx, gens): seeded tuples of one to three elements, and per context the
+    lifted Borel generators with the kernel generators 1 + p^(n-1)E, which give
+    K_(n-1) <= H != G."""
+    for (p, n), count in (((2, 3), 8), ((3, 2), 8), ((5, 2), 8), ((2, 4), 6), ((3, 3), 6), ((7, 2), 2)):
+        ctx = make_ctx(p, n)
+        rng = random.Random("walk-%d-%d" % (p, n))
+        for _ in range(count):
+            yield ctx, tuple(_random_sl2(ctx, rng) for _ in range(rng.choice((1, 2, 2, 3))))
+        kernel = _last_kernel(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        yield ctx, tuple([_lift_to(g, ctx) for g in borel(p).gens] + kernel)
+
+
+def test_the_walk_order_and_reports_match_the_closure():
+    # an unmaterialized H (order from the Schreier walk, report from H_m below level n)
+    # against its twin built from the closure; the twin's lifted class counts against
+    # the class counts at level n.  Neither H nor <H, -1> is closed below level n.
+    kinds = set()
+    for ctx, gens in _walk_cases():
+        h = Subgroup(ctx, gens)
+        twin = Subgroup.from_codes(ctx, closure(gens, ctx).codes())
+        for a, b in ((h, twin), (adjoin_minus_one(h), adjoin_minus_one(twin))):
+            assert (a.order, level(a)) == (b.order, level(b)), gens
+            report = genus_report(a)
+            assert report.to_json_dict() == genus_report(b).to_json_dict(), gens
+            assert (a._codes is None) == (level(a) < ctx.n), gens
+            refs = [ConjClassRef(ctx, kind) for kind in ("sigma", "tau")]
+            assert [report.count_sigma, report.count_tau] == [count_in_subgroup(b, ref) for ref in refs], gens
+            assert [report.fix_sigma, report.fix_tau] == [fix_points(b, ref) for ref in refs], gens
+            assert report.cusp_ratio == cusp_orbit_ratio(b), gens
+        kinds.add("level n" if level(h) == ctx.n else "G" if h.order == ctx.order else "K_(n-1) <= H != G")
+    assert kinds == {"level n", "G", "K_(n-1) <= H != G"}
