@@ -37,6 +37,7 @@ from .subgroups import (
     adjoin_minus_one,
     all_subgroups,
     closure,
+    filtration,
     filtration_level,
     is_slim,
     parse_subgroup_spec,

@@ -16,7 +16,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     DEFAULT_MAX_ELEMENTS,
@@ -45,6 +45,7 @@ from .subgroups import (
     all_subgroups,
     borel,
     exceptional_availability,
+    filtration,
     filtration_level,
     order_three_subgroup,
     preimage,
@@ -159,27 +160,78 @@ def _correction(kind: str, p: int) -> Tuple[int, int, int]:
     }[kind]
 
 
+def _corrected(kind: str, p: int, n: int) -> Tuple[int, Callable[[int], int]]:
+    """k of kind, and the map count -> a(kind, p)_n + p^(n-e) (count - c), for the (e, c, k) of _correction."""
+    e, c, k = _correction(kind, p)
+    a, scale = bound_sequence(kind, p, n), p ** (n - e)
+    return k, lambda count: a + scale * (count - c)
+
+
 def corrected_bound(kind: str, p: int, n: int, count: int) -> int:
     """The bound on #(H n Conj(alpha)) for slim H at depth n, given count =
     #(H mod p^(r+k) n Conj(alpha)) (or an upper bound for it)."""
-    e, c, _k = _correction(kind, p)
-    return bound_sequence(kind, p, n) + p ** (n - e) * (count - c)
+    return _corrected(kind, p, n)[1](count)
 
 
 # -------------------- slim-subgroup checks --------------------
 
 
-def _ref_at(ref: ConjClassRef, level: int) -> ConjClassRef:
-    return ConjClassRef(make_ctx(ref.ctx.p, level), ref.kind, r=ref.r)
+def _fiber_kind(ref: ConjClassRef) -> str:
+    return "u" if ref.kind == "u_power" else ref.kind
+
+
+def _fiber(ref: ConjClassRef, i: int) -> FiberDescriptor:
+    """The fiber V^(n, n-i) of ref's class, n its depth; PreconditionError where there is none."""
+    depth = ref.ctx.n - ref.r
+    return FiberDescriptor(ref.ctx.p, ref.r, depth, depth - i, _fiber_kind(ref))
+
+
+# The bound kinds of each class, in the order their checks are reported.
+_CLASS_BOUNDS = {
+    "sigma": ("a_sigma_p", "a_sigma_2"),
+    "tau": ("a_tau_p", "a_tau_3", "a_tau_2"),
+    "u_power": ("a_u_p", "a_u_2", "b_u_2"),
+}
+
+
+class _Plan(NamedTuple):
+    """What slim_bound_report reads of a class alone: (kind, level r+k of its
+    count, its bound as a map of the count) for each kind that applies at the
+    class's depth, the class at each level r+1..n, and the fiber of each
+    i = 1..depth/2 that has one.  It holds no element set: the orbits are read
+    through class_codes under the subgroup's cap."""
+
+    bounds: Tuple[Tuple[str, int, Callable[[int], int]], ...]
+    refs: Dict[int, ConjClassRef]
+    fibers: Dict[int, FiberDescriptor]
+
+
+def _bound_plan(ref: ConjClassRef) -> _Plan:
+    """ref's _Plan, built once per (context, kind, r) and kept in the context's memo."""
+    ctx, r = ref.ctx, ref.r
+
+    def build() -> _Plan:
+        bounds, fibers = [], {}
+        for kind in _CLASS_BOUNDS[ref.kind]:
+            try:
+                k, bound = _corrected(kind, ctx.p, ctx.n - r)
+            except PreconditionError:  # its preconditions say where a bound applies
+                continue
+            bounds.append((kind, r + k, bound))
+        for i in range(1, (ctx.n - r) // 2 + 1):
+            try:
+                fibers[i] = _fiber(ref, i)
+            except PreconditionError:  # no fiber V at this i (p = 2)
+                continue
+        refs = {s: ConjClassRef(make_ctx(ctx.p, s), ref.kind, r=r) for s in range(r + 1, ctx.n + 1)}
+        return _Plan(tuple(bounds), refs, fibers)
+
+    return cached(ctx, ("plan", ref.kind, r), build, DEFAULT_MAX_ELEMENTS)  # no elements, so no cap
 
 
 def _count_reduced(h: Subgroup, ref: ConjClassRef, level: int) -> int:
-    cls = class_codes(_ref_at(ref, level))
-    return len(h.reduced_codes(level) & cls)
-
-
-def _fiber_kind(ref: ConjClassRef) -> str:
-    return "u" if ref.kind == "u_power" else ref.kind
+    """#(H mod p^level n Conj(alpha) mod p^level), the class read under h's cap."""
+    return len(h.reduced_codes(level) & class_codes(_bound_plan(ref).refs[level], h.cap))
 
 
 def _v_codes(desc: FiberDescriptor, x: Mat) -> FrozenSet:
@@ -193,21 +245,27 @@ def _v_codes(desc: FiberDescriptor, x: Mat) -> FrozenSet:
 
 
 def _y_sets(h: Subgroup, ref: ConjClassRef, idxs: Sequence[int]) -> Dict[int, FrozenSet]:
-    """Y_0 and Y_i = {x in H n Conj : H_(N-i) = V_x} for the requested i."""
+    """Y_0 and Y_i = {x in H n Conj : H_(N-i) = V_x} for the requested i, on
+    the fibers of ref's plan."""
     ctx = h.ctx
     dec = decoder(ctx)
-    depth = ctx.n - ref.r
+    fibers = _bound_plan(ref).fibers
     y0 = h.codes() & class_codes(ref)
     out: Dict[int, FrozenSet] = {0: y0}
     for i in idxs:
+        desc = fibers[i] if i in fibers else _fiber(ref, i)  # the latter raises PreconditionError
         filt = filtration_level(h, ctx.n - i).codes()
-        desc = FiberDescriptor(ctx.p, ref.r, depth, depth - i, _fiber_kind(ref))
         out[i] = frozenset(c for c in y0 if filt == _v_codes(desc, dec(c)))
     return out
 
 
+def _reducers(ctx: GroupCtx) -> Tuple[Callable[[int], int], ...]:
+    """core.reducer(ctx, s) for s = 1..n, built once per context and kept in its memo."""
+    return cached(ctx, "reducers", lambda: tuple(reducer(ctx, s) for s in range(1, ctx.n + 1)), DEFAULT_MAX_ELEMENTS)
+
+
 def _mod_count(ctx: GroupCtx, codes: FrozenSet, level: int) -> int:
-    return len(set(map(reducer(ctx, level), codes)))
+    return len(set(map(_reducers(ctx)[level - 1], codes)))
 
 
 @dataclass
@@ -225,14 +283,6 @@ class SlimBoundReport:
         self.checks.append((label, ok, detail))
 
 
-# The bound kinds of each class, in the order their checks are reported.
-_CLASS_BOUNDS = {
-    "sigma": ("a_sigma_p", "a_sigma_2"),
-    "tau": ("a_tau_p", "a_tau_3", "a_tau_2"),
-    "u_power": ("a_u_p", "a_u_2", "b_u_2"),
-}
-
-
 def slim_bound_report(h: Subgroup, ref: ConjClassRef) -> SlimBoundReport:
     """Every applicable closed-form inequality plus the filtration bound and
     the step-by-step decomposition chain, on a concrete slim subgroup."""
@@ -243,35 +293,26 @@ def slim_bound_report(h: Subgroup, ref: ConjClassRef) -> SlimBoundReport:
         raise PreconditionError("bounds exist for sigma, tau, u_power classes")
     if not is_slim(h):
         raise PreconditionError("subgroup is not slim")
-    p = ctx.p
-    r = ref.r
-    depth = ctx.n - r
-    rep = SlimBoundReport(ref.kind, r, h.order)
+    plan = _bound_plan(ref)
+    rep = SlimBoundReport(ref.kind, ref.r, h.order)
     cnt = count_in_subgroup(h, ref)
-    applied = False
-    for kind in _CLASS_BOUNDS[ref.kind]:
-        try:
-            bound_sequence(kind, p, depth)
-        except PreconditionError:  # its preconditions say where a bound applies
-            continue
-        rhs = corrected_bound(kind, p, depth, _count_reduced(h, ref, r + _correction(kind, p)[2]))
-        rep.add(kind, cnt <= rhs, "%d <= %d" % (cnt, rhs))
-        applied = True
-    if not applied:
+    if not plan.bounds:
         raise PreconditionError(
-            "no closed-form bound applies to %s at p=%d, depth %d" % (ref.kind, p, depth)
+            "no closed-form bound applies to %s at p=%d, depth %d" % (ref.kind, ctx.p, ctx.n - ref.r)
         )
+    for kind, level, bound in plan.bounds:
+        rhs = bound(_count_reduced(h, ref, level))
+        rep.add(kind, cnt <= rhs, "%d <= %d" % (cnt, rhs))
 
     _filtration_checks(h, rep)
-    _chain_checks(h, ref, rep, cnt, depth, r)
+    _chain_checks(h, ref, rep, cnt)
     return rep
 
 
 def _filtration_checks(h: Subgroup, rep: SlimBoundReport) -> None:
     ctx = h.ctx
     p, n = ctx.p, ctx.n
-    # |H_s| = |H| / |H mod p^s|; the reductions are cached on h
-    sizes = {s: h.order // len(h.reduced_codes(s)) for s in range(1, n + 1)}
+    sizes = {s: h_s.order for s, h_s in enumerate(filtration(h), 1)}
     t0 = 2 if p == 2 else 1
     ok = True
     detail = ""
@@ -283,11 +324,10 @@ def _filtration_checks(h: Subgroup, rep: SlimBoundReport) -> None:
     rep.add("filtration", ok, detail)
 
 
-def _chain_checks(
-    h: Subgroup, ref: ConjClassRef, rep: SlimBoundReport, cnt: int, depth: int, r: int
-) -> None:
+def _chain_checks(h: Subgroup, ref: ConjClassRef, rep: SlimBoundReport, cnt: int) -> None:
     ctx = h.ctx
-    p = ctx.p
+    p, r = ctx.p, ref.r
+    depth = ctx.n - r
     l = depth // 2
     if p >= 3:
         if l < 1:

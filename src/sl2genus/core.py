@@ -146,8 +146,9 @@ class GroupCtx:
     """Ambient ring/group descriptor for SL2(Z/p^nZ).
 
     memo holds what derives from the context alone (G, the class orbits,
-    the fiber groups V, the row tables of the coset walk); groups.cached
-    alone reads and writes it.
+    the fiber groups V, the row tables of the coset walk, the reduction
+    maps and the bound plans of bounds); groups.cached alone reads and
+    writes it.
     """
 
     p: int

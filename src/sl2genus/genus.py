@@ -31,7 +31,6 @@ from .core import (
     make_ctx,
     minus_one,
     num_to_json,
-    reduce_mat,
     right_mul,
     row_table,
     upper_u,
@@ -39,8 +38,8 @@ from .core import (
 from .groups import ConjClassRef, cached, check_order, class_codes, conj_class_size_formula, right_cosets, u_power_ref
 from .subgroups import Subgroup, level
 
-# coset_space(h): (the first code of each right coset H_m g, code -> coset index,
-# the coset index of H_m g u for each coset), all at the level m of H.
+# coset_space(h): (the first code of each right coset H g, code -> coset index,
+# the coset index of H g u for each coset); genus_report builds it for H at its level.
 Cosets = Tuple[List[int], Dict[int, int], List[int]]
 
 # Above this order of G_m, m the level of H, genus_report skips its coset
@@ -69,38 +68,34 @@ def legendre(a: int, p: int) -> int:
 # -------------------- coset machinery --------------------
 
 
-def _level_ctx(h: Subgroup) -> GroupCtx:
-    """The context of the level m of H (subgroups.level)."""
-    return make_ctx(h.ctx.p, level(h))
-
-
 def _right_mul(ctx: GroupCtx, s: Mat, cap: int) -> Callable[[int], int]:
     """core.right_mul(ctx, s) on row_table(ctx, s), which ctx's memo keeps."""
     return right_mul(ctx, s, cached(ctx, ("rows", s), lambda: row_table(ctx, s), cap))
 
 
 def coset_space(h: Subgroup) -> Cosets:
-    """The right cosets H_m g of G_m, m the level of H, walked from H_m on the
-    row tables of u and t(u) (groups.right_cosets).  Returns (the first code of
-    each coset, code -> coset index, the coset index of H_m g u for each coset);
-    which code represents a coset is unspecified, and no count depends on it."""
-    sub = _level_ctx(h)
-    check_order(sub, h.cap)
-    u = _right_mul(sub, upper_u(sub), h.cap)
-    first = list(h.reduced_codes(sub.n))
+    """The right cosets H g of G, walked from H on the row tables of u and t(u)
+    (groups.right_cosets); genus_report passes H at its level.  Returns (the
+    first code of each coset, code -> coset index, the coset index of H g u for
+    each coset); which code represents a coset is unspecified, and no count
+    depends on it."""
+    ctx = h.ctx
+    check_order(ctx, h.cap)
+    u = _right_mul(ctx, upper_u(ctx), h.cap)
+    first = list(h.reduced_codes(ctx.n))
     reps, coset_of = [first[0]], dict.fromkeys(first, 0)
-    for coset in right_cosets(first, (u, _right_mul(sub, lower_u(sub), h.cap)), coset_of, h.cap):
+    for coset in right_cosets(first, (u, _right_mul(ctx, lower_u(ctx), h.cap)), coset_of, h.cap):
         coset_of.update(dict.fromkeys(coset, len(reps)))
         reps.append(coset[0])
-    if len(coset_of) != sub.order:
-        raise ConsistencyError("the coset walk covered %d of %d elements" % (len(coset_of), sub.order))
+    if len(coset_of) != ctx.order:
+        raise ConsistencyError("the coset walk covered %d of %d elements" % (len(coset_of), ctx.order))
     return reps, coset_of, [coset_of[y] for y in map(u, reps)]
 
 
 def _coset_perm(h: Subgroup, a: Mat, cosets: Cosets) -> List[int]:
-    """The coset index of H_m g a for each right coset H_m g of cosets = coset_space(h)."""
-    (reps, coset_of, _), sub = cosets, _level_ctx(h)
-    return [coset_of[y] for y in map(_right_mul(sub, reduce_mat(a, sub.modulus), h.cap), reps)]
+    """The coset index of H g a for each right coset H g of cosets = coset_space(h)."""
+    reps, coset_of, _ = cosets
+    return [coset_of[y] for y in map(_right_mul(h.ctx, a, h.cap), reps)]
 
 
 def _class_ratio(h: Subgroup, ref: ConjClassRef) -> Fraction:

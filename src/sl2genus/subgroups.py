@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import product
+from math import gcd
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -56,7 +57,8 @@ class Subgroup:
     them empty); one with an entry outside [0, p^n) raises
     ContextMismatchError, and one of det != 1 raises PreconditionError.
     _reduced is the memo of what derives from H alone: H mod p^s under the
-    key s, H_s under ("H_s", s), the level under "level", #H under "order"."""
+    key s, (H_1, ..., H_n) under "filtration", the level under "level", #H
+    under "order"."""
 
     ctx: GroupCtx
     gens: Tuple[Mat, ...]
@@ -213,19 +215,30 @@ def preimage(h: Subgroup, dst: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Sub
     return got
 
 
-def filtration_level(h: Subgroup, s: int) -> Subgroup:
-    """H_s = H n (1 + p^s M2), the kernel of reduction mod p^s restricted to H;
-    built once per (H, s) and kept in h's memo."""
-    n = h.ctx.n
-    if not 1 <= s <= n:
-        raise ValueError("filtration level s=%d outside 1..%d" % (s, n))
-    got = h._reduced.get(("H_s", s))
+def filtration(h: Subgroup) -> Tuple[Subgroup, ...]:
+    """(H_1, ..., H_n), H_s = H n (1 + p^s M2) the kernel of reduction mod p^s
+    restricted to H.  One pass over H files each code under its depth (the
+    largest s with x = 1 mod p^s), and H_s holds the codes of depth s or more;
+    built once per H and kept in h's memo."""
+    got = h._reduced.get("filtration")
     if got is None:
-        red = reducer(h.ctx, s)
-        one = red(encoder(h.ctx)(identity(h.ctx)))
-        keep = frozenset(c for c in h.codes() if red(c) == one)
-        got = h._reduced[("H_s", s)] = Subgroup.from_codes(h.ctx, keep, cap=h.cap)
+        ctx, dec = h.ctx, decoder(h.ctx)
+        depth_of = {ctx.p**t: t for t in range(ctx.n + 1)}  # gcd(a - 1, b, c, d - 1, p^n) = p^depth
+        by_depth: List[List[int]] = [[] for _ in range(ctx.n + 1)]
+        for code in h.codes():
+            a, b, c, d = dec(code)
+            by_depth[depth_of[gcd(a - 1, b, c, d - 1, ctx.modulus)]].append(code)
+        got = h._reduced["filtration"] = tuple(
+            Subgroup.from_codes(ctx, [c for layer in by_depth[s:] for c in layer], cap=h.cap) for s in range(1, ctx.n + 1)
+        )
     return got
+
+
+def filtration_level(h: Subgroup, s: int) -> Subgroup:
+    """H_s, read from filtration(h)."""
+    if not 1 <= s <= h.ctx.n:
+        raise ValueError("filtration level s=%d outside 1..%d" % (s, h.ctx.n))
+    return filtration(h)[s - 1]
 
 
 def _holds_kernel(h: Subgroup, s: int) -> bool:
@@ -643,32 +656,53 @@ def _schreier_walk(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[Tup
     #H = #lifts * p^rank.  Returns (lifts, span); the span is None once it
     reaches rank 3 (K_(n-1) <= H; the walk stops there, its lifts partial),
     and the whole is None once #lifts * p^rank passes cap (then #H > cap).
+    The walk keeps a basis of the span, and w lies in it when its cross
+    product with the one basis vector, or its determinant with the two,
+    vanishes mod p (_in_span); the span itself is built on return.
     """
     p, m = ctx.p, ctx.modulus
     q = m // p
-    one = identity(ctx)
-    lifts = [one]
-    inverse_lift = {reduce_mat(one, q): one}  # inverse of the first lift, by reduction
-    span = {(0, 0, 0)}  # the span in F_p^3 of the W seen so far, of rank at most 2 here
-    for t in lifts:  # lifts grows while it is walked
-        for g in gens:
-            z = _mul(t, g, m)
-            key = reduce_mat(z, q)
+    lifts = [identity(ctx)]
+    inverse_lift = {(1 % q, 0, 0, 1 % q): lifts[0]}  # inverse of each lift, keyed by its reduction
+    basis: List[Tuple[int, int, int]] = []  # independent W in F_p^3, at most two here
+    size = 1  # p^rank
+    for t0, t1, t2, t3 in lifts:  # lifts grows while it is walked
+        for g0, g1, g2, g3 in gens:
+            z0, z1 = (t0 * g0 + t1 * g2) % m, (t0 * g1 + t1 * g3) % m
+            z2, z3 = (t2 * g0 + t3 * g2) % m, (t2 * g1 + t3 * g3) % m
+            key = (z0 % q, z1 % q, z2 % q, z3 % q)
             ti = inverse_lift.get(key)
             if ti is None:
-                inverse_lift[key] = (z[3], -z[1] % m, -z[2] % m, z[0])
-                lifts.append(z)
+                inverse_lift[key] = (z3, -z1 % m, -z2 % m, z0)
+                lifts.append((z0, z1, z2, z3))
             else:
-                k = _mul(z, ti, m)
-                w = ((k[0] - 1) // q, k[1] // q, k[2] // q)
-                if w in span:
+                i0, i1, i2, i3 = ti  # z t^-1 = 1 + q W; W11 = -W00 needs no product
+                w = ((z0 * i0 + z1 * i2) % m // q, (z0 * i1 + z1 * i3) % m // q, (z2 * i0 + z3 * i2) % m // q)
+                if _in_span(basis, w, p):
                     continue
-                if len(span) == p * p:
+                if len(basis) == 2:
                     return lifts, None  # a third independent W
-                span = {tuple((a + j * b) % p for a, b in zip(v, w)) for v in span for j in range(p)}
-            if len(lifts) * len(span) > cap:
+                basis.append(w)
+                size *= p
+            if len(lifts) * size > cap:
                 return None
+    span = {(0, 0, 0)}
+    for w in basis:
+        span = {tuple((a + j * b) % p for a, b in zip(v, w)) for v in span for j in range(p)}
     return lifts, span
+
+
+def _in_span(basis: Sequence[Tuple[int, int, int]], w: Tuple[int, int, int], p: int) -> bool:
+    """w lies in the F_p-span of basis, independent vectors of F_p^3 (at most
+    two): w = 0, w x v = 0 for the one v, or det(v1, v2, w) = 0 mod p."""
+    x, y, z = w
+    if not basis:
+        return not (x or y or z)
+    a, b, c = basis[0]
+    if len(basis) == 1:
+        return (b * z - c * y) % p == 0 and (c * x - a * z) % p == 0 and (a * y - b * x) % p == 0
+    d, e, f = basis[1]
+    return (x * (b * f - c * e) + y * (c * d - a * f) + z * (a * e - b * d)) % p == 0
 
 
 def _slim_closure_codes(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[FrozenSet]:

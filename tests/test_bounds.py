@@ -501,3 +501,62 @@ def test_seeded_sample_lists_hash_as_before_the_certificate(case):
                 subs += _desk_sample(part, label, make_ctx(p, n), target, _DESK_SAMPLES[part], 0)[0]
     rows = "\n".join(repr(sorted(h.codes())) for h in subs)
     assert hashlib.sha256(rows.encode()).hexdigest() == _SAMPLE_DIGESTS[case]
+
+
+# ---- the bound plan: derived once per (context, class), never per subgroup ----
+
+
+@pytest.mark.parametrize("p, n", [(5, 2), (3, 3), (2, 4)])
+def test_a_report_after_the_plan_derives_nothing_of_the_class(monkeypatch, p, n):
+    """Once a class's plan is stored, a report on a fresh subgroup (its own
+    memo empty) evaluates no bound sequence and builds no class reference or
+    fiber descriptor, and its checks are those of the first report; at 16 the
+    tau class and u^2, u^4 have no bound and raise PreconditionError."""
+    from sl2genus.fibers import FiberDescriptor
+
+    ctx = make_ctx(p, n)
+    refs = [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")] + [u_power_ref(ctx, r) for r in range(n - 1)]
+    subs = sample_slim_subgroups(ctx, 6, random.Random("plan-%d-%d" % (p, n)))
+
+    def reports(hs):
+        out = []
+        for h in hs:
+            for ref in refs:
+                try:
+                    out.append(slim_bound_report(h, ref).checks)
+                except PreconditionError:  # no closed-form bound for this class here
+                    out.append(None)
+        return out
+
+    first = reports(subs)
+    fresh = [Subgroup.from_codes(ctx, h.codes()) for h in subs]
+    calls = {"bound_sequence": 0, "ConjClassRef": 0, "FiberDescriptor": 0}
+
+    def counted(fn, name):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(bounds, "bound_sequence", counted(bounds.bound_sequence, "bound_sequence"))
+    monkeypatch.setattr(ConjClassRef, "__post_init__", counted(ConjClassRef.__post_init__, "ConjClassRef"))
+    monkeypatch.setattr(FiberDescriptor, "__post_init__", counted(FiberDescriptor.__post_init__, "FiberDescriptor"))
+    assert reports(fresh) == first and any(first)
+    assert calls == {"bound_sequence": 0, "ConjClassRef": 0, "FiberDescriptor": 0}
+
+
+def test_a_cap_below_the_class_still_stops_a_report():
+    # the plan holds no element set: the level-n class is read under the
+    # subgroup's cap, before and after the plan is stored
+    from sl2genus.core import FeasibilityError
+    from sl2genus.groups import class_codes
+
+    ctx = make_ctx(3, 3)
+    ref = ConjClassRef(ctx, "sigma")
+    h = sample_slim_subgroups(ctx, 1, random.Random("plan-cap"))[0]
+    size = len(class_codes(ref))
+    for _ in range(2):
+        with pytest.raises(FeasibilityError, match="above the cap of %d" % (size - 1)):
+            slim_bound_report(Subgroup.from_codes(ctx, h.codes(), cap=size - 1), ref)
+        assert slim_bound_report(Subgroup.from_codes(ctx, h.codes(), cap=size), ref).ok

@@ -2,14 +2,16 @@
 asserts that a fast library check raises on it, so a fault that no check
 kills shows up as a failing test.  Standard library and pytest only."""
 
+import random
 import sys
 
 import pytest
 
+from sl2genus.bounds import slim_bound_report, verify_section7
 from sl2genus.core import ConsistencyError, encoder, lower_u, make_ctx, upper_u
 from sl2genus.genus import delta, genus_report
 from sl2genus.groups import ConjClassRef, class_codes
-from sl2genus.subgroups import Subgroup, adjoin_minus_one, borel, closure, level
+from sl2genus.subgroups import Subgroup, adjoin_minus_one, borel, closure, level, sample_slim_subgroups
 
 
 def test_an_extra_sigma_fixed_point_fails_the_coset_check(monkeypatch):
@@ -64,3 +66,43 @@ def test_a_swapped_member_of_the_stored_tau_class_fails_the_fixed_point_checks(m
     assert len(class_codes(ref)) == len(stored)
     with pytest.raises(ConsistencyError, match="fixed-point"):
         genus_report(h)
+
+
+def _sigma_reports_under(monkeypatch, wrong):
+    # a_sigma_p's (e, c, k) = (1, 2, 1) of bounds._correction replaced by wrong,
+    # with the stored bound plan of the sigma class at 25 taken out of the memo
+    # so that the next report builds it from the fault; returns the true and the
+    # faulty reports of seeded slim subgroups over the Borel subgroup
+    bounds_mod = sys.modules["sl2genus.bounds"]
+    true_correction = bounds_mod._correction
+    ctx = make_ctx(5, 2)
+    ref = ConjClassRef(ctx, "sigma")
+    hs = sample_slim_subgroups(ctx, 10, random.Random("fault-plan"), mod_p_target=borel(5))
+    true = [slim_bound_report(h, ref).checks for h in hs]
+    monkeypatch.setattr(bounds_mod, "_correction", lambda kind, p: wrong if kind == "a_sigma_p" else true_correction(kind, p))
+    monkeypatch.delitem(ctx.memo, ("plan", "sigma", 0))
+    return true, [slim_bound_report(h, ref).checks for h in hs]
+
+
+@pytest.mark.parametrize("wrong", [(2, 2, 1), (1, 3, 1)], ids=["e", "c"])
+def test_a_wrong_correction_term_fails_the_section7_audit(monkeypatch, wrong):
+    # a wrong e or c moves the sigma bound a(sigma,p)_n + p^(n-e)(count - c):
+    # the section-7 chains recompute it against the printed 66 * 17 of P7.3 and
+    # flag the difference.  The slim reports move too, yet every check of
+    # theirs still holds: the bound stays above the counts of these H.
+    assert verify_section7("P7.3").verdict == "match"
+    true, faulty = _sigma_reports_under(monkeypatch, wrong)
+    assert faulty != true and all(ok for checks in faulty for _, ok, _ in checks)
+    assert verify_section7("P7.3").verdict == "positive_but_differs"
+
+
+def test_a_wrong_count_level_moves_the_slim_reports_unchecked(monkeypatch):
+    # k = 2 counts H n Conj(sigma) at level 2, not H mod p n Conj(sigma mod p):
+    # the bound grows, so every verdict still holds, and no section-7 chain
+    # reads k.  Only the report details move (50 <= 90 reads 50 <= 290); the
+    # ladder oracle of test_bounds.py, which spells out each count level, is
+    # the one check that sees it.
+    true, faulty = _sigma_reports_under(monkeypatch, (1, 2, 2))
+    assert true[0][0] == ("a_sigma_p", True, "50 <= 90") and faulty[0][0] == ("a_sigma_p", True, "50 <= 290")
+    assert all(ok for checks in faulty for _, ok, _ in checks)
+    assert verify_section7("P7.3").verdict == "match"

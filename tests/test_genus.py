@@ -25,7 +25,6 @@ from sl2genus.core import (
 )
 from sl2genus.genus import (
     _coset_perm,
-    _level_ctx,
     _right_mul,
     closed_form_genus,
     coset_space,
@@ -43,6 +42,7 @@ from sl2genus.subgroups import (
     borel,
     closure,
     full_group,
+    level,
     nonsplit_cartan_normalizer,
     parse_subgroup_spec,
     sample_subgroups,
@@ -297,21 +297,22 @@ def test_coset_counts_at_the_level_of_h_equal_the_counts_at_level_n(p, n):
             if c not in coset_of:
                 coset_of.update((enc(mat_mul(dec(c), x, ctx)), len(reps)) for x in hmats)
                 reps.append(dec(c))
-        sub = _level_ctx(h)
+        sub = make_ctx(p, level(h))
+        h_m = Subgroup.from_codes(sub, h.reduced_codes(sub.n))
         levels.add(sub.n)
         # the level is the least m with K_m = ker(G -> G_m) inside H
         assert _kernel(ctx, sub.modulus) <= h.codes()
         assert sub.n == 1 or not _kernel(ctx, sub.modulus // p) <= h.codes()
-        low = coset_space(h)
+        low = coset_space(h_m)
         assert len(low[0]) == len(reps) == ctx.order // h.order
         # every named class: sigma, tau and each u^(p^r)
         for ref in [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")] + [u_power_ref(ctx, r) for r in range(n)]:
             a = ref.representative()
             fixed = sum(i == j for i, j in enumerate(_level_n_perm(reps, coset_of, a, ctx)))
-            assert sum(i == j for i, j in enumerate(_coset_perm(h, a, low))) == fixed
+            assert sum(i == j for i, j in enumerate(_coset_perm(h_m, reduce_mat(a, sub.modulus), low))) == fixed
             assert fix_points(h, ref) == fixed, ref
         orbits = _cycles(_level_n_perm(reps, coset_of, upper_u(ctx), ctx))
-        assert _cycles(_coset_perm(h, upper_u(ctx), low)) == orbits
+        assert _cycles(_coset_perm(h_m, upper_u(sub), low)) == orbits
         assert cusp_orbit_ratio(h) == Fraction(orbits, len(reps))
         with pytest.raises(PreconditionError):  # a class of another context
             fix_points(h, ConjClassRef(make_ctx(p, n - 1), "sigma"))
@@ -362,7 +363,7 @@ def test_level_one_report_at_7_2_never_enumerates_level_two(monkeypatch):
     assert (rep.index, rep.fix_tau, rep.cusp_ratio) == (8, 2, Fraction(1, 4))
     ctx = make_ctx(5, 2)
     h = closure([upper_u(ctx)], ctx)
-    assert _level_ctx(h).n == 2
+    assert level(h) == 2
     assert genus_report(h).index == 600
 
 
@@ -382,10 +383,11 @@ def test_row_tables_multiply_packed_codes(p, n):
 def test_the_walk_splits_g_m_into_right_cosets_of_h_m(p, n):
     # the test enumerates G_m; the library does not
     for h in _level_route_subgroups(p, n):
-        sub = _level_ctx(h)
+        sub = make_ctx(p, level(h))
         dec, enc, m = decoder(sub), encoder(sub), sub.modulus
         hm = h.reduced_codes(sub.n)
-        reps, coset_of, step = coset_space(h)
+        h_m = Subgroup.from_codes(sub, hm)
+        reps, coset_of, step = coset_space(h_m)
         assert coset_of.keys() == enumerate_group(sub).codes
         blocks = {}
         for c, i in coset_of.items():
@@ -393,7 +395,7 @@ def test_the_walk_splits_g_m_into_right_cosets_of_h_m(p, n):
         assert len(blocks) == len(reps) == sub.order // len(hm)
         for i, g in enumerate(reps):
             assert blocks[i] == {enc(_mul(dec(x), dec(g), m)) for x in hm}  # H_m g
-        assert step == _coset_perm(h, upper_u(sub), (reps, coset_of, step))
+        assert step == _coset_perm(h_m, upper_u(sub), (reps, coset_of, step))
 
 
 def test_the_walk_checks_the_cap_before_it_builds_anything(monkeypatch):

@@ -3,7 +3,8 @@ at module level unless an allowlist entry says why not, every function reads
 each of its parameters, every private module-level name
 is used somewhere under src/, every public function and class is used
 somewhere under src/ or tests/, no module keeps a cache of its own, only
-subgroups.py touches a subgroup's memo, only core.py knows the bit
+subgroups.py touches a subgroup's memo, only groups.cached touches a
+context's memo, only core.py knows the bit
 layout of a packed code, groups.py multiplies no decoded matrices, and
 only genus_report walks cosets (coset_space).  Every name the benchmark's
 tracer wraps (perfbench/spans.py) still exists in the library.
@@ -300,6 +301,22 @@ def test_the_check_sees_a_subgroup_memo_use():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "subgroups.py"], ids=lambda p: p.name)
 def test_only_subgroups_uses_the_subgroup_memo(path):
     assert _subgroup_memo_uses(path.read_text()) == []
+
+
+def test_the_check_sees_a_context_memo_use():
+    src = (
+        "def cached(ctx, key):\n    return ctx.memo.get(key)\n\n"
+        "def fill(ctx):\n    ctx.memo['G'] = 1\n    del ctx.memo['G']\n\n"
+        "peek = lambda ctx: ctx.memo\n"
+    )
+    assert _referrers(src, "memo") == [("<module>", 8), ("cached", 2), ("fill", 5), ("fill", 6)]
+
+
+# groups.cached alone reads and writes a context's memo, so every entry is
+# built once and every read checks the caller's cap.
+def test_only_cached_uses_the_context_memo():
+    found = {(p.name, fn) for p in SRC.glob("*.py") for fn, _ in _referrers(p.read_text(), "memo")}
+    assert found == {("groups.py", "cached")}
 
 
 def _decodes(node) -> bool:

@@ -8,7 +8,9 @@ group), the right cosets {Hg : g in G} by brute force for the walk
 subgroups (it closed every candidate from the identity, with a table of
 direct products), conjugation and centralizers on decoded matrices for
 ``core.conjugator`` and its callers, and three separate primitive-root finders
-for p, p^2 and p^n that ``core.primitive_root`` must agree with.
+for p, p^2 and p^n that ``core.primitive_root`` must agree with, and the
+brute-force span in F_p^3 for the rank test of the Schreier walk
+(``subgroups._in_span``).
 
 GL2 stays an input domain next to SL2: its subgroups close on codes through
 ``groups._closure_codes`` (a Subgroup lies in SL2), and its classes, built in
@@ -56,7 +58,7 @@ from sl2genus.groups import (
     extend_closure,
     right_cosets,
 )
-from sl2genus.subgroups import Subgroup, all_subgroups, borel, full_group
+from sl2genus.subgroups import Subgroup, _in_span, all_subgroups, borel, full_group
 from sl2genus.suites import suite_cor6_5
 
 CONTEXTS = ((2, 2), (3, 2), (5, 1), (2, 3))
@@ -527,3 +529,36 @@ def test_sl2_mod9_lattice_hashes_as_before_the_extension(sl2_mod9_subgroups):
     _, subs = sl2_mod9_subgroups
     assert len(subs) == 456
     assert _lattice_digest(subs) == "ee94a983f4e4a4d57d4435a6186eb5918cb8f12aab3b24299460513751e9cbb8"
+
+
+def _brute_span(basis, p):
+    """Every F_p-combination of the basis vectors of F_p^3."""
+    span = {(0, 0, 0)}
+    for v in basis:
+        span = {tuple((a + j * b) % p for a, b in zip(s, v)) for s in span for j in range(p)}
+    return span
+
+
+@st.composite
+def span_inputs(draw):
+    """(p, an independent basis of at most two vectors of F_p^3, a vector w);
+    half the w are drawn from the span, so both answers come up."""
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    vec = st.tuples(*[st.integers(0, p - 1)] * 3)
+    basis = []
+    for v in draw(st.lists(vec, max_size=2)):
+        if v not in _brute_span(basis, p):
+            basis.append(v)
+    if draw(st.booleans()):
+        w = draw(st.sampled_from(sorted(_brute_span(basis, p))))
+    else:
+        w = draw(vec)
+    return p, basis, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(span_inputs())
+def test_the_rank_test_matches_the_brute_force_span(data):
+    # the cross product (one basis vector) or the determinant (two) against the span itself
+    p, basis, w = data
+    assert _in_span(basis, w, p) == (w in _brute_span(basis, p))

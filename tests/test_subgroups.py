@@ -1,11 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 
 from sl2genus.core import (
+    DEFAULT_MAX_ELEMENTS,
     ContextMismatchError,
     FeasibilityError,
     PreconditionError,
+    _mul,
     decoder,
     encoder,
     identity,
@@ -15,6 +18,7 @@ from sl2genus.core import (
     mat_inv,
     mat_pow,
     minus_one,
+    reduce_mat,
     sigma,
     upper_u,
 )
@@ -24,6 +28,7 @@ from sl2genus.subgroups import (
     _holds_kernel,
     _last_kernel,
     _lift_to,
+    _schreier_walk,
     _slim_candidate,
     _slim_cap,
     _slim_closure_codes,
@@ -491,3 +496,59 @@ def test_the_walk_order_and_reports_match_the_closure():
             assert report.cusp_ratio == cusp_orbit_ratio(b), gens
         kinds.add("level n" if level(h) == ctx.n else "G" if h.order == ctx.order else "K_(n-1) <= H != G")
     assert kinds == {"level n", "G", "K_(n-1) <= H != G"}
+
+
+def _twin_candidates(ctx):
+    """Sampler candidates (over the Borel subgroup at p = 7, so closures stay
+    small, else over SL2(Z/pZ)) and generators holding 1 + p^(n-1)E: lifted
+    Borel generators with all three (K_(n-1) <= H) or two of them, u with one,
+    and two alone (H inside K_(n-1))."""
+    p = ctx.p
+    pool = sorted((borel(p) if p == 7 else full_group(make_ctx(p, 1))).mats())
+    rng = random.Random("twins-%d-%d" % (p, ctx.n))
+    cases = [_slim_candidate(ctx, pool, rng) for _ in range(12)]
+    kernel = _last_kernel(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    lifted = [_lift_to(g, ctx) for g in borel(p).gens]
+    return cases + [lifted + kernel, lifted + kernel[:2], [upper_u(ctx), kernel[0]], kernel[1:]]
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2), (2, 4), (3, 3), (7, 2)])
+def test_the_walk_twins_agree_with_the_closure(p, n):
+    """_schreier_walk, _slim_closure_codes and Subgroup.order against the
+    closure C of the same generators, each under no cap, the cap #C and the
+    cap #C - 1: the walk gives C as the products t k of its lifts and span
+    when C is slim and within the cap, reports rank 3 when K_(n-1) <= C and
+    C is within the cap, and None only above the cap."""
+    ctx = make_ctx(p, n)
+    enc = encoder(ctx)
+    last_kernel = {enc(k) for k in _last_kernel(ctx, product(range(p), repeat=3))}
+    seen = set()
+    for gens in _twin_candidates(ctx):
+        want = _closure_codes(gens, ctx, DEFAULT_MAX_ELEMENTS)
+        rank3 = last_kernel <= want
+        for cap in (DEFAULT_MAX_ELEMENTS, len(want), len(want) - 1):
+            walk = _schreier_walk(gens, ctx, cap)
+            within = len(want) <= cap
+            if within:
+                assert walk is not None and (walk[1] is None) == rank3, gens
+            elif not rank3:
+                assert walk is None, gens  # above the cap, a rank-3 C may stop at either
+            if walk is None:
+                seen.add("over cap")
+            elif walk[1] is None:
+                assert rank3, gens
+                seen.add("rank 3")
+            else:
+                lifts, span = walk
+                assert len({reduce_mat(t, ctx.modulus // p) for t in lifts}) == len(lifts)
+                kernel = _last_kernel(ctx, span)
+                assert {enc(_mul(t, k, ctx.modulus)) for t in lifts for k in kernel} == want, gens
+                assert len(lifts) * len(span) == len(want)
+                seen.add("slim")
+            assert _slim_closure_codes(gens, ctx, cap) == (want if within and not rank3 else None), gens
+            if within:
+                assert Subgroup(ctx, tuple(gens), cap).order == len(want), gens
+            else:
+                with pytest.raises(FeasibilityError):
+                    Subgroup(ctx, tuple(gens), cap).order
+    assert seen == {"slim", "rank 3", "over cap"}
