@@ -34,13 +34,7 @@ from .groups import (
 )
 from .subgroups import parse_subgroup_spec
 from .genus import count_in_subgroup, genus_report
-from .bounds import (
-    BOUND_KINDS,
-    bound_sequence,
-    section7_all,
-    section7_case,
-    verify_section7,
-)
+from .sequences import BOUND_KINDS, bound_sequence
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -177,14 +171,14 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from . import suites
+    from . import bounds, suites
 
     t0 = time.monotonic()
     if args.suite in ("section7", "main-theorem-desk"):
         if args.suite == "section7":
             if args.case:
-                _parsed(section7_case, args.case)
-            cases = [verify_section7(args.case)] if args.case else section7_all()
+                _parsed(bounds.section7_case, args.case)
+            cases = [bounds.verify_section7(args.case)] if args.case else bounds.section7_all()
             ok = suites.section7_ok(cases)
             lines = [
                 "%-10s %-22s printed %s recomputed %s%s"

@@ -5,11 +5,8 @@ import pytest
 
 from sl2genus import bounds
 from sl2genus.bounds import (
-    BOUND_KINDS,
     bound_sequence,
     fiber_count_bound_check,
-    n_prime,
-    n_upper_bound,
     section7_all,
     section7_case_ids,
     slim_bound_report,
@@ -18,6 +15,7 @@ from sl2genus.bounds import (
 )
 from sl2genus.core import PreconditionError, make_ctx, upper_u
 from sl2genus.groups import ConjClassRef, u_power_ref
+from sl2genus.sequences import BOUND_KINDS, n_prime, n_upper_bound
 from sl2genus.subgroups import (
     Subgroup,
     borel,
@@ -560,3 +558,19 @@ def test_a_cap_below_the_class_still_stops_a_report():
         with pytest.raises(FeasibilityError, match="above the cap of %d" % (size - 1)):
             slim_bound_report(Subgroup.from_codes(ctx, h.codes(), cap=size - 1), ref)
         assert slim_bound_report(Subgroup.from_codes(ctx, h.codes(), cap=size), ref).ok
+
+
+def test_a_class_without_a_bound_raises_before_any_count(monkeypatch):
+    # at 16 no closed-form bound applies to tau, u^2 or u^4: the report raises
+    # without intersecting H with the class
+    ctx = make_ctx(2, 4)
+    h = sample_slim_subgroups(ctx, 1, random.Random("no-bound"))[0]
+    calls = []
+    true_count = bounds.count_in_subgroup
+    monkeypatch.setattr(bounds, "count_in_subgroup", lambda sub, ref: calls.append(ref) or true_count(sub, ref))
+    for ref in (ConjClassRef(ctx, "tau"), u_power_ref(ctx, 1), u_power_ref(ctx, 2)):
+        with pytest.raises(PreconditionError, match="no closed-form bound"):
+            slim_bound_report(h, ref)
+    assert calls == []
+    slim_bound_report(h, ConjClassRef(ctx, "sigma"))  # a class with a bound is counted, through the patch
+    assert len(calls) == 1

@@ -10,18 +10,21 @@ only genus_report walks cosets (coset_space).  Every name the benchmark's
 tracer wraps (perfbench/spans.py) still exists in the library.
 
 No linter is part of the toolchain, so this walks the syntax tree with the
-standard library.  ``__init__.py`` is skipped by the import check: its imports
-are re-exports.
+standard library.  A cold ``import sl2genus.cli`` loads only the modules the
+genus, count, class-table and bounds commands run.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sl2genus"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def _unused_imports(source: str):
@@ -81,12 +84,40 @@ def test_the_check_sees_a_function_local_import():
 _LOCAL_IMPORTS_ALLOWED = {
     ("cli.py", "_cmd_verify", "suites"): "only verify reads suites.py; at module level every cold CLI call "
     "would compile it",
+    ("cli.py", "_cmd_verify", "bounds"): "only verify reads bounds.py (the section-7 audit); the bounds command "
+    "reads sequences.py, so genus, count, class-table and bounds calls never compile bounds.py",
 }
 
 
 def test_imports_sit_at_module_level():
     found = {(p.name, fn, name) for p in SRC.glob("*.py") for fn, name in _local_imports(p.read_text())}
     assert found == set(_LOCAL_IMPORTS_ALLOWED)
+
+
+def _loaded_after(statement: str):
+    """The sl2genus modules in sys.modules after statement, run in a fresh
+    interpreter on this checkout's src/."""
+    code = statement + "\nimport sys\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('sl2genus.'))))"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    return set(out.split())
+
+
+# Every CLI call starts a fresh interpreter and, without bytecode, compiles each
+# module it imports: the commands other than verify load no bounds, fibers or suites.
+def test_a_cold_cli_import_leaves_out_what_only_verify_runs():
+    loaded = _loaded_after("import sl2genus.cli")
+    assert "sl2genus.cli" in loaded
+    assert not loaded & {"sl2genus.bounds", "sl2genus.fibers", "sl2genus.suites"}
+
+
+# The benchmark's workloads.lib reads library modules from sys.modules after
+# ``import sl2genus; import sl2genus.cli; import sl2genus.suites``: importing
+# suites must load every module it resolves.
+def test_importing_suites_loads_every_library_module():
+    loaded = _loaded_after("import sl2genus.suites")
+    names = ("core", "groups", "subgroups", "genus", "fibers", "bounds")
+    assert {"sl2genus." + m for m in names} <= loaded
 
 
 def _suite_functions(tree):
