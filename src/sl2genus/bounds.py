@@ -157,13 +157,17 @@ def _v_codes(desc: FiberDescriptor, x: Mat) -> FrozenSet:
     return cached(desc.full_ctx(), key, lambda: commutator_fiber_codes(desc, x), DEFAULT_MAX_ELEMENTS)
 
 
-def _y_sets(h: Subgroup, ref: ConjClassRef, idxs: Sequence[int]) -> Dict[int, FrozenSet]:
-    """Y_0 and Y_i = {x in H n Conj : H_(N-i) = V_x} for the requested i, on
-    the fibers of ref's plan."""
+def _class_in(h: Subgroup, ref: ConjClassRef) -> FrozenSet:
+    """Y_0 = H n Conj(alpha), the class read under h's cap."""
+    return h.codes() & class_codes(ref, h.cap)
+
+
+def _y_sets(h: Subgroup, ref: ConjClassRef, y0: FrozenSet, idxs: Sequence[int]) -> Dict[int, FrozenSet]:
+    """Y_0 = y0 = _class_in(h, ref) and Y_i = {x in Y_0 : H_(N-i) = V_x} for
+    the requested i, on the fibers of ref's plan."""
     ctx = h.ctx
     dec = decoder(ctx)
     fibers = _bound_plan(ref).fibers
-    y0 = h.codes() & class_codes(ref)
     out: Dict[int, FrozenSet] = {0: y0}
     for i in idxs:
         desc = fibers[i] if i in fibers else _fiber(ref, i)  # the latter raises PreconditionError
@@ -212,13 +216,14 @@ def slim_bound_report(h: Subgroup, ref: ConjClassRef) -> SlimBoundReport:
             "no closed-form bound applies to %s at p=%d, depth %d" % (ref.kind, ctx.p, ctx.n - ref.r)
         )
     rep = SlimBoundReport(ref.kind, ref.r, h.order)
-    cnt = count_in_subgroup(h, ref)
+    y0 = _class_in(h, ref)  # the one intersection with the level-n class; the chains read it as Y_0
+    cnt = len(y0)
     for kind, level, bound in plan.bounds:
         rhs = bound(_count_reduced(h, ref, level))
         rep.add(kind, cnt <= rhs, "%d <= %d" % (cnt, rhs))
 
     _filtration_checks(h, rep)
-    _chain_checks(h, ref, rep, cnt)
+    _chain_checks(h, ref, rep, y0)
     return rep
 
 
@@ -237,8 +242,8 @@ def _filtration_checks(h: Subgroup, rep: SlimBoundReport) -> None:
     rep.add("filtration", ok, detail)
 
 
-def _chain_checks(h: Subgroup, ref: ConjClassRef, rep: SlimBoundReport, cnt: int) -> None:
-    ctx = h.ctx
+def _chain_checks(h: Subgroup, ref: ConjClassRef, rep: SlimBoundReport, y0: FrozenSet) -> None:
+    ctx, cnt = h.ctx, len(y0)
     p, r = ctx.p, ref.r
     depth = ctx.n - r
     l = depth // 2
@@ -246,7 +251,7 @@ def _chain_checks(h: Subgroup, ref: ConjClassRef, rep: SlimBoundReport, cnt: int
         if l < 1:
             return
         idxs = list(range(1, l + 1))
-        y = _y_sets(h, ref, idxs)
+        y = _y_sets(h, ref, y0, idxs)
         m = {i: _mod_count(ctx, y[i], r + i) for i in idxs}  # M(i) = #(Y_i mod p^(r+i)), counted once
         rep.add("chain:last", len(y[l]) <= p ** (2 * (depth - l)) * m[l])
         for i in range(2, l + 1):
@@ -270,7 +275,7 @@ def _chain_checks(h: Subgroup, ref: ConjClassRef, rep: SlimBoundReport, cnt: int
     if short is None or not short[0] < depth <= short[0] + 3:
         return
     k, level, cap = short
-    y = _y_sets(h, ref, [1])
+    y = _y_sets(h, ref, y0, [1])
     m1 = _mod_count(ctx, y[1], level)
     m0 = _mod_count(ctx, y[0], level)
     rep.add("chain:last", len(y[1]) <= 2 ** (2 * (depth - k)) * m1)
@@ -311,7 +316,7 @@ def fiber_count_bound_check(h: Subgroup, ref: ConjClassRef, i: int, d: int) -> b
     if p == 2 and ref.kind == "tau" and d < 1:
         raise PreconditionError("p=2 tau needs d >= 1")
     # V_x depends on x mod p^(r+i) alone, so each fiber lies in Y_0 - Y_i whole or not at all
-    y = _y_sets(h, ref, [i])
+    y = _y_sets(h, ref, _class_in(h, ref), [i])
     limit = p ** (depth - 1 - d)
     return all(cnt <= limit for cnt in Counter(map(reducer(ctx, r + i + d), y[0] - y[i])).values())
 

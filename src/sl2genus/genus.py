@@ -12,8 +12,9 @@ depend on its class alone, so fix_points takes a ConjClassRef.  genus_report
 is the one cross-check: it counts them again on the right cosets H_m g of G_m
 (gH -> Hg^-1 gives the counts on left cosets), walked once per report by
 groups.right_cosets from H_m on the row tables of u and t(u), and any
-disagreement raises ConsistencyError.  delta and genus read the report.  The
-walk and the class orbits run under the cap the subgroup carries (Subgroup.cap).
+disagreement raises ConsistencyError.  The report is kept in the subgroup's
+memo, and delta and genus read it.  The walk and the class orbits run under
+the cap the subgroup carries (Subgroup.cap).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .core import (
     upper_u,
 )
 from .groups import ConjClassRef, cached, check_order, class_codes, conj_class_size_formula, right_cosets, u_power_ref
-from .subgroups import Subgroup, level
+from .subgroups import Subgroup, kept, level
 
 # coset_space(h): (the first code of each right coset H g, code -> coset index,
 # the coset index of H g u for each coset); genus_report builds it for H at its level.
@@ -85,7 +86,9 @@ def coset_space(h: Subgroup) -> Cosets:
     first = list(h.reduced_codes(ctx.n))
     reps, coset_of = [first[0]], dict.fromkeys(first, 0)
     for coset in right_cosets(first, (u, _right_mul(ctx, lower_u(ctx), h.cap)), coset_of, h.cap):
-        coset_of.update(dict.fromkeys(coset, len(reps)))
+        i = len(reps)
+        for y in coset:  # one store per member: no dict per coset, which small cosets would pay for
+            coset_of[y] = i
         reps.append(coset[0])
     if len(coset_of) != ctx.order:
         raise ConsistencyError("the coset walk covered %d of %d elements" % (len(coset_of), ctx.order))
@@ -176,13 +179,15 @@ class GenusReport:
         return d
 
 
+@kept("genus_report")
 def genus_report(h: Subgroup) -> GenusReport:
     """Every count of H by class counting; below level n, H_m's report with
     count_sigma and count_tau times #Conj_n / #Conj_m (reduction is onto and
     G-equivariant, so Conj_n fibres evenly over Conj_m, and the rest is equal).
     When G_m holds at most DIRECT_CHECK_CAP elements, Fix_sigma, Fix_tau and
     the <u>-orbits are counted again on the right cosets H_m g (coset_space,
-    built once), and any difference raises ConsistencyError."""
+    built once), and any difference raises ConsistencyError.  The report is
+    kept in h's memo, so each subgroup is reported once."""
     ctx, m = h.ctx, level(h)
     refs = ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")
     if m < ctx.n:

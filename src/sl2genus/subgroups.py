@@ -14,6 +14,7 @@ from collections import Counter
 from itertools import product
 from math import gcd
 from dataclasses import dataclass, field
+from functools import wraps
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -57,8 +58,8 @@ class Subgroup:
     them empty); one with an entry outside [0, p^n) raises
     ContextMismatchError, and one of det != 1 raises PreconditionError.
     _reduced is the memo of what derives from H alone: H mod p^s under the
-    key s, (H_1, ..., H_n) under "filtration", the level under "level", #H
-    under "order"."""
+    key s, #H under "order", and each value that kept(key) keeps (the
+    filtration, the level, genus.genus_report)."""
 
     ctx: GroupCtx
     gens: Tuple[Mat, ...]
@@ -143,6 +144,23 @@ class Subgroup:
         return Subgroup.from_codes(self.ctx, codes, cap=self.cap)
 
 
+def kept(key: str) -> Callable:
+    """Decorator for a function f(h) of H alone: its value is built on the
+    first call and kept in h's memo under key; a call that raises keeps nothing."""
+
+    def decorate(f: Callable) -> Callable:
+        @wraps(f)
+        def read(h: Subgroup):
+            got = h._reduced.get(key)
+            if got is None:
+                got = h._reduced[key] = f(h)
+            return got
+
+        return read
+
+    return decorate
+
+
 def closure(gens: Sequence[Mat], ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     """The smallest subgroup of SL2(Z/p^nZ) containing the generators, closed by
     groups.extend_closure; a generator of det != 1 raises PreconditionError."""
@@ -157,16 +175,23 @@ def full_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
 
 
 def adjoin_minus_one(h: Subgroup) -> Subgroup:
-    """<H, -1>; -1 is a central involution, so this is H u (-1)H, or H's own code set if -1 is in H.
-    An unmaterialized H gives <gens, -1>, unmaterialized too."""
-    ctx = h.ctx
+    """<H, -1>, which is h itself when -1 is in H; -1 is a central involution,
+    so otherwise it is H u (-1)H.  An unmaterialized H is compared by order with
+    <gens, -1>, both from the Schreier walk (Subgroup.order), so H is not closed
+    at level n; the result is that <gens, -1>, unmaterialized, also when an
+    order passes the cap."""
+    ctx, neg = h.ctx, minus_one(h.ctx)
     if h._codes is None:
-        return Subgroup(ctx, h.gens + (minus_one(ctx),), h.cap)
-    codes = h.codes()
-    if encoder(ctx)(minus_one(ctx)) not in codes:
-        codes = set(codes)  # frozen once, the table fits H u -H; a union H | -H sizes it for both
-        codes.update(map(right_mul(ctx, minus_one(ctx)), h.codes()))
-    return Subgroup.from_codes(ctx, codes, h.gens + (minus_one(ctx),) if h.gens else (), h.cap)
+        got = Subgroup(ctx, h.gens + (neg,), h.cap)
+        try:
+            return h if h.order == got.order else got
+        except FeasibilityError:
+            return got
+    if encoder(ctx)(neg) in h.codes():
+        return h
+    codes = set(h.codes())  # frozen once, the table fits H u -H; a union H | -H sizes it for both
+    codes.update(map(right_mul(ctx, neg), h.codes()))
+    return Subgroup.from_codes(ctx, codes, h.gens + (neg,) if h.gens else (), h.cap)
 
 
 # -------------------- reduction preimage and filtration --------------------
@@ -210,28 +235,27 @@ def preimage(h: Subgroup, dst: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Sub
         codes = frozenset({k(t) for t in lifts for k in kern})
         ctx = nxt
     got = Subgroup.from_codes(dst, codes, cap=cap)
+    # H mod p^s is the source's H mod p^s for s <= m, so no code of the preimage is reduced for it
+    got._reduced.update((s, h.reduced_codes(s)) for s in range(1, min(h.ctx.n, dst.n - 1) + 1))
     if got.order != start_order * dst.p ** (3 * (dst.n - h.ctx.n)):
         raise ConsistencyError("preimage order mismatch")  # pragma: no cover
     return got
 
 
+@kept("filtration")
 def filtration(h: Subgroup) -> Tuple[Subgroup, ...]:
     """(H_1, ..., H_n), H_s = H n (1 + p^s M2) the kernel of reduction mod p^s
     restricted to H.  One pass over H files each code under its depth (the
-    largest s with x = 1 mod p^s), and H_s holds the codes of depth s or more;
-    built once per H and kept in h's memo."""
-    got = h._reduced.get("filtration")
-    if got is None:
-        ctx, dec = h.ctx, decoder(h.ctx)
-        depth_of = {ctx.p**t: t for t in range(ctx.n + 1)}  # gcd(a - 1, b, c, d - 1, p^n) = p^depth
-        by_depth: List[List[int]] = [[] for _ in range(ctx.n + 1)]
-        for code in h.codes():
-            a, b, c, d = dec(code)
-            by_depth[depth_of[gcd(a - 1, b, c, d - 1, ctx.modulus)]].append(code)
-        got = h._reduced["filtration"] = tuple(
-            Subgroup.from_codes(ctx, [c for layer in by_depth[s:] for c in layer], cap=h.cap) for s in range(1, ctx.n + 1)
-        )
-    return got
+    largest s with x = 1 mod p^s), and H_s holds the codes of depth s or more."""
+    ctx, dec = h.ctx, decoder(h.ctx)
+    depth_of = {ctx.p**t: t for t in range(ctx.n + 1)}  # gcd(a - 1, b, c, d - 1, p^n) = p^depth
+    by_depth: List[List[int]] = [[] for _ in range(ctx.n + 1)]
+    for code in h.codes():
+        a, b, c, d = dec(code)
+        by_depth[depth_of[gcd(a - 1, b, c, d - 1, ctx.modulus)]].append(code)
+    return tuple(
+        Subgroup.from_codes(ctx, [c for layer in by_depth[s:] for c in layer], cap=h.cap) for s in range(1, ctx.n + 1)
+    )
 
 
 def filtration_level(h: Subgroup, s: int) -> Subgroup:
@@ -249,12 +273,10 @@ def _holds_kernel(h: Subgroup, s: int) -> bool:
     return h.order % k == 0 and len(h.reduced_codes(s)) * k == h.order
 
 
+@kept("level")
 def level(h: Subgroup) -> int:
-    """The level of H, the least s >= 1 with K_s <= H; kept in h's memo."""
-    got = h._reduced.get("level")
-    if got is None:
-        got = h._reduced["level"] = next(s for s in range(1, h.ctx.n + 1) if _holds_kernel(h, s))
-    return got
+    """The level of H, the least s >= 1 with K_s <= H."""
+    return next(s for s in range(1, h.ctx.n + 1) if _holds_kernel(h, s))
 
 
 def is_slim(h: Subgroup) -> bool:

@@ -13,7 +13,7 @@ from sl2genus.bounds import (
     verify_main_theorem_desk,
     verify_section7,
 )
-from sl2genus.core import PreconditionError, make_ctx, upper_u
+from sl2genus.core import FeasibilityError, PreconditionError, make_ctx, upper_u
 from sl2genus.groups import ConjClassRef, u_power_ref
 from sl2genus.sequences import BOUND_KINDS, n_prime, n_upper_bound
 from sl2genus.subgroups import (
@@ -330,7 +330,8 @@ def _ladder_oracle(h, ref):
     depth = ctx.n - r
     if depth < 2:
         raise PreconditionError("no closed-form bound applies at depth %d" % depth)
-    cnt = len(h.codes() & class_codes(ref))
+    y0 = h.codes() & class_codes(ref)
+    cnt = len(y0)
     checks = []
 
     def add(kind, rhs):
@@ -366,7 +367,7 @@ def _ladder_oracle(h, ref):
 
     chain = []
     if p == 2 and ref.kind == "sigma" and 3 <= depth <= 5:
-        y = _y_sets(h, ref, [1])
+        y = _y_sets(h, ref, y0, [1])
         m1, m0 = _mod_count(ctx, y[1], 2), _mod_count(ctx, y[0], 2)
         chain.append(("chain:last", len(y[1]) <= 2 ** (2 * (depth - 2)) * m1, ""))
         chain.append(("chain:first", len(y[0] - y[1]) <= 2 ** (depth - 2) * (m0 - m1), ""))
@@ -374,7 +375,7 @@ def _ladder_oracle(h, ref):
         chain.append(("chain:total", cnt <= total, "%d <= %d" % (cnt, total)))
         chain.append(("chain:recovery1", m1 <= 2, ""))
     elif p == 2 and ref.kind == "u_power" and 4 <= depth <= 6:
-        y = _y_sets(h, ref, [1])
+        y = _y_sets(h, ref, y0, [1])
         m1, m0 = _mod_count(ctx, y[1], r + 3), _mod_count(ctx, y[0], r + 3)
         chain.append(("chain:last", len(y[1]) <= 2 ** (2 * (depth - 3)) * m1, ""))
         chain.append(("chain:first", len(y[0] - y[1]) <= 2 ** (depth - 3) * (m0 - m1), ""))
@@ -429,7 +430,7 @@ def test_filtration_memo_keeps_the_y_sets(sl2_mod9_subgroups):
     memoized, and a second filtration_level call returns the stored H_s."""
     import hashlib
 
-    from sl2genus.bounds import SlimBoundReport, _filtration_checks, _y_sets
+    from sl2genus.bounds import SlimBoundReport, _class_in, _filtration_checks, _y_sets
     from sl2genus.subgroups import filtration_level, is_slim
 
     ctx9, lattice = sl2_mod9_subgroups
@@ -450,7 +451,7 @@ def test_filtration_memo_keeps_the_y_sets(sl2_mod9_subgroups):
             refs += [u_power_ref(ctx, r) for r in range(ctx.n - 1)]
             refs = [(ref, list(range(1, (ctx.n - ref.r) // 2 + 1))) for ref in refs]
         for ref, idxs in refs:
-            y = _y_sets(h, ref, idxs)
+            y = _y_sets(h, ref, _class_in(h, ref), idxs)
             nonempty += any(y[i] for i in idxs)
             rows.append(repr(sorted((i, sorted(v)) for i, v in y.items())))
         for s in range(1, ctx.n + 1):
@@ -562,15 +563,54 @@ def test_a_cap_below_the_class_still_stops_a_report():
 
 def test_a_class_without_a_bound_raises_before_any_count(monkeypatch):
     # at 16 no closed-form bound applies to tau, u^2 or u^4: the report raises
-    # without intersecting H with the class
+    # without intersecting H with the class (bounds._class_in, the report's one
+    # intersection)
     ctx = make_ctx(2, 4)
     h = sample_slim_subgroups(ctx, 1, random.Random("no-bound"))[0]
     calls = []
-    true_count = bounds.count_in_subgroup
-    monkeypatch.setattr(bounds, "count_in_subgroup", lambda sub, ref: calls.append(ref) or true_count(sub, ref))
+    true_count = bounds._class_in
+    monkeypatch.setattr(bounds, "_class_in", lambda sub, ref: calls.append(ref) or true_count(sub, ref))
     for ref in (ConjClassRef(ctx, "tau"), u_power_ref(ctx, 1), u_power_ref(ctx, 2)):
         with pytest.raises(PreconditionError, match="no closed-form bound"):
             slim_bound_report(h, ref)
     assert calls == []
     slim_bound_report(h, ConjClassRef(ctx, "sigma"))  # a class with a bound is counted, through the patch
     assert len(calls) == 1
+
+
+def test_the_fiber_count_check_reads_the_class_under_the_subgroups_cap():
+    # Conj(sigma) at 125 holds 18,750 elements: under a cap of 2,000 the
+    # fiber-count check stops where the slim report stops, at the class
+    ctx = make_ctx(5, 3)
+    ref = ConjClassRef(ctx, "sigma")
+    hs = sample_slim_subgroups(ctx, 3, random.Random("fiber-cap"), mod_p_target=borel(5))
+    h = next(h for h in hs if h.order <= 2000)
+    assert fiber_count_bound_check(h, ref, 1, 0)
+    low = Subgroup.from_codes(ctx, h.codes(), h.gens, cap=2000)
+    for check in (lambda: slim_bound_report(low, ref), lambda: fiber_count_bound_check(low, ref, 1, 0)):
+        with pytest.raises(FeasibilityError, match="cap of 2000"):
+            check()
+
+
+def test_a_slim_report_reads_the_level_n_class_once(monkeypatch):
+    # the bound checks count #(H n Conj) and the chains read that same set as
+    # Y_0, so each report reads the level-n class once; at odd p every count
+    # of the bound checks is below level n
+    import sys
+
+    true_fn = sys.modules["sl2genus.groups"].class_codes
+    reads = []
+    for mod in [m for name, m in sys.modules.items() if name.startswith("sl2genus.")]:
+        if vars(mod).get("class_codes") is true_fn:
+            monkeypatch.setattr(mod, "class_codes", lambda ref, *cap: reads.append(ref) or true_fn(ref, *cap))
+    reports = 0
+    for p, n in ((5, 2), (5, 3), (3, 3)):
+        ctx = make_ctx(p, n)
+        for h in sample_slim_subgroups(ctx, 3, random.Random("one-y0-%d-%d" % (p, n)), mod_p_target=borel(p)):
+            for ref in (ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau"), u_power_ref(ctx, 0)):
+                reads.clear()
+                checks = slim_bound_report(h, ref).checks
+                assert any(label.startswith("chain:") for label, _, _ in checks)
+                assert [r for r in reads if r.ctx == ctx] == [ref]
+                reports += 1
+    assert reports == 27

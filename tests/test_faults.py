@@ -4,12 +4,13 @@ kills shows up as a failing test.  Standard library and pytest only."""
 
 import random
 import sys
+from itertools import islice
 
 import pytest
 
 from sl2genus.bounds import slim_bound_report, verify_section7
-from sl2genus.core import ConsistencyError, encoder, lower_u, make_ctx, upper_u
-from sl2genus.genus import delta, genus_report
+from sl2genus.core import ConsistencyError, PreconditionError, encoder, lower_u, make_ctx, minus_one, upper_u
+from sl2genus.genus import delta, genus, genus_report
 from sl2genus.groups import ConjClassRef, class_codes
 from sl2genus.subgroups import Subgroup, adjoin_minus_one, borel, closure, level, sample_slim_subgroups
 
@@ -52,7 +53,8 @@ def test_a_swapped_member_of_the_stored_tau_class_fails_the_fixed_point_checks(m
     # subgroup B; the orbit keeps its size, so class_codes' size check passes.
     # A swap changes a report only through #(H n Conj(tau)), and a changed count
     # moves Fix_tau = [G:H] #(H n Conj(tau)) / #Conj(tau): fix_points' integer
-    # check or the coset check of genus_report raises.
+    # check or the coset check of genus_report raises.  A subgroup keeps its
+    # report, so each report is made on a fresh H.
     h = adjoin_minus_one(borel(13))
     ctx, ref = h.ctx, ConjClassRef(h.ctx, "tau")
     true_report = genus_report(h)
@@ -61,11 +63,48 @@ def test_a_swapped_member_of_the_stored_tau_class_fails_the_fixed_point_checks(m
     outside = next(c for c in stored if c not in h.codes())
     inside = next(c for c in stored if c in h.codes())
     monkeypatch.setitem(ctx.memo, ("tau", 0), stored - {outside} | {stranger})
-    assert genus_report(h) == true_report  # no count of H moved
+    assert genus_report(adjoin_minus_one(borel(13))) == true_report  # no count of H moved
     monkeypatch.setitem(ctx.memo, ("tau", 0), stored - {inside} | {stranger})
     assert len(class_codes(ref)) == len(stored)
     with pytest.raises(ConsistencyError, match="fixed-point"):
+        genus_report(adjoin_minus_one(borel(13)))
+    assert genus_report(h) is true_report  # the kept report is the one made before the swap
+
+
+def test_a_walk_that_understates_h_with_minus_one_fails_the_genus_precondition(monkeypatch):
+    # the Schreier walk of <gens, -1> drops -1, so #<H, -1> reads #H for
+    # H = <u> and adjoin_minus_one returns H although -1 is not in H.  (Below
+    # level n the walk reaches rank 3 and the order reads the closure of
+    # <gens, -1> mod p^(n-1), which holds -1, so only a level-n H is fooled.)
+    # genus() reads the report, whose own -1 test on H at its level is exact.
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    true_walk = subgroups_mod._schreier_walk
+
+    def without_minus_one(gens, ctx, cap):
+        return true_walk([g for g in gens if g != minus_one(ctx)], ctx, cap)
+
+    monkeypatch.setattr(subgroups_mod, "_schreier_walk", without_minus_one)
+    for ctx in (make_ctx(5, 2), make_ctx(3, 3)):
+        h = Subgroup(ctx, (upper_u(ctx),))
+        got = adjoin_minus_one(h)
+        assert got is h and level(h) == ctx.n
+        with pytest.raises(PreconditionError, match="needs -1 in H"):
+            genus(got)
+
+
+def test_a_dropped_coset_fails_the_coverage_check(monkeypatch):
+    # right_cosets stops one coset short: the walk on B at 13 (index 14) then
+    # covers 2,184 - 156 elements, and coset_space raises before a count reads
+    # it.  A report that raised is not kept: without the fault it is made again.
+    genus_mod = sys.modules["sl2genus.genus"]
+    true_walk = genus_mod.right_cosets
+    h = borel(13)
+    index = h.ctx.order // h.order
+    monkeypatch.setattr(genus_mod, "right_cosets", lambda *args: islice(true_walk(*args), index - 2))
+    with pytest.raises(ConsistencyError, match="covered 2028 of 2184 elements"):
         genus_report(h)
+    monkeypatch.undo()
+    assert genus_report(h).index == index
 
 
 def _sigma_reports_under(monkeypatch, wrong):

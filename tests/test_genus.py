@@ -439,3 +439,76 @@ def test_a_report_below_level_n_closes_nothing_at_level_n(monkeypatch):
             wrap(Subgroup(ctx, h.gens, cap=100_000)).order
         with pytest.raises(FeasibilityError, match="max-elements"):
             genus_report(wrap(Subgroup(ctx, h.gens, cap=100_000)))
+
+
+def _minus_one_cases():
+    """(ctx, (H, ...)): the first 30 of criterion 7's seeded samples at (2,3),
+    (3,2) and (5,2), each also unmaterialized from its generators, and a dozen
+    seeded cyclic subgroups of SL2(Z/49Z), unmaterialized."""
+    for p, n in ((2, 3), (3, 2), (5, 2)):
+        ctx = make_ctx(p, n)
+        for h in sample_subgroups(ctx, 30, random.Random((p, n, "criterion7").__repr__())):
+            yield ctx, (h, Subgroup(ctx, h.gens))
+    ctx, rng = make_ctx(7, 2), random.Random("minus-one-7-2")
+    pool = sorted(enumerate_group(ctx).codes)
+    for _ in range(12):
+        yield ctx, (Subgroup(ctx, (decoder(ctx)(pool[rng.randrange(len(pool))]),)),)
+
+
+def test_adjoin_minus_one_is_h_exactly_when_minus_one_is_in_h():
+    # <H, -1> is H itself when -1 is in H (by membership for a materialized H,
+    # by the orders of the Schreier walks otherwise), and its report is the
+    # report of <gens, -1> closed from scratch
+    outcomes = set()
+    for ctx, hs in _minus_one_cases():
+        gens = hs[0].gens
+        inside = minus_one(ctx) in closure(gens, ctx)
+        want = genus_report(closure(gens + (minus_one(ctx),), ctx))
+        for h in hs:
+            assert (adjoin_minus_one(h) is h) == inside, gens
+            assert genus_report(adjoin_minus_one(h)) == want, gens
+        outcomes.add((ctx.p, inside))
+    assert outcomes == {(p, inside) for p in (2, 3, 5, 7) for inside in (False, True)}
+
+
+def test_deciding_minus_one_closes_nothing_at_level_n(monkeypatch):
+    # <sigma> holds -1 = sigma^2, <u> does not, and G = <u, t(u)> has level 1:
+    # the decision reads the Schreier walks (and H mod 5 at rank 3), never a
+    # closure modulo 25
+    calls = []
+    true_fn = sys.modules["sl2genus.groups"]._closure_codes
+
+    def recording(gens, ctx, cap):
+        calls.append(ctx.n)
+        return true_fn(gens, ctx, cap)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("sl2genus.")]:
+        if vars(mod).get("_closure_codes") is true_fn:
+            monkeypatch.setattr(mod, "_closure_codes", recording)
+    ctx = make_ctx(5, 2)
+    for gens, inside in (((sigma(ctx),), True), ((upper_u(ctx),), False), ((upper_u(ctx), lower_u(ctx)), True)):
+        h = Subgroup(ctx, gens)
+        got = adjoin_minus_one(h)
+        assert (got is h, got._codes, h._codes) == (inside, None, None)
+    assert 2 not in calls
+
+
+def test_one_coset_space_per_subgroup(monkeypatch):
+    # the genus_sweep pattern: a report of H, then of <H, -1>, then delta and
+    # genus; each distinct subgroup walks its cosets once (every G_m here has
+    # at most DIRECT_CHECK_CAP elements), and delta and genus read the kept report
+    genus_mod = sys.modules["sl2genus.genus"]
+    true_walk = genus_mod.coset_space
+    walks = []
+    monkeypatch.setattr(genus_mod, "coset_space", lambda h: walks.append(h) or true_walk(h))
+    distinct = 0
+    for p, n in ((2, 3), (3, 2), (5, 2), (7, 2)):
+        ctx = make_ctx(p, n)
+        for h0 in sample_subgroups(ctx, 4 if p < 7 else 2, random.Random((p, n, "one-walk").__repr__())):
+            h = Subgroup(ctx, h0.gens)
+            hh = adjoin_minus_one(h)
+            assert genus_report(h) is genus_report(h)
+            assert (delta(hh), genus(hh)) == (genus_report(hh).delta, genus_report(hh).genus)
+            delta(h)
+            distinct += 1 if hh is h else 2
+    assert len(walks) == distinct

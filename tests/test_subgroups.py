@@ -552,3 +552,22 @@ def test_the_walk_twins_agree_with_the_closure(p, n):
                 with pytest.raises(FeasibilityError):
                     Subgroup(ctx, tuple(gens), cap).order
     assert seen == {"slim", "rank 3", "over cap"}
+
+
+def test_a_preimage_reads_its_reductions_from_the_source(monkeypatch):
+    # H mod p^s of a preimage is the source's H mod p^s for s <= m, so level()
+    # reduces none of the 14,406 codes of preimage:B@1 at 49 (nor of
+    # preimage:A1@2 at 8, whose level is 2)
+    import sys
+
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    true_reducer = subgroups_mod.reducer
+    calls = []
+    monkeypatch.setattr(subgroups_mod, "reducer", lambda ctx, s: calls.append((ctx.n, s)) or true_reducer(ctx, s))
+    h = parse_subgroup_spec("preimage:B@1", 7, 2)
+    assert (h.order, level(h), calls) == (14_406, 1, [])
+    assert h.reduced_codes(1) == borel(7).codes()
+    h = parse_subgroup_spec("preimage:A1@2", 2, 3)
+    assert (h.order, level(h), calls) == (96, 2, [])
+    assert h.reduced_codes(2) == a1_subgroup().codes()
+    assert Subgroup.from_codes(h.ctx, h.codes()).reduced_codes(1) == h.reduced_codes(1)
