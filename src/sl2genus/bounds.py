@@ -89,14 +89,10 @@ def corrected_bound(kind: str, p: int, n: int, count: int) -> int:
 # -------------------- slim-subgroup checks --------------------
 
 
-def _fiber_kind(ref: ConjClassRef) -> str:
-    return "u" if ref.kind == "u_power" else ref.kind
-
-
 def _fiber(ref: ConjClassRef, i: int) -> FiberDescriptor:
     """The fiber V^(n, n-i) of ref's class, n its depth; PreconditionError where there is none."""
     depth = ref.ctx.n - ref.r
-    return FiberDescriptor(ref.ctx.p, ref.r, depth, depth - i, _fiber_kind(ref))
+    return FiberDescriptor(ref.ctx.p, ref.r, depth, depth - i, ref.kind)
 
 
 # The bound kinds of each class, in the order their checks are reported.
@@ -266,7 +262,7 @@ def _chain_checks(h: Subgroup, ref: ConjClassRef, rep: SlimBoundReport, y0: Froz
         total += p ** (depth - 1) * _count_reduced(h, ref, r + 1)
         rep.add("chain:total", cnt <= total, "%d <= %d" % (cnt, total))
         for i in idxs:
-            cap = recovery_count(_fiber_kind(ref), p, depth, depth - i)
+            cap = recovery_count(ref.kind, p, depth, depth - i)
             rep.add("chain:recovery%d" % i, m[i] <= cap)
         return
     # p = 2 short chains at desk exponents k < depth <= k + 3, for sigma and
@@ -308,6 +304,8 @@ def fiber_count_bound_check(h: Subgroup, ref: ConjClassRef, i: int, d: int) -> b
     """Fibers of the class map H -> H mod p^(r+i+d) have at most p^(n-1-d)
     elements when the top filtration layer is not the fiber group V."""
     ctx = h.ctx
+    if ref.ctx != ctx:
+        raise PreconditionError("class reference bound to a different context")
     p = ctx.p
     r = ref.r
     depth = ctx.n - r
@@ -376,10 +374,7 @@ class _Chain:
 
 
 def _cls(kind: str, p: int, level: int, r: int = 0) -> int:
-    ctx = make_ctx(p, level)
-    if kind == "u":
-        return conj_class_size_formula(u_power_ref(ctx, r))
-    return conj_class_size_formula(ConjClassRef(ctx, kind))
+    return conj_class_size_formula(ConjClassRef(make_ctx(p, level), kind, r))
 
 
 def _bcde(group: str, alpha: str, p: int) -> int:
@@ -489,7 +484,7 @@ def _case_p72() -> CaseReport:
     p = 19
     ch = _Chain()
     cls_t = ch.expect("#Conj(tau) mod 19^2", _cls("tau", p, 2), 20 * 19**3)
-    cls_u = ch.step("#Conj(u) mod 19^2", _cls("u", p, 2))
+    cls_u = ch.step("#Conj(u) mod 19^2", _cls("u_power", p, 2))
     _, bt, bu = _level_one_counts(ch, "B", p, (0, 38, 9))
     bt_bound = ch.expect(
         "a(tau,p)_2 + p(38-2)", corrected_bound("a_tau_p", p, 2, bt), 74 * 19
@@ -505,7 +500,7 @@ def _case_p73() -> CaseReport:
     p = 17
     ch = _Chain()
     cls_s = ch.expect("#Conj(sigma) mod 17^2", _cls("sigma", p, 2), 18 * 17**3)
-    cls_u = ch.step("#Conj(u) mod 17^2", _cls("u", p, 2))
+    cls_u = ch.step("#Conj(u) mod 17^2", _cls("u_power", p, 2))
     bs, _, bu = _level_one_counts(ch, "B", p, (34, 0, 8))
     bs_bound = ch.expect(
         "a(sigma,p)_2 + p(34-2)", corrected_bound("a_sigma_p", p, 2, bs), 66 * 17
@@ -522,8 +517,8 @@ def _case_p74_b() -> CaseReport:
     ch = _Chain()
     cls_s = ch.expect("#Conj(sigma)", _cls("sigma", p, 2), 14 * 13**3)
     cls_t = ch.expect("#Conj(tau)", _cls("tau", p, 2), 14 * 13**3)
-    cls_u = ch.step("#Conj(u)", _cls("u", p, 2))
-    cls_up = ch.expect("#Conj(u^p)", _cls("u", p, 2, r=1), 84)
+    cls_u = ch.step("#Conj(u)", _cls("u_power", p, 2))
+    cls_up = ch.expect("#Conj(u^p)", _cls("u_power", p, 2, r=1), 84)
     bs, bt, bu = _level_one_counts(ch, "B", p, (26, 26, 6))
     st_bound = ch.expect(
         "a(sigma,p)_2 + p(26-2)", corrected_bound("a_sigma_p", p, 2, bs), 50 * 13
@@ -583,9 +578,9 @@ def _p75_master(ch: _Chain, bs: int, bt: int, bu: int, branch: str) -> Fraction:
     p = 7
     cls_s = ch.expect("#Conj(sigma)", _cls("sigma", p, 3), 6 * 7**5)
     cls_t = ch.expect("#Conj(tau)", _cls("tau", p, 3), 8 * 7**5)
-    cls_u = ch.step("#Conj(u)", _cls("u", p, 3))
-    cls_up = ch.step("#Conj(u^p)", _cls("u", p, 3, r=1))
-    cls_upp = ch.expect("#Conj(u^p^2)", _cls("u", p, 3, r=2), 24)
+    cls_u = ch.step("#Conj(u)", _cls("u_power", p, 3))
+    cls_up = ch.step("#Conj(u^p)", _cls("u_power", p, 3, r=1))
+    cls_upp = ch.expect("#Conj(u^p^2)", _cls("u_power", p, 3, r=2), 24)
     if bs:
         r_sig = ch.step(
             "sigma ratio", Fraction(corrected_bound("a_sigma_p", p, 3, bs), cls_s)
@@ -613,7 +608,7 @@ def _p75_master(ch: _Chain, bs: int, bt: int, bu: int, branch: str) -> Fraction:
             r_u = ch.step("u ratio (empty at level one)", Fraction(0))
         up_cnt = ch.expect(
             "a(u,p)_2 + p(#Conj(u^p) mod p^2 - (p-1)/2)",
-            corrected_bound("a_u_p", p, 2, _cls("u", p, 2, r=1)),
+            corrected_bound("a_u_p", p, 2, _cls("u_power", p, 2, r=1)),
             (p - 1) * p * p,
         )
         r_up = ch.expect("u^p ratio", Fraction(up_cnt, cls_up), Fraction(2, p + 1))
@@ -653,8 +648,8 @@ def _case_p76(sub: str) -> CaseReport:
     ch = _Chain()
     cls_s = ch.expect("#Conj(sigma)", _cls("sigma", p, 2), 10 * 11**3)
     cls_t = ch.expect("#Conj(tau)", _cls("tau", p, 2), 10 * 11**3)
-    cls_u = ch.step("#Conj(u)", _cls("u", p, 2))
-    cls_up = ch.step("#Conj(u^p)", _cls("u", p, 2, r=1))
+    cls_u = ch.step("#Conj(u)", _cls("u_power", p, 2))
+    cls_up = ch.step("#Conj(u^p)", _cls("u_power", p, 2, r=1))
     if sub == "B":
         _, _, bu = _level_one_counts(ch, "B", p, (0, 0, 5))
         r_up1 = ch.expect("Vu branch: u^p ratio", Fraction(bu, cls_up), Fraction(1, p + 1))
@@ -700,7 +695,7 @@ def _case_p78() -> CaseReport:
     p = 5
     ch = _Chain()
     cls_s = ch.expect("#Conj(sigma)", _cls("sigma", p, 3), 6 * 5**5)
-    cls_up = ch.expect("#Conj(u^p)", _cls("u", p, 3, r=1), 12 * 5**2)
+    cls_up = ch.expect("#Conj(u^p)", _cls("u_power", p, 3, r=1), 12 * 5**2)
     cs, _, _ = _level_one_counts(ch, "C", p, (6, 0, 0))
     corrected = ch.expect(
         "a(sigma,p)_3 + p^2(6-2) [coefficient p^(n-1) of the sigma bound]",
@@ -721,7 +716,7 @@ def _case_p78() -> CaseReport:
     r_sig = ch.expect("sigma ratio", Fraction(corrected, cls_s), Fraction(9, 5**3))
     up_cnt = ch.expect(
         "a(u,p)_2 + p(12-2)",
-        corrected_bound("a_u_p", p, 2, _cls("u", p, 2, r=1)),
+        corrected_bound("a_u_p", p, 2, _cls("u_power", p, 2, r=1)),
         4 * 5**2,
     )
     r_up = ch.expect("u^p ratio", Fraction(up_cnt, cls_up), Fraction(1, 3))
@@ -740,9 +735,9 @@ def _p79_master(ch: _Chain, bs: int, bt: int, bu: int) -> Fraction:
     p = 5
     cls_s = ch.expect("#Conj(sigma)", _cls("sigma", p, 4), 6 * 5**7)
     cls_t = ch.expect("#Conj(tau)", _cls("tau", p, 4), 4 * 5**7)
-    cls_u = ch.expect("#Conj(u)", _cls("u", p, 4), 12 * 5**6)
-    cls_up = ch.expect("#Conj(u^p)", _cls("u", p, 4, r=1), 12 * 5**4)
-    cls_upp = ch.expect("#Conj(u^p^2)", _cls("u", p, 4, r=2), 12 * 5**2)
+    cls_u = ch.expect("#Conj(u)", _cls("u_power", p, 4), 12 * 5**6)
+    cls_up = ch.expect("#Conj(u^p)", _cls("u_power", p, 4, r=1), 12 * 5**4)
+    cls_upp = ch.expect("#Conj(u^p^2)", _cls("u_power", p, 4, r=2), 12 * 5**2)
     r_sig = ch.step(
         "sigma ratio", Fraction(corrected_bound("a_sigma_p", p, 4, bs), cls_s)
     )
@@ -759,13 +754,13 @@ def _p79_master(ch: _Chain, bs: int, bt: int, bu: int) -> Fraction:
         r_u = ch.step("u ratio (empty at level one)", Fraction(0))
     up_cnt = ch.expect(
         "a(u,p)_3 + p^2(12-2)",
-        corrected_bound("a_u_p", p, 3, _cls("u", p, 2, r=1)),
+        corrected_bound("a_u_p", p, 3, _cls("u_power", p, 2, r=1)),
         12 * 5**3,
     )
     r_up = ch.expect("u^p ratio", Fraction(up_cnt, cls_up), Fraction(1, 5))
     upp_cnt = ch.expect(
         "a(u,p)_2 + p(12-2)",
-        corrected_bound("a_u_p", p, 2, _cls("u", p, 2, r=1)),
+        corrected_bound("a_u_p", p, 2, _cls("u_power", p, 2, r=1)),
         4 * 5**2,
     )
     r_upp = ch.expect("u^p^2 ratio", Fraction(upp_cnt, cls_upp), Fraction(1, 3))
@@ -804,9 +799,9 @@ def _p710_cusp_terms(ch: _Chain) -> List[Fraction]:
     terms = []
     for i in range(1, 5):
         nn = 6 - i
-        cnt = corrected_bound("a_u_p", p, nn, _cls("u", p, i + 1, r=i))
+        cnt = corrected_bound("a_u_p", p, nn, _cls("u_power", p, i + 1, r=i))
         ch.expect("a(u,3)_%d + 3^%d(4-1) = %d" % (nn, nn - 1, cnt), cnt, bound_sequence("a_u_p", p, nn) + 3**nn)
-        terms.append(Fraction(cnt, _cls("u", p, 6, r=i)))
+        terms.append(Fraction(cnt, _cls("u_power", p, 6, r=i)))
     return terms
 
 
@@ -815,7 +810,7 @@ def _case_p710(sub: str) -> CaseReport:
     ch = _Chain()
     cls_s = ch.expect("#Conj(sigma)", _cls("sigma", p, 6), 2 * 3**11)
     cls_t = ch.expect("#Conj(tau)", _cls("tau", p, 6), 4 * 3**10)
-    cls_u = ch.expect("#Conj(u)", _cls("u", p, 6), 4 * 3**10)
+    cls_u = ch.expect("#Conj(u)", _cls("u_power", p, 6), 4 * 3**10)
     if sub == "B":
         _, bt, bu = _level_one_counts(ch, "B", p, (0, 1, 1))
         t_cnt = ch.expect("a(tau,3)_6", corrected_bound("a_tau_3", p, 6, bt), 13 * 3**6)
@@ -856,8 +851,7 @@ def _case_p710(sub: str) -> CaseReport:
 def _brute_count_mod(h: Subgroup, kind: str, level: int, r: int = 0) -> int:
     """#(f^-1(K) n Conj(alpha)) at 2-adic desk levels, by brute force."""
     target = preimage(h, make_ctx(2, level))
-    ctx = target.ctx
-    return count_in_subgroup(target, u_power_ref(ctx, r) if kind == "u" else ConjClassRef(ctx, kind))
+    return count_in_subgroup(target, ConjClassRef(target.ctx, kind, r))
 
 
 def _b_u2_tail(ch: _Chain, top: int, start: int) -> List[Fraction]:
@@ -867,9 +861,9 @@ def _b_u2_tail(ch: _Chain, top: int, start: int) -> List[Fraction]:
     terms = []
     for i in range(start, top - 3):
         nn = top - i
-        cnt = corrected_bound("b_u_2", p, nn, _cls("u", p, i + 3, r=i))
+        cnt = corrected_bound("b_u_2", p, nn, _cls("u_power", p, i + 3, r=i))
         ch.expect("b(u,2)_%d + 2^%d(12-4)" % (nn, nn - 3), cnt, bound_sequence("b_u_2", p, nn) + 2**nn)
-        terms.append(ch.step("u^2^%d ratio" % i, Fraction(cnt, _cls("u", p, top, r=i))))
+        terms.append(ch.step("u^2^%d ratio" % i, Fraction(cnt, _cls("u_power", p, top, r=i))))
     return terms
 
 
@@ -880,9 +874,9 @@ def _case_p711() -> CaseReport:
     b = borel(2)
     fs = ch.expect("#f2,1^-1(B) n Conj(sigma)", _brute_count_mod(b, "sigma", 2), 2)
     ch.expect("#f2,1^-1(B) n Conj(tau)", _brute_count_mod(b, "tau", 2), 0)
-    ch.expect("#f2,1^-1(B) n Conj(u)", _brute_count_mod(b, "u", 2), 2)
-    ch.expect("#f2,1^-1(B) n Conj(u^2)", _brute_count_mod(b, "u", 2, r=1), 3)
-    fu3 = ch.expect("#f3,1^-1(B) n Conj(u)", _brute_count_mod(b, "u", 3), 4)
+    ch.expect("#f2,1^-1(B) n Conj(u)", _brute_count_mod(b, "u_power", 2), 2)
+    ch.expect("#f2,1^-1(B) n Conj(u^2)", _brute_count_mod(b, "u_power", 2, r=1), 3)
+    fu3 = ch.expect("#f3,1^-1(B) n Conj(u)", _brute_count_mod(b, "u_power", 3), 4)
     s_cnt = ch.expect(
         "a(sigma,2)_11 + 2^9(2-2)", corrected_bound("a_sigma_2", p, 11, fs), 11 * 2**12
     )
@@ -890,14 +884,14 @@ def _case_p711() -> CaseReport:
     u_cnt = ch.expect(
         "a(u,2)_11 + 2^10(4-2)", corrected_bound("a_u_2", p, 11, fu3), 23 * 2**11
     )
-    terms = [ch.expect("u ratio", Fraction(u_cnt, _cls("u", p, 11)), Fraction(23, 3 * 2**7))]
+    terms = [ch.expect("u ratio", Fraction(u_cnt, _cls("u_power", p, 11)), Fraction(23, 3 * 2**7))]
     u2_cnt = ch.expect(
         "a(u,2)_10 + 2^9(12-2)",
-        corrected_bound("a_u_2", p, 10, _cls("u", p, 4, r=1)),
+        corrected_bound("a_u_2", p, 10, _cls("u_power", p, 4, r=1)),
         19 * 2**10,
     )
     terms.append(
-        ch.expect("u^2 ratio", Fraction(u2_cnt, _cls("u", p, 11, r=1)), Fraction(19, 3 * 2**6))
+        ch.expect("u^2 ratio", Fraction(u2_cnt, _cls("u_power", p, 11, r=1)), Fraction(19, 3 * 2**6))
     )
     terms += _b_u2_tail(ch, 11, 2)
     cusp = ch.expect("cusp (t=8)", cusp_series(p, terms), Fraction(11, 3 * 2**5))
@@ -913,8 +907,8 @@ def _case_p712(sub: str) -> CaseReport:
     if sub == "F":
         f = order_three_subgroup()
         ch.expect("#f2,1^-1(F) n Conj(sigma)", _brute_count_mod(f, "sigma", 2), 0)
-        ch.expect("#f2,1^-1(F) n Conj(u)", _brute_count_mod(f, "u", 2), 0)
-        ch.expect("#f2,1^-1(F) n Conj(u^2)", _brute_count_mod(f, "u", 2, r=1), 3)
+        ch.expect("#f2,1^-1(F) n Conj(u)", _brute_count_mod(f, "u_power", 2), 0)
+        ch.expect("#f2,1^-1(F) n Conj(u^2)", _brute_count_mod(f, "u_power", 2, r=1), 3)
         ft3 = ch.expect("#f3,1^-1(F) n Conj(tau)", _brute_count_mod(f, "tau", 3), 32)
         t_cnt = ch.expect(
             "a(tau,2)_10 + 2^8(32-8)",

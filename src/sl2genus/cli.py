@@ -27,7 +27,7 @@ from .core import (
 )
 from .groups import (
     ConjClassRef,
-    class_codes,
+    conj_class_size_formula,
     enumerate_group,
     partition_into_classes,
     u_power_ref,
@@ -150,16 +150,15 @@ def _cmd_count(args) -> int:
     ctx = _parsed(make_ctx, args.p, args.n)
     h = _subgroup(args)
     ref = _parsed(_parse_class, args.cls, ctx)
-    cls = class_codes(ref, cap=args.max_elements)
-    cnt = count_in_subgroup(h, ref)
+    cnt, size = count_in_subgroup(h, ref), conj_class_size_formula(ref)
     payload = {
         "subgroup": args.subgroup,
         "class": args.cls,
         "count": num_to_json(cnt),
-        "class_size": num_to_json(len(cls)),
+        "class_size": num_to_json(size),
         "subgroup_order": num_to_json(h.order),
     }
-    _emit(args, payload, ["#(H n Conj(%s)) = %d (class size %d, #H = %d)" % (args.cls, cnt, len(cls), h.order)])
+    _emit(args, payload, ["#(H n Conj(%s)) = %d (class size %d, #H = %d)" % (args.cls, cnt, size, h.order)])
     return EXIT_OK
 
 

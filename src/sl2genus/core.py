@@ -153,8 +153,8 @@ class GroupCtx:
 
     p: int
     n: int
-    modulus: int
-    order: int
+    modulus: int = field(init=False)  # p^n
+    order: int = field(init=False)  # #SL2(Z/p^nZ)
     memo: Dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -162,15 +162,13 @@ class GroupCtx:
             raise ValueError("level exponent must be >= 1, got %d" % self.n)
         if not is_prime(self.p):
             raise ValueError("p must be prime, got %d" % self.p)
-        if self.modulus != self.p**self.n:
-            raise ValueError("modulus %d is not %d^%d" % (self.modulus, self.p, self.n))
-        if self.order != sl2_order(self.p, self.n):
-            raise ValueError("wrong group order for SL2(Z/%d^%dZ)" % (self.p, self.n))
+        object.__setattr__(self, "modulus", self.p**self.n)
+        object.__setattr__(self, "order", sl2_order(self.p, self.n))
 
 
 @lru_cache(maxsize=None)
 def make_ctx(p: int, n: int) -> GroupCtx:
-    return GroupCtx(p, n, p**n, sl2_order(p, n))
+    return GroupCtx(p, n)
 
 
 # -------------------- packed codes --------------------

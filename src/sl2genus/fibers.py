@@ -5,6 +5,9 @@ V_alpha = alpha^-1 (f^-1(alpha) n Conj(alpha)) is a rank-2 module over
 Z/p^(n-m)Z.  V is always computed from that definition and then compared to
 the commutator form {1 + p^m (X a^-1 - a^-1 X)} and to the explicit
 parametrizations; the closed forms are never trusted as the source of truth.
+A class is named here as groups.ConjClassRef names it, by its kind ("sigma",
+"tau" or "u_power") and its exponent r, and every element set of a class is
+its class_codes.
 """
 
 from __future__ import annotations
@@ -24,24 +27,19 @@ from .core import (
     encoder,
     identity,
     make_ctx,
-    mat_pow,
     reduce_mat,
     reducer,
     right_mul,
-    sigma,
-    tau,
-    upper_u,
 )
-from .groups import ConjClassRef, capped_orbit, class_codes, u_power_ref
+from .groups import _KINDS, ConjClassRef, capped_orbit, class_codes
 from .subgroups import _sl2_lift_one
-
-_FIBER_KINDS = ("sigma", "tau", "u")
 
 
 @dataclass(frozen=True)
 class FiberDescriptor:
-    """Which fiber V_alpha^(r+n, r+m) to compute, over the standard
-    representative alpha.  r is forced to 0 for sigma and tau.
+    """Which fiber V_alpha^(r+n, r+m) to compute, over the representative of
+    the class ConjClassRef names: kind is one of its kinds, and r is its
+    exponent (0 for sigma and tau).
     """
 
     p: int
@@ -51,36 +49,23 @@ class FiberDescriptor:
     kind: str
 
     def __post_init__(self) -> None:
-        if self.kind not in _FIBER_KINDS:
-            raise ValueError("fiber kind must be one of %r" % (_FIBER_KINDS,))
-        if self.kind in ("sigma", "tau") and self.r != 0:
-            raise PreconditionError("r > 0 only makes sense for the u family")
+        self.class_ref(self.r + self.n)  # ConjClassRef checks kind and r
         if not (1 <= self.m < self.n and self.n <= 2 * self.m):
             raise PreconditionError("need 1 <= m < n <= 2m, got n=%d m=%d" % (self.n, self.m))
-        if self.r < 0:
-            raise PreconditionError("r must be >= 0")
         if self.p == 2:
             if self.kind == "sigma" and self.m < 2:
                 raise PreconditionError("p=2 sigma fibers need m >= 2")
-            if self.kind == "u" and self.m < 3:
+            if self.kind == "u_power" and self.m < 3:
                 raise PreconditionError("p=2 unipotent fibers need m >= 3")
 
     def full_ctx(self) -> GroupCtx:
         return make_ctx(self.p, self.r + self.n)
 
     def standard_rep(self) -> Mat:
-        ctx = self.full_ctx()
-        if self.kind == "sigma":
-            return sigma(ctx)
-        if self.kind == "tau":
-            return tau(ctx)
-        return mat_pow(upper_u(ctx), self.p**self.r, ctx)
+        return self.class_ref(self.r + self.n).representative()
 
     def class_ref(self, level: int) -> ConjClassRef:
-        ctx = make_ctx(self.p, level)
-        if self.kind == "u":
-            return u_power_ref(ctx, self.r)
-        return ConjClassRef(ctx, self.kind)
+        return ConjClassRef(make_ctx(self.p, level), self.kind, self.r)
 
 
 def _resolve_alpha_prime(desc: FiberDescriptor) -> Mat:
@@ -220,7 +205,7 @@ def verify_orthogonality(desc: FiberDescriptor) -> bool:
         x = dec(c)
         w_set.add(tuple(((x[i] - one[i]) // shift) % q for i in range(4)))
     alpha_prime = _resolve_alpha_prime(desc)
-    if desc.kind == "u":
+    if desc.kind == "u_power":
         pr = p**r
         base = tuple(((alpha_prime[i] - one[i]) // pr) % q for i in range(4))
     else:
@@ -247,8 +232,8 @@ def verify_orthogonality(desc: FiberDescriptor) -> bool:
 def recovery_count(kind: str, p: int, n: int, m: int) -> int:
     """Number of class elements alpha'' mod p^(r+n-m) sharing a given fiber
     group V (closed forms; the same for every r)."""
-    if kind not in _FIBER_KINDS:
-        raise ValueError("kind must be one of %r" % (_FIBER_KINDS,))
+    if kind not in _KINDS:
+        raise ValueError("kind must be one of %r" % (_KINDS,))
     if not (1 <= m < n <= 2 * m):
         raise PreconditionError("need 1 <= m < n <= 2m")
     gap = n - m
@@ -292,21 +277,15 @@ def recovery_set_brute(kind: str, ctx: GroupCtx, r: int = 0) -> FrozenSet:
     p = ctx.p
     m = ctx.modulus
     enc = encoder(ctx)
-    if kind == "u":
-        cls = class_codes(u_power_ref(ctx, r))
-        span = m // p**r
-        q = p**r
-        cands = (
-            ((1 + q * x) % m, q * y % m, 0, (1 + q * x) % m)
-            for x in range(span)
-            for y in range(span)
-        )
+    cls = class_codes(ConjClassRef(ctx, kind, r))
+    if kind == "sigma":
+        cands = ((x, y, (-y) % m, x) for x in range(m) for y in range(m))
+    elif kind == "tau":
+        cands = ((x, y, (-y) % m, (x - y) % m) for x in range(m) for y in range(m))
     else:
-        cls = class_codes(ConjClassRef(ctx, kind))
-        if kind == "sigma":
-            cands = ((x, y, (-y) % m, x) for x in range(m) for y in range(m))
-        else:
-            cands = ((x, y, (-y) % m, (x - y) % m) for x in range(m) for y in range(m))
+        q = p**r
+        span = m // q
+        cands = (((1 + q * x) % m, q * y % m, 0, (1 + q * x) % m) for x in range(span) for y in range(span))
     return frozenset(enc(c) for c in cands if enc(c) in cls)
 
 
@@ -314,14 +293,8 @@ def reduction_fiber_sizes(kind: str, p: int, hi: int, lo: int, r: int = 0) -> Fr
     """Sizes of the fibers of Conj(alpha) at level hi -> level lo."""
     if not 1 <= lo < hi:
         raise ValueError("need 1 <= lo < hi")
-    desc_hi = make_ctx(p, hi)
-    if kind == "u":
-        cls_hi = class_codes(u_power_ref(desc_hi, r))
-        ref_lo = u_power_ref(make_ctx(p, lo), r)
-    else:
-        cls_hi = class_codes(ConjClassRef(desc_hi, kind))
-        ref_lo = ConjClassRef(make_ctx(p, lo), kind)
-    counts = Counter(map(reducer(desc_hi, lo), cls_hi))
-    if set(counts) != set(class_codes(ref_lo)):
+    ctx_hi = make_ctx(p, hi)
+    counts = Counter(map(reducer(ctx_hi, lo), class_codes(ConjClassRef(ctx_hi, kind, r))))
+    if set(counts) != set(class_codes(ConjClassRef(make_ctx(p, lo), kind, r))):
         raise ConsistencyError("class reduction is not onto the lower class")
     return frozenset(counts.values())

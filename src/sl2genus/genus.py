@@ -7,14 +7,14 @@ lifts its class counts by #Conj_n / #Conj_m, so neither H (whose order comes
 from the Schreier walk, Subgroup.order) nor a level-n class orbit is built.
 The three ingredient counts (elliptic points of order 2 and 3, cusps) come
 from one route, the class-counting identity: fix_points and cusp_orbit_ratio
-count #(H n Conj(alpha)) over #Conj(alpha); the fixed points of an element
-depend on its class alone, so fix_points takes a ConjClassRef.  genus_report
-is the one cross-check: it counts them again on the right cosets H_m g of G_m
-(gH -> Hg^-1 gives the counts on left cosets), walked once per report by
-groups.right_cosets from H_m on the row tables of u and t(u), and any
-disagreement raises ConsistencyError.  The report is kept in the subgroup's
-memo, and delta and genus read it.  The walk and the class orbits run under
-the cap the subgroup carries (Subgroup.cap).
+count #(H n Conj(alpha)) over the closed form #Conj(alpha); the fixed points
+of an element depend on its class alone, so fix_points takes a ConjClassRef.
+genus_report is the one cross-check: it counts them again on the right cosets
+H_m g of G_m (gH -> Hg^-1 gives the counts on left cosets), walked once per
+report by groups.right_cosets from H_m on the row tables of u and t(u), and
+any disagreement raises ConsistencyError.  The report is kept in the
+subgroup's memo, and delta and genus read it.  The walk and the class orbits
+run under the cap the subgroup carries (Subgroup.cap).
 """
 
 from __future__ import annotations
@@ -102,8 +102,8 @@ def _coset_perm(h: Subgroup, a: Mat, cosets: Cosets) -> List[int]:
 
 
 def _class_ratio(h: Subgroup, ref: ConjClassRef) -> Fraction:
-    """#(H n Conj(alpha)) / #Conj(alpha)."""
-    return Fraction(count_in_subgroup(h, ref), len(class_codes(ref, h.cap)))
+    """#(H n Conj(alpha)) / #Conj(alpha), #Conj(alpha) in closed form."""
+    return Fraction(count_in_subgroup(h, ref), conj_class_size_formula(ref))
 
 
 def fix_points(h: Subgroup, ref: ConjClassRef) -> int:
@@ -216,7 +216,7 @@ def genus_report(h: Subgroup) -> GenusReport:
         direct = Fraction(orbits, len(step))
         if direct != cusp:
             raise ConsistencyError("cusp ratio mismatch: direct %s vs formula %s" % (direct, cusp))
-    d = delta_from_ratios(*(Fraction(c, len(class_codes(ref, h.cap))) for c, ref in zip(counts, refs)), cusp)
+    d = delta_from_ratios(*(Fraction(c, conj_class_size_formula(ref)) for c, ref in zip(counts, refs)), cusp)
     index = ctx.order // h.order
     g = 1 + Fraction(index, 12) * d if minus_one(ctx) in h else None
     if g is not None and (g.denominator != 1 or g < 0):

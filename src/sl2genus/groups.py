@@ -132,11 +132,12 @@ def cached(ctx: GroupCtx, key: Hashable, build: Callable[[], Collection], cap: i
     if got is None:
         got = ctx.memo[key] = build()
     if len(got) > cap:
-        raise FeasibilityError(
-            "%r modulo %d holds %d elements, above the cap of %d; raise --max-elements "
-            "or SL2_MAX_ELEMENTS" % (key, ctx.modulus, len(got), cap)
-        )
+        raise _above_cap("%r modulo %d holds %d" % (key, ctx.modulus, len(got)), cap)
     return got
+
+
+def _above_cap(held: str, cap: int) -> FeasibilityError:
+    return FeasibilityError("%s elements, above the cap of %d; raise --max-elements or SL2_MAX_ELEMENTS" % (held, cap))
 
 
 def _closure_codes(gens: Iterable[Mat], ctx: GroupCtx, cap: int) -> FrozenSet:
@@ -157,10 +158,7 @@ def enumerate_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSe
 def check_order(ctx: GroupCtx, cap: int) -> None:
     """Raise FeasibilityError when SL2(Z/p^nZ) holds more than cap elements."""
     if ctx.order > cap:
-        raise FeasibilityError(
-            "SL2(Z/%d^%dZ) has %d elements, above the cap of %d; raise --max-elements "
-            "or SL2_MAX_ELEMENTS" % (ctx.p, ctx.n, ctx.order, cap)
-        )
+        raise _above_cap("SL2(Z/%d^%dZ) has %d" % (ctx.p, ctx.n, ctx.order), cap)
 
 
 def _group_closure(ctx: GroupCtx) -> FrozenSet:
@@ -281,15 +279,20 @@ def conj_class_brute(rep: Mat, ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -
 
 def class_codes(ref: ConjClassRef, cap: int = DEFAULT_MAX_ELEMENTS) -> FrozenSet:
     """Orbit codes of the class ref names (brute force), stored in the context's
-    memo under (kind, r) once their count matches conj_class_size_formula."""
+    memo under (kind, r) once their count matches conj_class_size_formula.  A
+    class above cap in closed form is refused before the walk, as check_order does."""
+    key = (ref.kind, ref.r)
 
     def build() -> FrozenSet:
+        size = conj_class_size_formula(ref)
+        if size > cap:
+            raise _above_cap("%r modulo %d holds %d" % (key, ref.ctx.modulus, size), cap)
         codes = conj_class_brute(ref.representative(), ref.ctx, cap).codes
-        if len(codes) != conj_class_size_formula(ref):
+        if len(codes) != size:
             raise ConsistencyError("%s orbit of %d elements, off its closed form" % (ref, len(codes)))
         return codes
 
-    return cached(ref.ctx, (ref.kind, ref.r), build, cap)
+    return cached(ref.ctx, key, build, cap)
 
 
 def centralizer_brute(rep: Mat, group: ElementSet) -> ElementSet:

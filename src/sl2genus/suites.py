@@ -244,12 +244,12 @@ _FIBER_GRID = (
     ("tau", 5, 0, 2, 1),
     ("tau", 2, 0, 2, 1),
     ("tau", 2, 0, 4, 2),
-    ("u", 3, 0, 2, 1),
-    ("u", 3, 1, 2, 1),
-    ("u", 5, 0, 2, 1),
-    ("u", 2, 0, 4, 3),
-    ("u", 2, 1, 4, 3),
-    ("u", 2, 0, 6, 3),
+    ("u_power", 3, 0, 2, 1),
+    ("u_power", 3, 1, 2, 1),
+    ("u_power", 5, 0, 2, 1),
+    ("u_power", 2, 0, 4, 3),
+    ("u_power", 2, 1, 4, 3),
+    ("u_power", 2, 0, 6, 3),
 )
 
 
@@ -263,9 +263,9 @@ def suite_lemma5_3(seed: int = 0) -> Tuple[bool, str]:
     if reduction_fiber_sizes("sigma", 2, 2, 1) != frozenset({2}):
         return False, "sigma mod-2 fibers are not of size 2"
     for r in (0, 1):
-        if reduction_fiber_sizes("u", 2, r + 3, r + 2, r=r) != frozenset({2}):
+        if reduction_fiber_sizes("u_power", 2, r + 3, r + 2, r=r) != frozenset({2}):
             return False, "u fibers 2^(r+3) -> 2^(r+2) are not of size 2"
-        if reduction_fiber_sizes("u", 2, r + 2, r + 1, r=r) != frozenset({2}):
+        if reduction_fiber_sizes("u_power", 2, r + 2, r + 1, r=r) != frozenset({2}):
             return False, "u fibers 2^(r+2) -> 2^(r+1) are not of size 2"
     return True, "%d fiber descriptors plus the p=2 size-2 fibers" % len(_FIBER_GRID)
 
@@ -279,7 +279,7 @@ def suite_lemma5_6(seed: int = 0) -> Tuple[bool, str]:
 
 
 def _golden_recovery(kind: str, p: int, n: int, r: int) -> frozenset:
-    ctx = make_ctx(p, r + n if kind == "u" else n)
+    ctx = make_ctx(p, r + n if kind == "u_power" else n)
     enc = encoder(ctx)
     if kind == "sigma":
         if p >= 3:
@@ -340,13 +340,13 @@ _RECOVERY_GRID = (
     ("tau", 3, 3, 0),
     ("tau", 5, 2, 0),
     ("tau", 2, 3, 0),
-    ("u", 3, 2, 0),
-    ("u", 5, 2, 0),
-    ("u", 3, 2, 1),
-    ("u", 2, 2, 0),
-    ("u", 2, 3, 0),
-    ("u", 2, 4, 0),
-    ("u", 2, 3, 1),
+    ("u_power", 3, 2, 0),
+    ("u_power", 5, 2, 0),
+    ("u_power", 3, 2, 1),
+    ("u_power", 2, 2, 0),
+    ("u_power", 2, 3, 0),
+    ("u_power", 2, 4, 0),
+    ("u_power", 2, 3, 1),
 )
 
 _RECOVERY_COUNT_GRID = (
@@ -362,20 +362,20 @@ _RECOVERY_COUNT_GRID = (
     ("tau", 3, 4, 2, 0),
     ("tau", 5, 2, 1, 0),
     ("tau", 2, 3, 2, 0),
-    ("u", 3, 2, 1, 0),
-    ("u", 3, 2, 1, 1),
-    ("u", 5, 2, 1, 0),
-    ("u", 3, 4, 2, 0),
-    ("u", 2, 4, 3, 0),
-    ("u", 2, 5, 3, 0),
-    ("u", 2, 6, 3, 0),
-    ("u", 2, 4, 3, 1),
+    ("u_power", 3, 2, 1, 0),
+    ("u_power", 3, 2, 1, 1),
+    ("u_power", 5, 2, 1, 0),
+    ("u_power", 3, 4, 2, 0),
+    ("u_power", 2, 4, 3, 0),
+    ("u_power", 2, 5, 3, 0),
+    ("u_power", 2, 6, 3, 0),
+    ("u_power", 2, 4, 3, 1),
 )
 
 
 def suite_lemma5_8_16(seed: int = 0) -> Tuple[bool, str]:
     for kind, p, n, r in _RECOVERY_GRID:
-        ctx = make_ctx(p, r + n if kind == "u" else n)
+        ctx = make_ctx(p, r + n if kind == "u_power" else n)
         got = recovery_set_brute(kind, ctx, r=r)
         want = _golden_recovery(kind, p, n, r)
         if got != want:

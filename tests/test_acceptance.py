@@ -159,9 +159,9 @@ def test_criterion_07_fix_and_cusp_identities():
 
 def _fiber_grid():
     out = []
-    for kind in ("sigma", "tau", "u"):
+    for kind in ("sigma", "tau", "u_power"):
         for p in (2, 3, 5, 7, 11):
-            max_r = 3 if kind == "u" else 0
+            max_r = 3 if kind == "u_power" else 0
             for r in range(max_r + 1):
                 for n in range(2, 8):
                     for m in range(1, n):
@@ -169,9 +169,9 @@ def _fiber_grid():
                             continue
                         if p == 2 and kind == "sigma" and m < 2:
                             continue
-                        if p == 2 and kind == "u" and m < 3:
+                        if p == 2 and kind == "u_power" and m < 3:
                             continue
-                        if kind != "u" and r:
+                        if kind != "u_power" and r:
                             continue
                         out.append((kind, p, r, n, m))
     return out
@@ -191,8 +191,8 @@ def test_criterion_08_fiber_structure():
     # size-2 fibers outside the hypotheses (p = 2)
     assert reduction_fiber_sizes("sigma", 2, 2, 1) == frozenset({2})
     for r in (0, 1):
-        assert reduction_fiber_sizes("u", 2, r + 3, r + 2, r=r) == frozenset({2})
-        assert reduction_fiber_sizes("u", 2, r + 2, r + 1, r=r) == frozenset({2})
+        assert reduction_fiber_sizes("u_power", 2, r + 3, r + 2, r=r) == frozenset({2})
+        assert reduction_fiber_sizes("u_power", 2, r + 2, r + 1, r=r) == frozenset({2})
     _report(8, "%d fiber descriptors: order, parametrization, orthogonality, recovery" % len(grid), t0, 300)
 
 

@@ -154,7 +154,7 @@ def _old_fiber_count_bound_check(h, ref, i, d):
     """fiber_count_bound_check as it was before it counted Y_0 - Y_i: each
     fiber of H n Conj over H mod p^(r+i+d) is bad when its first element x has
     H_(n-i) != V_x.  Returns (the verdict, whether a bad fiber meets the limit)."""
-    from sl2genus.bounds import _fiber_kind, _v_codes
+    from sl2genus.bounds import _v_codes
     from sl2genus.core import decoder, reduce_mat
     from sl2genus.fibers import FiberDescriptor
     from sl2genus.groups import class_codes
@@ -165,7 +165,7 @@ def _old_fiber_count_bound_check(h, ref, i, d):
     depth = ctx.n - r
     dec = decoder(ctx)
     filt = filtration_level(h, ctx.n - i).codes()
-    desc = FiberDescriptor(p, r, depth, depth - i, _fiber_kind(ref))
+    desc = FiberDescriptor(p, r, depth, depth - i, ref.kind)
     lo_mod = p ** (r + i + d)
     counts, bad_v = {}, {}
     for c in h.codes() & class_codes(ref):
@@ -589,6 +589,17 @@ def test_the_fiber_count_check_reads_the_class_under_the_subgroups_cap():
     low = Subgroup.from_codes(ctx, h.codes(), h.gens, cap=2000)
     for check in (lambda: slim_bound_report(low, ref), lambda: fiber_count_bound_check(low, ref, 1, 0)):
         with pytest.raises(FeasibilityError, match="cap of 2000"):
+            check()
+
+
+def test_the_fiber_count_check_refuses_a_class_of_another_context():
+    # a class at 25 against a subgroup at 125: the codes of the two contexts
+    # do not compare, so the check raises as slim_bound_report does
+    ctx = make_ctx(5, 3)
+    h = sample_slim_subgroups(ctx, 1, random.Random("fiber-ctx"))[0]
+    ref = ConjClassRef(make_ctx(5, 2), "sigma")
+    for check in (lambda: slim_bound_report(h, ref), lambda: fiber_count_bound_check(h, ref, 1, 0)):
+        with pytest.raises(PreconditionError, match="class reference bound to a different context"):
             check()
 
 

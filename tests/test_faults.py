@@ -4,6 +4,7 @@ kills shows up as a failing test.  Standard library and pytest only."""
 
 import random
 import sys
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -105,6 +106,26 @@ def test_a_dropped_coset_fails_the_coverage_check(monkeypatch):
         genus_report(h)
     monkeypatch.undo()
     assert genus_report(h).index == index
+
+
+def test_a_cusp_series_off_by_one_fails_the_coset_check_and_the_section7_audit(monkeypatch):
+    # each term (p-1)/p^(s+1) r_s of genus.cusp_series reads (p-1)/p^(s+2) r_s,
+    # in genus and in bounds, which imports it.  genus_report counts the
+    # <u>-orbits again on the cosets of <B, -1> at 13, and the chains of P7.2
+    # miss their printed value.  A report on G_m above DIRECT_CHECK_CAP has no
+    # coset check, so there no check sees the fault.
+    def off_by_one(p, ratios):
+        out = Fraction(1, p ** len(ratios))
+        for s, r in enumerate(ratios):
+            out += Fraction(p - 1, p ** (s + 2)) * r
+        return out
+
+    assert verify_section7("P7.2").verdict == "match"
+    for name in ("sl2genus.genus", "sl2genus.bounds"):
+        monkeypatch.setattr(sys.modules[name], "cusp_series", off_by_one)
+    with pytest.raises(ConsistencyError, match="cusp ratio mismatch: direct 1/7 vs formula 97/1183"):
+        genus_report(adjoin_minus_one(borel(13)))
+    assert verify_section7("P7.2").verdict == "positive_but_differs"
 
 
 def _sigma_reports_under(monkeypatch, wrong):

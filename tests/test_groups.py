@@ -4,6 +4,7 @@ from sl2genus import groups
 from sl2genus.core import (
     ConsistencyError,
     ContextMismatchError,
+    FeasibilityError,
     PreconditionError,
     decoder,
     identity,
@@ -138,6 +139,19 @@ def test_a_class_orbit_off_its_closed_form_is_not_stored(monkeypatch):
     with pytest.raises(ConsistencyError, match="closed form"):
         class_codes(ConjClassRef(ctx, "tau"))
     assert ("tau", 0) not in ctx.memo
+
+
+def test_a_class_above_the_cap_is_refused_before_its_walk(monkeypatch):
+    # Conj(sigma) at 125 holds 18,750 elements in closed form: under a cap of
+    # 2,000 class_codes raises without walking the orbit, which would hold
+    # 2,001 codes before it failed
+    ctx = make_ctx(5, 3)
+    monkeypatch.delitem(ctx.memo, ("sigma", 0), raising=False)
+    walks = []
+    monkeypatch.setattr(groups, "conj_class_brute", lambda *args: walks.append(args))
+    with pytest.raises(FeasibilityError, match="18750 elements, above the cap of 2000; raise --max-elements"):
+        class_codes(ConjClassRef(ctx, "sigma"), 2000)
+    assert walks == [] and ("sigma", 0) not in ctx.memo
 
 
 def test_conj_class_brute_rejects_an_unreduced_representative():
