@@ -18,7 +18,6 @@ from .core import (
     identity,
     make_ctx,
     mat_pow,
-    minus_one,
     neg,
     num_to_json,
     sigma,
@@ -106,22 +105,12 @@ def _cmd_class_table(args) -> int:
     ctx = _parsed(make_ctx, args.p, args.n)
     g = enumerate_group(ctx, args.max_elements)
     classes = partition_into_classes(g)
-    # modulo 2, x = -x: a negated name must not overwrite the plain one
-    named = {}
-    named[identity(ctx)] = "1"
-    named.setdefault(minus_one(ctx), "-1")
-    named[sigma(ctx)] = "sigma"
-    named.setdefault(neg(sigma(ctx), ctx), "-sigma")
-    named[tau(ctx)] = "tau"
-    named.setdefault(neg(tau(ctx), ctx), "-tau")
-    for r in range(ctx.n):
-        u_r = mat_pow(upper_u(ctx), ctx.p**r, ctx)
-        uname = "u" if r == 0 else "u^%d" % ctx.p**r
-        named.setdefault(u_r, uname)
-        named.setdefault(neg(u_r, ctx), "-" + uname)
-    u2 = mat_pow(upper_u(ctx), 2, ctx)
-    named.setdefault(u2, "u^2")
-    named.setdefault(neg(u2, ctx), "-u^2")
+    exps = [ctx.p**r for r in range(ctx.n)] + [2]
+    powers = [("u" if e == 1 else "u^%d" % e, mat_pow(upper_u(ctx), e, ctx)) for e in exps]
+    named = {}  # the first name of x wins: modulo 2, x = -x, and u^2 is u^(p^r) at p = 2
+    for name, x in [("1", identity(ctx)), ("sigma", sigma(ctx)), ("tau", tau(ctx))] + powers:
+        named.setdefault(x, name)
+        named.setdefault(neg(x, ctx), "-" + name)
     dec = decoder(ctx)
     rows = []
     for cls in classes:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 Mat = Tuple[int, int, int, int]
 
@@ -146,9 +146,9 @@ class GroupCtx:
     """Ambient ring/group descriptor for SL2(Z/p^nZ).
 
     memo holds what derives from the context alone (G, the class orbits,
-    the fiber groups V, the row tables of the coset walk, the reduction
-    maps and the bound plans of bounds); groups.cached alone reads and
-    writes it.
+    the fiber groups V, the u-conjugates of sigma and tau for the coset walk,
+    the reduction maps and the bound plans of bounds); groups.cached alone
+    reads and writes it.
     """
 
     p: int
@@ -239,17 +239,15 @@ def row_table(ctx: GroupCtx, s: Mat) -> Tuple[int, ...]:
     return tuple((a * s0 + b * s2) % m | (a * s1 + b * s3) % m << k for b in size for a in size)
 
 
-def right_mul(ctx: GroupCtx, s: Mat, table: Optional[Sequence[int]] = None) -> Callable[[int], int]:
-    """The map x -> x s on packed codes, reading table = row_table(ctx, s) if
-    one is given.  Otherwise it multiplies entry by entry until it has mapped
-    as many codes as that table has slots, then builds and reads the table; a
-    table out of reach (2^34 slots at modulus 66,049) is never built."""
+def right_mul(ctx: GroupCtx, s: Mat) -> Callable[[int], int]:
+    """The map x -> x s on packed codes.  It multiplies entry by entry until it
+    has mapped as many codes as row_table(ctx, s) has slots, then builds and
+    reads that table; a table out of reach (2^34 slots at modulus 66,049) is
+    never built."""
     m, k = ctx.modulus, _width(ctx.modulus)
     k2, k3, mask, low = 2 * k, 3 * k, (1 << k) - 1, (1 << 2 * k) - 1  # low: the bits of a row
     s0, s1, s2, s3 = s
-    todo = low + 1  # the codes left to multiply entry by entry
-    if table is not None:
-        return lambda x: table[x & low] | table[x >> k2] << k2
+    todo, table = low + 1, None  # the codes left to multiply entry by entry, and the table after them
 
     def mul(x: int) -> int:
         nonlocal table, todo

@@ -5,43 +5,39 @@ mod p^m alone, m the level of H (K_m = ker(G -> G_m) lies in H, so H\\G and
 H_m\\G_m are isomorphic G-sets): below level n, genus_report reports H_m and
 lifts its class counts by #Conj_n / #Conj_m, so neither H (whose order comes
 from the Schreier walk, Subgroup.order) nor a level-n class orbit is built.
-The three ingredient counts (elliptic points of order 2 and 3, cusps) come
-from one route, the class-counting identity: fix_points and cusp_orbit_ratio
-count #(H n Conj(alpha)) over the closed form #Conj(alpha); the fixed points
-of an element depend on its class alone, so fix_points takes a ConjClassRef.
+fix_points and cusp_orbit_ratio count the elliptic points and cusps by the
+class-counting identity, #(H n Conj(alpha)) over the closed form #Conj(alpha).
 genus_report is the one cross-check: it counts them again on the right cosets
-H_m g of G_m (gH -> Hg^-1 gives the counts on left cosets), walked once per
-report by groups.right_cosets from H_m on the row tables of u and t(u), and
-any disagreement raises ConsistencyError.  The report is kept in the
-subgroup's memo, and delta and genus read it.  The walk and the class orbits
-run under the cap the subgroup carries (Subgroup.cap).
+H_m g of G_m, walked by coset_space on the double cosets H_m g<u>, the
+H_m-orbits on primitive vectors (the cusps; Shimura 1971, 1.5-1.6), and any
+difference raises ConsistencyError.  The report is kept in the subgroup's
+memo; delta and genus read it.  Every walk runs under Subgroup.cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     ConsistencyError,
     GroupCtx,
     Mat,
     PreconditionError,
-    lower_u,
+    conjugator,
+    decoder,
+    encoder,
     make_ctx,
+    mat,
+    mat_inv,
     minus_one,
     num_to_json,
-    right_mul,
-    row_table,
-    upper_u,
 )
-from .groups import ConjClassRef, cached, check_order, class_codes, conj_class_size_formula, right_cosets, u_power_ref
+from .groups import ConjClassRef, cached, check_order, class_codes, conj_class_size_formula, u_power_ref
 from .subgroups import Subgroup, kept, level
-
-# coset_space(h): (the first code of each right coset H g, code -> coset index,
-# the coset index of H g u for each coset); genus_report builds it for H at its level.
-Cosets = Tuple[List[int], Dict[int, int], List[int]]
 
 # Above this order of G_m, m the level of H, genus_report skips its coset
 # cross-check and reports the class-counting route alone (an exact identity,
@@ -66,39 +62,70 @@ def legendre(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
-# -------------------- coset machinery --------------------
+# -------------------- the double cosets H g<u> --------------------
 
 
-def _right_mul(ctx: GroupCtx, s: Mat, cap: int) -> Callable[[int], int]:
-    """core.right_mul(ctx, s) on row_table(ctx, s), which ctx's memo keeps."""
-    return right_mul(ctx, s, cached(ctx, ("rows", s), lambda: row_table(ctx, s), cap))
+def _carrier(x: int, y: int, ctx: GroupCtx) -> Mat:
+    """A g in G with g e1 = (x, y): (x, 0; y, x^-1) if x is a unit, else (x, -y^-1; y, 0)."""
+    m = ctx.modulus
+    return (x, 0, y, pow(x, -1, m)) if x % ctx.p else (x, -pow(y, -1, m) % m, y, 0)
 
 
-def coset_space(h: Subgroup) -> Cosets:
-    """The right cosets H g of G, walked from H on the row tables of u and t(u)
-    (groups.right_cosets); genus_report passes H at its level.  Returns (the
-    first code of each coset, code -> coset index, the coset index of H g u for
-    each coset); which code represents a coset is unspecified, and no count
-    depends on it."""
+def _orbits(hmats: List[Mat], ctx: GroupCtx) -> Iterator[Tuple[Tuple[int, int], int]]:
+    """(a vector v of O, #O) for each orbit O = {x v : x in H} on the primitive vectors of (Z/p^n)^2."""
+    p, m = ctx.p, ctx.modulus
+    seen = bytearray(m * m)  # (x, y) at x + m y
+    for y in range(m):
+        for x in range(m):
+            if not seen[x + m * y] and (x % p or y % p):
+                orbit = {(a * x + b * y) % m + m * ((c * x + d * y) % m) for a, b, c, d in hmats}
+                for i in orbit:
+                    seen[i] = 1
+                yield (x, y), len(orbit)
+
+
+def _u_conjugates(ref: ConjClassRef) -> Dict[int, int]:
+    """The code of u^j a u^-j -> j for j < p^n, in the order of j, a = ref.representative();
+    the (1,1) entry d - jc tells the j apart for sigma and tau (c = -1)."""
+    ctx, enc, (a, b, c, d) = ref.ctx, encoder(ref.ctx), ref.representative()
+    return {enc(mat(a + j * c, b + j * (d - a) - j * j * c, c, d - j * c, ctx)): j for j in range(ctx.modulus)}
+
+
+def coset_space(h: Subgroup) -> Tuple[List[int], List[int]]:
+    """The right cosets of H in G on the double cosets H g<u>, the H-orbits O on
+    the primitive vectors g e1 (<u> fixes e1): H g<u> holds the l = p^n #O / #H
+    cosets H g u^j, j < l, and a fixes H g u^j when u^j a u^-j is in g^-1 H g,
+    tested on the l conjugates or on all of g^-1 H g, whichever is fewer.
+    Returns (l per double coset, [Fix_sigma, Fix_tau]); ConsistencyError unless
+    the orbits cover the primitive vectors, each l divides p^n and is the index
+    in <u> of the stabilizer of H g, and the l sum to [G:H]."""
     ctx = h.ctx
     check_order(ctx, h.cap)
-    u = _right_mul(ctx, upper_u(ctx), h.cap)
-    first = list(h.reduced_codes(ctx.n))
-    reps, coset_of = [first[0]], dict.fromkeys(first, 0)
-    for coset in right_cosets(first, (u, _right_mul(ctx, lower_u(ctx), h.cap)), coset_of, h.cap):
-        i = len(reps)
-        for y in coset:  # one store per member: no dict per coset, which small cosets would pay for
-            coset_of[y] = i
-        reps.append(coset[0])
-    if len(coset_of) != ctx.order:
-        raise ConsistencyError("the coset walk covered %d of %d elements" % (len(coset_of), ctx.order))
-    return reps, coset_of, [coset_of[y] for y in map(u, reps)]
-
-
-def _coset_perm(h: Subgroup, a: Mat, cosets: Cosets) -> List[int]:
-    """The coset index of H g a for each right coset H g of cosets = coset_space(h)."""
-    reps, coset_of, _ = cosets
-    return [coset_of[y] for y in map(_right_mul(h.ctx, a, h.cap), reps)]
+    p, m, enc = ctx.p, ctx.modulus, encoder(ctx)
+    hm = h.reduced_codes(ctx.n)
+    refs = [ConjClassRef(ctx, kind) for kind in ("sigma", "tau")]
+    tables = [cached(ctx, ("u-conjugates", ref.kind), partial(_u_conjugates, ref), h.cap) for ref in refs]
+    lengths, fixed, covered = [], [0, 0], 0
+    for v, size in _orbits(list(map(decoder(ctx), hm)), ctx):
+        covered += size
+        ell, rest = divmod(m * size, len(hm))
+        if rest or not ell or m % ell:
+            raise ConsistencyError("an orbit of %d vectors gives %d/%d right cosets" % (size, m * size, len(hm)))
+        g = _carrier(*v, ctx)
+        back = conjugator(ctx, mat_inv(g, ctx))  # x -> g x g^-1
+        if back(enc(mat(1, ell, 0, 1, ctx))) not in hm or ell > 1 and back(enc(mat(1, ell // p, 0, 1, ctx))) in hm:
+            raise ConsistencyError("the stabilizer of H g in <u> is not %dZ, g e1 = %r" % (ell, v))
+        if ell <= len(hm):
+            fixed = [f + sum(back(c) in hm for c in islice(t, ell)) for f, t in zip(fixed, tables)]
+        else:
+            inside = list(map(conjugator(ctx, g), hm))  # g^-1 H g
+            fixed = [f + sum(t.get(c, ell) < ell for c in inside) for f, t in zip(fixed, tables)]
+        lengths.append(ell)
+    if covered != m * m - (m // p) ** 2:
+        raise ConsistencyError("the orbits covered %d of %d primitive vectors" % (covered, m * m - (m // p) ** 2))
+    if sum(lengths) != ctx.order // len(hm):
+        raise ConsistencyError("the double cosets hold %d of %d right cosets" % (sum(lengths), ctx.order // len(hm)))
+    return lengths, fixed
 
 
 def _class_ratio(h: Subgroup, ref: ConjClassRef) -> Fraction:
@@ -165,18 +192,7 @@ class GenusReport:
     fix_tau: int
 
     def to_json_dict(self) -> dict:
-        d = {
-            "index": num_to_json(self.index),
-            "count_sigma": num_to_json(self.count_sigma),
-            "count_tau": num_to_json(self.count_tau),
-            "cusp_ratio": num_to_json(self.cusp_ratio),
-            "delta": num_to_json(self.delta),
-            "fix_sigma": num_to_json(self.fix_sigma),
-            "fix_tau": num_to_json(self.fix_tau),
-        }
-        if self.genus is not None:
-            d["genus"] = num_to_json(self.genus)
-        return d
+        return {k: num_to_json(v) for k, v in vars(self).items() if v is not None}  # genus is None without -1
 
 
 @kept("genus_report")
@@ -186,7 +202,7 @@ def genus_report(h: Subgroup) -> GenusReport:
     G-equivariant, so Conj_n fibres evenly over Conj_m, and the rest is equal).
     When G_m holds at most DIRECT_CHECK_CAP elements, Fix_sigma, Fix_tau and
     the <u>-orbits are counted again on the right cosets H_m g (coset_space,
-    built once), and any difference raises ConsistencyError.  The report is
+    walked once), and any difference raises ConsistencyError.  The report is
     kept in h's memo, so each subgroup is reported once."""
     ctx, m = h.ctx, level(h)
     refs = ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")
@@ -195,29 +211,20 @@ def genus_report(h: Subgroup) -> GenusReport:
         low = genus_report(Subgroup.from_codes(sub, h.reduced_codes(m), cap=h.cap))
         lift = [conj_class_size_formula(ref) // conj_class_size_formula(ConjClassRef(sub, ref.kind)) for ref in refs]
         return replace(low, count_sigma=low.count_sigma * lift[0], count_tau=low.count_tau * lift[1])
-    counts = [count_in_subgroup(h, ref) for ref in refs]
     fixed = [fix_points(h, ref) for ref in refs]
     cusp = cusp_orbit_ratio(h)
+    index = ctx.order // h.order
     if ctx.order <= DIRECT_CHECK_CAP:
-        cosets = coset_space(h)
-        for ref, via_identity in zip(refs, fixed):
-            direct = sum(1 for i, j in enumerate(_coset_perm(h, ref.representative(), cosets)) if i == j)
+        lengths, direct_fixed = coset_space(h)
+        for direct, via_identity in zip(direct_fixed, fixed):
             if direct != via_identity:
-                raise ConsistencyError(
-                    "fixed-point count mismatch: direct %d vs identity %d" % (direct, via_identity)
-                )
-        step = cosets[2]  # its cycles are the double cosets H\\G/<u>, as many as <u>\\G/H
-        seen, orbits = set(), 0
-        for i in range(len(step)):
-            orbits += i not in seen  # each unseen coset starts a new <u>-orbit
-            while i not in seen:
-                seen.add(i)
-                i = step[i]
-        direct = Fraction(orbits, len(step))
+                raise ConsistencyError("fixed-point count mismatch: direct %d vs identity %d" % (direct, via_identity))
+        direct = Fraction(len(lengths), index)  # the <u>-orbits on H\G are the double cosets H g<u>
         if direct != cusp:
             raise ConsistencyError("cusp ratio mismatch: direct %s vs formula %s" % (direct, cusp))
-    d = delta_from_ratios(*(Fraction(c, conj_class_size_formula(ref)) for c, ref in zip(counts, refs)), cusp)
-    index = ctx.order // h.order
+    # #(H n Conj) = Fix #Conj / [G:H], exact: fix_points intersected H with each class once
+    counts = [f * conj_class_size_formula(ref) // index for f, ref in zip(fixed, refs)]
+    d = delta_from_ratios(*(Fraction(f, index) for f in fixed), cusp)
     g = 1 + Fraction(index, 12) * d if minus_one(ctx) in h else None
     if g is not None and (g.denominator != 1 or g < 0):
         raise ConsistencyError("genus %s is not a non-negative integer" % g)

@@ -1,13 +1,13 @@
 """Enumeration of SL2(Z/p^nZ), conjugacy classes and centralizers.
 
 Element sets store packed codes (see core.encoder), and every kernel here
-walks codes through the maps of core (x -> x s, x -> g^-1 x g).  One kernel
-walks right cosets, right_cosets: subgroups close on it through
-extend_closure, and the genus coset space is built on it.  Orbits go through
-capped_orbit (the Schreier walk of subgroups keeps a lift per key, so it stays
-its own loop); conjugacy classes are expanded by conjugating with u, t(u)
-only, which keeps memory at O(#class) instead of O(#group).  Every set
-derived from a context alone is stored once, in its memo, through cached."""
+walks codes through the maps of core (x -> x s, x -> g^-1 x g).  Subgroups
+close through extend_closure on right_cosets, the one right-coset walk (the
+genus check walks double cosets, in genus).  Orbits go through capped_orbit
+(the Schreier walk of subgroups keeps a lift per key, so it stays its own
+loop); conjugacy classes are expanded by conjugating with u, t(u) only,
+which keeps memory at O(#class) instead of O(#group).  Every set derived
+from a context alone is stored once, in its memo, through cached."""
 
 from __future__ import annotations
 

@@ -176,13 +176,17 @@ def full_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
 
 def adjoin_minus_one(h: Subgroup) -> Subgroup:
     """<H, -1>, which is h itself when -1 is in H; -1 is a central involution,
-    so otherwise it is H u (-1)H.  An unmaterialized H is compared by order with
-    <gens, -1>, both from the Schreier walk (Subgroup.order), so H is not closed
-    at level n; the result is that <gens, -1>, unmaterialized, also when an
-    order passes the cap."""
+    so otherwise it is H u (-1)H.  An unmaterialized H of kept level m < n is
+    decided by H_m; any other is compared by order with <gens, -1>, both from
+    the Schreier walk (Subgroup.order), so H is not closed at level n; the
+    result is that <gens, -1>, unmaterialized, also when an order passes the cap."""
     ctx, neg = h.ctx, minus_one(h.ctx)
     if h._codes is None:
         got = Subgroup(ctx, h.gens + (neg,), h.cap)
+        m = h._reduced.get("level", ctx.n)
+        if m < ctx.n:  # K_m <= H, so -1 is in H exactly when -1 mod p^m is in H_m
+            sub = make_ctx(ctx.p, m)
+            return h if encoder(sub)(minus_one(sub)) in h.reduced_codes(m) else got
         try:
             return h if h.order == got.order else got
         except FeasibilityError:

@@ -10,7 +10,7 @@ from itertools import islice
 import pytest
 
 from sl2genus.bounds import slim_bound_report, verify_section7
-from sl2genus.core import ConsistencyError, PreconditionError, encoder, lower_u, make_ctx, minus_one, upper_u
+from sl2genus.core import ConsistencyError, PreconditionError, encoder, lower_u, make_ctx, minus_one, sigma, tau, upper_u
 from sl2genus.genus import delta, genus, genus_report
 from sl2genus.groups import ConjClassRef, class_codes
 from sl2genus.subgroups import Subgroup, adjoin_minus_one, borel, closure, level, sample_slim_subgroups
@@ -94,18 +94,65 @@ def test_a_walk_that_understates_h_with_minus_one_fails_the_genus_precondition(m
 
 
 def test_a_dropped_coset_fails_the_coverage_check(monkeypatch):
-    # right_cosets stops one coset short: the walk on B at 13 (index 14) then
-    # covers 2,184 - 156 elements, and coset_space raises before a count reads
-    # it.  A report that raised is not kept: without the fault it is made again.
+    # the orbit walk stops one H-orbit short: on B at 13 (index 14) the 168
+    # primitive vectors split into the orbit of e1 (12 vectors, the one coset
+    # H) and one orbit of 156 (the other 13 cosets), so without the second the
+    # walk covers 12 of them, and coset_space raises before a count reads it.
+    # A report that raised is not kept: without the fault it is made again.
     genus_mod = sys.modules["sl2genus.genus"]
-    true_walk = genus_mod.right_cosets
+    true_orbits = genus_mod._orbits
     h = borel(13)
     index = h.ctx.order // h.order
-    monkeypatch.setattr(genus_mod, "right_cosets", lambda *args: islice(true_walk(*args), index - 2))
-    with pytest.raises(ConsistencyError, match="covered 2028 of 2184 elements"):
+    monkeypatch.setattr(genus_mod, "_orbits", lambda *args: islice(true_orbits(*args), 1))
+    with pytest.raises(ConsistencyError, match="the orbits covered 12 of 168 primitive vectors"):
         genus_report(h)
     monkeypatch.undo()
     assert genus_report(h).index == index
+
+
+@pytest.mark.parametrize(
+    "scale, lower, message",
+    [
+        (13, False, r"the stabilizer of H g in <u> is not 13Z, g e1 = \(1, 0\)"),
+        (Fraction(1, 13), True, r"the stabilizer of H g in <u> is not 1Z, g e1 = \(1, 0\)"),
+        (Fraction(1, 13), False, "an orbit of 0 vectors gives 0/156 right cosets"),
+    ],
+    ids=["up-B", "down-lower-B", "down-B"],
+)
+def test_a_double_coset_off_by_p_fails_the_stabilizer_or_the_integer_check(monkeypatch, scale, lower, message):
+    # the walk reads each #O, and so l = p^n #O / #H, p times too large or too
+    # small.  On B at 13 the orbit of e1 holds 12 vectors and H is its one
+    # coset (l = 1).  Read as 156, l = 13, yet u lies in B, so the stabilizer
+    # of H in <u> is not 13Z; read as 0, l = 0 divides no p^n.  On the lower
+    # Borel subgroup sigma^-1 B sigma the orbit of e1 holds 156 vectors (l =
+    # 13); read as 12, l = 1, yet u is not in it, so the stabilizer is not 1Z.
+    genus_mod = sys.modules["sl2genus.genus"]
+    true_orbits = genus_mod._orbits
+
+    def scaled(hmats, ctx):
+        return ((v, int(size * scale)) for v, size in true_orbits(hmats, ctx))
+
+    h = borel(13).conjugate(sigma(make_ctx(13, 1))) if lower else borel(13)
+    monkeypatch.setattr(genus_mod, "_orbits", scaled)
+    with pytest.raises(ConsistencyError, match=message):
+        genus_report(h)
+
+
+def test_a_carrier_off_its_vector_fails_the_fixed_point_check_or_moves_nothing(monkeypatch):
+    # the walk's g has g e1 = (x, -y), not v = (x, y).  On <tau> at 7 (order 6)
+    # H g<u> is then another double coset, and its fixed cosets differ: the
+    # fixed-point check raises.  On <u> at 7 the fault survives: (x, -y) lies
+    # outside the orbit {(x + ky, y)} of v whenever y != 0, yet the double
+    # coset it picks has the same l and no fixed coset either, so every check
+    # of coset_space and genus_report passes.  No check reads g e1 itself.
+    genus_mod = sys.modules["sl2genus.genus"]
+    true_carrier = genus_mod._carrier
+    ctx = make_ctx(7, 1)
+    u_true = genus_report(closure([upper_u(ctx)], ctx))
+    monkeypatch.setattr(genus_mod, "_carrier", lambda x, y, ctx: true_carrier(x, -y % ctx.modulus, ctx))
+    with pytest.raises(ConsistencyError, match="fixed-point count mismatch: direct 3 vs identity 2"):
+        genus_report(closure([tau(ctx)], ctx))
+    assert genus_report(closure([upper_u(ctx)], ctx)) == u_true
 
 
 def test_a_cusp_series_off_by_one_fails_the_coset_check_and_the_section7_audit(monkeypatch):

@@ -24,8 +24,9 @@ from sl2genus.core import (
     upper_u,
 )
 from sl2genus.genus import (
-    _coset_perm,
-    _right_mul,
+    DIRECT_CHECK_CAP,
+    _carrier,
+    _orbits,
     closed_form_genus,
     coset_space,
     cusp_orbit_ratio,
@@ -45,6 +46,7 @@ from sl2genus.subgroups import (
     level,
     nonsplit_cartan_normalizer,
     parse_subgroup_spec,
+    sample_slim_subgroups,
     sample_subgroups,
     split_cartan_normalizer,
     standard_subgroup,
@@ -259,15 +261,40 @@ def _level_n_perm(reps, coset_of, a, ctx):
     return [coset_of[enc(mat_mul(a, g, ctx))] for g in reps]
 
 
-def _cycles(perm):
-    seen, count = set(), 0
+def _cycle_lengths(perm):
+    seen, out = set(), []
     for i in range(len(perm)):
         if i not in seen:
-            count += 1
+            out.append(0)
             while i not in seen:
                 seen.add(i)
+                out[-1] += 1
                 i = perm[i]
-    return count
+    return sorted(out)
+
+
+def _brute_right_cosets(h):
+    # the test's own split of G into right cosets H g: (a g per coset, code -> coset index)
+    ctx = h.ctx
+    dec, enc = decoder(ctx), encoder(ctx)
+    hmats = list(h.mats())
+    reps, coset_of = [], {}
+    for c in sorted(enumerate_group(ctx).codes):
+        if c not in coset_of:
+            coset_of.update((enc(mat_mul(x, dec(c), ctx)), len(reps)) for x in hmats)
+            reps.append(dec(c))
+    return reps, coset_of
+
+
+def _right_perm(reps, coset_of, a, ctx):
+    # H g -> H g a on the test's own right cosets
+    enc = encoder(ctx)
+    return [coset_of[enc(mat_mul(g, a, ctx))] for g in reps]
+
+
+def _brute_fixed(reps, coset_of, ctx):
+    # [Fix_sigma, Fix_tau] on the test's own right cosets
+    return [sum(i == j for i, j in enumerate(_right_perm(reps, coset_of, a, ctx))) for a in (sigma(ctx), tau(ctx))]
 
 
 def _kernel(ctx, q):
@@ -286,7 +313,7 @@ def test_reduced_codes_close_the_reduced_generators(p, n):
 
 @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2)])
 def test_coset_counts_at_the_level_of_h_equal_the_counts_at_level_n(p, n):
-    # the test's own coset space of G at level n against the library's G_m/H_m
+    # the test's own coset space of G at level n against the library's walk of G_m/H_m
     ctx = make_ctx(p, n)
     dec, enc = decoder(ctx), encoder(ctx)
     levels = set()
@@ -303,17 +330,18 @@ def test_coset_counts_at_the_level_of_h_equal_the_counts_at_level_n(p, n):
         # the level is the least m with K_m = ker(G -> G_m) inside H
         assert _kernel(ctx, sub.modulus) <= h.codes()
         assert sub.n == 1 or not _kernel(ctx, sub.modulus // p) <= h.codes()
-        low = coset_space(h_m)
-        assert len(low[0]) == len(reps) == ctx.order // h.order
-        # every named class: sigma, tau and each u^(p^r)
-        for ref in [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")] + [u_power_ref(ctx, r) for r in range(n)]:
-            a = ref.representative()
-            fixed = sum(i == j for i, j in enumerate(_level_n_perm(reps, coset_of, a, ctx)))
-            assert sum(i == j for i, j in enumerate(_coset_perm(h_m, reduce_mat(a, sub.modulus), low))) == fixed
+        lengths, walked_fixed = coset_space(h_m)
+        assert sum(lengths) == len(reps) == ctx.order // h.order
+        # the <u>-cycles of the level-n cosets have the lengths l of the double cosets H_m g<u>
+        assert sorted(lengths) == _cycle_lengths(_level_n_perm(reps, coset_of, upper_u(ctx), ctx))
+        # every named class: sigma, tau and each u^(p^r); u^k fixes the cosets of the cycles whose length divides k
+        refs = [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")] + [u_power_ref(ctx, r) for r in range(n)]
+        for k, ref in enumerate(refs):
+            fixed = sum(i == j for i, j in enumerate(_level_n_perm(reps, coset_of, ref.representative(), ctx)))
+            walked = walked_fixed[k] if k < 2 else sum(ell for ell in lengths if p**ref.r % ell == 0)
+            assert walked == fixed, ref
             assert fix_points(h, ref) == fixed, ref
-        orbits = _cycles(_level_n_perm(reps, coset_of, upper_u(ctx), ctx))
-        assert _cycles(_coset_perm(h_m, upper_u(sub), low)) == orbits
-        assert cusp_orbit_ratio(h) == Fraction(orbits, len(reps))
+        assert cusp_orbit_ratio(h) == Fraction(len(lengths), len(reps))
         with pytest.raises(PreconditionError):  # a class of another context
             fix_points(h, ConjClassRef(make_ctx(p, n - 1), "sigma"))
     assert min(levels) < n and n in levels
@@ -334,10 +362,14 @@ def _record_results(monkeypatch, module, names):
 def test_level_one_report_at_5_3_runs_the_coset_route(monkeypatch):
     # |G| = 1,875,000 is above DIRECT_CHECK_CAP, but H has level 1 and |G_1| = 120
     h = parse_subgroup_spec("preimage:B@1", 5, 3)
-    results = _record_results(monkeypatch, sys.modules["sl2genus.genus"], ("coset_space", "_coset_perm"))
+    results = _record_results(monkeypatch, sys.modules["sl2genus.genus"], ("coset_space",))
     rep = genus_report(h)
-    assert len(results["coset_space"]) == 1  # the walk, which also gives u's permutation
-    assert len(results["_coset_perm"]) == 2 and None not in results["_coset_perm"]  # Fix_sigma, Fix_tau
+    assert len(results["coset_space"]) == 1  # the walk, which gives Fix_sigma, Fix_tau and the <u>-orbits
+    c5 = make_ctx(5, 1)
+    reps, coset_of = _brute_right_cosets(Subgroup.from_codes(c5, h.reduced_codes(1)))
+    lengths, fixed = results["coset_space"][0]
+    assert sorted(lengths) == _cycle_lengths(_right_perm(reps, coset_of, upper_u(c5), c5)) == [1, 5]
+    assert fixed == _brute_fixed(reps, coset_of, c5) == [2, 0]
     assert rep.to_json_dict() == {
         "count_sigma": "6250",
         "count_tau": "0",
@@ -374,40 +406,146 @@ def test_row_tables_multiply_packed_codes(p, n):
     codes = list(enumerate_group(ctx).codes)
     for s in (upper_u(ctx), lower_u(ctx)):
         want = [enc(_mul(dec(x), s, m)) for x in codes]
-        assert list(map(_right_mul(ctx, s, ctx.order), codes)) == want  # the memoized table
-        assert len(codes) > len(row_table(ctx, s))  # enough codes to cross the switch to the table
+        table = row_table(ctx, s)
+        for x in codes:  # the slot of a row (a b) is the code of (a b; 0 0), and its value the code of (a b) s
+            row = dec(x)[:2] + (0, 0)
+            assert table[enc(row)] == enc(_mul(row, s, m))
+        assert len(codes) > len(table)  # enough codes to cross the switch to the table
         assert list(map(right_mul(ctx, s), codes)) == want  # entry by entry, then the table
 
 
 @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2)])
 def test_the_walk_splits_g_m_into_right_cosets_of_h_m(p, n):
-    # the test enumerates G_m; the library does not
+    # the test enumerates G_m and splits it into right cosets H_m g; the library
+    # walks the H_m-orbits on primitive vectors.  Each <u>-cycle of right cosets
+    # is a double coset H_m g<u>, and the vectors x g e1 (x in H_m, H_m g in the
+    # cycle) are one H_m-orbit: the orbits of the cycles split the primitive
+    # vectors, and the walk meets each once, with its size
     for h in _level_route_subgroups(p, n):
         sub = make_ctx(p, level(h))
-        dec, enc, m = decoder(sub), encoder(sub), sub.modulus
-        hm = h.reduced_codes(sub.n)
-        h_m = Subgroup.from_codes(sub, hm)
-        reps, coset_of, step = coset_space(h_m)
-        assert coset_of.keys() == enumerate_group(sub).codes
-        blocks = {}
-        for c, i in coset_of.items():
-            blocks.setdefault(i, set()).add(c)
-        assert len(blocks) == len(reps) == sub.order // len(hm)
-        for i, g in enumerate(reps):
-            assert blocks[i] == {enc(_mul(dec(x), dec(g), m)) for x in hm}  # H_m g
-        assert step == _coset_perm(h_m, upper_u(sub), (reps, coset_of, step))
+        m = sub.modulus
+        h_m = Subgroup.from_codes(sub, h.reduced_codes(sub.n))
+        hmats = list(h_m.mats())
+        reps, coset_of = _brute_right_cosets(h_m)
+        assert len(coset_of) == sub.order and len(reps) == sub.order // h_m.order
+        perm, orbit_of, orbits = _right_perm(reps, coset_of, upper_u(sub), sub), {}, []
+        for i in range(len(reps)):
+            if i not in orbit_of:
+                cycle = [i]
+                while perm[cycle[-1]] != i:
+                    cycle.append(perm[cycle[-1]])
+                orbit = {(mat_mul(x, reps[j], sub)[0], mat_mul(x, reps[j], sub)[2]) for x in hmats for j in cycle}
+                orbit_of.update((j, len(orbits)) for j in cycle)
+                orbits.append((orbit, len(cycle)))
+        vectors = [v for orbit, _ in orbits for v in orbit]
+        assert len(vectors) == len(set(vectors)) == m * m - (m // p) ** 2
+        where = {v: k for k, (orbit, _) in enumerate(orbits) for v in orbit}
+        walked = list(_orbits(hmats, sub))
+        assert sorted(where[v] for v, _ in walked) == list(range(len(orbits)))
+        assert all(size == len(orbits[where[v]][0]) for v, size in walked)
+        lengths, fixed = coset_space(h_m)
+        assert lengths == [orbits[where[v]][1] for v, _ in walked]  # l of each double coset, in the walk's order
+        assert fixed == _brute_fixed(reps, coset_of, sub)
 
 
 def test_the_walk_checks_the_cap_before_it_builds_anything(monkeypatch):
     ctx = make_ctx(5, 2)  # <u> has level 2, and G_2 = SL2(Z/25Z) holds 15,000 elements
-    keys = [("rows", s) for s in (upper_u(ctx), lower_u(ctx))]
+    keys = [("u-conjugates", kind) for kind in ("sigma", "tau")]
     for key in keys:
         monkeypatch.delitem(ctx.memo, key, raising=False)
     with pytest.raises(FeasibilityError, match="--max-elements"):
         coset_space(Subgroup(ctx, (upper_u(ctx),), cap=14_999))
     assert not any(key in ctx.memo for key in keys)
-    reps, coset_of, step = coset_space(Subgroup(ctx, (upper_u(ctx),), cap=15_000))
-    assert (len(reps), len(coset_of), len(step)) == (600, 15_000, 600)
+    lengths, fixed = coset_space(Subgroup(ctx, (upper_u(ctx),), cap=15_000))
+    assert all(len(ctx.memo[key]) == 25 for key in keys)
+    # u moves (x, y) to (x + y, y): 20 orbits of 25 vectors (y a unit), 16 of 5
+    # (y = 5k, k a unit mod 5) and 20 of one (y = 0); l = 25 #O / #<u> = #O
+    assert sorted(lengths) == [1] * 20 + [5] * 16 + [25] * 20 and sum(lengths) == 600
+    assert fixed == [0, 0]  # no conjugate of sigma or tau has trace 2
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2), (7, 1)])
+def test_the_double_coset_walk_matches_the_brute_right_cosets(p, n):
+    # seeded subgroups, <H, -1> and <sigma>, each against the test's own right
+    # cosets of G: as many double cosets as <u>-cycles, with the cycles'
+    # lengths, the l summing to the index, and equal fixed counts; across them
+    # the walk takes both sides of its min rule (l <= #H and l > #H)
+    ctx = make_ctx(p, n)
+    hs = sample_subgroups(ctx, 6, random.Random((p, n, "double-cosets").__repr__())) + [closure([sigma(ctx)], ctx)]
+    sides = set()
+    for h in hs + [adjoin_minus_one(h) for h in hs]:
+        reps, coset_of = _brute_right_cosets(h)
+        lengths, fixed = coset_space(h)
+        cycles = _cycle_lengths(_right_perm(reps, coset_of, upper_u(ctx), ctx))
+        assert len(lengths) == len(cycles) and sorted(lengths) == cycles
+        assert sum(lengths) == len(reps) == ctx.order // h.order
+        assert fixed == _brute_fixed(reps, coset_of, ctx)
+        sides.update(ell <= h.order for ell in lengths)
+    assert sides == {True, False}
+    m = ctx.modulus
+    for x, y in ((x, y) for x in range(m) for y in range(m) if x % p or y % p):
+        g = _carrier(x, y, ctx)
+        assert (g[0], g[2]) == (x, y) and (g[0] * g[3] - g[1] * g[2]) % m == 1
+
+
+@pytest.mark.parametrize("p, n", [(11, 2), (13, 2), (5, 3)])
+def test_the_walk_checks_a_slim_subgroup_above_the_cap(monkeypatch, p, n):
+    # G holds 1,756,920, 4,798,248 and 1,875,000 elements, above
+    # DIRECT_CHECK_CAP, so genus_report runs no coset check on a slim H (level
+    # n) there; the walk lists no element of G (any closure of <u, t(u)> fails
+    # the test) and agrees with the class-counting route on one seeded <H, -1>
+    def fail(ctx):
+        raise AssertionError("the walk enumerated SL2(Z/%dZ)" % ctx.modulus)
+
+    ctx = make_ctx(p, n)
+    h = adjoin_minus_one(sample_slim_subgroups(ctx, 1, random.Random("above-the-cap"))[0])
+    assert ctx.order > DIRECT_CHECK_CAP and level(h) == n
+    monkeypatch.setattr(sys.modules["sl2genus.groups"], "_group_closure", fail)
+    monkeypatch.delitem(ctx.memo, "G", raising=False)
+    lengths, fixed = coset_space(h)
+    assert sum(lengths) == ctx.order // h.order
+    assert fixed == [fix_points(h, ConjClassRef(ctx, kind)) for kind in ("sigma", "tau")]
+    assert Fraction(len(lengths), sum(lengths)) == cusp_orbit_ratio(h)
+
+
+def test_a_report_intersects_h_with_each_class_once(monkeypatch):
+    # count_in_subgroup is called once per class a report reads: fix_points
+    # gives Fix_sigma and Fix_tau, and #(H n Conj) is read back from them
+    genus_mod = sys.modules["sl2genus.genus"]
+    true_count = genus_mod.count_in_subgroup
+    calls = []
+    monkeypatch.setattr(genus_mod, "count_in_subgroup", lambda h, ref: calls.append((ref.kind, ref.r)) or true_count(h, ref))
+    rep = genus_report(parse_subgroup_spec("preimage:B@1", 7, 2))  # reported at its level 1
+    assert calls == [("sigma", 0), ("tau", 0), ("u_power", 0)]
+    assert (rep.count_sigma, rep.count_tau, rep.fix_tau) == (0, 686, 2)  # B n Conj(sigma) is empty at 7 = -1 mod 4
+    calls.clear()
+    ctx = make_ctx(5, 2)
+    rep = genus_report(adjoin_minus_one(closure([upper_u(ctx)], ctx)))  # level 2
+    assert calls == [("sigma", 0), ("tau", 0), ("u_power", 0), ("u_power", 1)]
+    assert (rep.index, rep.count_sigma, rep.count_tau) == (300, 0, 0)
+
+
+def test_a_kept_level_below_n_decides_minus_one_without_a_walk(monkeypatch):
+    # after its report, a generator-given H of level 1 < n keeps its level, and
+    # -1 mod p in H_1 decides -1 in H: adjoin_minus_one runs no Schreier walk.
+    # K_1 is generated by 1 + 5W for W = diag(1, -1), E12 and E21.
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    true_walk = subgroups_mod._schreier_walk
+    walks = []
+    monkeypatch.setattr(subgroups_mod, "_schreier_walk", lambda *args: walks.append(args) or true_walk(*args))
+    ctx = make_ctx(5, 2)
+    kernel = ((6, 0, 0, 21), (1, 5, 0, 1), (1, 0, 5, 1))
+    for first, inside in ((sigma(ctx), True), (upper_u(ctx), False)):
+        h = Subgroup(ctx, (first,) + kernel)
+        genus_report(h)
+        assert level(h) == 1
+        walks.clear()
+        got = adjoin_minus_one(h)
+        assert (got is h, walks, h._codes) == (inside, [], None)
+        assert genus_report(got) == genus_report(closure(h.gens + (minus_one(ctx),), ctx))
+    h = Subgroup(ctx, kernel)  # no level kept: the orders of the two walks decide
+    walks.clear()
+    assert adjoin_minus_one(h) is not h and len(walks) == 2
 
 
 def test_a_report_below_level_n_closes_nothing_at_level_n(monkeypatch):

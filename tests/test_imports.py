@@ -509,8 +509,8 @@ def test_every_traced_name_resolves():
 
 
 # ROADMAP item 3 budgets the lines under src/: the library may not grow past
-# its last count of 4,231 lines (its target is 4,003).
+# its last count of 4,229 lines (its target is 4,003).
 def test_src_stays_within_the_line_budget():
     total = sum(len(p.read_text().splitlines()) for p in MODULES)
-    print("src/sl2genus: %d lines, budget 4,231" % total)
-    assert total <= 4_231, "src/sl2genus holds %d lines, above the budget of 4,231" % total
+    print("src/sl2genus: %d lines, budget 4,229" % total)
+    assert total <= 4_229, "src/sl2genus holds %d lines, above the budget of 4,229" % total
