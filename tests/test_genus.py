@@ -434,7 +434,7 @@ def test_the_walk_splits_g_m_into_right_cosets_of_h_m(p, n):
                 cycle = [i]
                 while perm[cycle[-1]] != i:
                     cycle.append(perm[cycle[-1]])
-                orbit = {(mat_mul(x, reps[j], sub)[0], mat_mul(x, reps[j], sub)[2]) for x in hmats for j in cycle}
+                orbit = {(y[0], y[2]) for x in hmats for j in cycle for y in [mat_mul(x, reps[j], sub)]}
                 orbit_of.update((j, len(orbits)) for j in cycle)
                 orbits.append((orbit, len(cycle)))
         vectors = [v for orbit, _ in orbits for v in orbit]
