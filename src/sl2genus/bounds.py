@@ -626,21 +626,16 @@ def _case_p75(sub: str) -> CaseReport:
         rec2 = _p75_master(ch, *counts, "noVu")
         printed2 = _branch_printed(ch, "no-Vu", rec2, Fraction(686 - 110 - 273, 2 * 7**3))
         return _finish("P7.5:B", ch, min(printed1, printed2), min(rec1, rec2), "Borel at p=7, level p^3")
+    es, et = _e_bounds(p)
     if sub == "E":
-        es, et = _e_bounds(p)
         ch.expect("E sigma bound", es, 18)
         ch.expect("E tau bound", et, 8)
-        rec = _p75_master(ch, es, et, 0, "noVu")
-        printed = Fraction(343 - 57 - 52 - 105, 7**3)
-        return _finish("P7.5:E", ch, printed, rec, "exceptional at p=7, level p^3")
-    # C and D are dominated by the exceptional chain
-    es, et = _e_bounds(p)
-    _dominated(ch, sub, p, es, et, strict=False)
+    else:  # C and D are dominated by the exceptional chain
+        _dominated(ch, sub, p, es, et, strict=False)
     rec = _p75_master(ch, es, et, 0, "noVu")
     printed = Fraction(343 - 57 - 52 - 105, 7**3)
-    return _finish(
-        "P7.5:%s" % sub, ch, printed, rec, "dominated by the exceptional chain at p=7"
-    )
+    notes = "exceptional at p=7, level p^3" if sub == "E" else "dominated by the exceptional chain at p=7"
+    return _finish("P7.5:%s" % sub, ch, printed, rec, notes)
 
 
 def _case_p76(sub: str) -> CaseReport:

@@ -128,11 +128,6 @@ def primitive_root(p: int, n: int = 1) -> int:
     raise RuntimeError("no primitive root mod %d^%d" % (p, n))
 
 
-def sl2_order(p: int, n: int) -> int:
-    """#SL2(Z/p^nZ) = (p+1)(p-1)p^(3n-2)."""
-    return (p + 1) * (p - 1) * p ** (3 * n - 2)
-
-
 def gl2_order(p: int, n: int) -> int:
     """#GL2(Z/p^nZ) = p^(4(n-1)) (p^2-1)(p^2-p)."""
     return p ** (4 * (n - 1)) * (p * p - 1) * (p * p - p)
@@ -154,7 +149,7 @@ class GroupCtx:
     p: int
     n: int
     modulus: int = field(init=False)  # p^n
-    order: int = field(init=False)  # #SL2(Z/p^nZ)
+    order: int = field(init=False)  # #SL2(Z/p^nZ) = (p+1)(p-1)p^(3n-2)
     memo: Dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -163,7 +158,7 @@ class GroupCtx:
         if not is_prime(self.p):
             raise ValueError("p must be prime, got %d" % self.p)
         object.__setattr__(self, "modulus", self.p**self.n)
-        object.__setattr__(self, "order", sl2_order(self.p, self.n))
+        object.__setattr__(self, "order", (self.p + 1) * (self.p - 1) * self.p ** (3 * self.n - 2))
 
 
 @lru_cache(maxsize=None)

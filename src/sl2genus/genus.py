@@ -97,8 +97,8 @@ def coset_space(h: Subgroup) -> Tuple[List[int], List[int]]:
     cosets H g u^j, j < l, and a fixes H g u^j when u^j a u^-j is in g^-1 H g,
     tested on the l conjugates or on all of g^-1 H g, whichever is fewer.
     Returns (l per double coset, [Fix_sigma, Fix_tau]); ConsistencyError unless
-    the orbits cover the primitive vectors, each l divides p^n and is the index
-    in <u> of the stabilizer of H g, and the l sum to [G:H]."""
+    each g has g e1 = v, the orbits cover the primitive vectors, each l divides
+    p^n and is the index in <u> of the stabilizer of H g, and the l sum to [G:H]."""
     ctx = h.ctx
     check_order(ctx, h.cap)
     p, m, enc = ctx.p, ctx.modulus, encoder(ctx)
@@ -112,6 +112,8 @@ def coset_space(h: Subgroup) -> Tuple[List[int], List[int]]:
         if rest or not ell or m % ell:
             raise ConsistencyError("an orbit of %d vectors gives %d/%d right cosets" % (size, m * size, len(hm)))
         g = _carrier(*v, ctx)
+        if (g[0], g[2]) != v:
+            raise ConsistencyError("the carrier of %r has g e1 = %r" % (v, (g[0], g[2])))
         back = conjugator(ctx, mat_inv(g, ctx))  # x -> g x g^-1
         if back(enc(mat(1, ell, 0, 1, ctx))) not in hm or ell > 1 and back(enc(mat(1, ell // p, 0, 1, ctx))) in hm:
             raise ConsistencyError("the stabilizer of H g in <u> is not %dZ, g e1 = %r" % (ell, v))

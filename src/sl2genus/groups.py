@@ -2,8 +2,8 @@
 
 Element sets store packed codes (see core.encoder), and every kernel here
 walks codes through the maps of core (x -> x s, x -> g^-1 x g).  Subgroups
-close through extend_closure on right_cosets, the one right-coset walk (the
-genus check walks double cosets, in genus).  Orbits go through capped_orbit
+close through extend_closure, the one right-coset walk (the genus check
+walks double cosets, in genus).  Orbits go through capped_orbit
 (the Schreier walk of subgroups keeps a lift per key, so it stays its own
 loop); conjugacy classes are expanded by conjugating with u, t(u) only,
 which keeps memory at O(#class) instead of O(#group).  Every set derived
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Collection, FrozenSet, Hashable, Iterable, Iterator, List, Sequence
+from typing import Callable, Collection, FrozenSet, Hashable, Iterable, List, Sequence
 
 from .core import (
     DEFAULT_MAX_ELEMENTS,
@@ -27,24 +27,13 @@ from .core import (
     decoder,
     encoder,
     identity,
-    is_prime,
     lower_u,
     mat_pow,
     right_mul,
     sigma,
-    sl2_order,
     tau,
     upper_u,
 )
-
-
-def group_order(p: int, n: int) -> int:
-    """(p+1)(p-1)p^(3n-2); rejects composite p."""
-    if not is_prime(p):
-        raise ValueError("p must be prime, got %d" % p)
-    if n < 1:
-        raise ValueError("n must be >= 1, got %d" % n)
-    return sl2_order(p, n)
 
 
 @dataclass(frozen=True)
@@ -64,7 +53,7 @@ class ElementSet:
 
 def capped_orbit(start, steps: Sequence[Callable], cap: int) -> FrozenSet:
     """Everything reached from start by repeated steps, each a map x -> y (the
-    form right_cosets takes).
+    form extend_closure takes).
 
     Breadth-first; raises FeasibilityError as soon as more than cap values are
     seen.  For a closure or a conjugation orbit in a finite group the steps
@@ -90,36 +79,29 @@ def _over_cap(cap: int) -> FeasibilityError:
     return FeasibilityError("orbit exceeded the cap of %d elements; raise --max-elements or SL2_MAX_ELEMENTS" % cap)
 
 
-def right_cosets(first: List, steps: Sequence[Callable], seen: Collection, cap: int) -> Iterator[List]:
-    """Yield the member list of each right coset H r s not in seen, walking from
-    first, H's member list, one coset at a time in the order found (Dimino's
-    order; Butler, LNCS 559, 1991).  A step is x -> x s for one generator s, so
-    it maps H r onto H r s.  seen holds H and the cosets found so far; the caller
-    adds each yielded list to it before the next.  A list is dropped once every
-    step has mapped it.  Raises FeasibilityError once seen holds more than cap."""
-    pending = deque([first])
-    while pending:
-        members = pending.popleft()
-        for step in steps:
-            if step(members[0]) not in seen:
-                coset = list(map(step, members))
-                yield coset
-                if len(seen) > cap:
-                    raise _over_cap(cap)
-                pending.append(coset)
-
-
 def extend_closure(known: Iterable, gens: Sequence, new: Iterable, right: Callable, cap: int) -> FrozenSet:
-    """<H, new>, where known holds a closed group H that gens generate: each new
-    generator g outside the group so far extends it by right_cosets on every
-    generator so far, g included.  right(g) is the map x -> x g; cap as there."""
+    """<H, new>, where known holds a closed group H that gens generate.  Each new
+    generator g outside the group so far extends it coset by coset (Dimino's
+    order; Butler, LNCS 559, 1991), stepping by every generator so far, g
+    included: right(s) is the map x -> x s, which maps H r onto H r s, so a step
+    is tested on a coset's first member and maps the coset whole when that
+    image is new.  A coset is dropped once every step has mapped it.  Raises
+    FeasibilityError once more than cap elements are seen."""
     seen = set(known)
     steps = [right(s) for s in gens]
     for g in new:
         if g not in seen:
             steps.append(right(g))
-            for coset in right_cosets(list(seen), steps, seen, cap):
-                seen.update(coset)
+            pending = deque([list(seen)])
+            while pending:
+                members = pending.popleft()
+                for step in steps:
+                    if step(members[0]) not in seen:
+                        coset = list(map(step, members))
+                        seen.update(coset)
+                        if len(seen) > cap:
+                            raise _over_cap(cap)
+                        pending.append(coset)
     return frozenset(seen)
 
 

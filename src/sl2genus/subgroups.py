@@ -45,7 +45,7 @@ from .core import (
     sigma,
     upper_u,
 )
-from .groups import ElementSet, _closure_codes, _over_cap, capped_orbit, enumerate_group, extend_closure
+from .groups import ElementSet, _above_cap, _closure_codes, _over_cap, capped_orbit, enumerate_group, extend_closure
 
 # -------------------- the subgroup value --------------------
 
@@ -229,10 +229,7 @@ def preimage(h: Subgroup, dst: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Sub
     while ctx.n < dst.n:
         nxt = make_ctx(ctx.p, ctx.n + 1)
         if len(codes) * ctx.p**3 > cap:
-            raise FeasibilityError(
-                "preimage would hold %d elements, above the cap of %d; raise --max-elements "
-                "or SL2_MAX_ELEMENTS" % (len(codes) * ctx.p**3, cap)
-            )
+            raise _above_cap("preimage would hold %d" % (len(codes) * ctx.p**3), cap)
         kern = [right_mul(nxt, k) for k in _last_kernel(nxt, product(range(ctx.p), repeat=3))]
         dec, enc = decoder(ctx), encoder(nxt)
         lifts = [enc(_sl2_lift_one(dec(c), nxt.modulus)) for c in codes]
@@ -302,30 +299,28 @@ def smallest_nonresidue(p: int) -> int:
     raise RuntimeError("no non-residue mod %d" % p)  # pragma: no cover
 
 
-def borel(p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
-    """Upper triangular matrices of SL2(Z/pZ); order p(p-1)."""
+def _torus_extension(first: Callable[[GroupCtx], Mat], p: int, name: str, want: int, cap: int) -> Subgroup:
+    """<first, diag(g, g^-1)> in SL2(Z/pZ), g a primitive root (first alone at
+    p = 2); ConsistencyError unless its order is want."""
     ctx = make_ctx(p, 1)
-    gens = [upper_u(ctx)]
+    gens = [first(ctx)]
     if p > 2:
         g = primitive_root(p)
         gens.append(mat(g, 0, 0, pow(g, -1, p), ctx))
     got = closure(gens, ctx, cap=cap)
-    if got.order != p * (p - 1):
-        raise ConsistencyError("Borel order %d != p(p-1)" % got.order)  # pragma: no cover
+    if got.order != want:
+        raise ConsistencyError("%s order %d != %d" % (name, got.order, want))  # pragma: no cover
     return got
+
+
+def borel(p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
+    """Upper triangular matrices of SL2(Z/pZ), <u, diag(g, g^-1)>; order p(p-1)."""
+    return _torus_extension(upper_u, p, "Borel", p * (p - 1), cap)
 
 
 def split_cartan_normalizer(p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
-    """Monomial matrices of SL2(Z/pZ); order 2(p-1)."""
-    ctx = make_ctx(p, 1)
-    gens = [sigma(ctx)]
-    if p > 2:
-        g = primitive_root(p)
-        gens.append(mat(g, 0, 0, pow(g, -1, p), ctx))
-    got = closure(gens, ctx, cap=cap)
-    if got.order != 2 * (p - 1):
-        raise ConsistencyError("C order %d != 2(p-1)" % got.order)  # pragma: no cover
-    return got
+    """Monomial matrices of SL2(Z/pZ), <sigma, diag(g, g^-1)>; order 2(p-1)."""
+    return _torus_extension(sigma, p, "C", 2 * (p - 1), cap)
 
 
 def nonsplit_cartan_normalizer(p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:

@@ -33,7 +33,6 @@ from sl2genus.groups import (
     conj_class_brute,
     conj_class_size_formula,
     enumerate_group,
-    group_order,
     u_power_ref,
 )
 from sl2genus.subgroups import (
@@ -65,7 +64,7 @@ def _report(k: int, detail: str, t0: float, budget: float) -> None:
 def test_criterion_01_group_orders():
     t0 = time.monotonic()
     for p, n in GRID:
-        assert len(enumerate_group(make_ctx(p, n))) == group_order(p, n) == (p + 1) * (p - 1) * p ** (3 * n - 2)
+        assert len(enumerate_group(make_ctx(p, n))) == make_ctx(p, n).order == (p + 1) * (p - 1) * p ** (3 * n - 2)
     _report(1, "closure cardinality = (p+1)(p-1)p^(3n-2) on %d contexts" % len(GRID), t0, 60)
 
 

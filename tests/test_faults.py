@@ -3,6 +3,7 @@ asserts that a fast library check raises on it, so a fault that no check
 kills shows up as a failing test.  Standard library and pytest only."""
 
 import random
+import re
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -10,9 +11,21 @@ from itertools import islice
 import pytest
 
 from sl2genus.bounds import slim_bound_report, verify_section7
-from sl2genus.core import ConsistencyError, PreconditionError, encoder, lower_u, make_ctx, minus_one, sigma, tau, upper_u
+from sl2genus.core import (
+    ConsistencyError,
+    GroupCtx,
+    PreconditionError,
+    encoder,
+    lower_u,
+    make_ctx,
+    mat,
+    minus_one,
+    sigma,
+    tau,
+    upper_u,
+)
 from sl2genus.genus import delta, genus, genus_report
-from sl2genus.groups import ConjClassRef, class_codes
+from sl2genus.groups import ConjClassRef, class_codes, enumerate_group
 from sl2genus.subgroups import Subgroup, adjoin_minus_one, borel, closure, level, sample_slim_subgroups
 
 
@@ -138,21 +151,51 @@ def test_a_double_coset_off_by_p_fails_the_stabilizer_or_the_integer_check(monke
         genus_report(h)
 
 
-def test_a_carrier_off_its_vector_fails_the_fixed_point_check_or_moves_nothing(monkeypatch):
-    # the walk's g has g e1 = (x, -y), not v = (x, y).  On <tau> at 7 (order 6)
-    # H g<u> is then another double coset, and its fixed cosets differ: the
-    # fixed-point check raises.  On <u> at 7 the fault survives: (x, -y) lies
-    # outside the orbit {(x + ky, y)} of v whenever y != 0, yet the double
-    # coset it picks has the same l and no fixed coset either, so every check
-    # of coset_space and genus_report passes.  No check reads g e1 itself.
+def test_a_carrier_off_its_vector_fails_the_carrier_check(monkeypatch):
+    # the walk's g has g e1 = (x, -y), not v = (x, y).  coset_space compares
+    # g e1 with v on every orbit, so the first orbit with y != 0 raises: on
+    # <tau> at 7, where the fixed cosets would also differ, and on <u> at 7,
+    # where the double coset picked has the same l and no fixed coset either,
+    # so no other check of coset_space or genus_report sees the fault.
     genus_mod = sys.modules["sl2genus.genus"]
     true_carrier = genus_mod._carrier
     ctx = make_ctx(7, 1)
-    u_true = genus_report(closure([upper_u(ctx)], ctx))
     monkeypatch.setattr(genus_mod, "_carrier", lambda x, y, ctx: true_carrier(x, -y % ctx.modulus, ctx))
-    with pytest.raises(ConsistencyError, match="fixed-point count mismatch: direct 3 vs identity 2"):
+    with pytest.raises(ConsistencyError, match=re.escape("the carrier of (1, 1) has g e1 = (1, 6)")):
         genus_report(closure([tau(ctx)], ctx))
-    assert genus_report(closure([upper_u(ctx)], ctx)) == u_true
+    with pytest.raises(ConsistencyError, match=re.escape("the carrier of (0, 1) has g e1 = (0, 6)")):
+        genus_report(closure([upper_u(ctx)], ctx))
+
+
+def test_a_closure_that_skips_its_last_generator_fails_the_order_checks(monkeypatch):
+    # extend_closure drops the last of its new generators, in groups and in
+    # subgroups, which imports it.  The closure of <u, t(u)> on a fresh context
+    # misses elements of G; the Borel subgroup misses its order p(p-1); and a
+    # level-2 H at 25 closes to <u> while the Schreier walk, which shares no
+    # code with the closure, reads #H = 500.  A closure by gens at n = 1 has no
+    # second route: the report of the smaller group passes every check.
+    groups_mod = sys.modules["sl2genus.groups"]
+    true_extend = groups_mod.extend_closure
+    ctx = make_ctx(7, 1)
+    borel_gens = [upper_u(ctx), mat(3, 0, 0, 5, ctx)]
+    true_report = genus_report(closure(borel_gens, ctx))
+
+    def skip_last(known, gens, new, right, cap):
+        return true_extend(known, gens, list(new)[:-1], right, cap)
+
+    for mod in (groups_mod, sys.modules["sl2genus.subgroups"]):
+        monkeypatch.setattr(mod, "extend_closure", skip_last)
+    with pytest.raises(ConsistencyError, match=re.escape("closure of <u, t(u)> missed elements")):
+        enumerate_group(GroupCtx(5, 1))
+    with pytest.raises(ConsistencyError, match="Borel order 7 != 42"):
+        borel(7)
+    c25 = make_ctx(5, 2)
+    h = Subgroup(c25, (upper_u(c25), mat(2, 0, 0, 13, c25)))
+    assert h.order == 500
+    with pytest.raises(ConsistencyError, match="closure of 25 elements, Schreier walk 500"):
+        h.codes()
+    h = closure(borel_gens, ctx)
+    assert h.order == 7 and genus_report(h) != true_report
 
 
 def test_a_cusp_series_off_by_one_fails_the_coset_check_and_the_section7_audit(monkeypatch):

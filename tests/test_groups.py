@@ -23,7 +23,6 @@ from sl2genus.groups import (
     conj_class_brute,
     conj_class_size_formula,
     enumerate_group,
-    group_order,
     u_power_ref,
 )
 from sl2genus.suites import golden_conj4_classes
@@ -32,10 +31,11 @@ from sl2genus.suites import golden_conj4_classes
 def test_group_order_formula_against_closure():
     # brute-force closure is the oracle for the closed form
     for p, n, want in ((2, 1, 6), (3, 1, 24), (2, 2, 48)):
-        assert group_order(p, n) == want
+        assert make_ctx(p, n).order == want
         assert len(enumerate_group(make_ctx(p, n))) == want
-    with pytest.raises(ValueError):
-        group_order(4, 1)
+    for p, n in ((4, 1), (3, 0)):
+        with pytest.raises(ValueError):
+            make_ctx(p, n)
 
 
 def test_enumerate_group_examples():

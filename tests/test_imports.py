@@ -509,8 +509,12 @@ def test_every_traced_name_resolves():
 
 
 # ROADMAP item 3 budgets the lines under src/: the library may not grow past
-# its last count of 4,229 lines (its target is 4,003).
+# its last count of 4,198 lines (its target is 4,003).  The count per module is
+# printed too, so that a change can read its delta module by module.
 def test_src_stays_within_the_line_budget():
-    total = sum(len(p.read_text().splitlines()) for p in MODULES)
-    print("src/sl2genus: %d lines, budget 4,229" % total)
-    assert total <= 4_229, "src/sl2genus holds %d lines, above the budget of 4,229" % total
+    counts = {p.name: len(p.read_text().splitlines()) for p in MODULES}
+    for name, count in counts.items():
+        print("src/sl2genus/%s: %d lines" % (name, count))
+    total = sum(counts.values())
+    print("src/sl2genus: %d lines, budget 4,198" % total)
+    assert total <= 4_198, "src/sl2genus holds %d lines, above the budget of 4,198" % total

@@ -3,14 +3,14 @@
 The oracles are independent reference routines: a breadth-first closure
 that also steps by every inverse generator (``groups.extend_closure`` adds
 whole cosets and steps by the generators alone, which is enough in a finite
-group), the right cosets {Hg : g in G} by brute force for the walk
-``groups.right_cosets``, the lattice search as it was before it extended
-subgroups (it closed every candidate from the identity, with a table of
-direct products), conjugation and centralizers on decoded matrices for
-``core.conjugator`` and its callers, and three separate primitive-root finders
-for p, p^2 and p^n that ``core.primitive_root`` must agree with, and the
-brute-force span in F_p^3 for the rank test of the Schreier walk
-(``subgroups._in_span``).
+group), the number of products its right-coset walk forms (each coset of H
+in <H, g> tested once per step and mapped whole at most once), the lattice
+search as it was before it extended subgroups (it closed every candidate from
+the identity, with a table of direct products), conjugation and centralizers
+on decoded matrices for ``core.conjugator`` and its callers, and three
+separate primitive-root finders for p, p^2 and p^n that
+``core.primitive_root`` must agree with, and the brute-force span in F_p^3
+for the rank test of the Schreier walk (``subgroups._in_span``).
 
 GL2 stays an input domain next to SL2: its subgroups close on codes through
 ``groups._closure_codes`` (a Subgroup lies in SL2), and its classes, built in
@@ -23,7 +23,7 @@ import json
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sl2genus import core
@@ -42,7 +42,6 @@ from sl2genus.core import (
     lower_u,
     make_ctx,
     primitive_root,
-    right_mul,
     row_table,
     sigma,
     upper_u,
@@ -56,7 +55,6 @@ from sl2genus.groups import (
     conj_class_brute,
     enumerate_group,
     extend_closure,
-    right_cosets,
 )
 from sl2genus.subgroups import Subgroup, _in_span, all_subgroups, borel, full_group
 from sl2genus.suites import suite_cor6_5
@@ -192,28 +190,28 @@ def test_a_generator_already_inside_changes_nothing(data):
     assert products == []  # no coset is mapped
 
 
-@settings(max_examples=40, deadline=None)
-@given(subgroup_inputs())
-def test_the_walk_meets_each_right_coset_once(data):
-    ctx, ambient, gens = data
+@st.composite
+def new_generator_inputs(draw):
+    """A subgroup input, its closure H, and one element g of the ambient group outside H."""
+    ctx, ambient, gens = draw(subgroup_inputs())
     h = _close(gens, ctx)
-    group = _ambient(ctx, ambient)
-    steps = [right_mul(ctx, s) for s in _generators(ctx, ambient)]
-    seen, walked = set(h), [h]
-    for coset in right_cosets(list(h), steps, seen, len(group)):
-        seen.update(coset)
-        walked.append(frozenset(coset))
-    # the oracle: H g for every g of the group, by brute force; g lies in H g, and
-    # right cosets are equal or disjoint, so a g inside a coset already built adds nothing
-    m, enc, dec = ctx.modulus, encoder(ctx), decoder(ctx)
-    hmats = [dec(c) for c in h]
-    want, covered = set(), set()
-    for g in group:
-        if g not in covered:
-            coset = frozenset(enc(_mul(x, dec(g), m)) for x in hmats)
-            want.add(coset)
-            covered |= coset
-    assert len(walked) == len(set(walked)) and set(walked) == want
+    outside = sorted(_ambient(ctx, ambient) - h)
+    assume(outside)
+    return ctx, gens, h, decoder(ctx)(outside[draw(st.integers(0, len(outside) - 1))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(new_generator_inputs())
+def test_the_walk_meets_each_right_coset_once(data):
+    # each of the t = [<H, g> : H] right cosets is tested once per step, on its
+    # first member, and each but H is mapped whole once: t (#gens + 1) + (t - 1) #H
+    # products in all, so no coset is walked twice and none is missed
+    ctx, gens, h, g = data
+    want = _old_closure(gens + (g,), ctx)
+    products = []
+    assert _extend(h, gens, (g,), ctx, len(want), products) == want
+    t = len(want) // len(h)
+    assert len(products) == t * (len(gens) + 1) + (t - 1) * len(h)
 
 
 @pytest.mark.parametrize("p, n, builds", [(7, 2, True), (2, 9, False)])
