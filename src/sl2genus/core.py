@@ -141,9 +141,8 @@ class GroupCtx:
     """Ambient ring/group descriptor for SL2(Z/p^nZ).
 
     memo holds what derives from the context alone (G, the class orbits,
-    the fiber groups V, the u-conjugates of sigma and tau for the coset walk,
-    the reduction maps and the bound plans of bounds); groups.cached alone
-    reads and writes it.
+    the fiber groups V, the reduction maps and the bound plans of bounds);
+    groups.cached alone reads and writes it.
     """
 
     p: int
@@ -354,11 +353,6 @@ def _inv(x: Mat, m: int) -> Mat:
     except ValueError:
         raise NotInvertibleError("determinant %d is not a unit mod %d" % (dt, m)) from None
     return (d * di % m, -b * di % m, -c * di % m, a * di % m)
-
-
-def mat_inv(x: Mat, ctx: GroupCtx) -> Mat:
-    _check_reduced(x, ctx)
-    return _inv(x, ctx.modulus)
 
 
 def mat_pow(x: Mat, k: int, ctx: GroupCtx) -> Mat:

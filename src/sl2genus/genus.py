@@ -1,55 +1,39 @@
 """Genus of the modular curve attached to a subgroup of SL2(Z/p^nZ).
 
-Everything is exact rational arithmetic.  The counts of X_H depend on H_m = H
-mod p^m alone, m the level of H (K_m = ker(G -> G_m) lies in H, so H\\G and
-H_m\\G_m are isomorphic G-sets): below level n, genus_report reports H_m and
-lifts its class counts by #Conj_n / #Conj_m, so neither H (whose order comes
-from the Schreier walk, Subgroup.order) nor a level-n class orbit is built.
-fix_points and cusp_orbit_ratio count the elliptic points and cusps by the
-class-counting identity, #(H n Conj(alpha)) over the closed form #Conj(alpha).
-genus_report is the one cross-check: it counts them again on the right cosets
-H_m g of G_m, walked by coset_space on the double cosets H_m g<u>, the
-H_m-orbits on primitive vectors (the cusps; Shimura 1971, 1.5-1.6), and any
-difference raises ConsistencyError.  The report is kept in the subgroup's
-memo; delta and genus read it.  Every walk runs under Subgroup.cap.
+Exact rational arithmetic.  The counts of X_H depend on H_m = H mod p^m alone,
+m the level of H (K_m <= H, so H\\G and H_m\\G_m are isomorphic G-sets), and
+genus_report reports H_m.  fix_points and cusp_orbit_ratio read #(H n Conj(alpha))
+from labels of H's elements (class_labels) over #Conj(alpha) in closed form;
+genus_report counts again on the double cosets H_m g<u> (coset_space) and
+raises ConsistencyError on any difference.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
-from itertools import islice
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from math import gcd
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     ConsistencyError,
     GroupCtx,
     Mat,
     PreconditionError,
-    conjugator,
     decoder,
     encoder,
     make_ctx,
     mat,
-    mat_inv,
     minus_one,
     num_to_json,
 )
-from .groups import ConjClassRef, cached, check_order, class_codes, conj_class_size_formula, u_power_ref
+from .groups import ConjClassRef, _above_cap, check_order, conj_class_size_formula, u_power_ref
 from .subgroups import Subgroup, kept, level
 
 # Above this order of G_m, m the level of H, genus_report skips its coset
-# cross-check and reports the class-counting route alone (an exact identity,
-# not an estimate).
+# cross-check and reports the class-counting route alone (an exact identity).
 DIRECT_CHECK_CAP = 130_000
-
-
-def count_in_subgroup(h: Subgroup, ref: ConjClassRef) -> int:
-    """#(H n Conj(alpha)), intersecting the materialized sets."""
-    if ref.ctx != h.ctx:
-        raise PreconditionError("class reference bound to a different context")
-    return len(h.codes() & class_codes(ref, h.cap))  # set & iterates over the smaller set
 
 
 def legendre(a: int, p: int) -> int:
@@ -57,18 +41,48 @@ def legendre(a: int, p: int) -> int:
     if p == 2 or not p % 2:
         raise ValueError("Legendre symbol needs an odd prime, got %d" % p)
     t = pow(a % p, (p - 1) // 2, p)
-    if t == 0:
-        return 0
-    return 1 if t == 1 else -1
+    return -1 if t == p - 1 else t
+
+
+def class_labels(x: Mat, ctx: GroupCtx) -> List[Tuple[str, int]]:
+    """The named classes (kind, r) that hold x = (a b; c d), by its similarity
+    invariants (Nobs 1976) t = tr x, q = p^r = gcd(a - d, b, c, p^n) < p^n and
+    k = b/q, or -c/q when p | b/q.  sigma: t = 0 (k = 1 mod min(4, p^n) at p = 2);
+    tau: t = 1 (k = 1 mod 3 at p = 3); u^(p^r): t = 2, x = 1 mod q, det((x - 1)/q)
+    = 0 mod p^n/q and k a square (k = 1 mod min(8, p^n/q) at p = 2).  At (2, 1)
+    Conj(sigma) = Conj(u), so x may carry two labels."""
+    (a, b, c, d), p, m = x, ctx.p, ctx.modulus
+    t, q = (a + d) % m, gcd(a - d, b, c, m)
+    if t > 2 or q == m:
+        return []
+    k = b // q if b // q % p else -c // q
+    out = [("sigma", 0)] if t == 0 and (p > 2 or k % min(4, m) == 1) else []
+    if t == 1 and (p != 3 or k % 3 == 1):
+        out.append(("tau", 0))
+    if t == 2 % m and (a - 1) % q == 0 and (legendre(k, p) == 1 if p > 2 else k % min(8, m // q) == 1):
+        if ((a - 1) % m // q * ((d - 1) % m // q) - b // q * (c // q)) % (m // q) == 0:
+            out.append(("u_power", next(r for r in range(ctx.n) if p**r == q)))
+    return out
+
+
+@kept("class counts")
+def _class_counts(h: Subgroup) -> Counter:
+    """#(H n Conj(alpha)) keyed (kind, r): each element of H of trace 0, 1 or 2 labelled once."""
+    ctx, mats = h.ctx, map(decoder(h.ctx), h.codes())
+    return Counter(label for x in mats if (x[0] + x[3]) % ctx.modulus <= 2 for label in class_labels(x, ctx))
+
+
+def count_in_subgroup(h: Subgroup, ref: ConjClassRef) -> int:
+    """#(H n Conj(alpha)) from H's labels; a class above h.cap is refused as class_codes refuses it."""
+    if ref.ctx != h.ctx:
+        raise PreconditionError("class reference bound to a different context")
+    counts, size = _class_counts(h), conj_class_size_formula(ref)
+    if size > h.cap:
+        raise _above_cap("%r modulo %d holds %d" % ((ref.kind, ref.r), h.ctx.modulus, size), h.cap)
+    return counts[ref.kind, ref.r]
 
 
 # -------------------- the double cosets H g<u> --------------------
-
-
-def _carrier(x: int, y: int, ctx: GroupCtx) -> Mat:
-    """A g in G with g e1 = (x, y): (x, 0; y, x^-1) if x is a unit, else (x, -y^-1; y, 0)."""
-    m = ctx.modulus
-    return (x, 0, y, pow(x, -1, m)) if x % ctx.p else (x, -pow(y, -1, m) % m, y, 0)
 
 
 def _orbits(hmats: List[Mat], ctx: GroupCtx) -> Iterator[Tuple[Tuple[int, int], int]]:
@@ -84,44 +98,37 @@ def _orbits(hmats: List[Mat], ctx: GroupCtx) -> Iterator[Tuple[Tuple[int, int], 
                 yield (x, y), len(orbit)
 
 
-def _u_conjugates(ref: ConjClassRef) -> Dict[int, int]:
-    """The code of u^j a u^-j -> j for j < p^n, in the order of j, a = ref.representative();
-    the (1,1) entry d - jc tells the j apart for sigma and tau (c = -1)."""
-    ctx, enc, (a, b, c, d) = ref.ctx, encoder(ref.ctx), ref.representative()
-    return {enc(mat(a + j * c, b + j * (d - a) - j * j * c, c, d - j * c, ctx)): j for j in range(ctx.modulus)}
-
-
 def coset_space(h: Subgroup) -> Tuple[List[int], List[int]]:
-    """The right cosets of H in G on the double cosets H g<u>, the H-orbits O on
-    the primitive vectors g e1 (<u> fixes e1): H g<u> holds the l = p^n #O / #H
-    cosets H g u^j, j < l, and a fixes H g u^j when u^j a u^-j is in g^-1 H g,
-    tested on the l conjugates or on all of g^-1 H g, whichever is fewer.
-    Returns (l per double coset, [Fix_sigma, Fix_tau]); ConsistencyError unless
-    each g has g e1 = v, the orbits cover the primitive vectors, each l divides
-    p^n and is the index in <u> of the stabilizer of H g, and the l sum to [G:H]."""
+    """(l per double coset H g<u>, [Fix_sigma, Fix_tau]) on the H-orbits O of the
+    primitive vectors v = g e1 = (x, y): H g<u> holds l = p^n #O / #H right cosets,
+    and a fixes l N(v) / p^n of them, N(v) = #{h in H : tr h = tr a, det(v, hv) = -1}
+    (the u^j a u^-j are the x with x21 = -1 and trace tr a, and (g^-1 h g)21 =
+    det(v, hv)).  ConsistencyError unless the orbits cover the primitive vectors,
+    each l divides p^n and is the index in <u> of the stabilizer of H g, p^n
+    divides each l N(v), and the l sum to [G:H]."""
     ctx = h.ctx
     check_order(ctx, h.cap)
     p, m, enc = ctx.p, ctx.modulus, encoder(ctx)
     hm = h.reduced_codes(ctx.n)
-    refs = [ConjClassRef(ctx, kind) for kind in ("sigma", "tau")]
-    tables = [cached(ctx, ("u-conjugates", ref.kind), partial(_u_conjugates, ref), h.cap) for ref in refs]
+    hmats = list(map(decoder(ctx), hm))
+    # det(v, hv) = c x^2 + (d - a) x y - b y^2, for the h of trace tr sigma = 0 and tr tau = 1
+    forms = [[(c, d - a, -b) for a, b, c, d in hmats if (a + d - t) % m == 0] for t in (0, 1)]
     lengths, fixed, covered = [], [0, 0], 0
-    for v, size in _orbits(list(map(decoder(ctx), hm)), ctx):
+    for (x, y), size in _orbits(hmats, ctx):
         covered += size
         ell, rest = divmod(m * size, len(hm))
         if rest or not ell or m % ell:
             raise ConsistencyError("an orbit of %d vectors gives %d/%d right cosets" % (size, m * size, len(hm)))
-        g = _carrier(*v, ctx)
-        if (g[0], g[2]) != v:
-            raise ConsistencyError("the carrier of %r has g e1 = %r" % (v, (g[0], g[2])))
-        back = conjugator(ctx, mat_inv(g, ctx))  # x -> g x g^-1
-        if back(enc(mat(1, ell, 0, 1, ctx))) not in hm or ell > 1 and back(enc(mat(1, ell // p, 0, 1, ctx))) in hm:
-            raise ConsistencyError("the stabilizer of H g in <u> is not %dZ, g e1 = %r" % (ell, v))
-        if ell <= len(hm):
-            fixed = [f + sum(back(c) in hm for c in islice(t, ell)) for f, t in zip(fixed, tables)]
-        else:
-            inside = list(map(conjugator(ctx, g), hm))  # g^-1 H g
-            fixed = [f + sum(t.get(c, ell) < ell for c in inside) for f, t in zip(fixed, tables)]
+        # g u^j g^-1 = (1 - jxy, jx^2; -jy^2, 1 + jxy) is in H for j = l, not for j = l/p
+        stab = [enc(mat(1 - j * x * y, j * x * x, -j * y * y, 1 + j * x * y, ctx)) in hm for j in (ell, ell // p)]
+        if not stab[0] or ell > 1 and stab[1]:
+            raise ConsistencyError("the stabilizer of H g in <u> is not %dZ, g e1 = %r" % (ell, (x, y)))
+        for i, rows in enumerate(forms):
+            got = ell * sum((c * x * x + e * x * y + f * y * y) % m == m - 1 for c, e, f in rows)
+            if got % m:
+                kind = ("sigma", "tau")[i]
+                raise ConsistencyError("%s fixes %d/%d cosets of H g<u>, g e1 = %r" % (kind, got, m, (x, y)))
+            fixed[i] += got // m
         lengths.append(ell)
     if covered != m * m - (m // p) ** 2:
         raise ConsistencyError("the orbits covered %d of %d primitive vectors" % (covered, m * m - (m // p) ** 2))
@@ -136,9 +143,8 @@ def _class_ratio(h: Subgroup, ref: ConjClassRef) -> Fraction:
 
 
 def fix_points(h: Subgroup, ref: ConjClassRef) -> int:
-    """#{gH : a gH = gH} for a in the class ref names, through
-    #Fix_a / [G:H] = #(H n Conj(a)) / #Conj(a); the count depends on the class
-    alone.  genus_report checks it on the right cosets."""
+    """#{gH : a gH = gH} for a in the class ref names, through #Fix_a / [G:H] =
+    #(H n Conj(a)) / #Conj(a); genus_report checks it on the right cosets."""
     via_identity = h.ctx.order // h.order * _class_ratio(h, ref)
     if via_identity.denominator != 1:
         raise ConsistencyError("fixed-point identity gave a non-integer")
@@ -147,7 +153,6 @@ def fix_points(h: Subgroup, ref: ConjClassRef) -> int:
 
 def cusp_series(p: int, ratios: Sequence[Fraction]) -> Fraction:
     """1/p^t + sum_s (p-1)/p^(s+1) r_s over r_0..r_(t-1), with t = len(ratios).
-
     With r_s = #(H n Conj(u^(p^s))) / #Conj(u^(p^s)) and t = n this is the cusp
     ratio; with upper bounds for the r_s it bounds the cusp ratio from above."""
     out = Fraction(1, p ** len(ratios))
@@ -157,9 +162,8 @@ def cusp_series(p: int, ratios: Sequence[Fraction]) -> Fraction:
 
 
 def delta_from_ratios(r_sigma: Fraction, r_tau: Fraction, cusp: Fraction) -> Fraction:
-    """delta_H = 1 - 3 r_sigma - 4 r_tau - 6 cusp, from the class ratios
-    #(H n Conj) / #Conj of sigma and tau and the cusp ratio; upper bounds for
-    them give a lower bound for delta_H."""
+    """delta_H = 1 - 3 r_sigma - 4 r_tau - 6 cusp, from the class ratios #(H n Conj) / #Conj
+    of sigma and tau and the cusp ratio; upper bounds for them give a lower bound for delta_H."""
     return 1 - 3 * r_sigma - 4 * r_tau - 6 * cusp
 
 
@@ -200,12 +204,10 @@ class GenusReport:
 @kept("genus_report")
 def genus_report(h: Subgroup) -> GenusReport:
     """Every count of H by class counting; below level n, H_m's report with
-    count_sigma and count_tau times #Conj_n / #Conj_m (reduction is onto and
-    G-equivariant, so Conj_n fibres evenly over Conj_m, and the rest is equal).
-    When G_m holds at most DIRECT_CHECK_CAP elements, Fix_sigma, Fix_tau and
-    the <u>-orbits are counted again on the right cosets H_m g (coset_space,
-    walked once), and any difference raises ConsistencyError.  The report is
-    kept in h's memo, so each subgroup is reported once."""
+    count_sigma and count_tau times #Conj_n / #Conj_m (Conj_n fibres evenly over
+    Conj_m).  When #G_m <= DIRECT_CHECK_CAP, Fix_sigma, Fix_tau and the
+    <u>-orbits are counted again by coset_space; a difference raises
+    ConsistencyError.  Kept in h's memo, so each subgroup is reported once."""
     ctx, m = h.ctx, level(h)
     refs = ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")
     if m < ctx.n:
@@ -214,8 +216,7 @@ def genus_report(h: Subgroup) -> GenusReport:
         lift = [conj_class_size_formula(ref) // conj_class_size_formula(ConjClassRef(sub, ref.kind)) for ref in refs]
         return replace(low, count_sigma=low.count_sigma * lift[0], count_tau=low.count_tau * lift[1])
     fixed = [fix_points(h, ref) for ref in refs]
-    cusp = cusp_orbit_ratio(h)
-    index = ctx.order // h.order
+    cusp, index = cusp_orbit_ratio(h), ctx.order // h.order
     if ctx.order <= DIRECT_CHECK_CAP:
         lengths, direct_fixed = coset_space(h)
         for direct, via_identity in zip(direct_fixed, fixed):
@@ -224,7 +225,7 @@ def genus_report(h: Subgroup) -> GenusReport:
         direct = Fraction(len(lengths), index)  # the <u>-orbits on H\G are the double cosets H g<u>
         if direct != cusp:
             raise ConsistencyError("cusp ratio mismatch: direct %s vs formula %s" % (direct, cusp))
-    # #(H n Conj) = Fix #Conj / [G:H], exact: fix_points intersected H with each class once
+    # #(H n Conj) = Fix #Conj / [G:H], exact: fix_points read H's count of each class once
     counts = [f * conj_class_size_formula(ref) // index for f, ref in zip(fixed, refs)]
     d = delta_from_ratios(*(Fraction(f, index) for f in fixed), cusp)
     g = 1 + Fraction(index, 12) * d if minus_one(ctx) in h else None

@@ -123,9 +123,13 @@ def _above_cap(held: str, cap: int) -> FeasibilityError:
 
 
 def _closure_codes(gens: Iterable[Mat], ctx: GroupCtx, cap: int) -> FrozenSet:
+    """<gens> as codes; ConsistencyError unless the closed set holds every generator."""
     enc = encoder(ctx)
     by_code = {enc(g): g for g in gens}
-    return extend_closure((enc(identity(ctx)),), (), by_code, lambda c: right_mul(ctx, by_code[c]), cap)
+    codes = extend_closure((enc(identity(ctx)),), (), by_code, lambda c: right_mul(ctx, by_code[c]), cap)
+    if not by_code.keys() <= codes:
+        raise ConsistencyError("the closure of %d generators modulo %d misses one" % (len(by_code), ctx.modulus))
+    return codes
 
 
 def enumerate_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSet:

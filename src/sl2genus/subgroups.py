@@ -59,7 +59,7 @@ class Subgroup:
     ContextMismatchError, and one of det != 1 raises PreconditionError.
     _reduced is the memo of what derives from H alone: H mod p^s under the
     key s, #H under "order", and each value that kept(key) keeps (the
-    filtration, the level, genus.genus_report)."""
+    filtration, the level, and genus's class counts and genus_report)."""
 
     ctx: GroupCtx
     gens: Tuple[Mat, ...]

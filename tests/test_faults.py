@@ -2,9 +2,12 @@
 asserts that a fast library check raises on it, so a fault that no check
 kills shows up as a failing test.  Standard library and pytest only."""
 
+import inspect
 import random
 import re
 import sys
+import textwrap
+from collections import Counter
 from fractions import Fraction
 from itertools import islice
 
@@ -21,12 +24,19 @@ from sl2genus.core import (
     mat,
     minus_one,
     sigma,
-    tau,
     upper_u,
 )
 from sl2genus.genus import delta, genus, genus_report
 from sl2genus.groups import ConjClassRef, class_codes, enumerate_group
-from sl2genus.subgroups import Subgroup, adjoin_minus_one, borel, closure, level, sample_slim_subgroups
+from sl2genus.subgroups import (
+    Subgroup,
+    adjoin_minus_one,
+    borel,
+    closure,
+    level,
+    sample_slim_subgroups,
+    sample_subgroups,
+)
 
 
 def test_an_extra_sigma_fixed_point_fails_the_coset_check(monkeypatch):
@@ -61,28 +71,21 @@ def test_a_walk_that_overstates_the_kernel_fails_the_closure_check(monkeypatch):
         h.codes()
 
 
-def test_a_swapped_member_of_the_stored_tau_class_fails_the_fixed_point_checks(monkeypatch):
+def test_a_swapped_member_of_the_stored_tau_class_moves_no_genus_report(monkeypatch):
     # one member of the stored Conj(tau) at 13 (182 elements) is swapped for
     # t(u), which is no conjugate of tau (trace 2) and lies outside the Borel
     # subgroup B; the orbit keeps its size, so class_codes' size check passes.
-    # A swap changes a report only through #(H n Conj(tau)), and a changed count
-    # moves Fix_tau = [G:H] #(H n Conj(tau)) / #Conj(tau): fix_points' integer
-    # check or the coset check of genus_report raises.  A subgroup keeps its
-    # report, so each report is made on a fresh H.
+    # A report counts H's labels and reads no orbit, so whether the member
+    # swapped out lies in <B, -1> or not, every report equals the true one.
     h = adjoin_minus_one(borel(13))
     ctx, ref = h.ctx, ConjClassRef(h.ctx, "tau")
     true_report = genus_report(h)
     stored = class_codes(ref)
     stranger = encoder(ctx)(lower_u(ctx))
-    outside = next(c for c in stored if c not in h.codes())
-    inside = next(c for c in stored if c in h.codes())
-    monkeypatch.setitem(ctx.memo, ("tau", 0), stored - {outside} | {stranger})
-    assert genus_report(adjoin_minus_one(borel(13))) == true_report  # no count of H moved
-    monkeypatch.setitem(ctx.memo, ("tau", 0), stored - {inside} | {stranger})
-    assert len(class_codes(ref)) == len(stored)
-    with pytest.raises(ConsistencyError, match="fixed-point"):
-        genus_report(adjoin_minus_one(borel(13)))
-    assert genus_report(h) is true_report  # the kept report is the one made before the swap
+    for swapped in (next(c for c in stored if c not in h.codes()), next(c for c in stored if c in h.codes())):
+        monkeypatch.setitem(ctx.memo, ("tau", 0), stored - {swapped} | {stranger})
+        assert len(class_codes(ref)) == len(stored)
+        assert genus_report(adjoin_minus_one(borel(13))) == true_report
 
 
 def test_a_walk_that_understates_h_with_minus_one_fails_the_genus_precondition(monkeypatch):
@@ -151,51 +154,124 @@ def test_a_double_coset_off_by_p_fails_the_stabilizer_or_the_integer_check(monke
         genus_report(h)
 
 
-def test_a_carrier_off_its_vector_fails_the_carrier_check(monkeypatch):
-    # the walk's g has g e1 = (x, -y), not v = (x, y).  coset_space compares
-    # g e1 with v on every orbit, so the first orbit with y != 0 raises: on
-    # <tau> at 7, where the fixed cosets would also differ, and on <u> at 7,
-    # where the double coset picked has the same l and no fixed coset either,
-    # so no other check of coset_space or genus_report sees the fault.
-    genus_mod = sys.modules["sl2genus.genus"]
-    true_carrier = genus_mod._carrier
-    ctx = make_ctx(7, 1)
-    monkeypatch.setattr(genus_mod, "_carrier", lambda x, y, ctx: true_carrier(x, -y % ctx.modulus, ctx))
-    with pytest.raises(ConsistencyError, match=re.escape("the carrier of (1, 1) has g e1 = (1, 6)")):
-        genus_report(closure([tau(ctx)], ctx))
-    with pytest.raises(ConsistencyError, match=re.escape("the carrier of (0, 1) has g e1 = (0, 6)")):
-        genus_report(closure([upper_u(ctx)], ctx))
+def _report_cases():
+    """(ctx, codes) for 112 report cases: 6 seeded samples and <sigma> at each of
+    (2,2), (2,3), (3,1), (3,2), (5,1), (5,2), (7,1) and (13,1), and <H, -1> for
+    each (H itself when -1 is in H)."""
+    out = []
+    for p, n in ((2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (13, 1)):
+        ctx = make_ctx(p, n)
+        hs = sample_subgroups(ctx, 6, random.Random((p, n, "faults").__repr__())) + [closure([sigma(ctx)], ctx)]
+        out += [(ctx, h.codes()) for h in hs] + [(ctx, adjoin_minus_one(h).codes()) for h in hs]
+    return out
+
+
+def _reports(cases):
+    """genus_report of a fresh subgroup per case (a subgroup keeps its report
+    and its labels), or the text of the ConsistencyError it raised."""
+    out = []
+    for ctx, codes in cases:
+        try:
+            out.append(genus_report(Subgroup.from_codes(ctx, codes)))
+        except ConsistencyError as e:
+            out.append(str(e))
+    return out
+
+
+def _mutate(monkeypatch, module, name, old, new):
+    """module.name rebuilt from its source with the one occurrence of old written as new."""
+    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+    assert source.count(old) == 1, old
+    scope = dict(vars(module))
+    exec(compile(source.replace(old, new), module.__file__, "exec"), scope)
+    monkeypatch.setattr(module, name, scope[name])
+
+
+def _kills(monkeypatch, name, old, new):
+    """Counter of the checks that raise on the 112 report cases with genus.name
+    mutated, or None when every report equals the true one."""
+    cases = _report_cases()
+    true = _reports(cases)
+    assert not any(isinstance(r, str) for r in true)
+    _mutate(monkeypatch, sys.modules["sl2genus.genus"], name, old, new)
+    got = _reports(cases)
+    assert all(g == t for g, t in zip(got, true) if not isinstance(g, str))  # a fault that moves a report is seen
+    kills = Counter(g.split(":")[0] for g in got if isinstance(g, str))
+    return kills or None
+
+
+def test_a_coset_filter_off_by_one_in_the_trace_fails_the_fixed_point_check(monkeypatch):
+    # coset_space counts N(v) over the h of trace tr a + 1, not tr a: the
+    # fixed counts move and genus_report's comparison with the class route
+    # raises.  Its twin, det(v, hv) read at +1 instead of -1, is an equivalent
+    # mutant and survives on all 112: h -> h^-1 keeps tr h and negates
+    # det(v, hv), so it maps the h counted one way onto those counted the other.
+    kills = _kills(monkeypatch, "coset_space", "(a + d - t) % m", "(a + d - t - 1) % m")
+    assert kills == {"fixed-point count mismatch": 74}
+
+
+def test_fixed_counts_without_the_double_coset_length_fail_the_integrality_check(monkeypatch):
+    # coset_space adds N(v) / p^n for a double coset, not l N(v) / p^n: p^n
+    # rarely divides N(v), and the check that it divides l N(v) raises first
+    kills = _kills(monkeypatch, "coset_space", "got = ell * sum(", "got = sum(")
+    pattern = r"(sigma|tau) fixes \d+/\d+ cosets of H g<u>, g e1 = .*"
+    integral = sum(k for text, k in kills.items() if re.fullmatch(pattern, text))
+    assert (integral, kills["fixed-point count mismatch"]) == (59, 2)
+
+
+def test_sigma_labelled_at_trace_one_fails_the_fixed_point_checks(monkeypatch):
+    # class_labels files the elements of trace 1, not 0, under sigma: Fix_sigma
+    # read through the identity is no integer, or differs from the coset count
+    kills = _kills(monkeypatch, "class_labels", "if t == 0 and (p > 2", "if t == 1 and (p > 2")
+    assert kills == {"fixed-point identity gave a non-integer": 46, "fixed-point count mismatch": 29}
+
+
+def test_a_u_power_label_one_level_deep_fails_the_cusp_check(monkeypatch):
+    # class_labels files Conj(u^(p^r)) under r + 1: the cusp series reads each
+    # count one term late (or not at all at r = n - 1), and the <u>-orbits on
+    # the cosets differ
+    kills = _kills(monkeypatch, "class_labels", "next(r for r", "next(r + 1 for r")
+    assert kills == {"cusp ratio mismatch": 48}
+
+
+def test_a_flipped_square_class_fails_the_label_oracle_and_no_genus_check(monkeypatch, label_mismatches):
+    # the u^(p^r) rule (and tau's at p = 3) accepts the non-square k at odd p:
+    # it counts Conj(u^(j p^r)), j a non-residue, in place of Conj(u^(p^r)).
+    # x -> x^j, j a non-residue mod p prime to p^2 - 1, maps H onto itself and
+    # one class onto the other, so no count of any H moves and every genus
+    # report holds: only the label oracle on all of G sees the fault.
+    assert _kills(monkeypatch, "class_labels", "legendre(k, p) == 1", "legendre(k, p) == -1") is None
+    assert label_mismatches(make_ctx(5, 2)) == 2 * 300 + 2 * 12  # Conj(u) and its twin, Conj(u^5) and its twin
+    assert label_mismatches(make_ctx(2, 3)) == 0  # the rule at p = 2 reads no Legendre symbol
 
 
 def test_a_closure_that_skips_its_last_generator_fails_the_order_checks(monkeypatch):
     # extend_closure drops the last of its new generators, in groups and in
-    # subgroups, which imports it.  The closure of <u, t(u)> on a fresh context
-    # misses elements of G; the Borel subgroup misses its order p(p-1); and a
-    # level-2 H at 25 closes to <u> while the Schreier walk, which shares no
-    # code with the closure, reads #H = 500.  A closure by gens at n = 1 has no
-    # second route: the report of the smaller group passes every check.
+    # subgroups, which imports it.  Every closure by generators checks that it
+    # holds each of them (one lookup per generator), so the check fires before
+    # any order check: on the closure of <u, t(u)> on a fresh context, on the
+    # Borel subgroup, on a level-2 H at 25 (whose Schreier walk, which shares no
+    # code with the closure, still reads #H = 500), and on <u, diag(3, 5)> at 7,
+    # a closure at n = 1 that has no second route.
     groups_mod = sys.modules["sl2genus.groups"]
     true_extend = groups_mod.extend_closure
-    ctx = make_ctx(7, 1)
-    borel_gens = [upper_u(ctx), mat(3, 0, 0, 5, ctx)]
-    true_report = genus_report(closure(borel_gens, ctx))
+    ctx, c25 = make_ctx(7, 1), make_ctx(5, 2)
 
     def skip_last(known, gens, new, right, cap):
         return true_extend(known, gens, list(new)[:-1], right, cap)
 
     for mod in (groups_mod, sys.modules["sl2genus.subgroups"]):
         monkeypatch.setattr(mod, "extend_closure", skip_last)
-    with pytest.raises(ConsistencyError, match=re.escape("closure of <u, t(u)> missed elements")):
+    with pytest.raises(ConsistencyError, match="the closure of 2 generators modulo 5 misses one"):
         enumerate_group(GroupCtx(5, 1))
-    with pytest.raises(ConsistencyError, match="Borel order 7 != 42"):
+    with pytest.raises(ConsistencyError, match="the closure of 2 generators modulo 7 misses one"):
         borel(7)
-    c25 = make_ctx(5, 2)
     h = Subgroup(c25, (upper_u(c25), mat(2, 0, 0, 13, c25)))
     assert h.order == 500
-    with pytest.raises(ConsistencyError, match="closure of 25 elements, Schreier walk 500"):
+    with pytest.raises(ConsistencyError, match="the closure of 2 generators modulo 25 misses one"):
         h.codes()
-    h = closure(borel_gens, ctx)
-    assert h.order == 7 and genus_report(h) != true_report
+    with pytest.raises(ConsistencyError, match="the closure of 2 generators modulo 7 misses one"):
+        closure([upper_u(ctx), mat(3, 0, 0, 5, ctx)], ctx)
 
 
 def test_a_cusp_series_off_by_one_fails_the_coset_check_and_the_section7_audit(monkeypatch):

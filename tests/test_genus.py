@@ -5,6 +5,8 @@ import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sl2genus.core import (
     FeasibilityError,
@@ -12,9 +14,11 @@ from sl2genus.core import (
     _mul,
     decoder,
     encoder,
+    identity,
     lower_u,
     make_ctx,
     mat_mul,
+    mat_pow,
     minus_one,
     reduce_mat,
     right_mul,
@@ -25,8 +29,8 @@ from sl2genus.core import (
 )
 from sl2genus.genus import (
     DIRECT_CHECK_CAP,
-    _carrier,
     _orbits,
+    class_labels,
     closed_form_genus,
     coset_space,
     cusp_orbit_ratio,
@@ -114,6 +118,63 @@ def test_count_in_subgroup_examples():
     assert count_in_subgroup(nonsplit_cartan_normalizer(7), ConjClassRef(c7, "tau")) == 0
     with pytest.raises(PreconditionError):
         count_in_subgroup(borel(13), ConjClassRef(c7, "tau"))
+
+
+@pytest.mark.parametrize(
+    "p, n",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1), (13, 1)],
+)
+def test_class_labels_match_the_class_orbits_on_all_of_g(label_mismatches, p, n):
+    # every element of G carries the labels of the named orbits that hold it
+    # and no other (two at (2, 1), where Conj(sigma) = Conj(u))
+    assert label_mismatches(make_ctx(p, n)) == 0
+
+
+def _word(ctx, exps):
+    """u^e0 t(u)^e1 u^e2 ..., an element of SL2 = <u, t(u)>."""
+    x = identity(ctx)
+    for i, e in enumerate(exps):
+        x = mat_mul(x, mat_pow(lower_u(ctx) if i % 2 else upper_u(ctx), e, ctx), ctx)
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(5, 3), (11, 2), (3, 4), (2, 6)]),
+    st.integers(0, 8),
+    st.integers(1, 200),
+    st.lists(st.integers(0, 4095), min_size=1, max_size=6),
+    st.lists(st.integers(0, 4095), min_size=1, max_size=6),
+)
+def test_class_labels_are_conjugation_invariant(pn, which, e, xs, gs):
+    # x is a power of a class representative (the other square classes among
+    # them) or a word in u and t(u); g^-1 x g carries the labels of x, and each
+    # representative carries its own
+    ctx = make_ctx(*pn)
+    refs = [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")] + [u_power_ref(ctx, r) for r in range(ctx.n)]
+    for ref in refs:
+        assert (ref.kind, ref.r) in class_labels(ref.representative(), ctx)
+    x = mat_pow(refs[which].representative(), e, ctx) if which < len(refs) else _word(ctx, xs)
+    g = _word(ctx, gs)
+    assert class_labels(mat_mul(mat_pow(g, -1, ctx), mat_mul(x, g, ctx), ctx), ctx) == class_labels(x, ctx)
+
+
+def test_a_report_builds_no_class_orbit(monkeypatch):
+    # <u> and <u, -1> at (7,2) have level 2; their reports read H's labels, so
+    # any class orbit walk fails the test, and the stored orbits are taken out
+    # of the memo while they run
+    def fail(*args):
+        raise AssertionError("genus_report walked a class orbit")
+
+    monkeypatch.setattr(sys.modules["sl2genus.groups"], "conj_class_brute", fail)
+    ctx = make_ctx(7, 2)
+    for key in [key for key in ctx.memo if key in {("sigma", 0), ("tau", 0), ("u_power", 0), ("u_power", 1)}]:
+        monkeypatch.delitem(ctx.memo, key)
+    h = closure([upper_u(ctx)], ctx)
+    reports = [genus_report(h), genus_report(adjoin_minus_one(h))]
+    # 21 of the u^j are in Conj(u) (j a square unit), 3 in Conj(u^7): 1/49 + (6/7) 21/1176 + (6/49) 3/24
+    want = [(2352, Fraction(5, 98), None), (1176, Fraction(5, 98), 69)]
+    assert [(r.index, r.cusp_ratio, r.genus) for r in reports] == want
 
 
 def test_fix_points_examples():
@@ -448,16 +509,13 @@ def test_the_walk_splits_g_m_into_right_cosets_of_h_m(p, n):
         assert fixed == _brute_fixed(reps, coset_of, sub)
 
 
-def test_the_walk_checks_the_cap_before_it_builds_anything(monkeypatch):
+def test_the_walk_checks_the_cap_before_it_builds_anything():
     ctx = make_ctx(5, 2)  # <u> has level 2, and G_2 = SL2(Z/25Z) holds 15,000 elements
-    keys = [("u-conjugates", kind) for kind in ("sigma", "tau")]
-    for key in keys:
-        monkeypatch.delitem(ctx.memo, key, raising=False)
+    before = list(ctx.memo)
     with pytest.raises(FeasibilityError, match="--max-elements"):
         coset_space(Subgroup(ctx, (upper_u(ctx),), cap=14_999))
-    assert not any(key in ctx.memo for key in keys)
     lengths, fixed = coset_space(Subgroup(ctx, (upper_u(ctx),), cap=15_000))
-    assert all(len(ctx.memo[key]) == 25 for key in keys)
+    assert list(ctx.memo) == before  # the walk stores nothing in the context
     # u moves (x, y) to (x + y, y): 20 orbits of 25 vectors (y a unit), 16 of 5
     # (y = 5k, k a unit mod 5) and 20 of one (y = 0); l = 25 #O / #<u> = #O
     assert sorted(lengths) == [1] * 20 + [5] * 16 + [25] * 20 and sum(lengths) == 600
@@ -468,11 +526,9 @@ def test_the_walk_checks_the_cap_before_it_builds_anything(monkeypatch):
 def test_the_double_coset_walk_matches_the_brute_right_cosets(p, n):
     # seeded subgroups, <H, -1> and <sigma>, each against the test's own right
     # cosets of G: as many double cosets as <u>-cycles, with the cycles'
-    # lengths, the l summing to the index, and equal fixed counts; across them
-    # the walk takes both sides of its min rule (l <= #H and l > #H)
+    # lengths, the l summing to the index, and equal fixed counts
     ctx = make_ctx(p, n)
     hs = sample_subgroups(ctx, 6, random.Random((p, n, "double-cosets").__repr__())) + [closure([sigma(ctx)], ctx)]
-    sides = set()
     for h in hs + [adjoin_minus_one(h) for h in hs]:
         reps, coset_of = _brute_right_cosets(h)
         lengths, fixed = coset_space(h)
@@ -480,12 +536,6 @@ def test_the_double_coset_walk_matches_the_brute_right_cosets(p, n):
         assert len(lengths) == len(cycles) and sorted(lengths) == cycles
         assert sum(lengths) == len(reps) == ctx.order // h.order
         assert fixed == _brute_fixed(reps, coset_of, ctx)
-        sides.update(ell <= h.order for ell in lengths)
-    assert sides == {True, False}
-    m = ctx.modulus
-    for x, y in ((x, y) for x in range(m) for y in range(m) if x % p or y % p):
-        g = _carrier(x, y, ctx)
-        assert (g[0], g[2]) == (x, y) and (g[0] * g[3] - g[1] * g[2]) % m == 1
 
 
 @pytest.mark.parametrize("p, n", [(11, 2), (13, 2), (5, 3)])

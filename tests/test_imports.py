@@ -449,10 +449,11 @@ def test_the_check_sees_a_read_of_codes():
 
 
 # genus_report reads H at its level: below level n it reports H_m, so H's code
-# set at level n is read by count_in_subgroup alone (on the level-n route), and
-# no other reader can quietly close H at level n inside a report.
-def test_only_count_in_subgroup_reads_codes_in_genus():
-    assert {fn for fn, _ in _referrers((SRC / "genus.py").read_text(), "codes")} == {"count_in_subgroup"}
+# set at level n is read by the label counter alone (once per H, on the
+# level-n route), and no other reader can quietly close H at level n inside a
+# report.
+def test_only_the_label_counter_reads_codes_in_genus():
+    assert {fn for fn, _ in _referrers((SRC / "genus.py").read_text(), "codes")} == {"_class_counts"}
 
 
 SPANS = SRC.parent.parent / "perfbench" / "spans.py"
