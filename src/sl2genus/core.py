@@ -335,16 +335,6 @@ def _mul(x: Mat, y: Mat, m: int) -> Mat:
     return ((a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m)
 
 
-def mat_mul(x: Mat, y: Mat, ctx: GroupCtx) -> Mat:
-    _check_reduced(x, ctx)
-    _check_reduced(y, ctx)
-    return _mul(x, y, ctx.modulus)
-
-
-def det(x: Mat, ctx: GroupCtx) -> int:
-    return (x[0] * x[3] - x[1] * x[2]) % ctx.modulus
-
-
 def _inv(x: Mat, m: int) -> Mat:
     a, b, c, d = x
     dt = (a * d - b * c) % m
@@ -371,16 +361,6 @@ def mat_pow(x: Mat, k: int, ctx: GroupCtx) -> Mat:
 
 def reduce_mat(x: Mat, modulus: int) -> Mat:
     return (x[0] % modulus, x[1] % modulus, x[2] % modulus, x[3] % modulus)
-
-
-def reduce_mod(x: Mat, src: GroupCtx, dst: GroupCtx) -> Mat:
-    """The mod p^m map f_{n,m}; a surjective group homomorphism on SL2."""
-    if src.p != dst.p:
-        raise ReductionError("cannot reduce between p=%d and p=%d" % (src.p, dst.p))
-    if dst.n > src.n:
-        raise ReductionError("cannot reduce from level %d up to level %d" % (src.n, dst.n))
-    _check_reduced(x, src)
-    return reduce_mat(x, dst.modulus)
 
 
 def element_order(x: Mat, ctx: GroupCtx) -> int:

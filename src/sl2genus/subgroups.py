@@ -27,7 +27,6 @@ from .core import (
     ReductionError,
     _check_reduced,
     _mul,
-    conjugator,
     decoder,
     element_order,
     encoder,
@@ -137,11 +136,6 @@ class Subgroup:
                 got = frozenset(map(reducer(self.ctx, level), self.codes()))
             self._reduced[level] = got
         return got
-
-    def conjugate(self, g: Mat) -> "Subgroup":
-        """g^-1 H g, for any g of unit determinant."""
-        codes = frozenset(map(conjugator(self.ctx, g), self.codes()))
-        return Subgroup.from_codes(self.ctx, codes, cap=self.cap)
 
 
 def kept(key: str) -> Callable:
@@ -771,90 +765,3 @@ def sample_slim_subgroups(
             seen.add(codes)
             out.append(h)
     return out
-
-
-# -------------------- finite shadows of the surjectivity criteria --------------------
-
-
-def section2_property_check(lemma_id: str, trials: int = 40, seed: int = 0) -> bool:
-    """Finite checks of the surjectivity criteria.
-
-    L2_1: subgroups of SL2(Z/p^nZ) (n >= 3) surjecting mod p^2 are everything;
-    for p >= 5 already surjecting mod p suffices.  A1 in SL2(Z/4Z) is the
-    recorded p=2 counterexample the criterion excludes.
-
-    L2_5: subgroups of GL2(Z/p^2Z) with full determinant image have
-    det(H n (1 + p M2)) = 1 + pZ/p^2Z (p >= 3).
-    """
-    rng = random.Random(seed)
-    if lemma_id == "L2_1":
-        for p, n in ((3, 3), (5, 2)):
-            ctx = make_ctx(p, n)
-            crit = 2 if p < 5 else 1
-            crit_codes = enumerate_group(make_ctx(p, crit)).codes
-            full_order = ctx.order
-            hit = 0
-            for h in _l21_samples(ctx, crit, trials, rng):
-                if h.reduced_codes(crit) == crit_codes:
-                    hit += 1
-                    if h.order != full_order:
-                        return False
-            if hit == 0:  # the biased sampler must exercise the hypothesis
-                raise ConsistencyError("L2_1 sampler produced no surjective subgroup")
-        # p=2 exception: A1 surjects mod 2 yet is proper
-        a1 = a1_subgroup()
-        sl2_mod2 = enumerate_group(make_ctx(2, 1)).codes
-        if a1.reduced_codes(1) != sl2_mod2 or a1.order == 48:
-            return False
-        return True
-    if lemma_id == "L2_5":
-        for p in (3, 5):
-            if not _l25_check(p, max(6, trials // 4), rng):
-                return False
-        return True
-    raise ValueError("unknown check id %r (expected L2_1 or L2_5)" % lemma_id)
-
-
-def _l21_samples(ctx: GroupCtx, crit: int, trials: int, rng: random.Random) -> Iterator[Subgroup]:
-    # Half biased (gens lift a generating set of the mod-p^crit image, so the
-    # hypothesis holds), half unbiased.
-    crit_ctx = make_ctx(ctx.p, crit)
-    for i in range(trials):
-        if i % 2 == 0:
-            gens = [
-                _mul(_lift_to(upper_u(crit_ctx), ctx), _random_kernel_element(ctx, crit, rng), ctx.modulus),
-                _mul(_lift_to(lower_u(crit_ctx), ctx), _random_kernel_element(ctx, crit, rng), ctx.modulus),
-            ]
-            yield closure(gens, ctx)
-        else:
-            got = sample_subgroups(ctx, 1, rng)
-            if got:
-                yield got[0]
-
-
-def _l25_check(p: int, trials: int, rng: random.Random) -> bool:
-    ctx = make_ctx(p, 2)
-    m = ctx.modulus
-    g = primitive_root(p, 2)
-    units = {(1 + p * t) % m for t in range(p)}
-    one = identity(ctx)
-    sl2_pool = sorted(enumerate_group(make_ctx(p, 1)).codes)
-    dec1 = decoder(make_ctx(p, 1))
-    dec = decoder(ctx)
-    for _ in range(trials):
-        gens: List[Mat] = [mat(g, 0, 0, 1, ctx)]
-        for _ in range(rng.choice((0, 1, 1))):
-            gens.append(_lift_to(dec1(sl2_pool[rng.randrange(len(sl2_pool))]), ctx))
-        # H lies in GL2, not SL2: close its codes directly, no Subgroup
-        h = [dec(c) for c in _closure_codes(gens, ctx, DEFAULT_MAX_ELEMENTS)]
-        dets = {(x[0] * x[3] - x[1] * x[2]) % m for x in h}
-        if len(dets) != (p - 1) * p:  # determinant image not full: hypothesis fails
-            continue
-        small = {
-            (x[0] * x[3] - x[1] * x[2]) % m
-            for x in h
-            if reduce_mat(x, p) == reduce_mat(one, p)
-        }
-        if not units <= small:
-            return False
-    return True

@@ -3,24 +3,37 @@
 Each suite replays one family of counting facts by brute force at desk scale
 and returns (ok, detail).  The golden tables (the ten conjugacy classes of
 SL2(Z/4Z), the twelve elements of A1, the recovery sets) are spelled out
-literally and compared against computed sets element for element.
+literally and compared against computed sets element for element.  The
+bodies of two suites live here too: the finite shadows of the section-2
+surjectivity criteria and the desk-scale runner of the delta_H > 0 case list.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
+    DEFAULT_MAX_ELEMENTS,
+    ConsistencyError,
     GroupCtx,
+    Mat,
+    PreconditionError,
+    _mul,
     decoder,
     encoder,
+    identity,
     lower_u,
     make_ctx,
     mat,
     minus_one,
+    num_to_json,
     parse_mat,
+    primitive_root,
+    reduce_mat,
     right_mul,
     sigma,
     tau,
@@ -28,6 +41,7 @@ from .core import (
 )
 from .groups import (
     ConjClassRef,
+    _closure_codes,
     centralizer_brute,
     centralizer_order_formula,
     class_codes,
@@ -39,16 +53,20 @@ from .groups import (
 )
 from .subgroups import (
     Subgroup,
+    _lift_to,
+    _random_kernel_element,
     a1_subgroup,
     all_subgroups,
     borel,
+    closure,
     exceptional_availability,
     exceptional_subgroup,
     is_slim,
     nonsplit_cartan_normalizer,
     sample_slim_subgroups,
-    section2_property_check,
+    sample_subgroups,
     split_cartan_normalizer,
+    standard_subgroup,
 )
 from .fibers import (
     FiberDescriptor,
@@ -59,16 +77,15 @@ from .fibers import (
     reduction_fiber_sizes,
     verify_orthogonality,
 )
-from .genus import count_in_subgroup
+from .genus import count_in_subgroup, delta
 from .bounds import (
     CaseReport,
-    DeskResult,
     _bcde,
     _e_bounds,
+    _timed,
     bound_reports,
     fiber_count_bound_check,
     section7_all,
-    verify_main_theorem_desk,
 )
 
 # ---- golden tables ----
@@ -396,24 +413,30 @@ def suite_lemma5_8_16(seed: int = 0) -> Tuple[bool, str]:
     return True, "recovery sets (%d) and counts (%d)" % (len(_RECOVERY_GRID), len(_RECOVERY_COUNT_GRID))
 
 
-def _sample_grid(seed: int, per_ctx: int) -> List[Tuple[GroupCtx, List[Subgroup]]]:
-    out = []
-    for p, n in ((3, 2), (5, 2), (3, 3), (2, 4)):
-        ctx = make_ctx(p, n)
-        rng = random.Random((seed, p, n).__repr__())
-        out.append((ctx, sample_slim_subgroups(ctx, per_ctx, rng)))
-    return out
+def _slim_sample(key: tuple, ctx: GroupCtx, count: int, mod_p_target: Optional[Subgroup] = None) -> List[Subgroup]:
+    """sample_slim_subgroups seeded by repr(key): each sampled set, and every
+    digest of it, is fixed by its key."""
+    return sample_slim_subgroups(ctx, count, random.Random(key.__repr__()), mod_p_target)
+
+
+def _first_violation(subs: Iterable[Subgroup]) -> Tuple[int, Optional[Tuple[Subgroup, tuple]]]:
+    """(bound reports read, None), or at the first failing report (reports
+    read, (H, its first failing check))."""
+    checked = 0
+    for h in subs:
+        for rep in bound_reports(h):
+            checked += 1
+            if not rep.ok:
+                return checked, (h, next(c for c in rep.checks if not c[1]))
+    return checked, None
 
 
 def suite_lemma6_1(seed: int = 0) -> Tuple[bool, str]:
-    total = 0
-    for ctx, subs in _sample_grid(seed, 25):
-        for h in subs:
-            for rep in bound_reports(h):
-                total += 1
-                if not rep.ok:
-                    bad = [c for c in rep.checks if not c[1]]
-                    return False, "violation %r at (%d,%d), #H=%d" % (bad[0], ctx.p, ctx.n, h.order)
+    grid = ((3, 2), (5, 2), (3, 3), (2, 4))
+    total, bad = _first_violation([h for p, n in grid for h in _slim_sample((seed, p, n), make_ctx(p, n), 25)])
+    if bad is not None:
+        h, check = bad
+        return False, "violation %r at (%d,%d), #H=%d" % (check, h.ctx.p, h.ctx.n, h.order)
     return True, "filtration and closed-form bounds on %d sampled (H, class) pairs" % total
 
 
@@ -431,8 +454,7 @@ def suite_cor6_5(seed: int = 0) -> Tuple[bool, str]:
                 return False, "fiber-count bound fails at modulus 9, #H=%d" % h.order
             checked += 1
     ctx27 = make_ctx(3, 3)
-    rng = random.Random((seed, "cor65").__repr__())
-    for h in sample_slim_subgroups(ctx27, 40, rng):
+    for h in _slim_sample((seed, "cor65"), ctx27, 40):
         for ref in (ConjClassRef(ctx27, "sigma"), ConjClassRef(ctx27, "tau"), u_power_ref(ctx27, 0)):
             for d in (0, 1):
                 if not fiber_count_bound_check(h, ref, 1, d):
@@ -441,10 +463,84 @@ def suite_cor6_5(seed: int = 0) -> Tuple[bool, str]:
     return True, "%d fiber-count checks" % checked
 
 
+# ---- finite shadows of the section-2 surjectivity criteria ----
+
+
+def section2_l2_1(trials: int, seed: int) -> bool:
+    """L2_1: subgroups of SL2(Z/p^nZ) (n >= 3) surjecting mod p^2 are everything;
+    for p >= 5 already surjecting mod p suffices.  A1 in SL2(Z/4Z) is the
+    recorded p=2 counterexample the criterion excludes."""
+    rng = random.Random(seed)
+    for p, n in ((3, 3), (5, 2)):
+        ctx = make_ctx(p, n)
+        crit = 2 if p < 5 else 1
+        crit_codes = enumerate_group(make_ctx(p, crit)).codes
+        hit = 0
+        for h in _l21_samples(ctx, crit, trials, rng):
+            if h.reduced_codes(crit) == crit_codes:
+                hit += 1
+                if h.order != ctx.order:
+                    return False
+        if hit == 0:  # the biased sampler must exercise the hypothesis
+            raise ConsistencyError("L2_1 sampler produced no surjective subgroup")
+    # p=2 exception: A1 surjects mod 2 yet is proper
+    a1 = a1_subgroup()
+    return a1.reduced_codes(1) == enumerate_group(make_ctx(2, 1)).codes and a1.order != 48
+
+
+def _l21_samples(ctx: GroupCtx, crit: int, trials: int, rng: random.Random) -> Iterator[Subgroup]:
+    # Half biased (gens lift a generating set of the mod-p^crit image, so the
+    # hypothesis holds), half unbiased.
+    crit_ctx = make_ctx(ctx.p, crit)
+    for i in range(trials):
+        if i % 2 == 0:
+            gens = [
+                _mul(_lift_to(upper_u(crit_ctx), ctx), _random_kernel_element(ctx, crit, rng), ctx.modulus),
+                _mul(_lift_to(lower_u(crit_ctx), ctx), _random_kernel_element(ctx, crit, rng), ctx.modulus),
+            ]
+            yield closure(gens, ctx)
+        else:
+            got = sample_subgroups(ctx, 1, rng)
+            if got:
+                yield got[0]
+
+
+def section2_l2_5(trials: int, seed: int) -> bool:
+    """L2_5: subgroups of GL2(Z/p^2Z) (p = 3, 5) with full determinant image
+    have det(H n (1 + p M2)) = 1 + pZ/p^2Z; max(6, trials // 4) trials each."""
+    rng = random.Random(seed)
+    for p in (3, 5):
+        ctx = make_ctx(p, 2)
+        m = ctx.modulus
+        g = primitive_root(p, 2)
+        units = {(1 + p * t) % m for t in range(p)}
+        one = identity(ctx)
+        sl2_pool = sorted(enumerate_group(make_ctx(p, 1)).codes)
+        dec1 = decoder(make_ctx(p, 1))
+        dec = decoder(ctx)
+        for _ in range(max(6, trials // 4)):
+            gens: List[Mat] = [mat(g, 0, 0, 1, ctx)]
+            for _ in range(rng.choice((0, 1, 1))):
+                gens.append(_lift_to(dec1(sl2_pool[rng.randrange(len(sl2_pool))]), ctx))
+            # H lies in GL2, not SL2: close its codes directly, no Subgroup
+            h = [dec(c) for c in _closure_codes(gens, ctx, DEFAULT_MAX_ELEMENTS)]
+            dets = {(x[0] * x[3] - x[1] * x[2]) % m for x in h}
+            if len(dets) != (p - 1) * p:  # determinant image not full: hypothesis fails
+                continue
+            small = {
+                (x[0] * x[3] - x[1] * x[2]) % m
+                for x in h
+                if reduce_mat(x, p) == reduce_mat(one, p)
+            }
+            if not units <= small:
+                return False
+    return True
+
+
 def suite_section2(seed: int = 0) -> Tuple[bool, str]:
-    if not section2_property_check("L2_1", trials=20, seed=seed):
+    if not section2_l2_1(20, seed):
         return False, "mod p^2 surjectivity criterion failed"
-    if not section2_property_check("L2_5", trials=12, seed=seed):
+    if not section2_l2_5(12, seed):
         return False, "determinant surjectivity criterion failed"
     return True, "L2_1 and L2_5 finite shadows"
 
@@ -458,6 +554,135 @@ def suite_section7(seed: int = 0) -> Tuple[bool, str]:
     verdicts = Counter(r.verdict for r in reports)
     detail = ", ".join("%d %s" % (verdicts[v], v) for v in sorted(verdicts))
     return section7_ok(reports), "%d cases: %s" % (len(reports), detail)
+
+
+# ---- main theorem, desk scale ----
+
+
+@dataclass
+class DeskResult:
+    part: int
+    label: str
+    status: str
+    checked: int
+    min_delta: Optional[Fraction]
+    seed: Optional[int]
+    notes: str
+    elapsed_ms: int = 0
+
+    def to_json_dict(self) -> dict:
+        return {
+            "part": self.part,
+            "label": self.label,
+            "status": self.status,
+            "checked": num_to_json(self.checked),
+            "min_delta": num_to_json(self.min_delta) if self.min_delta is not None else None,
+            "seed": num_to_json(self.seed) if self.seed is not None else None,
+            "notes": self.notes,
+            "elapsed_ms": self.elapsed_ms,
+        }
+
+
+def _delta_min(subs: Iterable[Subgroup]) -> Tuple[int, Optional[Fraction], str]:
+    """(subgroups checked, least delta, status), stopping at the first delta <= 0."""
+    checked, worst = 0, None
+    for h in subs:
+        d = delta(h)
+        checked += 1
+        if worst is None or d < worst:
+            worst = d
+        if d <= 0:
+            return checked, worst, "fail"
+    return checked, worst, "pass"
+
+
+def _desk_sample(
+    part: int, label: str, ctx: GroupCtx, target: Subgroup, samples: int, seed: int
+) -> Tuple[List[Subgroup], str]:
+    """The seeded slim sample of one desk case, and the note on a shortfall."""
+    subs = _slim_sample((seed, part, label), ctx, samples, target)
+    if len(subs) < samples:
+        return subs, "; requested %d, sampler yielded %d" % (samples, len(subs))
+    return subs, ""
+
+
+def _delta_positive_exhaustive(label: str, container: Subgroup) -> DeskResult:
+    ctx = container.ctx
+    neg = encoder(ctx)(minus_one(ctx))
+    checked, worst, status = _delta_min(
+        Subgroup.from_codes(ctx, codes) for codes in all_subgroups(container.elements()) if neg in codes
+    )
+    notes = "exhaustive over subgroups containing -1" if status == "pass" else "found delta <= 0"
+    return DeskResult(1, label, status, checked, worst, None, notes)
+
+
+def _delta_positive_sampled(
+    part: int, label: str, ctx: GroupCtx, target: Subgroup, samples: int, seed: int
+) -> DeskResult:
+    subs, short = _desk_sample(part, label, ctx, target, samples, seed)
+    _, worst, status = _delta_min(subs)
+    notes = "sampled slim subgroups" + short if status == "pass" else "found slim subgroup with delta <= 0"
+    return DeskResult(part, label, status, len(subs), worst, seed, notes)
+
+
+def _bounds_sampled(
+    part: int, label: str, ctx: GroupCtx, target: Subgroup, samples: int, seed: int
+) -> DeskResult:
+    subs, short = _desk_sample(part, label, ctx, target, samples, seed)
+    checked, bad = _first_violation(subs)
+    if bad is not None:
+        h, check = bad
+        notes = "bound violation %r on subgroup of order %d" % (check, h.order)
+        return DeskResult(part, label, "fail", checked, None, seed, notes)
+    notes = "bound-chain validity at reduced exponent (%d inequality sets)" % checked + short
+    return DeskResult(part, label, "pass", len(subs), None, seed, notes)
+
+
+def _exceptional_kinds(p: int) -> List[str]:
+    return ["E:" + iso for iso in ("A4", "S4", "A5") if exceptional_availability(p, iso)]
+
+
+def _desk_cases(part: int) -> List[Tuple[int, int, List[str], str]]:
+    """(p, level, level-one subgroup kinds, label note) of the cases of a desk part."""
+    return {
+        1: [(23, 1, ["B"], ""), (11, 1, ["C"], ""), (13, 1, ["C", "D"], "")]
+        + [(p, 1, _exceptional_kinds(p), "") for p in (17, 19)],
+        2: [(p, 2, ["B", "D"] + _exceptional_kinds(p), "") for p in (11, 13)],
+        3: [(5, 3, ["C"], ""), (7, 3, ["B", "C", "D", "E:S4"], "")],
+        4: [(5, 4, ["B", "D", "E:S4"], "")],
+        5: [(3, 5, ["B", "C", "D", "SL"], " (reduced from 3^6)")],
+        6: [(2, 7, ["F", "SL"], " (reduced from 2^10)")],
+        7: [(2, 7, ["B"], " (reduced from 2^11)")],
+    }[part]
+
+
+_DESK_SAMPLES = {2: 40, 3: 20, 4: 4, 5: 25, 6: 25, 7: 25}
+
+
+def verify_main_theorem_desk(
+    part: int, seed: int = 0, samples: Optional[int] = None
+) -> List[DeskResult]:
+    """Desk-scale verification of the delta_H > 0 case list.
+
+    Part 1 is exhaustive; parts 2-4 sample slim subgroups inside the relevant
+    preimages and test delta_H > 0 directly; parts 5-7 run at reduced
+    exponents (n <= 5 for p = 3, n <= 7 for p = 2) and report bound-chain
+    validity rather than the full positivity statement.
+    """
+    if not 1 <= part <= 7:
+        raise PreconditionError("parts run 1..7, got %d" % part)
+    out = []
+    for p, n, kinds, note in _desk_cases(part):
+        for kind in kinds:
+            target = standard_subgroup("full" if kind == "SL" else kind, p, seed=seed)
+            if part == 1:
+                out.append(_timed(_delta_positive_exhaustive, "%s@%d" % (kind, p), target))
+                continue
+            run = _delta_positive_sampled if part <= 4 else _bounds_sampled
+            label = "%s@%d^%d%s" % (kind, p, n, note)
+            ns = samples or _DESK_SAMPLES[part]
+            out.append(_timed(run, part, label, make_ctx(p, n), target, ns, seed))
+    return out
 
 
 DESK_DEFAULT_PARTS = (1, 2, 3, 4, 5, 6, 7)

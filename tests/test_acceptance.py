@@ -14,7 +14,6 @@ import pytest
 from sl2genus.bounds import (
     section7_case_ids,
     slim_bound_report,
-    verify_main_theorem_desk,
     verify_section7,
 )
 from sl2genus.core import PreconditionError, make_ctx, minus_one, sigma, tau, upper_u
@@ -46,6 +45,7 @@ from sl2genus.subgroups import (
     sample_subgroups,
     split_cartan_normalizer,
 )
+from sl2genus.suites import verify_main_theorem_desk
 from sl2genus.suites import (
     suite_lemma4_5,
     suite_lemma4_6,

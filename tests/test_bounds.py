@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from sl2genus import bounds
+from sl2genus import bounds, suites
 from sl2genus.bounds import (
     bound_sequence,
     fiber_count_bound_check,
     section7_all,
     section7_case_ids,
     slim_bound_report,
-    verify_main_theorem_desk,
     verify_section7,
 )
 from sl2genus.core import FeasibilityError, PreconditionError, make_ctx, upper_u
@@ -23,6 +22,7 @@ from sl2genus.subgroups import (
     preimage,
     sample_slim_subgroups,
 )
+from sl2genus.suites import verify_main_theorem_desk
 
 
 def test_bound_sequence_examples():
@@ -293,7 +293,7 @@ def test_desk_failure_paths(monkeypatch):
         rep.add("forced", False, "x")
         return rep
 
-    monkeypatch.setattr(bounds, "delta", lambda h: Fraction(0))
+    monkeypatch.setattr(suites, "delta", lambda h: Fraction(0))
     monkeypatch.setattr(bounds, "slim_bound_report", failing_report)
     got = [
         (r.label, r.status, r.checked, r.min_delta, r.seed, r.notes)
@@ -483,7 +483,7 @@ def test_seeded_sample_lists_hash_as_before_the_certificate(case):
     sampler gave when it closed every candidate."""
     import hashlib
 
-    from sl2genus.bounds import _DESK_SAMPLES, _desk_cases, _desk_sample
+    from sl2genus.suites import _DESK_SAMPLES, _desk_cases, _desk_sample
     from sl2genus.subgroups import standard_subgroup
 
     kind, at = case.split("-")

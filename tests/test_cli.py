@@ -6,10 +6,11 @@ import sys
 from pathlib import Path
 
 from sl2genus import cli, suites
-from sl2genus.bounds import DeskResult, bound_sequence
+from sl2genus.bounds import bound_sequence
 from sl2genus.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, run
 from sl2genus.core import ConsistencyError, make_ctx
 from sl2genus.subgroups import Subgroup
+from sl2genus.suites import DeskResult
 
 
 def _run(capsys, *argv):

@@ -16,8 +16,11 @@ import pytest
 from sl2genus.bounds import slim_bound_report, verify_section7
 from sl2genus.core import (
     ConsistencyError,
+    FeasibilityError,
     GroupCtx,
     PreconditionError,
+    conjugator,
+    decoder,
     encoder,
     lower_u,
     make_ctx,
@@ -26,6 +29,7 @@ from sl2genus.core import (
     sigma,
     upper_u,
 )
+from sl2genus.fibers import FiberDescriptor, fiber_group
 from sl2genus.genus import delta, genus, genus_report
 from sl2genus.groups import ConjClassRef, class_codes, enumerate_group
 from sl2genus.subgroups import (
@@ -37,6 +41,7 @@ from sl2genus.subgroups import (
     sample_slim_subgroups,
     sample_subgroups,
 )
+from sl2genus.suites import suite_lemma6_1
 
 
 def test_an_extra_sigma_fixed_point_fails_the_coset_check(monkeypatch):
@@ -148,7 +153,8 @@ def test_a_double_coset_off_by_p_fails_the_stabilizer_or_the_integer_check(monke
     def scaled(hmats, ctx):
         return ((v, int(size * scale)) for v, size in true_orbits(hmats, ctx))
 
-    h = borel(13).conjugate(sigma(make_ctx(13, 1))) if lower else borel(13)
+    c13 = make_ctx(13, 1)
+    h = Subgroup.from_codes(c13, map(conjugator(c13, sigma(c13)), borel(13).codes())) if lower else borel(13)
     monkeypatch.setattr(genus_mod, "_orbits", scaled)
     with pytest.raises(ConsistencyError, match=message):
         genus_report(h)
@@ -332,3 +338,52 @@ def test_a_wrong_count_level_moves_the_slim_reports_unchecked(monkeypatch):
     assert true[0][0] == ("a_sigma_p", True, "50 <= 90") and faulty[0][0] == ("a_sigma_p", True, "50 <= 290")
     assert all(ok for checks in faulty for _, ok, _ in checks)
     assert verify_section7("P7.3").verdict == "match"
+
+
+def test_a_row_table_slot_off_by_one_fails_the_order_checks_where_there_is_one(monkeypatch):
+    # row_table's slot of the row (1, 0) reads (s11 + 1, s12): each right_mul
+    # that has mapped as many codes as its table has slots reads that slot,
+    # and a closure leaves SL2.  enumerate_group closes <u, t(u)> under the
+    # cap #SL2 (on a fresh context, since G is kept in the memo), so the cap
+    # fires, as a FeasibilityError that names a flag no value of which helps.
+    # A closure by generators is compared with the order of its Schreier walk,
+    # which reads no table, once that order is known.  A closure whose order
+    # was not read first has no second route: <u, t(u)> at 9 closes to more
+    # elements than SL2(Z/9Z) holds and nothing raises.
+    core_mod = sys.modules["sl2genus.core"]
+    true_table = core_mod.row_table
+
+    def off_by_one(ctx, s):
+        table = list(true_table(ctx, s))
+        a, b, _, _ = decoder(ctx)(table[1])
+        table[1] = encoder(ctx)(((a + 1) % ctx.modulus, b, 0, 0))
+        return tuple(table)
+
+    monkeypatch.setattr(core_mod, "row_table", off_by_one)
+    with pytest.raises(FeasibilityError, match="orbit exceeded the cap of 120 elements"):
+        enumerate_group(GroupCtx(5, 1))
+    c27 = make_ctx(3, 3)
+    h = Subgroup(c27, (upper_u(c27), mat(1, 0, 3, 1, c27)))
+    assert h.order == 2187
+    with pytest.raises(ConsistencyError, match=r"closure of \d+ elements, Schreier walk 2187"):
+        h.codes()
+    c9 = make_ctx(3, 2)
+    assert len(closure([upper_u(c9), lower_u(c9)], c9).codes()) > c9.order
+
+
+def test_a_reducer_entry_at_the_wrong_level_fails_the_fiber_and_recovery_checks(monkeypatch):
+    # reducer reduces the entry d of a code mod p^(level+1), not p^level, in
+    # core and in each module that imports it.  fiber_group picks the fiber
+    # over alpha' by reduced codes and finds 3 of its 9 members; the chains of
+    # slim_bound_report count M(i) = #(Y_i mod p^(r+i)) through the reducers
+    # kept in the context's memo (taken out here), and the first violation of
+    # lemma 6.1 is a recovery count above its cap.  Every fiber-count check
+    # of cor6.5 still holds under the fault.
+    core_mod = sys.modules["sl2genus.core"]
+    _mutate(monkeypatch, core_mod, "reducer", "(code >> k3) % q << j3", "(code >> k3) % (q * ctx.p) << j3")
+    for name in ("sl2genus.subgroups", "sl2genus.bounds", "sl2genus.fibers"):
+        monkeypatch.setattr(sys.modules[name], "reducer", core_mod.reducer)
+    monkeypatch.delitem(make_ctx(3, 2).memo, "reducers", raising=False)
+    with pytest.raises(ConsistencyError, match="fiber over alpha' has 3 elements, expected 9"):
+        fiber_group(FiberDescriptor(3, 0, 2, 1, "sigma"))
+    assert suite_lemma6_1(0) == (False, "violation ('chain:recovery1', False, '') at (3,2), #H=54")

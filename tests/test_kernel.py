@@ -297,15 +297,6 @@ def test_capped_orbit_cap_boundary(data):
             capped_orbit(encoder(ctx)(x), steps, len(orbit) - 1)
 
 
-def _old_conjugate(h, g):
-    """Subgroup.conjugate as it was: g^-1 x g for each decoded x of H."""
-    m = h.ctx.modulus
-    gi = _inv(g, m)
-    enc = encoder(h.ctx)
-    dec = decoder(h.ctx)
-    return frozenset(enc(_mul(gi, _mul(dec(c), g, m), m)) for c in h.codes())
-
-
 def _old_centralizer(rep, group):
     """centralizer_brute as it was: the decoded elements g with g rep = rep g."""
     m = group.ctx.modulus
@@ -326,13 +317,6 @@ def conjugate_inputs(draw):
     gens = draw(st.lists(st.sampled_from(sorted(_ambient(ctx, "SL2"))), min_size=1, max_size=2))
     g = draw(st.sampled_from(sorted(_ambient(ctx, draw(st.sampled_from(AMBIENTS))))))
     return Subgroup(ctx, tuple(map(dec, gens))), dec(g)
-
-
-@settings(max_examples=40, deadline=None)
-@given(conjugate_inputs())
-def test_conjugate_matches_the_old_body(data):
-    h, g = data
-    assert h.conjugate(g).codes() == _old_conjugate(h, g)
 
 
 @settings(max_examples=40, deadline=None)

@@ -9,6 +9,7 @@ from sl2genus.core import (
     FeasibilityError,
     PreconditionError,
     _mul,
+    conjugator,
     decoder,
     encoder,
     identity,
@@ -47,12 +48,11 @@ from sl2genus.subgroups import (
     preimage,
     sample_slim_subgroups,
     sample_subgroups,
-    section2_property_check,
     split_cartan_normalizer,
     standard_subgroup,
 )
 from sl2genus.genus import count_in_subgroup, cusp_orbit_ratio, fix_points, genus_report
-from sl2genus.suites import A1_TABLE, _codes_of
+from sl2genus.suites import A1_TABLE, _codes_of, section2_l2_1, section2_l2_5
 
 
 def test_closure_examples():
@@ -216,11 +216,11 @@ def test_a1_invariants():
     # exactly four conjugates
     g = enumerate_group(c4)
     dec = decoder(c4)
-    conjugates = {a1.conjugate(dec(c)).codes() for c in g.codes}
+    conjugates = {frozenset(map(conjugator(c4, dec(c)), a1.codes())) for c in g.codes}
     assert len(conjugates) == 4
     expected = {a1.codes()}
     for k in (1, 2, 3):
-        expected.add(a1.conjugate(mat_pow(u, k, c4)).codes())
+        expected.add(frozenset(map(conjugator(c4, mat_pow(u, k, c4)), a1.codes())))
     assert conjugates == expected
     # right cosets A1\G are represented by 1, u, u^2, u^-1
     enc = encoder(c4)
@@ -423,19 +423,17 @@ def test_derived_subgroups_keep_the_cap():
     # each constructor that builds H from a code set hands on H's cap, or its own cap argument
     ctx = make_ctx(5, 2)
     h = closure([upper_u(ctx)], ctx, cap=1000)
-    derived = [adjoin_minus_one(h), h.conjugate(sigma(ctx)), filtration_level(h, 1)]
+    derived = [adjoin_minus_one(h), filtration_level(h, 1)]
     derived += [preimage(borel(5), ctx, cap=2500), full_group(make_ctx(5, 1), cap=1000)]
-    assert [d.cap for d in derived] == [1000, 1000, 1000, 2500, 1000]
+    assert [d.cap for d in derived] == [1000, 1000, 2500, 1000]
     for x in (h, adjoin_minus_one(h)):  # G = SL2(Z/25Z) holds 15,000 elements
         with pytest.raises(FeasibilityError, match="max-elements"):
             genus_report(x)
 
 
 def test_section2_checks():
-    assert section2_property_check("L2_1", trials=8, seed=5)
-    assert section2_property_check("L2_5", trials=6, seed=5)
-    with pytest.raises(ValueError):
-        section2_property_check("L9_9")
+    assert section2_l2_1(8, 5)
+    assert section2_l2_5(6, 5)
 
 
 def test_a1_is_the_p2_counterexample():
