@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -179,12 +178,15 @@ def _mod_count(ctx: GroupCtx, codes: FrozenSet, level: int) -> int:
     return len(set(map(_reducers(ctx)[level - 1], codes)))
 
 
-@dataclass
 class SlimBoundReport:
-    kind: str
-    r: int
-    order: int
-    checks: List[Tuple[str, bool, str]] = field(default_factory=list)
+    def __init__(self, kind: str, r: int, order: int, checks: Optional[List[Tuple[str, bool, str]]] = None) -> None:
+        self.kind, self.r, self.order, self.checks = kind, r, order, [] if checks is None else checks
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is SlimBoundReport and vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        return "SlimBoundReport(kind=%r, r=%r, order=%r, checks=%r)" % (self.kind, self.r, self.order, self.checks)
 
     @property
     def ok(self) -> bool:
@@ -320,8 +322,7 @@ def fiber_count_bound_check(h: Subgroup, ref: ConjClassRef, i: int, d: int) -> b
 # -------------------- section-7 audit --------------------
 
 
-@dataclass
-class CaseReport:
+class CaseReport(NamedTuple):
     case_id: str
     inequality_chain: List[Tuple[str, Fraction]]
     printed_value: Fraction
@@ -990,9 +991,7 @@ def section7_case(case_id: str) -> Callable[[], CaseReport]:
 def _timed(build: Callable, *args):
     """build(*args), a CaseReport or DeskResult, with the call's wall time in its elapsed_ms."""
     t0 = time.monotonic()
-    rep = build(*args)
-    rep.elapsed_ms = int((time.monotonic() - t0) * 1000)
-    return rep
+    return build(*args)._replace(elapsed_ms=int((time.monotonic() - t0) * 1000))
 
 
 def verify_section7(case_id: str) -> CaseReport:

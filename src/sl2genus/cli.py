@@ -7,7 +7,7 @@ import json
 import os
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .core import (
     DEFAULT_MAX_ELEMENTS,
@@ -24,15 +24,6 @@ from .core import (
     tau,
     upper_u,
 )
-from .groups import (
-    ConjClassRef,
-    conj_class_size_formula,
-    enumerate_group,
-    partition_into_classes,
-    u_power_ref,
-)
-from .subgroups import parse_subgroup_spec
-from .genus import count_in_subgroup, genus_report
 from .sequences import BOUND_KINDS, bound_sequence
 
 EXIT_OK = 0
@@ -57,15 +48,14 @@ def _parsed(fn, *args, **kwargs):
         raise UsageError(e) from e
 
 
-def _parse_class(text: str, ctx) -> ConjClassRef:
-    if text == "sigma":
-        return ConjClassRef(ctx, "sigma")
-    if text == "tau":
-        return ConjClassRef(ctx, "tau")
+def _parse_class(text: str) -> Tuple[str, int]:
+    """The kind and exponent r of a class named sigma, tau, u or u^p^r."""
+    if text in ("sigma", "tau"):
+        return text, 0
     if text.startswith("u^p^"):
-        return u_power_ref(ctx, int(text[4:]))
+        return "u_power", int(text[4:])
     if text == "u":
-        return u_power_ref(ctx, 0)
+        return "u_power", 0
     raise ValueError("unknown class %r (use sigma, tau, u, u^p^r)" % text)
 
 
@@ -78,10 +68,14 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
 
 
 def _subgroup(args):
+    from .subgroups import parse_subgroup_spec
+
     return _parsed(parse_subgroup_spec, args.subgroup, args.p, args.n, seed=args.seed, cap=args.max_elements)
 
 
 def _cmd_genus(args) -> int:
+    from .genus import genus_report
+
     h = _subgroup(args)
     rep = genus_report(h)
     payload = rep.to_json_dict()
@@ -102,6 +96,8 @@ def _cmd_genus(args) -> int:
 
 
 def _cmd_class_table(args) -> int:
+    from .groups import enumerate_group, partition_into_classes
+
     ctx = _parsed(make_ctx, args.p, args.n)
     g = enumerate_group(ctx, args.max_elements)
     classes = partition_into_classes(g)
@@ -136,9 +132,12 @@ def _cmd_class_table(args) -> int:
 
 
 def _cmd_count(args) -> int:
+    from .groups import ConjClassRef, conj_class_size_formula
+    from .genus import count_in_subgroup
+
     ctx = _parsed(make_ctx, args.p, args.n)
     h = _subgroup(args)
-    ref = _parsed(_parse_class, args.cls, ctx)
+    ref = _parsed(lambda: ConjClassRef(ctx, *_parse_class(args.cls)))
     cnt, size = count_in_subgroup(h, ref), conj_class_size_formula(ref)
     payload = {
         "subgroup": args.subgroup,

@@ -12,7 +12,6 @@ alone; its memo only ever gains entries, and an entry never changes once stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -136,28 +135,31 @@ def gl2_order(p: int, n: int) -> int:
 # -------------------- group context --------------------
 
 
-@dataclass(frozen=True)
 class GroupCtx:
-    """Ambient ring/group descriptor for SL2(Z/p^nZ).
+    """Ambient ring/group descriptor for SL2(Z/p^nZ): p, n, the modulus p^n
+    and the order #SL2(Z/p^nZ) = (p+1)(p-1)p^(3n-2).
 
     memo holds what derives from the context alone (G, the class orbits,
     the fiber groups V, the reduction maps and the bound plans of bounds);
     groups.cached alone reads and writes it.
     """
 
-    p: int
-    n: int
-    modulus: int = field(init=False)  # p^n
-    order: int = field(init=False)  # #SL2(Z/p^nZ) = (p+1)(p-1)p^(3n-2)
-    memo: Dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, p: int, n: int) -> None:
+        if n < 1:
+            raise ValueError("level exponent must be >= 1, got %d" % n)
+        if not is_prime(p):
+            raise ValueError("p must be prime, got %d" % p)
+        self.p, self.n, self.modulus, self.order = p, n, p**n, (p + 1) * (p - 1) * p ** (3 * n - 2)
+        self.memo: Dict = {}
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("level exponent must be >= 1, got %d" % self.n)
-        if not is_prime(self.p):
-            raise ValueError("p must be prime, got %d" % self.p)
-        object.__setattr__(self, "modulus", self.p**self.n)
-        object.__setattr__(self, "order", (self.p + 1) * (self.p - 1) * self.p ** (3 * self.n - 2))
+    def __eq__(self, other) -> bool:
+        return other.__class__ is GroupCtx and (self.p, self.n) == (other.p, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.n, self.modulus, self.order))
+
+    def __repr__(self) -> str:
+        return "GroupCtx(p=%r, n=%r, modulus=%r, order=%r)" % (self.p, self.n, self.modulus, self.order)
 
 
 @lru_cache(maxsize=None)

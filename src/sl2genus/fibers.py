@@ -12,8 +12,7 @@ its class_codes.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from typing import Callable, FrozenSet, List
 
 from .core import (
@@ -35,28 +34,23 @@ from .groups import _KINDS, ConjClassRef, capped_orbit, class_codes
 from .subgroups import _sl2_lift_one
 
 
-@dataclass(frozen=True)
-class FiberDescriptor:
+class FiberDescriptor(namedtuple("FiberDescriptor", "p r n m kind")):
     """Which fiber V_alpha^(r+n, r+m) to compute, over the representative of
     the class ConjClassRef names: kind is one of its kinds, and r is its
     exponent (0 for sigma and tau).
     """
 
-    p: int
-    r: int
-    n: int
-    m: int
-    kind: str
-
-    def __post_init__(self) -> None:
-        self.class_ref(self.r + self.n)  # ConjClassRef checks kind and r
-        if not (1 <= self.m < self.n and self.n <= 2 * self.m):
-            raise PreconditionError("need 1 <= m < n <= 2m, got n=%d m=%d" % (self.n, self.m))
-        if self.p == 2:
-            if self.kind == "sigma" and self.m < 2:
+    def __new__(cls, p: int, r: int, n: int, m: int, kind: str) -> "FiberDescriptor":
+        self = tuple.__new__(cls, (p, r, n, m, kind))
+        self.class_ref(r + n)  # ConjClassRef checks kind and r
+        if not (1 <= m < n and n <= 2 * m):
+            raise PreconditionError("need 1 <= m < n <= 2m, got n=%d m=%d" % (n, m))
+        if p == 2:
+            if kind == "sigma" and m < 2:
                 raise PreconditionError("p=2 sigma fibers need m >= 2")
-            if self.kind == "u_power" and self.m < 3:
+            if kind == "u_power" and m < 3:
                 raise PreconditionError("p=2 unipotent fibers need m >= 3")
+        return self
 
     def full_ctx(self) -> GroupCtx:
         return make_ctx(self.p, self.r + self.n)

@@ -11,10 +11,9 @@ raises ConsistencyError on any difference.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     ConsistencyError,
@@ -186,8 +185,7 @@ def genus(h: Subgroup) -> int:
     return report.genus
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(NamedTuple):
     index: int
     count_sigma: int
     count_tau: int
@@ -198,7 +196,7 @@ class GenusReport:
     fix_tau: int
 
     def to_json_dict(self) -> dict:
-        return {k: num_to_json(v) for k, v in vars(self).items() if v is not None}  # genus is None without -1
+        return {k: num_to_json(v) for k, v in self._asdict().items() if v is not None}  # genus is None without -1
 
 
 @kept("genus_report")
@@ -214,7 +212,7 @@ def genus_report(h: Subgroup) -> GenusReport:
         sub = make_ctx(ctx.p, m)
         low = genus_report(Subgroup.from_codes(sub, h.reduced_codes(m), cap=h.cap))
         lift = [conj_class_size_formula(ref) // conj_class_size_formula(ConjClassRef(sub, ref.kind)) for ref in refs]
-        return replace(low, count_sigma=low.count_sigma * lift[0], count_tau=low.count_tau * lift[1])
+        return low._replace(count_sigma=low.count_sigma * lift[0], count_tau=low.count_tau * lift[1])
     fixed = [fix_points(h, ref) for ref in refs]
     cusp, index = cusp_orbit_ratio(h), ctx.order // h.order
     if ctx.order <= DIRECT_CHECK_CAP:

@@ -11,8 +11,7 @@ from a context alone is stored once, in its memo, through cached."""
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from typing import Callable, Collection, FrozenSet, Hashable, Iterable, List, Sequence
 
 from .core import (
@@ -36,12 +35,20 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
 class ElementSet:
     """A set of group elements bound to a context, stored as packed codes."""
 
-    ctx: GroupCtx
-    codes: FrozenSet
+    def __init__(self, ctx: GroupCtx, codes: FrozenSet) -> None:
+        self.ctx, self.codes = ctx, codes
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is ElementSet and (self.ctx, self.codes) == (other.ctx, other.codes)
+
+    def __hash__(self) -> int:
+        return hash((self.ctx, self.codes))
+
+    def __repr__(self) -> str:
+        return "ElementSet(ctx=%r, codes=%r)" % (self.ctx, self.codes)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -159,25 +166,21 @@ def _group_closure(ctx: GroupCtx) -> FrozenSet:
 _KINDS = ("sigma", "tau", "u_power")
 
 
-@dataclass(frozen=True)
-class ConjClassRef:
-    """A named conjugacy class bound to a context.
+class ConjClassRef(namedtuple("ConjClassRef", "ctx kind r")):
+    """A named conjugacy class bound to a context: ConjClassRef(ctx, kind, r=0).
 
     ``u_power`` with exponent r refers to Conj(u^(p^r)); the class is
     nontrivial only while r + 1 <= n.  ``sigma`` and ``tau`` take r = 0.
     """
 
-    ctx: GroupCtx
-    kind: str
-    r: int = 0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError("unknown class kind %r" % (self.kind,))
-        if self.kind in ("sigma", "tau") and self.r != 0:
-            raise PreconditionError("%s takes no exponent r, got r=%d" % (self.kind, self.r))
-        if self.kind == "u_power" and not 0 <= self.r < self.ctx.n:
-            raise PreconditionError("u_power(%d) is trivial modulo %d^%d" % (self.r, self.ctx.p, self.ctx.n))
+    def __new__(cls, ctx: GroupCtx, kind: str, r: int = 0) -> "ConjClassRef":
+        if kind not in _KINDS:
+            raise ValueError("unknown class kind %r" % (kind,))
+        if kind in ("sigma", "tau") and r != 0:
+            raise PreconditionError("%s takes no exponent r, got r=%d" % (kind, r))
+        if kind == "u_power" and not 0 <= r < ctx.n:
+            raise PreconditionError("u_power(%d) is trivial modulo %d^%d" % (r, ctx.p, ctx.n))
+        return tuple.__new__(cls, (ctx, kind, r))
 
     def representative(self) -> Mat:
         ctx = self.ctx

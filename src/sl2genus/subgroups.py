@@ -13,7 +13,6 @@ import random
 from collections import Counter
 from itertools import product
 from math import gcd
-from dataclasses import dataclass, field
 from functools import wraps
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -49,7 +48,6 @@ from .groups import ElementSet, _above_cap, _closure_codes, _over_cap, capped_or
 # -------------------- the subgroup value --------------------
 
 
-@dataclass(eq=False)
 class Subgroup:
     """A subgroup of SL2(Z/p^nZ) given by generators; the element set is built
     on demand (codes), never mutated afterwards, and until then order reads #H
@@ -60,19 +58,20 @@ class Subgroup:
     key s, #H under "order", and each value that kept(key) keeps (the
     filtration, the level, and genus's class counts and genus_report)."""
 
-    ctx: GroupCtx
-    gens: Tuple[Mat, ...]
-    cap: int = DEFAULT_MAX_ELEMENTS
-    _codes: Optional[FrozenSet] = field(default=None, repr=False)
-    _reduced: Dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        m = self.ctx.modulus
-        for g in self.gens:
-            _check_reduced(g, self.ctx)
+    def __init__(
+        self, ctx: GroupCtx, gens: Tuple[Mat, ...], cap: int = DEFAULT_MAX_ELEMENTS, _codes: Optional[FrozenSet] = None
+    ) -> None:
+        m = ctx.modulus
+        for g in gens:
+            _check_reduced(g, ctx)
             dt = (g[0] * g[3] - g[1] * g[2]) % m
             if dt != 1 % m:
                 raise PreconditionError("generator %r has det %d != 1" % (g, dt))
+        self.ctx, self.gens, self.cap, self._codes = ctx, gens, cap, _codes
+        self._reduced: Dict = {}
+
+    def __repr__(self) -> str:
+        return "Subgroup(ctx=%r, gens=%r, cap=%r)" % (self.ctx, self.gens, self.cap)
 
     @classmethod
     def from_codes(
@@ -89,6 +88,8 @@ class Subgroup:
             codes = _closure_codes(self.gens, self.ctx, self.cap)
             if len(codes) != self._reduced.get("order", len(codes)):
                 raise ConsistencyError("closure of %d elements, Schreier walk %d" % (len(codes), self.order))
+            if self.ctx.order % len(codes):  # Lagrange: #H divides #SL2, also when no walk read #H first
+                raise ConsistencyError("closure of %d elements, not dividing #SL2 = %d" % (len(codes), self.ctx.order))
             self._codes = codes
         return self._codes
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     DEFAULT_MAX_ELEMENTS,
@@ -559,8 +558,7 @@ def suite_section7(seed: int = 0) -> Tuple[bool, str]:
 # ---- main theorem, desk scale ----
 
 
-@dataclass
-class DeskResult:
+class DeskResult(NamedTuple):
     part: int
     label: str
     status: str

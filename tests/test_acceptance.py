@@ -9,14 +9,12 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from sl2genus.bounds import (
     section7_case_ids,
     slim_bound_report,
     verify_section7,
 )
-from sl2genus.core import PreconditionError, make_ctx, minus_one, sigma, tau, upper_u
+from sl2genus.core import PreconditionError, make_ctx
 from sl2genus.fibers import (
     FiberDescriptor,
     fiber_group,
@@ -28,7 +26,6 @@ from sl2genus.fibers import (
 from sl2genus.genus import closed_form_genus, genus, genus_report
 from sl2genus.groups import (
     ConjClassRef,
-    class_codes,
     conj_class_brute,
     conj_class_size_formula,
     enumerate_group,
@@ -37,8 +34,6 @@ from sl2genus.groups import (
 from sl2genus.subgroups import (
     Subgroup,
     borel,
-    exceptional_availability,
-    exceptional_subgroup,
     is_slim,
     nonsplit_cartan_normalizer,
     sample_slim_subgroups,

@@ -19,7 +19,6 @@ from sl2genus.subgroups import (
     Subgroup,
     borel,
     closure,
-    preimage,
     sample_slim_subgroups,
 )
 from sl2genus.suites import verify_main_theorem_desk
@@ -532,15 +531,18 @@ def test_a_report_after_the_plan_derives_nothing_of_the_class(monkeypatch, p, n)
     calls = {"bound_sequence": 0, "ConjClassRef": 0, "FiberDescriptor": 0}
 
     def counted(fn, name):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
 
         return wrapper
 
+    # a class reference or fiber descriptor is built only through its constructor, __new__
     monkeypatch.setattr(bounds, "bound_sequence", counted(bounds.bound_sequence, "bound_sequence"))
-    monkeypatch.setattr(ConjClassRef, "__post_init__", counted(ConjClassRef.__post_init__, "ConjClassRef"))
-    monkeypatch.setattr(FiberDescriptor, "__post_init__", counted(FiberDescriptor.__post_init__, "FiberDescriptor"))
+    monkeypatch.setattr(ConjClassRef, "__new__", counted(ConjClassRef.__new__, "ConjClassRef"))
+    monkeypatch.setattr(FiberDescriptor, "__new__", counted(FiberDescriptor.__new__, "FiberDescriptor"))
+    assert ConjClassRef(ctx, "sigma") and calls["ConjClassRef"] == 1  # the patch sees a construction
+    calls["ConjClassRef"] = 0
     assert reports(fresh) == first and any(first)
     assert calls == {"bound_sequence": 0, "ConjClassRef": 0, "FiberDescriptor": 0}
 

@@ -122,7 +122,7 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     def broken(h):
         raise ConsistencyError("routes disagree")
 
-    monkeypatch.setattr(cli, "genus_report", broken)
+    monkeypatch.setattr("sl2genus.genus.genus_report", broken)  # the genus verb imports it when it runs
     code, _, err = _run(capsys, "genus", "--p", "13", "--n", "1", "--subgroup", "B")
     assert code == EXIT_INTERNAL == 3
     assert err.startswith("internal error: routes disagree")
@@ -146,7 +146,7 @@ def test_computation_value_and_key_errors_are_internal(capsys, monkeypatch):
     def broken(h):
         raise KeyError("no such coset")
 
-    monkeypatch.setattr(cli, "genus_report", broken)
+    monkeypatch.setattr("sl2genus.genus.genus_report", broken)  # the genus verb imports it when it runs
     code, _, err = _run(capsys, "genus", "--p", "13", "--n", "1", "--subgroup", "B")
     assert code == EXIT_INTERNAL
     assert err.startswith("internal error: ")
@@ -156,7 +156,7 @@ def test_any_unmapped_exception_is_internal(capsys, monkeypatch):
     def broken(h):
         raise RuntimeError("unforeseen")
 
-    monkeypatch.setattr(cli, "genus_report", broken)
+    monkeypatch.setattr("sl2genus.genus.genus_report", broken)  # the genus verb imports it when it runs
     code, _, err = _run(capsys, "genus", "--p", "13", "--n", "1", "--subgroup", "B")
     assert code == EXIT_INTERNAL
     assert err.startswith("internal error: unforeseen") and "Traceback" in err

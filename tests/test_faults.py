@@ -348,8 +348,8 @@ def test_a_row_table_slot_off_by_one_fails_the_order_checks_where_there_is_one(m
     # fires, as a FeasibilityError that names a flag no value of which helps.
     # A closure by generators is compared with the order of its Schreier walk,
     # which reads no table, once that order is known.  A closure whose order
-    # was not read first has no second route: <u, t(u)> at 9 closes to more
-    # elements than SL2(Z/9Z) holds and nothing raises.
+    # was not read first is held to Lagrange's theorem: <u, t(u)> at 9 closes
+    # to 5,112 elements, which do not divide the 648 of SL2(Z/9Z).
     core_mod = sys.modules["sl2genus.core"]
     true_table = core_mod.row_table
 
@@ -368,7 +368,8 @@ def test_a_row_table_slot_off_by_one_fails_the_order_checks_where_there_is_one(m
     with pytest.raises(ConsistencyError, match=r"closure of \d+ elements, Schreier walk 2187"):
         h.codes()
     c9 = make_ctx(3, 2)
-    assert len(closure([upper_u(c9), lower_u(c9)], c9).codes()) > c9.order
+    with pytest.raises(ConsistencyError, match=r"closure of \d+ elements, not dividing #SL2 = 648"):
+        closure([upper_u(c9), lower_u(c9)], c9)
 
 
 def test_a_reducer_entry_at_the_wrong_level_fails_the_fiber_and_recovery_checks(monkeypatch):

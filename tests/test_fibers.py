@@ -8,7 +8,6 @@ from sl2genus.core import (
     encoder,
     make_ctx,
     mat,
-    reduce_mat,
 )
 from sl2genus.fibers import (
     FiberDescriptor,
@@ -20,7 +19,6 @@ from sl2genus.fibers import (
     reduction_fiber_sizes,
     verify_orthogonality,
 )
-from sl2genus.groups import ConjClassRef, class_codes, u_power_ref
 from sl2genus.suites import _golden_recovery
 
 

@@ -53,7 +53,6 @@ from sl2genus.subgroups import (
     sample_slim_subgroups,
     sample_subgroups,
     split_cartan_normalizer,
-    standard_subgroup,
 )
 
 

@@ -5,6 +5,7 @@ from sl2genus.core import (
     ConsistencyError,
     ContextMismatchError,
     FeasibilityError,
+    GroupCtx,
     PreconditionError,
     decoder,
     identity,
@@ -176,6 +177,21 @@ def test_class_ref_kinds():
     for kind in ("neg_sigma", "neg_tau", "neg_u", "u_square", "custom"):
         with pytest.raises(ValueError, match="unknown class kind"):
             ConjClassRef(ctx, kind)
+
+
+# The value types are plain classes and named tuples: equality, hashing and the
+# reprs that error messages print are those a dataclass gave them.
+def test_values_compare_hash_and_print_as_records():
+    from sl2genus.fibers import FiberDescriptor
+
+    ctx = make_ctx(5, 1)
+    assert GroupCtx(5, 1) == ctx and hash(GroupCtx(5, 1)) == hash(ctx) and ctx != make_ctx(5, 2)
+    ref = ConjClassRef(GroupCtx(5, 1), "sigma")
+    assert ref == ConjClassRef(ctx, "sigma", 0) and hash(ref) == hash(ConjClassRef(ctx, "sigma"))
+    assert repr(ref) == "ConjClassRef(ctx=GroupCtx(p=5, n=1, modulus=5, order=120), kind='sigma', r=0)"
+    assert repr(FiberDescriptor(5, 0, 2, 1, "sigma")) == "FiberDescriptor(p=5, r=0, n=2, m=1, kind='sigma')"
+    g = enumerate_group(make_ctx(2, 1))
+    assert g == ElementSet(g.ctx, frozenset(g.codes)) and hash(g) == hash(ElementSet(g.ctx, g.codes))
 
 
 def test_gl2_conjugacy_orbit(gl2_class):

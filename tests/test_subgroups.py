@@ -22,7 +22,7 @@ from sl2genus.core import (
     sigma,
     upper_u,
 )
-from sl2genus.groups import ConjClassRef, _closure_codes, class_codes, enumerate_group, u_power_ref
+from sl2genus.groups import ConjClassRef, _closure_codes, class_codes, enumerate_group
 from sl2genus.subgroups import (
     Subgroup,
     _holds_kernel,
