@@ -155,7 +155,10 @@ def check_order(ctx: GroupCtx, cap: int) -> None:
 
 
 def _group_closure(ctx: GroupCtx) -> FrozenSet:
-    codes = _closure_codes((upper_u(ctx), lower_u(ctx)), ctx, ctx.order)
+    try:
+        codes = _closure_codes((upper_u(ctx), lower_u(ctx)), ctx, ctx.order)
+    except FeasibilityError:  # check_order has applied the caller's cap, so passing #SL2 is a bug
+        raise ConsistencyError("closure of <u, t(u)> passed #SL2 = %d" % ctx.order) from None
     if len(codes) != ctx.order:
         raise ConsistencyError("closure of <u, t(u)> missed elements")  # pragma: no cover
     return codes

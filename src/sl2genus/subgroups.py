@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import product
 from math import gcd
 from functools import wraps
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -43,7 +42,7 @@ from .core import (
     sigma,
     upper_u,
 )
-from .groups import ElementSet, _above_cap, _closure_codes, _over_cap, capped_orbit, enumerate_group, extend_closure
+from .groups import ElementSet, _closure_codes, _over_cap, capped_orbit, enumerate_group, extend_closure
 
 # -------------------- the subgroup value --------------------
 
@@ -204,37 +203,23 @@ def _sl2_lift_one(x: Mat, dst_modulus: int) -> Mat:
     return (a * di % dst_modulus, b, c * di % dst_modulus, d)
 
 
-def _last_kernel(ctx: GroupCtx, ws: Iterable[Tuple[int, int, int]]) -> List[Mat]:
-    """The elements 1 + p^(n-1) W of K_(n-1) = ker(SL2(Z/p^nZ) -> SL2(Z/p^(n-1)Z)),
-    n >= 2, one per (W00, W01, W10) in ws over F_p, with W11 = -W00 (tr W = 0 mod p)."""
-    m = ctx.modulus
-    q = m // ctx.p
-    return [((1 + q * a) % m, q * b, q * c, (1 - q * a) % m) for a, b, c in ws]
-
-
 def preimage(h: Subgroup, dst: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
-    """Full inverse image of H under the mod p^m reduction; order #H * p^(3(n-m))."""
+    """Full inverse image of H under the mod p^m reduction, order #H * p^(3(n-m)), by
+    generators: the lifts of H's generators (of its elements if it has none) and, for
+    n > m, of 1 + p^m W for the basis W of K_m/K_(m+1), which generate K_m since its
+    Frattini subgroup is K_(m+1) for every p and m >= 1 (Burnside's basis theorem)."""
     if dst.p != h.ctx.p:
         raise ReductionError("preimage between different primes")
     if dst.n < h.ctx.n:
         raise ReductionError("destination level %d below source level %d" % (dst.n, h.ctx.n))
-    start_order = h.order
-    codes = h.codes()
-    ctx = h.ctx
-    while ctx.n < dst.n:
-        nxt = make_ctx(ctx.p, ctx.n + 1)
-        if len(codes) * ctx.p**3 > cap:
-            raise _above_cap("preimage would hold %d" % (len(codes) * ctx.p**3), cap)
-        kern = [right_mul(nxt, k) for k in _last_kernel(nxt, product(range(ctx.p), repeat=3))]
-        dec, enc = decoder(ctx), encoder(nxt)
-        lifts = [enc(_sl2_lift_one(dec(c), nxt.modulus)) for c in codes]
-        codes = frozenset({k(t) for t in lifts for k in kern})
-        ctx = nxt
-    got = Subgroup.from_codes(dst, codes, cap=cap)
-    # H mod p^s is the source's H mod p^s for s <= m, so no code of the preimage is reduced for it
-    got._reduced.update((s, h.reduced_codes(s)) for s in range(1, min(h.ctx.n, dst.n - 1) + 1))
-    if got.order != start_order * dst.p ** (3 * (dst.n - h.ctx.n)):
-        raise ConsistencyError("preimage order mismatch")  # pragma: no cover
+    m, q = dst.modulus, h.ctx.modulus
+    gens = list(h.gens or h.mats())
+    if dst.n > h.ctx.n:
+        gens += [((1 + q) % m, 0, 0, (1 - q) % m), (1, q, 0, 1), (1, 0, q, 1)]
+    got = Subgroup(dst, tuple(_sl2_lift_one(g, m) for g in gens), cap)
+    want = h.order * dst.p ** (3 * (dst.n - h.ctx.n))
+    if got.order != want:
+        raise ConsistencyError("preimage of order %d, not #H p^(3(n-m)) = %d" % (got.order, want))
     return got
 
 
@@ -501,9 +486,9 @@ def parse_subgroup_spec(
             raise ValueError("preimage source level %d exceeds n=%d" % (src_level, n))
         return preimage(parse_subgroup_spec(inner, p, src_level, seed=seed, cap=cap), ctx, cap=cap)
     if spec.startswith("gens:"):
-        return closure([parse_mat(g, ctx) for g in spec[len("gens:") :].split("|")], ctx, cap=cap)
+        return Subgroup(ctx, tuple(parse_mat(g, ctx) for g in spec[len("gens:") :].split("|")), cap)
     if spec == "full":
-        return full_group(ctx, cap=cap)
+        return preimage(full_group(make_ctx(p, 1), cap), ctx, cap)
     natural = 2 if spec == "A1" else 1
     if n != natural:
         raise ValueError(
@@ -719,6 +704,14 @@ def _in_span(basis: Sequence[Tuple[int, int, int]], w: Tuple[int, int, int], p: 
         return (b * z - c * y) % p == 0 and (c * x - a * z) % p == 0 and (a * y - b * x) % p == 0
     d, e, f = basis[1]
     return (x * (b * f - c * e) + y * (c * d - a * f) + z * (a * e - b * d)) % p == 0
+
+
+def _last_kernel(ctx: GroupCtx, ws: Iterable[Tuple[int, int, int]]) -> List[Mat]:
+    """The elements 1 + p^(n-1) W of K_(n-1) = ker(SL2(Z/p^nZ) -> SL2(Z/p^(n-1)Z)),
+    n >= 2, one per (W00, W01, W10) in ws over F_p, with W11 = -W00 (tr W = 0 mod p)."""
+    m = ctx.modulus
+    q = m // ctx.p
+    return [((1 + q * a) % m, q * b, q * c, (1 - q * a) % m) for a, b, c in ws]
 
 
 def _slim_closure_codes(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[FrozenSet]:

@@ -16,12 +16,12 @@ import pytest
 from sl2genus.bounds import slim_bound_report, verify_section7
 from sl2genus.core import (
     ConsistencyError,
-    FeasibilityError,
     GroupCtx,
     PreconditionError,
     conjugator,
     decoder,
     encoder,
+    identity,
     lower_u,
     make_ctx,
     mat,
@@ -344,8 +344,8 @@ def test_a_row_table_slot_off_by_one_fails_the_order_checks_where_there_is_one(m
     # row_table's slot of the row (1, 0) reads (s11 + 1, s12): each right_mul
     # that has mapped as many codes as its table has slots reads that slot,
     # and a closure leaves SL2.  enumerate_group closes <u, t(u)> under the
-    # cap #SL2 (on a fresh context, since G is kept in the memo), so the cap
-    # fires, as a FeasibilityError that names a flag no value of which helps.
+    # cap #SL2 (on a fresh context, since G is kept in the memo), after
+    # check_order has applied the caller's cap, so passing it is a bug.
     # A closure by generators is compared with the order of its Schreier walk,
     # which reads no table, once that order is known.  A closure whose order
     # was not read first is held to Lagrange's theorem: <u, t(u)> at 9 closes
@@ -360,7 +360,7 @@ def test_a_row_table_slot_off_by_one_fails_the_order_checks_where_there_is_one(m
         return tuple(table)
 
     monkeypatch.setattr(core_mod, "row_table", off_by_one)
-    with pytest.raises(FeasibilityError, match="orbit exceeded the cap of 120 elements"):
+    with pytest.raises(ConsistencyError, match="closure of <u, t\\(u\\)> passed #SL2 = 120"):
         enumerate_group(GroupCtx(5, 1))
     c27 = make_ctx(3, 3)
     h = Subgroup(c27, (upper_u(c27), mat(1, 0, 3, 1, c27)))
@@ -370,6 +370,26 @@ def test_a_row_table_slot_off_by_one_fails_the_order_checks_where_there_is_one(m
     c9 = make_ctx(3, 2)
     with pytest.raises(ConsistencyError, match=r"closure of \d+ elements, not dividing #SL2 = 648"):
         closure([upper_u(c9), lower_u(c9)], c9)
+
+
+def test_a_preimage_without_its_diagonal_kernel_generator_fails_the_order_check(monkeypatch):
+    # preimage leaves out the lift of 1 + p^m diag(1, -1), so its kernel
+    # generators span only two of the three dimensions of K_m/K_(m+1).  Over
+    # H = {1} they generate a proper subgroup of K_m, and the order check, read
+    # from the Schreier walk, kills it.  Over B the mutant is equivalent: the
+    # lifts of B's generators regenerate the diagonal, so the preimage and its
+    # codes are the true ones.
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    true_preimage = subgroups_mod.preimage
+    _mutate(monkeypatch, subgroups_mod, "preimage", "[((1 + q) % m, 0, 0, (1 - q) % m), (1, q, 0, 1)", "[(1, q, 0, 1)")
+    for p, m, n in ((2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (5, 1, 2), (2, 2, 4), (2, 1, 5)):
+        low = make_ctx(p, m)
+        trivial = Subgroup.from_codes(low, {encoder(low)(identity(low))})
+        with pytest.raises(ConsistencyError, match=r"preimage of order \d+, not #H .* = %d$" % p ** (3 * (n - m))):
+            subgroups_mod.preimage(trivial, make_ctx(p, n))
+    for p, n in ((2, 3), (3, 2), (5, 2), (7, 2)):
+        ctx = make_ctx(p, n)
+        assert subgroups_mod.preimage(borel(p), ctx).codes() == true_preimage(borel(p), ctx).codes()
 
 
 def test_a_reducer_entry_at_the_wrong_level_fails_the_fiber_and_recovery_checks(monkeypatch):

@@ -302,8 +302,9 @@ def test_genus_report_matches_standalone_counts():
 
 
 def _level_route_subgroups(p, n):
-    # fresh subgroups, so no reduction is memoised yet: seeded samples with
-    # generators, <H, -1> for each, and preimages without generators
+    # fresh subgroups: seeded samples with generators, <H, -1> for each,
+    # preimages (held by generators; their order check closes H mod p^(n-1))
+    # and a copy of each preimage without generators, which reduces its codes
     specs = {
         2: ("preimage:F@1", "preimage:A1@2"),
         3: ("preimage:B@1", "preimage:C@1"),
@@ -312,7 +313,8 @@ def _level_route_subgroups(p, n):
     ctx = make_ctx(p, n)
     hs = sample_subgroups(ctx, 6, random.Random((p, n, "level-route").__repr__()))
     hs += [adjoin_minus_one(h) for h in hs]
-    return hs + [parse_subgroup_spec(spec, p, n) for spec in specs[p]]
+    pre = [parse_subgroup_spec(spec, p, n) for spec in specs[p]]
+    return hs + pre + [Subgroup.from_codes(ctx, h.codes()) for h in pre]
 
 
 def _level_n_perm(reps, coset_of, a, ctx):
@@ -457,6 +459,48 @@ def test_level_one_report_at_7_2_never_enumerates_level_two(monkeypatch):
     h = closure([upper_u(ctx)], ctx)
     assert level(h) == 2
     assert genus_report(h).index == 600
+
+
+_SPEC_REPORTS = [  # the genus JSON of each, order included, as the eager preimage builder gave it
+    (
+        "preimage:B@1",
+        3,
+        5,
+        '{"count_sigma": "0", "count_tau": "6561", "cusp_ratio": {"den": "2", "num": "1"}, "delta": {"den": "1", '
+        '"num": "-3"}, "fix_sigma": "0", "fix_tau": "1", "genus": "0", "index": "4", "order": "3188646"}',
+    ),
+    (
+        "full",
+        5,
+        3,
+        '{"count_sigma": "18750", "count_tau": "12500", "cusp_ratio": {"den": "1", "num": "1"}, "delta": {"den": "1", '
+        '"num": "-12"}, "fix_sigma": "1", "fix_tau": "1", "genus": "0", "index": "1", "order": "1875000"}',
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, p, n, want", _SPEC_REPORTS, ids=[case[0] for case in _SPEC_REPORTS])
+def test_a_spec_report_closes_nothing_at_level_n(monkeypatch, spec, p, n, want):
+    # a spec is held by generators and reported at its level 1, so no closure
+    # and no enumeration of G runs modulo p^n
+    groups_mod = sys.modules["sl2genus.groups"]
+    closure_codes, group_closure = groups_mod._closure_codes, groups_mod._group_closure
+
+    def closure_below_n(gens, ctx, cap):
+        assert ctx.n < n, "a closure modulo %d" % ctx.modulus
+        return closure_codes(gens, ctx, cap)
+
+    def group_below_n(ctx):
+        assert ctx.n < n, "SL2(Z/%dZ) enumerated" % ctx.modulus
+        return group_closure(ctx)
+
+    for mod in (groups_mod, sys.modules["sl2genus.subgroups"]):
+        monkeypatch.setattr(mod, "_closure_codes", closure_below_n)
+    monkeypatch.setattr(groups_mod, "_group_closure", group_below_n)
+    monkeypatch.delitem(make_ctx(p, n).memo, "G", raising=False)
+    h = parse_subgroup_spec(spec, p, n)
+    assert json.dumps(dict(genus_report(h).to_json_dict(), order=str(h.order)), sort_keys=True) == want
+    assert h._codes is None
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 2), (13, 1)])

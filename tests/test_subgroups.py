@@ -144,6 +144,29 @@ def test_preimage_order_formula():
     assert pre.order == h.order * 3 ** (3 * 2)
 
 
+@pytest.mark.parametrize(
+    "spec, p, m, n",
+    [
+        (None, 2, 1, 3),
+        (None, 3, 1, 3),
+        ("B", 2, 1, 4),
+        ("B", 5, 1, 2),
+        ("E:S4", 5, 1, 2),  # E has no generators: its elements are lifted
+        ("A1", 2, 2, 4),
+        ("preimage:C@1", 3, 2, 3),  # preimage:preimage:C@1@2
+    ],
+)
+def test_a_preimage_is_every_element_over_h(spec, p, m, n):
+    # preimage(H, G_n), held by generators, against the brute set {x in G_n : x mod p^m in H}
+    low, ctx = make_ctx(p, m), make_ctx(p, n)
+    h = parse_subgroup_spec(spec, p, m) if spec else Subgroup.from_codes(low, {encoder(low)(identity(low))})
+    dec, enc = decoder(ctx), encoder(low)
+    want = {c for c in enumerate_group(ctx).codes if enc(reduce_mat(dec(c), low.modulus)) in h.codes()}
+    got = preimage(h, ctx)
+    assert got._codes is None and got.gens
+    assert got.codes() == want and len(want) == h.order * p ** (3 * (n - m))
+
+
 def test_filtration_levels():
     c9 = make_ctx(3, 2)
     g = full_group(c9)
