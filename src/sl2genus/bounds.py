@@ -38,8 +38,8 @@ from .subgroups import (
     Subgroup,
     a1_subgroup,
     borel,
-    filtration,
     filtration_level,
+    kept,
     order_three_subgroup,
     preimage,
     is_slim,
@@ -218,24 +218,25 @@ def slim_bound_report(h: Subgroup, ref: ConjClassRef) -> SlimBoundReport:
         rhs = bound(_count_reduced(h, ref, level))
         rep.add(kind, cnt <= rhs, "%d <= %d" % (cnt, rhs))
 
-    _filtration_checks(h, rep)
+    rep.add("filtration", *_filtration_checks(h))
     _chain_checks(h, ref, rep, y0)
     return rep
 
 
-def _filtration_checks(h: Subgroup, rep: SlimBoundReport) -> None:
-    ctx = h.ctx
-    p, n = ctx.p, ctx.n
-    sizes = {s: h_s.order for s, h_s in enumerate(filtration(h), 1)}
+@kept("filtration check")
+def _filtration_checks(h: Subgroup) -> Tuple[bool, str]:
+    """(ok, the last violation) of #H_t <= #H_s p^(2(s-t)) for t0 <= t < s <= n,
+    with #H_s = #H / #(H mod p^s) (Lagrange); kept in h's memo, so every class
+    report of H shares it."""
+    p, n = h.ctx.p, h.ctx.n
     t0 = 2 if p == 2 else 1
-    ok = True
-    detail = ""
+    sizes = {s: h.order // len(h.reduced_codes(s)) for s in range(t0, n + 1)}
+    ok, detail = True, ""
     for t in range(t0, n):
         for s in range(t + 1, n + 1):
             if sizes[t] > sizes[s] * p ** (2 * (s - t)):
-                ok = False
-                detail = "H_%d/H_%d = %d > p^%d" % (t, s, sizes[t] // sizes[s], 2 * (s - t))
-    rep.add("filtration", ok, detail)
+                ok, detail = False, "H_%d/H_%d = %d > p^%d" % (t, s, sizes[t] // sizes[s], 2 * (s - t))
+    return ok, detail
 
 
 def _chain_checks(h: Subgroup, ref: ConjClassRef, rep: SlimBoundReport, y0: FrozenSet) -> None:
@@ -461,10 +462,7 @@ def _case_l71(p: Optional[int]) -> CaseReport:
     ch.require("E sigma bound <= 30", ebs <= 30)
     ch.require("E tau bound <= 20", ebt <= 20)
     cls_min = (target - 1) * target
-    ch.require(
-        "class sizes >= (p-1)p",
-        _cls("sigma", target, 1) >= cls_min and _cls("tau", target, 1) >= cls_min,
-    )
+    ch.require("class sizes >= (p-1)p", _cls("sigma", target, 1) >= cls_min and _cls("tau", target, 1) >= cls_min)
     rec = ch.step(
         "1 - 3*30/((p-1)p) - 4*20/((p-1)p) - 6/p at p=%d" % target,
         delta_from_ratios(Fraction(30, cls_min), Fraction(20, cls_min), Fraction(1, target)),
@@ -485,9 +483,7 @@ def _case_p72() -> CaseReport:
     cls_t = ch.expect("#Conj(tau) mod 19^2", _cls("tau", p, 2), 20 * 19**3)
     cls_u = ch.step("#Conj(u) mod 19^2", _cls("u_power", p, 2))
     _, bt, bu = _level_one_counts(ch, "B", p, (0, 38, 9))
-    bt_bound = ch.expect(
-        "a(tau,p)_2 + p(38-2)", corrected_bound("a_tau_p", p, 2, bt), 74 * 19
-    )
+    bt_bound = ch.expect("a(tau,p)_2 + p(38-2)", corrected_bound("a_tau_p", p, 2, bt), 74 * 19)
     r_tau = ch.expect("tau ratio", Fraction(bt_bound, cls_t), Fraction(37, 10 * 19**2))
     r_u = ch.expect("u ratio via p^2 fibers", Fraction(p * p * bu, cls_u), Fraction(1, p + 1))
     cusp = ch.expect("cusp bound (t=1)", cusp_series(p, [r_u]), Fraction(1, 10))
@@ -501,9 +497,7 @@ def _case_p73() -> CaseReport:
     cls_s = ch.expect("#Conj(sigma) mod 17^2", _cls("sigma", p, 2), 18 * 17**3)
     cls_u = ch.step("#Conj(u) mod 17^2", _cls("u_power", p, 2))
     bs, _, bu = _level_one_counts(ch, "B", p, (34, 0, 8))
-    bs_bound = ch.expect(
-        "a(sigma,p)_2 + p(34-2)", corrected_bound("a_sigma_p", p, 2, bs), 66 * 17
-    )
+    bs_bound = ch.expect("a(sigma,p)_2 + p(34-2)", corrected_bound("a_sigma_p", p, 2, bs), 66 * 17)
     r_sig = ch.expect("sigma ratio", Fraction(bs_bound, cls_s), Fraction(11, 3 * 17**2))
     r_u = ch.expect("u ratio via p^2 fibers", Fraction(p * p * bu, cls_u), Fraction(1, p + 1))
     cusp = ch.expect("cusp bound (t=1)", cusp_series(p, [r_u]), Fraction(1, 9))
@@ -519,15 +513,9 @@ def _case_p74_b() -> CaseReport:
     cls_u = ch.step("#Conj(u)", _cls("u_power", p, 2))
     cls_up = ch.expect("#Conj(u^p)", _cls("u_power", p, 2, r=1), 84)
     bs, bt, bu = _level_one_counts(ch, "B", p, (26, 26, 6))
-    st_bound = ch.expect(
-        "a(sigma,p)_2 + p(26-2)", corrected_bound("a_sigma_p", p, 2, bs), 50 * 13
-    )
+    st_bound = ch.expect("a(sigma,p)_2 + p(26-2)", corrected_bound("a_sigma_p", p, 2, bs), 50 * 13)
     r_sig = ch.expect("sigma ratio", Fraction(st_bound, cls_s), Fraction(25, 7 * 13**2))
-    r_tau = ch.expect(
-        "tau ratio",
-        Fraction(corrected_bound("a_tau_p", p, 2, bt), cls_t),
-        Fraction(25, 7 * 13**2),
-    )
+    r_tau = ch.expect("tau ratio", Fraction(corrected_bound("a_tau_p", p, 2, bt), cls_t), Fraction(25, 7 * 13**2))
     # branch: H contains V_u
     r_up1 = ch.expect("Vu branch: u^p ratio", Fraction(bu, cls_up), Fraction(1, p + 1))
     r_u1 = ch.expect("Vu branch: u ratio", Fraction(p * p * bu, cls_u), Fraction(1, p + 1))
@@ -535,17 +523,11 @@ def _case_p74_b() -> CaseReport:
     rec1 = ch.step("Vu branch: delta lower bound", delta_from_ratios(r_sig, r_tau, cusp1))
     printed1 = _branch_printed(ch, "Vu", rec1, Fraction(1183 - 75 - 100 - 546, 7 * 13**2))
     # branch: H does not contain V_u
-    r_u2 = ch.expect(
-        "no-Vu branch: u ratio via <=p fibers",
-        Fraction(p * bu, cls_u),
-        Fraction(1, p * (p + 1)),
-    )
+    r_u2 = ch.expect("no-Vu branch: u ratio via <=p fibers", Fraction(p * bu, cls_u), Fraction(1, p * (p + 1)))
     cusp2 = ch.expect("no-Vu branch: cusp (t=1)", cusp_series(p, [r_u2]), Fraction(97, 7 * 13**2))
     rec2 = ch.step("no-Vu branch: delta lower bound", delta_from_ratios(r_sig, r_tau, cusp2))
     printed2 = _branch_printed(ch, "no-Vu", rec2, Fraction(1183 - 75 - 100 - 582, 7 * 13**2))
-    return _finish(
-        "P7.4:B", ch, min(printed1, printed2), min(rec1, rec2), "Borel at p=13; both V_u branches"
-    )
+    return _finish("P7.4:B", ch, min(printed1, printed2), min(rec1, rec2), "Borel at p=13; both V_u branches")
 
 
 def _case_p74_e() -> CaseReport:
@@ -556,16 +538,8 @@ def _case_p74_e() -> CaseReport:
     es, et = _e_bounds(p)
     ch.expect("E sigma bound (p != +-1 mod 5)", es, 18)
     ch.expect("E tau bound", et, 8)
-    r_sig = ch.expect(
-        "sigma ratio",
-        Fraction(corrected_bound("a_sigma_p", p, 2, es), cls_s),
-        Fraction(3, 13**2),
-    )
-    r_tau = ch.expect(
-        "tau ratio",
-        Fraction(corrected_bound("a_tau_p", p, 2, et), cls_t),
-        Fraction(16, 7 * 13**2),
-    )
+    r_sig = ch.expect("sigma ratio", Fraction(corrected_bound("a_sigma_p", p, 2, es), cls_s), Fraction(3, 13**2))
+    r_tau = ch.expect("tau ratio", Fraction(corrected_bound("a_tau_p", p, 2, et), cls_t), Fraction(16, 7 * 13**2))
     cusp = ch.expect("cusp (t=1, E n Conj(u) empty)", cusp_series(p, [Fraction(0)]), Fraction(1, 13))
     rec = ch.step("delta lower bound", delta_from_ratios(r_sig, r_tau, cusp))
     return _finish("P7.4:E", ch, Fraction(1183 - 63 - 64 - 546, 7 * 13**2), rec, "exceptional at p=13")
@@ -581,28 +555,18 @@ def _p75_master(ch: _Chain, bs: int, bt: int, bu: int, branch: str) -> Fraction:
     cls_up = ch.step("#Conj(u^p)", _cls("u_power", p, 3, r=1))
     cls_upp = ch.expect("#Conj(u^p^2)", _cls("u_power", p, 3, r=2), 24)
     if bs:
-        r_sig = ch.step(
-            "sigma ratio", Fraction(corrected_bound("a_sigma_p", p, 3, bs), cls_s)
-        )
+        r_sig = ch.step("sigma ratio", Fraction(corrected_bound("a_sigma_p", p, 3, bs), cls_s))
     else:
         r_sig = ch.step("sigma ratio (empty at level one)", Fraction(0))
-    r_tau = ch.step(
-        "tau ratio", Fraction(corrected_bound("a_tau_p", p, 3, bt), cls_t)
-    )
+    r_tau = ch.step("tau ratio", Fraction(corrected_bound("a_tau_p", p, 3, bt), cls_t))
     if branch == "Vu":
         r_u = ch.expect("u ratio", Fraction(p**4 * bu, cls_u), Fraction(1, p + 1))
-        r_up = ch.expect(
-            "u^p ratio", Fraction(p * p * (p - 1) // 2, cls_up), Fraction(1, p + 1)
-        )
+        r_up = ch.expect("u^p ratio", Fraction(p * p * (p - 1) // 2, cls_up), Fraction(1, p + 1))
         r_upp = ch.expect("u^p^2 ratio", Fraction((p - 1) // 2, cls_upp), Fraction(1, p + 1))
-        cusp = ch.expect(
-            "cusp (t=3)", cusp_series(p, [r_u, r_up, r_upp]), Fraction(p * p + 1, (p + 1) * p * p)
-        )
+        cusp = ch.expect("cusp (t=3)", cusp_series(p, [r_u, r_up, r_upp]), Fraction(p * p + 1, (p + 1) * p * p))
     else:
         if bu:
-            r_u = ch.expect(
-                "u ratio via <=p^3 fibers", Fraction(p**3 * bu, cls_u), Fraction(1, (p + 1) * p)
-            )
+            r_u = ch.expect("u ratio via <=p^3 fibers", Fraction(p**3 * bu, cls_u), Fraction(1, (p + 1) * p))
         else:
             r_u = ch.step("u ratio (empty at level one)", Fraction(0))
         up_cnt = ch.expect(
@@ -651,33 +615,19 @@ def _case_p76(sub: str) -> CaseReport:
         cusp1 = ch.expect("Vu branch: cusp (t=2)", cusp_series(p, [r_u1, r_up1]), Fraction(1, 11))
         rec1 = ch.step("Vu branch: delta lower bound", delta_from_ratios(0, 0, cusp1))
         printed1 = _branch_printed(ch, "Vu", rec1, Fraction(11 - 6, 11))
-        r_u2 = ch.expect(
-            "no-Vu branch: u ratio", Fraction(p * bu, cls_u), Fraction(1, p * (p + 1))
-        )
-        cusp2 = ch.expect(
-            "no-Vu branch: cusp (t=1)", cusp_series(p, [r_u2]), Fraction(71, 2 * 3 * 11**2)
-        )
+        r_u2 = ch.expect("no-Vu branch: u ratio", Fraction(p * bu, cls_u), Fraction(1, p * (p + 1)))
+        cusp2 = ch.expect("no-Vu branch: cusp (t=1)", cusp_series(p, [r_u2]), Fraction(71, 2 * 3 * 11**2))
         rec2 = ch.step("no-Vu branch: delta lower bound", delta_from_ratios(0, 0, cusp2))
         printed2 = _branch_printed(ch, "no-Vu", rec2, Fraction(121 - 71, 11**2))
-        return _finish(
-            "P7.6:B", ch, min(printed1, printed2), min(rec1, rec2), "Borel at p=11; both V_u branches"
-        )
+        return _finish("P7.6:B", ch, min(printed1, printed2), min(rec1, rec2), "Borel at p=11; both V_u branches")
     es, et = _e_bounds(p)
     if sub == "D":
         _dominated(ch, "D", p, es, et, strict=True)
     else:
         ch.expect("E sigma bound (p = +-1 mod 5)", es, 30)
         ch.expect("E tau bound", et, 20)
-    r_sig = ch.expect(
-        "sigma ratio",
-        Fraction(corrected_bound("a_sigma_p", p, 2, es), cls_s),
-        Fraction(5, 11**2),
-    )
-    r_tau = ch.expect(
-        "tau ratio",
-        Fraction(corrected_bound("a_tau_p", p, 2, et), cls_t),
-        Fraction(4, 11**2),
-    )
+    r_sig = ch.expect("sigma ratio", Fraction(corrected_bound("a_sigma_p", p, 2, es), cls_s), Fraction(5, 11**2))
+    r_tau = ch.expect("tau ratio", Fraction(corrected_bound("a_tau_p", p, 2, et), cls_t), Fraction(4, 11**2))
     cusp = ch.expect("cusp (t=1)", cusp_series(p, [Fraction(0)]), Fraction(1, 11))
     rec = ch.step("delta lower bound", delta_from_ratios(r_sig, r_tau, cusp))
     printed = Fraction(121 - 15 - 16 - 66, 11**2)
@@ -696,33 +646,18 @@ def _case_p78() -> CaseReport:
         corrected_bound("a_sigma_p", p, 3, cs),
         54 * 5**2,
     )
-    printed_step = ch.step(
-        "printed step a(sigma,p)_3 + p^3(6-2)", bound_sequence("a_sigma_p", p, 3) + p**3 * (cs - 2)
-    )
-    ch.require(
-        "printed coefficient p^3 differs from the p^(n-1) coefficient",
-        printed_step != corrected,
-    )
+    printed_step = ch.step("printed step a(sigma,p)_3 + p^3(6-2)", bound_sequence("a_sigma_p", p, 3) + p**3 * (cs - 2))
+    ch.require("printed coefficient p^3 differs from the p^(n-1) coefficient", printed_step != corrected)
     ch.flags.append(
         "printed factor p^3(6-2) is inconsistent with the p^(n-1) coefficient "
         "of the sigma bound; the printed total 54*5^2 matches p^2"
     )
     r_sig = ch.expect("sigma ratio", Fraction(corrected, cls_s), Fraction(9, 5**3))
-    up_cnt = ch.expect(
-        "a(u,p)_2 + p(12-2)",
-        corrected_bound("a_u_p", p, 2, _cls("u_power", p, 2, r=1)),
-        4 * 5**2,
-    )
+    up_cnt = ch.expect("a(u,p)_2 + p(12-2)", corrected_bound("a_u_p", p, 2, _cls("u_power", p, 2, r=1)), 4 * 5**2)
     r_up = ch.expect("u^p ratio", Fraction(up_cnt, cls_up), Fraction(1, 3))
     cusp = ch.expect("cusp (t=2)", cusp_series(p, [Fraction(0), r_up]), Fraction(7, 3 * 5**2))
     rec = ch.step("delta lower bound", delta_from_ratios(r_sig, 0, cusp))
-    return _finish(
-        "P7.8",
-        ch,
-        Fraction(125 - 27 - 70, 5**3),
-        rec,
-        "split Cartan normalizer at p=5, level p^3",
-    )
+    return _finish("P7.8", ch, Fraction(125 - 27 - 70, 5**3), rec, "split Cartan normalizer at p=5, level p^3")
 
 
 def _p79_master(ch: _Chain, bs: int, bt: int, bu: int) -> Fraction:
@@ -732,13 +667,9 @@ def _p79_master(ch: _Chain, bs: int, bt: int, bu: int) -> Fraction:
     cls_u = ch.expect("#Conj(u)", _cls("u_power", p, 4), 12 * 5**6)
     cls_up = ch.expect("#Conj(u^p)", _cls("u_power", p, 4, r=1), 12 * 5**4)
     cls_upp = ch.expect("#Conj(u^p^2)", _cls("u_power", p, 4, r=2), 12 * 5**2)
-    r_sig = ch.step(
-        "sigma ratio", Fraction(corrected_bound("a_sigma_p", p, 4, bs), cls_s)
-    )
+    r_sig = ch.step("sigma ratio", Fraction(corrected_bound("a_sigma_p", p, 4, bs), cls_s))
     if bt:
-        r_tau = ch.step(
-            "tau ratio", Fraction(corrected_bound("a_tau_p", p, 4, bt), cls_t)
-        )
+        r_tau = ch.step("tau ratio", Fraction(corrected_bound("a_tau_p", p, 4, bt), cls_t))
     else:
         r_tau = ch.step("tau ratio (empty at level one)", Fraction(0))
     if bu:
@@ -746,17 +677,9 @@ def _p79_master(ch: _Chain, bs: int, bt: int, bu: int) -> Fraction:
         r_u = ch.expect("u ratio", Fraction(u_cnt, cls_u), Fraction(3, 2 * 5**2))
     else:
         r_u = ch.step("u ratio (empty at level one)", Fraction(0))
-    up_cnt = ch.expect(
-        "a(u,p)_3 + p^2(12-2)",
-        corrected_bound("a_u_p", p, 3, _cls("u_power", p, 2, r=1)),
-        12 * 5**3,
-    )
+    up_cnt = ch.expect("a(u,p)_3 + p^2(12-2)", corrected_bound("a_u_p", p, 3, _cls("u_power", p, 2, r=1)), 12 * 5**3)
     r_up = ch.expect("u^p ratio", Fraction(up_cnt, cls_up), Fraction(1, 5))
-    upp_cnt = ch.expect(
-        "a(u,p)_2 + p(12-2)",
-        corrected_bound("a_u_p", p, 2, _cls("u_power", p, 2, r=1)),
-        4 * 5**2,
-    )
+    upp_cnt = ch.expect("a(u,p)_2 + p(12-2)", corrected_bound("a_u_p", p, 2, _cls("u_power", p, 2, r=1)), 4 * 5**2)
     r_upp = ch.expect("u^p^2 ratio", Fraction(upp_cnt, cls_upp), Fraction(1, 3))
     cusp = ch.step("cusp (t=3)", cusp_series(p, [r_u, r_up, r_upp]))
     return ch.step("delta lower bound", delta_from_ratios(r_sig, r_tau, cusp))
@@ -811,9 +734,7 @@ def _case_p710(sub: str) -> CaseReport:
         r_tau = ch.expect("tau ratio", Fraction(t_cnt, cls_t), Fraction(13, 4 * 3**4))
         u_cnt = ch.expect("a(u,3)_6", corrected_bound("a_u_p", p, 6, bu), 17 * 3**6)
         r_u = ch.expect("u ratio", Fraction(u_cnt, cls_u), Fraction(17, 4 * 3**4))
-        cusp = ch.expect(
-            "cusp (t=5)", cusp_series(p, [r_u] + _p710_cusp_terms(ch)), Fraction(43, 2 * 3**5)
-        )
+        cusp = ch.expect("cusp (t=5)", cusp_series(p, [r_u] + _p710_cusp_terms(ch)), Fraction(43, 2 * 3**5))
         rec = ch.step("delta lower bound", delta_from_ratios(0, r_tau, cusp))
         return _finish("P7.10:B", ch, Fraction(81 - 13 - 43, 3**4), rec, "Borel at p=3, level 3^6")
     # SL, C, D all run on the full level-one class counts with u excluded
@@ -821,29 +742,21 @@ def _case_p710(sub: str) -> CaseReport:
         _dominated(ch, sub, p, 6, 4, strict=False)
         note = "dominated by the mod-3-surjective chain"
     else:
-        ch.require(
-            "H n Conj(u) empty: proper mod-9 image has no GL2-conjugate of u", True
-        )
+        ch.require("H n Conj(u) empty: proper mod-9 image has no GL2-conjugate of u", True)
         note = "full mod-3 image at p=3, level 3^6"
     fs = ch.expect("#Conj(sigma) mod 3", _cls("sigma", p, 1), 6)
     ft = ch.expect("#Conj(tau) mod 3", _cls("tau", p, 1), 4)
-    s_cnt = ch.expect(
-        "a(sigma,3)_6 + 3^5(6-2)", corrected_bound("a_sigma_p", p, 6, fs), 14 * 3**6
-    )
+    s_cnt = ch.expect("a(sigma,3)_6 + 3^5(6-2)", corrected_bound("a_sigma_p", p, 6, fs), 14 * 3**6)
     r_sig = ch.expect("sigma ratio", Fraction(s_cnt, cls_s), Fraction(7, 3**5))
-    t_cnt = ch.expect(
-        "a(tau,3)_6 + 3^5(4-1)", corrected_bound("a_tau_3", p, 6, ft), 14 * 3**6
-    )
+    t_cnt = ch.expect("a(tau,3)_6 + 3^5(4-1)", corrected_bound("a_tau_3", p, 6, ft), 14 * 3**6)
     r_tau = ch.expect("tau ratio", Fraction(t_cnt, cls_t), Fraction(7, 2 * 3**4))
-    cusp = ch.expect(
-        "cusp (t=5, u term 0)", cusp_series(p, [Fraction(0)] + _p710_cusp_terms(ch)), Fraction(13, 3**5)
-    )
+    cusp = ch.expect("cusp (t=5, u term 0)", cusp_series(p, [Fraction(0)] + _p710_cusp_terms(ch)), Fraction(13, 3**5))
     rec = ch.step("delta lower bound", delta_from_ratios(r_sig, r_tau, cusp))
     return _finish("P7.10:%s" % sub, ch, Fraction(81 - 7 - 14 - 26, 3**4), rec, note)
 
 
 def _brute_count_mod(h: Subgroup, kind: str, level: int, r: int = 0) -> int:
-    """#(f^-1(K) n Conj(alpha)) at 2-adic desk levels, by brute force."""
+    """#(f^-1(K) n Conj(alpha)) at 2-adic desk levels, K's labels lifted by count_in_subgroup."""
     target = preimage(h, make_ctx(2, level))
     return count_in_subgroup(target, ConjClassRef(target.ctx, kind, r))
 
@@ -871,22 +784,12 @@ def _case_p711() -> CaseReport:
     ch.expect("#f2,1^-1(B) n Conj(u)", _brute_count_mod(b, "u_power", 2), 2)
     ch.expect("#f2,1^-1(B) n Conj(u^2)", _brute_count_mod(b, "u_power", 2, r=1), 3)
     fu3 = ch.expect("#f3,1^-1(B) n Conj(u)", _brute_count_mod(b, "u_power", 3), 4)
-    s_cnt = ch.expect(
-        "a(sigma,2)_11 + 2^9(2-2)", corrected_bound("a_sigma_2", p, 11, fs), 11 * 2**12
-    )
+    s_cnt = ch.expect("a(sigma,2)_11 + 2^9(2-2)", corrected_bound("a_sigma_2", p, 11, fs), 11 * 2**12)
     r_sig = ch.expect("sigma ratio", Fraction(s_cnt, cls_s), Fraction(11, 3 * 2**7))
-    u_cnt = ch.expect(
-        "a(u,2)_11 + 2^10(4-2)", corrected_bound("a_u_2", p, 11, fu3), 23 * 2**11
-    )
+    u_cnt = ch.expect("a(u,2)_11 + 2^10(4-2)", corrected_bound("a_u_2", p, 11, fu3), 23 * 2**11)
     terms = [ch.expect("u ratio", Fraction(u_cnt, _cls("u_power", p, 11)), Fraction(23, 3 * 2**7))]
-    u2_cnt = ch.expect(
-        "a(u,2)_10 + 2^9(12-2)",
-        corrected_bound("a_u_2", p, 10, _cls("u_power", p, 4, r=1)),
-        19 * 2**10,
-    )
-    terms.append(
-        ch.expect("u^2 ratio", Fraction(u2_cnt, _cls("u_power", p, 11, r=1)), Fraction(19, 3 * 2**6))
-    )
+    u2_cnt = ch.expect("a(u,2)_10 + 2^9(12-2)", corrected_bound("a_u_2", p, 10, _cls("u_power", p, 4, r=1)), 19 * 2**10)
+    terms.append(ch.expect("u^2 ratio", Fraction(u2_cnt, _cls("u_power", p, 11, r=1)), Fraction(19, 3 * 2**6)))
     terms += _b_u2_tail(ch, 11, 2)
     cusp = ch.expect("cusp (t=8)", cusp_series(p, terms), Fraction(11, 3 * 2**5))
     rec = ch.step("delta lower bound", delta_from_ratios(r_sig, 0, cusp))
@@ -904,18 +807,12 @@ def _case_p712(sub: str) -> CaseReport:
         ch.expect("#f2,1^-1(F) n Conj(u)", _brute_count_mod(f, "u_power", 2), 0)
         ch.expect("#f2,1^-1(F) n Conj(u^2)", _brute_count_mod(f, "u_power", 2, r=1), 3)
         ft3 = ch.expect("#f3,1^-1(F) n Conj(tau)", _brute_count_mod(f, "tau", 3), 32)
-        t_cnt = ch.expect(
-            "a(tau,2)_10 + 2^8(32-8)",
-            corrected_bound("a_tau_2", p, 10, ft3),
-            13 * 2**11,
-        )
+        t_cnt = ch.expect("a(tau,2)_10 + 2^8(32-8)", corrected_bound("a_tau_2", p, 10, ft3), 13 * 2**11)
         r_tau = ch.expect("tau ratio", Fraction(t_cnt, cls_t), Fraction(13, 2**8))
         terms = [ch.step("u ratio (empty)", Fraction(0))] + _b_u2_tail(ch, 10, 1)
         cusp = ch.expect("cusp (t=7)", cusp_series(p, terms), Fraction(23, 3 * 2**6))
         rec = ch.step("delta lower bound", delta_from_ratios(0, r_tau, cusp))
-        return _finish(
-            "P7.12:F", ch, Fraction(64 - 13 - 46, 2**6), rec, "order-3 image at p=2, level 2^10"
-        )
+        return _finish("P7.12:F", ch, Fraction(64 - 13 - 46, 2**6), rec, "order-3 image at p=2, level 2^10")
     # full mod-2 image: mod 4 the image is conjugate to A1
     a1 = a1_subgroup()
     ctx4 = a1.ctx
@@ -924,23 +821,14 @@ def _case_p712(sub: str) -> CaseReport:
     ch.expect("#A1 n Conj(u)", count_in_subgroup(a1, u_power_ref(ctx4, 0)), 0)
     ch.expect("#A1 n Conj(u^2)", count_in_subgroup(a1, u_power_ref(ctx4, 1)), 0)
     ft3 = ch.expect("#f3,2^-1(A1) n Conj(tau)", _brute_count_mod(a1, "tau", 3), 8)
-    s_cnt = ch.expect(
-        "a(sigma,2)_10 + 2^8(3-2)", corrected_bound("a_sigma_2", p, 10, a1s), 73 * 2**8
-    )
+    s_cnt = ch.expect("a(sigma,2)_10 + 2^8(3-2)", corrected_bound("a_sigma_2", p, 10, a1s), 73 * 2**8)
     r_sig = ch.expect("sigma ratio", Fraction(s_cnt, cls_s), Fraction(73, 3 * 2**9))
-    t_cnt = ch.expect(
-        "a(tau,2)_10 + 2^8(8-8)", corrected_bound("a_tau_2", p, 10, ft3), 5 * 2**12
-    )
+    t_cnt = ch.expect("a(tau,2)_10 + 2^8(8-8)", corrected_bound("a_tau_2", p, 10, ft3), 5 * 2**12)
     r_tau = ch.expect("tau ratio", Fraction(t_cnt, cls_t), Fraction(5, 2**7))
-    terms = [
-        ch.step("u ratio (empty)", Fraction(0)),
-        ch.step("u^2 ratio (empty)", Fraction(0)),
-    ] + _b_u2_tail(ch, 10, 2)
+    terms = [ch.step("u ratio (empty)", Fraction(0)), ch.step("u^2 ratio (empty)", Fraction(0))] + _b_u2_tail(ch, 10, 2)
     cusp = ch.expect("cusp (t=7)", cusp_series(p, terms), Fraction(31, 3 * 2**7))
     rec = ch.step("delta lower bound", delta_from_ratios(r_sig, r_tau, cusp))
-    return _finish(
-        "P7.12:SL", ch, Fraction(512 - 73 - 80 - 248, 2**9), rec, "full mod-2 image, level 2^10"
-    )
+    return _finish("P7.12:SL", ch, Fraction(512 - 73 - 80 - 248, 2**9), rec, "full mod-2 image, level 2^10")
 
 
 _SECTION7: Dict[str, Callable[[], CaseReport]] = {

@@ -64,15 +64,34 @@ def class_labels(x: Mat, ctx: GroupCtx) -> List[Tuple[str, int]]:
     return out
 
 
+@kept("at its level")
+def _at_level(h: Subgroup) -> Subgroup:
+    """H_m = H mod p^m in G_m, m the level of H; h itself at level n."""
+    m = level(h)
+    return h if m == h.ctx.n else Subgroup.from_codes(make_ctx(h.ctx.p, m), h.reduced_codes(m), cap=h.cap)
+
+
 @kept("class counts")
 def _class_counts(h: Subgroup) -> Counter:
-    """#(H n Conj(alpha)) keyed (kind, r): each element of H of trace 0, 1 or 2 labelled once."""
-    ctx, mats = h.ctx, map(decoder(h.ctx), h.codes())
-    return Counter(label for x in mats if (x[0] + x[3]) % ctx.modulus <= 2 for label in class_labels(x, ctx))
+    """#(H n Conj(alpha)) keyed (kind, r).  At level n, each element of H of
+    trace 0, 1 or 2 is labelled once.  Below, H is the preimage of H_m
+    (_at_level) and Conj_n fibres evenly over Conj_m, so each count of H_m is
+    lifted by #Conj_n / #Conj_m, and Conj(u^(p^r)) with r >= m lies whole in
+    K_r <= K_m <= H."""
+    ctx, low = h.ctx, _at_level(h)
+    if low is h:
+        mats = map(decoder(ctx), h.codes())
+        return Counter(label for x in mats if (x[0] + x[3]) % ctx.modulus <= 2 for label in class_labels(x, ctx))
+    counts, out = _class_counts(low), Counter()
+    for key in [("sigma", 0), ("tau", 0)] + [("u_power", r) for r in range(ctx.n)]:
+        size = conj_class_size_formula(ConjClassRef(ctx, *key))
+        below = key[1] < low.ctx.n
+        out[key] = counts[key] * size // conj_class_size_formula(ConjClassRef(low.ctx, *key)) if below else size
+    return out
 
 
 def count_in_subgroup(h: Subgroup, ref: ConjClassRef) -> int:
-    """#(H n Conj(alpha)) from H's labels; a class above h.cap is refused as class_codes refuses it."""
+    """#(H n Conj(alpha)) from _class_counts; a class above h.cap is refused as class_codes refuses it."""
     if ref.ctx != h.ctx:
         raise PreconditionError("class reference bound to a different context")
     counts, size = _class_counts(h), conj_class_size_formula(ref)
@@ -202,17 +221,15 @@ class GenusReport(NamedTuple):
 @kept("genus_report")
 def genus_report(h: Subgroup) -> GenusReport:
     """Every count of H by class counting; below level n, H_m's report with
-    count_sigma and count_tau times #Conj_n / #Conj_m (Conj_n fibres evenly over
-    Conj_m).  When #G_m <= DIRECT_CHECK_CAP, Fix_sigma, Fix_tau and the
-    <u>-orbits are counted again by coset_space; a difference raises
-    ConsistencyError.  Kept in h's memo, so each subgroup is reported once."""
-    ctx, m = h.ctx, level(h)
+    count_sigma and count_tau lifted to level n by _class_counts.  When #G_m <=
+    DIRECT_CHECK_CAP, Fix_sigma, Fix_tau and the <u>-orbits are counted again
+    by coset_space; a difference raises ConsistencyError.  Kept in h's memo,
+    so each subgroup is reported once."""
+    ctx, low = h.ctx, _at_level(h)
     refs = ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")
-    if m < ctx.n:
-        sub = make_ctx(ctx.p, m)
-        low = genus_report(Subgroup.from_codes(sub, h.reduced_codes(m), cap=h.cap))
-        lift = [conj_class_size_formula(ref) // conj_class_size_formula(ConjClassRef(sub, ref.kind)) for ref in refs]
-        return low._replace(count_sigma=low.count_sigma * lift[0], count_tau=low.count_tau * lift[1])
+    if low is not h:
+        counts = _class_counts(h)
+        return genus_report(low)._replace(count_sigma=counts["sigma", 0], count_tau=counts["tau", 0])
     fixed = [fix_points(h, ref) for ref in refs]
     cusp, index = cusp_orbit_ratio(h), ctx.order // h.order
     if ctx.order <= DIRECT_CHECK_CAP:

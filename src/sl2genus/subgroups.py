@@ -3,15 +3,14 @@
 Covers the standard level-one subgroups (Borel, split/nonsplit Cartan
 normalizers, exceptional, the order-3 subgroup at p=2 and the maximal
 mod-2-surjective subgroup of SL2(Z/4Z)), reduction preimages, the kernel
-filtration H_s, slimness, exhaustive lattice enumeration at desk scale and
-seeded random sampling.
+filtration H_s = H n K_s, slimness, exhaustive lattice enumeration at desk
+scale and seeded random sampling.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
-from math import gcd
 from functools import wraps
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -42,7 +41,8 @@ from .core import (
     sigma,
     upper_u,
 )
-from .groups import ElementSet, _closure_codes, _over_cap, capped_orbit, enumerate_group, extend_closure
+from .groups import ElementSet, _above_cap, _closure_codes, _over_cap, cached, capped_orbit, enumerate_group
+from .groups import extend_closure
 
 # -------------------- the subgroup value --------------------
 
@@ -54,8 +54,8 @@ class Subgroup:
     them empty); one with an entry outside [0, p^n) raises
     ContextMismatchError, and one of det != 1 raises PreconditionError.
     _reduced is the memo of what derives from H alone: H mod p^s under the
-    key s, #H under "order", and each value that kept(key) keeps (the
-    filtration, the level, and genus's class counts and genus_report)."""
+    key s, #H under "order", and each value that kept(key) keeps (H_s per s, the
+    level, genus's H_m, class counts and genus_report, bounds' filtration check)."""
 
     def __init__(
         self, ctx: GroupCtx, gens: Tuple[Mat, ...], cap: int = DEFAULT_MAX_ELEMENTS, _codes: Optional[FrozenSet] = None
@@ -139,15 +139,17 @@ class Subgroup:
 
 
 def kept(key: str) -> Callable:
-    """Decorator for a function f(h) of H alone: its value is built on the
-    first call and kept in h's memo under key; a call that raises keeps nothing."""
+    """Decorator for a function f(h, *args) of H alone: its value is built on the
+    first call and kept in h's memo under key, or (key, *args) when it takes
+    args; a call that raises keeps nothing."""
 
     def decorate(f: Callable) -> Callable:
         @wraps(f)
-        def read(h: Subgroup):
-            got = h._reduced.get(key)
+        def read(h: Subgroup, *args):
+            k = (key, *args) if args else key
+            got = h._reduced.get(k)
             if got is None:
-                got = h._reduced[key] = f(h)
+                got = h._reduced[k] = f(h, *args)
             return got
 
         return read
@@ -203,17 +205,30 @@ def _sl2_lift_one(x: Mat, dst_modulus: int) -> Mat:
     return (a * di % dst_modulus, b, c * di % dst_modulus, d)
 
 
+def _generators(h: Subgroup) -> Tuple[Mat, ...]:
+    """Generators picked from H's elements in code order: an element joins only
+    when it lies outside the closure of those before it."""
+    ctx, dec = h.ctx, decoder(h.ctx)
+    gens: List[int] = []
+    seen = frozenset([encoder(ctx)(identity(ctx))])
+    for c in sorted(h.codes()):
+        if c not in seen:
+            seen = extend_closure(seen, gens, (c,), lambda g: right_mul(ctx, dec(g)), h.cap)
+            gens.append(c)
+    return tuple(map(dec, gens))
+
+
 def preimage(h: Subgroup, dst: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     """Full inverse image of H under the mod p^m reduction, order #H * p^(3(n-m)), by
-    generators: the lifts of H's generators (of its elements if it has none) and, for
-    n > m, of 1 + p^m W for the basis W of K_m/K_(m+1), which generate K_m since its
-    Frattini subgroup is K_(m+1) for every p and m >= 1 (Burnside's basis theorem)."""
+    generators: the lifts of H's generators (of _generators(h) if it has none) and,
+    for n > m, of 1 + p^m W for the basis W of K_m/K_(m+1), which generate K_m since
+    its Frattini subgroup is K_(m+1) for every p and m >= 1 (Burnside's basis theorem)."""
     if dst.p != h.ctx.p:
         raise ReductionError("preimage between different primes")
     if dst.n < h.ctx.n:
         raise ReductionError("destination level %d below source level %d" % (dst.n, h.ctx.n))
     m, q = dst.modulus, h.ctx.modulus
-    gens = list(h.gens or h.mats())
+    gens = list(h.gens or _generators(h))
     if dst.n > h.ctx.n:
         gens += [((1 + q) % m, 0, 0, (1 - q) % m), (1, q, 0, 1), (1, 0, q, 1)]
     got = Subgroup(dst, tuple(_sl2_lift_one(g, m) for g in gens), cap)
@@ -223,27 +238,31 @@ def preimage(h: Subgroup, dst: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Sub
     return got
 
 
-@kept("filtration")
-def filtration(h: Subgroup) -> Tuple[Subgroup, ...]:
-    """(H_1, ..., H_n), H_s = H n (1 + p^s M2) the kernel of reduction mod p^s
-    restricted to H.  One pass over H files each code under its depth (the
-    largest s with x = 1 mod p^s), and H_s holds the codes of depth s or more."""
-    ctx, dec = h.ctx, decoder(h.ctx)
-    depth_of = {ctx.p**t: t for t in range(ctx.n + 1)}  # gcd(a - 1, b, c, d - 1, p^n) = p^depth
-    by_depth: List[List[int]] = [[] for _ in range(ctx.n + 1)]
-    for code in h.codes():
-        a, b, c, d = dec(code)
-        by_depth[depth_of[gcd(a - 1, b, c, d - 1, ctx.modulus)]].append(code)
-    return tuple(
-        Subgroup.from_codes(ctx, [c for layer in by_depth[s:] for c in layer], cap=h.cap) for s in range(1, ctx.n + 1)
-    )
+def _kernel_codes(ctx: GroupCtx, s: int, cap: int) -> FrozenSet:
+    """K_s = ker(G -> G_s) as codes, the preimage of {1} mod p^s (so its order
+    is checked), kept in the context's memo; refused above cap in closed form,
+    p^(3(n-s)) codes, before it is built."""
+
+    def build() -> FrozenSet:
+        size, low = ctx.p ** (3 * (ctx.n - s)), make_ctx(ctx.p, s)
+        if size > cap:
+            raise _above_cap("K_%d modulo %d holds %d" % (s, ctx.modulus, size), cap)
+        return preimage(Subgroup.from_codes(low, [encoder(low)(identity(low))]), ctx, cap).codes()
+
+    return cached(ctx, ("kernel", s), build, cap)
 
 
+@kept("H_s")
 def filtration_level(h: Subgroup, s: int) -> Subgroup:
-    """H_s, read from filtration(h)."""
+    """H_s = H n K_s, the kernel of reduction mod p^s restricted to H, one
+    intersection with _kernel_codes kept in h's memo per s; ConsistencyError
+    unless #H_s = #H / #(H mod p^s) (Lagrange)."""
     if not 1 <= s <= h.ctx.n:
         raise ValueError("filtration level s=%d outside 1..%d" % (s, h.ctx.n))
-    return filtration(h)[s - 1]
+    codes = h.codes() & _kernel_codes(h.ctx, s, h.cap)
+    if len(codes) * len(h.reduced_codes(s)) != h.order:
+        raise ConsistencyError("H_%d of %d elements, not #H / #(H mod p^%d)" % (s, len(codes), s))
+    return Subgroup.from_codes(h.ctx, codes, cap=h.cap)
 
 
 def _holds_kernel(h: Subgroup, s: int) -> bool:
@@ -540,7 +559,7 @@ def all_subgroups(
             for t in steps:
                 j = col[t][i]
                 if col[j] is None:
-                    col[j] = [col[t][c] for c in col[i]]
+                    col[j] = list(map(col[t].__getitem__, col[i]))
                     walk.append(j)
 
     # prime-power cyclic subgroups, as (frozenset, generator index), with every
@@ -564,9 +583,9 @@ def all_subgroups(
         return lambda x: cg[col[x][gi]]
 
     perms = [list(map(conj(index[enc(g)]), range(k))) for g in conjugacy_gens or ()]
-    conj_steps = [lambda s, perm=perm: frozenset(perm[x] for x in s) for perm in perms]
+    conj_steps = [lambda s, perm=perm: frozenset(map(perm.__getitem__, s)) for perm in perms]
 
-    trivial = frozenset([e])
+    trivial, everything = frozenset([e]), frozenset(range(k))
     seen_all: Dict[FrozenSet, None] = {trivial: None}
     reps: List[Tuple[FrozenSet, Tuple[int, ...]]] = [(trivial, ())]
     for h, hgens in reps:  # reps grows while it is walked
@@ -576,7 +595,10 @@ def all_subgroups(
             if cgen in h or pos in done:
                 continue
             done.update(slot[y] for y in capped_orbit(cgen, h_steps, k))
-            knew = extend_closure(h, hgens, (cgen,), lambda y: col[y].__getitem__, k)
+            try:  # a subgroup of more than k/2 elements is the universe (Lagrange)
+                knew = extend_closure(h, hgens, (cgen,), lambda y: col[y].__getitem__, k // 2)
+            except FeasibilityError:
+                knew = everything
             if knew in seen_all:
                 continue
             # record the full conjugacy orbit (at most [G : N(H)] <= k subgroups),
@@ -584,7 +606,7 @@ def all_subgroups(
             for t in capped_orbit(knew, conj_steps, k):
                 seen_all[t] = None
             reps.append((knew, hgens + (cgen,)))
-    return [frozenset(codes[i] for i in s) for s in seen_all]
+    return [frozenset(map(codes.__getitem__, s)) for s in seen_all]
 
 
 # -------------------- random sampling --------------------

@@ -441,7 +441,7 @@ def test_filtration_memo_keeps_the_y_sets(sl2_mod9_subgroups):
     for h in subs:
         ctx = h.ctx
         rep = SlimBoundReport("sigma", 0, h.order)
-        _filtration_checks(h, rep)
+        rep.add("filtration", *_filtration_checks(h))
         rows.append(repr(rep.checks))
         if ctx.p == 2:
             refs = [(ConjClassRef(ctx, "sigma"), [1]), (u_power_ref(ctx, 0), [1])]

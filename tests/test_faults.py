@@ -41,7 +41,8 @@ from sl2genus.subgroups import (
     sample_slim_subgroups,
     sample_subgroups,
 )
-from sl2genus.suites import suite_lemma6_1
+from sl2genus.suites import suite_lemma6_1, verify_main_theorem_desk
+from test_kernel import _lattice_digest, _old_all_subgroups
 
 
 def test_an_extra_sigma_fixed_point_fails_the_coset_check(monkeypatch):
@@ -408,3 +409,47 @@ def test_a_reducer_entry_at_the_wrong_level_fails_the_fiber_and_recovery_checks(
     with pytest.raises(ConsistencyError, match="fiber over alpha' has 3 elements, expected 9"):
         fiber_group(FiberDescriptor(3, 0, 2, 1, "sigma"))
     assert suite_lemma6_1(0) == (False, "violation ('chain:recovery1', False, '') at (3,2), #H=54")
+
+
+def test_a_lattice_closure_cut_at_a_third_fails_the_reclosing_oracle_and_the_part1_digest(monkeypatch, report_digest):
+    # all_subgroups reads the universe once a closure passes k // 3 elements,
+    # not k // 2, in subgroups and in suites, which imports it: a subgroup of
+    # index 2 becomes the universe, and the subgroups grown from it go missing.
+    # The reclosing oracle of test_kernel.py sees it at SL2(Z/4Z), the lattice
+    # of SL2(Z/8Z) holds fewer than its 673 subgroups, and desk part 1 (whose
+    # containers B@23 and C@11 have subgroups of index 2) moves its digest.
+    # On SL2(Z/9Z) the mutant is equivalent: no subgroup there has 217 to 324
+    # of its 648 elements, so its lattice digest, and cor6.5 and the
+    # benchmark's lattice item, which read that lattice, do not see it.
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    _mutate(monkeypatch, subgroups_mod, "all_subgroups", "k // 2", "k // 3")
+    monkeypatch.setattr(sys.modules["sl2genus.suites"], "all_subgroups", subgroups_mod.all_subgroups)
+    lattices = {}
+    for p, n in ((2, 2), (2, 3), (3, 2)):
+        ctx = make_ctx(p, n)
+        lattices[p, n] = subgroups_mod.all_subgroups(enumerate_group(ctx), [upper_u(ctx), lower_u(ctx)])
+    c4 = make_ctx(2, 2)
+    assert lattices[2, 2] != _old_all_subgroups(enumerate_group(c4), [upper_u(c4), lower_u(c4)])
+    assert len(lattices[2, 3]) < 673
+    part1 = report_digest(verify_main_theorem_desk(1))
+    assert part1 != "f5c3be681a5d12ac3cf3b331cc934b3a73585df1c8a2cbb1ce789e2ccaace8ad"
+    assert _lattice_digest(lattices[3, 2]) == "ee94a983f4e4a4d57d4435a6186eb5918cb8f12aab3b24299460513751e9cbb8"
+
+
+def test_a_filtration_layer_read_one_kernel_deeper_fails_the_lagrange_check(monkeypatch):
+    # filtration_level intersects H with K_(s+1), not K_s, in subgroups and in
+    # bounds, which imports it.  filtration_level checks each layer against
+    # #H / #(H mod p^s) (Lagrange), and the first bound report whose chains
+    # read a layer H n K_s larger than H n K_(s+1) raises: lemma 6.1's
+    # seeded samples, and desk part 6 at 2^7.  With that check taken out as
+    # well, the reduction-size identity (test_filtration_sizes_from_reductions),
+    # the depth-filing oracle, the Y-set digest of test_bounds.py and the desk
+    # part 6/7 digests fail on it.
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    old, new = "_kernel_codes(h.ctx, s, h.cap)", "_kernel_codes(h.ctx, s + 1, h.cap)"
+    _mutate(monkeypatch, subgroups_mod, "filtration_level", old, new)
+    monkeypatch.setattr(sys.modules["sl2genus.bounds"], "filtration_level", subgroups_mod.filtration_level)
+    with pytest.raises(ConsistencyError, match=r"H_\d of \d+ elements, not #H / #\(H mod p\^\d\)"):
+        suite_lemma6_1(0)
+    with pytest.raises(ConsistencyError, match=r"H_\d of \d+ elements, not #H / #\(H mod p\^\d\)"):
+        verify_main_theorem_desk(6, samples=4)

@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import types
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from sl2genus.genus import (
     class_labels,
     closed_form_genus,
     coset_space,
+    count_in_subgroup,
     cusp_orbit_ratio,
     delta,
     fix_points,
@@ -50,6 +52,7 @@ from sl2genus.subgroups import (
     level,
     nonsplit_cartan_normalizer,
     parse_subgroup_spec,
+    preimage,
     sample_slim_subgroups,
     sample_subgroups,
     split_cartan_normalizer,
@@ -106,7 +109,6 @@ def test_delta_examples():
 
 
 def test_count_in_subgroup_examples():
-    from sl2genus.genus import count_in_subgroup
     from sl2genus.subgroups import a1_subgroup
 
     a1 = a1_subgroup()
@@ -479,10 +481,8 @@ _SPEC_REPORTS = [  # the genus JSON of each, order included, as the eager preima
 ]
 
 
-@pytest.mark.parametrize("spec, p, n, want", _SPEC_REPORTS, ids=[case[0] for case in _SPEC_REPORTS])
-def test_a_spec_report_closes_nothing_at_level_n(monkeypatch, spec, p, n, want):
-    # a spec is held by generators and reported at its level 1, so no closure
-    # and no enumeration of G runs modulo p^n
+def _closing_nothing_at(monkeypatch, n):
+    """Make every closure and every enumeration of G modulo p^n fail the test."""
     groups_mod = sys.modules["sl2genus.groups"]
     closure_codes, group_closure = groups_mod._closure_codes, groups_mod._group_closure
 
@@ -497,10 +497,72 @@ def test_a_spec_report_closes_nothing_at_level_n(monkeypatch, spec, p, n, want):
     for mod in (groups_mod, sys.modules["sl2genus.subgroups"]):
         monkeypatch.setattr(mod, "_closure_codes", closure_below_n)
     monkeypatch.setattr(groups_mod, "_group_closure", group_below_n)
+
+
+@pytest.mark.parametrize("spec, p, n, want", _SPEC_REPORTS, ids=[case[0] for case in _SPEC_REPORTS])
+def test_a_spec_report_closes_nothing_at_level_n(monkeypatch, spec, p, n, want):
+    # a spec is held by generators and reported at its level 1, so no closure
+    # and no enumeration of G runs modulo p^n
+    _closing_nothing_at(monkeypatch, n)
     monkeypatch.delitem(make_ctx(p, n).memo, "G", raising=False)
     h = parse_subgroup_spec(spec, p, n)
     assert json.dumps(dict(genus_report(h).to_json_dict(), order=str(h.order)), sort_keys=True) == want
     assert h._codes is None
+
+
+_COUNTS_3_5 = [  # count --p 3 --n 5 --subgroup preimage:B@1 --output json, as the level-n labels gave it
+    ("sigma", "39366", "0"),
+    ("tau", "26244", "6561"),
+    ("u", "26244", "6561"),
+    ("u^p^1", "2916", "2916"),
+    ("u^p^2", "324", "324"),
+    ("u^p^3", "36", "36"),
+    ("u^p^4", "4", "4"),
+]
+
+
+def test_a_count_below_level_n_closes_nothing_at_level_n(monkeypatch, capsys):
+    # the count verb on a preimage of level 1 reads H_1's labels and lifts them,
+    # so no closure runs modulo 3^5 (H holds 3,188,646 elements there)
+    from sl2genus.cli import run
+
+    _closing_nothing_at(monkeypatch, 5)
+    monkeypatch.delitem(make_ctx(3, 5).memo, "G", raising=False)
+    argv = ["count", "--p", "3", "--n", "5", "--subgroup", "preimage:B@1", "--output", "json", "--class"]
+    for cls, size, count in _COUNTS_3_5:
+        assert run(argv + [cls]) == 0
+        payload = {"class": cls, "class_size": size, "count": count, "subgroup": "preimage:B@1"}
+        assert capsys.readouterr().out == json.dumps(dict(payload, subgroup_order="3188646"), sort_keys=True) + "\n"
+
+
+def _below_level_n(p, n):
+    """Subgroups of SL2(Z/p^nZ) of level below n: the preimages of the level-one
+    specs, of A1 at p = 2, of {1} at each level m < n, and of three seeded
+    subgroups of SL2(Z/p^mZ) at each m < n."""
+    specs = ["B", "C", "full"] + (["F"] if p == 2 else ["D"]) + (["E:A4", "E:S4"] if p >= 5 else [])
+    out = [parse_subgroup_spec("preimage:%s@1" % spec, p, n) for spec in specs]
+    if p == 2 and n > 2:
+        out.append(parse_subgroup_spec("preimage:A1@2", p, n))
+    ctx = make_ctx(p, n)
+    for m in range(1, n):
+        low = make_ctx(p, m)
+        hs = [Subgroup.from_codes(low, {encoder(low)(identity(low))})]
+        hs += sample_subgroups(low, 3, random.Random(("lift", p, n, m).__repr__()))
+        out += [preimage(h, ctx) for h in hs]
+    return out
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (2, 4), (3, 3), (5, 2), (7, 2)])
+def test_counts_below_level_n_lift_the_level_m_labels(p, n):
+    # count_in_subgroup on H of level m < n lifts H_m's labels by #Conj_n / #Conj_m
+    # (all of Conj(u^(p^r)) when r >= m); it equals the labels of every element of H at level n
+    ctx = make_ctx(p, n)
+    refs = [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")] + [u_power_ref(ctx, r) for r in range(n)]
+    subs = _below_level_n(p, n)
+    assert all(level(h) < n for h in subs)
+    for h in subs:
+        labels = Counter(label for x in h.mats() for label in class_labels(x, ctx))
+        assert [count_in_subgroup(h, ref) for ref in refs] == [labels[ref.kind, ref.r] for ref in refs]
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (2, 3), (3, 2), (5, 2), (7, 2), (13, 1)])

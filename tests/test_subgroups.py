@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -25,7 +26,9 @@ from sl2genus.core import (
 from sl2genus.groups import ConjClassRef, _closure_codes, class_codes, enumerate_group
 from sl2genus.subgroups import (
     Subgroup,
+    _generators,
     _holds_kernel,
+    _kernel_codes,
     _last_kernel,
     _lift_to,
     _schreier_walk,
@@ -151,7 +154,7 @@ def test_preimage_order_formula():
         (None, 3, 1, 3),
         ("B", 2, 1, 4),
         ("B", 5, 1, 2),
-        ("E:S4", 5, 1, 2),  # E has no generators: its elements are lifted
+        ("E:S4", 5, 1, 2),  # E has no generators: they are picked from its elements
         ("A1", 2, 2, 4),
         ("preimage:C@1", 3, 2, 3),  # preimage:preimage:C@1@2
     ],
@@ -183,6 +186,79 @@ def test_filtration_sizes_from_reductions():
         for h in sample_slim_subgroups(ctx, 10, random.Random((p, n).__repr__())):
             for s in range(1, n + 1):
                 assert filtration_level(h, s).order == h.order // len(h.reduced_codes(s))
+
+
+def _depth_filing(h):
+    """(H_1, ..., H_n) as code sets by the one pass the filtration used to
+    make: each code of H filed under its depth t, the largest t with
+    x = 1 mod p^t, read from gcd(a - 1, b, c, d - 1, p^n) = p^t; H_s holds
+    the codes of depth s or more."""
+    ctx, dec = h.ctx, decoder(h.ctx)
+    depth_of = {ctx.p**t: t for t in range(ctx.n + 1)}
+    by_depth = [set() for _ in range(ctx.n + 1)]
+    for code in h.codes():
+        a, b, c, d = dec(code)
+        by_depth[depth_of[gcd(a - 1, b, c, d - 1, ctx.modulus)]].add(code)
+    return [frozenset().union(*by_depth[s:]) for s in range(1, ctx.n + 1)]
+
+
+def _filtration_subgroups():
+    """Every subgroup of SL2(Z/9Z) (456) and of SL2(Z/8Z) (673), and ten seeded
+    slim samples at each of (5,2), (3,3), (2,4) and (2,5)."""
+    out = []
+    for (p, n), want in (((3, 2), 456), ((2, 3), 673)):
+        ctx = make_ctx(p, n)
+        lattice = all_subgroups(enumerate_group(ctx), conjugacy_gens=[upper_u(ctx), lower_u(ctx)])
+        assert len(lattice) == want
+        out += [Subgroup.from_codes(ctx, codes) for codes in lattice]
+    for p, n in ((5, 2), (3, 3), (2, 4), (2, 5)):
+        out += sample_slim_subgroups(make_ctx(p, n), 10, random.Random(("filing", p, n).__repr__()))
+    return out
+
+
+def test_filtration_levels_match_the_depth_filing():
+    # H_s = H n K_s, one intersection per s, against the per-element pass it replaced
+    subs = _filtration_subgroups()
+    assert len(subs) == 456 + 673 + 40
+    for h in subs:
+        want = _depth_filing(h)
+        assert [filtration_level(h, s).codes() for s in range(1, h.ctx.n + 1)] == want
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
+def test_the_kernel_is_every_element_congruent_to_one(p, n):
+    # K_s = ker(G -> G_s), built as the preimage of {1}, against {x in G : x = 1 mod p^s}
+    ctx = make_ctx(p, n)
+    dec = decoder(ctx)
+    for s in range(1, n + 1):
+        q = p**s
+        want = {c for c in enumerate_group(ctx).codes if reduce_mat(dec(c), q) == (1, 0, 0, 1 % q)}
+        assert _kernel_codes(ctx, s, DEFAULT_MAX_ELEMENTS) == want and len(want) == p ** (3 * (n - s))
+        assert ctx.memo["kernel", s] is _kernel_codes(ctx, s, len(want))
+
+
+def test_a_kernel_above_the_cap_is_refused_before_it_is_built(monkeypatch):
+    # K_1 modulo 125 holds 5^6 = 15,625 codes: refused in closed form, with no closure run
+    monkeypatch.setattr("sl2genus.subgroups.preimage", lambda *a, **k: pytest.fail("K_1 was built"))
+    ctx = make_ctx(5, 3)
+    with pytest.raises(FeasibilityError, match="K_1 modulo 125 holds 15625 elements, above the cap of 15624"):
+        _kernel_codes(ctx, 1, 15_624)
+    assert ("kernel", 1) not in ctx.memo
+
+
+@pytest.mark.parametrize("p, iso, gens", [(7, "A4", 2), (7, "S4", 2), (13, "A4", 3), (13, "S4", 3), (11, "A5", 3)])
+def test_a_preimage_of_e_picks_its_generators_from_e(p, iso, gens):
+    # E:A5 exists at 11, not at 7 or 13.  E has no generators, and preimage
+    # lifts only those picked greedily from E (plus the three of the kernel),
+    # where it lifted all #E elements before; the preimage is every element over E
+    e = exceptional_subgroup(p, iso)
+    assert e.gens == () and len(_generators(e)) == gens
+    assert _closure_codes(_generators(e), e.ctx, e.order) == e.codes()
+    ctx = make_ctx(p, 2)
+    h = preimage(e, ctx)
+    assert len(h.gens) == gens + 3
+    assert h.order == len(h.codes()) == e.order * p**3
+    assert h.reduced_codes(1) == e.codes() and Subgroup.from_codes(ctx, h.codes()).reduced_codes(1) == e.codes()
 
 
 def test_slimness():
@@ -368,12 +444,6 @@ def test_slim_sampling_needs_level_two():
         sample_slim_subgroups(make_ctx(5, 1), 3, random.Random(0))
 
 
-def _kernel_codes(ctx, s):
-    """K_s = ker(G -> G_s), the preimage of the trivial group at level s."""
-    low = make_ctx(ctx.p, s)
-    return preimage(Subgroup.from_codes(low, {encoder(low)(identity(low))}), ctx).codes()
-
-
 def test_order_test_matches_kernel_inclusion(sl2_mod9_subgroups):
     """K_s <= H by orders against set inclusion, for every s, on every subgroup
     of SL2(Z/9Z) and on seeded slim samples at 25, 27 and 16; the level and
@@ -385,7 +455,7 @@ def test_order_test_matches_kernel_inclusion(sl2_mod9_subgroups):
     slim = 0
     for h in subs:
         n = h.ctx.n
-        inside = [_kernel_codes(h.ctx, s) <= h.codes() for s in range(1, n + 1)]
+        inside = [_kernel_codes(h.ctx, s, DEFAULT_MAX_ELEMENTS) <= h.codes() for s in range(1, n + 1)]
         assert [_holds_kernel(h, s) for s in range(1, n + 1)] == inside
         assert level(h) == inside.index(True) + 1
         assert is_slim(h) == (not inside[n - 2])
