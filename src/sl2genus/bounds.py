@@ -137,7 +137,7 @@ def _bound_plan(ref: ConjClassRef) -> _Plan:
 
 def _count_reduced(h: Subgroup, ref: ConjClassRef, level: int) -> int:
     """#(H mod p^level n Conj(alpha) mod p^level), the class read under h's cap."""
-    return len(h.reduced_codes(level) & class_codes(_bound_plan(ref).refs[level], h.cap))
+    return len(h.reduced(level).codes() & class_codes(_bound_plan(ref).refs[level], h.cap))
 
 
 def _v_codes(desc: FiberDescriptor, x: Mat) -> FrozenSet:
@@ -230,7 +230,7 @@ def _filtration_checks(h: Subgroup) -> Tuple[bool, str]:
     report of H shares it."""
     p, n = h.ctx.p, h.ctx.n
     t0 = 2 if p == 2 else 1
-    sizes = {s: h.order // len(h.reduced_codes(s)) for s in range(t0, n + 1)}
+    sizes = {s: h.order // len(h.reduced(s).codes()) for s in range(t0, n + 1)}
     ok, detail = True, ""
     for t in range(t0, n):
         for s in range(t + 1, n + 1):

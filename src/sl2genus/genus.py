@@ -22,12 +22,11 @@ from .core import (
     PreconditionError,
     decoder,
     encoder,
-    make_ctx,
     mat,
     minus_one,
     num_to_json,
 )
-from .groups import ConjClassRef, _above_cap, check_order, conj_class_size_formula, u_power_ref
+from .groups import ConjClassRef, check_class_size, check_order, conj_class_size_formula, u_power_ref
 from .subgroups import Subgroup, kept, level
 
 # Above this order of G_m, m the level of H, genus_report skips its coset
@@ -64,21 +63,14 @@ def class_labels(x: Mat, ctx: GroupCtx) -> List[Tuple[str, int]]:
     return out
 
 
-@kept("at its level")
-def _at_level(h: Subgroup) -> Subgroup:
-    """H_m = H mod p^m in G_m, m the level of H; h itself at level n."""
-    m = level(h)
-    return h if m == h.ctx.n else Subgroup.from_codes(make_ctx(h.ctx.p, m), h.reduced_codes(m), cap=h.cap)
-
-
 @kept("class counts")
 def _class_counts(h: Subgroup) -> Counter:
     """#(H n Conj(alpha)) keyed (kind, r).  At level n, each element of H of
     trace 0, 1 or 2 is labelled once.  Below, H is the preimage of H_m
-    (_at_level) and Conj_n fibres evenly over Conj_m, so each count of H_m is
+    (h.reduced(m)) and Conj_n fibres evenly over Conj_m, so each count of H_m is
     lifted by #Conj_n / #Conj_m, and Conj(u^(p^r)) with r >= m lies whole in
     K_r <= K_m <= H."""
-    ctx, low = h.ctx, _at_level(h)
+    ctx, low = h.ctx, h.reduced(level(h))
     if low is h:
         mats = map(decoder(ctx), h.codes())
         return Counter(label for x in mats if (x[0] + x[3]) % ctx.modulus <= 2 for label in class_labels(x, ctx))
@@ -91,12 +83,11 @@ def _class_counts(h: Subgroup) -> Counter:
 
 
 def count_in_subgroup(h: Subgroup, ref: ConjClassRef) -> int:
-    """#(H n Conj(alpha)) from _class_counts; a class above h.cap is refused as class_codes refuses it."""
+    """#(H n Conj(alpha)) from _class_counts; a class above h.cap is refused by check_class_size, as class_codes is."""
     if ref.ctx != h.ctx:
         raise PreconditionError("class reference bound to a different context")
-    counts, size = _class_counts(h), conj_class_size_formula(ref)
-    if size > h.cap:
-        raise _above_cap("%r modulo %d holds %d" % ((ref.kind, ref.r), h.ctx.modulus, size), h.cap)
+    counts = _class_counts(h)
+    check_class_size(ref, h.cap)
     return counts[ref.kind, ref.r]
 
 
@@ -127,7 +118,7 @@ def coset_space(h: Subgroup) -> Tuple[List[int], List[int]]:
     ctx = h.ctx
     check_order(ctx, h.cap)
     p, m, enc = ctx.p, ctx.modulus, encoder(ctx)
-    hm = h.reduced_codes(ctx.n)
+    hm = h.codes()
     hmats = list(map(decoder(ctx), hm))
     # det(v, hv) = c x^2 + (d - a) x y - b y^2, for the h of trace tr sigma = 0 and tr tau = 1
     forms = [[(c, d - a, -b) for a, b, c, d in hmats if (a + d - t) % m == 0] for t in (0, 1)]
@@ -225,7 +216,7 @@ def genus_report(h: Subgroup) -> GenusReport:
     DIRECT_CHECK_CAP, Fix_sigma, Fix_tau and the <u>-orbits are counted again
     by coset_space; a difference raises ConsistencyError.  Kept in h's memo,
     so each subgroup is reported once."""
-    ctx, low = h.ctx, _at_level(h)
+    ctx, low = h.ctx, h.reduced(level(h))
     refs = ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")
     if low is not h:
         counts = _class_counts(h)

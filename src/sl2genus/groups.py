@@ -154,6 +154,14 @@ def check_order(ctx: GroupCtx, cap: int) -> None:
         raise _above_cap("SL2(Z/%d^%dZ) has %d" % (ctx.p, ctx.n, ctx.order), cap)
 
 
+def check_class_size(ref: ConjClassRef, cap: int) -> int:
+    """#Conj(alpha) in closed form; FeasibilityError when it is above cap."""
+    size = conj_class_size_formula(ref)
+    if size > cap:
+        raise _above_cap("%r modulo %d holds %d" % ((ref.kind, ref.r), ref.ctx.modulus, size), cap)
+    return size
+
+
 def _group_closure(ctx: GroupCtx) -> FrozenSet:
     try:
         codes = _closure_codes((upper_u(ctx), lower_u(ctx)), ctx, ctx.order)
@@ -272,19 +280,16 @@ def conj_class_brute(rep: Mat, ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -
 def class_codes(ref: ConjClassRef, cap: int = DEFAULT_MAX_ELEMENTS) -> FrozenSet:
     """Orbit codes of the class ref names (brute force), stored in the context's
     memo under (kind, r) once their count matches conj_class_size_formula.  A
-    class above cap in closed form is refused before the walk, as check_order does."""
-    key = (ref.kind, ref.r)
+    class above cap in closed form is refused before the walk, by check_class_size."""
 
     def build() -> FrozenSet:
-        size = conj_class_size_formula(ref)
-        if size > cap:
-            raise _above_cap("%r modulo %d holds %d" % (key, ref.ctx.modulus, size), cap)
+        size = check_class_size(ref, cap)
         codes = conj_class_brute(ref.representative(), ref.ctx, cap).codes
         if len(codes) != size:
             raise ConsistencyError("%s orbit of %d elements, off its closed form" % (ref, len(codes)))
         return codes
 
-    return cached(ref.ctx, key, build, cap)
+    return cached(ref.ctx, (ref.kind, ref.r), build, cap)
 
 
 def centralizer_brute(rep: Mat, group: ElementSet) -> ElementSet:

@@ -53,9 +53,10 @@ class Subgroup:
     from the Schreier walk.  Non-empty gens generate H (from_codes may leave
     them empty); one with an entry outside [0, p^n) raises
     ContextMismatchError, and one of det != 1 raises PreconditionError.
-    _reduced is the memo of what derives from H alone: H mod p^s under the
-    key s, #H under "order", and each value that kept(key) keeps (H_s per s, the
-    level, genus's H_m, class counts and genus_report, bounds' filtration check)."""
+    _reduced is the memo of what derives from H alone: the Subgroup H mod p^s
+    under the key s (reduced; H_m at m the level), #H under "order" and whether its
+    walk found K_(n-1) <= H under "rank 3", and each value that kept(key) keeps
+    (H_s per s, the level, class counts and genus_report)."""
 
     def __init__(
         self, ctx: GroupCtx, gens: Tuple[Mat, ...], cap: int = DEFAULT_MAX_ELEMENTS, _codes: Optional[FrozenSet] = None
@@ -94,8 +95,8 @@ class Subgroup:
 
     @property
     def order(self) -> int:
-        """#H, FeasibilityError above cap.  Before codes, for gens at n >= 2: #lifts *
-        p^rank from _schreier_walk, or #(H mod p^(n-1)) * p^3 once it finds K_(n-1) <= H."""
+        """#H, FeasibilityError above cap.  Before codes, for gens at n >= 2: #lifts * p^rank
+        from _schreier_walk, or once it finds K_(n-1) <= H, reduced(n - 1).order * p^3."""
         if self._codes is not None or not self.gens or self.ctx.n == 1:
             return len(self.codes())
         if "order" not in self._reduced:
@@ -103,7 +104,8 @@ class Subgroup:
             if walk is None:
                 raise _over_cap(self.cap)
             (lifts, span), n, p = walk, self.ctx.n, self.ctx.p
-            got = len(lifts) * len(span) if span is not None else len(self.reduced_codes(n - 1)) * p**3
+            got = len(lifts) * len(span) if span is not None else self.reduced(n - 1).order * p**3
+            self._reduced["rank 3"] = span is None  # K_(n-1) <= H, which _holds_kernel checks by orders
             if got > self.cap:
                 raise _over_cap(self.cap)
             self._reduced["order"] = got
@@ -121,20 +123,19 @@ class Subgroup:
     def elements(self) -> ElementSet:
         return ElementSet(self.ctx, self.codes())
 
-    def reduced_codes(self, level: int) -> FrozenSet:
-        """Codes of the image H mod p^level (level <= n), closing the reduced generators if H has any."""
-        if level == self.ctx.n:
-            return self.codes()
-        if level > self.ctx.n or level < 1:
-            raise ReductionError("cannot reduce level %d subgroup to level %d" % (self.ctx.n, level))
+    def reduced(self, level: int) -> "Subgroup":
+        """H mod p^level (level <= n), kept in the memo: by H's reduced generators
+        if it has any, else from H's reduced codes; H itself at level n."""
         got = self._reduced.get(level)
         if got is None:
-            if self.gens:
-                sub = make_ctx(self.ctx.p, level)
-                got = _closure_codes([reduce_mat(g, sub.modulus) for g in self.gens], sub, self.cap)
-            else:
-                got = frozenset(map(reducer(self.ctx, level), self.codes()))
-            self._reduced[level] = got
+            if level == self.ctx.n:
+                return self
+            if not 1 <= level < self.ctx.n:
+                raise ReductionError("cannot reduce level %d subgroup to level %d" % (self.ctx.n, level))
+            sub = make_ctx(self.ctx.p, level)
+            gens = tuple(reduce_mat(g, sub.modulus) for g in self.gens)
+            codes = None if gens else frozenset(map(reducer(self.ctx, level), self.codes()))
+            got = self._reduced[level] = Subgroup(sub, gens, self.cap, codes)
         return got
 
 
@@ -172,18 +173,17 @@ def full_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
 
 def adjoin_minus_one(h: Subgroup) -> Subgroup:
     """<H, -1>, which is h itself when -1 is in H; -1 is a central involution,
-    so otherwise it is H u (-1)H.  An unmaterialized H of kept level m < n is
-    decided by H_m; any other is compared by order with <gens, -1>, both from
-    the Schreier walk (Subgroup.order), so H is not closed at level n; the
-    result is that <gens, -1>, unmaterialized, also when an order passes the cap."""
+    so otherwise it is H u (-1)H.  An unmaterialized H of level m < n is decided
+    by H_m = h.reduced(m); one of level n is compared by order with <gens, -1>,
+    both from the Schreier walk (Subgroup.order), so H is not closed at level n;
+    the result is that <gens, -1>, unmaterialized, also when an order passes the cap."""
     ctx, neg = h.ctx, minus_one(h.ctx)
     if h._codes is None:
         got = Subgroup(ctx, h.gens + (neg,), h.cap)
-        m = h._reduced.get("level", ctx.n)
-        if m < ctx.n:  # K_m <= H, so -1 is in H exactly when -1 mod p^m is in H_m
-            sub = make_ctx(ctx.p, m)
-            return h if encoder(sub)(minus_one(sub)) in h.reduced_codes(m) else got
         try:
+            low = h.reduced(level(h))
+            if low is not h:  # K_m <= H, so -1 is in H exactly when -1 mod p^m is in H_m
+                return h if minus_one(low.ctx) in low else got
             return h if h.order == got.order else got
         except FeasibilityError:
             return got
@@ -260,7 +260,7 @@ def filtration_level(h: Subgroup, s: int) -> Subgroup:
     if not 1 <= s <= h.ctx.n:
         raise ValueError("filtration level s=%d outside 1..%d" % (s, h.ctx.n))
     codes = h.codes() & _kernel_codes(h.ctx, s, h.cap)
-    if len(codes) * len(h.reduced_codes(s)) != h.order:
+    if len(codes) * len(h.reduced(s).codes()) != h.order:
         raise ConsistencyError("H_%d of %d elements, not #H / #(H mod p^%d)" % (s, len(codes), s))
     return Subgroup.from_codes(h.ctx, codes, cap=h.cap)
 
@@ -268,15 +268,19 @@ def filtration_level(h: Subgroup, s: int) -> Subgroup:
 def _holds_kernel(h: Subgroup, s: int) -> bool:
     """K_s = ker(G -> G_s) <= H, by orders: #H = #(H mod p^s) #(H n K_s) and
     #K_s = p^(3(n-s)), so K_s <= H exactly when #H = #(H mod p^s) p^(3(n-s)).
-    A #H that p^(3(n-s)) does not divide decides it without reducing H."""
+    A #H that p^(3(n-s)) does not divide decides it without reducing H.  At
+    s = n - 1, ConsistencyError when the Schreier walk of #H found otherwise."""
     k = h.ctx.p ** (3 * (h.ctx.n - s))
-    return h.order % k == 0 and len(h.reduced_codes(s)) * k == h.order
+    held = h.order % k == 0 and len(h.reduced(s).codes()) * k == h.order
+    if s == h.ctx.n - 1 and h._reduced.get("rank 3", held) != held:
+        raise ConsistencyError("K_%d <= H is %s by orders, not as the Schreier walk found" % (s, held))
+    return held
 
 
 @kept("level")
 def level(h: Subgroup) -> int:
-    """The level of H, the least s >= 1 with K_s <= H."""
-    return next(s for s in range(1, h.ctx.n + 1) if _holds_kernel(h, s))
+    """The level of H, the least s >= 1 with K_s <= H; n when no s < n has it, as K_n = {1}."""
+    return next((s for s in range(1, h.ctx.n) if _holds_kernel(h, s)), h.ctx.n)
 
 
 def is_slim(h: Subgroup) -> bool:
@@ -287,15 +291,6 @@ def is_slim(h: Subgroup) -> bool:
 
 
 # -------------------- standard subgroups --------------------
-
-
-def smallest_nonresidue(p: int) -> int:
-    if p == 2:
-        raise PreconditionError("no quadratic non-residue mod 2")
-    for k in range(2, p):
-        if pow(k, (p - 1) // 2, p) == p - 1:
-            return k
-    raise RuntimeError("no non-residue mod %d" % p)  # pragma: no cover
 
 
 def _torus_extension(first: Callable[[GroupCtx], Mat], p: int, name: str, want: int, cap: int) -> Subgroup:
@@ -329,7 +324,7 @@ def nonsplit_cartan_normalizer(p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgr
     if p < 3:
         raise PreconditionError("nonsplit Cartan normalizer needs p >= 3")
     ctx = make_ctx(p, 1)
-    lam = smallest_nonresidue(p)
+    lam = next(k for k in range(2, p) if pow(k, (p - 1) // 2, p) == p - 1)  # Euler's criterion
     pairs = [(x, y) for x in range(p) for y in range(p)]
     torus = (mat(x, y, lam * y, x, ctx) for x, y in pairs if (x * x - lam * y * y) % p == 1)
     torus_gen = next((t for t in torus if element_order(t, ctx) == p + 1), None)  # orders divide p + 1
@@ -775,7 +770,7 @@ def sample_slim_subgroups(
         if codes is None:
             continue
         h = Subgroup.from_codes(ctx, codes, gens=tuple(gens))
-        if mod_p_target is not None and not h.reduced_codes(1) <= mod_p_target.codes():
+        if mod_p_target is not None and not h.reduced(1).codes() <= mod_p_target.codes():
             continue
         if codes not in seen:
             seen.add(codes)

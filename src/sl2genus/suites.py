@@ -476,7 +476,7 @@ def section2_l2_1(trials: int, seed: int) -> bool:
         crit_codes = enumerate_group(make_ctx(p, crit)).codes
         hit = 0
         for h in _l21_samples(ctx, crit, trials, rng):
-            if h.reduced_codes(crit) == crit_codes:
+            if h.reduced(crit).codes() == crit_codes:
                 hit += 1
                 if h.order != ctx.order:
                     return False
@@ -484,7 +484,7 @@ def section2_l2_1(trials: int, seed: int) -> bool:
             raise ConsistencyError("L2_1 sampler produced no surjective subgroup")
     # p=2 exception: A1 surjects mod 2 yet is proper
     a1 = a1_subgroup()
-    return a1.reduced_codes(1) == enumerate_group(make_ctx(2, 1)).codes and a1.order != 48
+    return a1.reduced(1).codes() == enumerate_group(make_ctx(2, 1)).codes and a1.order != 48
 
 
 def _l21_samples(ctx: GroupCtx, crit: int, trials: int, rng: random.Random) -> Iterator[Subgroup]:

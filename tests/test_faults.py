@@ -34,10 +34,15 @@ from sl2genus.genus import delta, genus, genus_report
 from sl2genus.groups import ConjClassRef, class_codes, enumerate_group
 from sl2genus.subgroups import (
     Subgroup,
+    a1_subgroup,
     adjoin_minus_one,
     borel,
     closure,
+    filtration_level,
+    is_slim,
     level,
+    parse_subgroup_spec,
+    preimage,
     sample_slim_subgroups,
     sample_subgroups,
 )
@@ -97,8 +102,8 @@ def test_a_swapped_member_of_the_stored_tau_class_moves_no_genus_report(monkeypa
 def test_a_walk_that_understates_h_with_minus_one_fails_the_genus_precondition(monkeypatch):
     # the Schreier walk of <gens, -1> drops -1, so #<H, -1> reads #H for
     # H = <u> and adjoin_minus_one returns H although -1 is not in H.  (Below
-    # level n the walk reaches rank 3 and the order reads the closure of
-    # <gens, -1> mod p^(n-1), which holds -1, so only a level-n H is fooled.)
+    # level n, adjoin_minus_one decides on H_m and reads no walk of <gens, -1>,
+    # so only a level-n H is fooled.)
     # genus() reads the report, whose own -1 test on H at its level is exact.
     subgroups_mod = sys.modules["sl2genus.subgroups"]
     true_walk = subgroups_mod._schreier_walk
@@ -185,13 +190,16 @@ def _reports(cases):
     return out
 
 
-def _mutate(monkeypatch, module, name, old, new):
-    """module.name rebuilt from its source with the one occurrence of old written as new."""
-    source = textwrap.dedent(inspect.getsource(getattr(module, name)))
+def _mutate(monkeypatch, module, name, old, new, owner=None):
+    """owner.name (module.name by default, a property by its getter) rebuilt from
+    its source in module's namespace, with the one occurrence of old written as new."""
+    owner = module if owner is None else owner
+    target = vars(owner)[name]
+    source = textwrap.dedent(inspect.getsource(getattr(target, "fget", target)))
     assert source.count(old) == 1, old
     scope = dict(vars(module))
     exec(compile(source.replace(old, new), module.__file__, "exec"), scope)
-    monkeypatch.setattr(module, name, scope[name])
+    monkeypatch.setattr(owner, name, scope[name])
 
 
 def _kills(monkeypatch, name, old, new):
@@ -453,3 +461,70 @@ def test_a_filtration_layer_read_one_kernel_deeper_fails_the_lagrange_check(monk
         suite_lemma6_1(0)
     with pytest.raises(ConsistencyError, match=r"H_\d of \d+ elements, not #H / #\(H mod p\^\d\)"):
         verify_main_theorem_desk(6, samples=4)
+
+
+def _level_two_at_27():
+    """<u, 1 + 9W> modulo 27, W over diag(1, -1), E12 and E21: the preimage of <u mod 9>, of level 2 and order 243."""
+    ctx = make_ctx(3, 3)
+    return Subgroup(ctx, (upper_u(ctx), (10, 0, 0, 19), (1, 9, 0, 1), (1, 0, 9, 1)))
+
+
+def test_a_rank_three_order_off_by_p_fails_the_preimage_and_closure_checks(monkeypatch):
+    # Subgroup.order reads #(H mod p^(n-1)) p^2, not p^3, once the walk finds
+    # K_(n-1) <= H.  preimage's order check kills every preimage above its
+    # source (B at 5 into 25 reads 20 * 5^2), and an H by generators whose
+    # order was read fails Subgroup.codes' closure-vs-walk comparison when it
+    # is closed.  On H of level 2 at 27, #H reads 81 = #H_2 * 3^2, which no
+    # K_s with s < 3 fits; level and is_slim (and so a report) read K_2 <= H
+    # as false by orders, against the walk's rank 3, and raise without
+    # closing H.
+    h = _level_two_at_27()
+    assert (h.order, level(h), is_slim(h)) == (243, 2, False)
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    _mutate(monkeypatch, subgroups_mod, "order", "* p**3", "* p**2", owner=Subgroup)
+    with pytest.raises(ConsistencyError, match=r"preimage of order 500, not #H p\^\(3\(n-m\)\) = 2500$"):
+        preimage(borel(5), make_ctx(5, 2))
+    rank_three = r"K_2 <= H is False by orders, not as the Schreier walk found$"
+    for read in (level, is_slim):
+        h = _level_two_at_27()
+        with pytest.raises(ConsistencyError, match=rank_three):
+            read(h)
+        assert (h.order, h._codes) == (81, None)
+    with pytest.raises(ConsistencyError, match=rank_three):
+        genus_report(_level_two_at_27())
+    with pytest.raises(ConsistencyError, match="closure of 243 elements, Schreier walk 81"):
+        h.codes()
+
+
+def test_a_walk_short_of_a_lift_below_level_n_fails_the_order_checks(monkeypatch):
+    # _schreier_walk drops its last lift on every context below n = 3, which
+    # only the rank-3 branch of Subgroup.order walks, one level down.
+    # preimage's order check kills the preimage of A1 (level 2) into 8, whose
+    # order reads (5 lifts * 2) * 2^3, and the kernel K_2 modulo 27, the
+    # preimage of {1} mod 9, which reads 0 lifts, so filtration_level fails
+    # there before its Lagrange check.  The reduction H mod 4 of an H by
+    # generators, its walk order read for #H, fails Subgroup.codes'
+    # closure-vs-walk comparison once level closes it.  A walk one level down
+    # that reaches rank 3 reads no lift: over a level-one source the mutant is
+    # equivalent, and preimage:B@1 at 27 keeps its order.
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    true_walk = subgroups_mod._schreier_walk
+    c8, c27 = make_ctx(2, 3), make_ctx(3, 3)
+
+    def short_below_n(gens, ctx, cap):
+        walk = true_walk(gens, ctx, cap)
+        return (walk[0][:-1], walk[1]) if walk is not None and ctx.n < 3 else walk
+
+    a1 = a1_subgroup()
+    gens = preimage(a1, c8).gens
+    monkeypatch.setattr(subgroups_mod, "_schreier_walk", short_below_n)
+    monkeypatch.delitem(c27.memo, ("kernel", 2), raising=False)
+    with pytest.raises(ConsistencyError, match=r"preimage of order 80, not #H .* = 96$"):
+        preimage(a1, c8)
+    with pytest.raises(ConsistencyError, match=r"preimage of order 0, not #H .* = 27$"):
+        filtration_level(closure([upper_u(c27)], c27), 2)
+    h = Subgroup(c8, gens)
+    assert h.order == 80
+    with pytest.raises(ConsistencyError, match="closure of 12 elements, Schreier walk 10"):
+        level(h)
+    assert parse_subgroup_spec("preimage:B@1", 3, 3).order == 6 * 3**6

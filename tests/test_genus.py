@@ -305,7 +305,7 @@ def test_genus_report_matches_standalone_counts():
 
 def _level_route_subgroups(p, n):
     # fresh subgroups: seeded samples with generators, <H, -1> for each,
-    # preimages (held by generators; their order check closes H mod p^(n-1))
+    # preimages (held by generators; their order check walks H mod p^(n-1))
     # and a copy of each preimage without generators, which reduces its codes
     specs = {
         2: ("preimage:F@1", "preimage:A1@2"),
@@ -372,7 +372,7 @@ def test_reduced_codes_close_the_reduced_generators(p, n):
     for h in _level_route_subgroups(p, n):
         for s in range(1, n + 1):
             enc = encoder(make_ctx(p, s))
-            assert h.reduced_codes(s) == {enc(reduce_mat(dec(c), p**s)) for c in h.codes()}
+            assert h.reduced(s).codes() == {enc(reduce_mat(dec(c), p**s)) for c in h.codes()}
 
 
 @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2)])
@@ -389,7 +389,7 @@ def test_coset_counts_at_the_level_of_h_equal_the_counts_at_level_n(p, n):
                 coset_of.update((enc(_mul(dec(c), x, ctx.modulus)), len(reps)) for x in hmats)
                 reps.append(dec(c))
         sub = make_ctx(p, level(h))
-        h_m = Subgroup.from_codes(sub, h.reduced_codes(sub.n))
+        h_m = Subgroup.from_codes(sub, h.reduced(sub.n).codes())
         levels.add(sub.n)
         # the level is the least m with K_m = ker(G -> G_m) inside H
         assert _kernel(ctx, sub.modulus) <= h.codes()
@@ -430,7 +430,7 @@ def test_level_one_report_at_5_3_runs_the_coset_route(monkeypatch):
     rep = genus_report(h)
     assert len(results["coset_space"]) == 1  # the walk, which gives Fix_sigma, Fix_tau and the <u>-orbits
     c5 = make_ctx(5, 1)
-    reps, coset_of = _brute_right_cosets(Subgroup.from_codes(c5, h.reduced_codes(1)))
+    reps, coset_of = _brute_right_cosets(Subgroup.from_codes(c5, h.reduced(1).codes()))
     lengths, fixed = results["coset_space"][0]
     assert sorted(lengths) == _cycle_lengths(_right_perm(reps, coset_of, upper_u(c5), c5)) == [1, 5]
     assert fixed == _brute_fixed(reps, coset_of, c5) == [2, 0]
@@ -535,6 +535,33 @@ def test_a_count_below_level_n_closes_nothing_at_level_n(monkeypatch, capsys):
         assert capsys.readouterr().out == json.dumps(dict(payload, subgroup_order="3188646"), sort_keys=True) + "\n"
 
 
+def test_a_preimage_closes_nothing_above_its_level(monkeypatch):
+    # preimage:B@1 at 2^9 holds 2^25 elements and contains K_s at every level
+    # s >= 1, so its order reads #(H mod 2^s) 2^3 from one walk per level, down
+    # to B at level 1; neither the order, the report (of B) nor a count closes
+    # anything modulo 4 or above
+    moduli = []
+    true_fn = sys.modules["sl2genus.groups"]._closure_codes
+
+    def recording(gens, ctx, cap):
+        moduli.append(ctx.modulus)
+        return true_fn(gens, ctx, cap)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("sl2genus.")]:
+        if vars(mod).get("_closure_codes") is true_fn:
+            monkeypatch.setattr(mod, "_closure_codes", recording)
+    h = parse_subgroup_spec("preimage:B@1", 2, 9)
+    assert h.order == 2**25
+    want = (
+        '{"count_sigma": "32768", "count_tau": "0", "cusp_ratio": {"den": "3", "num": "2"}, "delta": {"den": "1", '
+        '"num": "-4"}, "fix_sigma": "1", "fix_tau": "0", "genus": "0", "index": "3", "order": "33554432"}'
+    )
+    assert json.dumps(dict(genus_report(h).to_json_dict(), order=str(h.order)), sort_keys=True) == want
+    refs = [ConjClassRef(h.ctx, "sigma"), ConjClassRef(h.ctx, "tau")] + [u_power_ref(h.ctx, r) for r in range(9)]
+    assert [count_in_subgroup(h, ref) for ref in refs] == [32768, 0, 16384, 12288, 3072, 768, 192, 48, 12, 6, 3]
+    assert set(moduli) == {2} and h._codes is None
+
+
 def _below_level_n(p, n):
     """Subgroups of SL2(Z/p^nZ) of level below n: the preimages of the level-one
     specs, of A1 at p = 2, of {1} at each level m < n, and of three seeded
@@ -590,7 +617,7 @@ def test_the_walk_splits_g_m_into_right_cosets_of_h_m(p, n):
     for h in _level_route_subgroups(p, n):
         sub = make_ctx(p, level(h))
         m = sub.modulus
-        h_m = Subgroup.from_codes(sub, h.reduced_codes(sub.n))
+        h_m = Subgroup.from_codes(sub, h.reduced(sub.n).codes())
         hmats = list(h_m.mats())
         reps, coset_of = _brute_right_cosets(h_m)
         assert len(coset_of) == sub.order and len(reps) == sub.order // h_m.order
@@ -698,9 +725,9 @@ def test_a_kept_level_below_n_decides_minus_one_without_a_walk(monkeypatch):
         got = adjoin_minus_one(h)
         assert (got is h, walks, h._codes) == (inside, [], None)
         assert genus_report(got) == genus_report(closure(h.gens + (minus_one(ctx),), ctx))
-    h = Subgroup(ctx, kernel)  # no level kept: the orders of the two walks decide
+    h = Subgroup(ctx, kernel)  # no level kept: the walk of #H = 5^3 finds level 1, and H_1 = {1} decides
     walks.clear()
-    assert adjoin_minus_one(h) is not h and len(walks) == 2
+    assert adjoin_minus_one(h) is not h and len(walks) == 1
 
 
 def test_a_report_below_level_n_closes_nothing_at_level_n(monkeypatch):

@@ -9,6 +9,7 @@ from sl2genus.core import (
     ContextMismatchError,
     FeasibilityError,
     PreconditionError,
+    ReductionError,
     _mul,
     conjugator,
     decoder,
@@ -185,7 +186,32 @@ def test_filtration_sizes_from_reductions():
         ctx = make_ctx(p, n)
         for h in sample_slim_subgroups(ctx, 10, random.Random((p, n).__repr__())):
             for s in range(1, n + 1):
-                assert filtration_level(h, s).order == h.order // len(h.reduced_codes(s))
+                assert filtration_level(h, s).order == h.order // len(h.reduced(s).codes())
+
+
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (5, 2)])
+def test_each_reduction_holds_the_reduced_codes_of_h(p, n):
+    # H mod p^s as a Subgroup, for H by generators (read before its codes) and
+    # by codes alone: at every s its codes are those of H reduced, it is kept,
+    # by generators its order from the walk meets its closure, and at s = n it
+    # is H itself
+    ctx = make_ctx(p, n)
+    dec = decoder(ctx)
+    hs = sample_slim_subgroups(ctx, 4, random.Random((p, n, "reduced").__repr__()))
+    hs += [parse_subgroup_spec("preimage:B@1", p, n), parse_subgroup_spec("gens:1,1;0,1", p, n)]
+    for h in hs:
+        by_gens, by_codes = Subgroup(ctx, h.gens), Subgroup.from_codes(ctx, h.codes())
+        for s in range(1, n + 1):
+            enc = encoder(make_ctx(p, s))
+            want = {enc(reduce_mat(dec(c), p**s)) for c in h.codes()}
+            low, twin = by_gens.reduced(s), by_codes.reduced(s)
+            assert low.gens == tuple(reduce_mat(g, p**s) for g in h.gens) and low.order == len(want)
+            assert low.codes() == twin.codes() == want
+            assert by_gens.reduced(s) is low and by_codes.reduced(s) is twin
+        assert by_gens.reduced(n) is by_gens and by_codes.reduced(n) is by_codes
+        for s in (0, n + 1):
+            with pytest.raises(ReductionError):
+                by_gens.reduced(s)
 
 
 def _depth_filing(h):
@@ -258,7 +284,7 @@ def test_a_preimage_of_e_picks_its_generators_from_e(p, iso, gens):
     h = preimage(e, ctx)
     assert len(h.gens) == gens + 3
     assert h.order == len(h.codes()) == e.order * p**3
-    assert h.reduced_codes(1) == e.codes() and Subgroup.from_codes(ctx, h.codes()).reduced_codes(1) == e.codes()
+    assert h.reduced(1).codes() == e.codes() and Subgroup.from_codes(ctx, h.codes()).reduced(1).codes() == e.codes()
 
 
 def test_slimness():
@@ -344,7 +370,7 @@ def test_no_proper_mod2_surjective_subgroup_has_gl2_conjugate_of_u(sl2_mod4_subg
     checked = 0
     for codes in subs:
         h = Subgroup.from_codes(ctx, codes)
-        if h.order == 48 or h.reduced_codes(1) != sl2_mod2:
+        if h.order == 48 or h.reduced(1).codes() != sl2_mod2:
             continue
         checked += 1
         assert not (codes & gl2_u_orbit)
@@ -361,7 +387,7 @@ def test_no_proper_mod3_surjective_subgroup_has_gl2_conjugate_of_u(sl2_mod9_subg
         if len(codes) == ctx.order:
             continue
         h = Subgroup.from_codes(ctx, codes)
-        if h.reduced_codes(1) != sl2_mod3:
+        if h.reduced(1).codes() != sl2_mod3:
             continue
         checked += 1
         assert not (codes & gl2_u_orbit)
@@ -392,7 +418,7 @@ def test_sample_slim_subgroups_are_slim_and_in_target():
     assert len(subs) >= 8
     for h in subs:
         assert is_slim(h)
-        assert h.reduced_codes(1) <= target.codes()
+        assert h.reduced(1).codes() <= target.codes()
 
 
 # (p, n, mod-p target kind or None, rng seed string, candidates): the rng
@@ -483,7 +509,7 @@ def test_adjoin_minus_one_keeps_the_set_when_minus_one_is_in():
 
 
 def test_nonempty_gens_generate_the_subgroup():
-    # reduced_codes closes the reduced generators, so every constructor that
+    # Subgroup.reduced reduces the generators, so every constructor that
     # sets gens must set a generating tuple; a subgroup without gens has ()
     c5, c32 = make_ctx(5, 1), make_ctx(3, 2)
     u_codes = Subgroup.from_codes(c5, closure([upper_u(c5)], c5).codes())
@@ -532,7 +558,7 @@ def test_section2_checks():
 def test_a1_is_the_p2_counterexample():
     # A1 surjects mod 2 onto SL2(Z/2Z) yet is a proper subgroup
     a1 = a1_subgroup()
-    assert a1.reduced_codes(1) == enumerate_group(make_ctx(2, 1)).codes
+    assert a1.reduced(1).codes() == enumerate_group(make_ctx(2, 1)).codes
     assert a1.order < 48
 
 
@@ -542,7 +568,7 @@ def test_a_subgroup_above_modulus_65536_closes_on_int_codes():
     assert h.order == 4 and minus_one(ctx) in h
     assert all(isinstance(c, int) for c in h.codes())
     mod_p = closure([sigma(ctx1)], ctx1).codes()
-    assert h.reduced_codes(1) == Subgroup.from_codes(ctx, h.codes()).reduced_codes(1) == mod_p
+    assert h.reduced(1).codes() == Subgroup.from_codes(ctx, h.codes()).reduced(1).codes() == mod_p
     assert level(h) == 2 and is_slim(h)
 
 
@@ -656,8 +682,8 @@ def test_a_preimage_reads_its_reductions_from_the_source(monkeypatch):
     monkeypatch.setattr(subgroups_mod, "reducer", lambda ctx, s: calls.append((ctx.n, s)) or true_reducer(ctx, s))
     h = parse_subgroup_spec("preimage:B@1", 7, 2)
     assert (h.order, level(h), calls) == (14_406, 1, [])
-    assert h.reduced_codes(1) == borel(7).codes()
+    assert h.reduced(1).codes() == borel(7).codes()
     h = parse_subgroup_spec("preimage:A1@2", 2, 3)
     assert (h.order, level(h), calls) == (96, 2, [])
-    assert h.reduced_codes(2) == a1_subgroup().codes()
-    assert Subgroup.from_codes(h.ctx, h.codes()).reduced_codes(1) == h.reduced_codes(1)
+    assert h.reduced(2).codes() == a1_subgroup().codes()
+    assert Subgroup.from_codes(h.ctx, h.codes()).reduced(1).codes() == h.reduced(1).codes()
