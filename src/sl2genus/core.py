@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Callable, Dict, List, Tuple
 
 Mat = Tuple[int, int, int, int]
@@ -78,42 +77,18 @@ def is_prime(m: int) -> bool:
 
 
 def factorize(m: int) -> Dict[int, int]:
-    """Prime factorization by trial division with a Pollard rho fallback."""
+    """Prime factorization by trial division up to sqrt(m); what the library
+    factors (p - 1, p + 1, phi(p^n), orbit lengths) is no larger than a group it builds."""
     out: Dict[int, int] = {}
-    x = m
-    for q in (2, 3, 5):
-        while x % q == 0:
+    q = 2
+    while q * q <= m:
+        while m % q == 0:
             out[q] = out.get(q, 0) + 1
-            x //= q
-    q = 7
-    while q * q <= x and q < 1_000_000:
-        while x % q == 0:
-            out[q] = out.get(q, 0) + 1
-            x //= q
-        q += 2
-    if x > 1:
-        for q in _rho_split(x):
-            out[q] = out.get(q, 0) + 1
+            m //= q
+        q += 1
+    if m > 1:
+        out[m] = 1
     return out
-
-
-def _rho_split(m: int) -> List[int]:
-    if m == 1:
-        return []
-    if is_prime(m):
-        return [m]
-    c = 1
-    while True:
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % m
-            y = (y * y + c) % m
-            y = (y * y + c) % m
-            d = gcd(abs(x - y), m)
-        if d != m:
-            return sorted(_rho_split(d) + _rho_split(m // d))
-        c += 1
 
 
 def primitive_root(p: int, n: int = 1) -> int:
@@ -125,11 +100,6 @@ def primitive_root(p: int, n: int = 1) -> int:
         if g % p and all(pow(g, phi // q, m) != 1 for q in qs):
             return g
     raise RuntimeError("no primitive root mod %d^%d" % (p, n))
-
-
-def gl2_order(p: int, n: int) -> int:
-    """#GL2(Z/p^nZ) = p^(4(n-1)) (p^2-1)(p^2-p)."""
-    return p ** (4 * (n - 1)) * (p * p - 1) * (p * p - p)
 
 
 # -------------------- group context --------------------
@@ -363,20 +333,6 @@ def mat_pow(x: Mat, k: int, ctx: GroupCtx) -> Mat:
 
 def reduce_mat(x: Mat, modulus: int) -> Mat:
     return (x[0] % modulus, x[1] % modulus, x[2] % modulus, x[3] % modulus)
-
-
-def element_order(x: Mat, ctx: GroupCtx) -> int:
-    """Least k >= 1 with x^k = 1, by dividing primes out of the group exponent."""
-    m = ctx.modulus
-    dt = (x[0] * x[3] - x[1] * x[2]) % m
-    if gcd(dt, m) != 1:
-        raise NotInvertibleError("element with determinant %d mod %d has no order" % (dt, m))
-    one = identity(ctx)
-    o = gl2_order(ctx.p, ctx.n)
-    for q in factorize(o):
-        while o % q == 0 and mat_pow(x, o // q, ctx) == one:
-            o //= q
-    return o
 
 
 # -------------------- text format --------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import gcd
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -26,41 +25,13 @@ from .core import (
     minus_one,
     num_to_json,
 )
-from .groups import ConjClassRef, check_class_size, check_order, conj_class_size_formula, u_power_ref
+from .groups import ConjClassRef, check_class_size, check_order, class_labels, conj_class_size_formula, legendre
+from .groups import u_power_ref
 from .subgroups import Subgroup, kept, level
 
 # Above this order of G_m, m the level of H, genus_report skips its coset
 # cross-check and reports the class-counting route alone (an exact identity).
 DIRECT_CHECK_CAP = 130_000
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) by Euler's criterion."""
-    if p == 2 or not p % 2:
-        raise ValueError("Legendre symbol needs an odd prime, got %d" % p)
-    t = pow(a % p, (p - 1) // 2, p)
-    return -1 if t == p - 1 else t
-
-
-def class_labels(x: Mat, ctx: GroupCtx) -> List[Tuple[str, int]]:
-    """The named classes (kind, r) that hold x = (a b; c d), by its similarity
-    invariants (Nobs 1976) t = tr x, q = p^r = gcd(a - d, b, c, p^n) < p^n and
-    k = b/q, or -c/q when p | b/q.  sigma: t = 0 (k = 1 mod min(4, p^n) at p = 2);
-    tau: t = 1 (k = 1 mod 3 at p = 3); u^(p^r): t = 2, x = 1 mod q, det((x - 1)/q)
-    = 0 mod p^n/q and k a square (k = 1 mod min(8, p^n/q) at p = 2).  At (2, 1)
-    Conj(sigma) = Conj(u), so x may carry two labels."""
-    (a, b, c, d), p, m = x, ctx.p, ctx.modulus
-    t, q = (a + d) % m, gcd(a - d, b, c, m)
-    if t > 2 or q == m:
-        return []
-    k = b // q if b // q % p else -c // q
-    out = [("sigma", 0)] if t == 0 and (p > 2 or k % min(4, m) == 1) else []
-    if t == 1 and (p != 3 or k % 3 == 1):
-        out.append(("tau", 0))
-    if t == 2 % m and (a - 1) % q == 0 and (legendre(k, p) == 1 if p > 2 else k % min(8, m // q) == 1):
-        if ((a - 1) % m // q * ((d - 1) % m // q) - b // q * (c // q)) % (m // q) == 0:
-            out.append(("u_power", next(r for r in range(ctx.n) if p**r == q)))
-    return out
 
 
 @kept("class counts")

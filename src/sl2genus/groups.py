@@ -6,13 +6,16 @@ close through extend_closure, the one right-coset walk (the genus check
 walks double cosets, in genus).  Orbits go through capped_orbit
 (the Schreier walk of subgroups keeps a lift per key, so it stays its own
 loop); conjugacy classes are expanded by conjugating with u, t(u) only,
-which keeps memory at O(#class) instead of O(#group).  Every set derived
-from a context alone is stored once, in its memo, through cached."""
+which keeps memory at O(#class) instead of O(#group), and each member is
+checked against class_labels, which names an element's classes without an
+orbit.  Every set derived from a context alone is stored once, in its memo,
+through cached."""
 
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from typing import Callable, Collection, FrozenSet, Hashable, Iterable, List, Sequence
+from math import gcd
+from typing import Callable, Collection, FrozenSet, Hashable, Iterable, List, Sequence, Tuple
 
 from .core import (
     DEFAULT_MAX_ELEMENTS,
@@ -206,6 +209,35 @@ def u_power_ref(ctx: GroupCtx, r: int = 0) -> ConjClassRef:
     return ConjClassRef(ctx, "u_power", r=r)
 
 
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) by Euler's criterion."""
+    if p == 2 or not p % 2:
+        raise ValueError("Legendre symbol needs an odd prime, got %d" % p)
+    t = pow(a % p, (p - 1) // 2, p)
+    return -1 if t == p - 1 else t
+
+
+def class_labels(x: Mat, ctx: GroupCtx) -> List[Tuple[str, int]]:
+    """The named classes (kind, r) that hold x = (a b; c d), by its similarity
+    invariants (Nobs 1976) t = tr x, q = p^r = gcd(a - d, b, c, p^n) < p^n and
+    k = b/q, or -c/q when p | b/q.  sigma: t = 0 (k = 1 mod min(4, p^n) at p = 2);
+    tau: t = 1 (k = 1 mod 3 at p = 3); u^(p^r): t = 2, x = 1 mod q, det((x - 1)/q)
+    = 0 mod p^n/q and k a square (k = 1 mod min(8, p^n/q) at p = 2).  At (2, 1)
+    Conj(sigma) = Conj(u), so x may carry two labels."""
+    (a, b, c, d), p, m = x, ctx.p, ctx.modulus
+    t, q = (a + d) % m, gcd(a - d, b, c, m)
+    if t > 2 or q == m:
+        return []
+    k = b // q if b // q % p else -c // q
+    out = [("sigma", 0)] if t == 0 and (p > 2 or k % min(4, m) == 1) else []
+    if t == 1 and (p != 3 or k % 3 == 1):
+        out.append(("tau", 0))
+    if t == 2 % m and (a - 1) % q == 0 and (legendre(k, p) == 1 if p > 2 else k % min(8, m // q) == 1):
+        if ((a - 1) % m // q * ((d - 1) % m // q) - b // q * (c // q)) % (m // q) == 0:
+            out.append(("u_power", next(r for r in range(ctx.n) if p**r == q)))
+    return out
+
+
 # -------------------- closed-form class and centralizer sizes --------------------
 
 
@@ -279,14 +311,17 @@ def conj_class_brute(rep: Mat, ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -
 
 def class_codes(ref: ConjClassRef, cap: int = DEFAULT_MAX_ELEMENTS) -> FrozenSet:
     """Orbit codes of the class ref names (brute force), stored in the context's
-    memo under (kind, r) once their count matches conj_class_size_formula.  A
-    class above cap in closed form is refused before the walk, by check_class_size."""
+    memo under (kind, r) once their count matches conj_class_size_formula and
+    every member carries the label (kind, r) by class_labels.  A class above
+    cap in closed form is refused before the walk, by check_class_size."""
 
     def build() -> FrozenSet:
         size = check_class_size(ref, cap)
         codes = conj_class_brute(ref.representative(), ref.ctx, cap).codes
         if len(codes) != size:
             raise ConsistencyError("%s orbit of %d elements, off its closed form" % (ref, len(codes)))
+        if not all((ref.kind, ref.r) in class_labels(x, ref.ctx) for x in map(decoder(ref.ctx), codes)):
+            raise ConsistencyError("%s orbit holds an element without the label %r" % (ref, (ref.kind, ref.r)))
         return codes
 
     return cached(ref.ctx, (ref.kind, ref.r), build, cap)

@@ -25,13 +25,13 @@ from .core import (
     _check_reduced,
     _mul,
     decoder,
-    element_order,
     encoder,
     factorize,
     identity,
     lower_u,
     make_ctx,
     mat,
+    mat_pow,
     minus_one,
     parse_mat,
     primitive_root,
@@ -295,7 +295,10 @@ def is_slim(h: Subgroup) -> bool:
 
 def _torus_extension(first: Callable[[GroupCtx], Mat], p: int, name: str, want: int, cap: int) -> Subgroup:
     """<first, diag(g, g^-1)> in SL2(Z/pZ), g a primitive root (first alone at
-    p = 2); ConsistencyError unless its order is want."""
+    p = 2); refused when want, its order, is above cap, and ConsistencyError
+    unless its closure has want elements."""
+    if want > cap:
+        raise _above_cap("%s modulo %d holds %d" % (name, p, want), cap)
     ctx = make_ctx(p, 1)
     gens = [first(ctx)]
     if p > 2:
@@ -309,7 +312,7 @@ def _torus_extension(first: Callable[[GroupCtx], Mat], p: int, name: str, want: 
 
 def borel(p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     """Upper triangular matrices of SL2(Z/pZ), <u, diag(g, g^-1)>; order p(p-1)."""
-    return _torus_extension(upper_u, p, "Borel", p * (p - 1), cap)
+    return _torus_extension(upper_u, p, "B", p * (p - 1), cap)
 
 
 def split_cartan_normalizer(p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
@@ -319,21 +322,25 @@ def split_cartan_normalizer(p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup
 
 def nonsplit_cartan_normalizer(p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     """Norm-one torus {(x y; ly x)} and its flip; order 2(p+1), with l the
-    smallest positive quadratic non-residue mod p.
+    smallest positive quadratic non-residue mod p, refused above cap.  The
+    torus is cyclic of order p + 1, so its generator is the first t, in (x, y)
+    order, with no t^((p+1)/q) = 1 for a prime q | p + 1.
     """
     if p < 3:
         raise PreconditionError("nonsplit Cartan normalizer needs p >= 3")
+    if 2 * (p + 1) > cap:
+        raise _above_cap("D modulo %d holds %d" % (p, 2 * (p + 1)), cap)
     ctx = make_ctx(p, 1)
     lam = next(k for k in range(2, p) if pow(k, (p - 1) // 2, p) == p - 1)  # Euler's criterion
-    pairs = [(x, y) for x in range(p) for y in range(p)]
-    torus = (mat(x, y, lam * y, x, ctx) for x, y in pairs if (x * x - lam * y * y) % p == 1)
-    torus_gen = next((t for t in torus if element_order(t, ctx) == p + 1), None)  # orders divide p + 1
+    one, qs = identity(ctx), factorize(p + 1)
+    torus = (mat(x, y, lam * y, x, ctx) for x in range(p) for y in range(p) if (x * x - lam * y * y) % p == 1)
+    torus_gen = next((t for t in torus if all(mat_pow(t, (p + 1) // q, ctx) != one for q in qs)), None)
     if torus_gen is None:
         raise ConsistencyError("norm-one torus generator not found")  # pragma: no cover
-    flip = next(mat(x, y, -lam * y, -x, ctx) for x, y in pairs if (lam * y * y - x * x) % p == 1)
+    flip = next(mat(x, y, -lam * y, -x, ctx) for x in range(p) for y in range(p) if (lam * y * y - x * x) % p == 1)
     got = closure([torus_gen, flip], ctx, cap=cap)
     if got.order != 2 * (p + 1):
-        raise ConsistencyError("D order %d != 2(p+1)" % got.order)  # pragma: no cover
+        raise ConsistencyError("D order %d != 2(p+1)" % got.order)
     return got
 
 

@@ -4,9 +4,9 @@ import json
 import pytest
 from hypothesis import settings
 
-from sl2genus import genus
+from sl2genus import groups
 from sl2genus.core import _inv, _mul, decoder, lower_u, make_ctx, upper_u
-from sl2genus.groups import ConjClassRef, class_codes, conj_class_brute, enumerate_group, u_power_ref
+from sl2genus.groups import ConjClassRef, conj_class_brute, enumerate_group, u_power_ref
 from sl2genus.subgroups import all_subgroups
 
 # Tier-1 draws the same Hypothesis examples on every run: the cost of an
@@ -65,15 +65,16 @@ def report_digest():
 
 @pytest.fixture(scope="session")
 def label_mismatches():
-    """The number of elements x of SL2(Z/p^nZ) whose genus.class_labels (read
+    """The number of elements x of SL2(Z/p^nZ) whose groups.class_labels (read
     at call time, so a planted fault shows) differ from the named class orbits
-    (class_codes) that hold x."""
+    that hold x, walked by conj_class_brute (class_codes checks its orbits
+    against the labels, so it would raise on a planted fault)."""
 
     def count(ctx):
         refs = [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")] + [u_power_ref(ctx, r) for r in range(ctx.n)]
-        orbits = [((ref.kind, ref.r), class_codes(ref)) for ref in refs]
+        orbits = [((ref.kind, ref.r), conj_class_brute(ref.representative(), ctx).codes) for ref in refs]
         dec = decoder(ctx)
         codes = enumerate_group(ctx).codes
-        return sum(genus.class_labels(dec(c), ctx) != [key for key, orbit in orbits if c in orbit] for c in codes)
+        return sum(groups.class_labels(dec(c), ctx) != [key for key, orbit in orbits if c in orbit] for c in codes)
 
     return count

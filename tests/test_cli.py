@@ -9,7 +9,6 @@ from sl2genus import cli, suites
 from sl2genus.bounds import bound_sequence
 from sl2genus.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, run
 from sl2genus.core import ConsistencyError, make_ctx
-from sl2genus.subgroups import Subgroup
 from sl2genus.suites import DeskResult
 
 
@@ -279,17 +278,14 @@ def test_an_exceptional_spec_never_enumerates_g(capsys, monkeypatch):
 
 
 def test_a_level_one_spec_closes_under_the_cap(capsys, monkeypatch):
-    # B at p = 1009 holds 1,017,072 elements; its closure must stop at the cap, not finish above it
-    sizes = []
-    codes = Subgroup.codes
-
-    def spy(h):
-        got = codes(h)
-        sizes.append(len(got))
-        return got
-
-    monkeypatch.setattr(Subgroup, "codes", spy)
-    argv = ("count", "--p", "1009", "--n", "1", "--subgroup", "B", "--class", "u", "--max-elements", "1000")
-    code, _, err = _run(capsys, *argv)
-    assert code == EXIT_USAGE and "--max-elements" in err
-    assert all(n <= 1000 for n in sizes)
+    # B at p = 1009 holds p(p - 1) = 1,017,072 elements; count and genus refuse it
+    # in closed form, with no closure run and no primitive root found
+    calls = []
+    monkeypatch.setattr("sl2genus.subgroups._closure_codes", lambda *a: calls.append("_closure_codes"))
+    monkeypatch.setattr("sl2genus.subgroups.primitive_root", lambda *a: calls.append("primitive_root"))
+    b = ("--p", "1009", "--n", "1", "--subgroup", "B")
+    for argv in (("count", *b, "--class", "u", "--max-elements", "1000"), ("genus", *b, "--max-elements", "300000")):
+        code, _, err = _run(capsys, *argv)
+        assert code == EXIT_USAGE and "B modulo 1009 holds 1017072 elements, above the cap of" in err, argv
+        assert "--max-elements" in err
+    assert calls == []

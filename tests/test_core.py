@@ -9,8 +9,8 @@ from sl2genus.core import (
     NotInvertibleError,
     ReductionError,
     decoder,
-    element_order,
     encoder,
+    factorize,
     format_mat,
     identity,
     make_ctx,
@@ -108,31 +108,19 @@ def test_reduce_mod_functorial():
         assert reduce_mat(reduce_mat(x, 9), 3) == reduce_mat(x, 3)
 
 
-def test_element_orders():
-    c5 = make_ctx(5, 1)
-    assert element_order(sigma(c5), c5) == 4
-    assert element_order(tau(c5), c5) == 6
-    assert element_order(identity(c5), c5) == 1
-    # oracle for ord(u) = p^n: plain repeated multiplication
-    for p, n in ((3, 2), (5, 1)):
-        ctx = make_ctx(p, n)
-        u = upper_u(ctx)
-        x, steps = u, 1
-        while x != identity(ctx):
-            x = _mul(x, u, ctx.modulus)
-            steps += 1
-        assert steps == p**n
-        assert element_order(u, ctx) == p**n
-
-
-def test_element_order_divides_group_order():
-    ctx = make_ctx(3, 2)
-    rng = random.Random(99)
-    pool = sorted(enumerate_group(ctx).codes)
-    dec = decoder(ctx)
-    for _ in range(1000):
-        x = dec(pool[rng.randrange(len(pool))])
-        assert ctx.order % element_order(x, ctx) == 0
+def test_factorize_agrees_with_a_sieve_of_smallest_prime_factors():
+    top = 20_000
+    spf = list(range(top + 1))
+    for q in range(2, top + 1):
+        if spf[q] == q:
+            for j in range(q * q, top + 1, q):
+                spf[j] = min(spf[j], q)
+    for m in range(1, top + 1):
+        want, x = {}, m
+        while x > 1:
+            want[spf[x]] = want.get(spf[x], 0) + 1
+            x //= spf[x]
+        assert factorize(m) == want
 
 
 def test_encode_round_trip_packs_every_modulus_into_an_int():

@@ -22,6 +22,7 @@ from sl2genus.core import (
     decoder,
     encoder,
     identity,
+    is_prime,
     lower_u,
     make_ctx,
     mat,
@@ -31,7 +32,7 @@ from sl2genus.core import (
 )
 from sl2genus.fibers import FiberDescriptor, fiber_group
 from sl2genus.genus import delta, genus, genus_report
-from sl2genus.groups import ConjClassRef, class_codes, enumerate_group
+from sl2genus.groups import ConjClassRef, ElementSet, class_codes, enumerate_group
 from sl2genus.subgroups import (
     Subgroup,
     a1_subgroup,
@@ -204,11 +205,15 @@ def _mutate(monkeypatch, module, name, old, new, owner=None):
 
 def _kills(monkeypatch, name, old, new):
     """Counter of the checks that raise on the 112 report cases with genus.name
-    mutated, or None when every report equals the true one."""
+    mutated in the module that defines it (and bound so in genus), or None when
+    every report equals the true one."""
     cases = _report_cases()
     true = _reports(cases)
     assert not any(isinstance(r, str) for r in true)
-    _mutate(monkeypatch, sys.modules["sl2genus.genus"], name, old, new)
+    genus_mod = sys.modules["sl2genus.genus"]
+    home = sys.modules[getattr(genus_mod, name).__module__]
+    _mutate(monkeypatch, home, name, old, new)
+    monkeypatch.setattr(genus_mod, name, getattr(home, name))
     got = _reports(cases)
     assert all(g == t for g, t in zip(got, true) if not isinstance(g, str))  # a fault that moves a report is seen
     kills = Counter(g.split(":")[0] for g in got if isinstance(g, str))
@@ -234,19 +239,30 @@ def test_fixed_counts_without_the_double_coset_length_fail_the_integrality_check
     assert (integral, kills["fixed-point count mismatch"]) == (59, 2)
 
 
+def _unlabelled(kind, r=0):
+    """The ConsistencyError text of class_codes for an orbit member without the label (kind, r)."""
+    return r"orbit holds an element without the label \('%s', %d\)" % (kind, r)
+
+
 def test_sigma_labelled_at_trace_one_fails_the_fixed_point_checks(monkeypatch):
     # class_labels files the elements of trace 1, not 0, under sigma: Fix_sigma
-    # read through the identity is no integer, or differs from the coset count
+    # read through the identity is no integer, or differs from the coset count;
+    # a walked Conj(sigma) (on a fresh context, which stores no orbit) carries no label
     kills = _kills(monkeypatch, "class_labels", "if t == 0 and (p > 2", "if t == 1 and (p > 2")
     assert kills == {"fixed-point identity gave a non-integer": 46, "fixed-point count mismatch": 29}
+    with pytest.raises(ConsistencyError, match=_unlabelled("sigma")):
+        class_codes(ConjClassRef(GroupCtx(5, 1), "sigma"))
 
 
 def test_a_u_power_label_one_level_deep_fails_the_cusp_check(monkeypatch):
     # class_labels files Conj(u^(p^r)) under r + 1: the cusp series reads each
     # count one term late (or not at all at r = n - 1), and the <u>-orbits on
-    # the cosets differ
+    # the cosets differ; a walked Conj(u^(p^r)) carries the wrong label
     kills = _kills(monkeypatch, "class_labels", "next(r for r", "next(r + 1 for r")
     assert kills == {"cusp ratio mismatch": 48}
+    for r in (0, 1):
+        with pytest.raises(ConsistencyError, match=_unlabelled("u_power", r)):
+            class_codes(ConjClassRef(GroupCtx(5, 2), "u_power", r))
 
 
 def test_a_flipped_square_class_fails_the_label_oracle_and_no_genus_check(monkeypatch, label_mismatches):
@@ -254,10 +270,60 @@ def test_a_flipped_square_class_fails_the_label_oracle_and_no_genus_check(monkey
     # it counts Conj(u^(j p^r)), j a non-residue, in place of Conj(u^(p^r)).
     # x -> x^j, j a non-residue mod p prime to p^2 - 1, maps H onto itself and
     # one class onto the other, so no count of any H moves and every genus
-    # report holds: only the label oracle on all of G sees the fault.
+    # report holds: the label oracle on all of G and class_codes' label check
+    # on a walked Conj(u^(p^r)) see the fault.
     assert _kills(monkeypatch, "class_labels", "legendre(k, p) == 1", "legendre(k, p) == -1") is None
     assert label_mismatches(make_ctx(5, 2)) == 2 * 300 + 2 * 12  # Conj(u) and its twin, Conj(u^5) and its twin
     assert label_mismatches(make_ctx(2, 3)) == 0  # the rule at p = 2 reads no Legendre symbol
+    for r in (0, 1):
+        with pytest.raises(ConsistencyError, match=_unlabelled("u_power", r)):
+            class_codes(ConjClassRef(GroupCtx(5, 2), "u_power", r))
+    assert len(class_codes(ConjClassRef(GroupCtx(2, 3), "u_power"))) == 3 * 2**2
+
+
+def test_a_swapped_member_of_a_walked_sigma_orbit_fails_the_label_check(monkeypatch):
+    # conj_class_brute returns Conj(sigma) at 25 with one member that lies in a
+    # seeded slim H over B swapped for t(u) (trace 2), size kept, so the size
+    # check of class_codes passes.  Y_0 of slim_bound_report then read 49 of the
+    # 50 elements of H n Conj(sigma) and nothing raised; class_codes now stores
+    # an orbit only when every member carries its label, so the report raises.
+    groups_mod = sys.modules["sl2genus.groups"]
+    true_brute = groups_mod.conj_class_brute
+    ctx = make_ctx(5, 2)
+    ref, stranger = ConjClassRef(ctx, "sigma"), encoder(ctx)(lower_u(ctx))
+    h = sample_slim_subgroups(ctx, 10, random.Random("fault-plan"), mod_p_target=borel(5))[0]
+    orbit = true_brute(sigma(ctx), ctx).codes
+    member = min(orbit & h.codes())
+    assert len(orbit & h.codes()) == 50 and stranger not in orbit
+
+    def swapped(rep, ctx, cap):
+        got = true_brute(rep, ctx, cap)
+        return ElementSet(ctx, got.codes - {member} | {stranger}) if member in got.codes else got
+
+    monkeypatch.delitem(ctx.memo, ("sigma", 0), raising=False)
+    monkeypatch.setattr(groups_mod, "conj_class_brute", swapped)
+    with pytest.raises(ConsistencyError, match=_unlabelled("sigma")):
+        slim_bound_report(h, ref)
+    assert ("sigma", 0) not in ctx.memo
+
+
+def test_a_torus_generator_tested_at_p_minus_one_fails_the_d_order_check(monkeypatch):
+    # D's generator test raises t to (p - 1)/q, not (p + 1)/q: every t of order
+    # above 2 passes it, and the first in (x, y) order seldom generates the
+    # torus, so the closure of t and the flip falls short of 2(p + 1).  Where
+    # that first t does generate it (p = 3, 5, 13, 17, 29, 37) the mutant is
+    # equivalent: it builds the true D, at p = 5 and 29 from another torus generator.
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    true_d = subgroups_mod.nonsplit_cartan_normalizer
+    _mutate(monkeypatch, subgroups_mod, "nonsplit_cartan_normalizer", "t, (p + 1) // q", "t, (p - 1) // q")
+    killed = []
+    for p in filter(is_prime, range(3, 48)):
+        try:
+            assert subgroups_mod.nonsplit_cartan_normalizer(p).codes() == true_d(p).codes(), p
+        except ConsistencyError as e:
+            assert re.fullmatch(r"D order \d+ != 2\(p\+1\)", str(e)), p
+            killed.append(p)
+    assert killed == [7, 11, 19, 23, 31, 41, 43, 47]
 
 
 def test_a_closure_that_skips_its_last_generator_fails_the_order_checks(monkeypatch):

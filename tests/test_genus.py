@@ -31,7 +31,6 @@ from sl2genus.core import (
 from sl2genus.genus import (
     DIRECT_CHECK_CAP,
     _orbits,
-    class_labels,
     closed_form_genus,
     coset_space,
     count_in_subgroup,
@@ -40,9 +39,8 @@ from sl2genus.genus import (
     fix_points,
     genus,
     genus_report,
-    legendre,
 )
-from sl2genus.groups import ConjClassRef, enumerate_group, u_power_ref
+from sl2genus.groups import ConjClassRef, class_labels, enumerate_group, legendre, u_power_ref
 from sl2genus.subgroups import (
     Subgroup,
     adjoin_minus_one,

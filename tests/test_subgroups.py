@@ -1,4 +1,6 @@
+import hashlib
 import random
+import tracemalloc
 from itertools import product
 from math import gcd
 
@@ -15,11 +17,13 @@ from sl2genus.core import (
     decoder,
     encoder,
     identity,
+    is_prime,
     lower_u,
     make_ctx,
     mat,
     mat_pow,
     minus_one,
+    primitive_root,
     reduce_mat,
     sigma,
     upper_u,
@@ -115,6 +119,61 @@ def test_standard_subgroup_orders():
     assert order_three_subgroup().order == 3
     assert a1_subgroup().order == 12
     assert standard_subgroup("full", 3).order == 24
+
+
+def test_d_keeps_its_generators_and_its_torus_generator_has_order_p_plus_1():
+    # the digest of D's generators at every prime 3 <= p <= 47, taken when D's
+    # torus generator was found by its element order over a list of all p^2 pairs
+    rows = []
+    for p in filter(is_prime, range(3, 48)):
+        d = nonsplit_cartan_normalizer(p)
+        ctx, (t, _) = d.ctx, d.gens
+        x, steps = t, 1
+        while x != identity(ctx):  # the order of t by repeated multiplication
+            x = _mul(x, t, p)
+            steps += 1
+        assert (steps, d.order) == (p + 1, 2 * (p + 1)), p
+        rows.append((p, d.gens))
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "96295bca5852c04e4dad498b0a0bac38dfff0331eab3d83f18cc376d05c91228"
+
+
+def test_d_at_2003_builds_without_a_table_of_pairs():
+    # a list of the p^2 pairs (x, y) alone held about 400 MB at p = 2003
+    tracemalloc.start()
+    try:
+        d = nonsplit_cartan_normalizer(2003)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.order == 4008
+    assert peak < 8 * 2**20, peak
+
+
+@pytest.mark.parametrize(
+    "build, name, p, order",
+    [
+        (borel, "B", 2, 2),
+        (borel, "B", 13, 156),
+        (split_cartan_normalizer, "C", 2, 2),
+        (split_cartan_normalizer, "C", 13, 24),
+        (nonsplit_cartan_normalizer, "D", 13, 28),
+    ],
+)
+def test_a_level_one_subgroup_is_refused_in_closed_form_exactly_above_the_cap(monkeypatch, build, name, p, order):
+    # the order is known before anything is built: a refusal finds no primitive root and closes nothing
+    calls = []
+
+    def recording(hook, real):
+        return lambda *a: calls.append(hook) or real(*a)
+
+    monkeypatch.setattr("sl2genus.subgroups._closure_codes", recording("_closure_codes", _closure_codes))
+    monkeypatch.setattr("sl2genus.subgroups.primitive_root", recording("primitive_root", primitive_root))
+    refusal = "%s modulo %d holds %d elements, above the cap of %d;" % (name, p, order, order - 1)
+    with pytest.raises(FeasibilityError, match=refusal):
+        build(p, cap=order - 1)
+    assert calls == []
+    assert build(p, cap=order).order == order and "_closure_codes" in calls
 
 
 def test_exceptional_subgroups():
