@@ -25,8 +25,7 @@ from .core import (
     minus_one,
     num_to_json,
 )
-from .groups import ConjClassRef, check_class_size, check_order, class_labels, conj_class_size_formula, legendre
-from .groups import u_power_ref
+from .groups import ConjClassRef, _above_cap, class_labels, conj_class_size_formula, legendre, u_power_ref
 from .subgroups import Subgroup, kept, level
 
 # Above this order of G_m, m the level of H, genus_report skips its coset
@@ -54,12 +53,10 @@ def _class_counts(h: Subgroup) -> Counter:
 
 
 def count_in_subgroup(h: Subgroup, ref: ConjClassRef) -> int:
-    """#(H n Conj(alpha)) from _class_counts; a class above h.cap is refused by check_class_size, as class_codes is."""
+    """#(H n Conj(alpha)) from _class_counts, which builds no orbit of the class."""
     if ref.ctx != h.ctx:
         raise PreconditionError("class reference bound to a different context")
-    counts = _class_counts(h)
-    check_class_size(ref, h.cap)
-    return counts[ref.kind, ref.r]
+    return _class_counts(h)[ref.kind, ref.r]
 
 
 # -------------------- the double cosets H g<u> --------------------
@@ -85,10 +82,12 @@ def coset_space(h: Subgroup) -> Tuple[List[int], List[int]]:
     (the u^j a u^-j are the x with x21 = -1 and trace tr a, and (g^-1 h g)21 =
     det(v, hv)).  ConsistencyError unless the orbits cover the primitive vectors,
     each l divides p^n and is the index in <u> of the stabilizer of H g, p^n
-    divides each l N(v), and the l sum to [G:H]."""
+    divides each l N(v), and the l sum to [G:H].  The walk's table holds a slot
+    per vector, p^(2n), refused above h.cap before it is built."""
     ctx = h.ctx
-    check_order(ctx, h.cap)
     p, m, enc = ctx.p, ctx.modulus, encoder(ctx)
+    if m * m > h.cap:
+        raise _above_cap("the vector table modulo %d holds %d" % (m, m * m), h.cap)
     hm = h.codes()
     hmats = list(map(decoder(ctx), hm))
     # det(v, hv) = c x^2 + (d - a) x y - b y^2, for the h of trace tr sigma = 0 and tr tau = 1

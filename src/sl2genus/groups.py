@@ -145,30 +145,17 @@ def _closure_codes(gens: Iterable[Mat], ctx: GroupCtx, cap: int) -> FrozenSet:
 def enumerate_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSet:
     """Materialize SL2(Z/p^nZ) as the closure of <u, t(u)>, once per context.
 
-    The order is checked against cap before the closure runs, which would
+    Its order is checked against cap before the closure runs, which would
     otherwise hold cap elements before it failed."""
-    check_order(ctx, cap)
-    return ElementSet(ctx, cached(ctx, "G", lambda: _group_closure(ctx), cap))
-
-
-def check_order(ctx: GroupCtx, cap: int) -> None:
-    """Raise FeasibilityError when SL2(Z/p^nZ) holds more than cap elements."""
     if ctx.order > cap:
         raise _above_cap("SL2(Z/%d^%dZ) has %d" % (ctx.p, ctx.n, ctx.order), cap)
-
-
-def check_class_size(ref: ConjClassRef, cap: int) -> int:
-    """#Conj(alpha) in closed form; FeasibilityError when it is above cap."""
-    size = conj_class_size_formula(ref)
-    if size > cap:
-        raise _above_cap("%r modulo %d holds %d" % ((ref.kind, ref.r), ref.ctx.modulus, size), cap)
-    return size
+    return ElementSet(ctx, cached(ctx, "G", lambda: _group_closure(ctx), cap))
 
 
 def _group_closure(ctx: GroupCtx) -> FrozenSet:
     try:
         codes = _closure_codes((upper_u(ctx), lower_u(ctx)), ctx, ctx.order)
-    except FeasibilityError:  # check_order has applied the caller's cap, so passing #SL2 is a bug
+    except FeasibilityError:  # enumerate_group has applied the caller's cap, so passing #SL2 is a bug
         raise ConsistencyError("closure of <u, t(u)> passed #SL2 = %d" % ctx.order) from None
     if len(codes) != ctx.order:
         raise ConsistencyError("closure of <u, t(u)> missed elements")  # pragma: no cover
@@ -313,10 +300,12 @@ def class_codes(ref: ConjClassRef, cap: int = DEFAULT_MAX_ELEMENTS) -> FrozenSet
     """Orbit codes of the class ref names (brute force), stored in the context's
     memo under (kind, r) once their count matches conj_class_size_formula and
     every member carries the label (kind, r) by class_labels.  A class above
-    cap in closed form is refused before the walk, by check_class_size."""
+    cap in closed form is refused before the walk."""
 
     def build() -> FrozenSet:
-        size = check_class_size(ref, cap)
+        size = conj_class_size_formula(ref)
+        if size > cap:
+            raise _above_cap("%r modulo %d holds %d" % ((ref.kind, ref.r), ref.ctx.modulus, size), cap)
         codes = conj_class_brute(ref.representative(), ref.ctx, cap).codes
         if len(codes) != size:
             raise ConsistencyError("%s orbit of %d elements, off its closed form" % (ref, len(codes)))

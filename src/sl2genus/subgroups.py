@@ -41,7 +41,7 @@ from .core import (
     sigma,
     upper_u,
 )
-from .groups import ElementSet, _above_cap, _closure_codes, _over_cap, cached, capped_orbit, enumerate_group
+from .groups import ElementSet, _above_cap, _closure_codes, cached, capped_orbit, enumerate_group
 from .groups import extend_closure
 
 # -------------------- the subgroup value --------------------
@@ -95,19 +95,25 @@ class Subgroup:
 
     @property
     def order(self) -> int:
-        """#H, FeasibilityError above cap.  Before codes, for gens at n >= 2: #lifts * p^rank
-        from _schreier_walk, or once it finds K_(n-1) <= H, reduced(n - 1).order * p^3."""
+        """#H.  Before codes, for gens at n >= 2: #lifts * p^rank from _schreier_walk,
+        refused once that passes cap, as the walk holds the lifts; or, once the
+        walk finds three W (K_(n-1) <= H), reduced(n - 1).order * p^3, a number
+        that no cap refuses until H is closed.  ConsistencyError unless the
+        three W are independent mod p."""
         if self._codes is not None or not self.gens or self.ctx.n == 1:
             return len(self.codes())
         if "order" not in self._reduced:
             walk = _schreier_walk(self.gens, self.ctx, self.cap)
             if walk is None:
-                raise _over_cap(self.cap)
-            (lifts, span), n, p = walk, self.ctx.n, self.ctx.p
-            got = len(lifts) * len(span) if span is not None else self.reduced(n - 1).order * p**3
-            self._reduced["rank 3"] = span is None  # K_(n-1) <= H, which _holds_kernel checks by orders
-            if got > self.cap:
-                raise _over_cap(self.cap)
+                raise _above_cap("the Schreier walk modulo %d passed %d" % (self.ctx.modulus, self.cap), self.cap)
+            (lifts, basis), n, p = walk, self.ctx.n, self.ctx.p
+            if len(basis) < 3:
+                got = len(lifts) * p ** len(basis)
+            elif _in_span(basis[:2], basis[2], p):
+                raise ConsistencyError("the Schreier walk claims K_%d <= H on W of rank < 3: %r" % (n - 1, basis))
+            else:
+                got = self.reduced(n - 1).order * p**3
+            self._reduced["rank 3"] = len(basis) == 3  # K_(n-1) <= H, which _holds_kernel checks by orders
             self._reduced["order"] = got
         return self._reduced["order"]
 
@@ -176,17 +182,15 @@ def adjoin_minus_one(h: Subgroup) -> Subgroup:
     so otherwise it is H u (-1)H.  An unmaterialized H of level m < n is decided
     by H_m = h.reduced(m); one of level n is compared by order with <gens, -1>,
     both from the Schreier walk (Subgroup.order), so H is not closed at level n;
-    the result is that <gens, -1>, unmaterialized, also when an order passes the cap."""
+    the result is that <gens, -1>, unmaterialized.  A walk or closure above the
+    cap raises FeasibilityError, as H's own report would."""
     ctx, neg = h.ctx, minus_one(h.ctx)
     if h._codes is None:
         got = Subgroup(ctx, h.gens + (neg,), h.cap)
-        try:
-            low = h.reduced(level(h))
-            if low is not h:  # K_m <= H, so -1 is in H exactly when -1 mod p^m is in H_m
-                return h if minus_one(low.ctx) in low else got
-            return h if h.order == got.order else got
-        except FeasibilityError:
-            return got
+        low = h.reduced(level(h))
+        if low is not h:  # K_m <= H, so -1 is in H exactly when -1 mod p^m is in H_m
+            return h if minus_one(low.ctx) in low else got
+        return h if h.order == got.order else got
     if encoder(ctx)(neg) in h.codes():
         return h
     codes = set(h.codes())  # frozen once, the table fits H u -H; a union H | -H sizes it for both
@@ -496,7 +500,8 @@ def parse_subgroup_spec(
 
     "B", "C", "D", "E:A4|S4|A5", "F", "A1", "full",
     "gens:a,b;c,d|a,b;c,d|...", "preimage:<spec>@<m>".  The subgroup carries
-    cap, which the genus and count routes apply to G and the class orbits.
+    cap, which refuses what the genus and count routes build: H at its level,
+    its Schreier walks and the coset walk's table.
     """
     spec = spec.strip()
     ctx = make_ctx(p, n)
@@ -671,19 +676,18 @@ def _slim_candidate(ctx: GroupCtx, level1_pool: List[Mat], rng: random.Random) -
     return gens
 
 
-def _schreier_walk(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[Tuple[List[Mat], Optional[set]]]:
+def _schreier_walk(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[Tuple[List[Mat], List[tuple]]]:
     """Schreier's lemma along the last reduction (n >= 2): walk H = <gens> mod
     p^(n-1) breadth-first with level-n products and keep the first lift t of
     each reduced element.  A product z reaching that element again gives
     z t^-1 = 1 + p^(n-1) W in H n K_(n-1), and these generate H n K_(n-1).
     K_(n-1) is F_p^3 through (W00, W01, W10), with W11 = -W00 mod p, for p = 2
-    as well.  Below rank 3, H is the products t k of the lifts and the span,
-    #H = #lifts * p^rank.  Returns (lifts, span); the span is None once it
-    reaches rank 3 (K_(n-1) <= H; the walk stops there, its lifts partial),
-    and the whole is None once #lifts * p^rank passes cap (then #H > cap).
-    The walk keeps a basis of the span, and w lies in it when its cross
-    product with the one basis vector, or its determinant with the two,
-    vanishes mod p (_in_span); the span itself is built on return.
+    as well.  Below rank 3, H is the products t k of the lifts and the span
+    of the W, #H = #lifts * p^rank.  Returns (lifts, basis), the independent W
+    found; the walk stops at a third (K_(n-1) <= H; its lifts partial), and
+    returns None once #lifts * p^rank passes cap (then #H > cap).  A new w
+    joins the basis unless its cross product with the one basis vector, or
+    its determinant with the two, vanishes mod p (_in_span).
     """
     p, m = ctx.p, ctx.modulus
     q = m // p
@@ -705,16 +709,13 @@ def _schreier_walk(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[Tup
                 w = ((z0 * i0 + z1 * i2) % m // q, (z0 * i1 + z1 * i3) % m // q, (z2 * i0 + z3 * i2) % m // q)
                 if _in_span(basis, w, p):
                     continue
-                if len(basis) == 2:
-                    return lifts, None  # a third independent W
                 basis.append(w)
+                if len(basis) == 3:
+                    return lifts, basis  # K_(n-1) <= H
                 size *= p
             if len(lifts) * size > cap:
                 return None
-    span = {(0, 0, 0)}
-    for w in basis:
-        span = {tuple((a + j * b) % p for a, b in zip(v, w)) for v in span for j in range(p)}
-    return lifts, span
+    return lifts, basis
 
 
 def _in_span(basis: Sequence[Tuple[int, int, int]], w: Tuple[int, int, int], p: int) -> bool:
@@ -740,13 +741,17 @@ def _last_kernel(ctx: GroupCtx, ws: Iterable[Tuple[int, int, int]]) -> List[Mat]
 
 def _slim_closure_codes(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[FrozenSet]:
     """The codes of H = <gens> (n >= 2) as the products t k of the lifts and the
-    kernel span of _schreier_walk, or None if H contains the last kernel
+    span of the W of _schreier_walk, or None if H contains the last kernel
     K_(n-1) (rank 3) or holds more than cap elements."""
     walk = _schreier_walk(gens, ctx, cap)
-    if walk is None or walk[1] is None:
+    if walk is None or len(walk[1]) == 3:
         return None
-    enc, m, kernel = encoder(ctx), ctx.modulus, _last_kernel(ctx, walk[1])
-    return frozenset(enc(_mul(t, k, m)) for t in walk[0] for k in kernel)
+    (lifts, basis), p = walk, ctx.p
+    span = {(0, 0, 0)}
+    for w in basis:
+        span = {tuple((a + j * b) % p for a, b in zip(v, w)) for v in span for j in range(p)}
+    enc, m, kernel = encoder(ctx), ctx.modulus, _last_kernel(ctx, span)
+    return frozenset(enc(_mul(t, k, m)) for t in lifts for k in kernel)
 
 
 def sample_slim_subgroups(
@@ -778,7 +783,7 @@ def sample_slim_subgroups(
             continue
         h = Subgroup.from_codes(ctx, codes, gens=tuple(gens))
         if mod_p_target is not None and not h.reduced(1).codes() <= mod_p_target.codes():
-            continue
+            raise ConsistencyError("a candidate lifted from the target leaves it mod %d" % ctx.p)
         if codes not in seen:
             seen.add(codes)
             out.append(h)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 from hypothesis import settings
@@ -78,3 +79,28 @@ def label_mismatches():
         return sum(groups.class_labels(dec(c), ctx) != [key for key, orbit in orbits if c in orbit] for c in codes)
 
     return count
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """(context, size) of each set groups._closure_codes and groups.class_codes
+    return while the test runs, read through every sl2genus module that imported
+    them by name: the closures, G and class orbits a call materialized."""
+    seen = []
+
+    def recording(fn, ctx_of):
+        def wrapped(*args):
+            got = fn(*args)
+            seen.append((ctx_of(*args), len(got)))
+            return got
+
+        return wrapped
+
+    mods = [m for name, m in sys.modules.items() if name.startswith("sl2genus.")]
+    for name, ctx_of in (("_closure_codes", lambda gens, ctx, cap: ctx), ("class_codes", lambda ref, *cap: ref.ctx)):
+        true_fn = getattr(groups, name)
+        wrapped = recording(true_fn, ctx_of)
+        for mod in mods:
+            if vars(mod).get(name) is true_fn:
+                monkeypatch.setattr(mod, name, wrapped)
+    return seen

@@ -9,6 +9,7 @@ from sl2genus import cli, suites
 from sl2genus.bounds import bound_sequence
 from sl2genus.cli import EXIT_BROKEN_PIPE, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAIL, run
 from sl2genus.core import ConsistencyError, make_ctx
+from sl2genus.groups import ConjClassRef, conj_class_size_formula
 from sl2genus.suites import DeskResult
 
 
@@ -175,7 +176,7 @@ def test_a_bound_longer_than_the_int_to_str_limit_prints_whole(capsys):
     assert json.loads(out)["value"] == str(bound_sequence("a_sigma_p", 5, 10000))
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, builds):
     code, _, err = _run(capsys, "verify", "--suite", "not-a-suite")
     assert code == EXIT_USAGE
     code, _, _ = _run(capsys, "genus", "--p", "13")
@@ -206,17 +207,23 @@ def test_usage_errors(capsys):
         assert err.startswith("error: "), argv
     for suite in ("lemma4.10", "all"):
         assert "--case" in _run(capsys, "verify", "--suite", suite, "--case", "3")[2], suite
-    # genus applies the cap to G and the class orbits, as count does, and
-    # preimage to the 2,500 elements of the preimage of B mod 5
+    # the cap refuses what a call builds, not a number it reads: count labels
+    # the 5 elements of H = <(1 5; 0 1)> and builds no orbit of Conj(sigma)
+    # (750 elements), genus walks a table of 25^2 vector slots and never builds
+    # G = SL2(Z/25Z) (15,000), and preimage:B@1 (2,500 elements) is reported
+    # on B mod 5 (20 elements); below the table and the Schreier walk, the
+    # cap still refuses them
     spec = ("--p", "5", "--n", "2", "--subgroup", "gens:1,5;0,1")
     preimage_b = ("genus", "--p", "5", "--n", "2", "--subgroup", "preimage:B@1")
-    for argv in (("genus",) + spec, ("count",) + spec + ("--class", "sigma"), preimage_b):
-        code, _, err = _run(capsys, *argv, "--max-elements", "100")
-        assert code == EXIT_USAGE, argv
-        assert "--max-elements" in err, argv
-    code, capped, _ = _run(capsys, "genus", *spec, "--output", "json", "--max-elements", "15000")
-    assert code == EXIT_OK  # 15000 = #SL2(Z/25Z)
-    assert capped == _run(capsys, "genus", *spec, "--output", "json")[1]
+    count = ("count",) + spec + ("--class", "sigma")
+    for argv, cap in ((count, 100), (("genus",) + spec, 625), (preimage_b, 100)):
+        builds.clear()
+        code, capped, _ = _run(capsys, *argv, "--output", "json", "--max-elements", str(cap))
+        assert code == EXIT_OK and builds and all(size <= cap for _, size in builds), argv
+        assert capped == _run(capsys, *argv, "--output", "json")[1], argv
+    for argv, cap, held in ((("genus",) + spec, 624, "vector table"), (preimage_b, 24, "Schreier walk")):
+        code, _, err = _run(capsys, *argv, "--max-elements", str(cap))
+        assert code == EXIT_USAGE and held in err and "--max-elements" in err, argv
     # each subcommand declares only the flags it reads
     for argv in (
         ("bounds", "--kind", "a_sigma_p", "--p", "5", "--n", "3", "--seed", "1"),
@@ -259,11 +266,52 @@ def test_feasibility_error_names_the_flag(capsys):
     assert "max-elements" in err or "SL2_MAX_ELEMENTS" in err
 
 
-def test_genus_above_modulus_65536_stops_at_the_cap(capsys):
-    code, _, err = _run(
-        capsys, "genus", "--p", "257", "--n", "2", "--subgroup", "gens:0,1;-1,0", "--max-elements", "1000"
-    )
+def test_genus_above_modulus_65536_stops_at_the_cap(capsys, builds):
+    # <sigma> modulo 257^2 has 4 elements and level 2.  Its report labels them
+    # and builds no orbit of Conj(sigma) (258 * 257^3 elements) and no coset
+    # table (#G is above DIRECT_CHECK_CAP), so a cap of 1000 refuses nothing;
+    # a cap of 3 refuses the closure of H
+    argv = ("genus", "--p", "257", "--n", "2", "--subgroup", "gens:0,1;-1,0", "--output", "json")
+    code, capped, _ = _run(capsys, *argv, "--max-elements", "1000")
+    assert code == EXIT_OK and builds == [(make_ctx(257, 2), 4)]
+    assert capped == _run(capsys, *argv)[1]
+    code, _, err = _run(capsys, *argv, "--max-elements", "3")
     assert code == EXIT_USAGE and "--max-elements" in err
+
+
+def test_the_papers_exponents_run_under_the_default_cap(capsys, builds):
+    # section 7 states its chains at 2^11 (B), 2^10 (F) and 3^6 (B).  A preimage
+    # of a level-one subgroup is reported on its source: the same index, cusp
+    # ratio, delta, genus and fixed counts, count_sigma and count_tau lifted by
+    # #Conj_n / #Conj_1, and nothing built above level one
+    def genus_json(p, n, spec):
+        code, out, _ = _run(capsys, "genus", "--p", str(p), "--n", str(n), "--subgroup", spec, "--output", "json")
+        assert code == EXIT_OK, (p, n, spec)
+        return json.loads(out)
+
+    for p, n, kind in ((2, 11, "B"), (2, 10, "F"), (3, 6, "B")):
+        builds.clear()
+        got = genus_json(p, n, "preimage:%s@1" % kind)
+        assert builds and {ctx.n for ctx, _ in builds} == {1}
+        low = genus_json(p, 1, kind)
+        for key in ("count_sigma", "count_tau"):
+            lift = [conj_class_size_formula(ConjClassRef(make_ctx(p, k), key[6:])) for k in (n, 1)]
+            low[key] = str(int(low[key]) * lift[0] // lift[1])
+        low.update(order=str(int(low["order"]) * p ** (3 * n - 3)), subgroup="preimage:%s@1" % kind)
+        assert got == low, (p, n, kind)
+    builds.clear()
+    argv = ("count", "--p", "2", "--n", "11", "--subgroup", "preimage:B@1", "--class", "sigma", "--output", "json")
+    code, out, _ = _run(capsys, *argv)
+    assert code == EXIT_OK and {ctx.n for ctx, _ in builds} == {1}
+    assert json.loads(out)["count"] == "524288"  # u, the one element of B in Conj(sigma) mod 2, lifted by 2^19
+    # B at 13 holds 156 elements, #Conj(sigma) = 182 and #G = 2,184; genus walks
+    # 13^2 vector slots, and only a cap below B refuses
+    b = ("--p", "13", "--n", "1", "--subgroup", "B", "--output", "json")
+    for argv, cap in ((("genus",) + b, 200), (("count",) + b + ("--class", "sigma"), 160)):
+        code, capped, _ = _run(capsys, *argv, "--max-elements", str(cap))
+        assert code == EXIT_OK and capped == _run(capsys, *argv)[1], argv
+        code, _, err = _run(capsys, *argv, "--max-elements", "150")
+        assert code == EXIT_USAGE and "B modulo 13 holds 156 elements, above the cap of 150" in err, argv
 
 
 def test_an_exceptional_spec_never_enumerates_g(capsys, monkeypatch):

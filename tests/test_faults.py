@@ -69,18 +69,45 @@ def test_an_extra_sigma_fixed_point_fails_the_coset_check(monkeypatch):
 
 def test_a_walk_that_overstates_the_kernel_fails_the_closure_check(monkeypatch):
     # the Schreier walk reports K_1 <= H for H = <u> in SL2(Z/25Z), of order 25:
-    # #H reads 5 * 5^3 and the level 1, so genus_report alone would return the
-    # report of <u mod 5>.  Materializing H compares the closure with the walk's
-    # order; test_the_walk_order_and_reports_match_the_closure compares the two
-    # twins the same way.
+    # #H would read 5 * 5^3 and the level 1, so genus_report alone would return
+    # the report of <u mod 5>.  A walk that pads its one W with zeros to three
+    # fails Subgroup.order's determinant check before any report reads #H.  One
+    # that adds two true but foreign W (independent, so the determinant check
+    # passes) is caught when H is materialized, by the closure's comparison with
+    # the walk's order; test_the_walk_order_and_reports_match_the_closure
+    # compares the two twins the same way.
     subgroups_mod = sys.modules["sl2genus.subgroups"]
     true_walk = subgroups_mod._schreier_walk
-    monkeypatch.setattr(subgroups_mod, "_schreier_walk", lambda gens, ctx, cap: (true_walk(gens, ctx, cap)[0], None))
     ctx = make_ctx(5, 2)
+    assert true_walk((upper_u(ctx),), ctx, 625)[1] == [(0, 1, 0)]
+
+    def padded(pad):
+        def walk(gens, ctx, cap):
+            lifts, basis = true_walk(gens, ctx, cap)
+            return lifts, basis + pad
+
+        return walk
+
+    monkeypatch.setattr(subgroups_mod, "_schreier_walk", padded([(0, 0, 0), (0, 0, 0)]))
+    for read in (lambda h: h.order, level, genus_report):
+        with pytest.raises(ConsistencyError, match=r"claims K_1 <= H on W of rank < 3"):
+            read(Subgroup(ctx, (upper_u(ctx),)))
+    monkeypatch.setattr(subgroups_mod, "_schreier_walk", padded([(1, 0, 0), (0, 0, 1)]))
     h = Subgroup(ctx, (upper_u(ctx),))
     assert (h.order, level(h)) == (625, 1) != (closure(h.gens, ctx).order, 2)
     with pytest.raises(ConsistencyError, match="closure of 25 elements, Schreier walk 625"):
         h.codes()
+
+
+def test_a_lift_off_its_residue_fails_the_sampler_invariant(monkeypatch):
+    # _lift_to lifts the transpose-reversal (d c; b a) of x, not x, so a
+    # candidate of the slim sampler may leave the target mod p: at 2 the
+    # reversal of u is t(u), outside B.  The sampler holds H mod p inside the
+    # target as an invariant and raises on desk part 7 (B at 2^7).  C is
+    # closed under the reversal, so on C alone the fault is equivalent.
+    _mutate(monkeypatch, sys.modules["sl2genus.subgroups"], "_lift_to", "reduce_mat(x, ", "reduce_mat(x[::-1], ")
+    with pytest.raises(ConsistencyError, match="a candidate lifted from the target leaves it mod 2$"):
+        verify_main_theorem_desk(7, samples=2)
 
 
 def test_a_swapped_member_of_the_stored_tau_class_moves_no_genus_report(monkeypatch):

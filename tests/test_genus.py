@@ -639,13 +639,18 @@ def test_the_walk_splits_g_m_into_right_cosets_of_h_m(p, n):
         assert fixed == _brute_fixed(reps, coset_of, sub)
 
 
-def test_the_walk_checks_the_cap_before_it_builds_anything():
-    ctx = make_ctx(5, 2)  # <u> has level 2, and G_2 = SL2(Z/25Z) holds 15,000 elements
+def test_the_walk_checks_the_cap_before_it_builds_anything(builds):
+    # <u> has level 2 modulo 25; the walk builds a table of 25^2 = 625 vector
+    # slots and <u> itself (25 elements), never G_2 = SL2(Z/25Z) (15,000), so
+    # the cap refuses the table, not #G_2
+    ctx = make_ctx(5, 2)
     before = list(ctx.memo)
-    with pytest.raises(FeasibilityError, match="--max-elements"):
-        coset_space(Subgroup(ctx, (upper_u(ctx),), cap=14_999))
-    lengths, fixed = coset_space(Subgroup(ctx, (upper_u(ctx),), cap=15_000))
+    with pytest.raises(FeasibilityError, match="vector table modulo 25 holds 625 elements, above the cap of 624"):
+        coset_space(Subgroup(ctx, (upper_u(ctx),), cap=624))
+    lengths, fixed = coset_space(Subgroup(ctx, (upper_u(ctx),), cap=625))
     assert list(ctx.memo) == before  # the walk stores nothing in the context
+    assert builds == [(ctx, 25)]
+    assert (lengths, fixed) == coset_space(Subgroup(ctx, (upper_u(ctx),)))
     # u moves (x, y) to (x + y, y): 20 orbits of 25 vectors (y a unit), 16 of 5
     # (y = 5k, k a unit mod 5) and 20 of one (y = 0); l = 25 #O / #<u> = #O
     assert sorted(lengths) == [1] * 20 + [5] * 16 + [25] * 20 and sum(lengths) == 600
@@ -728,35 +733,24 @@ def test_a_kept_level_below_n_decides_minus_one_without_a_walk(monkeypatch):
     assert adjoin_minus_one(h) is not h and len(walks) == 1
 
 
-def test_a_report_below_level_n_closes_nothing_at_level_n(monkeypatch):
+def test_a_report_below_level_n_closes_nothing_at_level_n(builds):
     # <u, t(u)> = SL2(Z/49Z) has level 1: its order comes from the Schreier walk
     # and its report from SL2(Z/7Z), so neither H, <H, -1> nor a class orbit is
-    # built modulo 49; under a cap below #G = 115,248 both still raise
-    calls = []
-
-    def recording(fn, ctx_of):
-        def wrapped(*args, **kwargs):
-            calls.append(ctx_of(*args).n)
-            return fn(*args, **kwargs)
-
-        return wrapped
-
-    mods = [m for name, m in sys.modules.items() if name.startswith("sl2genus.")]
-    for name, ctx_of in (("_closure_codes", lambda gens, ctx, cap: ctx), ("class_codes", lambda ref, *cap: ref.ctx)):
-        true_fn = getattr(sys.modules["sl2genus.groups"], name)
-        for mod in mods:
-            if vars(mod).get(name) is true_fn:
-                monkeypatch.setattr(mod, name, recording(true_fn, ctx_of))
+    # built modulo 49.  A cap below #G = 115,248 refuses nothing that is not
+    # built: the reports under a cap of 100,000 equal the uncapped ones.  A cap
+    # below #SL2(Z/7Z) = 336 still refuses the closure of H mod 7.
     ctx = make_ctx(7, 2)
     h = Subgroup(ctx, (upper_u(ctx), lower_u(ctx)))
     reports = [genus_report(h), genus_report(adjoin_minus_one(h))]
     assert [(r.index, r.genus) for r in reports] == [(1, 0), (1, 0)]
-    assert 1 in calls and 2 not in calls
-    for wrap in (lambda x: x, adjoin_minus_one):
+    for wrap, report in zip((lambda x: x, adjoin_minus_one), reports):
+        capped = wrap(Subgroup(ctx, h.gens, cap=100_000))
+        assert (capped.order, genus_report(capped)) == (ctx.order, report)
         with pytest.raises(FeasibilityError, match="max-elements"):
-            wrap(Subgroup(ctx, h.gens, cap=100_000)).order
+            wrap(Subgroup(ctx, h.gens, cap=300)).order
         with pytest.raises(FeasibilityError, match="max-elements"):
-            genus_report(wrap(Subgroup(ctx, h.gens, cap=100_000)))
+            genus_report(wrap(Subgroup(ctx, h.gens, cap=300)))
+    assert builds and {c.n for c, _ in builds} == {1}
 
 
 def _minus_one_cases():

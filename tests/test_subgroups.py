@@ -597,16 +597,22 @@ def test_nonempty_gens_generate_the_subgroup():
     assert adjoin_minus_one(u_codes).gens == () and with_gens >= 12
 
 
-def test_derived_subgroups_keep_the_cap():
+def test_derived_subgroups_keep_the_cap(builds):
     # each constructor that builds H from a code set hands on H's cap, or its own cap argument
     ctx = make_ctx(5, 2)
     h = closure([upper_u(ctx)], ctx, cap=1000)
     derived = [adjoin_minus_one(h), filtration_level(h, 1)]
     derived += [preimage(borel(5), ctx, cap=2500), full_group(make_ctx(5, 1), cap=1000)]
     assert [d.cap for d in derived] == [1000, 1000, 2500, 1000]
-    for x in (h, adjoin_minus_one(h)):  # G = SL2(Z/25Z) holds 15,000 elements
-        with pytest.raises(FeasibilityError, match="max-elements"):
-            genus_report(x)
+    # the reports walk a table of 25^2 vector slots and close nothing, not G =
+    # SL2(Z/25Z) (15,000 elements): under 1000 they equal the uncapped ones,
+    # and <H, -1> hands on a cap of 624, which refuses the table
+    builds.clear()
+    for x in (h, adjoin_minus_one(h)):
+        assert genus_report(x) == genus_report(Subgroup.from_codes(ctx, x.codes()))
+    assert builds == []
+    with pytest.raises(FeasibilityError, match="vector table modulo 25 holds 625 elements, above the cap of 624"):
+        genus_report(adjoin_minus_one(closure([upper_u(ctx)], ctx, cap=624)))
 
 
 def test_section2_checks():
@@ -688,12 +694,14 @@ def _twin_candidates(ctx):
 
 
 @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2), (2, 4), (3, 3), (7, 2)])
-def test_the_walk_twins_agree_with_the_closure(p, n):
+def test_the_walk_twins_agree_with_the_closure(p, n, builds):
     """_schreier_walk, _slim_closure_codes and Subgroup.order against the
     closure C of the same generators, each under no cap, the cap #C and the
-    cap #C - 1: the walk gives C as the products t k of its lifts and span
-    when C is slim and within the cap, reports rank 3 when K_(n-1) <= C and
-    C is within the cap, and None only above the cap."""
+    cap #C - 1: the walk gives C as the products t k of its lifts and the span
+    of its W when C is slim and within the cap, reports three independent W
+    when K_(n-1) <= C and C is within the cap, and None only above the cap.
+    Subgroup.order reads #C wherever the walk does not refuse, and builds
+    nothing above the cap."""
     ctx = make_ctx(p, n)
     enc = encoder(ctx)
     last_kernel = {enc(k) for k in _last_kernel(ctx, product(range(p), repeat=3))}
@@ -705,27 +713,33 @@ def test_the_walk_twins_agree_with_the_closure(p, n):
             walk = _schreier_walk(gens, ctx, cap)
             within = len(want) <= cap
             if within:
-                assert walk is not None and (walk[1] is None) == rank3, gens
+                assert walk is not None and (len(walk[1]) == 3) == rank3, gens
             elif not rank3:
                 assert walk is None, gens  # above the cap, a rank-3 C may stop at either
             if walk is None:
                 seen.add("over cap")
-            elif walk[1] is None:
-                assert rank3, gens
-                seen.add("rank 3")
             else:
-                lifts, span = walk
-                assert len({reduce_mat(t, ctx.modulus // p) for t in lifts}) == len(lifts)
-                kernel = _last_kernel(ctx, span)
-                assert {enc(_mul(t, k, ctx.modulus)) for t in lifts for k in kernel} == want, gens
-                assert len(lifts) * len(span) == len(want)
-                seen.add("slim")
+                lifts, basis = walk
+                combos = product(range(p), repeat=len(basis))
+                span = {tuple(sum(j * w[i] for j, w in zip(js, basis)) % p for i in range(3)) for js in combos}
+                assert len(span) == p ** len(basis), gens  # the W are independent
+                if len(basis) == 3:
+                    assert rank3, gens
+                    seen.add("rank 3")
+                else:
+                    assert len({reduce_mat(t, ctx.modulus // p) for t in lifts}) == len(lifts)
+                    kernel = _last_kernel(ctx, span)
+                    assert {enc(_mul(t, k, ctx.modulus)) for t in lifts for k in kernel} == want, gens
+                    assert len(lifts) * len(span) == len(want)
+                    seen.add("slim")
             assert _slim_closure_codes(gens, ctx, cap) == (want if within and not rank3 else None), gens
-            if within:
-                assert Subgroup(ctx, tuple(gens), cap).order == len(want), gens
-            else:
-                with pytest.raises(FeasibilityError):
+            builds.clear()
+            if walk is None:
+                with pytest.raises(FeasibilityError, match="the Schreier walk modulo %d passed" % ctx.modulus):
                     Subgroup(ctx, tuple(gens), cap).order
+            else:
+                assert Subgroup(ctx, tuple(gens), cap).order == len(want), gens
+            assert all(size <= cap for _, size in builds), gens
     assert seen == {"slim", "rank 3", "over cap"}
 
 
