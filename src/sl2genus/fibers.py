@@ -6,8 +6,9 @@ Z/p^(n-m)Z.  V is always computed from that definition and then compared to
 the commutator form {1 + p^m (X a^-1 - a^-1 X)} and to the explicit
 parametrizations; the closed forms are never trusted as the source of truth.
 A class is named here as groups.ConjClassRef names it, by its kind ("sigma",
-"tau" or "u_power") and its exponent r, and every element set of a class is
-its class_codes.
+"tau" or "u_power") and its exponent r.  The class over a point is read from
+class_labels on that point's lifts; the recovery counts and the reduction
+fiber sizes read whole classes, as class_codes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from collections import Counter, namedtuple
 from typing import Callable, FrozenSet, List
 
 from .core import (
+    DEFAULT_MAX_ELEMENTS,
     ConsistencyError,
+    FeasibilityError,
     GroupCtx,
     Mat,
     PreconditionError,
@@ -30,8 +33,8 @@ from .core import (
     reducer,
     right_mul,
 )
-from .groups import _KINDS, ConjClassRef, capped_orbit, class_codes
-from .subgroups import _sl2_lift_one
+from .groups import _KINDS, ConjClassRef, class_codes, class_labels, extend_closure
+from .subgroups import Subgroup, _generators, _kernel_codes, _sl2_lift_one
 
 
 class FiberDescriptor(namedtuple("FiberDescriptor", "p r n m kind")):
@@ -62,27 +65,33 @@ class FiberDescriptor(namedtuple("FiberDescriptor", "p r n m kind")):
         return ConjClassRef(make_ctx(self.p, level), self.kind, self.r)
 
 
+def _class_over(desc: FiberDescriptor, level: int, x: Mat, low: int) -> List[int]:
+    """The codes at level over x mod p^low in the class desc names: x~ k for k in
+    K_low, x~ a lift of x, kept when class_labels gives (kind, r)."""
+    ctx = make_ctx(desc.p, level)
+    dec, key, lift = decoder(ctx), (desc.kind, desc.r), _sl2_lift_one(reduce_mat(x, ctx.modulus), ctx.modulus)
+    lifts = map(right_mul(ctx, lift), _kernel_codes(ctx, low, DEFAULT_MAX_ELEMENTS))  # K x~ = x~ K: K is normal
+    return [c for c in lifts if key in class_labels(dec(c), ctx)]
+
+
 def _resolve_alpha_prime(desc: FiberDescriptor) -> Mat:
-    """The first class element at level r+m matching the standard
-    representative mod p^(r+n-m)."""
-    ref_level = desc.r + desc.n - desc.m
-    full, ctx_m = desc.full_ctx(), make_ctx(desc.p, desc.r + desc.m)
-    want = reducer(full, ref_level)(encoder(full)(desc.standard_rep()))
-    red = reducer(ctx_m, ref_level)
-    for c in sorted(class_codes(desc.class_ref(desc.r + desc.m))):
-        if red(c) == want:
-            return decoder(ctx_m)(c)
-    raise ConsistencyError("no class element lifts the standard representative")  # pragma: no cover
+    """The least class element at level r+m over the standard representative
+    mod p^(r+n-m)."""
+    level = desc.r + desc.m
+    over = _class_over(desc, level, desc.class_ref(level).representative(), desc.r + desc.n - desc.m)
+    if not over:
+        raise ConsistencyError("no class element lifts the standard representative")
+    return decoder(make_ctx(desc.p, level))(min(over))
 
 
 def _additive_span(gens: List[Mat], modulus: int) -> FrozenSet:
-    """The Z-span of gens in M2(Z/modulus), capped by the whole module."""
+    """The Z-span of gens in M2(Z/modulus), closed by extend_closure, capped by the whole module."""
 
     def adder(g: Mat) -> Callable[[Mat], Mat]:
         g0, g1, g2, g3 = g
         return lambda x: ((x[0] + g0) % modulus, (x[1] + g1) % modulus, (x[2] + g2) % modulus, (x[3] + g3) % modulus)
 
-    return capped_orbit((0, 0, 0, 0), [adder(g) for g in gens], modulus**4)
+    return extend_closure(((0, 0, 0, 0),), (), gens, adder, modulus**4)
 
 
 def commutator_fiber_codes(desc: FiberDescriptor, alpha_like: Mat) -> FrozenSet:
@@ -93,50 +102,33 @@ def commutator_fiber_codes(desc: FiberDescriptor, alpha_like: Mat) -> FrozenSet:
     q = desc.p**desc.m
     a = _sl2_lift_one(reduce_mat(alpha_like, m_mod), m_mod)
     ai = _inv(a, m_mod)
-    gens = []
-    for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)):
-        w = tuple(
-            (u - v) * q % m_mod
-            for u, v in zip(_mul(e, ai, m_mod), _mul(ai, e, m_mod))
-        )
-        gens.append(w)
+    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    gens = [tuple((u - v) * q % m_mod for u, v in zip(_mul(e, ai, m_mod), _mul(ai, e, m_mod))) for e in units]
     enc = encoder(ctx)
-    one = identity(ctx)
-    return frozenset(
-        enc(((one[0] + w[0]) % m_mod, w[1], w[2], (one[3] + w[3]) % m_mod))
-        for w in _additive_span(gens, m_mod)
-    )
+    return frozenset(enc(((1 + w[0]) % m_mod, w[1], w[2], (1 + w[3]) % m_mod)) for w in _additive_span(gens, m_mod))
 
 
 def fiber_group(desc: FiberDescriptor) -> FrozenSet:
     """V_alpha from the definition, with all structural assertions.
 
-    Returns packed codes at level r+n.  Raises ConsistencyError if the fiber
-    fails to be a subgroup of order p^(2(n-m)) matching the commutator form
-    and the explicit parametrization.
+    The fiber is read from the labels on the lifts of alpha' to level r+n and
+    translated by its least member a0: if V = a0^-1 F is a group and a1 = a0 v
+    lies in F, then a1^-1 F = v^-1 V = V, so no other lift moves V.  Returns
+    packed codes at level r+n.  Raises ConsistencyError if the fiber fails to
+    be a subgroup of order p^(2(n-m)) matching the commutator form and the
+    explicit parametrization.
     """
     p, r, n, m = desc.p, desc.r, desc.n, desc.m
     ctx = desc.full_ctx()
     alpha_prime = _resolve_alpha_prime(desc)
-    dec = decoder(ctx)
-    enc = encoder(ctx)
-    red, want = reducer(ctx, r + m), encoder(make_ctx(p, r + m))(alpha_prime)
-    fiber = [dec(c) for c in class_codes(desc.class_ref(r + n)) if red(c) == want]
+    fiber = _class_over(desc, r + n, alpha_prime, r + m)
     expect = p ** (2 * (n - m))
     if len(fiber) != expect:
-        raise ConsistencyError(
-            "fiber over alpha' has %d elements, expected %d" % (len(fiber), expect)
-        )
-    fiber.sort()
+        raise ConsistencyError("fiber over alpha' has %d elements, expected %d" % (len(fiber), expect))
+    dec = decoder(ctx)
     mm = ctx.modulus
-    v_sets = []
-    picks = fiber if len(fiber) <= 81 else fiber[:4] + fiber[-4:]
-    for a1 in picks:
-        a1i = _inv(a1, mm)
-        v_sets.append(frozenset(enc(_mul(a1i, x, mm)) for x in fiber))
-    if any(v != v_sets[0] for v in v_sets[1:]):
-        raise ConsistencyError("fiber translate depends on the chosen lift")
-    v = v_sets[0]
+    a0i, enc = _inv(dec(min(fiber)), mm), encoder(ctx)
+    v = frozenset(enc(_mul(a0i, dec(c), mm)) for c in fiber)
     _assert_subgroup(v, ctx)
     q = p ** (r + m)
     one = identity(ctx)
@@ -152,11 +144,13 @@ def fiber_group(desc: FiberDescriptor) -> FrozenSet:
 
 
 def _assert_subgroup(codes: FrozenSet, ctx: GroupCtx) -> None:
-    if encoder(ctx)(identity(ctx)) not in codes:
-        raise ConsistencyError("fiber misses the identity")
-    dec = decoder(ctx)
-    if not all(codes.issuperset(map(right_mul(ctx, dec(y)), codes)) for y in codes):
-        raise ConsistencyError("fiber set is not closed under products")
+    """ConsistencyError unless codes is a group: the closure of generators that
+    _generators picks from codes holds codes and 1, so it stays within #codes
+    elements exactly when it is codes."""
+    try:
+        _generators(Subgroup.from_codes(ctx, codes, cap=len(codes)))
+    except FeasibilityError:
+        raise ConsistencyError("fiber set is not a group") from None
 
 
 def _parametrized_codes(desc: FiberDescriptor) -> FrozenSet:

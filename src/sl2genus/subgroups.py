@@ -96,7 +96,7 @@ class Subgroup:
     @property
     def order(self) -> int:
         """#H.  Before codes, for gens at n >= 2: #lifts * p^rank from _schreier_walk,
-        refused once that passes cap, as the walk holds the lifts; or, once the
+        refused once #lifts passes cap, as the walk holds the lifts; or, once the
         walk finds three W (K_(n-1) <= H), reduced(n - 1).order * p^3, a number
         that no cap refuses until H is closed.  ConsistencyError unless the
         three W are independent mod p."""
@@ -685,7 +685,7 @@ def _schreier_walk(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[Tup
     as well.  Below rank 3, H is the products t k of the lifts and the span
     of the W, #H = #lifts * p^rank.  Returns (lifts, basis), the independent W
     found; the walk stops at a third (K_(n-1) <= H; its lifts partial), and
-    returns None once #lifts * p^rank passes cap (then #H > cap).  A new w
+    returns None once #lifts, what it holds, passes cap (then #H > cap).  A new w
     joins the basis unless its cross product with the one basis vector, or
     its determinant with the two, vanishes mod p (_in_span).
     """
@@ -694,7 +694,6 @@ def _schreier_walk(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[Tup
     lifts = [identity(ctx)]
     inverse_lift = {(1 % q, 0, 0, 1 % q): lifts[0]}  # inverse of each lift, keyed by its reduction
     basis: List[Tuple[int, int, int]] = []  # independent W in F_p^3, at most two here
-    size = 1  # p^rank
     for t0, t1, t2, t3 in lifts:  # lifts grows while it is walked
         for g0, g1, g2, g3 in gens:
             z0, z1 = (t0 * g0 + t1 * g2) % m, (t0 * g1 + t1 * g3) % m
@@ -704,6 +703,8 @@ def _schreier_walk(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[Tup
             if ti is None:
                 inverse_lift[key] = (z3, -z1 % m, -z2 % m, z0)
                 lifts.append((z0, z1, z2, z3))
+                if len(lifts) > cap:
+                    return None
             else:
                 i0, i1, i2, i3 = ti  # z t^-1 = 1 + q W; W11 = -W00 needs no product
                 w = ((z0 * i0 + z1 * i2) % m // q, (z0 * i1 + z1 * i3) % m // q, (z2 * i0 + z3 * i2) % m // q)
@@ -712,9 +713,6 @@ def _schreier_walk(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[Tup
                 basis.append(w)
                 if len(basis) == 3:
                     return lifts, basis  # K_(n-1) <= H
-                size *= p
-            if len(lifts) * size > cap:
-                return None
     return lifts, basis
 
 
@@ -742,11 +740,11 @@ def _last_kernel(ctx: GroupCtx, ws: Iterable[Tuple[int, int, int]]) -> List[Mat]
 def _slim_closure_codes(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[FrozenSet]:
     """The codes of H = <gens> (n >= 2) as the products t k of the lifts and the
     span of the W of _schreier_walk, or None if H contains the last kernel
-    K_(n-1) (rank 3) or holds more than cap elements."""
-    walk = _schreier_walk(gens, ctx, cap)
-    if walk is None or len(walk[1]) == 3:
+    K_(n-1) (rank 3) or holds more than cap elements, #lifts * p^rank."""
+    walk, p = _schreier_walk(gens, ctx, cap), ctx.p
+    if walk is None or len(walk[1]) == 3 or len(walk[0]) * p ** len(walk[1]) > cap:
         return None
-    (lifts, basis), p = walk, ctx.p
+    lifts, basis = walk
     span = {(0, 0, 0)}
     for w in basis:
         span = {tuple((a + j * b) % p for a, b in zip(v, w)) for v in span for j in range(p)}

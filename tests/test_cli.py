@@ -211,17 +211,22 @@ def test_usage_errors(capsys, builds):
     # the 5 elements of H = <(1 5; 0 1)> and builds no orbit of Conj(sigma)
     # (750 elements), genus walks a table of 25^2 vector slots and never builds
     # G = SL2(Z/25Z) (15,000), and preimage:B@1 (2,500 elements) is reported
-    # on B mod 5 (20 elements); below the table and the Schreier walk, the
-    # cap still refuses them
+    # on B mod 5 (20 elements) with a table of 5^2 slots, its Schreier walk
+    # holding at most those 20 lifts; below a table or B mod 5, the cap still
+    # refuses them
     spec = ("--p", "5", "--n", "2", "--subgroup", "gens:1,5;0,1")
     preimage_b = ("genus", "--p", "5", "--n", "2", "--subgroup", "preimage:B@1")
     count = ("count",) + spec + ("--class", "sigma")
-    for argv, cap in ((count, 100), (("genus",) + spec, 625), (preimage_b, 100)):
+    for argv, cap in ((count, 100), (("genus",) + spec, 625), (preimage_b, 25)):
         builds.clear()
         code, capped, _ = _run(capsys, *argv, "--output", "json", "--max-elements", str(cap))
         assert code == EXIT_OK and builds and all(size <= cap for _, size in builds), argv
         assert capped == _run(capsys, *argv, "--output", "json")[1], argv
-    for argv, cap, held in ((("genus",) + spec, 624, "vector table"), (preimage_b, 24, "Schreier walk")):
+    for argv, cap, held in (
+        (("genus",) + spec, 624, "vector table modulo 25"),
+        (preimage_b, 24, "vector table modulo 5"),
+        (preimage_b, 19, "B modulo 5 holds 20"),
+    ):
         code, _, err = _run(capsys, *argv, "--max-elements", str(cap))
         assert code == EXIT_USAGE and held in err and "--max-elements" in err, argv
     # each subcommand declares only the flags it reads

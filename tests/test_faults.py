@@ -47,7 +47,7 @@ from sl2genus.subgroups import (
     sample_slim_subgroups,
     sample_subgroups,
 )
-from sl2genus.suites import suite_lemma6_1, verify_main_theorem_desk
+from sl2genus.suites import _FIBER_GRID, suite_lemma5_3, suite_lemma6_1, verify_main_theorem_desk
 from test_kernel import _lattice_digest, _old_all_subgroups
 
 
@@ -271,14 +271,23 @@ def _unlabelled(kind, r=0):
     return r"orbit holds an element without the label \('%s', %d\)" % (kind, r)
 
 
+def _fiber_labels_read_through(monkeypatch):
+    """Bind fibers.class_labels to the one in groups (a planted fault there), as _kills binds genus's."""
+    monkeypatch.setattr(sys.modules["sl2genus.fibers"], "class_labels", sys.modules["sl2genus.groups"].class_labels)
+
+
 def test_sigma_labelled_at_trace_one_fails_the_fixed_point_checks(monkeypatch):
     # class_labels files the elements of trace 1, not 0, under sigma: Fix_sigma
     # read through the identity is no integer, or differs from the coset count;
-    # a walked Conj(sigma) (on a fresh context, which stores no orbit) carries no label
+    # a walked Conj(sigma) (on a fresh context, which stores no orbit) carries no
+    # label, and fiber_group finds no lift of sigma labelled sigma
     kills = _kills(monkeypatch, "class_labels", "if t == 0 and (p > 2", "if t == 1 and (p > 2")
     assert kills == {"fixed-point identity gave a non-integer": 46, "fixed-point count mismatch": 29}
     with pytest.raises(ConsistencyError, match=_unlabelled("sigma")):
         class_codes(ConjClassRef(GroupCtx(5, 1), "sigma"))
+    _fiber_labels_read_through(monkeypatch)
+    with pytest.raises(ConsistencyError, match="no class element lifts the standard representative"):
+        fiber_group(FiberDescriptor(5, 0, 2, 1, "sigma"))
 
 
 def test_a_u_power_label_one_level_deep_fails_the_cusp_check(monkeypatch):
@@ -297,8 +306,9 @@ def test_a_flipped_square_class_fails_the_label_oracle_and_no_genus_check(monkey
     # it counts Conj(u^(j p^r)), j a non-residue, in place of Conj(u^(p^r)).
     # x -> x^j, j a non-residue mod p prime to p^2 - 1, maps H onto itself and
     # one class onto the other, so no count of any H moves and every genus
-    # report holds: the label oracle on all of G and class_codes' label check
-    # on a walked Conj(u^(p^r)) see the fault.
+    # report holds: the label oracle on all of G, class_codes' label check
+    # on a walked Conj(u^(p^r)) and fiber_group, which finds no labelled lift
+    # of u^(p^r), see the fault.
     assert _kills(monkeypatch, "class_labels", "legendre(k, p) == 1", "legendre(k, p) == -1") is None
     assert label_mismatches(make_ctx(5, 2)) == 2 * 300 + 2 * 12  # Conj(u) and its twin, Conj(u^5) and its twin
     assert label_mismatches(make_ctx(2, 3)) == 0  # the rule at p = 2 reads no Legendre symbol
@@ -306,6 +316,11 @@ def test_a_flipped_square_class_fails_the_label_oracle_and_no_genus_check(monkey
         with pytest.raises(ConsistencyError, match=_unlabelled("u_power", r)):
             class_codes(ConjClassRef(GroupCtx(5, 2), "u_power", r))
     assert len(class_codes(ConjClassRef(GroupCtx(2, 3), "u_power"))) == 3 * 2**2
+    _fiber_labels_read_through(monkeypatch)
+    for r in (0, 1):
+        with pytest.raises(ConsistencyError, match="no class element lifts the standard representative"):
+            fiber_group(FiberDescriptor(3, r, 2, 1, "u_power"))
+    assert len(fiber_group(FiberDescriptor(2, 0, 4, 3, "u_power"))) == 2**2
 
 
 def test_a_swapped_member_of_a_walked_sigma_orbit_fails_the_label_check(monkeypatch):
@@ -496,20 +511,36 @@ def test_a_preimage_without_its_diagonal_kernel_generator_fails_the_order_check(
 
 def test_a_reducer_entry_at_the_wrong_level_fails_the_fiber_and_recovery_checks(monkeypatch):
     # reducer reduces the entry d of a code mod p^(level+1), not p^level, in
-    # core and in each module that imports it.  fiber_group picks the fiber
-    # over alpha' by reduced codes and finds 3 of its 9 members; the chains of
-    # slim_bound_report count M(i) = #(Y_i mod p^(r+i)) through the reducers
-    # kept in the context's memo (taken out here), and the first violation of
-    # lemma 6.1 is a recovery count above its cap.  Every fiber-count check
-    # of cor6.5 still holds under the fault.
+    # core and in each module that imports it.  fiber_group reads the fiber
+    # over alpha' from the labels on the lifts of alpha' and reduces no code,
+    # so it returns the true V (the fault is equivalent there); the lemma 5.3
+    # suite sees it in reduction_fiber_sizes, whose reduced class is not the
+    # lower class.  The chains of slim_bound_report count M(i) =
+    # #(Y_i mod p^(r+i)) through the reducers kept in the context's memo (taken
+    # out here), and the first violation of lemma 6.1 is a recovery count above
+    # its cap.
+    desc = FiberDescriptor(3, 0, 2, 1, "sigma")
+    v = fiber_group(desc)
     core_mod = sys.modules["sl2genus.core"]
     _mutate(monkeypatch, core_mod, "reducer", "(code >> k3) % q << j3", "(code >> k3) % (q * ctx.p) << j3")
     for name in ("sl2genus.subgroups", "sl2genus.bounds", "sl2genus.fibers"):
         monkeypatch.setattr(sys.modules[name], "reducer", core_mod.reducer)
     monkeypatch.delitem(make_ctx(3, 2).memo, "reducers", raising=False)
-    with pytest.raises(ConsistencyError, match="fiber over alpha' has 3 elements, expected 9"):
-        fiber_group(FiberDescriptor(3, 0, 2, 1, "sigma"))
+    assert fiber_group(desc) == v
+    with pytest.raises(ConsistencyError, match="class reduction is not onto the lower class"):
+        suite_lemma5_3(0)
     assert suite_lemma6_1(0) == (False, "violation ('chain:recovery1', False, '') at (3,2), #H=54")
+
+
+def test_a_fiber_translated_by_another_lift_is_an_equivalent_mutant(monkeypatch):
+    # fiber_group translates the fiber F by its greatest member, not its least.
+    # No check can see it: if V = a0^-1 F is a group and a1 = a0 v lies in F,
+    # then a1^-1 F = v^-1 a0^-1 F = v^-1 V = V, and fiber_group checks that V
+    # is a group; that check implies that every lift gives the same translate.
+    grid = [FiberDescriptor(p, r, n, m, kind) for kind, p, r, n, m in _FIBER_GRID]
+    true = [fiber_group(desc) for desc in grid]
+    _mutate(monkeypatch, sys.modules["sl2genus.fibers"], "fiber_group", "dec(min(fiber))", "dec(max(fiber))")
+    assert [sys.modules["sl2genus.fibers"].fiber_group(desc) for desc in grid] == true
 
 
 def test_a_lattice_closure_cut_at_a_third_fails_the_reclosing_oracle_and_the_part1_digest(monkeypatch, report_digest):

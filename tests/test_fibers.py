@@ -1,6 +1,10 @@
+import sys
+
 import pytest
 
 from sl2genus.core import (
+    DEFAULT_MAX_ELEMENTS,
+    ConsistencyError,
     PreconditionError,
     _inv,
     _mul,
@@ -8,9 +12,12 @@ from sl2genus.core import (
     encoder,
     make_ctx,
     mat,
+    reducer,
 )
 from sl2genus.fibers import (
     FiberDescriptor,
+    _assert_subgroup,
+    _resolve_alpha_prime,
     commutator_fiber_codes,
     fiber_group,
     recovery_count,
@@ -19,7 +26,29 @@ from sl2genus.fibers import (
     reduction_fiber_sizes,
     verify_orthogonality,
 )
-from sl2genus.suites import _golden_recovery
+from sl2genus.groups import class_codes
+from sl2genus.subgroups import _kernel_codes
+from sl2genus.suites import _FIBER_GRID, _golden_recovery
+
+
+def _orbit_alpha_prime(desc):
+    """alpha' by the orbit route: the least member of the level-(r+m) class
+    orbit over the standard representative mod p^(r+n-m)."""
+    full, ctx_m, low = desc.full_ctx(), make_ctx(desc.p, desc.r + desc.m), desc.r + desc.n - desc.m
+    want, red = reducer(full, low)(encoder(full)(desc.standard_rep())), reducer(ctx_m, low)
+    return decoder(ctx_m)(min(c for c in class_codes(desc.class_ref(desc.r + desc.m)) if red(c) == want))
+
+
+def _orbit_fiber_group(desc):
+    """V by the orbit route: the level-(r+n) class orbit filtered by reduction
+    to alpha', translated by each of its members; every translate is the same."""
+    ctx, low = desc.full_ctx(), desc.r + desc.m
+    red, want = reducer(ctx, low), encoder(make_ctx(desc.p, low))(_orbit_alpha_prime(desc))
+    dec, enc, mm = decoder(ctx), encoder(ctx), ctx.modulus
+    fiber = [dec(c) for c in class_codes(desc.class_ref(desc.r + desc.n)) if red(c) == want]
+    translates = {frozenset(enc(_mul(_inv(a, mm), x, mm)) for x in fiber) for a in fiber}
+    assert len(translates) == 1, desc
+    return translates.pop()
 
 
 def test_fiber_sigma_5_shape():
@@ -89,10 +118,75 @@ def test_remark_size_two_fibers():
 
 
 def test_well_definedness_exhaustive_3_2_1():
-    # fiber_group compares the translate over every lift when the fiber is
-    # small; at (p, n, m) = (3, 2, 1) that is all 9 lifts
+    # fiber_group translates the fiber by one lift and checks that V is a
+    # group, which makes every translate the same (a1 = a0 v gives
+    # a1^-1 F = v^-1 V = V); the orbit route compares the translates by all
+    # 9 lifts at (p, n, m) = (3, 2, 1)
     for kind in ("sigma", "tau", "u_power"):
-        fiber_group(FiberDescriptor(3, 0, 2, 1, kind))
+        desc = FiberDescriptor(3, 0, 2, 1, kind)
+        assert fiber_group(desc) == _orbit_fiber_group(desc)
+
+
+# descriptors outside _FIBER_GRID, every kind at p = 2, 3, 5 and 7, r up to 2
+_BEYOND_GRID = (
+    ("sigma", 7, 0, 2, 1),
+    ("tau", 7, 0, 2, 1),
+    ("u_power", 7, 0, 2, 1),
+    ("sigma", 5, 0, 3, 2),
+    ("tau", 5, 0, 3, 2),
+    ("u_power", 5, 1, 2, 1),
+    ("sigma", 3, 0, 5, 3),
+    ("tau", 3, 0, 3, 2),
+    ("u_power", 3, 0, 3, 2),
+    ("u_power", 3, 2, 2, 1),
+    ("sigma", 2, 0, 4, 3),
+    ("tau", 2, 0, 3, 2),
+    ("u_power", 2, 0, 5, 4),
+    ("u_power", 2, 2, 4, 3),
+)
+
+
+def test_the_label_route_agrees_with_the_orbit_route(monkeypatch):
+    # V and alpha' from labels on lifts against the orbit route above, and
+    # verify_orthogonality and recovery_count_brute read through either
+    fibers_mod = sys.modules["sl2genus.fibers"]
+    descs = [FiberDescriptor(p, r, n, m, kind) for kind, p, r, n, m in _BEYOND_GRID]
+    assert not set(_BEYOND_GRID) & set(_FIBER_GRID)
+
+    def reads(desc):
+        return verify_orthogonality(desc), recovery_count_brute(desc.kind, desc.p, desc.n, desc.m, r=desc.r)
+
+    labels = [(fiber_group(d), _resolve_alpha_prime(d), reads(d)) for d in descs]
+    monkeypatch.setattr(fibers_mod, "fiber_group", _orbit_fiber_group)
+    monkeypatch.setattr(fibers_mod, "_resolve_alpha_prime", _orbit_alpha_prime)
+    assert labels == [(_orbit_fiber_group(d), _orbit_alpha_prime(d), reads(d)) for d in descs]
+    assert all(got[2] == (True, recovery_count(d.kind, d.p, d.n, d.m)) for d, got in zip(descs, labels))
+
+
+def test_a_set_that_is_not_a_group_fails_the_subgroup_check():
+    # the closure of generators picked from the set is capped at its size, and
+    # a set it leaves raises ConsistencyError, not the cap's FeasibilityError
+    ctx = make_ctx(3, 2)
+    enc, group = encoder(ctx), _kernel_codes(ctx, 1, DEFAULT_MAX_ELEMENTS)  # K_1, of order 3^3
+    u, t = enc((1, 3, 0, 1)), enc((1, 0, 3, 1))
+    _assert_subgroup(group, ctx)
+    for codes in (frozenset({enc((1, 0, 0, 1)), u}), frozenset({u, t}), group - {t}):
+        with pytest.raises(ConsistencyError, match="fiber set is not a group"):
+            _assert_subgroup(codes, ctx)
+
+
+def test_fiber_group_walks_no_class_orbit(monkeypatch):
+    # fiber_group at (3, 0, 4, 2, sigma) reads Conj(sigma) over alpha' from the
+    # labels on its 729 lifts to 81, not from the orbit of 4,374 elements; the
+    # spy sees the orbit that reduction_fiber_sizes reads at 81
+    groups_mod, fibers_mod = sys.modules["sl2genus.groups"], sys.modules["sl2genus.fibers"]
+    brute, codes, read = groups_mod.conj_class_brute, fibers_mod.class_codes, []
+    monkeypatch.setattr(groups_mod, "conj_class_brute", lambda rep, ctx, *c: read.append(ctx.modulus) or brute(rep, ctx, *c))
+    monkeypatch.setattr(fibers_mod, "class_codes", lambda ref, *c: read.append(ref.ctx.modulus) or codes(ref, *c))
+    assert len(fiber_group(FiberDescriptor(3, 0, 4, 2, "sigma"))) == 81
+    assert 81 not in read
+    reduction_fiber_sizes("sigma", 3, 4, 2)
+    assert 81 in read
 
 
 def test_conjugation_equivariance():

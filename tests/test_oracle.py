@@ -1,7 +1,8 @@
 """An oracle that shares no code with sl2genus: sympy's permutation groups
 (Schreier-Sims) on the action of SL2(Z/p^nZ) on the column vectors of
 (Z/p^nZ)^2 give |G|, |H|, a transversal of the cosets of H and membership in
-H, from which the cosets that sigma and tau fix are counted one by one.
+H, from which the cosets that sigma and tau fix, and the <u>-orbits on the
+cosets, are counted one by one.
 The degree p^(2n) stays at 2,401 or below: at (5,3), 15,625 points, sympy
 ran out of memory.  sympy is an optional test dependency."""
 
@@ -14,7 +15,7 @@ pytest.importorskip("sympy")
 from sympy.combinatorics import Permutation, PermutationGroup
 
 from sl2genus.core import make_ctx
-from sl2genus.genus import fix_points
+from sl2genus.genus import cusp_orbit_ratio, fix_points
 from sl2genus.groups import ConjClassRef
 from sl2genus.subgroups import closure, sample_subgroups
 
@@ -53,4 +54,35 @@ def test_orders_and_fixed_cosets_match_a_permutation_group_oracle():
             want = fix_points(h, ConjClassRef(ctx, kind))
             assert sum(H.contains(t * s * t**-1) for t in transversal) == want, (ctx, h.gens, kind)
             other_pairing_differs |= sum(H.contains(t**-1 * s * t) for t in transversal) != want
+    assert other_pairing_differs
+
+
+def _classes(G, H, transversal, step):
+    """The number of classes of the transversal joined by t ~ the representative of H step(t)."""
+    index, root = {t: i for i, t in enumerate(transversal)}, list(range(len(transversal)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, t in enumerate(transversal):
+        root[find(i)] = find(index[G._coset_representative(step(t), H)])
+    return sum(find(i) == i for i in range(len(root)))
+
+
+def test_cusp_orbits_on_the_cosets_match_a_permutation_group_oracle():
+    # u maps the coset t H of the matrices to u t H, which sympy spells H * t * u
+    # (see above), so the <u>-orbits on the cosets number cusp_orbit_ratio(h)
+    # [G:H].  The reversed pairing, t H -> t u H (H * u * t), reads another
+    # count on some case, so a test that paired them wrongly would fail.
+    other_pairing_differs = False
+    for h in _subgroups():
+        m = h.ctx.modulus
+        G = PermutationGroup([_perm(U, m), _perm(LOWER_U, m)])
+        H = PermutationGroup([_perm(g, m) for g in h.gens])
+        transversal, u = G.coset_transversal(H), _perm(U, m)
+        want = cusp_orbit_ratio(h) * len(transversal)
+        assert _classes(G, H, transversal, lambda t: t * u) == want, (h.ctx, h.gens)
+        other_pairing_differs |= _classes(G, H, transversal, lambda t: u * t) != want
     assert other_pairing_differs

@@ -696,23 +696,24 @@ def _twin_candidates(ctx):
 @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2), (2, 4), (3, 3), (7, 2)])
 def test_the_walk_twins_agree_with_the_closure(p, n, builds):
     """_schreier_walk, _slim_closure_codes and Subgroup.order against the
-    closure C of the same generators, each under no cap, the cap #C and the
-    cap #C - 1: the walk gives C as the products t k of its lifts and the span
-    of its W when C is slim and within the cap, reports three independent W
-    when K_(n-1) <= C and C is within the cap, and None only above the cap.
-    Subgroup.order reads #C wherever the walk does not refuse, and builds
-    nothing above the cap."""
+    closure C of the same generators, each under no cap, the caps #C and
+    #C - 1, and the caps l and l - 1 for l = #(C mod p^(n-1)), the lifts a
+    whole walk holds: the walk gives C as the products t k of its lifts and
+    the span of its W when C is slim, reports three independent W when
+    K_(n-1) <= C, and returns None only once its lifts pass the cap, so a slim
+    C exactly when l > cap.  _slim_closure_codes gives C when C is slim and
+    within the cap.  Subgroup.order reads #C wherever the cap holds l, and
+    builds nothing above the cap."""
     ctx = make_ctx(p, n)
     enc = encoder(ctx)
     last_kernel = {enc(k) for k in _last_kernel(ctx, product(range(p), repeat=3))}
     seen = set()
     for gens in _twin_candidates(ctx):
         want = _closure_codes(gens, ctx, DEFAULT_MAX_ELEMENTS)
-        rank3 = last_kernel <= want
-        for cap in (DEFAULT_MAX_ELEMENTS, len(want), len(want) - 1):
+        rank3, held = last_kernel <= want, len(want) // len(want & last_kernel)
+        for cap in (DEFAULT_MAX_ELEMENTS, len(want), len(want) - 1, held, max(held - 1, 1)):
             walk = _schreier_walk(gens, ctx, cap)
-            within = len(want) <= cap
-            if within:
+            if held <= cap:
                 assert walk is not None and (len(walk[1]) == 3) == rank3, gens
             elif not rank3:
                 assert walk is None, gens  # above the cap, a rank-3 C may stop at either
@@ -732,12 +733,13 @@ def test_the_walk_twins_agree_with_the_closure(p, n, builds):
                     assert {enc(_mul(t, k, ctx.modulus)) for t in lifts for k in kernel} == want, gens
                     assert len(lifts) * len(span) == len(want)
                     seen.add("slim")
+            within = len(want) <= cap
             assert _slim_closure_codes(gens, ctx, cap) == (want if within and not rank3 else None), gens
             builds.clear()
             if walk is None:
                 with pytest.raises(FeasibilityError, match="the Schreier walk modulo %d passed" % ctx.modulus):
                     Subgroup(ctx, tuple(gens), cap).order
-            else:
+            elif held <= cap:
                 assert Subgroup(ctx, tuple(gens), cap).order == len(want), gens
             assert all(size <= cap for _, size in builds), gens
     assert seen == {"slim", "rank 3", "over cap"}
