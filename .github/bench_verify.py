@@ -1,0 +1,141 @@
+"""The perf trajectory of sl2genus, one record per change.  Standard library only.
+
+    python .github/bench_verify.py verify [--src CHECKOUT] [--note TEXT]
+    python .github/bench_verify.py pairs --parent CHECKOUT --workload NAME --seed 1009 --pairs 5 [--note TEXT]
+
+`verify` times fresh `python -m sl2genus.cli` processes: every verify suite,
+`verify --suite all`, every part of the main-theorem desk, and the four
+commands that .github/workflows/tier1.yml pins.  Each run of a row has its
+own measuring parent, a fresh interpreter that starts the command, waits for
+it and reads getrusage(RUSAGE_CHILDREN).ru_maxrss: that is the largest child
+waited for so far, so a parent shared by two rows would report the larger.
+A row records the median wall time and the median peak RSS of REPEATS runs;
+one untimed import writes the bytecode first, so every timed run reads it.
+The record (commit, whether the tree differs from it, Python version, host,
+note, rows) is appended to BENCH_verify.json in this checkout.  A change is
+measured before it is committed, so its record names the parent commit; its
+src_diff_sha256, the SHA-256 of `git diff HEAD -- src`, names the measured
+code: `git diff COMMIT~1 COMMIT -- src | sha256sum` gives the same digest at
+the commit that holds it (files under src/ that git does not track are not in it).
+
+`pairs` runs perfbench/run.py --trace 0 alternately in --parent and in this
+checkout, --pairs times each, for the run_seconds of BENCHMARK.json, and
+appends the medians of the five end-to-end metrics of each side to
+BENCH_<workload>.json.  Either mode exits non-zero
+when a command fails, and then appends nothing.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+PINNED = (
+    "verify --suite all --seed 0 --output json",
+    "verify --suite main-theorem-desk --seed 0 --output json",
+    "verify --suite section7 --seed 0 --output json",
+    "genus --p 2 --n 11 --subgroup preimage:B@1 --output json",
+)
+MEASURE = """import resource, subprocess, sys, time
+t = time.perf_counter()
+code = subprocess.call(sys.argv[1:], stdout=subprocess.DEVNULL)
+print(code, time.perf_counter() - t, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+REPEATS = 3
+END_TO_END = ("items_per_s", "item_p50_ms", "item_tail_ms", "peak_rss_mb", "setup_s")
+
+
+def run(argv, cwd=None, env=None, text=True):
+    """The stdout of argv; exits with its stderr when it fails."""
+    done = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=text)
+    if done.returncode:
+        sys.exit("%s exited %d:\n%s" % (" ".join(argv), done.returncode, done.stderr))
+    return done.stdout
+
+
+def stamp(checkout, note):
+    """What a record says about the code and the machine it was measured on."""
+    commit = run(["git", "rev-parse", "HEAD"], cwd=checkout).strip()
+    dirty = bool(run(["git", "status", "--porcelain", "--untracked-files=no"], cwd=checkout).strip())
+    src_diff = hashlib.sha256(run(["git", "diff", "HEAD", "--", "src"], cwd=checkout, text=False)).hexdigest()
+    cpu = next((line.split(":", 1)[1].strip() for line in open("/proc/cpuinfo") if line.startswith("model name")), "?")
+    host = "%s, %d CPUs, %s" % (cpu, os.cpu_count(), platform.system())
+    return {"commit": commit, "dirty": dirty, "src_diff_sha256": src_diff, "python": platform.python_version(), "host": host, "note": note}
+
+
+def append(path, record):
+    records = json.loads(path.read_text()) if path.exists() else []
+    path.write_text(json.dumps(records + [record], indent=1, sort_keys=True) + "\n")
+    print("appended a record to %s" % path.name)
+
+
+def verify_rows(checkout):
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    cli = [sys.executable, "-m", "sl2genus.cli"]
+    listing = "import sl2genus.cli, sl2genus.suites as s; print(*s.suite_names()); print(*s.DESK_DEFAULT_PARTS)"
+    names = run([sys.executable, "-c", listing], env=env)  # also writes the bytecode of every module
+    suites, parts = (line.split() for line in names.splitlines())
+    commands = ["verify --suite %s --seed 0 --output json" % name for name in suites + ["all"]]
+    commands += ["verify --suite main-theorem-desk --case %s --seed 0 --output json" % part for part in parts]
+    commands += [c for c in PINNED if c not in commands]
+    rows = []
+    for command in commands:
+        walls, rss = [], []
+        for _ in range(REPEATS):
+            code, wall, kb = run([sys.executable, "-c", MEASURE] + cli + command.split(), env=env).split()
+            if code != "0":
+                sys.exit("%s exited %s" % (command, code))
+            walls.append(float(wall))
+            rss.append(int(kb) / 1024)
+        rows.append({"command": command, "wall_s": round(statistics.median(walls), 3), "peak_rss_mb": round(statistics.median(rss), 1)})
+        print("%-70s %7.2f s %6.1f MB" % (command, rows[-1]["wall_s"], rows[-1]["peak_rss_mb"]))
+    return rows
+
+
+def perfbench_metrics(checkout, workload, seed, seconds):
+    out = run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"], cwd=checkout)
+    result = json.loads(out.splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        sys.exit("perfbench %s in %s: correct %s, %d failed" % (workload, checkout, result["correct"], result["failed"]))
+    return {k: result["metrics"][k]["value"] for k in END_TO_END}
+
+
+def main(argv):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = ap.add_subparsers(dest="mode", required=True)
+    v = sub.add_parser("verify")
+    v.add_argument("--src", default=str(HERE), help="the checkout whose src/ runs (this one by default)")
+    v.add_argument("--note", default="")
+    p = sub.add_parser("pairs")
+    p.add_argument("--parent", required=True, help="a checkout of the parent commit")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--note", default="")
+    args = ap.parse_args(argv)
+    if args.mode == "verify":
+        record = dict(stamp(args.src, args.note), repeat=REPEATS)
+        record["rows"] = verify_rows(args.src)
+        append(HERE / "BENCH_verify.json", record)
+        return
+    seconds = json.loads((HERE / "BENCHMARK.json").read_text())["run_seconds"]
+    sides = {"parent": (args.parent, []), "change": (str(HERE), [])}
+    for i in range(args.pairs):
+        for name, (checkout, runs) in sides.items() if i % 2 == 0 else reversed(sides.items()):
+            runs.append(perfbench_metrics(checkout, args.workload, args.seed, seconds))
+            print("pair %d %s: %s" % (i + 1, name, json.dumps(runs[-1])))
+    record = {"seed": args.seed, "seconds": seconds, "pairs": args.pairs}
+    for name, (checkout, runs) in sides.items():
+        record[name] = dict(stamp(checkout, args.note), median={k: statistics.median(r[k] for r in runs) for k in END_TO_END})
+    append(HERE / ("BENCH_%s.json" % args.workload), record)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

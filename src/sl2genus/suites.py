@@ -16,7 +16,6 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
-    DEFAULT_MAX_ELEMENTS,
     ConsistencyError,
     GroupCtx,
     Mat,
@@ -24,14 +23,12 @@ from .core import (
     _mul,
     decoder,
     encoder,
-    identity,
     lower_u,
     make_ctx,
     mat,
     minus_one,
     num_to_json,
     parse_mat,
-    primitive_root,
     reduce_mat,
     right_mul,
     sigma,
@@ -40,7 +37,7 @@ from .core import (
 )
 from .groups import (
     ConjClassRef,
-    _closure_codes,
+    capped_orbit,
     centralizer_brute,
     centralizer_order_formula,
     class_codes,
@@ -504,42 +501,49 @@ def _l21_samples(ctx: GroupCtx, crit: int, trials: int, rng: random.Random) -> I
                 yield got[0]
 
 
-def section2_l2_5(trials: int, seed: int) -> bool:
-    """L2_5: subgroups of GL2(Z/p^2Z) (p = 3, 5) with full determinant image
-    have det(H n (1 + p M2)) = 1 + pZ/p^2Z; max(6, trials // 4) trials each."""
+def _l2_5_sides(gens: Sequence[Mat], p: int) -> Tuple[bool, int, set]:
+    """H = <gens> in GL2(Z/p^2Z): whether det H is all of (Z/p^2Z)^* (cyclic), #(H mod p), and the
+    dets of the Schreier generators z t^-1 of H n (1 + p M2), t the first lift walked of z mod p."""
+    m = p * p
+    dets = [(a * d - b * c) % m for a, b, c, d in gens]
+    full = len(capped_orbit(1, [lambda x, d=d: x * d % m for d in dets], m)) == p * (p - 1)
+    lifts, first, kernel = [((1, 0, 0, 1), 1)], {(1, 0, 0, 1): 1}, set()  # first: det t by t mod p
+    for t, dt in lifts:  # lifts grows while it is walked
+        for g, dg in zip(gens, dets):
+            z, dz = _mul(t, g, m), dt * dg % m
+            key = reduce_mat(z, p)
+            if key not in first:
+                first[key] = dz
+                lifts.append((z, dz))
+            kernel.add(dz * pow(first[key], -1, m) % m)
+    return full, len(lifts), kernel
+
+
+def section2_l2_5(seed: int) -> bool:
+    """L2_5: H in GL2(Z/p^2Z) (p = 3, 5, 7) with full det image has det(H n (1 + p M2))
+    = 1 + pZ/p^2Z.  H = <1 or 2 uniform matrices>, a det divisible by p skipped."""
     rng = random.Random(seed)
-    for p in (3, 5):
-        ctx = make_ctx(p, 2)
-        m = ctx.modulus
-        g = primitive_root(p, 2)
-        units = {(1 + p * t) % m for t in range(p)}
-        one = identity(ctx)
-        sl2_pool = sorted(enumerate_group(make_ctx(p, 1)).codes)
-        dec1 = decoder(make_ctx(p, 1))
-        dec = decoder(ctx)
-        for _ in range(max(6, trials // 4)):
-            gens: List[Mat] = [mat(g, 0, 0, 1, ctx)]
-            for _ in range(rng.choice((0, 1, 1))):
-                gens.append(_lift_to(dec1(sl2_pool[rng.randrange(len(sl2_pool))]), ctx))
-            # H lies in GL2, not SL2: close its codes directly, no Subgroup
-            h = [dec(c) for c in _closure_codes(gens, ctx, DEFAULT_MAX_ELEMENTS)]
-            dets = {(x[0] * x[3] - x[1] * x[2]) % m for x in h}
-            if len(dets) != (p - 1) * p:  # determinant image not full: hypothesis fails
+    for p in (3, 5, 7):
+        m, proper = p * p, False
+        for i in range(400):  # 40 draws, then on until some H meeting the hypothesis is proper mod p
+            if i >= 40 and proper:
+                break
+            gens = [tuple(rng.randrange(m) for _ in range(4)) for _ in range(rng.randint(1, 2))]
+            if any((a * d - b * c) % p == 0 for a, b, c, d in gens):
                 continue
-            small = {
-                (x[0] * x[3] - x[1] * x[2]) % m
-                for x in h
-                if reduce_mat(x, p) == reduce_mat(one, p)
-            }
-            if not units <= small:
+            full, image, kernel = _l2_5_sides(gens, p)
+            if full and kernel <= {1}:  # 1 + pZ/p^2Z has prime order: one det != 1 generates it
                 return False
+            proper = proper or (full and image < (m - 1) * (m - p))
+        if not proper:
+            raise ConsistencyError("L2_5 drew no proper H mod %d with full determinant image" % p)
     return True
 
 
 def suite_section2(seed: int = 0) -> Tuple[bool, str]:
     if not section2_l2_1(20, seed):
         return False, "mod p^2 surjectivity criterion failed"
-    if not section2_l2_5(12, seed):
+    if not section2_l2_5(seed):
         return False, "determinant surjectivity criterion failed"
     return True, "L2_1 and L2_5 finite shadows"
 

@@ -27,6 +27,7 @@ from sl2genus.core import (
     make_ctx,
     mat,
     minus_one,
+    primitive_root,
     sigma,
     upper_u,
 )
@@ -49,6 +50,7 @@ from sl2genus.subgroups import (
 )
 from sl2genus.suites import _FIBER_GRID, suite_lemma5_3, suite_lemma6_1, verify_main_theorem_desk
 from test_kernel import _lattice_digest, _old_all_subgroups
+from test_section2 import _brute_sides, _decided, _disagreements
 
 
 def test_an_extra_sigma_fixed_point_fails_the_coset_check(monkeypatch):
@@ -652,3 +654,53 @@ def test_a_walk_short_of_a_lift_below_level_n_fails_the_order_checks(monkeypatch
     with pytest.raises(ConsistencyError, match="closure of 12 elements, Schreier walk 10"):
         level(h)
     assert parse_subgroup_spec("preimage:B@1", 3, 3).order == 6 * 3**6
+
+
+# Section 2's L2_5 shadow decides both of its sides from generators
+# (suites._l2_5_sides); the closure oracle of tests/test_section2.py reads
+# them from every element.
+
+
+def test_a_hypothesis_that_drops_a_determinant_fails_the_closure_oracle(monkeypatch):
+    # the hypothesis reads the first generator's determinant alone.  That is a
+    # stricter hypothesis, so the suite still holds at seed 0 (L2_5 is true on
+    # what it keeps, and a proper witness is still drawn at each p); the oracle
+    # sees the two-generator draws at 9 whose determinants generate only together
+    suites_mod = sys.modules["sl2genus.suites"]
+    _mutate(monkeypatch, suites_mod, "_l2_5_sides", "for d in dets]", "for d in dets[:1]]")
+    verdict, decided = _decided(monkeypatch, 0)
+    assert verdict
+    missed = _disagreements(decided, (3,))
+    assert missed and all(len(gens) == 2 and _brute_sides(gens, 3)[0] for _, gens in missed)
+
+
+def test_a_walk_that_keeps_det_z_fails_the_directed_case_and_the_oracle(monkeypatch):
+    # each Schreier generator's determinant is read as det z, not det z (det t)^-1.
+    # That only adds determinants, so the suite still holds; the torus of order
+    # p - 1 with u (tests/test_section2.py) reads a power of w != 1 there, and
+    # the oracle at 9 reads determinants that H n (1 + 3 M2) does not hold
+    suites_mod = sys.modules["sl2genus.suites"]
+    _mutate(monkeypatch, suites_mod, "_l2_5_sides", "kernel.add(dz * pow(first[key], -1, m) % m)", "kernel.add(dz)")
+    for p in (3, 5, 7):
+        w = pow(primitive_root(p, 2), p, p * p)
+        assert not suites_mod._l2_5_sides([(w, 0, 0, 1), (1, 1, 0, 1)], p)[2] <= {1}
+    verdict, decided = _decided(monkeypatch, 0)
+    assert verdict and _disagreements(decided, (3,))
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("for g, dg in zip(gens, dets)", "for g, dg in zip(gens[:1], dets)"),  # the walk forgets a generator
+        ("kernel.add(dz * pow(first[key], -1, m) % m)", "kernel.add(dz * pow(first[key], -1, m) % p)"),  # dets mod p
+    ],
+    ids=["one generator", "dets mod p"],
+)
+def test_a_walk_that_loses_kernel_determinants_fails_the_suite(monkeypatch, old, new):
+    # a walk of H mod p by the first generator alone, or kernel determinants
+    # read mod p (always 1), misses 1 + pZ/p^2Z on a draw that meets the
+    # hypothesis: the suite itself returns False, and so does suite_section2
+    suites_mod = sys.modules["sl2genus.suites"]
+    _mutate(monkeypatch, suites_mod, "_l2_5_sides", old, new)
+    assert not suites_mod.section2_l2_5(0)
+    assert suites_mod.suite_section2(0) == (False, "determinant surjectivity criterion failed")

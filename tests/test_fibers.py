@@ -12,11 +12,13 @@ from sl2genus.core import (
     encoder,
     make_ctx,
     mat,
+    reduce_mat,
     reducer,
 )
 from sl2genus.fibers import (
     FiberDescriptor,
     _assert_subgroup,
+    _parametrized_codes,
     _resolve_alpha_prime,
     commutator_fiber_codes,
     fiber_group,
@@ -161,6 +163,31 @@ def test_the_label_route_agrees_with_the_orbit_route(monkeypatch):
     monkeypatch.setattr(fibers_mod, "_resolve_alpha_prime", _orbit_alpha_prime)
     assert labels == [(_orbit_fiber_group(d), _orbit_alpha_prime(d), reads(d)) for d in descs]
     assert all(got[2] == (True, recovery_count(d.kind, d.p, d.n, d.m)) for d, got in zip(descs, labels))
+
+
+def test_orthogonality_reads_the_standard_representative(monkeypatch):
+    # the complement of verify_orthogonality depends on alpha mod p^(r+n-m)
+    # alone, and alpha' lies over the standard representative there, so the
+    # base is read from the representative: alpha' is resolved once, by fiber_group
+    fibers_mod = sys.modules["sl2genus.fibers"]
+    resolve, calls = fibers_mod._resolve_alpha_prime, []
+    monkeypatch.setattr(fibers_mod, "_resolve_alpha_prime", lambda desc: calls.append(desc) or resolve(desc))
+    for kind, p, r, n, m in _FIBER_GRID + _BEYOND_GRID:
+        desc = FiberDescriptor(p, r, n, m, kind)
+        low = p ** (r + n - m)
+        assert reduce_mat(resolve(desc), low) == reduce_mat(desc.standard_rep(), low)
+        calls.clear()
+        assert verify_orthogonality(desc)
+        assert calls == [desc]
+
+
+def test_the_parametrization_lies_over_one():
+    # fiber_group compares V with _parametrized_codes, every member of which is
+    # 1 + p^(r+m) W, so V <= K_(r+m) needs no test of its own
+    for kind, p, r, n, m in _FIBER_GRID:
+        desc = FiberDescriptor(p, r, n, m, kind)
+        one = encoder(make_ctx(p, r + m))((1, 0, 0, 1))
+        assert set(map(reducer(desc.full_ctx(), r + m), _parametrized_codes(desc))) == {one}
 
 
 def test_a_set_that_is_not_a_group_fails_the_subgroup_check():
