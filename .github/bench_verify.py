@@ -20,8 +20,9 @@ the commit that holds it (files under src/ that git does not track are not in it
 
 `pairs` runs perfbench/run.py --trace 0 alternately in --parent and in this
 checkout, --pairs times each, for the run_seconds of BENCHMARK.json, and
-appends the medians of the five end-to-end metrics of each side to
-BENCH_<workload>.json.  Either mode exits non-zero
+appends the five end-to-end metrics of each side to BENCH_<workload>.json:
+their medians, and each run's values in the order run, so that a record
+shows their spread as well.  Either mode exits non-zero
 when a command fails, and then appends nothing.
 """
 
@@ -133,7 +134,7 @@ def main(argv):
             print("pair %d %s: %s" % (i + 1, name, json.dumps(runs[-1])))
     record = {"seed": args.seed, "seconds": seconds, "pairs": args.pairs}
     for name, (checkout, runs) in sides.items():
-        record[name] = dict(stamp(checkout, args.note), median={k: statistics.median(r[k] for r in runs) for k in END_TO_END})
+        record[name] = dict(stamp(checkout, args.note), median={k: statistics.median(r[k] for r in runs) for k in END_TO_END}, runs=runs)
     append(HERE / ("BENCH_%s.json" % args.workload), record)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     ConsistencyError,
@@ -49,18 +49,16 @@ from .groups import (
 )
 from .subgroups import (
     Subgroup,
-    _lift_to,
     _random_kernel_element,
+    _sl2_lift_one,
     a1_subgroup,
     all_subgroups,
     borel,
-    closure,
     exceptional_availability,
     exceptional_subgroup,
     is_slim,
     nonsplit_cartan_normalizer,
     sample_slim_subgroups,
-    sample_subgroups,
     split_cartan_normalizer,
     standard_subgroup,
 )
@@ -462,43 +460,35 @@ def suite_cor6_5(seed: int = 0) -> Tuple[bool, str]:
 # ---- finite shadows of the section-2 surjectivity criteria ----
 
 
-def section2_l2_1(trials: int, seed: int) -> bool:
+def section2_l2_1(seed: int) -> bool:
     """L2_1: subgroups of SL2(Z/p^nZ) (n >= 3) surjecting mod p^2 are everything;
-    for p >= 5 already surjecting mod p suffices.  A1 in SL2(Z/4Z) is the
+    for p >= 5 already surjecting mod p suffices.  #H and #(H mod p^crit) come from
+    the Schreier walk, which closes H mod p alone.  Even draws are u and t(u) times
+    K_crit elements (the hypothesis holds), odd ones 1-3 uniform SL2 elements (GL2
+    draws column-rescaled; a det divisible by p skipped).  A1 in SL2(Z/4Z) is the
     recorded p=2 counterexample the criterion excludes."""
     rng = random.Random(seed)
     for p, n in ((3, 3), (5, 2)):
-        ctx = make_ctx(p, n)
-        crit = 2 if p < 5 else 1
-        crit_codes = enumerate_group(make_ctx(p, crit)).codes
-        hit = 0
-        for h in _l21_samples(ctx, crit, trials, rng):
-            if h.reduced(crit).codes() == crit_codes:
+        ctx, crit, hit = make_ctx(p, n), 2 if p < 5 else 1, 0
+        m = ctx.modulus
+        for i in range(20):
+            if i == 0 and p == 3:  # sharpness: all of SL2(F_3) mod 3, 24 elements mod 9
+                gens = [sigma(ctx), (7, 3, 2, 1)]
+            elif i % 2 == 0:
+                gens = [_mul(f(ctx), _random_kernel_element(ctx, crit, rng), m) for f in (upper_u, lower_u)]
+            else:
+                draws = [tuple(rng.randrange(m) for _ in range(4)) for _ in range(rng.randint(1, 3))]
+                gens = [_sl2_lift_one(g, m) for g in draws if (g[0] * g[3] - g[1] * g[2]) % p]
+            h = Subgroup(ctx, tuple(gens))
+            if gens and h.reduced(crit).order == make_ctx(p, crit).order:
                 hit += 1
                 if h.order != ctx.order:
                     return False
-        if hit == 0:  # the biased sampler must exercise the hypothesis
+        if hit == 0:  # the biased draws must exercise the hypothesis
             raise ConsistencyError("L2_1 sampler produced no surjective subgroup")
     # p=2 exception: A1 surjects mod 2 yet is proper
     a1 = a1_subgroup()
-    return a1.reduced(1).codes() == enumerate_group(make_ctx(2, 1)).codes and a1.order != 48
-
-
-def _l21_samples(ctx: GroupCtx, crit: int, trials: int, rng: random.Random) -> Iterator[Subgroup]:
-    # Half biased (gens lift a generating set of the mod-p^crit image, so the
-    # hypothesis holds), half unbiased.
-    crit_ctx = make_ctx(ctx.p, crit)
-    for i in range(trials):
-        if i % 2 == 0:
-            gens = [
-                _mul(_lift_to(upper_u(crit_ctx), ctx), _random_kernel_element(ctx, crit, rng), ctx.modulus),
-                _mul(_lift_to(lower_u(crit_ctx), ctx), _random_kernel_element(ctx, crit, rng), ctx.modulus),
-            ]
-            yield closure(gens, ctx)
-        else:
-            got = sample_subgroups(ctx, 1, rng)
-            if got:
-                yield got[0]
+    return a1.reduced(1).order == 6 and a1.order != a1.ctx.order
 
 
 def _l2_5_sides(gens: Sequence[Mat], p: int) -> Tuple[bool, int, set]:
@@ -541,7 +531,7 @@ def section2_l2_5(seed: int) -> bool:
 
 
 def suite_section2(seed: int = 0) -> Tuple[bool, str]:
-    if not section2_l2_1(20, seed):
+    if not section2_l2_1(seed):
         return False, "mod p^2 surjectivity criterion failed"
     if not section2_l2_5(seed):
         return False, "determinant surjectivity criterion failed"

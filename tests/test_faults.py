@@ -704,3 +704,48 @@ def test_a_walk_that_loses_kernel_determinants_fails_the_suite(monkeypatch, old,
     _mutate(monkeypatch, suites_mod, "_l2_5_sides", old, new)
     assert not suites_mod.section2_l2_5(0)
     assert suites_mod.suite_section2(0) == (False, "determinant surjectivity criterion failed")
+
+
+# Section 2's L2_1 shadow reads #H and #(H mod p^crit) from the Schreier walk
+# (Subgroup.order); the closure oracle of tests/test_section2.py reads them
+# from every element.
+
+
+def test_a_walk_stuck_below_rank_3_fails_the_l2_1_guard(monkeypatch):
+    # a walk that never admits a third W reads every H mod 9 over all of
+    # SL2(F_3) as 24 * 3^2 = 216 elements, not 648: no draw at p = 3 meets the
+    # hypothesis, and the guard that some draw must raises
+    subgroups_mod, suites_mod = sys.modules["sl2genus.subgroups"], sys.modules["sl2genus.suites"]
+    stuck = "if len(basis) == 2 or _in_span(basis, w, p):"
+    _mutate(monkeypatch, subgroups_mod, "_schreier_walk", "if _in_span(basis, w, p):", stuck)
+    with pytest.raises(ConsistencyError, match="L2_1 sampler produced no surjective subgroup"):
+        suites_mod.section2_l2_1(0)
+
+
+def test_a_hypothesis_read_at_p_not_p2_fails_l2_1_on_the_witness(monkeypatch):
+    # crit = 1 at p = 3: the first draw, <sigma, (7 3; 2 1)>, surjects mod 3 and
+    # has 648 of 17,496 elements, so the suite returns False on seeds 0-19 alike
+    suites_mod = sys.modules["sl2genus.suites"]
+    _mutate(monkeypatch, suites_mod, "section2_l2_1", "2 if p < 5 else 1, 0\n", "1, 0\n")
+    assert [seed for seed in range(20) if suites_mod.section2_l2_1(seed)] == []
+    assert suites_mod.suite_section2(0) == (False, "mod p^2 surjectivity criterion failed")
+
+
+def test_without_the_witness_a_hypothesis_read_at_p_survives_seed_0(monkeypatch):
+    # the same fault with the first draw at p = 3 made like the other even ones:
+    # every draw of seed 0 that surjects mod 3 is all of SL2(Z/27Z), so the
+    # witness is what kills the fault there
+    suites_mod = sys.modules["sl2genus.suites"]
+    between = ", 0\n        m = ctx.modulus\n        for i in range(20):\n            if "
+    old, new = "2 if p < 5 else 1" + between + "i == 0 and p == 3:", "1" + between + "False:"
+    _mutate(monkeypatch, suites_mod, "section2_l2_1", old, new)
+    assert suites_mod.section2_l2_1(0)
+
+
+def test_uniform_l2_1_draws_left_in_gl2_fail_the_generator_check(monkeypatch):
+    # an odd draw not column-rescaled keeps its determinant, which
+    # Subgroup refuses for a generator before anything is walked
+    suites_mod = sys.modules["sl2genus.suites"]
+    _mutate(monkeypatch, suites_mod, "section2_l2_1", "[_sl2_lift_one(g, m) for g in draws", "[g for g in draws")
+    with pytest.raises(PreconditionError, match=r"generator \(.*\) has det \d+ != 1"):
+        suites_mod.section2_l2_1(0)

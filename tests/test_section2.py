@@ -1,9 +1,13 @@
-"""Section 2's L2_5 shadow against a brute closure in GL2(Z/p^2Z).
+"""Section 2's L2_1 and L2_5 shadows against a brute closure.
 
-suites._l2_5_sides reads three things of H = <gens> from its generators: the
-hypothesis (det H is all of (Z/p^2Z)^*), #(H mod p), and the determinants of
-Schreier generators of H n (1 + p M2).  The closure reads the same three from
-every element of H, so it serves as the oracle on the draws the suite decides."""
+section2_l2_1 reads #H and #(H mod p^crit) of H = <gens> in SL2(Z/p^nZ) from
+the Schreier walk (Subgroup.order), which closes H mod p alone; the closure of
+the generators at both levels reads the same two numbers from every element.
+suites._l2_5_sides reads three things of H = <gens> in GL2(Z/p^2Z) from its
+generators: the hypothesis (det H is all of (Z/p^2Z)^*), #(H mod p), and the
+determinants of Schreier generators of H n (1 + p M2).  The closure reads the
+same three from every element of H, so it serves as the oracle on the draws
+the suite decides."""
 
 import random
 import sys
@@ -11,10 +15,10 @@ from collections import Counter
 
 import pytest
 
-from sl2genus.core import DEFAULT_MAX_ELEMENTS, ConsistencyError, decoder, make_ctx, primitive_root
+from sl2genus.core import DEFAULT_MAX_ELEMENTS, ConsistencyError, decoder, make_ctx, primitive_root, reduce_mat, sigma
 from sl2genus.groups import _closure_codes, enumerate_group
-from sl2genus.subgroups import _lift_to
-from sl2genus.suites import _l2_5_sides
+from sl2genus.subgroups import Subgroup, _lift_to
+from sl2genus.suites import _l2_5_sides, section2_l2_1
 
 
 def _brute_sides(gens, p):
@@ -147,3 +151,85 @@ def test_seed_1784_finds_its_witness_at_p_7_after_40_draws(monkeypatch):
     assert verdict
     proper = [full and image < 48 * 42 for p, _, (full, image, _) in decided if p == 7]
     assert proper == [False] * 36 + [True]
+
+
+def _l2_1_draws(monkeypatch, seed):
+    """section2_l2_1(seed), and the H of each draw it made, read through a spy on
+    the Subgroup then in suites (left in place)."""
+    suites_mod = sys.modules["sl2genus.suites"]
+    drawn = []
+
+    def spy(ctx, gens):
+        drawn.append(Subgroup(ctx, gens))
+        return drawn[-1]
+
+    monkeypatch.setattr(suites_mod, "Subgroup", spy)
+    return suites_mod.section2_l2_1(seed), drawn
+
+
+def _closed_orders(gens, p, levels):
+    """#(<gens> mod p^s) for each s in levels, from the closure of the reduced generators."""
+    ctxs = [make_ctx(p, s) for s in levels]
+    return [len(_closure_codes([reduce_mat(g, c.modulus) for g in gens], c, DEFAULT_MAX_ELEMENTS)) for c in ctxs]
+
+
+def test_the_l2_1_walk_agrees_with_the_closure_on_the_suites_draws(monkeypatch):
+    # seeds 0 and 1: at p = 3 and 5 the draws fall on both sides of the
+    # hypothesis, and the closure reaches #SL2(Z/27Z) = 17,496
+    sides = Counter()
+    for seed in (0, 1):
+        verdict, drawn = _l2_1_draws(monkeypatch, seed)
+        assert verdict
+        for h in (h for h in drawn if h.gens):
+            p = h.ctx.p
+            crit = 2 if p == 3 else 1
+            low = _closed_orders(h.gens, p, (crit,))[0]
+            assert [h.order, h.reduced(crit).order] == _closed_orders(h.gens, p, (h.ctx.n,)) + [low], h
+            sides[p, low == make_ctx(p, crit).order] += 1
+    assert all(sides[p, hit] for p in (3, 5) for hit in (False, True)), sides
+
+
+def test_l2_1_holds_on_seeds_0_to_199():
+    assert [seed for seed in range(200) if not section2_l2_1(seed)] == []
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_first_l2_1_draw_at_3_surjects_mod_3_but_not_mod_9(monkeypatch, seed):
+    # <sigma, (7 3; 2 1)> is all of SL2(F_3) mod 3 but has 24 of 648 elements
+    # mod 9, and 648 of 17,496 mod 27: a hypothesis read at p rather than p^2
+    # would hold on it while the conclusion fails
+    ctx = make_ctx(3, 3)
+    gens = (sigma(ctx), (7, 3, 2, 1))
+    h = Subgroup(ctx, gens)
+    assert [h.reduced(1).order, h.reduced(2).order, h.order] == _closed_orders(gens, 3, (1, 2, 3)) == [24, 24, 648]
+    assert (make_ctx(3, 1).order, make_ctx(3, 2).order, ctx.order) == (24, 648, 17_496)
+    verdict, drawn = _l2_1_draws(monkeypatch, seed)
+    assert verdict and drawn[0].gens == gens
+
+
+def test_l2_1_draws_that_never_meet_the_hypothesis_raise(monkeypatch):
+    # each draw cut to its first generator is cyclic, and SL2 mod p is not:
+    # no draw exercises the hypothesis, and the suite refuses to pass on none
+    suites_mod = sys.modules["sl2genus.suites"]
+    monkeypatch.setattr(suites_mod, "Subgroup", lambda ctx, gens: Subgroup(ctx, gens[:1]))
+    with pytest.raises(ConsistencyError, match="L2_1 sampler produced no surjective subgroup"):
+        suites_mod.section2_l2_1(0)
+
+
+def test_l2_1_closes_nothing_above_level_one_but_a1(monkeypatch):
+    # #H and #(H mod p^crit) come from the walk: the only closures are of H mod p
+    # (at most 120 elements) and of the recorded A1 in SL2(Z/4Z), and SL2 is
+    # enumerated at no level
+    suites_mod, subgroups_mod, groups_mod = (sys.modules["sl2genus." + m] for m in ("suites", "subgroups", "groups"))
+    closed, enumerated, true_closure = Counter(), [], subgroups_mod._closure_codes
+
+    def closing(gens, ctx, cap):
+        closed[ctx.p, ctx.n] += 1
+        return true_closure(gens, ctx, cap)
+
+    monkeypatch.setattr(subgroups_mod, "_closure_codes", closing)
+    for module in (groups_mod, subgroups_mod, suites_mod):
+        monkeypatch.setattr(module, "enumerate_group", lambda ctx, cap=None: enumerated.append(ctx))
+    assert suites_mod.section2_l2_1(0)
+    assert enumerated == []
+    assert {key for key in closed if key[1] > 1} == {(2, 2)} and closed[3, 1] and closed[5, 1], closed

@@ -616,7 +616,7 @@ def test_derived_subgroups_keep_the_cap(builds):
 
 
 def test_section2_checks():
-    assert section2_l2_1(8, 5)
+    assert section2_l2_1(5)
     assert section2_l2_5(5)
 
 
