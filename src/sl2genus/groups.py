@@ -180,7 +180,7 @@ class ConjClassRef(namedtuple("ConjClassRef", "ctx kind r")):
         if kind in ("sigma", "tau") and r != 0:
             raise PreconditionError("%s takes no exponent r, got r=%d" % (kind, r))
         if kind == "u_power" and not 0 <= r < ctx.n:
-            raise PreconditionError("u_power(%d) is trivial modulo %d^%d" % (r, ctx.p, ctx.n))
+            raise PreconditionError("u_power takes 0 <= r < n = %d, got r=%d" % (ctx.n, r))
         return tuple.__new__(cls, (ctx, kind, r))
 
     def representative(self) -> Mat:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import wraps
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     DEFAULT_MAX_ELEMENTS,
@@ -729,29 +729,6 @@ def _in_span(basis: Sequence[Tuple[int, int, int]], w: Tuple[int, int, int], p: 
     return (x * (b * f - c * e) + y * (c * d - a * f) + z * (a * e - b * d)) % p == 0
 
 
-def _last_kernel(ctx: GroupCtx, ws: Iterable[Tuple[int, int, int]]) -> List[Mat]:
-    """The elements 1 + p^(n-1) W of K_(n-1) = ker(SL2(Z/p^nZ) -> SL2(Z/p^(n-1)Z)),
-    n >= 2, one per (W00, W01, W10) in ws over F_p, with W11 = -W00 (tr W = 0 mod p)."""
-    m = ctx.modulus
-    q = m // ctx.p
-    return [((1 + q * a) % m, q * b, q * c, (1 - q * a) % m) for a, b, c in ws]
-
-
-def _slim_closure_codes(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[FrozenSet]:
-    """The codes of H = <gens> (n >= 2) as the products t k of the lifts and the
-    span of the W of _schreier_walk, or None if H contains the last kernel
-    K_(n-1) (rank 3) or holds more than cap elements, #lifts * p^rank."""
-    walk, p = _schreier_walk(gens, ctx, cap), ctx.p
-    if walk is None or len(walk[1]) == 3 or len(walk[0]) * p ** len(walk[1]) > cap:
-        return None
-    lifts, basis = walk
-    span = {(0, 0, 0)}
-    for w in basis:
-        span = {tuple((a + j * b) % p for a, b in zip(v, w)) for v in span for j in range(p)}
-    enc, m, kernel = encoder(ctx), ctx.modulus, _last_kernel(ctx, span)
-    return frozenset(enc(_mul(t, k, m)) for t in lifts for k in kernel)
-
-
 def sample_slim_subgroups(
     ctx: GroupCtx,
     count: int,
@@ -763,26 +740,35 @@ def sample_slim_subgroups(
 
     A slim subgroup has #H_1 <= p^(2(n-1)) (one extra factor p at p=2), so a
     candidate above #target * that bound (the slim cap) is certainly not slim.
-    Each candidate is closed once, by _slim_closure_codes, which rejects it
-    if it contains the last kernel or goes over the slim cap.
+    Each candidate is walked once, by _schreier_walk, and rejected at rank 3
+    (K_(n-1) <= H) or above the slim cap; one that a kept H of its order
+    #lifts * p^rank holds is that H (Lagrange), dropped unbuilt.  A new one is
+    built as the products t k of its lifts and the span of its W.
     """
     if ctx.n < 2:
         raise PreconditionError("slim sampling needs level n >= 2")
     level1_pool = sorted((mod_p_target if mod_p_target is not None else full_group(make_ctx(ctx.p, 1))).mats())
     slim_cap = _slim_cap(ctx, len(level1_pool))
+    p, m, enc = ctx.p, ctx.modulus, encoder(ctx)
+    q = m // p
     out: List[Subgroup] = []
-    seen: set = set()
     for _ in range(120 * count):
         if len(out) >= count:
             break
         gens = _slim_candidate(ctx, level1_pool, rng)
-        codes = _slim_closure_codes(gens, ctx, slim_cap)
-        if codes is None:
+        walk = _schreier_walk(gens, ctx, slim_cap)
+        if walk is None or len(walk[1]) == 3:
             continue
-        h = Subgroup.from_codes(ctx, codes, gens=tuple(gens))
+        lifts, basis = walk
+        order = len(lifts) * p ** len(basis)
+        if order > slim_cap or any(h.order == order and all(g in h for g in gens) for h in out):
+            continue
+        span = {(0, 0, 0)}
+        for w in basis:
+            span = {tuple((a + j * b) % p for a, b in zip(v, w)) for v in span for j in range(p)}
+        kernel = [((1 + q * a) % m, q * b, q * c, (1 - q * a) % m) for a, b, c in span]
+        h = Subgroup.from_codes(ctx, frozenset(enc(_mul(t, k, m)) for t in lifts for k in kernel), tuple(gens))
         if mod_p_target is not None and not h.reduced(1).codes() <= mod_p_target.codes():
             raise ConsistencyError("a candidate lifted from the target leaves it mod %d" % ctx.p)
-        if codes not in seen:
-            seen.add(codes)
-            out.append(h)
+        out.append(h)
     return out

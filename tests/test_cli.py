@@ -205,6 +205,9 @@ def test_usage_errors(capsys, builds):
         code, _, err = _run(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert err.startswith("error: "), argv
+    for r in ("-1", "2"):
+        code, _, err = _run(capsys, "count", "--p", "3", "--n", "2", "--subgroup", "full", "--class", "u^p^" + r)
+        assert (code, err) == (EXIT_USAGE, "error: u_power takes 0 <= r < n = 2, got r=%s\n" % r), r
     for suite in ("lemma4.10", "all"):
         assert "--case" in _run(capsys, "verify", "--suite", suite, "--case", "3")[2], suite
     # the cap refuses what a call builds, not a number it reads: count labels

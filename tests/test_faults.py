@@ -2,6 +2,7 @@
 asserts that a fast library check raises on it, so a fault that no check
 kills shows up as a failing test.  Standard library and pytest only."""
 
+import hashlib
 import inspect
 import random
 import re
@@ -49,8 +50,10 @@ from sl2genus.subgroups import (
     sample_subgroups,
 )
 from sl2genus.suites import _FIBER_GRID, suite_lemma5_3, suite_lemma6_1, verify_main_theorem_desk
+from test_bounds import _SAMPLE_DIGESTS
 from test_kernel import _lattice_digest, _old_all_subgroups
 from test_section2 import _brute_sides, _decided, _disagreements
+from test_subgroups import _REPLAY_CASES, _replay
 
 
 def test_an_extra_sigma_fixed_point_fails_the_coset_check(monkeypatch):
@@ -749,3 +752,56 @@ def test_uniform_l2_1_draws_left_in_gl2_fail_the_generator_check(monkeypatch):
     _mutate(monkeypatch, suites_mod, "section2_l2_1", "[_sl2_lift_one(g, m) for g in draws", "[g for g in draws")
     with pytest.raises(PreconditionError, match=r"generator \(.*\) has det \d+ != 1"):
         suites_mod.section2_l2_1(0)
+
+
+# The slim sampler reads #H' of each candidate from its Schreier walk and drops
+# it unbuilt when a kept H of that order holds every generator (H' <= H, so
+# H' = H by Lagrange).  Its two checks: the closure replay of
+# tests/test_subgroups.py and the seeded criterion-9 sample digests of
+# tests/test_bounds.py.
+
+
+_EVERY_SAMPLER_CHECK = ["replay 5^2", "digest 5^2", "replay 3^3", "digest 3^3", "replay 2^4", "digest 2^4"]
+
+
+def _failed_sampler_checks():
+    """The names of the sampler checks that fail: the replay at 25, 27 and 16
+    and the 500-sample digest at each."""
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    failed = []
+    for p, n, _, seed, count in _REPLAY_CASES[:3]:
+        ctx = make_ctx(p, n)
+        got = subgroups_mod.sample_slim_subgroups(ctx, count, random.Random(seed))
+        if [(h.codes(), h.gens) for h in got] != _replay(ctx, count, random.Random(seed))[0]:
+            failed.append("replay %d^%d" % (p, n))
+        subs = subgroups_mod.sample_slim_subgroups(ctx, 500, random.Random(seed))
+        rows = "\n".join(repr(sorted(h.codes())) for h in subs)
+        if hashlib.sha256(rows.encode()).hexdigest() != _SAMPLE_DIGESTS["criterion9-%d^%d" % (p, n)]:
+            failed.append("digest %d^%d" % (p, n))
+    return failed
+
+
+def test_a_walk_short_of_its_last_w_fails_the_replay_and_the_sample_digests(monkeypatch):
+    # the walk drops its last W, so #H' reads p times too small and the sampler
+    # builds lifts times a span of p^(rank - 1): not H', and a rank-3 candidate
+    # passes as slim.  By Lagrange an understated #H' drops no distinct
+    # subgroup (H' <= H gives #H >= #H' >= the order read), but what is built
+    # is wrong, and the replay and the digests see it at every context
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    true_walk = subgroups_mod._schreier_walk
+
+    def short_of_a_w(gens, ctx, cap):
+        walk = true_walk(gens, ctx, cap)
+        return walk if walk is None or not walk[1] else (walk[0], walk[1][:-1])
+
+    monkeypatch.setattr(subgroups_mod, "_schreier_walk", short_of_a_w)
+    assert _failed_sampler_checks() == _EVERY_SAMPLER_CHECK
+
+
+def test_a_duplicate_test_at_p_times_the_order_fails_the_replay_and_the_sample_digests(monkeypatch):
+    # the duplicate test reads #H' as p times its order, what a walk that
+    # overstated #H' would give: a candidate of index p in a kept H that holds
+    # its generators is dropped though it is a distinct subgroup
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    _mutate(monkeypatch, subgroups_mod, "sample_slim_subgroups", "h.order == order and", "h.order == order * p and")
+    assert _failed_sampler_checks() == _EVERY_SAMPLER_CHECK

@@ -576,12 +576,12 @@ def test_every_traced_name_resolves():
 
 
 # ROADMAP item 7 budgets the lines under src/: the library may not grow past
-# its last count of 4,022 lines (its target is 4,003).  The count per module is
+# its last count of 4,008 lines (its target is 4,003).  The count per module is
 # printed too, so that a change can read its delta module by module.
 def test_src_stays_within_the_line_budget():
     counts = {p.name: len(p.read_text().splitlines()) for p in MODULES}
     for name, count in counts.items():
         print("src/sl2genus/%s: %d lines" % (name, count))
     total = sum(counts.values())
-    print("src/sl2genus: %d lines, budget 4,022" % total)
-    assert total <= 4_022, "src/sl2genus holds %d lines, above the budget of 4,022" % total
+    print("src/sl2genus: %d lines, budget 4,008" % total)
+    assert total <= 4_008, "src/sl2genus holds %d lines, above the budget of 4,008" % total

@@ -1,6 +1,7 @@
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 from itertools import product
 from math import gcd
 
@@ -34,12 +35,10 @@ from sl2genus.subgroups import (
     _generators,
     _holds_kernel,
     _kernel_codes,
-    _last_kernel,
     _lift_to,
     _schreier_walk,
     _slim_candidate,
     _slim_cap,
-    _slim_closure_codes,
     a1_subgroup,
     adjoin_minus_one,
     all_subgroups,
@@ -480,48 +479,95 @@ def test_sample_slim_subgroups_are_slim_and_in_target():
         assert h.reduced(1).codes() <= target.codes()
 
 
-# (p, n, mod-p target kind or None, rng seed string, candidates): the rng
+# (p, n, mod-p target kind or None, rng seed string, samples): the rng
 # streams of criterion 9 and of desk part 4's B@5^4 case, so the candidates are
 # the ones those samplers draw first.  A closure that goes over the slim cap
-# at (5,4) holds 312,501 elements, so that context checks only four.
-_CERTIFICATE_CASES = [
-    (5, 2, None, (5, 2, "criterion9").__repr__(), 60),
-    (3, 3, None, (3, 3, "criterion9").__repr__(), 60),
-    (2, 4, None, (2, 4, "criterion9").__repr__(), 60),
-    (5, 4, "B", (0, 4, "B@5^4").__repr__(), 4),
+# at (5,4) holds 312,501 elements, so that context asks for three samples.
+_REPLAY_CASES = [
+    (5, 2, None, (5, 2, "criterion9").__repr__(), 40),
+    (3, 3, None, (3, 3, "criterion9").__repr__(), 40),
+    (2, 4, None, (2, 4, "criterion9").__repr__(), 40),
+    (5, 4, "B", (0, 4, "B@5^4").__repr__(), 3),
 ]
 
 
-@pytest.mark.parametrize("p,n,kind,seed,count", _CERTIFICATE_CASES, ids=["5^2", "3^3", "2^4", "5^4-B"])
-def test_certificate_agrees_with_closure(p, n, kind, seed, count):
-    """The sampler's Schreier walk against the brute-force closure under the
-    slim cap, on candidate tuples drawn as the sampler draws them: the walk
-    returns the closure's code set when the closure is slim and within the
-    cap, and None otherwise."""
-    ctx = make_ctx(p, n)
-    pool = sorted((standard_subgroup(kind, p) if kind else full_group(make_ctx(p, 1))).mats())
+def _replay(ctx, count, rng, target=None):
+    """sample_slim_subgroups by brute force: the same candidates from the same
+    rng, each closed under the slim cap, the slim ones kept unless an earlier
+    one has the same code set, up to count.  Returns the kept (codes, gens) in
+    order and a Counter of the rejections: over the cap, not slim, duplicate."""
+    pool = sorted((target if target is not None else full_group(make_ctx(ctx.p, 1))).mats())
     cap = _slim_cap(ctx, len(pool))
-    rng = random.Random(seed)
-    outcomes = set()
-    for _ in range(count):
+    kept, seen, rejected = [], set(), Counter()
+    for _ in range(120 * count):
+        if len(kept) >= count:
+            break
         gens = _slim_candidate(ctx, pool, rng)
         try:
             h = closure(gens, ctx, cap=cap)
         except FeasibilityError:
-            h = None
-        want = h.codes() if h is not None and is_slim(h) else None
-        assert _slim_closure_codes(gens, ctx, cap) == want, gens
-        outcomes.add(want is None)
-    assert outcomes == {True, False}
+            rejected["over the cap"] += 1
+            continue
+        if not is_slim(h):
+            rejected["not slim"] += 1
+        elif h.codes() in seen:
+            rejected["duplicate"] += 1
+        else:
+            seen.add(h.codes())
+            kept.append((h.codes(), tuple(gens)))
+    return kept, rejected
+
+
+@pytest.mark.parametrize("p,n,kind,seed,count", _REPLAY_CASES, ids=["5^2", "3^3", "2^4", "5^4-B"])
+def test_certificate_agrees_with_closure(p, n, kind, seed, count):
+    """The sampler, which walks each candidate once and drops a duplicate by
+    Lagrange before building it, against _replay on the same rng stream: the
+    same subgroups, built from the same generators, in the same order.  The
+    streams at 25, 27 and 16 draw duplicates and candidates of each rejection."""
+    ctx = make_ctx(p, n)
+    target = standard_subgroup(kind, p) if kind else None
+    want, rejected = _replay(ctx, count, random.Random(seed), target)
+    got = sample_slim_subgroups(ctx, count, random.Random(seed), mod_p_target=target)
+    assert [(h.codes(), h.gens) for h in got] == want
+    assert len(want) == count and rejected["over the cap"] > 0
+    assert kind or (rejected["not slim"] > 0 and rejected["duplicate"] > 0)
 
 
 def test_certificate_sees_the_kernel_and_the_cap():
+    # the sampler's three rejections read from _schreier_walk: rank 3, None, and
+    # #lifts * p^rank above the cap
     ctx = make_ctx(3, 2)
     u, t = upper_u(ctx), lower_u(ctx)
-    assert _slim_closure_codes([u, t], ctx, ctx.order) is None  # <u, t(u)> = SL2(Z/9Z)
-    assert _slim_closure_codes([u], ctx, 9) == closure([u], ctx).codes()  # order 9, slim
-    assert _slim_closure_codes([u], ctx, 2) is None  # u mod 3 already has 3 elements
-    assert _slim_closure_codes([u], ctx, 8) is None  # 3 lifts times a kernel part of 3
+    assert len(_schreier_walk([u, t], ctx, ctx.order)[1]) == 3  # <u, t(u)> = SL2(Z/9Z)
+    lifts, basis = _schreier_walk([u], ctx, 9)
+    assert (len(lifts), len(basis)) == (3, 1) and closure([u], ctx).order == 9  # order 9, slim
+    assert _schreier_walk([u], ctx, 2) is None  # u mod 3 already has 3 elements
+    lifts, basis = _schreier_walk([u], ctx, 8)
+    assert len(lifts) * 3 ** len(basis) == 9 > 8  # 3 lifts times a kernel part of 3
+
+
+def test_the_sampler_builds_only_what_it_returns(monkeypatch):
+    """Every candidate whose products are built (Subgroup.from_codes) is
+    returned: on the criterion-9 stream at 16, 13 slim candidates within the
+    cap are duplicates of earlier samples, and none of them is built."""
+    import sys
+
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    true_walk, true_from_codes = subgroups_mod._schreier_walk, Subgroup.from_codes
+    ctx, built, walks = make_ctx(2, 4), [], []
+
+    def from_codes(at, codes, gens=(), cap=DEFAULT_MAX_ELEMENTS):
+        h = true_from_codes(at, codes, gens, cap)
+        if at is ctx:  # not SL2(Z/2Z), the pool of mod-2 images
+            built.append(h)
+        return h
+
+    monkeypatch.setattr(subgroups_mod, "_schreier_walk", lambda *args: walks.append(true_walk(*args)) or walks[-1])
+    monkeypatch.setattr(Subgroup, "from_codes", from_codes)
+    subs = sample_slim_subgroups(ctx, 40, random.Random((2, 4, "criterion9").__repr__()))
+    slim = [w for w in walks if w is not None and len(w[1]) < 3]
+    assert [id(h) for h in built] == [id(h) for h in subs]
+    assert (len(walks), len(slim) - len(subs)) == (114, 13)
 
 
 def test_slim_sampling_needs_level_two():
@@ -645,6 +691,14 @@ def _random_sl2(ctx, rng):
             return (a, b, c, (1 + b * c) * pow(a, -1, m) % m)
 
 
+def _kernel_at(ctx, ws):
+    """The elements 1 + p^(n-1) W of K_(n-1), one per (W00, W01, W10) in ws
+    over F_p, with W11 = -W00."""
+    m = ctx.modulus
+    q = m // ctx.p
+    return [((1 + q * a) % m, q * b, q * c, (1 - q * a) % m) for a, b, c in ws]
+
+
 def _walk_cases():
     """(ctx, gens): seeded tuples of one to three elements, and per context the
     lifted Borel generators with the kernel generators 1 + p^(n-1)E, which give
@@ -654,7 +708,7 @@ def _walk_cases():
         rng = random.Random("walk-%d-%d" % (p, n))
         for _ in range(count):
             yield ctx, tuple(_random_sl2(ctx, rng) for _ in range(rng.choice((1, 2, 2, 3))))
-        kernel = _last_kernel(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        kernel = _kernel_at(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         yield ctx, tuple([_lift_to(g, ctx) for g in borel(p).gens] + kernel)
 
 
@@ -688,25 +742,24 @@ def _twin_candidates(ctx):
     pool = sorted((borel(p) if p == 7 else full_group(make_ctx(p, 1))).mats())
     rng = random.Random("twins-%d-%d" % (p, ctx.n))
     cases = [_slim_candidate(ctx, pool, rng) for _ in range(12)]
-    kernel = _last_kernel(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    kernel = _kernel_at(ctx, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
     lifted = [_lift_to(g, ctx) for g in borel(p).gens]
     return cases + [lifted + kernel, lifted + kernel[:2], [upper_u(ctx), kernel[0]], kernel[1:]]
 
 
 @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2), (2, 4), (3, 3), (7, 2)])
 def test_the_walk_twins_agree_with_the_closure(p, n, builds):
-    """_schreier_walk, _slim_closure_codes and Subgroup.order against the
-    closure C of the same generators, each under no cap, the caps #C and
-    #C - 1, and the caps l and l - 1 for l = #(C mod p^(n-1)), the lifts a
-    whole walk holds: the walk gives C as the products t k of its lifts and
-    the span of its W when C is slim, reports three independent W when
-    K_(n-1) <= C, and returns None only once its lifts pass the cap, so a slim
-    C exactly when l > cap.  _slim_closure_codes gives C when C is slim and
-    within the cap.  Subgroup.order reads #C wherever the cap holds l, and
-    builds nothing above the cap."""
+    """_schreier_walk and Subgroup.order against the closure C of the same
+    generators, each under no cap, the caps #C and #C - 1, and the caps l and
+    l - 1 for l = #(C mod p^(n-1)), the lifts a whole walk holds: the walk
+    gives C as the products t k of its lifts and the span of its W when C is
+    slim, reports three independent W when K_(n-1) <= C, and returns None only
+    once its lifts pass the cap, so a slim C exactly when l > cap.
+    Subgroup.order reads #C wherever the cap holds l, and builds nothing above
+    the cap."""
     ctx = make_ctx(p, n)
     enc = encoder(ctx)
-    last_kernel = {enc(k) for k in _last_kernel(ctx, product(range(p), repeat=3))}
+    last_kernel = {enc(k) for k in _kernel_at(ctx, product(range(p), repeat=3))}
     seen = set()
     for gens in _twin_candidates(ctx):
         want = _closure_codes(gens, ctx, DEFAULT_MAX_ELEMENTS)
@@ -729,12 +782,10 @@ def test_the_walk_twins_agree_with_the_closure(p, n, builds):
                     seen.add("rank 3")
                 else:
                     assert len({reduce_mat(t, ctx.modulus // p) for t in lifts}) == len(lifts)
-                    kernel = _last_kernel(ctx, span)
+                    kernel = _kernel_at(ctx, span)
                     assert {enc(_mul(t, k, ctx.modulus)) for t in lifts for k in kernel} == want, gens
                     assert len(lifts) * len(span) == len(want)
                     seen.add("slim")
-            within = len(want) <= cap
-            assert _slim_closure_codes(gens, ctx, cap) == (want if within and not rank3 else None), gens
             builds.clear()
             if walk is None:
                 with pytest.raises(FeasibilityError, match="the Schreier walk modulo %d passed" % ctx.modulus):
