@@ -18,12 +18,14 @@ src_diff_sha256, the SHA-256 of `git diff HEAD -- src`, names the measured
 code: `git diff COMMIT~1 COMMIT -- src | sha256sum` gives the same digest at
 the commit that holds it (files under src/ that git does not track are not in it).
 
-`pairs` runs perfbench/run.py --trace 0 alternately in --parent and in this
-checkout, --pairs times each, for the run_seconds of BENCHMARK.json, and
-appends the five end-to-end metrics of each side to BENCH_<workload>.json:
-their medians, and each run's values in the order run, so that a record
-shows their spread as well.  Either mode exits non-zero
-when a command fails, and then appends nothing.
+`pairs` first compiles src/ in both checkouts (python -m compileall -q), so
+that neither side compiles modules that the other reads as bytecode, and each
+side's record says so (src_compiled).  It then runs perfbench/run.py --trace 0
+alternately in --parent and in this checkout, --pairs times each, for the
+run_seconds of BENCHMARK.json, and appends the five end-to-end metrics of
+each side to BENCH_<workload>.json: their medians, and each run's values in
+the order run, so that a record shows their spread as well.  Either mode
+exits non-zero when a command fails, and then appends nothing.
 """
 
 import argparse
@@ -128,13 +130,15 @@ def main(argv):
         return
     seconds = json.loads((HERE / "BENCHMARK.json").read_text())["run_seconds"]
     sides = {"parent": (args.parent, []), "change": (str(HERE), [])}
+    for checkout, _ in sides.values():
+        run([sys.executable, "-m", "compileall", "-q", str(Path(checkout) / "src")])
     for i in range(args.pairs):
         for name, (checkout, runs) in sides.items() if i % 2 == 0 else reversed(sides.items()):
             runs.append(perfbench_metrics(checkout, args.workload, args.seed, seconds))
             print("pair %d %s: %s" % (i + 1, name, json.dumps(runs[-1])))
     record = {"seed": args.seed, "seconds": seconds, "pairs": args.pairs}
     for name, (checkout, runs) in sides.items():
-        record[name] = dict(stamp(checkout, args.note), median={k: statistics.median(r[k] for r in runs) for k in END_TO_END}, runs=runs)
+        record[name] = dict(stamp(checkout, args.note), src_compiled=True, median={k: statistics.median(r[k] for r in runs) for k in END_TO_END}, runs=runs)
     append(HERE / ("BENCH_%s.json" % args.workload), record)
 
 

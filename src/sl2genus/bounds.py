@@ -202,8 +202,6 @@ def slim_bound_report(h: Subgroup, ref: ConjClassRef) -> SlimBoundReport:
     ctx = h.ctx
     if ref.ctx != ctx:
         raise PreconditionError("class reference bound to a different context")
-    if ref.kind not in _CLASS_BOUNDS:
-        raise PreconditionError("bounds exist for sigma, tau, u_power classes")
     if not is_slim(h):
         raise PreconditionError("subgroup is not slim")
     plan = _bound_plan(ref)

@@ -4,7 +4,7 @@ Element sets store packed codes (see core.encoder), and every kernel here
 walks codes through the maps of core (x -> x s, x -> g^-1 x g).  Subgroups
 close through extend_closure, the one right-coset walk (the genus check
 walks double cosets, in genus).  Orbits go through capped_orbit
-(the Schreier walk of subgroups keeps a lift per key, so it stays its own
+(subgroups._lift_walk keeps a lift per residue, so it stays its own
 loop); conjugacy classes are expanded by conjugating with u, t(u) only,
 which keeps memory at O(#class) instead of O(#group), and each member is
 checked against class_labels, which names an element's classes without an

@@ -676,43 +676,49 @@ def _slim_candidate(ctx: GroupCtx, level1_pool: List[Mat], rng: random.Random) -
     return gens
 
 
-def _schreier_walk(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[Tuple[List[Mat], List[tuple]]]:
-    """Schreier's lemma along the last reduction (n >= 2): walk H = <gens> mod
-    p^(n-1) breadth-first with level-n products and keep the first lift t of
-    each reduced element.  A product z reaching that element again gives
-    z t^-1 = 1 + p^(n-1) W in H n K_(n-1), and these generate H n K_(n-1).
-    K_(n-1) is F_p^3 through (W00, W01, W10), with W11 = -W00 mod p, for p = 2
-    as well.  Below rank 3, H is the products t k of the lifts and the span
-    of the W, #H = #lifts * p^rank.  Returns (lifts, basis), the independent W
-    found; the walk stops at a third (K_(n-1) <= H; its lifts partial), and
-    returns None once #lifts, what it holds, passes cap (then #H > cap).  A new w
-    joins the basis unless its cross product with the one basis vector, or
-    its determinant with the two, vanishes mod p (_in_span).
-    """
-    p, m = ctx.p, ctx.modulus
-    q = m // p
-    lifts = [identity(ctx)]
-    inverse_lift = {(1 % q, 0, 0, 1 % q): lifts[0]}  # inverse of each lift, keyed by its reduction
-    basis: List[Tuple[int, int, int]] = []  # independent W in F_p^3, at most two here
+def _lift_walk(gens: Sequence[Mat], m: int, q: int, lifts: List[Mat], cap: int) -> Iterator[Tuple[Mat, Mat]]:
+    """Walk <gens> mod q breadth-first with products mod m, append the first lift t
+    of each residue to lifts (empty at the start), and yield (z, adj t) for each
+    product z that meets a known residue: z adj t = det t * z t^-1, and the z t^-1
+    generate <gens> n (1 + q M2).  FeasibilityError once #lifts passes cap."""
+    lifts.append((1, 0, 0, 1))
+    adjugate = {(1 % q, 0, 0, 1 % q): lifts[0]}  # adj t of each lift, keyed by its residue
     for t0, t1, t2, t3 in lifts:  # lifts grows while it is walked
         for g0, g1, g2, g3 in gens:
             z0, z1 = (t0 * g0 + t1 * g2) % m, (t0 * g1 + t1 * g3) % m
             z2, z3 = (t2 * g0 + t3 * g2) % m, (t2 * g1 + t3 * g3) % m
             key = (z0 % q, z1 % q, z2 % q, z3 % q)
-            ti = inverse_lift.get(key)
-            if ti is None:
-                inverse_lift[key] = (z3, -z1 % m, -z2 % m, z0)
+            a = adjugate.get(key)
+            if a is None:
+                adjugate[key] = (z3, -z1 % m, -z2 % m, z0)
                 lifts.append((z0, z1, z2, z3))
                 if len(lifts) > cap:
-                    return None
+                    raise _above_cap("the lift walk modulo %d passed %d" % (m, cap), cap)
             else:
-                i0, i1, i2, i3 = ti  # z t^-1 = 1 + q W; W11 = -W00 needs no product
-                w = ((z0 * i0 + z1 * i2) % m // q, (z0 * i1 + z1 * i3) % m // q, (z2 * i0 + z3 * i2) % m // q)
-                if _in_span(basis, w, p):
-                    continue
+                yield (z0, z1, z2, z3), a
+
+
+def _schreier_walk(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[Tuple[List[Mat], List[tuple]]]:
+    """Schreier's lemma along the last reduction (n >= 2): each pair (z, adj t) of the
+    lift walk of H = <gens> mod p^(n-1) gives z t^-1 = 1 + p^(n-1) W in H n K_(n-1),
+    F_p^3 through (W00, W01, W10), with W11 = -W00 mod p, for p = 2 as well.  Below
+    rank 3, H is the products t k of the lifts and the span of the W, #H = #lifts *
+    p^rank.  Returns (lifts, basis), the independent W found (_in_span); the walk
+    stops at a third (K_(n-1) <= H; its lifts partial), and returns None once #lifts,
+    what it holds, passes cap (then #H > cap)."""
+    p, m = ctx.p, ctx.modulus
+    q = m // p
+    lifts: List[Mat] = []
+    basis: List[Tuple[int, int, int]] = []  # independent W in F_p^3, at most two here
+    try:
+        for (z0, z1, z2, z3), (i0, i1, i2, i3) in _lift_walk(gens, m, q, lifts, cap):
+            w = ((z0 * i0 + z1 * i2) % m // q, (z0 * i1 + z1 * i3) % m // q, (z2 * i0 + z3 * i2) % m // q)
+            if not _in_span(basis, w, p):
                 basis.append(w)
                 if len(basis) == 3:
                     return lifts, basis  # K_(n-1) <= H
+    except FeasibilityError:
+        return None
     return lifts, basis
 
 

@@ -29,7 +29,6 @@ from .core import (
     minus_one,
     num_to_json,
     parse_mat,
-    reduce_mat,
     right_mul,
     sigma,
     tau,
@@ -49,6 +48,7 @@ from .groups import (
 )
 from .subgroups import (
     Subgroup,
+    _lift_walk,
     _random_kernel_element,
     _sl2_lift_one,
     a1_subgroup,
@@ -492,20 +492,14 @@ def section2_l2_1(seed: int) -> bool:
 
 
 def _l2_5_sides(gens: Sequence[Mat], p: int) -> Tuple[bool, int, set]:
-    """H = <gens> in GL2(Z/p^2Z): whether det H is all of (Z/p^2Z)^* (cyclic), #(H mod p), and the
-    dets of the Schreier generators z t^-1 of H n (1 + p M2), t the first lift walked of z mod p."""
+    """H = <gens> in GL2(Z/p^2Z): whether det H is all of (Z/p^2Z)^* (cyclic), #(H mod p), and the dets
+    det z (det adj t)^-1 of the Schreier generators z t^-1 of H n (1 + p M2), read from the lift walk of H mod p."""
     m = p * p
     dets = [(a * d - b * c) % m for a, b, c, d in gens]
     full = len(capped_orbit(1, [lambda x, d=d: x * d % m for d in dets], m)) == p * (p - 1)
-    lifts, first, kernel = [((1, 0, 0, 1), 1)], {(1, 0, 0, 1): 1}, set()  # first: det t by t mod p
-    for t, dt in lifts:  # lifts grows while it is walked
-        for g, dg in zip(gens, dets):
-            z, dz = _mul(t, g, m), dt * dg % m
-            key = reduce_mat(z, p)
-            if key not in first:
-                first[key] = dz
-                lifts.append((z, dz))
-            kernel.add(dz * pow(first[key], -1, m) % m)
+    lifts: List[Mat] = []
+    pairs = _lift_walk(gens, m, p, lifts, m * m)  # #lifts <= #GL2(F_p) < p^4
+    kernel = {(z0 * z3 - z1 * z2) * pow(a0 * a3 - a1 * a2, -1, m) % m for (z0, z1, z2, z3), (a0, a1, a2, a3) in pairs}
     return full, len(lifts), kernel
 
 

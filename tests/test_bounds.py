@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sl2genus import bounds, suites
+from sl2genus import bounds, groups, suites
 from sl2genus.bounds import (
     bound_sequence,
     fiber_count_bound_check,
@@ -112,6 +112,12 @@ def test_slim_bound_rejects_non_slim_and_level_one():
     c5 = make_ctx(5, 1)
     with pytest.raises(PreconditionError):
         slim_bound_report(borel(5), ConjClassRef(c5, "sigma"))
+
+
+# a ConjClassRef admits only the kinds of groups._KINDS, so every class it
+# names has a row of bounds, and slim_bound_report needs no guard of its own
+def test_every_class_kind_has_its_bound_kinds():
+    assert set(bounds._CLASS_BOUNDS) == set(groups._KINDS)
 
 
 def test_slim_bounds_on_preimage_layers():

@@ -678,12 +678,12 @@ def test_a_hypothesis_that_drops_a_determinant_fails_the_closure_oracle(monkeypa
 
 
 def test_a_walk_that_keeps_det_z_fails_the_directed_case_and_the_oracle(monkeypatch):
-    # each Schreier generator's determinant is read as det z, not det z (det t)^-1.
+    # each Schreier generator's determinant is read as det z, not det z (det adj t)^-1.
     # That only adds determinants, so the suite still holds; the torus of order
     # p - 1 with u (tests/test_section2.py) reads a power of w != 1 there, and
     # the oracle at 9 reads determinants that H n (1 + 3 M2) does not hold
     suites_mod = sys.modules["sl2genus.suites"]
-    _mutate(monkeypatch, suites_mod, "_l2_5_sides", "kernel.add(dz * pow(first[key], -1, m) % m)", "kernel.add(dz)")
+    _mutate(monkeypatch, suites_mod, "_l2_5_sides", "z2) * pow(a0 * a3 - a1 * a2, -1, m) % m", "z2) % m")
     for p in (3, 5, 7):
         w = pow(primitive_root(p, 2), p, p * p)
         assert not suites_mod._l2_5_sides([(w, 0, 0, 1), (1, 1, 0, 1)], p)[2] <= {1}
@@ -694,8 +694,8 @@ def test_a_walk_that_keeps_det_z_fails_the_directed_case_and_the_oracle(monkeypa
 @pytest.mark.parametrize(
     "old, new",
     [
-        ("for g, dg in zip(gens, dets)", "for g, dg in zip(gens[:1], dets)"),  # the walk forgets a generator
-        ("kernel.add(dz * pow(first[key], -1, m) % m)", "kernel.add(dz * pow(first[key], -1, m) % p)"),  # dets mod p
+        ("_lift_walk(gens, m, p,", "_lift_walk(gens[:1], m, p,"),  # the walk forgets a generator
+        ("a2, -1, m) % m", "a2, -1, m) % p"),  # dets mod p
     ],
     ids=["one generator", "dets mod p"],
 )
@@ -719,8 +719,8 @@ def test_a_walk_stuck_below_rank_3_fails_the_l2_1_guard(monkeypatch):
     # SL2(F_3) as 24 * 3^2 = 216 elements, not 648: no draw at p = 3 meets the
     # hypothesis, and the guard that some draw must raises
     subgroups_mod, suites_mod = sys.modules["sl2genus.subgroups"], sys.modules["sl2genus.suites"]
-    stuck = "if len(basis) == 2 or _in_span(basis, w, p):"
-    _mutate(monkeypatch, subgroups_mod, "_schreier_walk", "if _in_span(basis, w, p):", stuck)
+    stuck = "if len(basis) < 2 and not _in_span(basis, w, p):"
+    _mutate(monkeypatch, subgroups_mod, "_schreier_walk", "if not _in_span(basis, w, p):", stuck)
     with pytest.raises(ConsistencyError, match="L2_1 sampler produced no surjective subgroup"):
         suites_mod.section2_l2_1(0)
 

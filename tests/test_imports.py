@@ -5,8 +5,9 @@ is used somewhere under src/, every public function and class is used
 somewhere under src/ or tests/, no module keeps a cache of its own, only
 subgroups.py touches a subgroup's memo, only groups.cached touches a
 context's memo, only core.py knows the bit
-layout of a packed code, groups.py multiplies no decoded matrices, and
-only genus_report walks cosets (coset_space).  Every name the benchmark's
+layout of a packed code, groups.py multiplies no decoded matrices,
+only genus_report walks cosets (coset_space), and only subgroups._lift_walk
+and all_subgroups grow a list while they walk it.  Every name the benchmark's
 tracer wraps (perfbench/spans.py) still exists in the library.
 
 No linter is part of the toolchain, so this walks the syntax tree with the
@@ -505,6 +506,51 @@ def test_only_genus_report_walks_cosets():
     assert found == {("genus.py", "genus_report")}
 
 
+def _growing_walks(source: str):
+    """(function, list) for each for-loop over a bare name whose body appends
+    to, extends or inserts into that same list, under the innermost function."""
+    out = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.For) and isinstance(child.iter, ast.Name):
+                grows = any(
+                    isinstance(n, ast.Call)
+                    and isinstance(n.func, ast.Attribute)
+                    and n.func.attr in ("append", "extend", "insert")
+                    and getattr(n.func.value, "id", None) == child.iter.id
+                    for n in ast.walk(child)
+                )
+                if grows:
+                    out.append((fn, child.iter.id))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(out)
+
+
+def test_the_check_sees_a_second_lift_walk():
+    src = (
+        "def _lift_walk(gens, lifts):\n    for t in lifts:\n        for g in gens:\n            lifts.append(t * g)\n\n"
+        "def sides(gens):\n    lifts = [1]\n    for t, d in lifts:\n        pass\n    for t in lifts:\n"
+        "        if t:\n            lifts.extend(gens)\n    out = []\n    for t in gens:\n        out.append(t)\n\n"
+        "queue = [0]\nfor x in queue:\n    queue.insert(0, x)\n"
+    )
+    assert _growing_walks(src) == [("<module>", "queue"), ("_lift_walk", "lifts"), ("sides", "lifts")]
+
+
+# subgroups._lift_walk is the one lift-and-reduce loop: the Schreier walk and
+# section 2's L2_5 read its pairs.  The other lists that grow while they are
+# walked are all_subgroups' table walk and its queue of class representatives.
+def test_only_the_lift_walk_and_the_lattice_grow_what_they_walk():
+    found = {(p.name, fn, name) for p in MODULES for fn, name in _growing_walks(p.read_text())}
+    assert found == {
+        ("subgroups.py", "_lift_walk", "lifts"),
+        ("subgroups.py", "all_subgroups", "walk"),
+        ("subgroups.py", "all_subgroups", "reps"),
+    }
+
+
 def test_the_check_sees_a_read_of_codes():
     src = (
         "def count_in_subgroup(h, ref):\n    return len(h.codes() & class_codes(ref))\n\n"
@@ -576,12 +622,12 @@ def test_every_traced_name_resolves():
 
 
 # ROADMAP item 7 budgets the lines under src/: the library may not grow past
-# its last count of 4,008 lines (its target is 4,003).  The count per module is
+# its last count of 4,006 lines (its target is 4,003).  The count per module is
 # printed too, so that a change can read its delta module by module.
 def test_src_stays_within_the_line_budget():
     counts = {p.name: len(p.read_text().splitlines()) for p in MODULES}
     for name, count in counts.items():
         print("src/sl2genus/%s: %d lines" % (name, count))
     total = sum(counts.values())
-    print("src/sl2genus: %d lines, budget 4,008" % total)
-    assert total <= 4_008, "src/sl2genus holds %d lines, above the budget of 4,008" % total
+    print("src/sl2genus: %d lines, budget 4,006" % total)
+    assert total <= 4_006, "src/sl2genus holds %d lines, above the budget of 4,006" % total

@@ -36,6 +36,7 @@ from sl2genus.subgroups import (
     _holds_kernel,
     _kernel_codes,
     _lift_to,
+    _lift_walk,
     _schreier_walk,
     _slim_candidate,
     _slim_cap,
@@ -794,6 +795,54 @@ def test_the_walk_twins_agree_with_the_closure(p, n, builds):
                 assert Subgroup(ctx, tuple(gens), cap).order == len(want), gens
             assert all(size <= cap for _, size in builds), gens
     assert seen == {"slim", "rank 3", "over cap"}
+
+
+def _lift_walk_draws(rng):
+    """(gens, level-n context, level-(n-1) context): uniform draws of one or two
+    elements of SL2(Z/p^nZ), and of GL2(Z/p^2Z) with det prime to p (n = 2)."""
+    for p, n in ((2, 3), (3, 2), (5, 2), (2, 4), (3, 3)):
+        ctx = make_ctx(p, n)
+        pool, dec = sorted(enumerate_group(ctx).codes), decoder(ctx)
+        for _ in range(6):
+            yield [dec(rng.choice(pool)) for _ in range(rng.randint(1, 2))], ctx, make_ctx(p, n - 1)
+    for p in (2, 3, 5, 7):
+        m, drawn = p * p, 0
+        while drawn < 6:
+            gens = [tuple(rng.randrange(m) for _ in range(4)) for _ in range(rng.randint(1, 2))]
+            if all((a * d - b * c) % p for a, b, c, d in gens):
+                drawn += 1
+                yield gens, make_ctx(p, 2), make_ctx(p, 1)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_the_lift_walk_keeps_a_lift_per_residue_and_yields_schreier_pairs(seed):
+    # z meets the residue of t, so z adj t = t adj t = det t * 1 mod q; and the
+    # walk keeps one lift per element of H mod q, as the closure there counts them
+    for gens, ctx, low in _lift_walk_draws(random.Random(seed)):
+        m, q, lifts = ctx.modulus, low.modulus, []
+        for z, a in _lift_walk(gens, m, q, lifts, DEFAULT_MAX_ELEMENTS):
+            d = (a[0] * a[3] - a[1] * a[2]) % q
+            assert reduce_mat(_mul(z, a, m), q) == (d, 0, 0, d), (gens, z, a)
+        assert len({reduce_mat(t, q) for t in lifts}) == len(lifts), gens
+        assert len(lifts) == len(_closure_codes([reduce_mat(g, q) for g in gens], low, DEFAULT_MAX_ELEMENTS)), gens
+
+
+@pytest.mark.parametrize(
+    "gens, m, q, whole",
+    [
+        ([(1, 1, 0, 1), (1, 0, 1, 1)], 9, 3, 24),  # <u, t(u)> mod 9 over SL2(F_3)
+        ([(2, 0, 0, 1), (1, 1, 0, 1)], 25, 5, 20),  # <diag(2, 1), u> mod 25 over the Borel of GL2(F_5)
+    ],
+)
+def test_a_lift_walk_capped_at_k_raises_holding_k_plus_one_lifts(gens, m, q, whole):
+    walked = []
+    assert all(len(walked) <= whole for _ in _lift_walk(gens, m, q, walked, whole))
+    assert len(walked) == whole
+    for k in range(1, whole):
+        lifts = []
+        with pytest.raises(FeasibilityError, match="the lift walk modulo %d passed %d elements" % (m, k)):
+            list(_lift_walk(gens, m, q, lifts, k))
+        assert lifts == walked[: k + 1]
 
 
 def test_a_preimage_reads_its_reductions_from_the_source(monkeypatch):
