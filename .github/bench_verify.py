@@ -24,8 +24,14 @@ side's record says so (src_compiled).  It then runs perfbench/run.py --trace 0
 alternately in --parent and in this checkout, --pairs times each, for the
 run_seconds of BENCHMARK.json, and appends the five end-to-end metrics of
 each side to BENCH_<workload>.json: their medians, and each run's values in
-the order run, so that a record shows their spread as well.  Either mode
-exits non-zero when a command fails, and then appends nothing.
+the order run, so that a record shows their spread as well.  It then judges
+each metric by its `better` and `bound` in BENCHMARK.json, prints the verdict
+and records it under "judged": how many pairs the change won (pair i sets the
+i-th run of each side against each other; a tie counts for neither side), the
+interquartile spread of the parent's runs (inclusive quartiles), and whether
+the change's median is worse than the parent's by more than the bound, a
+fraction of the parent's median.  Either mode exits non-zero when a command
+fails, and then appends nothing.
 """
 
 import argparse
@@ -110,6 +116,22 @@ def perfbench_metrics(checkout, workload, seed, seconds):
     return {k: result["metrics"][k]["value"] for k in END_TO_END}
 
 
+def judge(parent, change, metrics):
+    """{metric: verdict} for the runs of each side, paired in the order run."""
+    out = {}
+    for m in metrics:
+        name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
+        a, b = [r[name] for r in parent], [r[name] for r in change]
+        wins = sum(y > x if higher else y < x for x, y in zip(a, b))
+        q = statistics.quantiles(a, n=4, method="inclusive") if len(a) > 1 else [a[0]] * 3
+        base, got = statistics.median(a), statistics.median(b)
+        worse = got < base * (1 - bound) if higher else got > base * (1 + bound)
+        out[name] = {"wins": wins, "pairs": len(a), "parent_iqr": q[2] - q[0], "worse_than_bound": worse}
+        print("%-13s change won %d of %d pairs; medians %g -> %g; parent IQR %g; worse than the bound %g: %s"
+              % (name, wins, len(a), base, got, q[2] - q[0], bound, "yes" if worse else "no"))
+    return out
+
+
 def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="mode", required=True)
@@ -128,7 +150,8 @@ def main(argv):
         record["rows"] = verify_rows(args.src)
         append(HERE / "BENCH_verify.json", record)
         return
-    seconds = json.loads((HERE / "BENCHMARK.json").read_text())["run_seconds"]
+    bench = json.loads((HERE / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     sides = {"parent": (args.parent, []), "change": (str(HERE), [])}
     for checkout, _ in sides.values():
         run([sys.executable, "-m", "compileall", "-q", str(Path(checkout) / "src")])
@@ -139,6 +162,7 @@ def main(argv):
     record = {"seed": args.seed, "seconds": seconds, "pairs": args.pairs}
     for name, (checkout, runs) in sides.items():
         record[name] = dict(stamp(checkout, args.note), src_compiled=True, median={k: statistics.median(r[k] for r in runs) for k in END_TO_END}, runs=runs)
+    record["judged"] = judge(sides["parent"][1], sides["change"][1], bench["end_to_end"])
     append(HERE / ("BENCH_%s.json" % args.workload), record)
 
 

@@ -65,9 +65,10 @@ def capped_orbit(start, steps: Sequence[Callable], cap: int) -> FrozenSet:
     """Everything reached from start by repeated steps, each a map x -> y (the
     form extend_closure takes).
 
-    Breadth-first; raises FeasibilityError as soon as more than cap values are
-    seen.  For a closure or a conjugation orbit in a finite group the steps
-    need no inverses: the monoid a set generates is the group it generates.
+    Breadth-first; raises FeasibilityError ("the orbit passed cap elements")
+    as soon as more than cap values are seen.  For a closure or a conjugation
+    orbit in a finite group the steps need no inverses: the monoid a set
+    generates is the group it generates.
     """
     seen = {start}
     frontier = [start]
@@ -79,14 +80,10 @@ def capped_orbit(start, steps: Sequence[Callable], cap: int) -> FrozenSet:
                 if z not in seen:
                     seen.add(z)
                     if len(seen) > cap:
-                        raise _over_cap(cap)
+                        raise _above_cap("the orbit passed %d" % cap, cap)
                     nxt.append(z)
         frontier = nxt
     return frozenset(seen)
-
-
-def _over_cap(cap: int) -> FeasibilityError:
-    return FeasibilityError("orbit exceeded the cap of %d elements; raise --max-elements or SL2_MAX_ELEMENTS" % cap)
 
 
 def extend_closure(known: Iterable, gens: Sequence, new: Iterable, right: Callable, cap: int) -> FrozenSet:
@@ -96,7 +93,8 @@ def extend_closure(known: Iterable, gens: Sequence, new: Iterable, right: Callab
     included: right(s) is the map x -> x s, which maps H r onto H r s, so a step
     is tested on a coset's first member and maps the coset whole when that
     image is new.  A coset is dropped once every step has mapped it.  Raises
-    FeasibilityError once more than cap elements are seen."""
+    FeasibilityError ("the closure passed cap elements") once more than cap
+    elements are seen."""
     seen = set(known)
     steps = [right(s) for s in gens]
     for g in new:
@@ -110,7 +108,7 @@ def extend_closure(known: Iterable, gens: Sequence, new: Iterable, right: Callab
                         coset = list(map(step, members))
                         seen.update(coset)
                         if len(seen) > cap:
-                            raise _over_cap(cap)
+                            raise _above_cap("the closure passed %d" % cap, cap)
                         pending.append(coset)
     return frozenset(seen)
 

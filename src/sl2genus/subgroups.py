@@ -103,10 +103,7 @@ class Subgroup:
         if self._codes is not None or not self.gens or self.ctx.n == 1:
             return len(self.codes())
         if "order" not in self._reduced:
-            walk = _schreier_walk(self.gens, self.ctx, self.cap)
-            if walk is None:
-                raise _above_cap("the Schreier walk modulo %d passed %d" % (self.ctx.modulus, self.cap), self.cap)
-            (lifts, basis), n, p = walk, self.ctx.n, self.ctx.p
+            (lifts, basis), n, p = _schreier_walk(self.gens, self.ctx, self.cap), self.ctx.n, self.ctx.p
             if len(basis) < 3:
                 got = len(lifts) * p ** len(basis)
             elif _in_span(basis[:2], basis[2], p):
@@ -394,14 +391,6 @@ def _pgl_order(x: Mat, p: int) -> int:
     return o
 
 
-def _pgl_closure(gens: List[Mat], p: int, cap: int = 200) -> Optional[FrozenSet]:
-    """The subgroup of PGL2(F_p) the gens generate, or None above cap elements."""
-    try:
-        return extend_closure(((1, 0, 0, 1),), (), gens, lambda g: lambda x: _pgl_canon(_mul(x, g, p), p), cap)
-    except FeasibilityError:
-        return None
-
-
 def exceptional_availability(p: int, iso: str) -> bool:
     if p < 5:
         return False
@@ -417,8 +406,9 @@ def exceptional_availability(p: int, iso: str) -> bool:
 def exceptional_subgroup(p: int, iso: str = "S4", seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     """E = (preimage of an A4/S4/A5 in PGL2(F_p)) n SL2(F_p).
 
-    The PGL2 subgroup is found by seeded random generator search and
-    certified by its order statistics.
+    The PGL2 subgroup is found by seeded random generator search: a pair whose
+    closure passes #E is not it, and one that closes at #E is certified by its
+    order statistics.
     """
     if not exceptional_availability(p, iso):
         if iso == "A5" and p == 5:
@@ -435,10 +425,14 @@ def exceptional_subgroup(p: int, iso: str = "S4", seed: int = 0, cap: int = DEFA
         if invol and other:
             a = rng.choice(invol)
             b = rng.choice(other)
-            pg = _pgl_closure([a, b], p, cap=2 * want_order)
-            if pg is not None and len(pg) == want_order:
-                stats = Counter(_pgl_order(x, p) for x in pg)
-                if dict(stats) == want_stats:
+            try:
+                pg = extend_closure(
+                    ((1, 0, 0, 1),), (), (a, b), lambda g: lambda x: _pgl_canon(_mul(x, g, p), p), want_order
+                )
+            except FeasibilityError:  # the pair closes past #E: not the group sought
+                pass
+            else:
+                if len(pg) == want_order and dict(Counter(_pgl_order(x, p) for x in pg)) == want_stats:
                     return _pullback_to_sl2(pg, p, cap)
         x = (rng.randrange(p), rng.randrange(p), rng.randrange(p), rng.randrange(p))
         if (x[0] * x[3] - x[1] * x[2]) % p == 0:
@@ -698,27 +692,24 @@ def _lift_walk(gens: Sequence[Mat], m: int, q: int, lifts: List[Mat], cap: int) 
                 yield (z0, z1, z2, z3), a
 
 
-def _schreier_walk(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Optional[Tuple[List[Mat], List[tuple]]]:
+def _schreier_walk(gens: Sequence[Mat], ctx: GroupCtx, cap: int) -> Tuple[List[Mat], List[tuple]]:
     """Schreier's lemma along the last reduction (n >= 2): each pair (z, adj t) of the
     lift walk of H = <gens> mod p^(n-1) gives z t^-1 = 1 + p^(n-1) W in H n K_(n-1),
     F_p^3 through (W00, W01, W10), with W11 = -W00 mod p, for p = 2 as well.  Below
     rank 3, H is the products t k of the lifts and the span of the W, #H = #lifts *
     p^rank.  Returns (lifts, basis), the independent W found (_in_span); the walk
-    stops at a third (K_(n-1) <= H; its lifts partial), and returns None once #lifts,
-    what it holds, passes cap (then #H > cap)."""
+    stops at a third (K_(n-1) <= H; its lifts partial).  Once #lifts, what it
+    holds, passes cap (then #H > cap), the lift walk's FeasibilityError passes through."""
     p, m = ctx.p, ctx.modulus
     q = m // p
     lifts: List[Mat] = []
     basis: List[Tuple[int, int, int]] = []  # independent W in F_p^3, at most two here
-    try:
-        for (z0, z1, z2, z3), (i0, i1, i2, i3) in _lift_walk(gens, m, q, lifts, cap):
-            w = ((z0 * i0 + z1 * i2) % m // q, (z0 * i1 + z1 * i3) % m // q, (z2 * i0 + z3 * i2) % m // q)
-            if not _in_span(basis, w, p):
-                basis.append(w)
-                if len(basis) == 3:
-                    return lifts, basis  # K_(n-1) <= H
-    except FeasibilityError:
-        return None
+    for (z0, z1, z2, z3), (i0, i1, i2, i3) in _lift_walk(gens, m, q, lifts, cap):
+        w = ((z0 * i0 + z1 * i2) % m // q, (z0 * i1 + z1 * i3) % m // q, (z2 * i0 + z3 * i2) % m // q)
+        if not _in_span(basis, w, p):
+            basis.append(w)
+            if len(basis) == 3:
+                return lifts, basis  # K_(n-1) <= H
     return lifts, basis
 
 
@@ -762,12 +753,12 @@ def sample_slim_subgroups(
         if len(out) >= count:
             break
         gens = _slim_candidate(ctx, level1_pool, rng)
-        walk = _schreier_walk(gens, ctx, slim_cap)
-        if walk is None or len(walk[1]) == 3:
+        try:  # #lifts above the slim cap: not slim
+            lifts, basis = _schreier_walk(gens, ctx, slim_cap)
+        except FeasibilityError:
             continue
-        lifts, basis = walk
         order = len(lifts) * p ** len(basis)
-        if order > slim_cap or any(h.order == order and all(g in h for g in gens) for h in out):
+        if len(basis) == 3 or order > slim_cap or any(h.order == order and all(g in h for g in gens) for h in out):
             continue
         span = {(0, 0, 0)}
         for w in basis:

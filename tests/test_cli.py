@@ -274,6 +274,16 @@ def test_feasibility_error_names_the_flag(capsys):
     assert "max-elements" in err or "SL2_MAX_ELEMENTS" in err
 
 
+def test_a_refusal_prints_one_line_naming_what_passed_the_cap(capsys):
+    # <u, t(u)> closes to SL2(F_5), 120 elements
+    code, out, err = _run(
+        capsys, "genus", "--p", "5", "--n", "1", "--subgroup", "gens:1,1;0,1|1,0;1,1", "--max-elements", "50"
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    refusal = "the closure passed 50 elements, above the cap of 50; raise --max-elements or SL2_MAX_ELEMENTS"
+    assert err == "error: %s\n" % refusal
+
+
 def test_genus_above_modulus_65536_stops_at_the_cap(capsys, builds):
     # <sigma> modulo 257^2 has 4 elements and level 2.  Its report labels them
     # and builds no orbit of Conj(sigma) (258 * 257^3 elements) and no coset

@@ -642,7 +642,7 @@ def test_a_walk_short_of_a_lift_below_level_n_fails_the_order_checks(monkeypatch
 
     def short_below_n(gens, ctx, cap):
         walk = true_walk(gens, ctx, cap)
-        return (walk[0][:-1], walk[1]) if walk is not None and ctx.n < 3 else walk
+        return (walk[0][:-1], walk[1]) if ctx.n < 3 else walk
 
     a1 = a1_subgroup()
     gens = preimage(a1, c8).gens
@@ -792,7 +792,7 @@ def test_a_walk_short_of_its_last_w_fails_the_replay_and_the_sample_digests(monk
 
     def short_of_a_w(gens, ctx, cap):
         walk = true_walk(gens, ctx, cap)
-        return walk if walk is None or not walk[1] else (walk[0], walk[1][:-1])
+        return walk if not walk[1] else (walk[0], walk[1][:-1])
 
     monkeypatch.setattr(subgroups_mod, "_schreier_walk", short_of_a_w)
     assert _failed_sampler_checks() == _EVERY_SAMPLER_CHECK

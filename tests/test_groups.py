@@ -154,6 +154,12 @@ def test_a_class_above_the_cap_is_refused_before_its_walk(monkeypatch):
     assert walks == [] and ("sigma", 0) not in ctx.memo
 
 
+def test_a_capped_orbit_names_the_orbit():
+    c9 = make_ctx(3, 2)
+    with pytest.raises(FeasibilityError, match="^the orbit passed 5 elements, above the cap of 5; raise --max"):
+        conj_class_brute(upper_u(c9), c9, 5)
+
+
 def test_conj_class_brute_rejects_an_unreduced_representative():
     # (6, 1, 0, 1) is u mod 5; walked as given, its orbit held 13 codes, one more than Conj(u)
     c5 = make_ctx(5, 1)

@@ -45,6 +45,7 @@ from sl2genus.subgroups import (
     all_subgroups,
     borel,
     closure,
+    exceptional_availability,
     exceptional_subgroup,
     filtration_level,
     full_group,
@@ -188,6 +189,30 @@ def test_exceptional_subgroups():
         exceptional_subgroup(5, "A5")  # preimage order divisible by 5
     with pytest.raises(PreconditionError):
         standard_subgroup("E:S4", 3)
+
+
+def test_the_exceptional_search_accepts_the_same_pairs():
+    # every available (p, iso) at p <= 31, seeds 0-2: 66 code sets, whose digest
+    # moves when the search accepts another generator pair or draws another stream
+    digest = hashlib.sha256()
+    for p in filter(is_prime, range(5, 32)):
+        for iso in ("A4", "S4", "A5"):
+            if exceptional_availability(p, iso):
+                for seed in range(3):
+                    digest.update(repr((p, iso, seed, sorted(exceptional_subgroup(p, iso, seed).codes()))).encode())
+    assert digest.hexdigest() == "66a0c71aafd3464ccfa694a1c2feca0ef451f6ca7379fa23ffae42c26bb9001b"
+
+
+def test_a_refusal_names_what_passed_the_cap():
+    # the lift walk's error reaches Subgroup.order's caller as raised, with no
+    # earlier error behind it, and a closure names itself
+    c9 = make_ctx(3, 2)
+    with pytest.raises(FeasibilityError) as refused:
+        Subgroup(c9, (upper_u(c9),), 2).order
+    assert str(refused.value).startswith("the lift walk modulo 9 passed 2 elements, above the cap of 2; ")
+    assert refused.value.__context__ is None
+    with pytest.raises(FeasibilityError, match="^the closure passed 2 elements, above the cap of 2; "):
+        closure([upper_u(c9)], c9, 2)
 
 
 def test_preimage_examples():
@@ -535,14 +560,15 @@ def test_certificate_agrees_with_closure(p, n, kind, seed, count):
 
 
 def test_certificate_sees_the_kernel_and_the_cap():
-    # the sampler's three rejections read from _schreier_walk: rank 3, None, and
-    # #lifts * p^rank above the cap
+    # the sampler's three rejections read from _schreier_walk: rank 3, the lift
+    # walk's refusal, and #lifts * p^rank above the cap
     ctx = make_ctx(3, 2)
     u, t = upper_u(ctx), lower_u(ctx)
     assert len(_schreier_walk([u, t], ctx, ctx.order)[1]) == 3  # <u, t(u)> = SL2(Z/9Z)
     lifts, basis = _schreier_walk([u], ctx, 9)
     assert (len(lifts), len(basis)) == (3, 1) and closure([u], ctx).order == 9  # order 9, slim
-    assert _schreier_walk([u], ctx, 2) is None  # u mod 3 already has 3 elements
+    with pytest.raises(FeasibilityError, match="the lift walk modulo 9 passed 2 elements"):
+        _schreier_walk([u], ctx, 2)  # u mod 3 already has 3 elements
     lifts, basis = _schreier_walk([u], ctx, 8)
     assert len(lifts) * 3 ** len(basis) == 9 > 8  # 3 lifts times a kernel part of 3
 
@@ -754,10 +780,11 @@ def test_the_walk_twins_agree_with_the_closure(p, n, builds):
     generators, each under no cap, the caps #C and #C - 1, and the caps l and
     l - 1 for l = #(C mod p^(n-1)), the lifts a whole walk holds: the walk
     gives C as the products t k of its lifts and the span of its W when C is
-    slim, reports three independent W when K_(n-1) <= C, and returns None only
-    once its lifts pass the cap, so a slim C exactly when l > cap.
-    Subgroup.order reads #C wherever the cap holds l, and builds nothing above
-    the cap."""
+    slim, reports three independent W when K_(n-1) <= C, and lets the lift
+    walk's FeasibilityError through only once its lifts pass the cap, so a slim
+    C exactly when l > cap.  Subgroup.order reads #C wherever the cap holds l,
+    raises the lift walk's own error where the walk does, and builds nothing
+    above the cap."""
     ctx = make_ctx(p, n)
     enc = encoder(ctx)
     last_kernel = {enc(k) for k in _kernel_at(ctx, product(range(p), repeat=3))}
@@ -766,12 +793,18 @@ def test_the_walk_twins_agree_with_the_closure(p, n, builds):
         want = _closure_codes(gens, ctx, DEFAULT_MAX_ELEMENTS)
         rank3, held = last_kernel <= want, len(want) // len(want & last_kernel)
         for cap in (DEFAULT_MAX_ELEMENTS, len(want), len(want) - 1, held, max(held - 1, 1)):
-            walk = _schreier_walk(gens, ctx, cap)
+            refusal = "the lift walk modulo %d passed %d elements, above the cap of %d" % (ctx.modulus, cap, cap)
+            refused = False
+            try:
+                walk = _schreier_walk(gens, ctx, cap)
+            except FeasibilityError as e:
+                assert str(e).startswith(refusal), gens
+                refused = True
             if held <= cap:
-                assert walk is not None and (len(walk[1]) == 3) == rank3, gens
+                assert not refused and (len(walk[1]) == 3) == rank3, gens
             elif not rank3:
-                assert walk is None, gens  # above the cap, a rank-3 C may stop at either
-            if walk is None:
+                assert refused, gens  # above the cap, a rank-3 C may stop at either
+            if refused:
                 seen.add("over cap")
             else:
                 lifts, basis = walk
@@ -788,8 +821,8 @@ def test_the_walk_twins_agree_with_the_closure(p, n, builds):
                     assert len(lifts) * len(span) == len(want)
                     seen.add("slim")
             builds.clear()
-            if walk is None:
-                with pytest.raises(FeasibilityError, match="the Schreier walk modulo %d passed" % ctx.modulus):
+            if refused:
+                with pytest.raises(FeasibilityError, match=refusal):
                     Subgroup(ctx, tuple(gens), cap).order
             elif held <= cap:
                 assert Subgroup(ctx, tuple(gens), cap).order == len(want), gens
