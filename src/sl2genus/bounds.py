@@ -242,9 +242,7 @@ def _chain_checks(h: Subgroup, ref: ConjClassRef, rep: SlimBoundReport, y0: Froz
     p, r = ctx.p, ref.r
     depth = ctx.n - r
     l = depth // 2
-    if p >= 3:
-        if l < 1:
-            return
+    if p >= 3:  # l >= 1: slim_bound_report needs a bound, and every p >= 3 bound needs depth >= 2
         idxs = list(range(1, l + 1))
         y = _y_sets(h, ref, y0, idxs)
         m = {i: _mod_count(ctx, y[i], r + i) for i in idxs}  # M(i) = #(Y_i mod p^(r+i)), counted once
@@ -280,20 +278,13 @@ def _chain_checks(h: Subgroup, ref: ConjClassRef, rep: SlimBoundReport, y0: Froz
     rep.add("chain:recovery1", m1 <= cap)
 
 
-def _applicable_refs(ctx: GroupCtx) -> List[ConjClassRef]:
-    refs = [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")]
-    return refs + [u_power_ref(ctx, r) for r in range(ctx.n - 1)]
-
-
 def bound_reports(h: Subgroup) -> Iterator[SlimBoundReport]:
     """slim_bound_report(h, ref) for each sigma, tau and u^(p^r) class that
-    has a closed-form bound at the level of h."""
-    for ref in _applicable_refs(h.ctx):
-        try:
-            rep = slim_bound_report(h, ref)
-        except PreconditionError:  # no closed-form bound at this level
-            continue
-        yield rep
+    has a closed-form bound at the level of h; slim_bound_report refuses an h that is not slim."""
+    ctx = h.ctx
+    for ref in [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")] + [u_power_ref(ctx, r) for r in range(ctx.n - 1)]:
+        if _bound_plan(ref).bounds:
+            yield slim_bound_report(h, ref)
 
 
 # --- fiber-count side conditions ---
@@ -315,7 +306,7 @@ def fiber_count_bound_check(h: Subgroup, ref: ConjClassRef, i: int, d: int) -> b
     # V_x depends on x mod p^(r+i) alone, so each fiber lies in Y_0 - Y_i whole or not at all
     y = _y_sets(h, ref, _class_in(h, ref), [i])
     limit = p ** (depth - 1 - d)
-    return all(cnt <= limit for cnt in Counter(map(reducer(ctx, r + i + d), y[0] - y[i])).values())
+    return all(cnt <= limit for cnt in Counter(map(_reducers(ctx)[r + i + d - 1], y[0] - y[i])).values())
 
 
 # -------------------- section-7 audit --------------------

@@ -55,7 +55,7 @@ def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin (the fixed base set is exact below 3.3e24)."""
     if m < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if m % q == 0:
             return m == q
     d = m - 1

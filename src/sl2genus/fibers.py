@@ -193,7 +193,7 @@ def verify_orthogonality(desc: FiberDescriptor) -> bool:
     else:
         base = reduce_mat(alpha, q)
     algebra = _additive_span([(1 % q, 0, 0, 1 % q), base], q)
-    if len(algebra) != q * q or len(w_set) != q * q:
+    if len(algebra) != q * q:  # #w_set = #V = q*q (fiber_group): x -> (x-1)/p^(r+m) is injective on V
         return False
     complement = set()
     for a in range(q):

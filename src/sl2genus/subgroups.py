@@ -56,7 +56,7 @@ class Subgroup:
     _reduced is the memo of what derives from H alone: the Subgroup H mod p^s
     under the key s (reduced; H_m at m the level), #H under "order" and whether its
     walk found K_(n-1) <= H under "rank 3", and each value that kept(key) keeps
-    (H_s per s, the level, class counts and genus_report)."""
+    (H_s per s, the level, class counts, genus_report and bounds' "filtration check")."""
 
     def __init__(
         self, ctx: GroupCtx, gens: Tuple[Mat, ...], cap: int = DEFAULT_MAX_ELEMENTS, _codes: Optional[FrozenSet] = None

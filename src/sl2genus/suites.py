@@ -41,7 +41,6 @@ from .groups import (
     centralizer_order_formula,
     class_codes,
     conj_class_brute,
-    conj_class_size_formula,
     enumerate_group,
     partition_into_classes,
     u_power_ref,
@@ -210,19 +209,10 @@ _SIZE_GRID = ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1))
 def suite_lemma5_1(seed: int = 0) -> Tuple[bool, str]:
     for p, n in _SIZE_GRID:
         ctx = make_ctx(p, n)
-        for kind in ("sigma", "tau"):
-            ref = ConjClassRef(ctx, kind)
-            brute = len(class_codes(ref))
-            if brute != conj_class_size_formula(ref):
-                return False, "Conj(%s) size mismatch at (%d,%d)" % (kind, p, n)
-            zf = centralizer_order_formula(ref)
-            if brute * zf != ctx.order:
-                return False, "orbit-stabilizer fails for %s at (%d,%d)" % (kind, p, n)
-        ref = u_power_ref(ctx, 0)
-        if len(class_codes(ref)) != conj_class_size_formula(ref):
-            return False, "Conj(u) size mismatch at (%d,%d)" % (p, n)
-        if len(class_codes(ref)) * centralizer_order_formula(ref) != ctx.order:
-            return False, "orbit-stabilizer fails for u at (%d,%d)" % (p, n)
+        for ref in (ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau"), u_power_ref(ctx, 0)):
+            orbit = class_codes(ref)  # raises ConsistencyError on an orbit off its closed form
+            if len(orbit) * centralizer_order_formula(ref) != ctx.order:
+                return False, "orbit-stabilizer fails for %s at (%d,%d)" % (ref.kind, p, n)
         if ctx.order <= 2000:
             g = enumerate_group(ctx)
             for kind in ("sigma", "tau"):
@@ -237,9 +227,7 @@ def suite_lemma5_2(seed: int = 0) -> Tuple[bool, str]:
     for p, n in _SIZE_GRID:
         ctx = make_ctx(p, n)
         for r in range(0, n):
-            ref = u_power_ref(ctx, r)
-            if len(class_codes(ref)) != conj_class_size_formula(ref):
-                return False, "Conj(u^%d^%d) size mismatch at (%d,%d)" % (p, r, p, n)
+            class_codes(u_power_ref(ctx, r))  # raises ConsistencyError on an orbit off its closed form
     return True, "u^(p^r) class sizes, all legal r on %s" % (_SIZE_GRID,)
 
 
@@ -267,9 +255,7 @@ _FIBER_GRID = (
 def suite_lemma5_3(seed: int = 0) -> Tuple[bool, str]:
     for kind, p, r, n, m in _FIBER_GRID:
         desc = FiberDescriptor(p, r, n, m, kind)
-        v = fiber_group(desc)  # raises ConsistencyError on any structural failure
-        if len(v) != p ** (2 * (n - m)):
-            return False, "wrong fiber order for %r" % (desc,)
+        fiber_group(desc)  # raises ConsistencyError on any structural failure, its order included
     # size-2 fibers outside the hypothesis at p=2
     if reduction_fiber_sizes("sigma", 2, 2, 1) != frozenset({2}):
         return False, "sigma mod-2 fibers are not of size 2"

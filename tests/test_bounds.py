@@ -19,6 +19,8 @@ from sl2genus.subgroups import (
     Subgroup,
     borel,
     closure,
+    is_slim,
+    preimage,
     sample_slim_subgroups,
 )
 from sl2genus.suites import verify_main_theorem_desk
@@ -114,6 +116,39 @@ def test_slim_bound_rejects_non_slim_and_level_one():
         slim_bound_report(borel(5), ConjClassRef(c5, "sigma"))
 
 
+def _caught_bound_reports(h):
+    """bound_reports as it read before the plan chose its classes: every class
+    asked, and any PreconditionError read as "no bound at this level"."""
+    ctx = h.ctx
+    for ref in [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")] + [u_power_ref(ctx, r) for r in range(ctx.n - 1)]:
+        try:
+            rep = slim_bound_report(h, ref)
+        except PreconditionError:
+            continue
+        yield rep
+
+
+def test_bound_reports_on_slim_subgroups_match_the_catching_loop(sl2_mod9_subgroups):
+    ctx9, lattice = sl2_mod9_subgroups
+    slim = [h for h in (Subgroup.from_codes(ctx9, c) for c in lattice) if is_slim(h)]
+    grid = ((3, 2), (5, 2), (3, 3), (2, 4))  # suite_lemma6_1's, at seed 0
+    samples = [h for p, n in grid for h in suites._slim_sample((0, p, n), make_ctx(p, n), 25)]
+    counts = []
+    for subs in (slim, samples):
+        reports = [list(bounds.bound_reports(h)) for h in subs]
+        assert reports == [list(_caught_bound_reports(h)) for h in subs]
+        counts.append(sum(map(len, reports)))
+    assert counts[1] == 300  # suite_lemma6_1's "300 sampled (H, class) pairs"
+    assert counts[0] > 0
+
+
+def test_bound_reports_refuse_a_subgroup_that_is_not_slim():
+    h = preimage(borel(3), make_ctx(3, 2))
+    assert list(_caught_bound_reports(h)) == []
+    with pytest.raises(PreconditionError, match="subgroup is not slim"):
+        list(bounds.bound_reports(h))
+
+
 # a ConjClassRef admits only the kinds of groups._KINDS, so every class it
 # names has a row of bounds, and slim_bound_report needs no guard of its own
 def test_every_class_kind_has_its_bound_kinds():
@@ -187,7 +222,6 @@ def _old_fiber_count_bound_check(h, ref, i, d):
 def test_fiber_count_bound_matches_the_per_fiber_oracle(sl2_mod9_subgroups):
     """Cor. 6.5's inputs: every slim subgroup of SL2(Z/9Z) at d = 0, and
     seeded slim samples at modulus 27 at d = 0 and 1."""
-    from sl2genus.subgroups import is_slim
 
     ctx9, lattice = sl2_mod9_subgroups
     cases = [(h, 0) for h in (Subgroup.from_codes(ctx9, c) for c in lattice) if is_slim(h)]
@@ -416,7 +450,6 @@ def test_slim_bound_report_matches_the_ladder_oracle(sl2_mod9_subgroups):
             for ref in refs:
                 _assert_report_matches_oracle(h, ref, reached)
     ctx, lattice = sl2_mod9_subgroups
-    from sl2genus.subgroups import is_slim
 
     for codes in lattice:
         h = Subgroup.from_codes(ctx, codes)
@@ -436,7 +469,7 @@ def test_filtration_memo_keeps_the_y_sets(sl2_mod9_subgroups):
     import hashlib
 
     from sl2genus.bounds import SlimBoundReport, _class_in, _filtration_checks, _y_sets
-    from sl2genus.subgroups import filtration_level, is_slim
+    from sl2genus.subgroups import filtration_level
 
     ctx9, lattice = sl2_mod9_subgroups
     subs = [h for h in (Subgroup.from_codes(ctx9, c) for c in sorted(lattice, key=sorted)) if is_slim(h)]

@@ -49,7 +49,16 @@ from sl2genus.subgroups import (
     sample_slim_subgroups,
     sample_subgroups,
 )
-from sl2genus.suites import _FIBER_GRID, suite_lemma5_3, suite_lemma6_1, verify_main_theorem_desk
+from sl2genus.cli import EXIT_INTERNAL, run
+from sl2genus.suites import (
+    _FIBER_GRID,
+    _SIZE_GRID,
+    suite_lemma5_2,
+    suite_lemma5_3,
+    suite_lemma5_6,
+    suite_lemma6_1,
+    verify_main_theorem_desk,
+)
 from test_bounds import _SAMPLE_DIGESTS
 from test_kernel import _lattice_digest, _old_all_subgroups
 from test_section2 import _brute_sides, _decided, _disagreements
@@ -546,6 +555,62 @@ def test_a_fiber_translated_by_another_lift_is_an_equivalent_mutant(monkeypatch)
     true = [fiber_group(desc) for desc in grid]
     _mutate(monkeypatch, sys.modules["sl2genus.fibers"], "fiber_group", "dec(min(fiber))", "dec(max(fiber))")
     assert [sys.modules["sl2genus.fibers"].fiber_group(desc) for desc in grid] == true
+
+
+def test_a_class_size_formula_off_by_one_fails_where_the_orbit_is_built(monkeypatch, capsys):
+    # conj_class_size_formula reads one too many for u^p (r = 1).  class_codes
+    # checks each orbit against it before storing it, so lemma 5.2 raises
+    # there, and verify reports an internal error: the size comparison the
+    # suite once made of its own could never run.
+    groups_mod = sys.modules["sl2genus.groups"]
+    true_size = groups_mod.conj_class_size_formula
+
+    def planted(ref):
+        return true_size(ref) + (ref.kind == "u_power" and ref.r == 1)
+
+    monkeypatch.setattr(groups_mod, "conj_class_size_formula", planted)
+    for p, n in _SIZE_GRID:
+        monkeypatch.delitem(make_ctx(p, n).memo, ("u_power", 1), raising=False)
+    with pytest.raises(ConsistencyError, match="off its closed form"):
+        suite_lemma5_2(0)
+    assert run(["verify", "--suite", "lemma5.2"]) == EXIT_INTERNAL
+    assert "off its closed form" in capsys.readouterr().err
+
+
+def test_a_fiber_order_expected_off_by_p_fails_in_fiber_group(monkeypatch):
+    # fiber_group expects p^(2(n-m)+1) elements, not p^(2(n-m)).  It raises on
+    # the first fiber of lemma 5.3's grid, and so does verify_orthogonality,
+    # which reads V from it: neither suite needs a size check of its own.
+    fibers_mod = sys.modules["sl2genus.fibers"]
+    _mutate(monkeypatch, fibers_mod, "fiber_group", "expect = p ** (2 * (n - m))", "expect = p ** (2 * (n - m) + 1)")
+    monkeypatch.setattr(sys.modules["sl2genus.suites"], "fiber_group", fibers_mod.fiber_group)
+    for suite in (suite_lemma5_3, suite_lemma5_6):
+        with pytest.raises(ConsistencyError, match="fiber over alpha' has 9 elements, expected 27"):
+            suite(0)
+
+
+def _kernel_below(ctx):
+    """K_(n-1) of SL2(Z/p^nZ), of order p^3: the least subgroup that is not slim."""
+    q, m = ctx.p ** (ctx.n - 1), ctx.modulus
+    return Subgroup(ctx, ((1, q, 0, 1), (1, 0, q, 1), ((1 + q) % m, 0, 0, (1 - q) % m)))
+
+
+def test_a_non_slim_subgroup_in_a_bound_sample_is_refused(monkeypatch):
+    # each seeded slim sample starts with K_(n-1), which is not slim.
+    # bound_reports refuses it, so lemma 6.1 and desk part 5 raise; they do not
+    # count it as checked with no inequality read.
+    suites_mod = sys.modules["sl2genus.suites"]
+    true_sample = suites_mod._slim_sample
+
+    def planted(key, ctx, count, mod_p_target=None):
+        return [_kernel_below(ctx)] + true_sample(key, ctx, count, mod_p_target)
+
+    monkeypatch.setattr(suites_mod, "_slim_sample", planted)
+    assert not is_slim(_kernel_below(make_ctx(3, 2)))
+    with pytest.raises(PreconditionError, match="subgroup is not slim"):
+        suite_lemma6_1(0)
+    with pytest.raises(PreconditionError, match="subgroup is not slim"):
+        verify_main_theorem_desk(5, samples=3)
 
 
 def test_a_lattice_closure_cut_at_a_third_fails_the_reclosing_oracle_and_the_part1_digest(monkeypatch, report_digest):

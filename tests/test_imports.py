@@ -8,7 +8,8 @@ context's memo, only core.py knows the bit
 layout of a packed code, groups.py multiplies no decoded matrices,
 only genus_report walks cosets (coset_space), only subgroups._lift_walk
 and all_subgroups grow a list while they walk it, and only six functions
-catch FeasibilityError, none of them to return None.  Every name the
+catch FeasibilityError, none of them to return None, and only four catch
+PreconditionError, ValueError or Exception.  Every name the
 benchmark's tracer wraps (perfbench/spans.py) still exists in the library.
 
 No linter is part of the toolchain, so this walks the syntax tree with the
@@ -552,10 +553,10 @@ def test_only_the_lift_walk_and_the_lattice_grow_what_they_walk():
     }
 
 
-def _feasibility_handlers(source: str):
-    """(function, line, returns None) for each except clause that names
-    FeasibilityError, under the innermost function; returns None when its body
-    holds a bare ``return`` or ``return None``."""
+def _handlers(source: str, errors=("FeasibilityError",)):
+    """(function, line, returns None) for each except clause that names one of
+    errors (a bare ``except`` names them all), under the innermost function;
+    returns None when its body holds a bare ``return`` or ``return None``."""
     out = []
 
     def names(t):
@@ -564,7 +565,7 @@ def _feasibility_handlers(source: str):
 
     def visit(node, fn):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ExceptHandler) and child.type and "FeasibilityError" in names(child.type):
+            if isinstance(child, ast.ExceptHandler) and (child.type is None or names(child.type) & set(errors)):
                 returns = [n.value for stmt in child.body for n in ast.walk(stmt) if isinstance(n, ast.Return)]
                 none = any(v is None or (isinstance(v, ast.Constant) and v.value is None) for v in returns)
                 out.append((fn, child.lineno, none))
@@ -581,7 +582,7 @@ def test_the_check_sees_a_feasibility_handler():
         "def run(argv):\n    try:\n        go(argv)\n    except FeasibilityError as e:\n        return 2\n"
         "    except Exception:\n        return None\n"
     )
-    assert _feasibility_handlers(src) == [("order", 10, True), ("run", 16, False), ("walk", 4, True)]
+    assert _handlers(src) == [("order", 10, True), ("run", 16, False), ("walk", 4, True)]
 
 
 # A passed cap raises one FeasibilityError where it is passed, and it reaches
@@ -598,9 +599,45 @@ _FEASIBILITY_CATCHERS = {
 
 
 def test_only_the_named_functions_catch_feasibility_errors():
-    found = [(p.name, fn, none) for p in MODULES for fn, _, none in _feasibility_handlers(p.read_text())]
+    found = [(p.name, fn, none) for p in MODULES for fn, _, none in _handlers(p.read_text())]
     assert {(name, fn) for name, fn, _ in found} == set(_FEASIBILITY_CATCHERS)
     assert [entry for entry in found if entry[2]] == []
+
+
+_BROAD = ("PreconditionError", "ValueError", "Exception")
+
+
+def test_the_check_sees_a_broad_handler():
+    src = (
+        "def plan(kinds):\n    for k in kinds:\n        try:\n            k()\n        except core.PreconditionError:\n"
+        "            continue\n\ndef parse(s):\n    try:\n        return int(s)\n    except (KeyError, ValueError):\n"
+        "        return None\n    except:\n        raise\n\ndef go(f):\n    try:\n        f()\n    except KeyError:\n"
+        "        pass\n    except Exception:\n        pass\n"
+    )
+    assert _handlers(src, _BROAD) == [("go", 21, False), ("parse", 11, True), ("parse", 13, False), ("plan", 5, False)]
+    # bound_reports with its old try/except back: every class asked, a PreconditionError read as "no bound here"
+    source = (SRC / "bounds.py").read_text()
+    old = "        if _bound_plan(ref).bounds:\n            yield slim_bound_report(h, ref)\n"
+    new = "        try:\n            rep = slim_bound_report(h, ref)\n        except PreconditionError:\n"
+    assert source.count(old) == 1
+    source = source.replace(old, new + "            continue\n        yield rep\n")
+    assert "bound_reports" in {fn for fn, _, _ in _handlers(source, _BROAD)}
+
+
+# A PreconditionError says that an input is outside what the paper states;
+# each function that catches it (or its base ValueError, or any Exception)
+# says what it means there.  Elsewhere it reaches the caller as raised, so a
+# non-slim subgroup handed to bound_reports is refused, not skipped.
+_BROAD_CATCHERS = {
+    ("bounds.py", "build"): "_bound_plan's: a bound or fiber whose preconditions fail has no place at this depth",
+    ("cli.py", "_parsed"): "a ValueError while reading command-line input is a usage error",
+    ("cli.py", "run"): "a PreconditionError is the user's (exit 2); any other Exception is a bug (exit 3)",
+    ("core.py", "_inv"): "pow's ValueError on a non-unit determinant is a NotInvertibleError",
+}
+
+
+def test_only_the_named_functions_catch_precondition_errors():
+    assert {(p.name, fn) for p in MODULES for fn, _, _ in _handlers(p.read_text(), _BROAD)} == set(_BROAD_CATCHERS)
 
 
 def test_the_check_sees_a_read_of_codes():
@@ -674,12 +711,12 @@ def test_every_traced_name_resolves():
 
 
 # ROADMAP item 7 budgets the lines under src/: the library may not grow past
-# its last count of 3,995 lines.  The count per module is printed too, so that
+# its last count of 3,972 lines.  The count per module is printed too, so that
 # a change can read its delta module by module.
 def test_src_stays_within_the_line_budget():
     counts = {p.name: len(p.read_text().splitlines()) for p in MODULES}
     for name, count in counts.items():
         print("src/sl2genus/%s: %d lines" % (name, count))
     total = sum(counts.values())
-    print("src/sl2genus: %d lines, budget 3,995" % total)
-    assert total <= 3_995, "src/sl2genus holds %d lines, above the budget of 3,995" % total
+    print("src/sl2genus: %d lines, budget 3,972" % total)
+    assert total <= 3_972, "src/sl2genus holds %d lines, above the budget of 3,972" % total
