@@ -247,13 +247,9 @@ def _chain_checks(h: Subgroup, ref: ConjClassRef, rep: SlimBoundReport, y0: Froz
         y = _y_sets(h, ref, y0, idxs)
         m = {i: _mod_count(ctx, y[i], r + i) for i in idxs}  # M(i) = #(Y_i mod p^(r+i)), counted once
         rep.add("chain:last", len(y[l]) <= p ** (2 * (depth - l)) * m[l])
-        for i in range(2, l + 1):
-            lhs = len(y[i - 1] - y[i])
+        for i in idxs[1:] + [1]:  # steps 2..l, then step 1 as "chain:first"
             rhs = p ** (depth - 1) * (_mod_count(ctx, y[i - 1], r + i) - m[i])
-            rep.add("chain:step%d" % i, lhs <= rhs)
-        lhs = len(y[0] - y[1])
-        rhs = p ** (depth - 1) * (_mod_count(ctx, y[0], r + 1) - m[1])
-        rep.add("chain:first", lhs <= rhs)
+            rep.add("chain:step%d" % i if i > 1 else "chain:first", len(y[i - 1] - y[i]) <= rhs)
         total = (p ** (2 * (depth - l)) - p ** (depth - 1)) * m[l]
         total += (p * p - 1) * p ** (depth - 1) * sum(m[i] for i in range(1, l))
         total += p ** (depth - 1) * _count_reduced(h, ref, r + 1)

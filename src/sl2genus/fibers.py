@@ -192,19 +192,10 @@ def verify_orthogonality(desc: FiberDescriptor) -> bool:
         base = tuple(((alpha[i] - one[i]) // pr) % q for i in range(4))
     else:
         base = reduce_mat(alpha, q)
-    algebra = _additive_span([(1 % q, 0, 0, 1 % q), base], q)
-    if len(algebra) != q * q:  # #w_set = #V = q*q (fiber_group): x -> (x-1)/p^(r+m) is injective on V
-        return False
-    complement = set()
-    for a in range(q):
-        for b in range(q):
-            for cc in range(q):
-                for d in range(q):
-                    if (a + d) % q:
-                        continue
-                    if (a * base[0] + b * base[2] + cc * base[1] + d * base[3]) % q:
-                        continue
-                    complement.add((a, b, cc, d))
+    # the trace pairing is perfect, so #complement * #<1, base> = q^4 and a degenerate base
+    # leaves more than the q*q = #V = #w_set (fiber_group) trace-0 matrices (a, b, c, -a)
+    qs, (e, f, g) = range(q), (base[0] - base[3], base[2], base[1])  # tr((a b; c -a) base) = a e + b f + c g
+    complement = {(a, b, c, -a % q) for a in qs for b in qs for c in qs if (a * e + b * f + c * g) % q == 0}
     return complement == w_set
 
 

@@ -1,11 +1,10 @@
 """Genus of the modular curve attached to a subgroup of SL2(Z/p^nZ).
 
-Exact rational arithmetic.  The counts of X_H depend on H_m = H mod p^m alone,
-m the level of H (K_m <= H, so H\\G and H_m\\G_m are isomorphic G-sets), and
-genus_report reports H_m.  fix_points and cusp_orbit_ratio read #(H n Conj(alpha))
-from labels of H's elements (class_labels) over #Conj(alpha) in closed form;
-genus_report counts again on the double cosets H_m g<u> (coset_space) and
-raises ConsistencyError on any difference.
+Exact rational arithmetic.  fix_points and cusp_orbit_ratio read #(H n Conj(alpha))
+from labels of the elements of H_m = H mod p^m (class_labels), m the level of H,
+lifted to level n, over #Conj(alpha) in closed form; genus_report counts again on
+the double cosets H_m g<u> (coset_space), as K_m <= H makes H\\G and H_m\\G_m
+isomorphic G-sets, and raises ConsistencyError on any difference.
 """
 
 from __future__ import annotations
@@ -35,20 +34,18 @@ DIRECT_CHECK_CAP = 130_000
 
 @kept("class counts")
 def _class_counts(h: Subgroup) -> Counter:
-    """#(H n Conj(alpha)) keyed (kind, r).  At level n, each element of H of
-    trace 0, 1 or 2 is labelled once.  Below, H is the preimage of H_m
-    (h.reduced(m)) and Conj_n fibres evenly over Conj_m, so each count of H_m is
-    lifted by #Conj_n / #Conj_m, and Conj(u^(p^r)) with r >= m lies whole in
-    K_r <= K_m <= H."""
+    """#(H n Conj(alpha)) keyed (kind, r).  Each element of H_m = h.reduced(m), m
+    the level of H (H_m is H at level n), of trace 0, 1 or 2 is labelled once.  H
+    is the preimage of H_m and Conj_n fibres evenly over Conj_m, so each count of
+    H_m is lifted by #Conj_n / #Conj_m, and Conj(u^(p^r)) with r >= m lies whole
+    in K_r <= K_m <= H."""
     ctx, low = h.ctx, h.reduced(level(h))
-    if low is h:
-        mats = map(decoder(ctx), h.codes())
-        return Counter(label for x in mats if (x[0] + x[3]) % ctx.modulus <= 2 for label in class_labels(x, ctx))
-    counts, out = _class_counts(low), Counter()
+    sub, out = low.ctx, Counter()
+    mats = map(decoder(sub), low.codes())
+    counts = Counter(label for x in mats if (x[0] + x[3]) % sub.modulus <= 2 for label in class_labels(x, sub))
     for key in [("sigma", 0), ("tau", 0)] + [("u_power", r) for r in range(ctx.n)]:
         size = conj_class_size_formula(ConjClassRef(ctx, *key))
-        below = key[1] < low.ctx.n
-        out[key] = counts[key] * size // conj_class_size_formula(ConjClassRef(low.ctx, *key)) if below else size
+        out[key] = counts[key] * size // conj_class_size_formula(ConjClassRef(sub, *key)) if key[1] < sub.n else size
     return out
 
 
@@ -81,9 +78,9 @@ def coset_space(h: Subgroup) -> Tuple[List[int], List[int]]:
     and a fixes l N(v) / p^n of them, N(v) = #{h in H : tr h = tr a, det(v, hv) = -1}
     (the u^j a u^-j are the x with x21 = -1 and trace tr a, and (g^-1 h g)21 =
     det(v, hv)).  ConsistencyError unless the orbits cover the primitive vectors,
-    each l divides p^n and is the index in <u> of the stabilizer of H g, p^n
-    divides each l N(v), and the l sum to [G:H].  The walk's table holds a slot
-    per vector, p^(2n), refused above h.cap before it is built."""
+    each l divides p^n and is the index in <u> of the stabilizer of H g, and p^n
+    divides each l N(v); the l then sum to p^n (p^(2n) - p^(2n-2)) / #H = [G:H].
+    The walk's table holds a slot per vector, p^(2n), refused above h.cap before it is built."""
     ctx = h.ctx
     p, m, enc = ctx.p, ctx.modulus, encoder(ctx)
     if m * m > h.cap:
@@ -111,8 +108,6 @@ def coset_space(h: Subgroup) -> Tuple[List[int], List[int]]:
         lengths.append(ell)
     if covered != m * m - (m // p) ** 2:
         raise ConsistencyError("the orbits covered %d of %d primitive vectors" % (covered, m * m - (m // p) ** 2))
-    if sum(lengths) != ctx.order // len(hm):
-        raise ConsistencyError("the double cosets hold %d of %d right cosets" % (sum(lengths), ctx.order // len(hm)))
     return lengths, fixed
 
 
@@ -181,30 +176,26 @@ class GenusReport(NamedTuple):
 
 @kept("genus_report")
 def genus_report(h: Subgroup) -> GenusReport:
-    """Every count of H by class counting; below level n, H_m's report with
-    count_sigma and count_tau lifted to level n by _class_counts.  When #G_m <=
-    DIRECT_CHECK_CAP, Fix_sigma, Fix_tau and the <u>-orbits are counted again
-    by coset_space; a difference raises ConsistencyError.  Kept in h's memo,
-    so each subgroup is reported once."""
+    """Every count of H by class counting.  When #G_m <= DIRECT_CHECK_CAP, m the
+    level of H, Fix_sigma, Fix_tau and the <u>-orbits are counted again by
+    coset_space on H_m = h.reduced(m); a difference raises ConsistencyError.
+    Kept in h's memo, so each subgroup is reported once."""
     ctx, low = h.ctx, h.reduced(level(h))
     refs = ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")
-    if low is not h:
-        counts = _class_counts(h)
-        return genus_report(low)._replace(count_sigma=counts["sigma", 0], count_tau=counts["tau", 0])
     fixed = [fix_points(h, ref) for ref in refs]
     cusp, index = cusp_orbit_ratio(h), ctx.order // h.order
-    if ctx.order <= DIRECT_CHECK_CAP:
-        lengths, direct_fixed = coset_space(h)
+    if low.ctx.order <= DIRECT_CHECK_CAP:
+        lengths, direct_fixed = coset_space(low)
         for direct, via_identity in zip(direct_fixed, fixed):
             if direct != via_identity:
                 raise ConsistencyError("fixed-point count mismatch: direct %d vs identity %d" % (direct, via_identity))
-        direct = Fraction(len(lengths), index)  # the <u>-orbits on H\G are the double cosets H g<u>
+        direct = Fraction(len(lengths), index)  # the <u>-orbits on H\G are the double cosets H_m g<u>
         if direct != cusp:
             raise ConsistencyError("cusp ratio mismatch: direct %s vs formula %s" % (direct, cusp))
     # #(H n Conj) = Fix #Conj / [G:H], exact: fix_points read H's count of each class once
     counts = [f * conj_class_size_formula(ref) // index for f, ref in zip(fixed, refs)]
     d = delta_from_ratios(*(Fraction(f, index) for f in fixed), cusp)
-    g = 1 + Fraction(index, 12) * d if minus_one(ctx) in h else None
+    g = 1 + Fraction(index, 12) * d if minus_one(low.ctx) in low else None  # K_m <= H
     if g is not None and (g.denominator != 1 or g < 0):
         raise ConsistencyError("genus %s is not a non-negative integer" % g)
     return GenusReport(index, *counts, cusp, d, None if g is None else int(g), *fixed)

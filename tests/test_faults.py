@@ -32,7 +32,7 @@ from sl2genus.core import (
     sigma,
     upper_u,
 )
-from sl2genus.fibers import FiberDescriptor, fiber_group
+from sl2genus.fibers import FiberDescriptor, fiber_group, verify_orthogonality
 from sl2genus.genus import delta, genus, genus_report
 from sl2genus.groups import ConjClassRef, ElementSet, class_codes, enumerate_group
 from sl2genus.subgroups import (
@@ -53,6 +53,7 @@ from sl2genus.cli import EXIT_INTERNAL, run
 from sl2genus.suites import (
     _FIBER_GRID,
     _SIZE_GRID,
+    suite_lemma4_5,
     suite_lemma5_2,
     suite_lemma5_3,
     suite_lemma5_6,
@@ -587,6 +588,28 @@ def test_a_fiber_order_expected_off_by_p_fails_in_fiber_group(monkeypatch):
     for suite in (suite_lemma5_3, suite_lemma5_6):
         with pytest.raises(ConsistencyError, match="fiber over alpha' has 9 elements, expected 27"):
             suite(0)
+
+
+def test_a_degenerate_orthogonality_base_fails_on_the_complement_alone(monkeypatch):
+    # alpha read as the identity makes <1, base> the q multiples of 1, not q^2
+    # elements.  The trace pairing is perfect, so the complement holds all q^3
+    # trace-0 matrices and cannot equal the q^2 of w_set: verify_orthogonality
+    # returns False with no size test of the algebra.
+    monkeypatch.setattr(FiberDescriptor, "standard_rep", lambda desc: (1, 0, 0, 1))
+    for kind, p, r, n, m in _FIBER_GRID:
+        assert not verify_orthogonality(FiberDescriptor(p, r, n, m, kind)), (kind, p, r, n, m)
+
+
+def test_a_golden_class_listed_twice_fails_lemma_4_5(monkeypatch):
+    # Conj(-sigma) replaced by Conj(sigma), of the same size: the sizes and
+    # each class's orbit still match, and the union misses Conj(-sigma), so
+    # the partition test refuses the table with no disjointness test
+    suites_mod = sys.modules["sl2genus.suites"]
+    golden = suites_mod.golden_conj4_classes()
+    assert len(golden["sigma"]) == len(golden["-sigma"]) and golden["sigma"] != golden["-sigma"]
+    monkeypatch.setattr(suites_mod, "golden_conj4_classes", lambda: {**golden, "-sigma": golden["sigma"]})
+    ok, detail = suite_lemma4_5()
+    assert not ok, detail
 
 
 def _kernel_below(ctx):

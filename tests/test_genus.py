@@ -40,7 +40,7 @@ from sl2genus.genus import (
     genus,
     genus_report,
 )
-from sl2genus.groups import ConjClassRef, class_labels, enumerate_group, legendre, u_power_ref
+from sl2genus.groups import ConjClassRef, class_labels, conj_class_size_formula, enumerate_group, legendre, u_power_ref
 from sl2genus.subgroups import (
     Subgroup,
     adjoin_minus_one,
@@ -695,19 +695,79 @@ def test_the_walk_checks_a_slim_subgroup_above_the_cap(monkeypatch, p, n):
 
 def test_a_report_intersects_h_with_each_class_once(monkeypatch):
     # count_in_subgroup is called once per class a report reads: fix_points
-    # gives Fix_sigma and Fix_tau, and #(H n Conj) is read back from them
+    # gives Fix_sigma and Fix_tau, and #(H n Conj) is read back from them; a
+    # report below level n reads H's own classes at level n, u and u^p at 7^2
     genus_mod = sys.modules["sl2genus.genus"]
     true_count = genus_mod.count_in_subgroup
     calls = []
     monkeypatch.setattr(genus_mod, "count_in_subgroup", lambda h, ref: calls.append((ref.kind, ref.r)) or true_count(h, ref))
-    rep = genus_report(parse_subgroup_spec("preimage:B@1", 7, 2))  # reported at its level 1
-    assert calls == [("sigma", 0), ("tau", 0), ("u_power", 0)]
+    rep = genus_report(parse_subgroup_spec("preimage:B@1", 7, 2))  # level 1, counted on H_1
+    assert calls == [("sigma", 0), ("tau", 0), ("u_power", 0), ("u_power", 1)]
     assert (rep.count_sigma, rep.count_tau, rep.fix_tau) == (0, 686, 2)  # B n Conj(sigma) is empty at 7 = -1 mod 4
     calls.clear()
     ctx = make_ctx(5, 2)
     rep = genus_report(adjoin_minus_one(closure([upper_u(ctx)], ctx)))  # level 2
     assert calls == [("sigma", 0), ("tau", 0), ("u_power", 0), ("u_power", 1)]
     assert (rep.index, rep.count_sigma, rep.count_tau) == (300, 0, 0)
+
+
+def _below_level_n_reports():
+    """Fresh subgroups for the reports below level n: preimage:B@1 at 7^2, 5^3
+    and 2^11, and the level-route subgroups at (2,3), (3,2) and (5,2)."""
+    hs = [parse_subgroup_spec("preimage:B@1", p, n) for p, n in ((7, 2), (5, 3), (2, 11))]
+    hs += [h for p, n in ((2, 3), (3, 2), (5, 2)) for h in _level_route_subgroups(p, n)]
+    return list({id(h): h for h in hs}.values())  # adjoin_minus_one(h) may be h
+
+
+def _report_from_h_m(h):
+    # the construction a report below level n once used: a report on a fresh
+    # H_m, with its sigma and tau counts lifted to level n by #Conj_n / #Conj_m
+    low = h.reduced(level(h))
+    fresh = Subgroup(low.ctx, low.gens, low.cap, low._codes)
+    lifted = []
+    for kind in ("sigma", "tau"):
+        ref_n, ref_m = ConjClassRef(h.ctx, kind), ConjClassRef(low.ctx, kind)
+        count = count_in_subgroup(fresh, ref_m)
+        lifted.append(count * conj_class_size_formula(ref_n) // conj_class_size_formula(ref_m))
+    return genus_report(fresh)._replace(count_sigma=lifted[0], count_tau=lifted[1])
+
+
+def test_a_report_below_level_n_computes_nothing_on_h_m(monkeypatch):
+    # a report reads H_m = h.reduced(m) for its labels and its double cosets
+    # alone: genus calls level on the reported H only, and H_m's memo keeps no
+    # level, class counts or report of its own
+    genus_mod = sys.modules["sl2genus.genus"]
+    true_level, calls, below = genus_mod.level, [], 0
+    monkeypatch.setattr(genus_mod, "level", lambda h: calls.append(h) or true_level(h))
+    hs = _below_level_n_reports()
+    for h in hs:
+        calls.clear()
+        genus_report(h)
+        assert calls and all(x is h for x in calls)
+        m = true_level(h)
+        if m < h.ctx.n:
+            below += 1
+            assert not {"level", "class counts", "genus_report"} & set(h.reduced(m)._reduced)
+    assert (below, len(hs)) == (21, 40)
+
+
+def test_a_report_below_level_n_equals_the_report_on_h_m_lifted():
+    # the class ratios and the cusp series are the same at level n and at m,
+    # and [G:H] = [G_m:H_m]: the report on H is the old report on H_m, lifted
+    for h in _below_level_n_reports():
+        assert genus_report(h) == _report_from_h_m(h)
+
+
+def test_the_order_of_g_m_is_p_m_times_the_primitive_vectors():
+    # #G_m = p^m (p^(2m) - p^(2m-2)): once coset_space's orbits cover the
+    # primitive vectors and each l = p^m #O / #H_m is exact, the l sum to
+    # [G_m:H_m] with no check of their own
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(1, 5):
+            ctx = make_ctx(p, m)
+            assert ctx.order == p**m * (p ** (2 * m) - p ** (2 * m - 2))
+            if ctx.order <= 20_000:
+                assert len(enumerate_group(ctx)) == ctx.order
 
 
 def test_a_kept_level_below_n_decides_minus_one_without_a_walk(monkeypatch):
