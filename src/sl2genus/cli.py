@@ -192,8 +192,7 @@ def _cmd_verify(args) -> int:
         _emit(args, payload, lines)
         return EXIT_OK if ok else EXIT_VERIFY_FAIL
     if args.suite != "all" and args.suite not in suites.SUITES:
-        print("unknown suite %r; available: %s" % (args.suite, ", ".join(suites.suite_names())), file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("unknown suite %r; available: %s" % (args.suite, ", ".join(suites.suite_names())))
     if args.case is not None:
         raise UsageError("--case selects a case of the section7 or main-theorem-desk suite only")
     names = suites.suite_names() if args.suite == "all" else [args.suite]

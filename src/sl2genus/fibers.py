@@ -2,13 +2,13 @@
 
 For alpha among sigma, tau, u^(p^r) and m < n <= 2m, the translated fiber
 V_alpha = alpha^-1 (f^-1(alpha) n Conj(alpha)) is a rank-2 module over
-Z/p^(n-m)Z.  V is always computed from that definition and then compared to
-the commutator form {1 + p^m (X a^-1 - a^-1 X)} and to the explicit
-parametrizations; the closed forms are never trusted as the source of truth.
+Z/p^(n-m)Z.  V is always computed from that definition, at the standard
+representative, then compared to the commutator form {1 + p^m (X a^-1 - a^-1 X)}
+and to the explicit parametrizations, which settle its order and group law.
 A class is named here as groups.ConjClassRef names it, by its kind ("sigma",
-"tau" or "u_power") and its exponent r.  The class over a point is read from
-class_labels on that point's lifts; the recovery counts and the reduction
-fiber sizes read whole classes, as class_codes.
+"tau" or "u_power") and its exponent r.  The class over alpha is read from
+class_labels on alpha's lifts; the recovery counts and the reduction fiber
+sizes read whole classes, as class_codes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Callable, FrozenSet, List
 from .core import (
     DEFAULT_MAX_ELEMENTS,
     ConsistencyError,
-    FeasibilityError,
     GroupCtx,
     Mat,
     PreconditionError,
@@ -34,7 +33,7 @@ from .core import (
     right_mul,
 )
 from .groups import _KINDS, ConjClassRef, class_codes, class_labels, extend_closure
-from .subgroups import Subgroup, _generators, _kernel_codes, _sl2_lift_one
+from .subgroups import _kernel_codes, _sl2_lift_one
 
 
 class FiberDescriptor(namedtuple("FiberDescriptor", "p r n m kind")):
@@ -65,25 +64,6 @@ class FiberDescriptor(namedtuple("FiberDescriptor", "p r n m kind")):
         return ConjClassRef(make_ctx(self.p, level), self.kind, self.r)
 
 
-def _class_over(desc: FiberDescriptor, level: int, x: Mat, low: int) -> List[int]:
-    """The codes at level over x mod p^low in the class desc names: x~ k for k in
-    K_low, x~ a lift of x, kept when class_labels gives (kind, r)."""
-    ctx = make_ctx(desc.p, level)
-    dec, key, lift = decoder(ctx), (desc.kind, desc.r), _sl2_lift_one(reduce_mat(x, ctx.modulus), ctx.modulus)
-    lifts = map(right_mul(ctx, lift), _kernel_codes(ctx, low, DEFAULT_MAX_ELEMENTS))  # K x~ = x~ K: K is normal
-    return [c for c in lifts if key in class_labels(dec(c), ctx)]
-
-
-def _resolve_alpha_prime(desc: FiberDescriptor) -> Mat:
-    """The least class element at level r+m over the standard representative
-    mod p^(r+n-m)."""
-    level = desc.r + desc.m
-    over = _class_over(desc, level, desc.class_ref(level).representative(), desc.r + desc.n - desc.m)
-    if not over:
-        raise ConsistencyError("no class element lifts the standard representative")
-    return decoder(make_ctx(desc.p, level))(min(over))
-
-
 def _additive_span(gens: List[Mat], modulus: int) -> FrozenSet:
     """The Z-span of gens in M2(Z/modulus), closed by extend_closure, capped by the whole module."""
 
@@ -109,42 +89,25 @@ def commutator_fiber_codes(desc: FiberDescriptor, alpha_like: Mat) -> FrozenSet:
 
 
 def fiber_group(desc: FiberDescriptor) -> FrozenSet:
-    """V_alpha from the definition, with all structural assertions.
-
-    The fiber is read from the labels on the lifts of alpha' to level r+n and
-    translated by its least member a0: if V = a0^-1 F is a group and a1 = a0 v
-    lies in F, then a1^-1 F = v^-1 V = V, so no other lift moves V.  Returns
-    packed codes at level r+n.  Raises ConsistencyError if the fiber fails to
-    be a subgroup of order p^(2(n-m)) matching the commutator form and the
-    explicit parametrization.
+    """V_alpha from the definition at alpha = desc.standard_rep(): the lifts
+    k alpha, k in K_(r+m), that class_labels files under (kind, r), translated
+    by alpha^-1.  Returns packed codes at level r+n.  Raises ConsistencyError
+    unless V equals the commutator form and the explicit parametrization P, a
+    group of p^(2(n-m)) elements (README, "Each fact is checked once"), so a V
+    that is no group, or of another order, fails there too.
     """
-    p, r, n, m = desc.p, desc.r, desc.n, desc.m
     ctx = desc.full_ctx()
-    alpha_prime = _resolve_alpha_prime(desc)
-    fiber = _class_over(desc, r + n, alpha_prime, r + m)
-    expect = p ** (2 * (n - m))
-    if len(fiber) != expect:
-        raise ConsistencyError("fiber over alpha' has %d elements, expected %d" % (len(fiber), expect))
-    dec = decoder(ctx)
-    mm = ctx.modulus
-    a0i, enc = _inv(dec(min(fiber)), mm), encoder(ctx)
-    v = frozenset(enc(_mul(a0i, dec(c), mm)) for c in fiber)
-    _assert_subgroup(v, ctx)
-    if v != commutator_fiber_codes(desc, alpha_prime):
+    mm, dec, enc, key = ctx.modulus, decoder(ctx), encoder(ctx), (desc.kind, desc.r)
+    alpha = desc.standard_rep()
+    lifts = map(right_mul(ctx, alpha), _kernel_codes(ctx, desc.r + desc.m, DEFAULT_MAX_ELEMENTS))  # K alpha = alpha K
+    fiber = [c for c in lifts if key in class_labels(dec(c), ctx)]
+    ai = _inv(alpha, mm)
+    v = frozenset(enc(_mul(ai, dec(c), mm)) for c in fiber)
+    if v != commutator_fiber_codes(desc, alpha):
         raise ConsistencyError("fiber differs from its commutator form")
     if v != _parametrized_codes(desc):
         raise ConsistencyError("fiber differs from the explicit parametrization")
     return v
-
-
-def _assert_subgroup(codes: FrozenSet, ctx: GroupCtx) -> None:
-    """ConsistencyError unless codes is a group: the closure of generators that
-    _generators picks from codes holds codes and 1, so it stays within #codes
-    elements exactly when it is codes."""
-    try:
-        _generators(Subgroup.from_codes(ctx, codes, cap=len(codes)))
-    except FeasibilityError:
-        raise ConsistencyError("fiber set is not a group") from None
 
 
 def _parametrized_codes(desc: FiberDescriptor) -> FrozenSet:
@@ -186,7 +149,7 @@ def verify_orthogonality(desc: FiberDescriptor) -> bool:
     for c in v:
         x = dec(c)
         w_set.add(tuple(((x[i] - one[i]) // shift) % q for i in range(4)))
-    alpha = desc.standard_rep()  # the complement reads alpha mod p^(r+n-m), where alpha' lies over it
+    alpha = desc.standard_rep()  # fiber_group reads V at this alpha too
     if desc.kind == "u_power":
         pr = p**r
         base = tuple(((alpha[i] - one[i]) // pr) % q for i in range(4))

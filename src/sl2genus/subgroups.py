@@ -453,6 +453,8 @@ def _pullback_to_sl2(pgl: FrozenSet, p: int, cap: int) -> Subgroup:
     keep = frozenset(
         enc(_mul(x, (c, 0, 0, c), p)) for x in pgl for c in range(1, p) if (x[0] * x[3] - x[1] * x[2]) * c * c % p == 1
     )
+    if len(keep) > cap:
+        raise _above_cap("E modulo %d holds %d" % (p, len(keep)), cap)
     got = Subgroup.from_codes(ctx, keep, cap=cap)
     if got.order not in (24, 48, 120):
         raise ConsistencyError("exceptional pullback has order %d" % got.order)  # pragma: no cover

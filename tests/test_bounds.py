@@ -499,6 +499,56 @@ def test_filtration_memo_keeps_the_y_sets(sl2_mod9_subgroups):
     assert digest == "1abb11ddf3d17f94bf982a884570962799c6edeced3fd7388d403408f713e6a8"
 
 
+def _all_pairs_filtration(p, sizes):
+    """(ok, the last violation) of #H_t <= #H_s p^(2(s-t)) over every pair t < s of sizes."""
+    ok, detail = True, ""
+    for t in sorted(sizes)[:-1]:
+        for s in range(t + 1, max(sizes) + 1):
+            if sizes[t] > sizes[s] * p ** (2 * (s - t)):
+                ok, detail = False, "H_%d/H_%d = %d > p^%d" % (t, s, sizes[t] // sizes[s], 2 * (s - t))
+    return ok, detail
+
+
+class _Layers:
+    """H as _filtration_checks reads it: #H and the size of each H mod p^s."""
+
+    def __init__(self, ctx, order, reduced_sizes):
+        self.ctx, self.order, self._reduced, self._sizes = ctx, order, {}, reduced_sizes
+
+    def reduced(self, s):
+        return Subgroup.from_codes(self.ctx, range(self._sizes[s]))
+
+
+def test_the_filtration_check_compares_adjacent_layers_alone(sl2_mod9_subgroups):
+    # #H_t <= #H_(t+1) p^2 for t0 <= t < n gives every pair by induction, so
+    # the adjacent loop reads ok as the all-pairs loop does; a failing detail
+    # names (T, T+1), T the greatest t of a violation, where the all-pairs
+    # loop named (T, s) for its greatest violating s
+    from sl2genus.bounds import _filtration_checks
+    from sl2genus.subgroups import sample_subgroups
+
+    ctx9, lattice = sl2_mod9_subgroups
+    subs = [h for h in (Subgroup.from_codes(ctx9, c) for c in sorted(lattice, key=sorted)) if is_slim(h)]
+    for p, n in ((3, 3), (2, 4), (2, 5)):
+        ctx, rng = make_ctx(p, n), random.Random("filtration-%d-%d" % (p, n))
+        subs += sample_slim_subgroups(ctx, 5, rng) + sample_subgroups(ctx, 10, rng)
+    fails = 0
+    for h in subs:
+        t0 = 2 if h.ctx.p == 2 else 1
+        sizes = {s: h.order // len(h.reduced(s).codes()) for s in range(t0, h.ctx.n + 1)}
+        (ok, detail), (want, old) = _filtration_checks(h), _all_pairs_filtration(h.ctx.p, sizes)
+        assert ok == want, h
+        if not ok:
+            fails += 1
+            t = int(old[2 : old.index("/")])
+            assert detail.startswith("H_%d/H_%d = " % (t, t + 1)), (detail, old)
+    assert fails > 0
+    # #H_1 = 243, #H_2 = 27 and #H_3 = 1 at p = 3 break (1, 3), as 243 > 3^4, and (2, 3)
+    h = _Layers(make_ctx(3, 3), 243, {1: 1, 2: 9, 3: 243})
+    assert _all_pairs_filtration(3, {1: 243, 2: 27, 3: 1}) == (False, "H_2/H_3 = 27 > p^2")
+    assert _filtration_checks(h) == (False, "H_2/H_3 = 27 > p^2")
+
+
 # ---- the sampler's certificate: the seeded sample lists hash as before it ----
 
 _SAMPLE_DIGESTS = {

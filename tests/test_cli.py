@@ -83,6 +83,13 @@ def test_verify_named_suite(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_an_unknown_suite_is_a_usage_error(capsys):
+    # run prints it as it prints every other usage error, and nothing runs
+    code, out, err = _run(capsys, "verify", "--suite", "lemma9.9")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: unknown suite 'lemma9.9'; available: %s\n" % ", ".join(suites.suite_names())
+
+
 # The wall-clock fields, the only part of a JSON payload that may differ
 # between two runs with the same seed and flags.
 ELAPSED = re.compile(r'"elapsed_ms": \d+')
@@ -355,3 +362,14 @@ def test_a_level_one_spec_closes_under_the_cap(capsys, monkeypatch):
         assert code == EXIT_USAGE and "B modulo 1009 holds 1017072 elements, above the cap of" in err, argv
         assert "--max-elements" in err
     assert calls == []
+
+
+def test_an_exceptional_spec_is_refused_above_the_cap(capsys):
+    # E:A5 at 11 lifts its 60 PGL2(F_11) classes to 120 elements of SL2(F_11);
+    # a cap below that refuses the lifts before the subgroup is made
+    argv = ("count", "--p", "11", "--n", "1", "--subgroup", "E:A5", "--class", "sigma", "--output", "json")
+    code, _, err = _run(capsys, *argv, "--max-elements", "20")
+    assert code == EXIT_USAGE and "E modulo 11 holds 120 elements, above the cap of 20" in err
+    assert "--max-elements" in err
+    code, out, _ = _run(capsys, *argv, "--max-elements", "120")
+    assert code == EXIT_OK and json.loads(out)["count"] == "30"

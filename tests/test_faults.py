@@ -10,7 +10,7 @@ import sys
 import textwrap
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -295,13 +295,14 @@ def test_sigma_labelled_at_trace_one_fails_the_fixed_point_checks(monkeypatch):
     # class_labels files the elements of trace 1, not 0, under sigma: Fix_sigma
     # read through the identity is no integer, or differs from the coset count;
     # a walked Conj(sigma) (on a fresh context, which stores no orbit) carries no
-    # label, and fiber_group finds no lift of sigma labelled sigma
+    # label, and fiber_group finds no lift of sigma labelled sigma, so its V
+    # differs from the commutator form
     kills = _kills(monkeypatch, "class_labels", "if t == 0 and (p > 2", "if t == 1 and (p > 2")
     assert kills == {"fixed-point identity gave a non-integer": 46, "fixed-point count mismatch": 29}
     with pytest.raises(ConsistencyError, match=_unlabelled("sigma")):
         class_codes(ConjClassRef(GroupCtx(5, 1), "sigma"))
     _fiber_labels_read_through(monkeypatch)
-    with pytest.raises(ConsistencyError, match="no class element lifts the standard representative"):
+    with pytest.raises(ConsistencyError, match="fiber differs from its commutator form"):
         fiber_group(FiberDescriptor(5, 0, 2, 1, "sigma"))
 
 
@@ -323,7 +324,7 @@ def test_a_flipped_square_class_fails_the_label_oracle_and_no_genus_check(monkey
     # one class onto the other, so no count of any H moves and every genus
     # report holds: the label oracle on all of G, class_codes' label check
     # on a walked Conj(u^(p^r)) and fiber_group, which finds no labelled lift
-    # of u^(p^r), see the fault.
+    # of u^(p^r) and so no V equal to the commutator form, see the fault.
     assert _kills(monkeypatch, "class_labels", "legendre(k, p) == 1", "legendre(k, p) == -1") is None
     assert label_mismatches(make_ctx(5, 2)) == 2 * 300 + 2 * 12  # Conj(u) and its twin, Conj(u^5) and its twin
     assert label_mismatches(make_ctx(2, 3)) == 0  # the rule at p = 2 reads no Legendre symbol
@@ -333,7 +334,7 @@ def test_a_flipped_square_class_fails_the_label_oracle_and_no_genus_check(monkey
     assert len(class_codes(ConjClassRef(GroupCtx(2, 3), "u_power"))) == 3 * 2**2
     _fiber_labels_read_through(monkeypatch)
     for r in (0, 1):
-        with pytest.raises(ConsistencyError, match="no class element lifts the standard representative"):
+        with pytest.raises(ConsistencyError, match="fiber differs from its commutator form"):
             fiber_group(FiberDescriptor(3, r, 2, 1, "u_power"))
     assert len(fiber_group(FiberDescriptor(2, 0, 4, 3, "u_power"))) == 2**2
 
@@ -548,13 +549,13 @@ def test_a_reducer_entry_at_the_wrong_level_fails_the_fiber_and_recovery_checks(
 
 
 def test_a_fiber_translated_by_another_lift_is_an_equivalent_mutant(monkeypatch):
-    # fiber_group translates the fiber F by its greatest member, not its least.
-    # No check can see it: if V = a0^-1 F is a group and a1 = a0 v lies in F,
-    # then a1^-1 F = v^-1 a0^-1 F = v^-1 V = V, and fiber_group checks that V
-    # is a group; that check implies that every lift gives the same translate.
+    # fiber_group translates the fiber F by its greatest member, not by alpha.
+    # No check can see it: if V = alpha^-1 F is a group and a1 = alpha v lies in
+    # F, then a1^-1 F = v^-1 alpha^-1 F = v^-1 V = V, and fiber_group checks that
+    # V equals P, a group; that check implies that every lift gives the same translate.
     grid = [FiberDescriptor(p, r, n, m, kind) for kind, p, r, n, m in _FIBER_GRID]
     true = [fiber_group(desc) for desc in grid]
-    _mutate(monkeypatch, sys.modules["sl2genus.fibers"], "fiber_group", "dec(min(fiber))", "dec(max(fiber))")
+    _mutate(monkeypatch, sys.modules["sl2genus.fibers"], "fiber_group", "_inv(alpha, mm)", "_inv(dec(max(fiber)), mm)")
     assert [sys.modules["sl2genus.fibers"].fiber_group(desc) for desc in grid] == true
 
 
@@ -579,14 +580,45 @@ def test_a_class_size_formula_off_by_one_fails_where_the_orbit_is_built(monkeypa
 
 
 def test_a_fiber_order_expected_off_by_p_fails_in_fiber_group(monkeypatch):
-    # fiber_group expects p^(2(n-m)+1) elements, not p^(2(n-m)).  It raises on
-    # the first fiber of lemma 5.3's grid, and so does verify_orthogonality,
-    # which reads V from it: neither suite needs a size check of its own.
+    # the parametrization P that fiber_group compares V with spans
+    # p^(2(n-m)-1) elements, not p^(2(n-m)): a runs over p^(n-m-1) values.  P
+    # states the expected order, so fiber_group raises on the first fiber of
+    # lemma 5.3's grid, and so does verify_orthogonality, which reads V from
+    # it: neither suite needs a size check of its own.
     fibers_mod = sys.modules["sl2genus.fibers"]
-    _mutate(monkeypatch, fibers_mod, "fiber_group", "expect = p ** (2 * (n - m))", "expect = p ** (2 * (n - m) + 1)")
-    monkeypatch.setattr(sys.modules["sl2genus.suites"], "fiber_group", fibers_mod.fiber_group)
+    _mutate(monkeypatch, fibers_mod, "_parametrized_codes", "for a in range(span)", "for a in range(span // p)")
+    assert len(fibers_mod._parametrized_codes(FiberDescriptor(3, 0, 2, 1, "sigma"))) == 3
     for suite in (suite_lemma5_3, suite_lemma5_6):
-        with pytest.raises(ConsistencyError, match="fiber over alpha' has 9 elements, expected 27"):
+        with pytest.raises(ConsistencyError, match="fiber differs from the explicit parametrization"):
+            suite(0)
+
+
+@pytest.mark.parametrize("swap", (False, True), ids=("labelled_out", "swapped_for_a_lift_outside"))
+def test_a_relabelled_fiber_member_fails_lemmas_5_3_and_5_6(monkeypatch, swap):
+    # fibers.class_labels takes the sigma label off one member of lemma 5.3's
+    # first fiber, (sigma, 3, 0, 2, 1), other than alpha, and with swap puts it
+    # on one lift of alpha mod 3 outside the fiber, so that #V stays 9.  Either
+    # V is no group and differs from its closed forms, so both suites raise in
+    # fiber_group.  alpha' = alpha there, so the fault lies in the fiber over either.
+    fibers_mod = sys.modules["sl2genus.fibers"]
+    labels, key, ctx = fibers_mod.class_labels, ("sigma", 0), make_ctx(3, 2)
+    alpha = FiberDescriptor(3, 0, 2, 1, "sigma").standard_rep()
+    lifts = {tuple((a + 3 * e) % 9 for a, e in zip(alpha, es)) for es in product(range(3), repeat=4)}
+    lifts = sorted(x for x in lifts if (x[0] * x[3] - x[1] * x[2]) % 9 == 1)
+    members = [x for x in lifts if key in labels(x, ctx)]
+    assert (len(lifts), len(members)) == (27, 9) and alpha in members
+    drop = max(x for x in members if x != alpha)
+    add = min(x for x in lifts if x not in members) if swap else None
+
+    def moved(x, c):
+        got = labels(x, c)
+        if c.modulus == 9 and x == drop:
+            return [label for label in got if label != key]
+        return got + [key] if c.modulus == 9 and x == add else got
+
+    monkeypatch.setattr(fibers_mod, "class_labels", moved)
+    for suite in (suite_lemma5_3, suite_lemma5_6):
+        with pytest.raises(ConsistencyError, match="fiber"):
             suite(0)
 
 
@@ -594,10 +626,14 @@ def test_a_degenerate_orthogonality_base_fails_on_the_complement_alone(monkeypat
     # alpha read as the identity makes <1, base> the q multiples of 1, not q^2
     # elements.  The trace pairing is perfect, so the complement holds all q^3
     # trace-0 matrices and cannot equal the q^2 of w_set: verify_orthogonality
-    # returns False with no size test of the algebra.
+    # returns False with no size test of the algebra.  fiber_group reads alpha
+    # too, so V is read before alpha is patched, and only the base sees it.
+    grid = [FiberDescriptor(p, r, n, m, kind) for kind, p, r, n, m in _FIBER_GRID]
+    true = {desc: fiber_group(desc) for desc in grid}
+    monkeypatch.setattr(sys.modules["sl2genus.fibers"], "fiber_group", true.__getitem__)
     monkeypatch.setattr(FiberDescriptor, "standard_rep", lambda desc: (1, 0, 0, 1))
-    for kind, p, r, n, m in _FIBER_GRID:
-        assert not verify_orthogonality(FiberDescriptor(p, r, n, m, kind)), (kind, p, r, n, m)
+    for desc in grid:
+        assert not verify_orthogonality(desc), desc
 
 
 def test_a_golden_class_listed_twice_fails_lemma_4_5(monkeypatch):

@@ -4,7 +4,6 @@ import pytest
 
 from sl2genus.core import (
     DEFAULT_MAX_ELEMENTS,
-    ConsistencyError,
     PreconditionError,
     _inv,
     _mul,
@@ -17,9 +16,7 @@ from sl2genus.core import (
 )
 from sl2genus.fibers import (
     FiberDescriptor,
-    _assert_subgroup,
     _parametrized_codes,
-    _resolve_alpha_prime,
     commutator_fiber_codes,
     fiber_group,
     recovery_count,
@@ -29,7 +26,6 @@ from sl2genus.fibers import (
     verify_orthogonality,
 )
 from sl2genus.groups import class_codes
-from sl2genus.subgroups import _kernel_codes
 from sl2genus.suites import _FIBER_GRID, _golden_recovery
 
 
@@ -120,8 +116,8 @@ def test_remark_size_two_fibers():
 
 
 def test_well_definedness_exhaustive_3_2_1():
-    # fiber_group translates the fiber by one lift and checks that V is a
-    # group, which makes every translate the same (a1 = a0 v gives
+    # fiber_group translates the fiber by alpha^-1 and checks that V equals P,
+    # a group, which makes every translate the same (a1 = alpha v gives
     # a1^-1 F = v^-1 V = V); the orbit route compares the translates by all
     # 9 lifts at (p, n, m) = (3, 2, 1)
     for kind in ("sigma", "tau", "u_power"):
@@ -149,8 +145,8 @@ _BEYOND_GRID = (
 
 
 def test_the_label_route_agrees_with_the_orbit_route(monkeypatch):
-    # V and alpha' from labels on lifts against the orbit route above, and
-    # verify_orthogonality and recovery_count_brute read through either
+    # V over alpha from labels on lifts against the orbit route over alpha'
+    # above, and verify_orthogonality and recovery_count_brute read through either
     fibers_mod = sys.modules["sl2genus.fibers"]
     descs = [FiberDescriptor(p, r, n, m, kind) for kind, p, r, n, m in _BEYOND_GRID]
     assert not set(_BEYOND_GRID) & set(_FIBER_GRID)
@@ -158,24 +154,25 @@ def test_the_label_route_agrees_with_the_orbit_route(monkeypatch):
     def reads(desc):
         return verify_orthogonality(desc), recovery_count_brute(desc.kind, desc.p, desc.n, desc.m, r=desc.r)
 
-    labels = [(fiber_group(d), _resolve_alpha_prime(d), reads(d)) for d in descs]
+    labels = [(fiber_group(d), reads(d)) for d in descs]
     monkeypatch.setattr(fibers_mod, "fiber_group", _orbit_fiber_group)
-    monkeypatch.setattr(fibers_mod, "_resolve_alpha_prime", _orbit_alpha_prime)
-    assert labels == [(_orbit_fiber_group(d), _orbit_alpha_prime(d), reads(d)) for d in descs]
-    assert all(got[2] == (True, recovery_count(d.kind, d.p, d.n, d.m)) for d, got in zip(descs, labels))
+    assert labels == [(_orbit_fiber_group(d), reads(d)) for d in descs]
+    assert all(got[1] == (True, recovery_count(d.kind, d.p, d.n, d.m)) for d, got in zip(descs, labels))
 
 
 def test_orthogonality_reads_the_standard_representative(monkeypatch):
-    # the complement of verify_orthogonality depends on alpha mod p^(r+n-m)
-    # alone, and alpha' lies over the standard representative there, so the
-    # base is read from the representative: alpha' is resolved once, by fiber_group
+    # the complement of verify_orthogonality and V itself depend on alpha mod
+    # p^(r+n-m) alone, where alpha' of the orbit route lies over the standard
+    # representative, so both read the representative: V over alpha equals V
+    # over alpha', and verify_orthogonality reads V once, from fiber_group
     fibers_mod = sys.modules["sl2genus.fibers"]
-    resolve, calls = fibers_mod._resolve_alpha_prime, []
-    monkeypatch.setattr(fibers_mod, "_resolve_alpha_prime", lambda desc: calls.append(desc) or resolve(desc))
+    read, calls = fibers_mod.fiber_group, []
+    monkeypatch.setattr(fibers_mod, "fiber_group", lambda desc: calls.append(desc) or read(desc))
     for kind, p, r, n, m in _FIBER_GRID + _BEYOND_GRID:
         desc = FiberDescriptor(p, r, n, m, kind)
         low = p ** (r + n - m)
-        assert reduce_mat(resolve(desc), low) == reduce_mat(desc.standard_rep(), low)
+        assert reduce_mat(_orbit_alpha_prime(desc), low) == reduce_mat(desc.standard_rep(), low)
+        assert read(desc) == _orbit_fiber_group(desc)
         calls.clear()
         assert verify_orthogonality(desc)
         assert calls == [desc]
@@ -190,20 +187,35 @@ def test_the_parametrization_lies_over_one():
         assert set(map(reducer(desc.full_ctx(), r + m), _parametrized_codes(desc))) == {one}
 
 
-def test_a_set_that_is_not_a_group_fails_the_subgroup_check():
-    # the closure of generators picked from the set is capped at its size, and
-    # a set it leaves raises ConsistencyError, not the cap's FeasibilityError
-    ctx = make_ctx(3, 2)
-    enc, group = encoder(ctx), _kernel_codes(ctx, 1, DEFAULT_MAX_ELEMENTS)  # K_1, of order 3^3
-    u, t = enc((1, 3, 0, 1)), enc((1, 0, 3, 1))
-    _assert_subgroup(group, ctx)
-    for codes in (frozenset({enc((1, 0, 0, 1)), u}), frozenset({u, t}), group - {t}):
-        with pytest.raises(ConsistencyError, match="fiber set is not a group"):
-            _assert_subgroup(codes, ctx)
+def test_fiber_group_reads_one_kernel_and_closes_nothing(monkeypatch):
+    # V is read from the lifts k alpha, k in K_(r+m) at level r+n, one kernel,
+    # and checked against its closed forms alone, which make it a group: no
+    # generators are picked to close it.  The kernels are built first, as
+    # their preimage of {1} picks generators of its own
+    subgroups_mod, fibers_mod = sys.modules["sl2genus.subgroups"], sys.modules["sl2genus.fibers"]
+    kernel, kernels = fibers_mod._kernel_codes, []
+    for kind, p, r, n, m in _FIBER_GRID:
+        kernel(make_ctx(p, r + n), r + m, DEFAULT_MAX_ELEMENTS)
+
+    def read(ctx, s, cap):
+        kernels.append((ctx.n, s))
+        return kernel(ctx, s, cap)
+
+    def closes(h):
+        raise AssertionError("fiber_group picked generators")
+
+    monkeypatch.setattr(fibers_mod, "_kernel_codes", read)
+    for mod in (subgroups_mod, fibers_mod):
+        if hasattr(mod, "_generators"):
+            monkeypatch.setattr(mod, "_generators", closes)
+    for kind, p, r, n, m in _FIBER_GRID:
+        kernels.clear()
+        fiber_group(FiberDescriptor(p, r, n, m, kind))
+        assert kernels == [(r + n, r + m)], (kind, p, r, n, m)
 
 
 def test_fiber_group_walks_no_class_orbit(monkeypatch):
-    # fiber_group at (3, 0, 4, 2, sigma) reads Conj(sigma) over alpha' from the
+    # fiber_group at (3, 0, 4, 2, sigma) reads Conj(sigma) over alpha from the
     # labels on its 729 lifts to 81, not from the orbit of 4,374 elements; the
     # spy sees the orbit that reduction_fiber_sizes reads at 81
     groups_mod, fibers_mod = sys.modules["sl2genus.groups"], sys.modules["sl2genus.fibers"]

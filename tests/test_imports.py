@@ -590,7 +590,6 @@ def test_the_check_sees_a_feasibility_handler():
 # there.  None of them turns it into None for a caller to turn back.
 _FEASIBILITY_CATCHERS = {
     ("groups.py", "_group_closure"): "a closure of <u, t(u)> past #SL2 is a bug: ConsistencyError",
-    ("fibers.py", "_assert_subgroup"): "a fiber that closes past its own size is no group: ConsistencyError",
     ("subgroups.py", "all_subgroups"): "a subgroup above k/2 elements is the whole universe (Lagrange)",
     ("subgroups.py", "exceptional_subgroup"): "a pair that closes past #E is not the group sought",
     ("subgroups.py", "sample_slim_subgroups"): "a candidate whose lifts pass the slim cap is not slim",
@@ -711,12 +710,12 @@ def test_every_traced_name_resolves():
 
 
 # ROADMAP item 7 budgets the lines under src/: the library may not grow past
-# its last count of 3,949 lines.  The count per module is printed too, so that
+# its last count of 3,913 lines.  The count per module is printed too, so that
 # a change can read its delta module by module.
 def test_src_stays_within_the_line_budget():
     counts = {p.name: len(p.read_text().splitlines()) for p in MODULES}
     for name, count in counts.items():
         print("src/sl2genus/%s: %d lines" % (name, count))
     total = sum(counts.values())
-    print("src/sl2genus: %d lines, budget 3,949" % total)
-    assert total <= 3_949, "src/sl2genus holds %d lines, above the budget of 3,949" % total
+    print("src/sl2genus: %d lines, budget 3,913" % total)
+    assert total <= 3_913, "src/sl2genus holds %d lines, above the budget of 3,913" % total
