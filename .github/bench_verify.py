@@ -18,9 +18,14 @@ src_diff_sha256, the SHA-256 of `git diff HEAD -- src`, names the measured
 code: `git diff COMMIT~1 COMMIT -- src | sha256sum` gives the same digest at
 the commit that holds it (files under src/ that git does not track are not in it).
 
-`pairs` first compiles src/ in both checkouts (python -m compileall -q), so
-that neither side compiles modules that the other reads as bytecode, and each
-side's record says so (src_compiled).  It then runs perfbench/run.py --trace 0
+`pairs` runs both checkouts without bytecode, as a fresh checkout runs: it
+removes the __pycache__ directories under src/ and perfbench/ of each, and
+every process it starts has PYTHONDONTWRITEBYTECODE=1 and no
+PYTHONPYCACHEPREFIX, so each fresh interpreter compiles those modules from
+source while the standard library reads its installed bytecode; each side's
+record says so (src_compiled: false).  An empty PYTHONPYCACHEPREFIX would
+hide the standard library's bytecode too (a bare `python -c pass` then takes
+0.29 s, not 0.06 s, on 2 vCPUs).  It then runs perfbench/run.py --trace 0
 alternately in --parent and in this checkout, --pairs times each, for the
 run_seconds of BENCHMARK.json, and appends the five end-to-end metrics of
 each side to BENCH_<workload>.json: their medians, and each run's values in
@@ -39,6 +44,7 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -108,8 +114,20 @@ def verify_rows(checkout):
     return rows
 
 
+def without_bytecode(checkout):
+    """The environment of a run that reads no bytecode of the checkout's own
+    modules and writes none, once their __pycache__ directories are removed."""
+    for part in ("src", "perfbench"):
+        for cache in sorted(Path(checkout, part).rglob("__pycache__")):
+            shutil.rmtree(cache)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    return env
+
+
 def perfbench_metrics(checkout, workload, seed, seconds):
-    out = run([sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"], cwd=checkout)
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = run(argv, cwd=checkout, env=without_bytecode(checkout))
     result = json.loads(out.splitlines()[-1])
     if not result["correct"] or result["failed"]:
         sys.exit("perfbench %s in %s: correct %s, %d failed" % (workload, checkout, result["correct"], result["failed"]))
@@ -153,15 +171,13 @@ def main(argv):
     bench = json.loads((HERE / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     sides = {"parent": (args.parent, []), "change": (str(HERE), [])}
-    for checkout, _ in sides.values():
-        run([sys.executable, "-m", "compileall", "-q", str(Path(checkout) / "src")])
     for i in range(args.pairs):
         for name, (checkout, runs) in sides.items() if i % 2 == 0 else reversed(sides.items()):
             runs.append(perfbench_metrics(checkout, args.workload, args.seed, seconds))
             print("pair %d %s: %s" % (i + 1, name, json.dumps(runs[-1])))
     record = {"seed": args.seed, "seconds": seconds, "pairs": args.pairs}
     for name, (checkout, runs) in sides.items():
-        record[name] = dict(stamp(checkout, args.note), src_compiled=True, median={k: statistics.median(r[k] for r in runs) for k in END_TO_END}, runs=runs)
+        record[name] = dict(stamp(checkout, args.note), src_compiled=False, median={k: statistics.median(r[k] for r in runs) for k in END_TO_END}, runs=runs)
     record["judged"] = judge(sides["parent"][1], sides["change"][1], bench["end_to_end"])
     append(HERE / ("BENCH_%s.json" % args.workload), record)
 

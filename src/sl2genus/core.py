@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Tuple
 
 Mat = Tuple[int, int, int, int]
 
@@ -143,8 +143,9 @@ def make_ctx(p: int, n: int) -> GroupCtx:
 # k = bits(M - 1) per entry; closures are hash-set work, and an int hashes
 # fastest.  The layout is known here alone: encoder/decoder, reducer (the
 # code of x mod p^s from the code of x), right_mul (the code of x s from
-# the code of x, through row_table once that pays) and conjugator (the code
-# of g^-1 x g from the code of x).
+# the code of x, through row_table once that pays), product_codes (the codes
+# of the products of two lists of matrices) and conjugator (the code of
+# g^-1 x g from the code of x).
 
 
 def _width(modulus: int) -> int:
@@ -231,6 +232,16 @@ def right_mul(ctx: GroupCtx, s: Mat) -> Callable[[int], int]:
         return table[x & low] | table[x >> k2] << k2
 
     return mul
+
+
+def product_codes(ctx: GroupCtx, xs: Sequence[Mat], ys: Sequence[Mat]) -> FrozenSet[int]:
+    """The codes of the products x y, x in xs and y in ys, packed as they are made."""
+    m, k = ctx.modulus, _width(ctx.modulus)
+    k2, k3 = 2 * k, 3 * k
+    return frozenset(
+        (a * e + b * g) % m | (a * f + b * h) % m << k | (c * e + d * g) % m << k2 | (c * f + d * h) % m << k3
+        for a, b, c, d in xs for e, f, g, h in ys
+    )
 
 
 def conjugator(ctx: GroupCtx, g: Mat) -> Callable[[int], int]:

@@ -35,6 +35,7 @@ from .core import (
     minus_one,
     parse_mat,
     primitive_root,
+    product_codes,
     reduce_mat,
     reducer,
     right_mul,
@@ -53,10 +54,10 @@ class Subgroup:
     from the Schreier walk.  Non-empty gens generate H (from_codes may leave
     them empty); one with an entry outside [0, p^n) raises
     ContextMismatchError, and one of det != 1 raises PreconditionError.
-    _reduced is the memo of what derives from H alone: the Subgroup H mod p^s
-    under the key s (reduced; H_m at m the level), #H under "order" and whether its
-    walk found K_(n-1) <= H under "rank 3", and each value that kept(key) keeps
-    (H_s per s, the level, class counts, genus_report and bounds' "filtration check")."""
+    _reduced is the memo of what derives from H alone: the Subgroup H mod p^s under
+    the key s (reduced; H_m at m the level; at n - 1 the lifts when _from_walk built H),
+    #H under "order" and whether its walk found K_(n-1) <= H under "rank 3", and each value
+    that kept(key) keeps (H_s per s, the level, class counts, genus_report and bounds' "filtration check")."""
 
     def __init__(
         self, ctx: GroupCtx, gens: Tuple[Mat, ...], cap: int = DEFAULT_MAX_ELEMENTS, _codes: Optional[FrozenSet] = None
@@ -82,6 +83,21 @@ class Subgroup:
         cap: int = DEFAULT_MAX_ELEMENTS,
     ) -> "Subgroup":
         return cls(ctx, gens, cap, _codes=frozenset(codes))
+
+    @classmethod
+    def _from_walk(cls, ctx: GroupCtx, gens: Tuple[Mat, ...], lifts: List[Mat], basis: List[tuple]) -> "Subgroup":
+        """H = <gens> from its Schreier walk of rank < 3 (n >= 2): the products t k of
+        the lifts t and the k = 1 + p^(n-1) W, W in the span of basis, and H mod
+        p^(n-1) as the lifts' residues, distinct by the walk's construction."""
+        p, m, low = ctx.p, ctx.modulus, make_ctx(ctx.p, ctx.n - 1)
+        q, span = low.modulus, {(0, 0, 0)}
+        for w in basis:
+            span = {tuple((a + j * b) % p for a, b in zip(v, w)) for v in span for j in range(p)}
+        kernel = [((1 + q * a) % m, q * b, q * c, (1 - q * a) % m) for a, b, c in span]
+        h = cls.from_codes(ctx, product_codes(ctx, lifts, kernel), gens)
+        residues = (reduce_mat(t, q) for t in lifts)
+        h._reduced[ctx.n - 1] = cls.from_codes(low, map(encoder(low), residues), tuple(reduce_mat(g, q) for g in gens))
+        return h
 
     def codes(self) -> FrozenSet:
         if self._codes is None:
@@ -127,17 +143,21 @@ class Subgroup:
         return ElementSet(self.ctx, self.codes())
 
     def reduced(self, level: int) -> "Subgroup":
-        """H mod p^level (level <= n), kept in the memo: by H's reduced generators
-        if it has any, else from H's reduced codes; H itself at level n."""
+        """H mod p^level (level <= n), kept in the memo: reduced from H mod p^(n-1)
+        once its codes are built (_from_walk builds them with H), else by H's reduced
+        generators if it has any, else from H's reduced codes; H itself at level n."""
         got = self._reduced.get(level)
         if got is None:
             if level == self.ctx.n:
                 return self
             if not 1 <= level < self.ctx.n:
                 raise ReductionError("cannot reduce level %d subgroup to level %d" % (self.ctx.n, level))
-            sub = make_ctx(self.ctx.p, level)
+            sub, top = make_ctx(self.ctx.p, level), self._reduced.get(self.ctx.n - 1)
             gens = tuple(reduce_mat(g, sub.modulus) for g in self.gens)
-            codes = None if gens else frozenset(map(reducer(self.ctx, level), self.codes()))
+            if top is not None and top._codes is not None:
+                codes = frozenset(map(reducer(top.ctx, level), top._codes))
+            else:
+                codes = None if gens else frozenset(map(reducer(self.ctx, level), self.codes()))
             got = self._reduced[level] = Subgroup(sub, gens, self.cap, codes)
         return got
 
@@ -615,25 +635,6 @@ def all_subgroups(
 # -------------------- random sampling --------------------
 
 
-def sample_subgroups(ctx: GroupCtx, count: int, rng: random.Random) -> List[Subgroup]:
-    """Random generator pairs/triples, deduplicated by the element-set hash."""
-    pool = sorted(enumerate_group(ctx).codes)
-    dec = decoder(ctx)
-    out: List[Subgroup] = []
-    seen: set = set()
-    for _ in range(40 * count):
-        if len(out) >= count:
-            break
-        k = rng.choice((1, 2, 2, 3))
-        gens = tuple(dec(pool[rng.randrange(len(pool))]) for _ in range(k))
-        h = Subgroup(ctx, gens)
-        key = h.codes()
-        if key not in seen:
-            seen.add(key)
-            out.append(h)
-    return out
-
-
 def _random_kernel_element(ctx: GroupCtx, s: int, rng: random.Random) -> Mat:
     """A random element of (1 + p^s M2)^{det=1}."""
     m = ctx.modulus
@@ -737,19 +738,16 @@ def sample_slim_subgroups(
     """Seeded rejection sampling of slim subgroups (n >= 2), optionally with
     the mod-p image inside a given level-one subgroup.
 
-    A slim subgroup has #H_1 <= p^(2(n-1)) (one extra factor p at p=2), so a
-    candidate above #target * that bound (the slim cap) is certainly not slim.
     Each candidate is walked once, by _schreier_walk, and rejected at rank 3
-    (K_(n-1) <= H) or above the slim cap; one that a kept H of its order
-    #lifts * p^rank holds is that H (Lagrange), dropped unbuilt.  A new one is
-    built as the products t k of its lifts and the span of its W.
+    (K_(n-1) <= H) or once its lifts pass the slim cap, #target p^(2(n-1))
+    (twice that at p = 2), above every slim H (README, "Each fact is checked
+    once").  One that a kept H of its order #lifts * p^rank holds is that H
+    (Lagrange), dropped unbuilt; a new one is built from its walk.
     """
     if ctx.n < 2:
         raise PreconditionError("slim sampling needs level n >= 2")
     level1_pool = sorted((mod_p_target if mod_p_target is not None else full_group(make_ctx(ctx.p, 1))).mats())
-    slim_cap = _slim_cap(ctx, len(level1_pool))
-    p, m, enc = ctx.p, ctx.modulus, encoder(ctx)
-    q = m // p
+    slim_cap, p = _slim_cap(ctx, len(level1_pool)), ctx.p
     out: List[Subgroup] = []
     for _ in range(120 * count):
         if len(out) >= count:
@@ -760,13 +758,9 @@ def sample_slim_subgroups(
         except FeasibilityError:
             continue
         order = len(lifts) * p ** len(basis)
-        if len(basis) == 3 or order > slim_cap or any(h.order == order and all(g in h for g in gens) for h in out):
+        if len(basis) == 3 or any(h.order == order and all(g in h for g in gens) for h in out):
             continue
-        span = {(0, 0, 0)}
-        for w in basis:
-            span = {tuple((a + j * b) % p for a, b in zip(v, w)) for v in span for j in range(p)}
-        kernel = [((1 + q * a) % m, q * b, q * c, (1 - q * a) % m) for a, b, c in span]
-        h = Subgroup.from_codes(ctx, frozenset(enc(_mul(t, k, m)) for t in lifts for k in kernel), tuple(gens))
+        h = Subgroup._from_walk(ctx, tuple(gens), lifts, basis)
         if mod_p_target is not None and not h.reduced(1).codes() <= mod_p_target.codes():
             raise ConsistencyError("a candidate lifted from the target leaves it mod %d" % ctx.p)
         out.append(h)

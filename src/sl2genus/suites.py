@@ -282,8 +282,6 @@ def _golden_recovery(kind: str, p: int, n: int, r: int) -> frozenset:
             return frozenset(
                 (enc(sigma(ctx)), enc(mat(0, -1, 1, 0, ctx)))
             )
-        if n == 1:
-            return frozenset((enc(sigma(ctx)),))
         if n == 2:
             return frozenset((enc(sigma(ctx)), enc(mat(2, 1, -1, 2, ctx))))
         h = 2 ** (n - 1)
@@ -298,8 +296,6 @@ def _golden_recovery(kind: str, p: int, n: int, r: int) -> frozenset:
     if kind == "tau":
         if p != 3:
             return frozenset((enc(tau(ctx)), enc(mat(0, -1, 1, 1, ctx))))
-        if n == 1:
-            return frozenset((enc(tau(ctx)),))
         h = 3 ** (n - 1)
         return frozenset(
             (
@@ -314,8 +310,6 @@ def _golden_recovery(kind: str, p: int, n: int, r: int) -> frozenset:
         return frozenset(
             enc(mat(1, q * (s * s % span), 0, 1, ctx)) for s in range(1, span) if s % p
         )
-    if n == 1:
-        return frozenset((enc(mat(1, q, 0, 1, ctx)),))
     if n == 2:
         return frozenset((enc(mat(1, q, 0, 1, ctx)), enc(mat(-1, q, 0, -1, ctx))))
     h = 2 ** (r + n - 1)

@@ -37,7 +37,6 @@ from sl2genus.subgroups import (
     is_slim,
     nonsplit_cartan_normalizer,
     sample_slim_subgroups,
-    sample_subgroups,
     split_cartan_normalizer,
 )
 from sl2genus.suites import verify_main_theorem_desk
@@ -46,6 +45,8 @@ from sl2genus.suites import (
     suite_lemma4_6,
     suite_lemma4_10,
 )
+
+from sampling import sample_subgroups
 
 GRID = [(2, n) for n in range(1, 5)] + [(3, n) for n in range(1, 4)] + [(5, 1), (5, 2), (7, 1), (11, 1), (13, 1)]
 

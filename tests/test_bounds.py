@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -140,6 +141,27 @@ def test_bound_reports_on_slim_subgroups_match_the_catching_loop(sl2_mod9_subgro
         counts.append(sum(map(len, reports)))
     assert counts[1] == 300  # suite_lemma6_1's "300 sampled (H, class) pairs"
     assert counts[0] > 0
+
+
+@pytest.mark.parametrize("p, n", [(5, 2), (3, 3), (2, 4)])
+def test_a_sampled_item_closes_nothing(monkeypatch, p, n):
+    # the benchmark's slim item: 20 seeded slim samples and their bound
+    # reports.  A sampled H holds H mod p^(n-1) as its walk's lifts, so once
+    # a first item has filled the context's memo (G mod p, the kernels K_s),
+    # neither the sampler nor a report closes a group at any level
+    ctx = make_ctx(p, n)
+
+    def item(seed):
+        reports = [list(bounds.bound_reports(h)) for h in sample_slim_subgroups(ctx, 20, random.Random(seed))]
+        assert len(reports) == 20 and all(reports)
+
+    item("warm")
+    calls, true_fn = [], groups._closure_codes
+    for mod in [m for name, m in sys.modules.items() if name.startswith("sl2genus.")]:
+        if vars(mod).get("_closure_codes") is true_fn:
+            monkeypatch.setattr(mod, "_closure_codes", lambda *args: calls.append(args) or true_fn(*args))
+    item("spied")
+    assert calls == []
 
 
 def test_bound_reports_refuse_a_subgroup_that_is_not_slim():
@@ -525,7 +547,7 @@ def test_the_filtration_check_compares_adjacent_layers_alone(sl2_mod9_subgroups)
     # names (T, T+1), T the greatest t of a violation, where the all-pairs
     # loop named (T, s) for its greatest violating s
     from sl2genus.bounds import _filtration_checks
-    from sl2genus.subgroups import sample_subgroups
+    from sampling import sample_subgroups
 
     ctx9, lattice = sl2_mod9_subgroups
     subs = [h for h in (Subgroup.from_codes(ctx9, c) for c in sorted(lattice, key=sorted)) if is_slim(h)]

@@ -19,6 +19,7 @@ from sl2genus.core import (
     minus_one,
     neg,
     parse_mat,
+    product_codes,
     reduce_mat,
     reducer,
     sigma,
@@ -146,6 +147,19 @@ def test_reducer_maps_codes_as_reduce_mat_maps_matrices(p, n):
     for s in (0, n + 1):
         with pytest.raises(ReductionError):
             reducer(ctx, s)
+
+
+@pytest.mark.parametrize("p, n", [(2, 4), (3, 3), (5, 2), (257, 2), (2, 17)])
+def test_product_codes_pack_each_product_as_the_encoder_does(p, n):
+    # the slim sampler builds H from these codes: every product x y, the
+    # largest entries included, packed as encoder packs _mul's result
+    ctx = make_ctx(p, n)
+    rng = random.Random((p, n, "products").__repr__())
+    xs = [tuple(rng.randrange(ctx.modulus) for _ in range(4)) for _ in range(20)] + [(ctx.modulus - 1,) * 4]
+    ys = [tuple(rng.randrange(ctx.modulus) for _ in range(4)) for _ in range(20)] + [identity(ctx)]
+    enc = encoder(ctx)
+    assert product_codes(ctx, xs, ys) == frozenset(enc(_mul(x, y, ctx.modulus)) for x in xs for y in ys)
+    assert product_codes(ctx, xs, []) == frozenset()
 
 
 def test_parse_and_format():

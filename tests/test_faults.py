@@ -47,7 +47,6 @@ from sl2genus.subgroups import (
     parse_subgroup_spec,
     preimage,
     sample_slim_subgroups,
-    sample_subgroups,
 )
 from sl2genus.cli import EXIT_INTERNAL, run
 from sl2genus.suites import (
@@ -60,10 +59,11 @@ from sl2genus.suites import (
     suite_lemma6_1,
     verify_main_theorem_desk,
 )
+from sampling import sample_subgroups
 from test_bounds import _SAMPLE_DIGESTS
 from test_kernel import _lattice_digest, _old_all_subgroups
 from test_section2 import _brute_sides, _decided, _disagreements
-from test_subgroups import _REPLAY_CASES, _replay
+from test_subgroups import _REPLAY_CASES, _reduction_mismatches, _replay, _stream
 
 
 def test_an_extra_sigma_fixed_point_fails_the_coset_check(monkeypatch):
@@ -929,3 +929,48 @@ def test_a_duplicate_test_at_p_times_the_order_fails_the_replay_and_the_sample_d
     subgroups_mod = sys.modules["sl2genus.subgroups"]
     _mutate(monkeypatch, subgroups_mod, "sample_slim_subgroups", "h.order == order and", "h.order == order * p and")
     assert _failed_sampler_checks() == _EVERY_SAMPLER_CHECK
+
+
+# A sampled H holds H mod p^(n-1) as the residues of its walk's lifts
+# (Subgroup._from_walk) and reduces that set below n - 1.  Its checks: the
+# reduction oracle of tests/test_subgroups.py (the closure of the reduced
+# generators at every s < n), the sampler's replay and digests when H's own
+# codes move, and the Lagrange and filtration checks of the bound reports.
+
+
+def test_a_lift_dropped_from_the_transversal_fails_the_oracle_the_replay_and_the_desk(monkeypatch):
+    # _from_walk builds H from all but the last of its walk's lifts (from the
+    # lift 1 when that is the only one): H is no group, and its products and
+    # its H mod p^(n-1) agree with each other, so #H and is_slim read them
+    # consistently.  The oracle, the replay and the digests fail; desk part
+    # 5's Lagrange check on H_3 raises, and desk part 7 reports a filtration
+    # violation.  Lemma 6.1's 100 seeded samples do not see it.
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    old, new = "p, m, low = ", "lifts = lifts[:-1] or lifts\n    p, m, low = "  # in the dedented source
+    _mutate(monkeypatch, subgroups_mod, "_from_walk", old, new, owner=Subgroup)
+    for case in ("criterion9-5^2", "criterion9-3^3", "criterion9-2^4"):
+        assert _reduction_mismatches(h for h, _ in _stream(case)), case
+    assert _failed_sampler_checks() == _EVERY_SAMPLER_CHECK
+    with pytest.raises(ConsistencyError, match=r"H_3 of 9 elements, not #H / #\(H mod p\^3\)$"):
+        verify_main_theorem_desk(5)
+    (rep,) = verify_main_theorem_desk(7)
+    violation = "bound violation ('filtration', False, 'H_4/H_5 = 4 > p^2') on subgroup of order 1020"
+    assert (rep.status, rep.notes) == ("fail", violation)
+    assert suite_lemma6_1(0)[0]
+
+
+def test_lifts_reduced_a_level_low_fail_the_oracle_the_lagrange_check_and_the_target(monkeypatch):
+    # _from_walk stores the lifts mod p^(n-2), not mod p^(n-1), as H mod
+    # p^(n-1) (mod 1 at n = 2: one code).  H's own codes are right, so the
+    # replay and the digests pass; the oracle fails on every stream,
+    # filtration_level's Lagrange check raises on lemma 6.1's samples, and
+    # desk part 2's sampler finds H mod 11 outside its target.
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    _mutate(monkeypatch, subgroups_mod, "_from_walk", "reduce_mat(t, q)", "reduce_mat(t, q // p)", owner=Subgroup)
+    for case in ("criterion9-5^2", "criterion9-3^3", "criterion9-2^4"):
+        assert _reduction_mismatches(h for h, _ in _stream(case)), case
+    assert _failed_sampler_checks() == []
+    with pytest.raises(ConsistencyError, match=r"H_1 of 9 elements, not #H / #\(H mod p\^1\)$"):
+        suite_lemma6_1(0)
+    with pytest.raises(ConsistencyError, match="a candidate lifted from the target leaves it mod 11$"):
+        verify_main_theorem_desk(2, samples=2)

@@ -26,7 +26,7 @@ from sl2genus.fibers import (
     verify_orthogonality,
 )
 from sl2genus.groups import class_codes
-from sl2genus.suites import _FIBER_GRID, _golden_recovery
+from sl2genus.suites import _FIBER_GRID, _RECOVERY_GRID, _golden_recovery
 
 
 def _orbit_alpha_prime(desc):
@@ -299,6 +299,12 @@ def test_recovery_sets_match_golden_lists():
     ):
         ctx = make_ctx(p, r + n if kind == "u_power" else n)
         assert recovery_set_brute(kind, ctx, r=r) == _golden_recovery(kind, p, n, r)
+
+
+def test_the_recovery_grid_starts_at_level_two():
+    # _golden_recovery states the recovery sets for n >= 2 alone: the suite's
+    # grid, the one caller under src/, asks for no level-one set
+    assert _RECOVERY_GRID and all(n >= 2 for _, _, n, _ in _RECOVERY_GRID)
 
 
 def test_commutant_class_counts():

@@ -52,9 +52,10 @@ from sl2genus.subgroups import (
     parse_subgroup_spec,
     preimage,
     sample_slim_subgroups,
-    sample_subgroups,
     split_cartan_normalizer,
 )
+
+from sampling import sample_subgroups
 
 
 def test_legendre_examples():

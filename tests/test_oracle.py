@@ -17,7 +17,9 @@ from sympy.combinatorics import Permutation, PermutationGroup
 from sl2genus.core import make_ctx
 from sl2genus.genus import cusp_orbit_ratio, fix_points
 from sl2genus.groups import ConjClassRef
-from sl2genus.subgroups import closure, sample_subgroups
+from sl2genus.subgroups import closure
+
+from sampling import sample_subgroups
 
 U, LOWER_U, SIGMA, TAU = (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, -1, 0), (1, 1, -1, 0)
 

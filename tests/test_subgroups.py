@@ -56,12 +56,13 @@ from sl2genus.subgroups import (
     parse_subgroup_spec,
     preimage,
     sample_slim_subgroups,
-    sample_subgroups,
     split_cartan_normalizer,
     standard_subgroup,
 )
 from sl2genus.genus import count_in_subgroup, cusp_orbit_ratio, fix_points, genus_report
-from sl2genus.suites import A1_TABLE, _codes_of, section2_l2_1, section2_l2_5
+from sl2genus.suites import A1_TABLE, _DESK_SAMPLES, _codes_of, _desk_cases, _desk_sample, section2_l2_1, section2_l2_5
+
+from sampling import sample_subgroups
 
 
 def test_closure_examples():
@@ -560,8 +561,8 @@ def test_certificate_agrees_with_closure(p, n, kind, seed, count):
 
 
 def test_certificate_sees_the_kernel_and_the_cap():
-    # the sampler's three rejections read from _schreier_walk: rank 3, the lift
-    # walk's refusal, and #lifts * p^rank above the cap
+    # the sampler's two rejections read from _schreier_walk, rank 3 and the
+    # lift walk's refusal; #lifts * p^rank passes only a cap below the slim cap
     ctx = make_ctx(3, 2)
     u, t = upper_u(ctx), lower_u(ctx)
     assert len(_schreier_walk([u, t], ctx, ctx.order)[1]) == 3  # <u, t(u)> = SL2(Z/9Z)
@@ -595,6 +596,67 @@ def test_the_sampler_builds_only_what_it_returns(monkeypatch):
     slim = [w for w in walks if w is not None and len(w[1]) < 3]
     assert [id(h) for h in built] == [id(h) for h in subs]
     assert (len(walks), len(slim) - len(subs)) == (114, 13)
+
+
+# The seeded slim streams that tests/test_bounds.py pins by digest: criterion
+# 9's 500 samples at each context, and the default samples of desk parts 2-7
+# at seed 0.
+_STREAMS = ["criterion9-5^2", "criterion9-3^3", "criterion9-2^4"] + ["desk-%d" % part for part in range(2, 8)]
+
+
+def _stream(case):
+    """(H, #target) for each subgroup of the stream named case, in order."""
+    kind, at = case.split("-")
+    if kind == "criterion9":
+        p, n = map(int, at.split("^"))
+        rng = random.Random((p, n, "criterion9").__repr__())
+        return [(h, p * (p * p - 1)) for h in sample_slim_subgroups(make_ctx(p, n), 500, rng)]
+    out, part = [], int(at)
+    for p, n, kinds, note in _desk_cases(part):
+        for k in kinds:
+            target = standard_subgroup("full" if k == "SL" else k, p)
+            label = "%s@%d^%d%s" % (k, p, n, note)
+            subs = _desk_sample(part, label, make_ctx(p, n), target, _DESK_SAMPLES[part], 0)[0]
+            out += [(h, target.order) for h in subs]
+    return out
+
+
+def _reduction_mismatches(hs):
+    """(H, s) for each s < n at which H mod p^s, as H holds it, is not the
+    closure of H's generators reduced mod p^s."""
+    out = []
+    for h in hs:
+        p = h.ctx.p
+        for s in range(1, h.ctx.n):
+            low = h.reduced(s)
+            if low.codes() != _closure_codes([reduce_mat(g, p**s) for g in h.gens], low.ctx, DEFAULT_MAX_ELEMENTS):
+                out.append((h, s))
+    return out
+
+
+@pytest.mark.parametrize("case", _STREAMS)
+def test_a_sampled_h_reduces_to_the_closure_of_its_reduced_generators(case):
+    # a sampled H holds H mod p^(n-1) as its walk's lifts and reduces that set
+    # below n - 1; the closure of the reduced generators is the oracle
+    hs = [h for h, _ in _stream(case)]
+    assert hs and _reduction_mismatches(hs) == []
+
+
+@pytest.mark.parametrize("case", _STREAMS)
+def test_every_sampled_h_lies_below_the_slim_cap(case):
+    # README, "Each fact is checked once": x -> x^p embeds the layer
+    # H_s/H_(s+1) into the next for s >= 1 (s >= 2 at p = 2), so a top layer of
+    # rank < 3 bounds #H by #target p^(2(n-1)) (twice that at p = 2), below the
+    # slim cap: a walked candidate of rank < 3 is never above the cap
+    for h, top in _stream(case):
+        p, n = h.ctx.p, h.ctx.n
+        sizes = [h.order // h.reduced(s).order for s in range(1, n)] + [1]  # #H_s, s = 1..n
+        layers = [a // b for a, b in zip(sizes, sizes[1:])]  # #(H_s/H_(s+1)), s = 1..n-1
+        assert layers[-1] < p**3 and h.reduced(1).order <= top
+        start = 1 if p == 2 else 0
+        assert all(a <= b for a, b in zip(layers[start:], layers[start + 1 :])), layers
+        bound = top * p ** (2 * (n - 1)) * (2 if p == 2 else 1)
+        assert h.order <= bound < _slim_cap(h.ctx, top)
 
 
 def test_slim_sampling_needs_level_two():
