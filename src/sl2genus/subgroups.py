@@ -355,9 +355,7 @@ def nonsplit_cartan_normalizer(p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgr
     lam = next(k for k in range(2, p) if pow(k, (p - 1) // 2, p) == p - 1)  # Euler's criterion
     one, qs = identity(ctx), factorize(p + 1)
     torus = (mat(x, y, lam * y, x, ctx) for x in range(p) for y in range(p) if (x * x - lam * y * y) % p == 1)
-    torus_gen = next((t for t in torus if all(mat_pow(t, (p + 1) // q, ctx) != one for q in qs)), None)
-    if torus_gen is None:
-        raise ConsistencyError("norm-one torus generator not found")  # pragma: no cover
+    torus_gen = next(t for t in torus if all(mat_pow(t, (p + 1) // q, ctx) != one for q in qs))  # it is cyclic
     flip = next(mat(x, y, -lam * y, -x, ctx) for x in range(p) for y in range(p) if (lam * y * y - x * x) % p == 1)
     got = closure([torus_gen, flip], ctx, cap=cap)
     if got.order != 2 * (p + 1):
@@ -401,11 +399,10 @@ def _pgl_canon(x: Mat, p: int) -> Mat:
 
 
 def _pgl_order(x: Mat, p: int) -> int:
-    one = _pgl_canon((1, 0, 0, 1), p)
     y = _pgl_canon(x, p)
     o = 1
     z = y
-    while z != one:
+    while z != (1, 0, 0, 1):  # the identity's class, canonical as it stands
         z = _pgl_canon(_mul(z, y, p), p)
         o += 1
     return o
@@ -738,11 +735,12 @@ def sample_slim_subgroups(
     """Seeded rejection sampling of slim subgroups (n >= 2), optionally with
     the mod-p image inside a given level-one subgroup.
 
-    Each candidate is walked once, by _schreier_walk, and rejected at rank 3
-    (K_(n-1) <= H) or once its lifts pass the slim cap, #target p^(2(n-1))
-    (twice that at p = 2), above every slim H (README, "Each fact is checked
-    once").  One that a kept H of its order #lifts * p^rank holds is that H
-    (Lagrange), dropped unbuilt; a new one is built from its walk.
+    Each candidate is walked by _schreier_walk at layer 1 (H mod p, products mod
+    p^2), then, for n > 2 and rank < 3 there, mod p^(n-1) (a full first layer forces a
+    full top layer), and rejected at rank 3 (K_(n-1) <= H) or once its lifts pass the
+    slim cap, #target p^(2(n-1)) (twice that at p = 2), above every slim H (README,
+    "Each fact is checked once").  One that a kept H of its order #lifts * p^rank
+    holds is that H (Lagrange), dropped unbuilt; a new one is built from its walk.
     """
     if ctx.n < 2:
         raise PreconditionError("slim sampling needs level n >= 2")
@@ -753,8 +751,10 @@ def sample_slim_subgroups(
         if len(out) >= count:
             break
         gens = _slim_candidate(ctx, level1_pool, rng)
-        try:  # #lifts above the slim cap: not slim
-            lifts, basis = _schreier_walk(gens, ctx, slim_cap)
+        try:  # #lifts above the slim cap: not slim; rank 3 at layer 1 is rank 3 at n - 1 (README)
+            lifts, basis = _schreier_walk([reduce_mat(g, p * p) for g in gens], make_ctx(p, 2), slim_cap)
+            if ctx.n > 2 and len(basis) < 3:
+                lifts, basis = _schreier_walk(gens, ctx, slim_cap)
         except FeasibilityError:
             continue
         order = len(lifts) * p ** len(basis)

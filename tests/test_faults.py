@@ -63,7 +63,7 @@ from sampling import sample_subgroups
 from test_bounds import _SAMPLE_DIGESTS
 from test_kernel import _lattice_digest, _old_all_subgroups
 from test_section2 import _brute_sides, _decided, _disagreements
-from test_subgroups import _REPLAY_CASES, _reduction_mismatches, _replay, _stream
+from test_subgroups import _REPLAY_CASES, _reduction_mismatches, _replay, _spy_on_the_sampler, _stream, _walks_at
 
 
 def test_an_extra_sigma_fixed_point_fails_the_coset_check(monkeypatch):
@@ -534,14 +534,16 @@ def test_a_reducer_entry_at_the_wrong_level_fails_the_fiber_and_recovery_checks(
     # lower class.  The chains of slim_bound_report count M(i) =
     # #(Y_i mod p^(r+i)) through the reducers kept in the context's memo (taken
     # out here), and the first violation of lemma 6.1 is a recovery count above
-    # its cap.
+    # its cap.  The memo's entry is set aside with monkeypatch (None reads as
+    # absent), so the mutated reducers built in its place go with the test
+    # even when no earlier test had built the true ones.
     desc = FiberDescriptor(3, 0, 2, 1, "sigma")
     v = fiber_group(desc)
     core_mod = sys.modules["sl2genus.core"]
     _mutate(monkeypatch, core_mod, "reducer", "(code >> k3) % q << j3", "(code >> k3) % (q * ctx.p) << j3")
     for name in ("sl2genus.subgroups", "sl2genus.bounds", "sl2genus.fibers"):
         monkeypatch.setattr(sys.modules[name], "reducer", core_mod.reducer)
-    monkeypatch.delitem(make_ctx(3, 2).memo, "reducers", raising=False)
+    monkeypatch.setitem(make_ctx(3, 2).memo, "reducers", None)
     assert fiber_group(desc) == v
     with pytest.raises(ConsistencyError, match="class reduction is not onto the lower class"):
         suite_lemma5_3(0)
@@ -929,6 +931,39 @@ def test_a_duplicate_test_at_p_times_the_order_fails_the_replay_and_the_sample_d
     subgroups_mod = sys.modules["sl2genus.subgroups"]
     _mutate(monkeypatch, subgroups_mod, "sample_slim_subgroups", "h.order == order and", "h.order == order * p and")
     assert _failed_sampler_checks() == _EVERY_SAMPLER_CHECK
+
+
+# At n > 2 the sampler walks each candidate at layer 1 (H mod p, products mod
+# p^2) and walks mod p^(n-1) only the ones of rank < 3 there (README, "Each
+# fact is checked once").  Its checks: the replay and the digests when a
+# candidate is dropped wrongly, and the count of walks that reach level n
+# when the rung drops nothing.
+
+
+def test_a_rung_that_rejects_at_rank_2_fails_the_replay_and_the_sample_digests(monkeypatch):
+    # the sampler also drops a candidate whose layer-1 walk has rank 2: a full
+    # first layer forces a full top layer, a first layer of rank 2 does not,
+    # so slim subgroups go missing at 27 and 16 (the replay's 40 samples at 16
+    # miss it, the digest's 500 do not); at 25 there is no rung
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    old = "if ctx.n > 2 and len(basis) < 3:"
+    new = "if ctx.n > 2 and len(basis) == 2:\n                continue\n            " + old
+    _mutate(monkeypatch, subgroups_mod, "sample_slim_subgroups", old, new)
+    assert _failed_sampler_checks() == ["replay 3^3", "digest 3^3", "digest 2^4"]
+
+
+def test_a_rung_that_never_fires_fails_the_walk_count_alone(monkeypatch):
+    # every candidate is walked mod p^(n-1) whatever its layer-1 walk found, as
+    # before the rung: a candidate of rank 3 at layer 1 has rank 3 at the top
+    # too, so the sampler returns what it did and the replay and the digests
+    # pass; only the count of the walks that reach level n sees the waste
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    events = _spy_on_the_sampler(monkeypatch)
+    _mutate(monkeypatch, subgroups_mod, "sample_slim_subgroups", "len(basis) < 3:", "len(basis) < 4:")
+    ctx = make_ctx(2, 4)
+    subgroups_mod.sample_slim_subgroups(ctx, 40, random.Random((2, 4, "criterion9").__repr__()))
+    assert len(_walks_at(events, ctx)) == len(_walks_at(events, make_ctx(2, 2))) == 114
+    assert _failed_sampler_checks() == []
 
 
 # A sampled H holds H mod p^(n-1) as the residues of its walk's lifts

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -547,10 +548,11 @@ def _replay(ctx, count, rng, target=None):
 
 @pytest.mark.parametrize("p,n,kind,seed,count", _REPLAY_CASES, ids=["5^2", "3^3", "2^4", "5^4-B"])
 def test_certificate_agrees_with_closure(p, n, kind, seed, count):
-    """The sampler, which walks each candidate once and drops a duplicate by
-    Lagrange before building it, against _replay on the same rng stream: the
-    same subgroups, built from the same generators, in the same order.  The
-    streams at 25, 27 and 16 draw duplicates and candidates of each rejection."""
+    """The sampler, which walks each candidate at layer 1 and then at most once
+    mod p^(n-1) and drops a duplicate by Lagrange before building it, against
+    _replay on the same rng stream: the same subgroups, built from the same
+    generators, in the same order.  The streams at 25, 27 and 16 draw
+    duplicates and candidates of each rejection."""
     ctx = make_ctx(p, n)
     target = standard_subgroup(kind, p) if kind else None
     want, rejected = _replay(ctx, count, random.Random(seed), target)
@@ -561,8 +563,9 @@ def test_certificate_agrees_with_closure(p, n, kind, seed, count):
 
 
 def test_certificate_sees_the_kernel_and_the_cap():
-    # the sampler's two rejections read from _schreier_walk, rank 3 and the
-    # lift walk's refusal; #lifts * p^rank passes only a cap below the slim cap
+    # the sampler's two rejections read from _schreier_walk, rank 3 (at layer 1
+    # or at n - 1) and the lift walk's refusal; #lifts * p^rank passes only a
+    # cap below the slim cap
     ctx = make_ctx(3, 2)
     u, t = upper_u(ctx), lower_u(ctx)
     assert len(_schreier_walk([u, t], ctx, ctx.order)[1]) == 3  # <u, t(u)> = SL2(Z/9Z)
@@ -574,15 +577,43 @@ def test_certificate_sees_the_kernel_and_the_cap():
     assert len(lifts) * 3 ** len(basis) == 9 > 8  # 3 lifts times a kernel part of 3
 
 
+def _spy_on_the_sampler(monkeypatch):
+    """The events of the sampler from now on, in order, as a list that grows:
+    ("candidate", ctx, gens) for each _slim_candidate and ("walk", at, gens,
+    cap, (lifts, basis)) for each _schreier_walk that returns.  A function
+    rebuilt from its source after this call reads the spies too."""
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    true_walk, true_candidate = subgroups_mod._schreier_walk, subgroups_mod._slim_candidate
+    events = []
+
+    def candidate(ctx, pool, rng):
+        gens = true_candidate(ctx, pool, rng)
+        events.append(("candidate", ctx, gens))
+        return gens
+
+    def walk(gens, at, cap):
+        got = true_walk(gens, at, cap)
+        events.append(("walk", at, gens, cap, got))
+        return got
+
+    monkeypatch.setattr(subgroups_mod, "_slim_candidate", candidate)
+    monkeypatch.setattr(subgroups_mod, "_schreier_walk", walk)
+    return events
+
+
+def _walks_at(events, at):
+    """The (lifts, basis) of each walk among events made at the context at."""
+    return [e[4] for e in events if e[0] == "walk" and e[1] is at]
+
+
 def test_the_sampler_builds_only_what_it_returns(monkeypatch):
     """Every candidate whose products are built (Subgroup.from_codes) is
-    returned: on the criterion-9 stream at 16, 13 slim candidates within the
-    cap are duplicates of earlier samples, and none of them is built."""
-    import sys
-
-    subgroups_mod = sys.modules["sl2genus.subgroups"]
-    true_walk, true_from_codes = subgroups_mod._schreier_walk, Subgroup.from_codes
-    ctx, built, walks = make_ctx(2, 4), [], []
+    returned: on the criterion-9 stream at 16, each of the 114 candidates is
+    walked at layer 1 (mod 4), fewer walks reach level 4, 13 slim candidates
+    within the cap are duplicates of earlier samples, and none of them is
+    built."""
+    true_from_codes = Subgroup.from_codes
+    ctx, built = make_ctx(2, 4), []
 
     def from_codes(at, codes, gens=(), cap=DEFAULT_MAX_ELEMENTS):
         h = true_from_codes(at, codes, gens, cap)
@@ -590,12 +621,13 @@ def test_the_sampler_builds_only_what_it_returns(monkeypatch):
             built.append(h)
         return h
 
-    monkeypatch.setattr(subgroups_mod, "_schreier_walk", lambda *args: walks.append(true_walk(*args)) or walks[-1])
+    events = _spy_on_the_sampler(monkeypatch)
     monkeypatch.setattr(Subgroup, "from_codes", from_codes)
     subs = sample_slim_subgroups(ctx, 40, random.Random((2, 4, "criterion9").__repr__()))
-    slim = [w for w in walks if w is not None and len(w[1]) < 3]
+    rung, top = _walks_at(events, make_ctx(2, 2)), _walks_at(events, ctx)
+    slim = [w for w in top if len(w[1]) < 3]
     assert [id(h) for h in built] == [id(h) for h in subs]
-    assert (len(walks), len(slim) - len(subs)) == (114, 13)
+    assert (len(rung), len(slim) - len(subs)) == (114, 13) and len(top) < len(rung)
 
 
 # The seeded slim streams that tests/test_bounds.py pins by digest: criterion
@@ -657,6 +689,40 @@ def test_every_sampled_h_lies_below_the_slim_cap(case):
         assert all(a <= b for a, b in zip(layers[start:], layers[start + 1 :])), layers
         bound = top * p ** (2 * (n - 1)) * (2 if p == 2 else 1)
         assert h.order <= bound < _slim_cap(h.ctx, top)
+
+
+@pytest.mark.parametrize("case", ["criterion9-3^3", "criterion9-2^4"] + ["desk-%d" % part for part in range(3, 8)])
+def test_a_candidate_rejected_at_layer_1_has_rank_3_at_the_top(monkeypatch, case):
+    # README, "Each fact is checked once": a full first layer forces a full
+    # top layer, so at n > 2 the sampler walks each candidate mod p with
+    # products mod p^2 first and drops it there at rank 3, unwalked mod
+    # p^(n-1); the walk mod p^(n-1) it skips is the oracle
+    events = _spy_on_the_sampler(monkeypatch)
+    _stream(case)
+    rejected = 0
+    for i, (kind, ctx, gens, *_) in enumerate(events):
+        if kind != "candidate":
+            continue
+        _, at, walked, cap, (_, basis) = events[i + 1]
+        assert at is make_ctx(ctx.p, 2) and walked == [reduce_mat(g, ctx.p**2) for g in gens]
+        if len(basis) == 3:
+            rejected += 1
+            assert i + 2 == len(events) or events[i + 2][0] == "candidate"  # not walked mod p^(n-1)
+            assert len(_schreier_walk(gens, ctx, cap)[1]) == 3  # the module's walk, not the spy
+    assert rejected > 0
+
+
+def test_a_full_first_layer_at_2_holds_k_2_in_sl2_mod_8():
+    # the p = 2 step of that proof (README): lifts 1 + 2A, 1 + 2B in H of E12
+    # and E21 square to 1 + 4E12 and 1 + 4E21 mod 8, and their commutator is
+    # 1 + 4(AB - BA) = 1 + 4I, so L_1 = F_2^3 forces L_2 = F_2^3, i.e. K_2 <= H
+    # at 8, over every subgroup of SL2(Z/8Z)
+    ctx = make_ctx(2, 3)
+    lattice = all_subgroups(enumerate_group(ctx), conjugacy_gens=[upper_u(ctx), lower_u(ctx)])
+    k1, k2 = (_kernel_codes(ctx, s, DEFAULT_MAX_ELEMENTS) for s in (1, 2))
+    full = [h for h in lattice if len(h & k1) == 8 * len(h & k2)]
+    assert (len(lattice), len(full), sum(k2 <= h for h in lattice)) == (673, 6, 52)
+    assert all(k2 <= h for h in full)
 
 
 def test_slim_sampling_needs_level_two():
@@ -944,8 +1010,6 @@ def test_a_preimage_reads_its_reductions_from_the_source(monkeypatch):
     # H mod p^s of a preimage is the source's H mod p^s for s <= m, so level()
     # reduces none of the 14,406 codes of preimage:B@1 at 49 (nor of
     # preimage:A1@2 at 8, whose level is 2)
-    import sys
-
     subgroups_mod = sys.modules["sl2genus.subgroups"]
     true_reducer = subgroups_mod.reducer
     calls = []
