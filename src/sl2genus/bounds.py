@@ -185,9 +185,6 @@ class SlimBoundReport:
     def __eq__(self, other) -> bool:
         return other.__class__ is SlimBoundReport and vars(self) == vars(other)
 
-    def __repr__(self) -> str:
-        return "SlimBoundReport(kind=%r, r=%r, order=%r, checks=%r)" % (self.kind, self.r, self.order, self.checks)
-
     @property
     def ok(self) -> bool:
         return all(c[1] for c in self.checks)
@@ -315,7 +312,6 @@ class CaseReport(NamedTuple):
     recomputed_value: Fraction
     verdict: str
     notes: str
-    seed: Optional[int] = None
     elapsed_ms: int = 0
 
     def to_json_dict(self) -> dict:
@@ -326,7 +322,7 @@ class CaseReport(NamedTuple):
             "recomputed": num_to_json(self.recomputed_value),
             "verdict": self.verdict,
             "notes": self.notes,
-            "seed": num_to_json(self.seed) if self.seed is not None else None,
+            "seed": None,  # section-7 chains draw nothing
             "elapsed_ms": self.elapsed_ms,
         }
 
@@ -363,32 +359,26 @@ def _cls(kind: str, p: int, level: int, r: int = 0) -> int:
 
 
 def _bcde(group: str, alpha: str, p: int) -> int:
-    """Closed-form #(K n Conj(alpha)) in SL2(Z/pZ) for K = B, C, D."""
+    """Closed-form #(K n Conj(alpha)) in SL2(Z/pZ) for K = B, C, D, at p >= 3."""
     if group == "B":
         if alpha == "sigma":
-            return 1 if p == 2 else (0 if p % 4 == 3 else 2 * p)
+            return 0 if p % 4 == 3 else 2 * p
         if alpha == "tau":
             if p == 3:
                 return 1
             return 0 if p % 3 == 2 else 2 * p
-        return 1 if p == 2 else (p - 1) // 2
+        return (p - 1) // 2
     if group == "C":
         if alpha == "sigma":
-            if p == 2:
-                return 1
             return p - 1 if p % 4 == 3 else p + 1
         if alpha == "tau":
             return 2 if p % 3 == 1 else 0
-        return 1 if p == 2 else 0
-    if group == "D":
-        if p < 3:
-            raise PreconditionError("D needs p >= 3")
-        if alpha == "sigma":
-            return p + 3 if p % 4 == 3 else p + 1
-        if alpha == "tau":
-            return 2 if (p >= 5 and p % 3 == 2) else 0
         return 0
-    raise ValueError("unknown group letter %r" % group)
+    if alpha == "sigma":  # D
+        return p + 3 if p % 4 == 3 else p + 1
+    if alpha == "tau":
+        return 2 if p % 3 == 2 else 0
+    return 0
 
 
 def _level_one_counts(ch: _Chain, group: str, p: int, printed: Tuple[int, int, int]) -> Tuple[int, ...]:

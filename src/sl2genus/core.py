@@ -372,10 +372,6 @@ def format_mat(x: Mat) -> str:
 
 def num_to_json(v) -> object:
     """Integers as decimal strings (values exceed 2^53), Fractions as num/den."""
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, int):
-        return str(v)
     if isinstance(v, Fraction):
         return {"num": str(v.numerator), "den": str(v.denominator)}
-    return v
+    return str(v)

@@ -50,9 +50,6 @@ class ElementSet:
     def __hash__(self) -> int:
         return hash((self.ctx, self.codes))
 
-    def __repr__(self) -> str:
-        return "ElementSet(ctx=%r, codes=%r)" % (self.ctx, self.codes)
-
     def __len__(self) -> int:
         return len(self.codes)
 
@@ -156,7 +153,7 @@ def _group_closure(ctx: GroupCtx) -> FrozenSet:
     except FeasibilityError:  # enumerate_group has applied the caller's cap, so passing #SL2 is a bug
         raise ConsistencyError("closure of <u, t(u)> passed #SL2 = %d" % ctx.order) from None
     if len(codes) != ctx.order:
-        raise ConsistencyError("closure of <u, t(u)> missed elements")  # pragma: no cover
+        raise ConsistencyError("closure of <u, t(u)> missed elements")
     return codes
 
 

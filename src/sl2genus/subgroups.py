@@ -71,9 +71,6 @@ class Subgroup:
         self.ctx, self.gens, self.cap, self._codes = ctx, gens, cap, _codes
         self._reduced: Dict = {}
 
-    def __repr__(self) -> str:
-        return "Subgroup(ctx=%r, gens=%r, cap=%r)" % (self.ctx, self.gens, self.cap)
-
     @classmethod
     def from_codes(
         cls,
@@ -327,7 +324,7 @@ def _torus_extension(first: Callable[[GroupCtx], Mat], p: int, name: str, want: 
         gens.append(mat(g, 0, 0, pow(g, -1, p), ctx))
     got = closure(gens, ctx, cap=cap)
     if got.order != want:
-        raise ConsistencyError("%s order %d != %d" % (name, got.order, want))  # pragma: no cover
+        raise ConsistencyError("%s order %d != %d" % (name, got.order, want))
     return got
 
 
@@ -374,7 +371,7 @@ def a1_subgroup(cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     ctx = make_ctx(2, 2)
     got = closure([sigma(ctx), mat(1, 1, 2, -1, ctx)], ctx, cap=cap)
     if got.order != 12:
-        raise ConsistencyError("A1 order %d != 12" % got.order)  # pragma: no cover
+        raise ConsistencyError("A1 order %d != 12" % got.order)
     return got
 
 
@@ -395,7 +392,6 @@ def _pgl_canon(x: Mat, p: int) -> Mat:
         if v:
             inv = pow(v, -1, p)
             return (x[0] * inv % p, x[1] * inv % p, x[2] * inv % p, x[3] * inv % p)
-    raise ValueError("zero matrix")  # pragma: no cover
 
 
 def _pgl_order(x: Mat, p: int) -> int:
@@ -431,7 +427,7 @@ def exceptional_subgroup(p: int, iso: str = "S4", seed: int = 0, cap: int = DEFA
         if iso == "A5" and p == 5:
             raise PreconditionError("A5 preimage at p=5 has order divisible by 5")
         raise PreconditionError(
-            "exceptional type %s unavailable at p=%d (A5 needs p = +-1 mod 5)" % (iso, p)
+            "exceptional type %s unavailable at p=%d (E needs p >= 5, A5 p = +-1 mod 5)" % (iso, p)
         )
     want_order, want_stats = _EXC_PROFILE[iso]
     seek = {"A4": 3, "S4": 4, "A5": 5}[iso]
@@ -474,15 +470,13 @@ def _pullback_to_sl2(pgl: FrozenSet, p: int, cap: int) -> Subgroup:
         raise _above_cap("E modulo %d holds %d" % (p, len(keep)), cap)
     got = Subgroup.from_codes(ctx, keep, cap=cap)
     if got.order not in (24, 48, 120):
-        raise ConsistencyError("exceptional pullback has order %d" % got.order)  # pragma: no cover
+        raise ConsistencyError("exceptional pullback has order %d" % got.order)
     return got
 
 
 def standard_subgroup(kind: str, p: int, seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
     """The named subgroups at their natural level (B/C/D/E/F at p, A1 at p^2), closed under cap."""
     if kind.startswith("E:"):
-        if p < 5:
-            raise PreconditionError("exceptional subgroups need p >= 5")
         return exceptional_subgroup(p, kind[2:], seed=seed, cap=cap)
     if kind == "B":
         return borel(p, cap)

@@ -705,6 +705,18 @@ def test_the_fiber_count_check_reads_the_class_under_the_subgroups_cap():
             check()
 
 
+def test_the_fiber_count_check_refuses_i_and_d_outside_its_hypotheses():
+    # i >= 1, d >= 0 and 2i + d <= n - r; at p = 2, tau needs d >= 1.  Each is refused before H is read
+    h = closure([upper_u(make_ctx(2, 4))], make_ctx(2, 4))
+    for ref, i, d, refusal in (
+        (ConjClassRef(h.ctx, "sigma"), 0, 0, "hypotheses of the fiber-count bound violated"),
+        (ConjClassRef(h.ctx, "sigma"), 2, 1, "hypotheses of the fiber-count bound violated"),
+        (ConjClassRef(h.ctx, "tau"), 1, 0, "p=2 tau needs d >= 1"),
+    ):
+        with pytest.raises(PreconditionError, match=refusal):
+            fiber_count_bound_check(h, ref, i, d)
+
+
 def test_the_fiber_count_check_refuses_a_class_of_another_context():
     # a class at 25 against a subgroup at 125: the codes of the two contexts
     # do not compare, so the check raises as slim_bound_report does

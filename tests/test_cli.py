@@ -1,9 +1,12 @@
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from sl2genus import cli, suites
 from sl2genus.bounds import bound_sequence
@@ -83,6 +86,29 @@ def test_verify_named_suite(capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_every_suite_but_section7_and_the_desk_passes_in_process():
+    # verify --suite all runs them all in CI, in a child process; here they run in this one
+    for name, suite in suites.SUITES.items():
+        if name not in ("section7", "main-theorem-desk"):
+            assert suite(seed=0)[0], name
+
+
+def test_verify_one_desk_part(capsys):
+    code, out, _ = _run(capsys, "verify", "--suite", "main-theorem-desk", "--case", "4")
+    assert code == EXIT_OK
+    *rows, last = out.splitlines()
+    labels = ("B@5^4", "D@5^4", "E:S4@5^4")
+    assert [row.split()[:4] for row in rows] == [["part", "4", label, "pass"] for label in labels]
+    assert last == "main-theorem-desk: PASS"
+    code, out, _ = _run(capsys, "verify", "--suite", "main-theorem-desk", "--case", "4", "--output", "json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert (payload["suite"], payload["ok"]) == ("main-theorem-desk", True)
+    assert [(c["part"], c["label"], c["status"], c["checked"]) for c in payload["cases"]] == [
+        (4, label, "pass", "4") for label in labels
+    ]
+
+
 def test_an_unknown_suite_is_a_usage_error(capsys):
     # run prints it as it prints every other usage error, and nothing runs
     code, out, err = _run(capsys, "verify", "--suite", "lemma9.9")
@@ -147,6 +173,41 @@ def test_closed_stdout_exits_quietly_with_its_own_code():
     assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE == 141
     assert err == b""
     assert EXIT_BROKEN_PIPE not in (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_USAGE, EXIT_INTERNAL)
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.  Its
+    descriptor is a file of the test's own, which run may point at devnull."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_in_process_points_the_descriptor_at_devnull(monkeypatch, tmp_path):
+    # the child above shows the exit code a shell sees; here run's handler runs in this process
+    with open(tmp_path / "stdout", "w") as f:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(f.fileno()))
+        assert run(["bounds", "--kind", "a_sigma_p", "--p", "5", "--n", "3"]) == EXIT_BROKEN_PIPE
+        assert os.path.samestat(os.fstat(f.fileno()), os.stat(os.devnull))
+
+
+def test_the_module_run_as_a_script_exits_with_the_code_of_run(capsys, monkeypatch):
+    # python -m sl2genus.cli, in this process: runpy executes the module afresh as __main__
+    monkeypatch.setattr(sys, "argv", ["sl2genus", "bounds", "--kind", "a_sigma_p", "--p", "5", "--n", "3"])
+    monkeypatch.delitem(sys.modules, "sl2genus.cli")  # runpy warns when the module is imported already
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("sl2genus.cli", run_name="__main__")
+    assert stop.value.code == EXIT_OK
+    assert capsys.readouterr().out == "a_sigma_p(p=5, n=3) = 1250\n"
 
 
 def test_computation_value_and_key_errors_are_internal(capsys, monkeypatch):
@@ -248,6 +309,23 @@ def test_usage_errors(capsys, builds):
     ):
         code, _, _ = _run(capsys, *argv)
         assert code == EXIT_USAGE, argv
+
+
+@pytest.mark.parametrize(
+    "p, n, spec, message",
+    [
+        (5, 1, "gens:1,2", "expected two ';'-separated rows in '1,2'"),
+        (5, 1, "E:A6", "unknown exceptional type 'A6'"),
+        (3, 1, "E:A4", "exceptional type A4 unavailable at p=3 (E needs p >= 5, A5 p = +-1 mod 5)"),
+        (3, 1, "F", "F is a subgroup of SL2(Z/2Z)"),
+        (3, 2, "A1", "A1 is a subgroup of SL2(Z/4Z)"),
+        (2, 1, "D", "nonsplit Cartan normalizer needs p >= 3"),
+        (3, 2, "preimage:B@3", "preimage source level 3 exceeds n=2"),
+    ],
+)
+def test_a_spec_outside_its_domain_is_a_usage_error(capsys, p, n, spec, message):
+    code, out, err = _run(capsys, "genus", "--p", str(p), "--n", str(n), "--subgroup", spec)
+    assert (code, out, err) == (EXIT_USAGE, "", "error: %s\n" % message)
 
 
 def test_the_cap_is_a_positive_integer(capsys, monkeypatch):

@@ -235,13 +235,15 @@ def _reports(cases):
 
 def _mutate(monkeypatch, module, name, old, new, owner=None):
     """owner.name (module.name by default, a property by its getter) rebuilt from
-    its source in module's namespace, with the one occurrence of old written as new."""
+    its source in module's namespace, with the one occurrence of old written as new.
+    The source is padded to its first line, so the mutant keeps its line numbers."""
     owner = module if owner is None else owner
     target = vars(owner)[name]
-    source = textwrap.dedent(inspect.getsource(getattr(target, "fget", target)))
+    lines, first = inspect.getsourcelines(getattr(target, "fget", target))
+    source = textwrap.dedent("".join(lines))
     assert source.count(old) == 1, old
     scope = dict(vars(module))
-    exec(compile(source.replace(old, new), module.__file__, "exec"), scope)
+    exec(compile("\n" * (first - 1) + source.replace(old, new), module.__file__, "exec"), scope)
     monkeypatch.setattr(owner, name, scope[name])
 
 
@@ -384,6 +386,46 @@ def test_a_torus_generator_tested_at_p_minus_one_fails_the_d_order_check(monkeyp
     assert killed == [7, 11, 19, 23, 31, 41, 43, 47]
 
 
+def test_a_delta_with_the_cusp_term_read_at_5_fails_the_genus_check(monkeypatch):
+    # delta = 1 - 3 r_sigma - 4 r_tau - 5 cusp: B at 13 (index 14, cusp ratio 1/7)
+    # reads delta -5/7 for -6/7, and g = 1 + 14 delta / 12 = 1/6.  The coset
+    # check compares the fixed counts and the cusp ratio, which stand.
+    _mutate(monkeypatch, sys.modules["sl2genus.genus"], "delta_from_ratios", "6 * cusp", "5 * cusp")
+    with pytest.raises(ConsistencyError, match="^genus 1/6 is not a non-negative integer$"):
+        genus_report(borel(13))
+
+
+def test_standard_subgroups_of_the_wrong_order_fail_their_order_checks(monkeypatch):
+    # each builder checks the order of what it closed: B from a diagonal of
+    # order 2 (the primitive root read as -1), A1 from u in place of
+    # (1 1; 2 -1), and the pullback of a PGL2 group that is no A4, S4 or A5
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    with monkeypatch.context() as m:
+        m.setattr(subgroups_mod, "primitive_root", lambda p: p - 1)
+        with pytest.raises(ConsistencyError, match=r"^B order 26 != 156$"):
+            borel(13)
+    _mutate(monkeypatch, subgroups_mod, "a1_subgroup", "mat(1, 1, 2, -1, ctx)", "mat(1, 1, 0, 1, ctx)")
+    with pytest.raises(ConsistencyError, match="^A1 order 48 != 12$"):
+        subgroups_mod.a1_subgroup()
+    with pytest.raises(ConsistencyError, match="^exceptional pullback has order 2$"):
+        subgroups_mod._pullback_to_sl2(frozenset([(1, 0, 0, 1)]), 5, 1000)
+
+
+def test_a_group_closed_from_u_alone_fails_the_order_check(monkeypatch):
+    # t(u) read as u: the closure on a fresh context holds <u>, 3 of the 24 elements of SL2(F_3)
+    groups_mod = sys.modules["sl2genus.groups"]
+    monkeypatch.setattr(groups_mod, "lower_u", groups_mod.upper_u)
+    with pytest.raises(ConsistencyError, match=r"^closure of <u, t\(u\)> missed elements$"):
+        enumerate_group(GroupCtx(3, 1))
+
+
+def test_an_order_that_finds_no_involution_exhausts_the_exceptional_search(monkeypatch):
+    # every PGL2 class read as of order 1: no pair is ever drawn, and after its 40,000 draws the search gives up
+    monkeypatch.setattr(sys.modules["sl2genus.subgroups"], "_pgl_order", lambda x, p: 1)
+    with pytest.raises(RuntimeError, match=r"^exceptional S4 search failed at p=7 \(seed 3\)$"):
+        sys.modules["sl2genus.subgroups"].exceptional_subgroup(7, "S4", seed=3)
+
+
 def test_a_closure_that_skips_its_last_generator_fails_the_order_checks(monkeypatch):
     # extend_closure drops the last of its new generators, in groups and in
     # subgroups, which imports it.  Every closure by generators checks that it
@@ -447,6 +489,15 @@ def _sigma_reports_under(monkeypatch, wrong):
     monkeypatch.setattr(bounds_mod, "_correction", lambda kind, p: wrong if kind == "a_sigma_p" else true_correction(kind, p))
     monkeypatch.delitem(ctx.memo, ("plan", "sigma", 0))
     return true, [slim_bound_report(h, ref).checks for h in hs]
+
+
+def test_exceptional_bounds_above_the_printed_ones_flag_lemma_7_1(monkeypatch):
+    # the chain requires E's bounds at or below 30 and 20; its value reads neither, so it stays positive
+    monkeypatch.setattr(sys.modules["sl2genus.bounds"], "_e_bounds", lambda p: (31, 21))
+    rep = verify_section7("L7.1")
+    assert rep.verdict == "positive_but_differs"
+    flags = "E sigma bound <= 30; E tau bound <= 20"
+    assert rep.notes == flags + "; exceptional case at prime level; positivity threshold p >= 17"
 
 
 @pytest.mark.parametrize("wrong", [(2, 2, 1), (1, 3, 1)], ids=["e", "c"])
@@ -648,6 +699,92 @@ def test_a_golden_class_listed_twice_fails_lemma_4_5(monkeypatch):
     monkeypatch.setattr(suites_mod, "golden_conj4_classes", lambda: {**golden, "-sigma": golden["sigma"]})
     ok, detail = suite_lemma4_5()
     assert not ok, detail
+
+
+def _plus_one(true):
+    return lambda *args: true(*args) + 1
+
+
+# (suite, the name planted in suites, the fault made from the true value, the
+# suite's detail): each suite returns (False, detail) at its first failing check
+_SUITE_FAULTS = [
+    ("lemma4.5", "CONJ4_TABLE", lambda t: {**t, "u": ["1,2;0,1"] + t["u"][1:]}, "class u differs from the table"),
+    ("lemma4.5", "partition_into_classes", lambda t: lambda g: t(g)[1:], "expected exactly ten classes"),
+    ("lemma4.6", "_bcde", _plus_one, "#B n Conj(sigma) = 10 != 11 at p=5"),
+    ("lemma4.6", "_e_bounds", lambda t: lambda p: (0, t(p)[1]), "E:A4 sigma count above 0 at p=5"),
+    ("lemma4.6", "_e_bounds", lambda t: lambda p: (t(p)[0], 0), "E:A4 tau count above 0 at p=5"),
+    ("lemma4.6", "exceptional_subgroup", lambda t: lambda p, iso, seed: borel(p), "E:A4 meets Conj(u) at p=5"),
+    ("lemma4.10", "A1_TABLE", lambda t: t[:-1], "A1 differs from the twelve-element table"),
+    ("lemma4.10", "count_in_subgroup", _plus_one, "#A1 n Conj(sigma) = 4 != 3"),
+    (
+        "lemma4.10",
+        "count_in_subgroup",
+        lambda t: lambda h, ref: t(h, ref) + (ref.kind == "u_power"),
+        "#A1 n Conj(u^1) = 1 != 0",
+    ),
+    ("lemma5.1", "centralizer_order_formula", _plus_one, "orbit-stabilizer fails for sigma at (2,1)"),
+    (
+        "lemma5.1",
+        "centralizer_brute",
+        lambda t: lambda rep, g: ElementSet(g.ctx, frozenset(sorted(t(rep, g).codes)[1:])),
+        "centralizer mismatch for sigma at (2,1)",
+    ),
+    (
+        "lemma5.3",
+        "reduction_fiber_sizes",
+        lambda t: lambda *a, r=0: frozenset({1}),
+        "sigma mod-2 fibers are not of size 2",
+    ),
+    (
+        "lemma5.3",
+        "reduction_fiber_sizes",
+        lambda t: lambda kind, *a, r=0: frozenset({2 if kind == "sigma" else 1}),
+        "u fibers 2^(r+3) -> 2^(r+2) are not of size 2",
+    ),
+    (
+        "lemma5.3",
+        "reduction_fiber_sizes",
+        lambda t: lambda kind, p, hi, lo, r=0: frozenset({1 if kind == "u_power" and lo == r + 1 else 2}),
+        "u fibers 2^(r+2) -> 2^(r+1) are not of size 2",
+    ),
+    (
+        "lemma5.6",
+        "verify_orthogonality",
+        lambda t: lambda desc: False,
+        "orthogonality fails for FiberDescriptor(p=3, r=0, n=2, m=1, kind='sigma')",
+    ),
+    (
+        "lemma5.8-5.16",
+        "recovery_set_brute",
+        lambda t: lambda kind, ctx, r=0: frozenset(),
+        "recovery set mismatch for sigma at p=3 n=2 r=0",
+    ),
+    ("lemma5.8-5.16", "recovery_count", _plus_one, "recovery count 2 != 3 for sigma p=3 n=2 m=1 r=0"),
+    ("cor6.5", "fiber_count_bound_check", lambda t: lambda *a: False, "fiber-count bound fails at modulus 9, #H=1"),
+    (
+        "cor6.5",
+        "fiber_count_bound_check",
+        lambda t: lambda h, *a: h.ctx.n != 3 and t(h, *a),
+        "fiber-count bound fails at modulus 27, #H=486",
+    ),
+]
+
+
+@pytest.mark.parametrize("suite, name, fault, detail", _SUITE_FAULTS, ids=[fault[3] for fault in _SUITE_FAULTS])
+def test_a_planted_fault_fails_its_suite_with_its_detail(monkeypatch, suite, name, fault, detail):
+    suites_mod = sys.modules["sl2genus.suites"]
+    monkeypatch.setattr(suites_mod, name, fault(getattr(suites_mod, name)))
+    assert suites_mod.SUITES[suite](0) == (False, detail)
+
+
+def test_a_sampler_short_of_its_count_is_noted_in_the_desk(monkeypatch):
+    suites_mod = sys.modules["sl2genus.suites"]
+    true_sample = suites_mod.sample_slim_subgroups
+    monkeypatch.setattr(suites_mod, "sample_slim_subgroups", lambda *args: true_sample(*args)[:-1])
+    results = verify_main_theorem_desk(4, samples=2)
+    assert [(r.status, r.checked, r.notes) for r in results] == [
+        ("pass", 1, "sampled slim subgroups; requested 2, sampler yielded 1")
+    ] * 3
 
 
 def _kernel_below(ctx):

@@ -113,6 +113,8 @@ def test_remark_size_two_fibers():
     # in-hypothesis fibers have exactly p^2 elements
     assert reduction_fiber_sizes("sigma", 3, 2, 1) == frozenset({9})
     assert reduction_fiber_sizes("tau", 2, 3, 2) == frozenset({4})
+    with pytest.raises(ValueError, match="need 1 <= lo < hi"):
+        reduction_fiber_sizes("sigma", 2, 2, 2)
 
 
 def test_well_definedness_exhaustive_3_2_1():
@@ -274,6 +276,10 @@ def test_recovery_count_examples():
         recovery_count("u_power", 2, 3, 2)
     with pytest.raises(PreconditionError):
         recovery_count("sigma", 3, 5, 2)
+    with pytest.raises(PreconditionError, match="p=2 sigma recovery needs m >= 2"):
+        recovery_count("sigma", 2, 2, 1)
+    with pytest.raises(PreconditionError, match="p=2 tau recovery needs m >= 2"):
+        recovery_count("tau", 2, 2, 1)
 
 
 def test_recovery_counts_brute_grid():

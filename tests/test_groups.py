@@ -59,6 +59,8 @@ def test_class_size_formula_examples():
 def test_centralizer_formula_examples():
     assert centralizer_order_formula(u_power_ref(make_ctx(3, 1), 0)) == 6
     assert centralizer_order_formula(ConjClassRef(make_ctx(5, 1), "sigma")) == 4
+    with pytest.raises(PreconditionError, match="no closed-form centralizer for kind 'u_power'"):
+        centralizer_order_formula(u_power_ref(make_ctx(3, 2), 1))  # u^p: r > 0
 
 
 _GRID = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)]
@@ -166,6 +168,8 @@ def test_conj_class_brute_rejects_an_unreduced_representative():
     with pytest.raises(ContextMismatchError, match="not reduced modulo 5"):
         conj_class_brute((6, 1, 0, 1), c5)
     assert len(conj_class_brute(upper_u(c5), c5)) == 12
+    with pytest.raises(PreconditionError, match=r"representative \(1, 1, 0, 2\) is not in SL2 \(det=2\)"):
+        conj_class_brute((1, 1, 0, 2), c5)
 
 
 def test_u_power_ref_validation():

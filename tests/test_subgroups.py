@@ -226,6 +226,10 @@ def test_preimage_examples():
     assert len(pre.codes() & cls_sigma) == 2
     g2 = full_group(make_ctx(2, 1))
     assert preimage(g2, c4).order == c4.order  # full group pulls back to full group
+    with pytest.raises(ReductionError, match="preimage between different primes"):
+        preimage(b, make_ctx(3, 2))
+    with pytest.raises(ReductionError, match="destination level 1 below source level 2"):
+        preimage(pre, make_ctx(2, 1))
 
 
 def test_preimage_order_formula():
