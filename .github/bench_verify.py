@@ -9,10 +9,19 @@ commands that .github/workflows/tier1.yml pins.  Each run of a row has its
 own measuring parent, a fresh interpreter that starts the command, waits for
 it and reads getrusage(RUSAGE_CHILDREN).ru_maxrss: that is the largest child
 waited for so far, so a parent shared by two rows would report the larger.
-A row records the median wall time and the median peak RSS of REPEATS runs;
-one untimed import writes the bytecode first, so every timed run reads it.
-The record (commit, whether the tree differs from it, Python version, host,
-note, rows) is appended to BENCH_verify.json in this checkout.  A change is
+Each run is bracketed by two runs of perfbench/refspeed.py as a script, the
+fresh-process probe of the benchmark, timed by measuring parents of their
+own; the run's scaled time is its wall time times the probe's reference
+time (refspeed.FRESH_PROCESS.ref_s) over the mean of the two probes, the
+time the run would have taken on the reference machine at a steady speed.
+The probe is a fresh interpreter, so whatever slows every interpreter start
+and not the machine (an empty PYTHONPYCACHEPREFIX, say) is divided out as if
+it were machine speed, and a scaled time then reads too fast; compare scaled
+times of records made with the same environment alone.  A row records the
+median raw wall time, the median scaled time and the median peak RSS of
+REPEATS runs; one untimed import writes the bytecode first, so every timed
+run reads it.  The record (commit, whether the tree differs from it, Python
+version, host, note, rows) is appended to BENCH_verify.json in this checkout.  A change is
 measured before it is committed, so its record names the parent commit; its
 src_diff_sha256, the SHA-256 of `git diff HEAD -- src`, names the measured
 code: `git diff COMMIT~1 COMMIT -- src | sha256sum` gives the same digest at
@@ -36,7 +45,8 @@ i-th run of each side against each other; a tie counts for neither side), the
 interquartile spread of the parent's runs (inclusive quartiles), and whether
 the change's median is worse than the parent's by more than the bound, a
 fraction of the parent's median.  Either mode exits non-zero when a command
-fails, and then appends nothing.
+fails, and then appends nothing.  Each BENCH_*.json file is a JSON list with
+one record per line.
 """
 
 import argparse
@@ -51,6 +61,7 @@ import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
+PROBE = HERE / "perfbench" / "refspeed.py"
 PINNED = (
     "verify --suite all --seed 0 --output json",
     "verify --suite main-theorem-desk --seed 0 --output json",
@@ -84,10 +95,33 @@ def stamp(checkout, note):
     return {"commit": commit, "dirty": dirty, "src_diff_sha256": src_diff, "python": platform.python_version(), "host": host, "note": note}
 
 
+def write(path, records):
+    """records as a JSON list, one record per line."""
+    path.write_text("[\n%s\n]\n" % ",\n".join(json.dumps(r, sort_keys=True) for r in records))
+
+
 def append(path, record):
-    records = json.loads(path.read_text()) if path.exists() else []
-    path.write_text(json.dumps(records + [record], indent=1, sort_keys=True) + "\n")
+    write(path, (json.loads(path.read_text()) if path.exists() else []) + [record])
     print("appended a record to %s" % path.name)
+
+
+def probe_ref_s():
+    """The fresh-process probe's reference time, read from perfbench/refspeed.py without writing its bytecode."""
+    sys.dont_write_bytecode, was = True, sys.dont_write_bytecode
+    sys.path.insert(0, str(PROBE.parent))
+    try:
+        import refspeed
+
+        return refspeed.FRESH_PROCESS.ref_s
+    finally:
+        sys.path.remove(str(PROBE.parent))
+        sys.dont_write_bytecode = was
+
+
+def measured(argv, env):
+    """(exit code, wall seconds, peak RSS in MB) of argv, run by a fresh measuring parent."""
+    code, wall, kb = run([sys.executable, "-c", MEASURE] + argv, env=env).split()
+    return code, float(wall), int(kb) / 1024
 
 
 def verify_rows(checkout):
@@ -100,17 +134,22 @@ def verify_rows(checkout):
     commands = ["verify --suite %s --seed 0 --output json" % name for name in suites + ["all"]]
     commands += ["verify --suite main-theorem-desk --case %s --seed 0 --output json" % part for part in parts]
     commands += [c for c in PINNED if c not in commands]
-    rows = []
+    ref_s, rows = probe_ref_s(), []
     for command in commands:
-        walls, rss = [], []
+        walls, scaled, rss = [], [], []
         for _ in range(REPEATS):
-            code, wall, kb = run([sys.executable, "-c", MEASURE] + cli + command.split(), env=env).split()
+            before = measured([sys.executable, str(PROBE)], env)[1]
+            code, wall, mb = measured(cli + command.split(), env)
+            after = measured([sys.executable, str(PROBE)], env)[1]
             if code != "0":
                 sys.exit("%s exited %s" % (command, code))
-            walls.append(float(wall))
-            rss.append(int(kb) / 1024)
-        rows.append({"command": command, "wall_s": round(statistics.median(walls), 3), "peak_rss_mb": round(statistics.median(rss), 1)})
-        print("%-70s %7.2f s %6.1f MB" % (command, rows[-1]["wall_s"], rows[-1]["peak_rss_mb"]))
+            walls.append(wall)
+            scaled.append(wall * ref_s * 2 / (before + after))
+            rss.append(mb)
+        row = {"command": command, "wall_s": round(statistics.median(walls), 3)}
+        row.update(scaled_s=round(statistics.median(scaled), 3), peak_rss_mb=round(statistics.median(rss), 1))
+        rows.append(row)
+        print("%-70s %7.2f s raw %7.2f s scaled %6.1f MB" % (command, row["wall_s"], row["scaled_s"], row["peak_rss_mb"]))
     return rows
 
 

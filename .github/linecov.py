@@ -10,8 +10,9 @@ non-empty or a test fails.  The executable lines of a module are those that
 co_lines gives for its code objects, the header line of each function and
 class excepted.  Lines run only in a child process (a subprocess a test
 starts) count as unreached.  A mutant that tests/test_faults.py compiles
-from a function's altered source keeps the function's line numbers, so the
-lines it runs count as reached.
+from a function's altered source runs under the file name "<mutant>", so
+the lines it runs are credited to no module: a line counts as reached only
+when the true code ran it.
 
 Tracing costs about 4.5 times Tier-1's plain wall time (257 s against 57 s
 on 2 vCPUs, CPython 3.11.7), so CI does not run it.

@@ -53,11 +53,11 @@ from .sequences import bound_sequence
 
 def _correction(kind: str, p: int) -> Tuple[int, int, int]:
     """(e, c, k) of the bound a(kind, p)_n + p^(n-e) (#(H mod p^(r+k) n Conj) - c)."""
-    # No library check sees a wrong count level k: with a_sigma_p's k raised
-    # to 2 its bounds only loosen, and every report and section-7 verdict
-    # still holds.  The ladder oracle in tests/test_bounds.py and the
-    # benchmark's golden digests see it (tests/test_faults.py,
-    # test_a_wrong_count_level_moves_the_slim_reports_unchecked).
+    # Every p >= 3 kind has k = 1, and the chain's total reads that count, so
+    # another k there raises.  No library check sees a wrong k at p = 2: every
+    # report and section-7 verdict still holds.  The ladder oracle in
+    # tests/test_bounds.py and the benchmark's golden digests see it
+    # (tests/test_faults.py, test_a_wrong_count_level_*).
     return {
         "a_sigma_p": (1, 2, 1),
         "a_tau_p": (1, 2, 1),
@@ -84,12 +84,6 @@ def corrected_bound(kind: str, p: int, n: int, count: int) -> int:
 
 
 # -------------------- slim-subgroup checks --------------------
-
-
-def _fiber(ref: ConjClassRef, i: int) -> FiberDescriptor:
-    """The fiber V^(n, n-i) of ref's class, n its depth; PreconditionError where there is none."""
-    depth = ref.ctx.n - ref.r
-    return FiberDescriptor(ref.ctx.p, ref.r, depth, depth - i, ref.kind)
 
 
 # The bound kinds of each class, in the order their checks are reported.
@@ -126,7 +120,7 @@ def _bound_plan(ref: ConjClassRef) -> _Plan:
             bounds.append((kind, r + k, bound))
         for i in range(1, (ctx.n - r) // 2 + 1):
             try:
-                fibers[i] = _fiber(ref, i)
+                fibers[i] = FiberDescriptor(ctx.p, r, ctx.n - r, ctx.n - r - i, ref.kind)
             except PreconditionError:  # no fiber V at this i (p = 2)
                 continue
         refs = {s: ConjClassRef(make_ctx(ctx.p, s), ref.kind, r=r) for s in range(r + 1, ctx.n + 1)}
@@ -135,9 +129,9 @@ def _bound_plan(ref: ConjClassRef) -> _Plan:
     return cached(ctx, ("plan", ref.kind, r), build, DEFAULT_MAX_ELEMENTS)  # no elements, so no cap
 
 
-def _count_reduced(h: Subgroup, ref: ConjClassRef, level: int) -> int:
+def _count_reduced(h: Subgroup, plan: _Plan, level: int) -> int:
     """#(H mod p^level n Conj(alpha) mod p^level), the class read under h's cap."""
-    return len(h.reduced(level).codes() & class_codes(_bound_plan(ref).refs[level], h.cap))
+    return len(h.reduced(level).codes() & class_codes(plan.refs[level], h.cap))
 
 
 def _v_codes(desc: FiberDescriptor, x: Mat) -> FrozenSet:
@@ -155,27 +149,23 @@ def _class_in(h: Subgroup, ref: ConjClassRef) -> FrozenSet:
     return h.codes() & class_codes(ref, h.cap)
 
 
-def _y_sets(h: Subgroup, ref: ConjClassRef, y0: FrozenSet, idxs: Sequence[int]) -> Dict[int, FrozenSet]:
+def _y_sets(h: Subgroup, plan: _Plan, y0: FrozenSet, idxs: Sequence[int]) -> Dict[int, FrozenSet]:
     """Y_0 = y0 = _class_in(h, ref) and Y_i = {x in Y_0 : H_(N-i) = V_x} for
-    the requested i, on the fibers of ref's plan."""
-    ctx = h.ctx
-    dec = decoder(ctx)
-    fibers = _bound_plan(ref).fibers
+    the requested i, on the plan's fibers.  Y_i lies in Y_0, so an empty Y_0
+    builds no H_(N-i); and every V_x has p^(2i) elements (README), so an
+    H_(N-i) of another size is compared with none."""
+    ctx, dec = h.ctx, decoder(h.ctx)
     out: Dict[int, FrozenSet] = {0: y0}
     for i in idxs:
-        desc = fibers[i] if i in fibers else _fiber(ref, i)  # the latter raises PreconditionError
-        filt = filtration_level(h, ctx.n - i).codes()
-        out[i] = frozenset(c for c in y0 if filt == _v_codes(desc, dec(c)))
+        filt = filtration_level(h, ctx.n - i).codes() if y0 else ()
+        met = y0 if len(filt) == ctx.p ** (2 * i) else ()
+        out[i] = frozenset(c for c in met if filt == _v_codes(plan.fibers[i], dec(c)))
     return out
 
 
 def _reducers(ctx: GroupCtx) -> Tuple[Callable[[int], int], ...]:
     """core.reducer(ctx, s) for s = 1..n, built once per context and kept in its memo."""
     return cached(ctx, "reducers", lambda: tuple(reducer(ctx, s) for s in range(1, ctx.n + 1)), DEFAULT_MAX_ELEMENTS)
-
-
-def _mod_count(ctx: GroupCtx, codes: FrozenSet, level: int) -> int:
-    return len(set(map(_reducers(ctx)[level - 1], codes)))
 
 
 class SlimBoundReport:
@@ -208,13 +198,15 @@ def slim_bound_report(h: Subgroup, ref: ConjClassRef) -> SlimBoundReport:
         )
     rep = SlimBoundReport(ref.kind, ref.r, h.order)
     y0 = _class_in(h, ref)  # the one intersection with the level-n class; the chains read it as Y_0
-    cnt = len(y0)
+    cnt, counts = len(y0), {}  # #(H mod p^level n Conj) per level, counted once
     for kind, level, bound in plan.bounds:
-        rhs = bound(_count_reduced(h, ref, level))
+        if level not in counts:
+            counts[level] = _count_reduced(h, plan, level)
+        rhs = bound(counts[level])
         rep.add(kind, cnt <= rhs, "%d <= %d" % (cnt, rhs))
 
     rep.add("filtration", *_filtration_checks(h))
-    _chain_checks(h, ref, rep, y0)
+    _chain_checks(h, plan, rep, y0, counts)
     return rep
 
 
@@ -234,36 +226,40 @@ def _filtration_checks(h: Subgroup) -> Tuple[bool, str]:
     return ok, detail
 
 
-def _chain_checks(h: Subgroup, ref: ConjClassRef, rep: SlimBoundReport, y0: FrozenSet) -> None:
+def _chain_checks(h: Subgroup, plan: _Plan, rep: SlimBoundReport, y0: FrozenSet, counts: Dict[int, int]) -> None:
     ctx, cnt = h.ctx, len(y0)
-    p, r = ctx.p, ref.r
+    p, r = ctx.p, rep.r
     depth = ctx.n - r
     l = depth // 2
+    red = _reducers(ctx)
+
+    def mod_count(codes: FrozenSet, level: int) -> int:
+        return len(set(map(red[level - 1], codes)))
+
     if p >= 3:  # l >= 1: slim_bound_report needs a bound, and every p >= 3 bound needs depth >= 2
         idxs = list(range(1, l + 1))
-        y = _y_sets(h, ref, y0, idxs)
-        m = {i: _mod_count(ctx, y[i], r + i) for i in idxs}  # M(i) = #(Y_i mod p^(r+i)), counted once
+        y = _y_sets(h, plan, y0, idxs)
+        m = {i: mod_count(y[i], r + i) for i in idxs}  # M(i) = #(Y_i mod p^(r+i)), counted once
         rep.add("chain:last", len(y[l]) <= p ** (2 * (depth - l)) * m[l])
         for i in idxs[1:] + [1]:  # steps 2..l, then step 1 as "chain:first"
-            rhs = p ** (depth - 1) * (_mod_count(ctx, y[i - 1], r + i) - m[i])
+            rhs = p ** (depth - 1) * (mod_count(y[i - 1], r + i) - m[i])
             rep.add("chain:step%d" % i if i > 1 else "chain:first", len(y[i - 1] - y[i]) <= rhs)
         total = (p ** (2 * (depth - l)) - p ** (depth - 1)) * m[l]
         total += (p * p - 1) * p ** (depth - 1) * sum(m[i] for i in range(1, l))
-        total += p ** (depth - 1) * _count_reduced(h, ref, r + 1)
+        total += p ** (depth - 1) * counts[r + 1]  # the bound's count: every p >= 3 kind has k = 1
         rep.add("chain:total", cnt <= total, "%d <= %d" % (cnt, total))
         for i in idxs:
-            cap = recovery_count(ref.kind, p, depth, depth - i)
+            cap = recovery_count(rep.kind, p, depth, depth - i)
             rep.add("chain:recovery%d" % i, m[i] <= cap)
         return
     # p = 2 short chains at desk exponents k < depth <= k + 3, for sigma and
     # u_power: (k, level of the mod counts, recovery cap)
-    short = {"sigma": (2, 2, 2), "u_power": (3, r + 3, 4)}.get(ref.kind)
+    short = {"sigma": (2, 2, 2), "u_power": (3, r + 3, 4)}.get(rep.kind)
     if short is None or not short[0] < depth <= short[0] + 3:
         return
     k, level, cap = short
-    y = _y_sets(h, ref, y0, [1])
-    m1 = _mod_count(ctx, y[1], level)
-    m0 = _mod_count(ctx, y[0], level)
+    y = _y_sets(h, plan, y0, [1])
+    m1, m0 = mod_count(y[1], level), mod_count(y[0], level)
     rep.add("chain:last", len(y[1]) <= 2 ** (2 * (depth - k)) * m1)
     rep.add("chain:first", len(y[0] - y[1]) <= 2 ** (depth - k) * (m0 - m1))
     total = (2 ** (2 * (depth - k)) - 2 ** (depth - k)) * m1 + 2 ** (depth - k) * m0
@@ -297,7 +293,10 @@ def fiber_count_bound_check(h: Subgroup, ref: ConjClassRef, i: int, d: int) -> b
     if p == 2 and ref.kind == "tau" and d < 1:
         raise PreconditionError("p=2 tau needs d >= 1")
     # V_x depends on x mod p^(r+i) alone, so each fiber lies in Y_0 - Y_i whole or not at all
-    y = _y_sets(h, ref, _class_in(h, ref), [i])
+    plan, y0 = _bound_plan(ref), _class_in(h, ref)
+    if i not in plan.fibers:
+        FiberDescriptor(p, r, depth, depth - i, ref.kind)  # PreconditionError: no fiber V here (p = 2)
+    y = _y_sets(h, plan, y0, [i])
     limit = p ** (depth - 1 - d)
     return all(cnt <= limit for cnt in Counter(map(_reducers(ctx)[r + i + d - 1], y[0] - y[i])).values())
 

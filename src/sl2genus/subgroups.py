@@ -87,9 +87,9 @@ class Subgroup:
         the lifts t and the k = 1 + p^(n-1) W, W in the span of basis, and H mod
         p^(n-1) as the lifts' residues, distinct by the walk's construction."""
         p, m, low = ctx.p, ctx.modulus, make_ctx(ctx.p, ctx.n - 1)
-        q, span = low.modulus, {(0, 0, 0)}
-        for w in basis:
-            span = {tuple((a + j * b) % p for a, b in zip(v, w)) for v in span for j in range(p)}
+        q, span = low.modulus, [(0, 0, 0)]
+        for d, e, f in basis:  # independent, so no vector is listed twice
+            span = [((a + j * d) % p, (b + j * e) % p, (c + j * f) % p) for a, b, c in span for j in range(p)]
         kernel = [((1 + q * a) % m, q * b, q * c, (1 - q * a) % m) for a, b, c in span]
         h = cls.from_codes(ctx, product_codes(ctx, lifts, kernel), gens)
         residues = (reduce_mat(t, q) for t in lifts)
@@ -301,8 +301,9 @@ def level(h: Subgroup) -> int:
     return next((s for s in range(1, h.ctx.n) if _holds_kernel(h, s)), h.ctx.n)
 
 
+@kept("slim")
 def is_slim(h: Subgroup) -> bool:
-    """H does not contain K_(n-1) = (1 + p^(n-1) M2)^{det=1}; at n=1, H is proper."""
+    """H does not contain K_(n-1) = (1 + p^(n-1) M2)^{det=1}; at n=1, H is proper; kept in h's memo."""
     if h.ctx.n == 1:
         return h.order != h.ctx.order
     return not _holds_kernel(h, h.ctx.n - 1)
@@ -405,15 +406,11 @@ def _pgl_order(x: Mat, p: int) -> int:
 
 
 def exceptional_availability(p: int, iso: str) -> bool:
-    if p < 5:
-        return False
-    if iso in ("A4", "S4"):
-        return True
-    if iso == "A5":
-        # PGL2 has an A5 iff p = 0, +-1 mod 5, but at p = 5 its preimage has
-        # order divisible by p, so no exceptional subgroup arises from it.
-        return p % 5 in (1, 4) and p != 5
-    raise ValueError("unknown exceptional type %r" % iso)
+    if iso not in _EXC_PROFILE:  # the type is read before p, so an unknown one is named at every p
+        raise ValueError("unknown exceptional type %r" % iso)
+    # PGL2 has an A5 iff p = 0, +-1 mod 5, but at p = 5 its preimage has
+    # order divisible by p, so no exceptional subgroup arises from it.
+    return p >= 5 and (iso != "A5" or p % 5 in (1, 4))
 
 
 def exceptional_subgroup(p: int, iso: str = "S4", seed: int = 0, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:

@@ -243,12 +243,15 @@ def _old_fiber_count_bound_check(h, ref, i, d):
 
 def test_fiber_count_bound_matches_the_per_fiber_oracle(sl2_mod9_subgroups):
     """Cor. 6.5's inputs: every slim subgroup of SL2(Z/9Z) at d = 0, and
-    seeded slim samples at modulus 27 at d = 0 and 1."""
+    seeded slim samples at modulus 27 (cor. 6.5's 40 at seed 0, and 10 more)
+    at d = 0 and 1.  The oracle builds H_(n-i) and compares V_x on every
+    fiber, whatever the sizes."""
 
     ctx9, lattice = sl2_mod9_subgroups
     cases = [(h, 0) for h in (Subgroup.from_codes(ctx9, c) for c in lattice) if is_slim(h)]
     ctx27 = make_ctx(3, 3)
-    cases += [(h, d) for h in sample_slim_subgroups(ctx27, 10, random.Random(31)) for d in (0, 1)]
+    hs = suites._slim_sample((0, "cor65"), ctx27, 40) + sample_slim_subgroups(ctx27, 10, random.Random(31))
+    cases += [(h, d) for h in hs for d in (0, 1)]
     tight = 0
     for h, d in cases:
         for ref in (ConjClassRef(h.ctx, "sigma"), ConjClassRef(h.ctx, "tau"), u_power_ref(h.ctx, 0)):
@@ -375,14 +378,174 @@ def test_desk_failure_paths(monkeypatch):
     )
 
 
-# ---- differential test: the kind table against the per-class ladder ----
+# ---- the report as it read before it shared one plan and one count per level ----
+
+
+def _old_count_reduced(h, ref, level):
+    """#(H mod p^level n Conj mod p^level), recounted on every call."""
+    from sl2genus.groups import class_codes
+
+    return len(h.reduced(level).codes() & class_codes(ConjClassRef(make_ctx(h.ctx.p, level), ref.kind, ref.r)))
+
+
+def _old_y_sets(h, ref, y0, idxs):
+    """Y_0 = y0 and Y_i = {x in Y_0 : H_(N-i) = V_x}: H_(N-i) built and V_x
+    compared for each x in Y_0, whatever the sizes."""
+    from sl2genus.bounds import _v_codes
+    from sl2genus.core import decoder
+    from sl2genus.fibers import FiberDescriptor
+    from sl2genus.subgroups import filtration_level
+
+    ctx, dec, depth = h.ctx, decoder(h.ctx), h.ctx.n - ref.r
+    out = {0: y0}
+    for i in idxs:
+        desc = FiberDescriptor(ctx.p, ref.r, depth, depth - i, ref.kind)
+        filt = filtration_level(h, ctx.n - i).codes()
+        out[i] = frozenset(c for c in y0 if filt == _v_codes(desc, dec(c)))
+    return out
+
+
+def _old_mod_count(ctx, codes, level):
+    from sl2genus.core import reducer
+
+    return len(set(map(reducer(ctx, level), codes)))
+
+
+def _old_slim_bound_report(h, ref):
+    """The checks of slim_bound_report as it read when each count looked up
+    its plan and recounted its level, and the chains compared V_x with
+    H_(N-i) for every x in Y_0: the oracle of the shared counts and of the
+    fiber work the report skips."""
+    from sl2genus.bounds import _CLASS_BOUNDS, _corrected, _filtration_checks
+    from sl2genus.fibers import recovery_count
+    from sl2genus.groups import class_codes
+
+    ctx, p, r = h.ctx, h.ctx.p, ref.r
+    depth = ctx.n - r
+    y0 = h.codes() & class_codes(ref)
+    cnt, checks = len(y0), []
+    for kind in _CLASS_BOUNDS[ref.kind]:
+        try:
+            k, bound = _corrected(kind, p, depth)
+        except PreconditionError:
+            continue
+        rhs = bound(_old_count_reduced(h, ref, r + k))
+        checks.append((kind, cnt <= rhs, "%d <= %d" % (cnt, rhs)))
+    checks.append(("filtration", *_filtration_checks(h)))
+    if p >= 3:
+        l = depth // 2
+        idxs = list(range(1, l + 1))
+        y = _old_y_sets(h, ref, y0, idxs)
+        m = {i: _old_mod_count(ctx, y[i], r + i) for i in idxs}
+        checks.append(("chain:last", len(y[l]) <= p ** (2 * (depth - l)) * m[l], ""))
+        for i in idxs[1:] + [1]:
+            rhs = p ** (depth - 1) * (_old_mod_count(ctx, y[i - 1], r + i) - m[i])
+            checks.append(("chain:step%d" % i if i > 1 else "chain:first", len(y[i - 1] - y[i]) <= rhs, ""))
+        total = (p ** (2 * (depth - l)) - p ** (depth - 1)) * m[l]
+        total += (p * p - 1) * p ** (depth - 1) * sum(m[i] for i in range(1, l))
+        total += p ** (depth - 1) * _old_count_reduced(h, ref, r + 1)
+        checks.append(("chain:total", cnt <= total, "%d <= %d" % (cnt, total)))
+        checks += [("chain:recovery%d" % i, m[i] <= recovery_count(ref.kind, p, depth, depth - i), "") for i in idxs]
+        return checks
+    short = {"sigma": (2, 2, 2), "u_power": (3, r + 3, 4)}.get(ref.kind)
+    if short is None or not short[0] < depth <= short[0] + 3:
+        return checks
+    k, level, cap = short
+    y = _old_y_sets(h, ref, y0, [1])
+    m1, m0 = _old_mod_count(ctx, y[1], level), _old_mod_count(ctx, y[0], level)
+    checks.append(("chain:last", len(y[1]) <= 2 ** (2 * (depth - k)) * m1, ""))
+    checks.append(("chain:first", len(y[0] - y[1]) <= 2 ** (depth - k) * (m0 - m1), ""))
+    total = (2 ** (2 * (depth - k)) - 2 ** (depth - k)) * m1 + 2 ** (depth - k) * m0
+    checks.append(("chain:total", cnt <= total, "%d <= %d" % (cnt, total)))
+    checks.append(("chain:recovery1", m1 <= cap, ""))
+    return checks
+
+
+def _oracle_inputs(sl2_mod9_subgroups):
+    """(name, slim subgroups): the 441 slim subgroups of SL2(Z/9Z), 40 of each
+    criterion-9 stream at 25, 27 and 16, and the samples of lemma 6.1 and of
+    desk parts 5-7 at seed 0."""
+    from sl2genus.subgroups import standard_subgroup
+    from sl2genus.suites import _DESK_SAMPLES, _desk_cases, _desk_sample, _slim_sample
+
+    ctx9, lattice = sl2_mod9_subgroups
+    out = [("SL2(Z/9Z)", [h for h in (Subgroup.from_codes(ctx9, c) for c in lattice) if is_slim(h)])]
+    for p, n in ((5, 2), (3, 3), (2, 4)):
+        rng = random.Random((p, n, "criterion9").__repr__())
+        out.append(("criterion9 %d^%d" % (p, n), sample_slim_subgroups(make_ctx(p, n), 40, rng)))
+    grid = ((3, 2), (5, 2), (3, 3), (2, 4))
+    out.append(("lemma6.1", [h for p, n in grid for h in _slim_sample((0, p, n), make_ctx(p, n), 25)]))
+    for part in (5, 6, 7):
+        subs = []
+        for p, n, kinds, note in _desk_cases(part):
+            for k in kinds:
+                target = standard_subgroup("full" if k == "SL" else k, p)
+                label = "%s@%d^%d%s" % (k, p, n, note)
+                subs += _desk_sample(part, label, make_ctx(p, n), target, _DESK_SAMPLES[part], 0)[0]
+        out.append(("desk part %d" % part, subs))
+    return out
+
+
+def _met_fibers(h, ref):
+    """The i at which some x in Y_0 has V_x = H_(N-i), by the old route."""
+    y0 = bounds._class_in(h, ref)
+    l = (h.ctx.n - ref.r) // 2 if h.ctx.p >= 3 else 1
+    return [i for i, y in _old_y_sets(h, ref, y0, range(1, l + 1)).items() if i and y] if y0 else []
+
+
+def test_slim_bound_report_matches_the_old_report(sl2_mod9_subgroups):
+    """Every report on the oracle's inputs has the checks of the old report,
+    which recounted each level and compared V_x for each x in Y_0; some Y_i is
+    non-empty on each input, so the fiber comparison is exercised."""
+    reports = 0
+    for name, subs in _oracle_inputs(sl2_mod9_subgroups):
+        assert subs, name
+        met = 0
+        for h in subs:
+            for rep in bounds.bound_reports(Subgroup.from_codes(h.ctx, h.codes())):
+                ref = ConjClassRef(h.ctx, rep.kind, rep.r)
+                assert rep.checks == _old_slim_bound_report(h, ref), (name, h.order, ref)
+                met += any(c[0] == "chain:last" for c in rep.checks) and bool(_met_fibers(h, ref))
+                reports += 1
+        assert met, name
+    assert reports > 2000
+
+
+def test_a_report_reads_its_plan_once_and_no_layer_for_an_empty_class(monkeypatch, sl2_mod9_subgroups):
+    """One _bound_plan lookup per slim_bound_report; no filtration_level read
+    for an H whose Y_0 is empty; and no V_x read where #H_(N-i) is not p^(2i)."""
+    plans, layers, fibers = [], [], []
+    true_plan, true_layer, true_v = bounds._bound_plan, bounds.filtration_level, bounds._v_codes
+    monkeypatch.setattr(bounds, "_bound_plan", lambda ref: plans.append(ref) or true_plan(ref))
+    monkeypatch.setattr(bounds, "filtration_level", lambda h, s: layers.append(s) or true_layer(h, s))
+    monkeypatch.setattr(bounds, "_v_codes", lambda desc, x: fibers.append(desc) or true_v(desc, x))
+    empty = sized = 0
+    for name, subs in _oracle_inputs(sl2_mod9_subgroups)[:4]:
+        for h in subs:
+            ctx = h.ctx
+            refs = [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")] + [u_power_ref(ctx, r) for r in range(ctx.n - 1)]
+            for ref in refs:
+                if not true_plan(ref).bounds:
+                    continue
+                fresh = Subgroup.from_codes(ctx, h.codes())
+                y0 = bounds._class_in(fresh, ref)
+                del plans[:], layers[:], fibers[:]
+                slim_bound_report(fresh, ref)
+                assert plans == [ref]
+                if not y0:
+                    assert layers == [] and fibers == []
+                    empty += 1
+                for s in set(layers):
+                    if len(true_layer(fresh, s).codes()) != ctx.p ** (2 * (ctx.n - s)):
+                        assert all(d.n - d.m != ctx.n - s for d in fibers), (name, s)  # d.n - d.m is its i
+                        sized += 1
+    assert empty > 100 and sized > 100
 
 
 def _ladder_oracle(h, ref):
     """The closed-form checks and the p = 2 short chain of slim_bound_report,
     written as one if/elif branch per class, prime and depth, with every
     correction term spelled out (the form they had before the kind table)."""
-    from sl2genus.bounds import _count_reduced, _mod_count, _y_sets
     from sl2genus.groups import class_codes
 
     ctx = h.ctx
@@ -402,7 +565,7 @@ def _ladder_oracle(h, ref):
         return bound_sequence(kind, p, depth)
 
     def red(level):
-        return _count_reduced(h, ref, level)
+        return _old_count_reduced(h, ref, level)
 
     if ref.kind == "sigma":
         if p >= 3:
@@ -428,16 +591,16 @@ def _ladder_oracle(h, ref):
 
     chain = []
     if p == 2 and ref.kind == "sigma" and 3 <= depth <= 5:
-        y = _y_sets(h, ref, y0, [1])
-        m1, m0 = _mod_count(ctx, y[1], 2), _mod_count(ctx, y[0], 2)
+        y = _old_y_sets(h, ref, y0, [1])
+        m1, m0 = _old_mod_count(ctx, y[1], 2), _old_mod_count(ctx, y[0], 2)
         chain.append(("chain:last", len(y[1]) <= 2 ** (2 * (depth - 2)) * m1, ""))
         chain.append(("chain:first", len(y[0] - y[1]) <= 2 ** (depth - 2) * (m0 - m1), ""))
         total = (2 ** (2 * (depth - 2)) - 2 ** (depth - 2)) * m1 + 2 ** (depth - 2) * m0
         chain.append(("chain:total", cnt <= total, "%d <= %d" % (cnt, total)))
         chain.append(("chain:recovery1", m1 <= 2, ""))
     elif p == 2 and ref.kind == "u_power" and 4 <= depth <= 6:
-        y = _y_sets(h, ref, y0, [1])
-        m1, m0 = _mod_count(ctx, y[1], r + 3), _mod_count(ctx, y[0], r + 3)
+        y = _old_y_sets(h, ref, y0, [1])
+        m1, m0 = _old_mod_count(ctx, y[1], r + 3), _old_mod_count(ctx, y[0], r + 3)
         chain.append(("chain:last", len(y[1]) <= 2 ** (2 * (depth - 3)) * m1, ""))
         chain.append(("chain:first", len(y[0] - y[1]) <= 2 ** (depth - 3) * (m0 - m1), ""))
         total = (2 ** (2 * (depth - 3)) - 2 ** (depth - 3)) * m1 + 2 ** (depth - 3) * m0
@@ -490,7 +653,7 @@ def test_filtration_memo_keeps_the_y_sets(sl2_mod9_subgroups):
     memoized, and a second filtration_level call returns the stored H_s."""
     import hashlib
 
-    from sl2genus.bounds import SlimBoundReport, _class_in, _filtration_checks, _y_sets
+    from sl2genus.bounds import SlimBoundReport, _bound_plan, _class_in, _filtration_checks, _y_sets
     from sl2genus.subgroups import filtration_level
 
     ctx9, lattice = sl2_mod9_subgroups
@@ -511,7 +674,7 @@ def test_filtration_memo_keeps_the_y_sets(sl2_mod9_subgroups):
             refs += [u_power_ref(ctx, r) for r in range(ctx.n - 1)]
             refs = [(ref, list(range(1, (ctx.n - ref.r) // 2 + 1))) for ref in refs]
         for ref, idxs in refs:
-            y = _y_sets(h, ref, _class_in(h, ref), idxs)
+            y = _y_sets(h, _bound_plan(ref), _class_in(h, ref), idxs)
             nonempty += any(y[i] for i in idxs)
             rows.append(repr(sorted((i, sorted(v)) for i, v in y.items())))
         for s in range(1, ctx.n + 1):
@@ -706,7 +869,8 @@ def test_the_fiber_count_check_reads_the_class_under_the_subgroups_cap():
 
 
 def test_the_fiber_count_check_refuses_i_and_d_outside_its_hypotheses():
-    # i >= 1, d >= 0 and 2i + d <= n - r; at p = 2, tau needs d >= 1.  Each is refused before H is read
+    # i >= 1, d >= 0 and 2i + d <= n - r; at p = 2, tau needs d >= 1.  Each is refused before H is read;
+    # an i with no fiber V (p = 2) is refused once the class is read
     h = closure([upper_u(make_ctx(2, 4))], make_ctx(2, 4))
     for ref, i, d, refusal in (
         (ConjClassRef(h.ctx, "sigma"), 0, 0, "hypotheses of the fiber-count bound violated"),
@@ -715,6 +879,10 @@ def test_the_fiber_count_check_refuses_i_and_d_outside_its_hypotheses():
     ):
         with pytest.raises(PreconditionError, match=refusal):
             fiber_count_bound_check(h, ref, i, d)
+    # at 4, i = 1 meets the hypotheses, and no sigma fiber V^(2, 1) exists at p = 2
+    c4 = make_ctx(2, 2)
+    with pytest.raises(PreconditionError, match="p=2 sigma fibers need m >= 2"):
+        fiber_count_bound_check(closure([upper_u(c4)], c4), ConjClassRef(c4, "sigma"), 1, 0)
 
 
 def test_the_fiber_count_check_refuses_a_class_of_another_context():

@@ -316,6 +316,7 @@ def test_usage_errors(capsys, builds):
     [
         (5, 1, "gens:1,2", "expected two ';'-separated rows in '1,2'"),
         (5, 1, "E:A6", "unknown exceptional type 'A6'"),
+        (3, 1, "E:A6", "unknown exceptional type 'A6'"),  # the type is read before p
         (3, 1, "E:A4", "exceptional type A4 unavailable at p=3 (E needs p >= 5, A5 p = +-1 mod 5)"),
         (3, 1, "F", "F is a subgroup of SL2(Z/2Z)"),
         (3, 2, "A1", "A1 is a subgroup of SL2(Z/4Z)"),

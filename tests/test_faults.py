@@ -14,7 +14,7 @@ from itertools import islice, product
 
 import pytest
 
-from sl2genus.bounds import slim_bound_report, verify_section7
+from sl2genus.bounds import bound_reports, slim_bound_report, verify_section7
 from sl2genus.core import (
     ConsistencyError,
     GroupCtx,
@@ -33,7 +33,7 @@ from sl2genus.core import (
     upper_u,
 )
 from sl2genus.fibers import FiberDescriptor, fiber_group, verify_orthogonality
-from sl2genus.genus import delta, genus, genus_report
+from sl2genus.genus import coset_space, delta, genus, genus_report
 from sl2genus.groups import ConjClassRef, ElementSet, class_codes, enumerate_group
 from sl2genus.subgroups import (
     Subgroup,
@@ -56,11 +56,12 @@ from sl2genus.suites import (
     suite_lemma5_2,
     suite_lemma5_3,
     suite_lemma5_6,
+    suite_cor6_5,
     suite_lemma6_1,
     verify_main_theorem_desk,
 )
 from sampling import sample_subgroups
-from test_bounds import _SAMPLE_DIGESTS
+from test_bounds import _SAMPLE_DIGESTS, _old_slim_bound_report
 from test_kernel import _lattice_digest, _old_all_subgroups
 from test_section2 import _brute_sides, _decided, _disagreements
 from test_subgroups import _REPLAY_CASES, _reduction_mismatches, _replay, _spy_on_the_sampler, _stream, _walks_at
@@ -236,14 +237,16 @@ def _reports(cases):
 def _mutate(monkeypatch, module, name, old, new, owner=None):
     """owner.name (module.name by default, a property by its getter) rebuilt from
     its source in module's namespace, with the one occurrence of old written as new.
-    The source is padded to its first line, so the mutant keeps its line numbers."""
+    It is compiled under the file name "<mutant>", so a line tracer credits none of
+    its lines to the module's file, and padded to its first line, so a traceback
+    through it reads the module's line numbers."""
     owner = module if owner is None else owner
     target = vars(owner)[name]
     lines, first = inspect.getsourcelines(getattr(target, "fget", target))
     source = textwrap.dedent("".join(lines))
     assert source.count(old) == 1, old
     scope = dict(vars(module))
-    exec(compile("\n" * (first - 1) + source.replace(old, new), module.__file__, "exec"), scope)
+    exec(compile("\n" * (first - 1) + source.replace(old, new), "<mutant>", "exec"), scope)
     monkeypatch.setattr(owner, name, scope[name])
 
 
@@ -281,6 +284,21 @@ def test_fixed_counts_without_the_double_coset_length_fail_the_integrality_check
     pattern = r"(sigma|tau) fixes \d+/\d+ cosets of H g<u>, g e1 = .*"
     integral = sum(k for text, k in kills.items() if re.fullmatch(pattern, text))
     assert (integral, kills["fixed-point count mismatch"]) == (59, 2)
+
+
+def test_a_subgroup_with_one_member_misfiled_fails_the_integrality_check():
+    # H is the preimage of the lower Borel subgroup mod 2 in SL2(Z/4Z), 16
+    # elements, with its member (1 0; 3 1) filed as (1 0; 3 1) u, as a closure
+    # that misfiles one product would hold it.  Its orbits still cover the
+    # primitive vectors, each l divides 4 and is its stabilizer's index in
+    # <u>, yet tau's count over the double coset of e1 is no integer.
+    c4 = make_ctx(2, 2)
+    enc, x = encoder(c4), mat(1, 0, 3, 1, c4)
+    h = closure([lower_u(c4), mat(3, 0, 0, 3, c4), mat(1, 2, 0, 1, c4), mat(1, 0, 2, 1, c4)], c4)
+    assert h.order == 16 and enc(x) in h.codes()
+    codes = (h.codes() - {enc(x)}) | {enc(mat(1, 1, 3, 0, c4))}  # x u
+    with pytest.raises(ConsistencyError, match=r"^tau fixes 2/4 cosets of H g<u>, g e1 = \(1, 0\)$"):
+        coset_space(Subgroup.from_codes(c4, codes))
 
 
 def _unlabelled(kind, r=0):
@@ -397,16 +415,23 @@ def test_a_delta_with_the_cusp_term_read_at_5_fails_the_genus_check(monkeypatch)
 
 def test_standard_subgroups_of_the_wrong_order_fail_their_order_checks(monkeypatch):
     # each builder checks the order of what it closed: B from a diagonal of
-    # order 2 (the primitive root read as -1), A1 from u in place of
+    # order 2 (the primitive root read as -1), D from a torus generator test
+    # that finds no prime of p + 1 (so the first torus element passes it, at 7
+    # one of order 4, and D closes to 8 elements), A1 from u in place of
     # (1 1; 2 -1), and the pullback of a PGL2 group that is no A4, S4 or A5
     subgroups_mod = sys.modules["sl2genus.subgroups"]
     with monkeypatch.context() as m:
         m.setattr(subgroups_mod, "primitive_root", lambda p: p - 1)
         with pytest.raises(ConsistencyError, match=r"^B order 26 != 156$"):
             borel(13)
-    _mutate(monkeypatch, subgroups_mod, "a1_subgroup", "mat(1, 1, 2, -1, ctx)", "mat(1, 1, 0, 1, ctx)")
-    with pytest.raises(ConsistencyError, match="^A1 order 48 != 12$"):
-        subgroups_mod.a1_subgroup()
+    with monkeypatch.context() as m:
+        m.setattr(subgroups_mod, "factorize", lambda n: {})
+        with pytest.raises(ConsistencyError, match=r"^D order 8 != 2\(p\+1\)$"):
+            subgroups_mod.nonsplit_cartan_normalizer(7)
+    with monkeypatch.context() as m:
+        m.setattr(subgroups_mod, "mat", lambda a, b, c, d, ctx: upper_u(ctx))
+        with pytest.raises(ConsistencyError, match="^A1 order 48 != 12$"):
+            subgroups_mod.a1_subgroup()
     with pytest.raises(ConsistencyError, match="^exceptional pullback has order 2$"):
         subgroups_mod._pullback_to_sl2(frozenset([(1, 0, 0, 1)]), 5, 1000)
 
@@ -475,18 +500,18 @@ def test_a_cusp_series_off_by_one_fails_the_coset_check_and_the_section7_audit(m
     assert verify_section7("P7.2").verdict == "positive_but_differs"
 
 
-def _sigma_reports_under(monkeypatch, wrong):
-    # a_sigma_p's (e, c, k) = (1, 2, 1) of bounds._correction replaced by wrong,
-    # with the stored bound plan of the sigma class at 25 taken out of the memo
-    # so that the next report builds it from the fault; returns the true and the
-    # faulty reports of seeded slim subgroups over the Borel subgroup
+def _sigma_reports_under(monkeypatch, wrong, kind="a_sigma_p", p=5, n=2):
+    # kind's (e, c, k) of bounds._correction (a_sigma_p's is (1, 2, 1)) replaced
+    # by wrong, with the stored bound plan of the sigma class at p^n taken out of
+    # the memo so that the next report builds it from the fault; returns the true
+    # and the faulty reports of seeded slim subgroups over the Borel subgroup
     bounds_mod = sys.modules["sl2genus.bounds"]
     true_correction = bounds_mod._correction
-    ctx = make_ctx(5, 2)
+    ctx = make_ctx(p, n)
     ref = ConjClassRef(ctx, "sigma")
-    hs = sample_slim_subgroups(ctx, 10, random.Random("fault-plan"), mod_p_target=borel(5))
+    hs = sample_slim_subgroups(ctx, 10, random.Random("fault-plan"), mod_p_target=borel(p))
     true = [slim_bound_report(h, ref).checks for h in hs]
-    monkeypatch.setattr(bounds_mod, "_correction", lambda kind, p: wrong if kind == "a_sigma_p" else true_correction(kind, p))
+    monkeypatch.setattr(bounds_mod, "_correction", lambda k, q: wrong if k == kind else true_correction(k, q))
     monkeypatch.delitem(ctx.memo, ("plan", "sigma", 0))
     return true, [slim_bound_report(h, ref).checks for h in hs]
 
@@ -513,15 +538,47 @@ def test_a_wrong_correction_term_fails_the_section7_audit(monkeypatch, wrong):
 
 
 def test_a_wrong_count_level_moves_the_slim_reports_unchecked(monkeypatch):
-    # k = 2 counts H n Conj(sigma) at level 2, not H mod p n Conj(sigma mod p):
-    # the bound grows, so every verdict still holds, and no section-7 chain
-    # reads k.  Only the report details move (50 <= 90 reads 50 <= 290); the
+    # at 16, a_sigma_2's k = 3 counts H mod 8 n Conj(sigma mod 8), not H mod 4
+    # n Conj(sigma mod 4): no H over the Borel subgroup meets Conj(sigma), so
+    # every verdict still holds, and no section-7 chain and no p = 2 chain
+    # reads k.  Only one report's detail moves (0 <= 28 reads 0 <= 32); the
     # ladder oracle of test_bounds.py, which spells out each count level, is
     # the one check that sees it.
-    true, faulty = _sigma_reports_under(monkeypatch, (1, 2, 2))
-    assert true[0][0] == ("a_sigma_p", True, "50 <= 90") and faulty[0][0] == ("a_sigma_p", True, "50 <= 290")
+    true, faulty = _sigma_reports_under(monkeypatch, (2, 2, 3), "a_sigma_2", 2, 4)
+    moved = [(t[0], f[0]) for t, f in zip(true, faulty) if t != f]
+    assert moved == [(("a_sigma_2", True, "0 <= 28"), ("a_sigma_2", True, "0 <= 32"))]
     assert all(ok for checks in faulty for _, ok, _ in checks)
     assert verify_section7("P7.3").verdict == "match"
+
+
+def test_a_wrong_count_level_at_odd_p_stops_every_chain(monkeypatch):
+    # a_sigma_p's k = 2 counts H n Conj(sigma) at level 2, not H mod p n
+    # Conj(sigma mod p).  The chain's total reads the count at level r + 1
+    # that the bound made (every p >= 3 kind has k = 1), so the first report
+    # finds none there and raises; the section-7 chains read no k.
+    with pytest.raises(KeyError):
+        _sigma_reports_under(monkeypatch, (1, 2, 2))
+    assert verify_section7("P7.3").verdict == "match"
+
+
+def test_a_fiber_size_test_off_by_p_fails_lemma_6_1_cor_6_5_and_the_desk(monkeypatch):
+    # _y_sets compares V_x with H_(N-i) only when #H_(N-i) = p^(2i), the size
+    # of every V_x; read as p^(2i+1), no H_(N-i) is compared and every Y_i is
+    # empty.  Then #(Y_0 - Y_1) is #Y_0 and the first step of the chain fails
+    # where Y_1 was not empty: lemma 6.1 and cor. 6.5 fail, and so do desk
+    # parts 5-7 (part 7 is asserted here; with them the verify --suite all
+    # and main-theorem-desk pins of tier1.yml move); the old-report oracle of
+    # test_bounds.py sees it too.
+    bounds_mod = sys.modules["sl2genus.bounds"]
+    _mutate(monkeypatch, bounds_mod, "_y_sets", "ctx.p ** (2 * i)", "ctx.p ** (2 * i + 1)")
+    assert suite_lemma6_1(0) == (False, "violation ('chain:first', False, '') at (3,2), #H=54")
+    assert suite_cor6_5(0) == (False, "fiber-count bound fails at modulus 9, #H=27")
+    failed = "bound violation ('chain:first', False, '') on subgroup of order 1024"
+    assert [(r.status, r.notes) for r in verify_main_theorem_desk(7)] == [("fail", failed)]
+    c9 = make_ctx(3, 2)
+    hs = sample_slim_subgroups(c9, 25, random.Random((0, 3, 2).__repr__()))  # lemma 6.1's at 9
+    reports = [(h, rep) for h in hs for rep in bound_reports(h)]
+    assert any(rep.checks != _old_slim_bound_report(h, ConjClassRef(c9, rep.kind, rep.r)) for h, rep in reports)
 
 
 def test_a_row_table_slot_off_by_one_fails_the_order_checks_where_there_is_one(monkeypatch):
@@ -975,6 +1032,21 @@ def test_a_walk_that_loses_kernel_determinants_fails_the_suite(monkeypatch, old,
 # Section 2's L2_1 shadow reads #H and #(H mod p^crit) from the Schreier walk
 # (Subgroup.order); the closure oracle of tests/test_section2.py reads them
 # from every element.
+
+
+def test_a_top_order_read_p_short_fails_l2_1_on_its_first_draw(monkeypatch):
+    # #H at level n read p times too small, H mod p^crit read truly: the
+    # sharpness draw <sigma, (7 3; 2 1)> at 27 meets the hypothesis (all of
+    # SL2(Z/9Z) mod 9), and its #H falls short of #SL2(Z/27Z)
+    suites_mod = sys.modules["sl2genus.suites"]
+
+    class Short(Subgroup):
+        @property
+        def order(self):
+            return super().order // self.ctx.p
+
+    monkeypatch.setattr(suites_mod, "Subgroup", Short)
+    assert suites_mod.section2_l2_1(0) is False
 
 
 def test_a_walk_stuck_below_rank_3_fails_the_l2_1_guard(monkeypatch):

@@ -193,6 +193,22 @@ def test_exceptional_subgroups():
         standard_subgroup("E:S4", 3)
 
 
+def test_exceptional_availability_reads_the_type_before_p():
+    # the same verdict as the form that refused p < 5 first and tested A5 at
+    # p % 5 in (1, 4) and p != 5 (which p % 5 in (1, 4) already excludes), and
+    # an unknown type named at every p
+    def old(p, iso):
+        if p < 5:
+            return False
+        return True if iso in ("A4", "S4") else p % 5 in (1, 4) and p != 5
+
+    for p in filter(is_prime, range(2, 100)):
+        for iso in ("A4", "S4", "A5"):
+            assert exceptional_availability(p, iso) == old(p, iso), (p, iso)
+        with pytest.raises(ValueError, match="unknown exceptional type 'A6'"):
+            exceptional_availability(p, "A6")
+
+
 def test_the_exceptional_search_accepts_the_same_pairs():
     # every available (p, iso) at p <= 31, seeds 0-2: 66 code sets, whose digest
     # moves when the search accepts another generator pair or draws another stream
@@ -693,6 +709,29 @@ def test_every_sampled_h_lies_below_the_slim_cap(case):
         assert all(a <= b for a, b in zip(layers[start:], layers[start + 1 :])), layers
         bound = top * p ** (2 * (n - 1)) * (2 if p == 2 else 1)
         assert h.order <= bound < _slim_cap(h.ctx, top)
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (2, 4)])
+def test_a_walk_above_the_slim_cap_drops_its_candidate(monkeypatch, p, n):
+    # the walk's cap is a memory guard (README): a candidate whose lifts pass
+    # it is dropped, and the sampler goes on.  Under a slim cap of 2, every
+    # candidate whose walk holds a third lift raises there, and each sample
+    # has at most two lifts, #(H mod p^(n-1)) <= 2
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    true_walk, raised = subgroups_mod._schreier_walk, []
+
+    def walk(gens, ctx, cap):
+        try:
+            return true_walk(gens, ctx, cap)
+        except FeasibilityError:
+            raised.append(ctx)
+            raise
+
+    monkeypatch.setattr(subgroups_mod, "_slim_cap", lambda ctx, top: 2)
+    monkeypatch.setattr(subgroups_mod, "_schreier_walk", walk)
+    hs = sample_slim_subgroups(make_ctx(p, n), 5, random.Random("guard"))
+    assert len(hs) == 5 and all(len(h.reduced(n - 1).codes()) <= 2 for h in hs)
+    assert len(raised) > 5
 
 
 @pytest.mark.parametrize("case", ["criterion9-3^3", "criterion9-2^4"] + ["desk-%d" % part for part in range(3, 8)])
