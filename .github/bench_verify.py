@@ -1,6 +1,6 @@
 """The perf trajectory of sl2genus, one record per change.  Standard library only.
 
-    python .github/bench_verify.py verify [--src CHECKOUT] [--note TEXT]
+    python .github/bench_verify.py verify [--src CHECKOUT] [--parent CHECKOUT] [--note TEXT]
     python .github/bench_verify.py pairs --parent CHECKOUT --workload NAME --seed 1009 --pairs 5 [--note TEXT]
 
 `verify` times fresh `python -m sl2genus.cli` processes: every verify suite,
@@ -26,6 +26,15 @@ measured before it is committed, so its record names the parent commit; its
 src_diff_sha256, the SHA-256 of `git diff HEAD -- src`, names the measured
 code: `git diff COMMIT~1 COMMIT -- src | sha256sum` gives the same digest at
 the commit that holds it (files under src/ that git does not track are not in it).
+
+`verify --parent CHECKOUT` also times the parent's src/, with the same
+commands (the change's list): both checkouts are compiled first, by the
+listing import of each, and for each command the two sides' runs alternate,
+pair i starting with the parent when i is even, as in `pairs`.  The record
+then holds the parent's stamp, and each row the parent's medians, every run
+of both sides and the verdict of `judge` below on wall time and peak RSS,
+with the bounds BENCHMARK.json gives item_p50_ms and peak_rss_mb.  Raw wall
+times are judged: alternation, not the probe, cancels the host's drift.
 
 `pairs` runs both checkouts without bytecode, as a fresh checkout runs: it
 removes the __pycache__ directories under src/ and perfbench/ of each, and
@@ -73,7 +82,9 @@ t = time.perf_counter()
 code = subprocess.call(sys.argv[1:], stdout=subprocess.DEVNULL)
 print(code, time.perf_counter() - t, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
-REPEATS = 3
+REPEATS = 5
+ROW_KEYS = ("wall_s", "scaled_s", "peak_rss_mb")
+ROW_BOUNDS = (("wall_s", "item_p50_ms"), ("peak_rss_mb", "peak_rss_mb"))  # (row key, BENCHMARK.json metric whose bound it takes)
 END_TO_END = ("items_per_s", "item_p50_ms", "item_tail_ms", "peak_rss_mb", "setup_s")
 
 
@@ -124,32 +135,57 @@ def measured(argv, env):
     return code, float(wall), int(kb) / 1024
 
 
-def verify_rows(checkout):
+def cli_env(checkout):
+    """The environment of a timed CLI run of checkout's src/, which reads and writes bytecode."""
     env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
-    cli = [sys.executable, "-m", "sl2genus.cli"]
+    return env
+
+
+def verify_commands(env):
+    """The rows' commands; the listing imports every module, so it also writes their bytecode."""
     listing = "import sl2genus.cli, sl2genus.suites as s; print(*s.suite_names()); print(*s.DESK_DEFAULT_PARTS)"
-    names = run([sys.executable, "-c", listing], env=env)  # also writes the bytecode of every module
-    suites, parts = (line.split() for line in names.splitlines())
+    suites, parts = (line.split() for line in run([sys.executable, "-c", listing], env=env).splitlines())
     commands = ["verify --suite %s --seed 0 --output json" % name for name in suites + ["all"]]
     commands += ["verify --suite main-theorem-desk --case %s --seed 0 --output json" % part for part in parts]
-    commands += [c for c in PINNED if c not in commands]
+    return commands + [c for c in PINNED if c not in commands]
+
+
+def timed(command, env, ref_s):
+    """{wall_s, scaled_s, peak_rss_mb} of one run of the CLI command, bracketed by the probe."""
+    before = measured([sys.executable, str(PROBE)], env)[1]
+    code, wall, mb = measured([sys.executable, "-m", "sl2genus.cli"] + command.split(), env)
+    after = measured([sys.executable, str(PROBE)], env)[1]
+    if code != "0":
+        sys.exit("%s exited %s" % (command, code))
+    return {"wall_s": wall, "scaled_s": wall * ref_s * 2 / (before + after), "peak_rss_mb": mb}
+
+
+def medians(runs):
+    return {k: round(statistics.median(r[k] for r in runs), 3 if k != "peak_rss_mb" else 1) for k in ROW_KEYS}
+
+
+def verify_rows(checkout, parent=None):
+    """One row per command: the medians of REPEATS runs of checkout; with a parent
+    checkout, runs of the two alternate, and each row also holds the parent's
+    medians, both sides' runs and the verdict on wall time and peak RSS."""
+    sides = {"parent": cli_env(parent)} if parent else {}
+    sides["change"] = cli_env(checkout)
+    listed = {name: verify_commands(env) for name, env in sides.items()}  # also compiles each side
+    commands = listed["change"]
+    bench = json.loads((HERE / "BENCHMARK.json").read_text())["end_to_end"]
+    metrics = [dict(m, name=key) for key, name in ROW_BOUNDS for m in bench if m["name"] == name]
     ref_s, rows = probe_ref_s(), []
     for command in commands:
-        walls, scaled, rss = [], [], []
-        for _ in range(REPEATS):
-            before = measured([sys.executable, str(PROBE)], env)[1]
-            code, wall, mb = measured(cli + command.split(), env)
-            after = measured([sys.executable, str(PROBE)], env)[1]
-            if code != "0":
-                sys.exit("%s exited %s" % (command, code))
-            walls.append(wall)
-            scaled.append(wall * ref_s * 2 / (before + after))
-            rss.append(mb)
-        row = {"command": command, "wall_s": round(statistics.median(walls), 3)}
-        row.update(scaled_s=round(statistics.median(scaled), 3), peak_rss_mb=round(statistics.median(rss), 1))
-        rows.append(row)
+        runs = {name: [] for name in sides}
+        for i in range(REPEATS):
+            for name in list(sides) if i % 2 == 0 else reversed(list(sides)):
+                runs[name].append(timed(command, sides[name], ref_s))
+        row = dict(command=command, **medians(runs["change"]))
         print("%-70s %7.2f s raw %7.2f s scaled %6.1f MB" % (command, row["wall_s"], row["scaled_s"], row["peak_rss_mb"]))
+        if parent:
+            row.update(parent=medians(runs["parent"]), runs=runs, judged=judge(runs["parent"], runs["change"], metrics))
+        rows.append(row)
     return rows
 
 
@@ -194,6 +230,7 @@ def main(argv):
     sub = ap.add_subparsers(dest="mode", required=True)
     v = sub.add_parser("verify")
     v.add_argument("--src", default=str(HERE), help="the checkout whose src/ runs (this one by default)")
+    v.add_argument("--parent", help="a checkout of the parent commit, run alternately with this one and judged against it")
     v.add_argument("--note", default="")
     p = sub.add_parser("pairs")
     p.add_argument("--parent", required=True, help="a checkout of the parent commit")
@@ -204,7 +241,9 @@ def main(argv):
     args = ap.parse_args(argv)
     if args.mode == "verify":
         record = dict(stamp(args.src, args.note), repeat=REPEATS)
-        record["rows"] = verify_rows(args.src)
+        if args.parent:
+            record["parent"] = stamp(args.parent, args.note)
+        record["rows"] = verify_rows(args.src, args.parent)
         append(HERE / "BENCH_verify.json", record)
         return
     bench = json.loads((HERE / "BENCHMARK.json").read_text())

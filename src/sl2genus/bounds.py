@@ -27,23 +27,8 @@ from .core import (
     reduce_mat,
     reducer,
 )
-from .groups import (
-    ConjClassRef,
-    cached,
-    class_codes,
-    conj_class_size_formula,
-    u_power_ref,
-)
-from .subgroups import (
-    Subgroup,
-    a1_subgroup,
-    borel,
-    filtration_level,
-    kept,
-    order_three_subgroup,
-    preimage,
-    is_slim,
-)
+from .groups import ConjClassRef, cached, class_codes, conj_class_size_formula, u_power_ref
+from .subgroups import Subgroup, a1_subgroup, borel, filtration_level, kept, order_three_subgroup, preimage, is_slim
 from .fibers import FiberDescriptor, commutator_fiber_codes, recovery_count
 from .genus import count_in_subgroup, cusp_series, delta_from_ratios
 from .sequences import bound_sequence
@@ -186,12 +171,16 @@ class SlimBoundReport:
 def slim_bound_report(h: Subgroup, ref: ConjClassRef) -> SlimBoundReport:
     """Every applicable closed-form inequality plus the filtration bound and
     the step-by-step decomposition chain, on a concrete slim subgroup."""
+    return _report(h, ref, _bound_plan(ref))
+
+
+def _report(h: Subgroup, ref: ConjClassRef, plan: _Plan) -> SlimBoundReport:
+    """slim_bound_report on ref's plan, which bound_reports looks up once per class."""
     ctx = h.ctx
     if ref.ctx != ctx:
         raise PreconditionError("class reference bound to a different context")
     if not is_slim(h):
         raise PreconditionError("subgroup is not slim")
-    plan = _bound_plan(ref)
     if not plan.bounds:  # before any count: nothing would read it
         raise PreconditionError(
             "no closed-form bound applies to %s at p=%d, depth %d" % (ref.kind, ctx.p, ctx.n - ref.r)
@@ -272,8 +261,9 @@ def bound_reports(h: Subgroup) -> Iterator[SlimBoundReport]:
     has a closed-form bound at the level of h; slim_bound_report refuses an h that is not slim."""
     ctx = h.ctx
     for ref in [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")] + [u_power_ref(ctx, r) for r in range(ctx.n - 1)]:
-        if _bound_plan(ref).bounds:
-            yield slim_bound_report(h, ref)
+        plan = _bound_plan(ref)
+        if plan.bounds:
+            yield _report(h, ref, plan)
 
 
 # --- fiber-count side conditions ---

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from functools import wraps
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -540,19 +541,19 @@ def all_subgroups(
 
     Cyclic-extension search: each subgroup is grown from a class
     representative by one prime-power cyclic subgroup at a time, extending the
-    closed representative (groups.extend_closure).  Since <H, Z^x> = <H, Z> for
-    x in H, a representative H is extended by the first Z of each H-conjugation
-    orbit of the pool only, which skips exactly the candidates that would close
-    to a subgroup seen already.  When conjugacy_gens, elements of the universe,
-    generate it, only class representatives are extended and orbits are
-    expanded afterwards.  The product table is kept by columns, col[y][x] = x y,
-    composed along a walk from the identity: col(x s) = col(s) o col(x).
+    closed representative (groups.extend_closure).  When conjugacy_gens,
+    elements of the universe, generate it, only class representatives are
+    extended, each recorded with its whole conjugacy orbit and with N(H), read
+    from that orbit; without them N(H) is read as H.  Since <H, Z^x> = <H, Z>^x
+    for x in N(H), and orbits are recorded whole, H is extended by the first Z
+    of each N(H)-conjugation orbit of the pool only, which skips exactly the
+    candidates that would close to a subgroup seen already.  The product
+    table is kept by columns, col[y][x] = x y, composed along a walk from the
+    identity: col(x s) = col(s) o col(x).
     """
     ctx = universe.ctx
     if len(universe) > EXHAUSTIVE_CAP:
-        raise FeasibilityError(
-            "exhaustive subgroup enumeration capped at %d elements" % EXHAUSTIVE_CAP
-        )
+        raise FeasibilityError("exhaustive subgroup enumeration capped at %d elements" % EXHAUSTIVE_CAP)
     dec, enc, m = decoder(ctx), encoder(ctx), ctx.modulus
     codes = sorted(universe.codes)
     index = {c: i for i, c in enumerate(codes)}
@@ -570,7 +571,7 @@ def all_subgroups(
             for t in steps:
                 j = col[t][i]
                 if col[j] is None:
-                    col[j] = list(map(col[t].__getitem__, col[i]))
+                    col[j] = list(itemgetter(*col[i])(col[t]))
                     walk.append(j)
 
     # prime-power cyclic subgroups, as (frozenset, generator index), with every
@@ -593,30 +594,46 @@ def all_subgroups(
         cg, gi = col[g], inv[g]
         return lambda x: cg[col[x][gi]]
 
-    perms = [list(map(conj(index[enc(g)]), range(k))) for g in conjugacy_gens or ()]
-    conj_steps = [lambda s, perm=perm: frozenset(map(perm.__getitem__, s)) for perm in perms]
+    xs = [index[enc(g)] for g in conjugacy_gens or ()]
+    perms = [(x, list(map(conj(x), range(k)))) for x in xs]
+    right = lambda y: col[y].__getitem__  # the map x -> x y
 
     trivial, everything = frozenset([e]), frozenset(range(k))
     seen_all: Dict[FrozenSet, None] = {trivial: None}
-    reps: List[Tuple[FrozenSet, Tuple[int, ...]]] = [(trivial, ())]
-    for h, hgens in reps:  # reps grows while it is walked
-        done = set()  # pool positions of the Z^x, x in H, of each Z extended: <H, Z^x> = <H, Z>
-        h_steps = [conj(g) for g in hgens]
+    reps: List[Tuple[FrozenSet, Tuple[int, ...], Tuple[int, ...]]] = [(trivial, (), tuple(xs))]  # (H, its gens, N(H)'s)
+    for h, hgens, ngens in reps:  # reps grows while it is walked
+        done = set()  # pool positions of the Z^x, x in N(H), of each Z extended: <H, Z^x> = <H, Z>^x
+        n_steps = [conj(g) for g in ngens]
         for pos, (_, cgen) in enumerate(pool):
             if cgen in h or pos in done:
                 continue
-            done.update(slot[y] for y in capped_orbit(cgen, h_steps, k))
+            done.update(slot[y] for y in capped_orbit(cgen, n_steps, k))
             try:  # a subgroup of more than k/2 elements is the universe (Lagrange)
-                knew = extend_closure(h, hgens, (cgen,), lambda y: col[y].__getitem__, k // 2)
+                knew = extend_closure(h, hgens, (cgen,), right, k // 2)
             except FeasibilityError:
                 knew = everything
             if knew in seen_all:
                 continue
-            # record the full conjugacy orbit (at most [G : N(H)] <= k subgroups),
-            # queue one representative
-            for t in capped_orbit(knew, conj_steps, k):
-                seen_all[t] = None
-            reps.append((knew, hgens + (cgen,)))
+            # record the full conjugacy orbit (at most [G : N(K)] <= k subgroups), walked with
+            # x_t, K^(x_t) = t: each repeated edge t -> t^g = u gives x_t g x_u^-1 in N(K)
+            # (Schreier's lemma); queue one representative with the generators of N(K)
+            kgens, x_of, orbit, stab = hgens + (cgen,), {knew: e}, [knew], set()
+            for t in orbit:  # orbit grows while it is walked
+                for g, perm in perms:
+                    u, xg = frozenset(map(perm.__getitem__, t)), col[g][x_of[t]]
+                    if u in x_of:
+                        stab.add(col[inv[x_of[u]]][xg])
+                    else:
+                        x_of[u] = xg
+                        orbit.append(u)
+            seen_all.update(dict.fromkeys(frozenset(set(orbit))))  # the order the lattice digests pin
+            normalizer, ngens = knew, kgens
+            for x in stab:  # keep only generators that enlarge it: each pool orbit steps by all kept
+                if x not in normalizer:
+                    normalizer, ngens = extend_closure(normalizer, ngens, (x,), right, k), ngens + (x,)
+            if perms and len(normalizer) * len(orbit) != k:
+                raise ConsistencyError("N(K) of index other than its %d conjugates" % len(orbit))
+            reps.append((knew, kgens, ngens))
     return [frozenset(map(codes.__getitem__, s)) for s in seen_all]
 
 

@@ -371,15 +371,7 @@ def suite_lemma5_8_16(seed: int = 0) -> Tuple[bool, str]:
         want = recovery_count(kind, p, n, m)
         got = recovery_count_brute(kind, p, n, m, r=r)
         if got != want:
-            return False, "recovery count %d != %d for %s p=%d n=%d m=%d r=%d" % (
-                got,
-                want,
-                kind,
-                p,
-                n,
-                m,
-                r,
-            )
+            return False, "recovery count %d != %d for %s p=%d n=%d m=%d r=%d" % (got, want, kind, p, n, m, r)
     return True, "recovery sets (%d) and counts (%d)" % (len(_RECOVERY_GRID), len(_RECOVERY_COUNT_GRID))
 
 

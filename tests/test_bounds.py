@@ -24,7 +24,7 @@ from sl2genus.subgroups import (
     preimage,
     sample_slim_subgroups,
 )
-from sl2genus.suites import verify_main_theorem_desk
+from sl2genus.suites import suite_lemma6_1, verify_main_theorem_desk
 
 
 def test_bound_sequence_examples():
@@ -358,7 +358,7 @@ def test_desk_failure_paths(monkeypatch):
         return rep
 
     monkeypatch.setattr(suites, "delta", lambda h: Fraction(0))
-    monkeypatch.setattr(bounds, "slim_bound_report", failing_report)
+    monkeypatch.setattr(bounds, "_report", lambda h, ref, plan: failing_report(h, ref))
     got = [
         (r.label, r.status, r.checked, r.min_delta, r.seed, r.notes)
         for part, samples in ((1, None), (2, 1), (6, 1))
@@ -509,6 +509,29 @@ def test_slim_bound_report_matches_the_old_report(sl2_mod9_subgroups):
                 reports += 1
         assert met, name
     assert reports > 2000
+
+
+def test_bound_reports_looks_up_each_class_plan_once(monkeypatch):
+    """bound_reports asks each of the n + 1 classes of an H for its plan once, and a
+    class with a bound hands that plan to its report: lemma 6.1 at seed 0 makes 375
+    lookups for its 300 reports on 100 subgroups, where a second lookup per report
+    made 675."""
+    plans, per_h = [], []
+    true_plan, true_reports = bounds._bound_plan, bounds.bound_reports
+    monkeypatch.setattr(bounds, "_bound_plan", lambda ref: plans.append(ref) or true_plan(ref))
+
+    def reports(h):
+        del plans[:]
+        got = list(true_reports(h))
+        per_h.append((h.ctx.n, len(got), list(plans)))
+        return iter(got)
+
+    monkeypatch.setattr(suites, "bound_reports", reports)
+    assert suite_lemma6_1(0) == (True, "filtration and closed-form bounds on 300 sampled (H, class) pairs")
+    assert len(per_h) == 100 and sum(got for _, got, _ in per_h) == 300
+    for n, _, refs in per_h:
+        assert len(refs) == len(set(refs)) == n + 1
+    assert sum(len(refs) for _, _, refs in per_h) == 375
 
 
 def test_a_report_reads_its_plan_once_and_no_layer_for_an_empty_class(monkeypatch, sl2_mod9_subgroups):

@@ -34,7 +34,7 @@ from sl2genus.core import (
 )
 from sl2genus.fibers import FiberDescriptor, fiber_group, verify_orthogonality
 from sl2genus.genus import coset_space, delta, genus, genus_report
-from sl2genus.groups import ConjClassRef, ElementSet, class_codes, enumerate_group
+from sl2genus.groups import ConjClassRef, ElementSet, class_codes, enumerate_group, extend_closure
 from sl2genus.subgroups import (
     Subgroup,
     a1_subgroup,
@@ -891,6 +891,40 @@ def test_a_lattice_closure_cut_at_a_third_fails_the_reclosing_oracle_and_the_par
     part1 = report_digest(verify_main_theorem_desk(1))
     assert part1 != "f5c3be681a5d12ac3cf3b331cc934b3a73585df1c8a2cbb1ce789e2ccaace8ad"
     assert _lattice_digest(lattices[3, 2]) == "ee94a983f4e4a4d57d4435a6186eb5918cb8f12aab3b24299460513751e9cbb8"
+
+
+def test_a_schreier_generator_read_with_x_u_for_its_inverse_fails_the_orbit_stabilizer_check(monkeypatch):
+    # all_subgroups forms each Schreier generator of N(K) as x_t g x_u, not x_t g x_u^-1, in
+    # subgroups and in suites, which imports it.  Its check that N(K), closed from those
+    # generators, has k / #orbit elements raises on every conjugacy case of the reclosing
+    # oracle, and so does cor6.5, the suite that walks the SL2(Z/9Z) lattice.
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    _mutate(monkeypatch, subgroups_mod, "all_subgroups", "col[inv[x_of[u]]][xg]", "col[x_of[u]][xg]")
+    monkeypatch.setattr(sys.modules["sl2genus.suites"], "all_subgroups", subgroups_mod.all_subgroups)
+    for p, n in ((2, 2), (2, 3), (3, 2), (5, 1), (7, 1)):
+        ctx = make_ctx(p, n)
+        with pytest.raises(ConsistencyError, match=r"N\(K\) of index other than its \d+ conjugates"):
+            subgroups_mod.all_subgroups(enumerate_group(ctx), [upper_u(ctx), lower_u(ctx)])
+    with pytest.raises(ConsistencyError, match=r"N\(K\) of index other than its 36 conjugates"):
+        suite_cor6_5(0)
+
+
+def test_a_trivial_representative_seeded_with_no_normalizer_moves_only_the_closure_count(monkeypatch):
+    # all_subgroups seeds the trivial representative with N(1) = 1, not the conjugacy
+    # generators (N(1) = G).  Every skip is still exact, so the lattice, its order and its
+    # digest hold; only the closure-count pin of test_kernel.py sees it: SL2(Z/9Z) takes
+    # 641 extensions, not 548.
+    subgroups_mod = sys.modules["sl2genus.subgroups"]
+    true_all_subgroups = subgroups_mod.all_subgroups
+    caps = []  # the spy goes in first: the mutant reads the module's names as _mutate finds them
+    monkeypatch.setattr(subgroups_mod, "extend_closure", lambda *a: caps.append(a[-1]) or extend_closure(*a))
+    _mutate(monkeypatch, subgroups_mod, "all_subgroups", "[(trivial, (), tuple(xs))]", "[(trivial, (), ())]")
+    ctx = make_ctx(3, 2)
+    elements, gens = enumerate_group(ctx), [upper_u(ctx), lower_u(ctx)]
+    lattice = subgroups_mod.all_subgroups(elements, gens)
+    assert (caps.count(324), caps.count(648)) == (641, 67)
+    assert _lattice_digest(lattice) == "ee94a983f4e4a4d57d4435a6186eb5918cb8f12aab3b24299460513751e9cbb8"
+    assert lattice == true_all_subgroups(elements, gens)
 
 
 def test_a_filtration_layer_read_one_kernel_deeper_fails_the_lagrange_check(monkeypatch):

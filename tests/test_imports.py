@@ -544,12 +544,14 @@ def test_the_check_sees_a_second_lift_walk():
 
 # subgroups._lift_walk is the one lift-and-reduce loop: the Schreier walk and
 # section 2's L2_5 read its pairs.  The other lists that grow while they are
-# walked are all_subgroups' table walk and its queue of class representatives.
+# walked are all_subgroups' table walk, its walk of a new subgroup's conjugacy
+# orbit and its queue of class representatives.
 def test_only_the_lift_walk_and_the_lattice_grow_what_they_walk():
     found = {(p.name, fn, name) for p in MODULES for fn, name in _growing_walks(p.read_text())}
     assert found == {
         ("subgroups.py", "_lift_walk", "lifts"),
         ("subgroups.py", "all_subgroups", "walk"),
+        ("subgroups.py", "all_subgroups", "orbit"),
         ("subgroups.py", "all_subgroups", "reps"),
     }
 
@@ -617,7 +619,7 @@ def test_the_check_sees_a_broad_handler():
     assert _handlers(src, _BROAD) == [("go", 21, False), ("parse", 11, True), ("parse", 13, False), ("plan", 5, False)]
     # bound_reports with its old try/except back: every class asked, a PreconditionError read as "no bound here"
     source = (SRC / "bounds.py").read_text()
-    old = "        if _bound_plan(ref).bounds:\n            yield slim_bound_report(h, ref)\n"
+    old = "        plan = _bound_plan(ref)\n        if plan.bounds:\n            yield _report(h, ref, plan)\n"
     new = "        try:\n            rep = slim_bound_report(h, ref)\n        except PreconditionError:\n"
     assert source.count(old) == 1
     source = source.replace(old, new + "            continue\n        yield rep\n")
@@ -727,12 +729,12 @@ def test_every_pragma_names_its_reason():
 
 
 # ROADMAP item 7 budgets the lines under src/: the library may not grow past
-# its last count of 3,882 lines.  The count per module is printed too, so that
+# its last count of 3,881 lines.  The count per module is printed too, so that
 # a change can read its delta module by module.
 def test_src_stays_within_the_line_budget():
     counts = {p.name: len(p.read_text().splitlines()) for p in MODULES}
     for name, count in counts.items():
         print("src/sl2genus/%s: %d lines" % (name, count))
     total = sum(counts.values())
-    print("src/sl2genus: %d lines, budget 3,882" % total)
-    assert total <= 3_882, "src/sl2genus holds %d lines, above the budget of 3,882" % total
+    print("src/sl2genus: %d lines, budget 3,881" % total)
+    assert total <= 3_881, "src/sl2genus holds %d lines, above the budget of 3,881" % total

@@ -493,12 +493,50 @@ def test_lattice_matches_the_reclosing_oracle(universe, conjugate):
 
 
 def test_lattice_extends_once_per_conjugation_orbit_of_the_pool(monkeypatch):
-    # <H, Z^x> = <H, Z> for x in H, so H is extended by one Z per H-orbit: 1,263 closures, not 4,384
-    calls = []
-    monkeypatch.setattr("sl2genus.subgroups.extend_closure", lambda *a: calls.append(a) or extend_closure(*a))
+    # <H, Z^x> = <H, Z>^x for x in N(H), and each new subgroup is recorded with its whole
+    # conjugacy orbit, so H is extended by one Z per N(H)-orbit: 548 extensions (cap k/2)
+    # and 67 normalizer closures (cap k, one per Schreier generator that enlarges N(K)),
+    # 615 closures in all, where one Z per H-orbit made 1,263 and one closure per candidate 4,384
+    caps = []
+    monkeypatch.setattr("sl2genus.subgroups.extend_closure", lambda *a: caps.append(a[-1]) or extend_closure(*a))
     ctx = make_ctx(3, 2)
     assert len(all_subgroups(enumerate_group(ctx), conjugacy_gens=[upper_u(ctx), lower_u(ctx)])) == 456
-    assert len(calls) <= 1263
+    assert (caps.count(324), caps.count(648), len(caps)) == (548, 67, 615)
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (2, 3), (3, 2), (5, 1), (7, 1)])
+def test_lattice_normalizers_match_the_brute_force_stabilizers(monkeypatch, p, n):
+    # the conjugacy cases of the reclosing oracle: N(K) of each class representative K is
+    # K closed (cap k) with the Schreier generators of its orbit walk that enlarge it, one
+    # closure each, and K itself when none does; each is {x : x^-1 K x = K}, tested at every
+    # x of the universe, for every K the search extends but the trivial one (N(1) = G is
+    # seeded, not read from an orbit)
+    elements = enumerate_group(make_ctx(p, n))
+    ctx, k = elements.ctx, len(elements)
+    extended, normalizers, last = set(), {}, []
+
+    def spy(known, gens, new, right, cap):
+        got = extend_closure(known, gens, new, right, cap)
+        if cap < k:
+            extended.add(known)
+        else:  # one more generator of N(K), for the K whose chain of closures it continues
+            rep = last[1] if last and last[0] is known else known
+            last[:] = [got, rep]
+            normalizers[rep] = got
+        return got
+
+    monkeypatch.setattr("sl2genus.subgroups.extend_closure", spy)
+    all_subgroups(elements, conjugacy_gens=[upper_u(ctx), lower_u(ctx)])
+    dec, enc, m = decoder(ctx), encoder(ctx), ctx.modulus
+    codes = sorted(elements.codes)  # the search's indices
+    index = {c: i for i, c in enumerate(codes)}
+    mats = [dec(c) for c in codes]
+    inv = [index[enc(_inv(x, m))] for x in mats]
+    table = [[index[enc(_mul(x, y, m))] for y in mats] for x in mats]
+    reps = {rep for rep in extended | set(normalizers) if len(rep) > 1}
+    assert normalizers and set(normalizers) <= reps
+    for rep in reps:
+        assert normalizers.get(rep, rep) == {x for x in range(k) if all(table[table[inv[x]][g]][x] in rep for g in rep)}
 
 
 def test_cor6_5_suite_checks_every_slim_subgroup_of_the_lattice():
