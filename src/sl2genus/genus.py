@@ -192,9 +192,8 @@ def genus_report(h: Subgroup) -> GenusReport:
         direct = Fraction(len(lengths), index)  # the <u>-orbits on H\G are the double cosets H_m g<u>
         if direct != cusp:
             raise ConsistencyError("cusp ratio mismatch: direct %s vs formula %s" % (direct, cusp))
-    # #(H n Conj) = Fix #Conj / [G:H], exact: fix_points read H's count of each class once
-    counts = [f * conj_class_size_formula(ref) // index for f, ref in zip(fixed, refs)]
-    d = delta_from_ratios(*(Fraction(f, index) for f in fixed), cusp)
+    counts = [count_in_subgroup(h, ref) for ref in refs]
+    d = delta_from_ratios(*(_class_ratio(h, ref) for ref in refs), cusp)
     g = 1 + Fraction(index, 12) * d if minus_one(low.ctx) in low else None  # K_m <= H
     if g is not None and (g.denominator != 1 or g < 0):
         raise ConsistencyError("genus %s is not a non-negative integer" % g)

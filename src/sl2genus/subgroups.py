@@ -533,23 +533,19 @@ def parse_subgroup_spec(
 EXHAUSTIVE_CAP = 3_000  # the k x k product table holds at most 9e6 entries
 
 
-def all_subgroups(
-    universe: ElementSet,
-    conjugacy_gens: Optional[Sequence[Mat]] = None,
-) -> List[FrozenSet]:
+def all_subgroups(universe: ElementSet, conjugacy_gens: Sequence[Mat]) -> List[FrozenSet]:
     """Every subgroup of the (closed) universe, as code frozensets.
 
-    Cyclic-extension search: each subgroup is grown from a class
-    representative by one prime-power cyclic subgroup at a time, extending the
-    closed representative (groups.extend_closure).  When conjugacy_gens,
-    elements of the universe, generate it, only class representatives are
-    extended, each recorded with its whole conjugacy orbit and with N(H), read
-    from that orbit; without them N(H) is read as H.  Since <H, Z^x> = <H, Z>^x
-    for x in N(H), and orbits are recorded whole, H is extended by the first Z
-    of each N(H)-conjugation orbit of the pool only, which skips exactly the
-    candidates that would close to a subgroup seen already.  The product
-    table is kept by columns, col[y][x] = x y, composed along a walk from the
-    identity: col(x s) = col(s) o col(x).
+    Cyclic-extension search up to conjugacy: conjugacy_gens, elements of the
+    universe, generate it.  Each subgroup is grown from a class representative
+    by one prime-power cyclic subgroup at a time, extending the closed
+    representative (groups.extend_closure), and recorded with its whole
+    conjugacy orbit and with N(H), read from that orbit.  Since
+    <H, Z^x> = <H, Z>^x for x in N(H), and orbits are recorded whole, H is
+    extended by the first Z of each N(H)-conjugation orbit of the pool only,
+    which skips exactly the candidates that would close to a subgroup seen
+    already.  The product table is kept by columns, col[y][x] = x y, composed
+    along a walk from the identity: col(x s) = col(s) o col(x).
     """
     ctx = universe.ctx
     if len(universe) > EXHAUSTIVE_CAP:
@@ -576,6 +572,7 @@ def all_subgroups(
 
     # prime-power cyclic subgroups, as (frozenset, generator index), with every
     # element's inverse (its last power before the identity) and its generators
+    prime_powers = {q**i for q, a in factorize(k).items() for i in range(1, a + 1)}  # every order divides k
     inv = [e] * k
     cyc: Dict[FrozenSet, List[int]] = {}
     for i in range(k):
@@ -585,7 +582,7 @@ def all_subgroups(
             orbit.append(j)
             j = col[i][j]
         inv[i] = orbit[-1]
-        if len(factorize(len(orbit))) == 1:  # prime power order
+        if len(orbit) in prime_powers:
             cyc.setdefault(frozenset(orbit), []).append(i)
     pool = sorted(((z, gs[0]) for z, gs in cyc.items()), key=lambda kv: (len(kv[0]), kv[1]))
     slot = {g: pos for pos, (z, _) in enumerate(pool) for g in cyc[z]}  # generator -> pool position
@@ -594,7 +591,7 @@ def all_subgroups(
         cg, gi = col[g], inv[g]
         return lambda x: cg[col[x][gi]]
 
-    xs = [index[enc(g)] for g in conjugacy_gens or ()]
+    xs = [index[enc(g)] for g in conjugacy_gens]
     perms = [(x, list(map(conj(x), range(k)))) for x in xs]
     right = lambda y: col[y].__getitem__  # the map x -> x y
 
@@ -631,7 +628,7 @@ def all_subgroups(
             for x in stab:  # keep only generators that enlarge it: each pool orbit steps by all kept
                 if x not in normalizer:
                     normalizer, ngens = extend_closure(normalizer, ngens, (x,), right, k), ngens + (x,)
-            if perms and len(normalizer) * len(orbit) != k:
+            if len(normalizer) * len(orbit) != k:
                 raise ConsistencyError("N(K) of index other than its %d conjugates" % len(orbit))
             reps.append((knew, kgens, ngens))
     return [frozenset(map(codes.__getitem__, s)) for s in seen_all]

@@ -47,6 +47,7 @@ from .groups import (
 )
 from .subgroups import (
     Subgroup,
+    _generators,
     _lift_walk,
     _random_kernel_element,
     _sl2_lift_one,
@@ -563,9 +564,8 @@ def _desk_sample(
 def _delta_positive_exhaustive(label: str, container: Subgroup) -> DeskResult:
     ctx = container.ctx
     neg = encoder(ctx)(minus_one(ctx))
-    checked, worst, status = _delta_min(
-        Subgroup.from_codes(ctx, codes) for codes in all_subgroups(container.elements()) if neg in codes
-    )
+    lattice = all_subgroups(container.elements(), container.gens or _generators(container))  # E: has no gens
+    checked, worst, status = _delta_min(Subgroup.from_codes(ctx, codes) for codes in lattice if neg in codes)
     notes = "exhaustive over subgroups containing -1" if status == "pass" else "found delta <= 0"
     return DeskResult(1, label, status, checked, worst, None, notes)
 

@@ -695,20 +695,30 @@ def test_the_walk_checks_a_slim_subgroup_above_the_cap(monkeypatch, p, n):
 
 
 def test_a_report_intersects_h_with_each_class_once(monkeypatch):
-    # count_in_subgroup is called once per class a report reads: fix_points
-    # gives Fix_sigma and Fix_tau, and #(H n Conj) is read back from them; a
-    # report below level n reads H's own classes at level n, u and u^p at 7^2
+    # a report reads H's own classes at level n, u and u^p at 7^2, through count_in_subgroup,
+    # whose _class_counts, kept in H's memo, labels each element of H_m of trace 0, 1 or 2
+    # once: however often a report reads a count, H is intersected with each class once
     genus_mod = sys.modules["sl2genus.genus"]
-    true_count = genus_mod.count_in_subgroup
-    calls = []
+    true_count, true_labels = genus_mod.count_in_subgroup, genus_mod.class_labels
+    calls, labelled = [], []
     monkeypatch.setattr(genus_mod, "count_in_subgroup", lambda h, ref: calls.append((ref.kind, ref.r)) or true_count(h, ref))
-    rep = genus_report(parse_subgroup_spec("preimage:B@1", 7, 2))  # level 1, counted on H_1
-    assert calls == [("sigma", 0), ("tau", 0), ("u_power", 0), ("u_power", 1)]
+    monkeypatch.setattr(genus_mod, "class_labels", lambda x, ctx: labelled.append(x) or true_labels(x, ctx))
+
+    def traced(h, m):
+        return sorted(x for x in h.reduced(m).mats() if (x[0] + x[3]) % h.ctx.p**m <= 2)
+
+    h = parse_subgroup_spec("preimage:B@1", 7, 2)
+    rep = genus_report(h)  # level 1, counted on H_1
+    assert set(calls) == {("sigma", 0), ("tau", 0), ("u_power", 0), ("u_power", 1)}
+    assert sorted(labelled) == traced(h, 1)
     assert (rep.count_sigma, rep.count_tau, rep.fix_tau) == (0, 686, 2)  # B n Conj(sigma) is empty at 7 = -1 mod 4
     calls.clear()
+    labelled.clear()
     ctx = make_ctx(5, 2)
-    rep = genus_report(adjoin_minus_one(closure([upper_u(ctx)], ctx)))  # level 2
-    assert calls == [("sigma", 0), ("tau", 0), ("u_power", 0), ("u_power", 1)]
+    h = adjoin_minus_one(closure([upper_u(ctx)], ctx))
+    rep = genus_report(h)  # level 2
+    assert set(calls) == {("sigma", 0), ("tau", 0), ("u_power", 0), ("u_power", 1)}
+    assert sorted(labelled) == traced(h, 2)
     assert (rep.index, rep.count_sigma, rep.count_tau) == (300, 0, 0)
 
 

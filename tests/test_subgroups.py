@@ -10,6 +10,7 @@ import pytest
 
 from sl2genus.core import (
     DEFAULT_MAX_ELEMENTS,
+    ConsistencyError,
     ContextMismatchError,
     FeasibilityError,
     PreconditionError,
@@ -64,6 +65,7 @@ from sl2genus.genus import count_in_subgroup, cusp_orbit_ratio, fix_points, genu
 from sl2genus.suites import A1_TABLE, _DESK_SAMPLES, _codes_of, _desk_cases, _desk_sample, section2_l2_1, section2_l2_5
 
 from sampling import sample_subgroups
+from test_kernel import _old_all_subgroups
 
 
 def test_closure_examples():
@@ -501,9 +503,9 @@ def test_no_proper_mod3_surjective_subgroup_has_gl2_conjugate_of_u(sl2_mod9_subg
 
 
 def test_all_subgroups_conjugacy_matches_plain(sl2_mod4_subgroups):
+    # the one search, by conjugacy orbits, against the tests' plain lattice, which extends every subgroup
     ctx, subs = sl2_mod4_subgroups
-    plain = all_subgroups(enumerate_group(ctx))
-    assert set(subs) == set(plain)
+    assert set(subs) == set(_old_all_subgroups(enumerate_group(ctx)))
     assert len(subs) == 52
     # spot-check closure property on a few returned sets
     dec = decoder(ctx)
@@ -802,7 +804,16 @@ def test_lattice_search_refuses_a_universe_above_its_cap(monkeypatch):
 
     monkeypatch.setattr(subgroups, "_mul", no_table)
     with pytest.raises(FeasibilityError, match="capped at 3000"):
-        all_subgroups(universe)
+        all_subgroups(universe, [upper_u(universe.ctx), lower_u(universe.ctx)])
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 1)])
+def test_conjugators_that_generate_less_than_the_universe_fail_the_index_check(p, n):
+    # the true search, with conjugators that generate <u> only: the orbit walk sees only the
+    # <u>-conjugates of K, and the N(K) it reads lies in <K, u>, so #N(K) * #orbit falls short of k
+    ctx = make_ctx(p, n)
+    with pytest.raises(ConsistencyError, match=r"N\(K\) of index other than its 1 conjugates"):
+        all_subgroups(enumerate_group(ctx), [upper_u(ctx)])
 
 
 def test_adjoin_minus_one_keeps_the_set_when_minus_one_is_in():
