@@ -49,13 +49,22 @@ run_seconds of BENCHMARK.json, and appends the five end-to-end metrics of
 each side to BENCH_<workload>.json: their medians, and each run's values in
 the order run, so that a record shows their spread as well.  It then judges
 each metric by its `better` and `bound` in BENCHMARK.json, prints the verdict
-and records it under "judged": how many pairs the change won (pair i sets the
-i-th run of each side against each other; a tie counts for neither side), the
-interquartile spread of the parent's runs (inclusive quartiles), and whether
-the change's median is worse than the parent's by more than the bound, a
-fraction of the parent's median.  Either mode exits non-zero when a command
-fails, and then appends nothing.  Each BENCH_*.json file is a JSON list with
-one record per line.
+and records it under "judged".
+
+`judged` maps each metric to {"wins", "pairs", "parent_iqr", "change_iqr",
+"verdict"}: how many pairs the change won (pair i sets the i-th run of each
+side against each other; a tie counts for neither side), the interquartile
+spread of each side's runs (inclusive quartiles) and one of three verdicts.
+"not worse" when every change run beats every parent run; else "unresolved"
+when either side's IQR is wider than the bound times that side's median, as
+the runs then cannot tell a change of the bound from the host's spread; else
+"worse" when the change's median is worse than the parent's by more than the
+bound, a fraction of the parent's median, and "not worse" otherwise.  Every
+verdict is printed, under its row's command in `verify`, and recorded.
+(Records before this schema hold "worse_than_bound", true or false, in place
+of the IQR of the change and the verdict.)  Either mode exits non-zero when a
+command fails, and then appends nothing.  Each BENCH_*.json file is a JSON
+list with one record per line.
 """
 
 import argparse
@@ -209,19 +218,32 @@ def perfbench_metrics(checkout, workload, seed, seconds):
     return {k: result["metrics"][k]["value"] for k in END_TO_END}
 
 
+def iqr(values):
+    """The interquartile spread of values (inclusive quartiles), 0 for one value."""
+    q = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else [values[0]] * 3
+    return q[2] - q[0]
+
+
 def judge(parent, change, metrics):
-    """{metric: verdict} for the runs of each side, paired in the order run."""
+    """{metric: judged} for the runs of each side, paired in the order run (see
+    the module docstring for the fields and the three verdicts)."""
     out = {}
     for m in metrics:
         name, higher, bound = m["name"], m["better"] == "higher", m["bound"]
         a, b = [r[name] for r in parent], [r[name] for r in change]
         wins = sum(y > x if higher else y < x for x, y in zip(a, b))
-        q = statistics.quantiles(a, n=4, method="inclusive") if len(a) > 1 else [a[0]] * 3
-        base, got = statistics.median(a), statistics.median(b)
+        base, got, spread = statistics.median(a), statistics.median(b), (iqr(a), iqr(b))
+        beats_every_run = min(b) > max(a) if higher else max(b) < min(a)
         worse = got < base * (1 - bound) if higher else got > base * (1 + bound)
-        out[name] = {"wins": wins, "pairs": len(a), "parent_iqr": q[2] - q[0], "worse_than_bound": worse}
-        print("%-13s change won %d of %d pairs; medians %g -> %g; parent IQR %g; worse than the bound %g: %s"
-              % (name, wins, len(a), base, got, q[2] - q[0], bound, "yes" if worse else "no"))
+        if beats_every_run:
+            verdict = "not worse"
+        elif spread[0] > bound * base or spread[1] > bound * got:
+            verdict = "unresolved"
+        else:
+            verdict = "worse" if worse else "not worse"
+        out[name] = {"wins": wins, "pairs": len(a), "parent_iqr": spread[0], "change_iqr": spread[1], "verdict": verdict}
+        print("%-13s change won %d of %d pairs; medians %g -> %g; IQR %g parent, %g change; bound %g: %s"
+              % (name, wins, len(a), base, got, spread[0], spread[1], bound, verdict))
     return out
 
 

@@ -154,11 +154,10 @@ def _reducers(ctx: GroupCtx) -> Tuple[Callable[[int], int], ...]:
 
 
 class SlimBoundReport:
-    def __init__(self, kind: str, r: int, order: int, checks: Optional[List[Tuple[str, bool, str]]] = None) -> None:
-        self.kind, self.r, self.order, self.checks = kind, r, order, [] if checks is None else checks
+    """The checks of one slim_bound_report, (label, ok, detail) in the order made."""
 
-    def __eq__(self, other) -> bool:
-        return other.__class__ is SlimBoundReport and vars(self) == vars(other)
+    def __init__(self) -> None:
+        self.checks: List[Tuple[str, bool, str]] = []
 
     @property
     def ok(self) -> bool:
@@ -185,7 +184,7 @@ def _report(h: Subgroup, ref: ConjClassRef, plan: _Plan) -> SlimBoundReport:
         raise PreconditionError(
             "no closed-form bound applies to %s at p=%d, depth %d" % (ref.kind, ctx.p, ctx.n - ref.r)
         )
-    rep = SlimBoundReport(ref.kind, ref.r, h.order)
+    rep = SlimBoundReport()
     y0 = _class_in(h, ref)  # the one intersection with the level-n class; the chains read it as Y_0
     cnt, counts = len(y0), {}  # #(H mod p^level n Conj) per level, counted once
     for kind, level, bound in plan.bounds:
@@ -195,7 +194,7 @@ def _report(h: Subgroup, ref: ConjClassRef, plan: _Plan) -> SlimBoundReport:
         rep.add(kind, cnt <= rhs, "%d <= %d" % (cnt, rhs))
 
     rep.add("filtration", *_filtration_checks(h))
-    _chain_checks(h, plan, rep, y0, counts)
+    _chain_checks(h, ref, plan, rep, y0, counts)
     return rep
 
 
@@ -215,9 +214,11 @@ def _filtration_checks(h: Subgroup) -> Tuple[bool, str]:
     return ok, detail
 
 
-def _chain_checks(h: Subgroup, plan: _Plan, rep: SlimBoundReport, y0: FrozenSet, counts: Dict[int, int]) -> None:
+def _chain_checks(
+    h: Subgroup, ref: ConjClassRef, plan: _Plan, rep: SlimBoundReport, y0: FrozenSet, counts: Dict[int, int]
+) -> None:
     ctx, cnt = h.ctx, len(y0)
-    p, r = ctx.p, rep.r
+    p, r = ctx.p, ref.r
     depth = ctx.n - r
     l = depth // 2
     red = _reducers(ctx)
@@ -238,12 +239,12 @@ def _chain_checks(h: Subgroup, plan: _Plan, rep: SlimBoundReport, y0: FrozenSet,
         total += p ** (depth - 1) * counts[r + 1]  # the bound's count: every p >= 3 kind has k = 1
         rep.add("chain:total", cnt <= total, "%d <= %d" % (cnt, total))
         for i in idxs:
-            cap = recovery_count(rep.kind, p, depth, depth - i)
+            cap = recovery_count(ref.kind, p, depth, depth - i)
             rep.add("chain:recovery%d" % i, m[i] <= cap)
         return
     # p = 2 short chains at desk exponents k < depth <= k + 3, for sigma and
     # u_power: (k, level of the mod counts, recovery cap)
-    short = {"sigma": (2, 2, 2), "u_power": (3, r + 3, 4)}.get(rep.kind)
+    short = {"sigma": (2, 2, 2), "u_power": (3, r + 3, 4)}.get(ref.kind)
     if short is None or not short[0] < depth <= short[0] + 3:
         return
     k, level, cap = short

@@ -14,6 +14,7 @@ from .core import (
     FeasibilityError,
     PreconditionError,
     decoder,
+    encoder,
     format_mat,
     identity,
     make_ctx,
@@ -103,20 +104,15 @@ def _cmd_class_table(args) -> int:
     classes = partition_into_classes(g)
     exps = [ctx.p**r for r in range(ctx.n)] + [2]
     powers = [("u" if e == 1 else "u^%d" % e, mat_pow(upper_u(ctx), e, ctx)) for e in exps]
-    named = {}  # the first name of x wins: modulo 2, x = -x, and u^2 is u^(p^r) at p = 2
+    named = {}  # by code; the first name of x wins: modulo 2, x = -x, and u^2 is u^(p^r) at p = 2
+    enc, dec = encoder(ctx), decoder(ctx)
     for name, x in [("1", identity(ctx)), ("sigma", sigma(ctx)), ("tau", tau(ctx))] + powers:
-        named.setdefault(x, name)
-        named.setdefault(neg(x, ctx), "-" + name)
-    dec = decoder(ctx)
+        named.setdefault(enc(x), name)
+        named.setdefault(enc(neg(x, ctx)), "-" + name)
     rows = []
     for cls in classes:
-        rep_code = min(cls.codes)
-        label = ""
-        for m, name in named.items():
-            if m in cls:
-                label = name
-                break
-        rows.append((label, format_mat(dec(rep_code)), len(cls)))
+        label = next((name for c, name in named.items() if c in cls), "")
+        rows.append((label, format_mat(dec(min(cls))), len(cls)))
     rows.sort(key=lambda r: (-r[2], r[0], r[1]))
     payload = {
         "p": num_to_json(args.p),

@@ -1,11 +1,13 @@
 """Enumeration of SL2(Z/p^nZ), conjugacy classes and centralizers.
 
-Element sets store packed codes (see core.encoder), and every kernel here
-walks codes through the maps of core (x -> x s, x -> g^-1 x g).  Subgroups
-close through extend_closure, the one right-coset walk (the genus check
-walks double cosets, in genus).  Orbits go through capped_orbit
-(subgroups._lift_walk keeps a lift per residue, so it stays its own
-loop); conjugacy classes are expanded by conjugating with u, t(u) only,
+Element sets are frozensets of packed codes (see core.encoder): a class, a
+centralizer and each class of a partition is one, and ElementSet is the
+closed group that enumerate_group returns, its codes bound to their context.
+Every kernel here walks codes through the maps of core (x -> x s,
+x -> g^-1 x g).  Subgroups close through extend_closure, the one right-coset
+walk (the genus check walks double cosets, in genus).  Orbits go through
+capped_orbit (subgroups._lift_walk keeps a lift per residue, so it stays its
+own loop); conjugacy classes are expanded by conjugating with u, t(u) only,
 which keeps memory at O(#class) instead of O(#group), and each member is
 checked against class_labels, which names an element's classes without an
 orbit.  Every set derived from a context alone is stored once, in its memo,
@@ -39,23 +41,15 @@ from .core import (
 
 
 class ElementSet:
-    """A set of group elements bound to a context, stored as packed codes."""
+    """A closed group bound to its context, as packed codes: what enumerate_group
+    and Subgroup.elements hand to all_subgroups, centralizer_brute and
+    partition_into_classes."""
 
     def __init__(self, ctx: GroupCtx, codes: FrozenSet) -> None:
         self.ctx, self.codes = ctx, codes
 
-    def __eq__(self, other) -> bool:
-        return other.__class__ is ElementSet and (self.ctx, self.codes) == (other.ctx, other.codes)
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.codes))
-
     def __len__(self) -> int:
         return len(self.codes)
-
-    def __contains__(self, x: Mat) -> bool:
-        _check_reduced(x, self.ctx)
-        return encoder(self.ctx)(x) in self.codes
 
 
 def capped_orbit(start, steps: Sequence[Callable], cap: int) -> FrozenSet:
@@ -277,8 +271,8 @@ def centralizer_order_formula(ref: ConjClassRef) -> int:
 # -------------------- brute-force orbits --------------------
 
 
-def conj_class_brute(rep: Mat, ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> ElementSet:
-    """The SL2 class of rep, {g^-1 rep g : g in SL2(Z/p^nZ)}, by breadth-first
+def conj_class_brute(rep: Mat, ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> FrozenSet:
+    """The codes of the SL2 class of rep, {g^-1 rep g : g in SL2(Z/p^nZ)}, by breadth-first
     conjugation of codes with u and t(u), which generate SL2.  A GL2 class is
     the union over units e of the SL2 classes of d^-1 rep d with d = diag(e, 1).
     An entry of rep outside [0, p^n) raises ContextMismatchError."""
@@ -288,7 +282,7 @@ def conj_class_brute(rep: Mat, ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -
     if dt != 1 % m:
         raise PreconditionError("representative %r is not in SL2 (det=%d)" % (rep, dt))
     steps = [conjugator(ctx, g) for g in (upper_u(ctx), lower_u(ctx))]
-    return ElementSet(ctx, capped_orbit(encoder(ctx)(rep), steps, cap))
+    return capped_orbit(encoder(ctx)(rep), steps, cap)
 
 
 def class_codes(ref: ConjClassRef, cap: int = DEFAULT_MAX_ELEMENTS) -> FrozenSet:
@@ -301,7 +295,7 @@ def class_codes(ref: ConjClassRef, cap: int = DEFAULT_MAX_ELEMENTS) -> FrozenSet
         size = conj_class_size_formula(ref)
         if size > cap:
             raise _above_cap("%r modulo %d holds %d" % ((ref.kind, ref.r), ref.ctx.modulus, size), cap)
-        codes = conj_class_brute(ref.representative(), ref.ctx, cap).codes
+        codes = conj_class_brute(ref.representative(), ref.ctx, cap)
         if len(codes) != size:
             raise ConsistencyError("%s orbit of %d elements, off its closed form" % (ref, len(codes)))
         if not all((ref.kind, ref.r) in class_labels(x, ref.ctx) for x in map(decoder(ref.ctx), codes)):
@@ -311,21 +305,21 @@ def class_codes(ref: ConjClassRef, cap: int = DEFAULT_MAX_ELEMENTS) -> FrozenSet
     return cached(ref.ctx, (ref.kind, ref.r), build, cap)
 
 
-def centralizer_brute(rep: Mat, group: ElementSet) -> ElementSet:
-    """The elements of group commuting with rep (unit det): the fixed points of x -> rep^-1 x rep."""
+def centralizer_brute(rep: Mat, group: ElementSet) -> FrozenSet:
+    """The codes of the elements of group commuting with rep (unit det): the fixed points of x -> rep^-1 x rep."""
     conj = conjugator(group.ctx, rep)
-    return ElementSet(group.ctx, frozenset(c for c in group.codes if conj(c) == c))
+    return frozenset(c for c in group.codes if conj(c) == c)
 
 
-def partition_into_classes(group: ElementSet) -> List[ElementSet]:
-    """All conjugacy classes of a materialized group (small contexts only)."""
+def partition_into_classes(group: ElementSet) -> List[FrozenSet]:
+    """All conjugacy classes of a materialized group, as code sets (small contexts only)."""
     ctx = group.ctx
     dec = decoder(ctx)
     remaining = set(group.codes)
-    out: List[ElementSet] = []
+    out: List[FrozenSet] = []
     while remaining:
         rep = dec(min(remaining))
         cls = conj_class_brute(rep, ctx, cap=len(group.codes))
-        remaining -= cls.codes
+        remaining -= cls
         out.append(cls)
     return out

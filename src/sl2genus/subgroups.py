@@ -193,21 +193,17 @@ def full_group(ctx: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
 
 
 def adjoin_minus_one(h: Subgroup) -> Subgroup:
-    """<H, -1>, which is h itself when -1 is in H; -1 is a central involution,
-    so otherwise it is H u (-1)H.  An unmaterialized H of level m < n is decided
-    by H_m = h.reduced(m); one of level n is compared by order with <gens, -1>,
-    both from the Schreier walk (Subgroup.order), so H is not closed at level n;
-    the result is that <gens, -1>, unmaterialized.  A walk or closure above the
-    cap raises FeasibilityError, as H's own report would."""
-    ctx, neg = h.ctx, minus_one(h.ctx)
-    if h._codes is None:
-        got = Subgroup(ctx, h.gens + (neg,), h.cap)
-        low = h.reduced(level(h))
-        if low is not h:  # K_m <= H, so -1 is in H exactly when -1 mod p^m is in H_m
-            return h if minus_one(low.ctx) in low else got
-        return h if h.order == got.order else got
-    if encoder(ctx)(neg) in h.codes():
+    """<H, -1>, which is h itself when -1 is in H.  H holds K_m for m its level,
+    so -1 is in H exactly when -1 mod p^m is in H_m = h.reduced(m), the one
+    rule for every H, as genus_report reads it: H is closed at level m alone.
+    Otherwise -1, a central involution, gives H u (-1)H: from H's codes once
+    those are built, else <gens, -1>, unmaterialized.  A walk or closure above
+    the cap raises FeasibilityError, as H's own report would."""
+    ctx, neg, low = h.ctx, minus_one(h.ctx), h.reduced(level(h))
+    if minus_one(low.ctx) in low:
         return h
+    if h._codes is None:
+        return Subgroup(ctx, h.gens + (neg,), h.cap)
     codes = set(h.codes())  # frozen once, the table fits H u -H; a union H | -H sizes it for both
     codes.update(map(right_mul(ctx, neg), h.codes()))
     return Subgroup.from_codes(ctx, codes, h.gens + (neg,) if h.gens else (), h.cap)
@@ -237,11 +233,12 @@ def _generators(h: Subgroup) -> Tuple[Mat, ...]:
     return tuple(map(dec, gens))
 
 
-def preimage(h: Subgroup, dst: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgroup:
+def preimage(h: Subgroup, dst: GroupCtx) -> Subgroup:
     """Full inverse image of H under the mod p^m reduction, order #H * p^(3(n-m)), by
     generators: the lifts of H's generators (of _generators(h) if it has none) and,
     for n > m, of 1 + p^m W for the basis W of K_m/K_(m+1), which generate K_m since
-    its Frattini subgroup is K_(m+1) for every p and m >= 1 (Burnside's basis theorem)."""
+    its Frattini subgroup is K_(m+1) for every p and m >= 1 (Burnside's basis theorem).
+    It carries H's cap, which refuses its walks and closure."""
     if dst.p != h.ctx.p:
         raise ReductionError("preimage between different primes")
     if dst.n < h.ctx.n:
@@ -250,7 +247,7 @@ def preimage(h: Subgroup, dst: GroupCtx, cap: int = DEFAULT_MAX_ELEMENTS) -> Sub
     gens = list(h.gens or _generators(h))
     if dst.n > h.ctx.n:
         gens += [((1 + q) % m, 0, 0, (1 - q) % m), (1, q, 0, 1), (1, 0, q, 1)]
-    got = Subgroup(dst, tuple(_sl2_lift_one(g, m) for g in gens), cap)
+    got = Subgroup(dst, tuple(_sl2_lift_one(g, m) for g in gens), h.cap)
     want = h.order * dst.p ** (3 * (dst.n - h.ctx.n))
     if got.order != want:
         raise ConsistencyError("preimage of order %d, not #H p^(3(n-m)) = %d" % (got.order, want))
@@ -266,7 +263,7 @@ def _kernel_codes(ctx: GroupCtx, s: int, cap: int) -> FrozenSet:
         size, low = ctx.p ** (3 * (ctx.n - s)), make_ctx(ctx.p, s)
         if size > cap:
             raise _above_cap("K_%d modulo %d holds %d" % (s, ctx.modulus, size), cap)
-        return preimage(Subgroup.from_codes(low, [encoder(low)(identity(low))]), ctx, cap).codes()
+        return preimage(Subgroup.from_codes(low, [encoder(low)(identity(low))], cap=cap), ctx).codes()
 
     return cached(ctx, ("kernel", s), build, cap)
 
@@ -515,11 +512,11 @@ def parse_subgroup_spec(
         src_level = int(at)
         if src_level > n:
             raise ValueError("preimage source level %d exceeds n=%d" % (src_level, n))
-        return preimage(parse_subgroup_spec(inner, p, src_level, seed=seed, cap=cap), ctx, cap=cap)
+        return preimage(parse_subgroup_spec(inner, p, src_level, seed=seed, cap=cap), ctx)
     if spec.startswith("gens:"):
         return Subgroup(ctx, tuple(parse_mat(g, ctx) for g in spec[len("gens:") :].split("|")), cap)
     if spec == "full":
-        return preimage(full_group(make_ctx(p, 1), cap), ctx, cap)
+        return preimage(full_group(make_ctx(p, 1), cap), ctx)
     natural = 2 if spec == "A1" else 1
     if n != natural:
         raise ValueError(

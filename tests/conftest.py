@@ -46,7 +46,7 @@ def gl2_class():
         for e in range(1, m):
             if e % ctx.p:
                 d = (e, 0, 0, 1)
-                out |= conj_class_brute(_mul(_inv(d, m), _mul(x, d, m), m), ctx).codes
+                out |= conj_class_brute(_mul(_inv(d, m), _mul(x, d, m), m), ctx)
         return frozenset(out)
 
     return orbit
@@ -73,7 +73,7 @@ def label_mismatches():
 
     def count(ctx):
         refs = [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")] + [u_power_ref(ctx, r) for r in range(ctx.n)]
-        orbits = [((ref.kind, ref.r), conj_class_brute(ref.representative(), ctx).codes) for ref in refs]
+        orbits = [((ref.kind, ref.r), conj_class_brute(ref.representative(), ctx)) for ref in refs]
         dec = decoder(ctx)
         codes = enumerate_group(ctx).codes
         return sum(groups.class_labels(dec(c), ctx) != [key for key, orbit in orbits if c in orbit] for c in codes)

@@ -73,7 +73,7 @@ def test_criterion_02_class_sizes():
         refs += [u_power_ref(ctx, r) for r in range(n)]
         for ref in refs:
             brute = conj_class_brute(ref.representative(), ctx)
-            assert len(brute.codes) == conj_class_size_formula(ref), (p, n, ref.kind, ref.r)
+            assert len(brute) == conj_class_size_formula(ref), (p, n, ref.kind, ref.r)
             checked += 1
     _report(2, "%d classes, brute orbit = closed form (all p=2 branches included)" % checked, t0, 120)
 

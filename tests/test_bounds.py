@@ -119,14 +119,15 @@ def test_slim_bound_rejects_non_slim_and_level_one():
 
 def _caught_bound_reports(h):
     """bound_reports as it read before the plan chose its classes: every class
-    asked, and any PreconditionError read as "no bound at this level"."""
+    asked, and any PreconditionError read as "no bound at this level"; each
+    report with its class, (ref, report)."""
     ctx = h.ctx
     for ref in [ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")] + [u_power_ref(ctx, r) for r in range(ctx.n - 1)]:
         try:
             rep = slim_bound_report(h, ref)
         except PreconditionError:
             continue
-        yield rep
+        yield ref, rep
 
 
 def test_bound_reports_on_slim_subgroups_match_the_catching_loop(sl2_mod9_subgroups):
@@ -136,8 +137,8 @@ def test_bound_reports_on_slim_subgroups_match_the_catching_loop(sl2_mod9_subgro
     samples = [h for p, n in grid for h in suites._slim_sample((0, p, n), make_ctx(p, n), 25)]
     counts = []
     for subs in (slim, samples):
-        reports = [list(bounds.bound_reports(h)) for h in subs]
-        assert reports == [list(_caught_bound_reports(h)) for h in subs]
+        reports = [[rep.checks for rep in bounds.bound_reports(h)] for h in subs]
+        assert reports == [[rep.checks for _, rep in _caught_bound_reports(h)] for h in subs]
         counts.append(sum(map(len, reports)))
     assert counts[1] == 300  # suite_lemma6_1's "300 sampled (H, class) pairs"
     assert counts[0] > 0
@@ -352,13 +353,13 @@ def test_desk_failure_paths(monkeypatch):
     """Every delta 0 and every bound report failing: each case fails on its
     first subgroup, and the sampled cases keep their seed."""
 
-    def failing_report(h, ref):
-        rep = bounds.SlimBoundReport(ref.kind, ref.r, h.order)
+    def failing_report(h, ref, plan):
+        rep = bounds.SlimBoundReport()
         rep.add("forced", False, "x")
         return rep
 
     monkeypatch.setattr(suites, "delta", lambda h: Fraction(0))
-    monkeypatch.setattr(bounds, "_report", lambda h, ref, plan: failing_report(h, ref))
+    monkeypatch.setattr(bounds, "_report", failing_report)
     got = [
         (r.label, r.status, r.checked, r.min_delta, r.seed, r.notes)
         for part, samples in ((1, None), (2, 1), (6, 1))
@@ -502,8 +503,7 @@ def test_slim_bound_report_matches_the_old_report(sl2_mod9_subgroups):
         assert subs, name
         met = 0
         for h in subs:
-            for rep in bounds.bound_reports(Subgroup.from_codes(h.ctx, h.codes())):
-                ref = ConjClassRef(h.ctx, rep.kind, rep.r)
+            for ref, rep in _caught_bound_reports(Subgroup.from_codes(h.ctx, h.codes())):
                 assert rep.checks == _old_slim_bound_report(h, ref), (name, h.order, ref)
                 met += any(c[0] == "chain:last" for c in rep.checks) and bool(_met_fibers(h, ref))
                 reports += 1
@@ -687,7 +687,7 @@ def test_filtration_memo_keeps_the_y_sets(sl2_mod9_subgroups):
     nonempty = 0
     for h in subs:
         ctx = h.ctx
-        rep = SlimBoundReport("sigma", 0, h.order)
+        rep = SlimBoundReport()
         rep.add("filtration", *_filtration_checks(h))
         rows.append(repr(rep.checks))
         if ctx.p == 2:

@@ -14,7 +14,7 @@ from itertools import islice, product
 
 import pytest
 
-from sl2genus.bounds import bound_reports, slim_bound_report, verify_section7
+from sl2genus.bounds import slim_bound_report, verify_section7
 from sl2genus.core import (
     ConsistencyError,
     GroupCtx,
@@ -34,7 +34,7 @@ from sl2genus.core import (
 )
 from sl2genus.fibers import FiberDescriptor, fiber_group, verify_orthogonality
 from sl2genus.genus import coset_space, delta, genus, genus_report
-from sl2genus.groups import ConjClassRef, ElementSet, class_codes, enumerate_group, extend_closure
+from sl2genus.groups import ConjClassRef, class_codes, enumerate_group, extend_closure
 from sl2genus.subgroups import (
     Subgroup,
     a1_subgroup,
@@ -61,7 +61,7 @@ from sl2genus.suites import (
     verify_main_theorem_desk,
 )
 from sampling import sample_subgroups
-from test_bounds import _SAMPLE_DIGESTS, _old_slim_bound_report
+from test_bounds import _SAMPLE_DIGESTS, _caught_bound_reports, _old_slim_bound_report
 from test_kernel import _lattice_digest, _old_all_subgroups
 from test_section2 import _brute_sides, _decided, _disagreements
 from test_subgroups import _REPLAY_CASES, _reduction_mismatches, _replay, _spy_on_the_sampler, _stream, _walks_at
@@ -143,12 +143,12 @@ def test_a_swapped_member_of_the_stored_tau_class_moves_no_genus_report(monkeypa
         assert genus_report(adjoin_minus_one(borel(13))) == true_report
 
 
-def test_a_walk_that_understates_h_with_minus_one_fails_the_genus_precondition(monkeypatch):
+def test_a_walk_that_understates_h_with_minus_one_does_not_fool_adjoin_minus_one(monkeypatch):
     # the Schreier walk of <gens, -1> drops -1, so #<H, -1> reads #H for
-    # H = <u> and adjoin_minus_one returns H although -1 is not in H.  (Below
-    # level n, adjoin_minus_one decides on H_m and reads no walk of <gens, -1>,
-    # so only a level-n H is fooled.)
-    # genus() reads the report, whose own -1 test on H at its level is exact.
+    # H = <u>.  adjoin_minus_one reads no walk of <gens, -1>: it decides -1 in
+    # H on H_m at the level m of H (here n, so on H itself), and returns
+    # <H, -1> with its true genus.  genus() of H itself reads the report, whose
+    # own -1 test on H at its level is exact.
     subgroups_mod = sys.modules["sl2genus.subgroups"]
     true_walk = subgroups_mod._schreier_walk
 
@@ -156,12 +156,12 @@ def test_a_walk_that_understates_h_with_minus_one_fails_the_genus_precondition(m
         return true_walk([g for g in gens if g != minus_one(ctx)], ctx, cap)
 
     monkeypatch.setattr(subgroups_mod, "_schreier_walk", without_minus_one)
-    for ctx in (make_ctx(5, 2), make_ctx(3, 3)):
+    for ctx, want in ((make_ctx(5, 2), 12), (make_ctx(3, 3), 13)):
         h = Subgroup(ctx, (upper_u(ctx),))
         got = adjoin_minus_one(h)
-        assert got is h and level(h) == ctx.n
+        assert got is not h and level(h) == ctx.n and genus(got) == want
         with pytest.raises(PreconditionError, match="needs -1 in H"):
-            genus(got)
+            genus(h)
 
 
 def test_a_dropped_coset_fails_the_coverage_check(monkeypatch):
@@ -370,13 +370,13 @@ def test_a_swapped_member_of_a_walked_sigma_orbit_fails_the_label_check(monkeypa
     ctx = make_ctx(5, 2)
     ref, stranger = ConjClassRef(ctx, "sigma"), encoder(ctx)(lower_u(ctx))
     h = sample_slim_subgroups(ctx, 10, random.Random("fault-plan"), mod_p_target=borel(5))[0]
-    orbit = true_brute(sigma(ctx), ctx).codes
+    orbit = true_brute(sigma(ctx), ctx)
     member = min(orbit & h.codes())
     assert len(orbit & h.codes()) == 50 and stranger not in orbit
 
     def swapped(rep, ctx, cap):
         got = true_brute(rep, ctx, cap)
-        return ElementSet(ctx, got.codes - {member} | {stranger}) if member in got.codes else got
+        return got - {member} | {stranger} if member in got else got
 
     monkeypatch.delitem(ctx.memo, ("sigma", 0), raising=False)
     monkeypatch.setattr(groups_mod, "conj_class_brute", swapped)
@@ -577,8 +577,8 @@ def test_a_fiber_size_test_off_by_p_fails_lemma_6_1_cor_6_5_and_the_desk(monkeyp
     assert [(r.status, r.notes) for r in verify_main_theorem_desk(7)] == [("fail", failed)]
     c9 = make_ctx(3, 2)
     hs = sample_slim_subgroups(c9, 25, random.Random((0, 3, 2).__repr__()))  # lemma 6.1's at 9
-    reports = [(h, rep) for h in hs for rep in bound_reports(h)]
-    assert any(rep.checks != _old_slim_bound_report(h, ConjClassRef(c9, rep.kind, rep.r)) for h, rep in reports)
+    reports = [(h, ref, rep) for h in hs for ref, rep in _caught_bound_reports(h)]
+    assert any(rep.checks != _old_slim_bound_report(h, ref) for h, ref, rep in reports)
 
 
 def test_a_row_table_slot_off_by_one_fails_the_order_checks_where_there_is_one(monkeypatch):
@@ -783,7 +783,7 @@ _SUITE_FAULTS = [
     (
         "lemma5.1",
         "centralizer_brute",
-        lambda t: lambda rep, g: ElementSet(g.ctx, frozenset(sorted(t(rep, g).codes)[1:])),
+        lambda t: lambda rep, g: frozenset(sorted(t(rep, g))[1:]),
         "centralizer mismatch for sigma at (2,1)",
     ),
     (

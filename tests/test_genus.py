@@ -839,8 +839,8 @@ def _minus_one_cases():
 
 
 def test_adjoin_minus_one_is_h_exactly_when_minus_one_is_in_h():
-    # <H, -1> is H itself when -1 is in H (by membership for a materialized H,
-    # by the orders of the Schreier walks otherwise), and its report is the
+    # <H, -1> is H itself when -1 is in H (by membership of -1 mod p^m in
+    # H_m, m the level of H, materialized or not), and its report is the
     # report of <gens, -1> closed from scratch
     outcomes = set()
     for ctx, hs in _minus_one_cases():
@@ -855,9 +855,10 @@ def test_adjoin_minus_one_is_h_exactly_when_minus_one_is_in_h():
 
 
 def test_deciding_minus_one_closes_nothing_at_level_n(monkeypatch):
-    # <sigma> holds -1 = sigma^2, <u> does not, and G = <u, t(u)> has level 1:
-    # the decision reads the Schreier walks (and H mod 5 at rank 3), never a
-    # closure modulo 25
+    # <sigma, K_1> holds -1 = sigma^2, <u, K_1> does not, and G = <u, t(u)>
+    # does; each has level 1 < n, so the decision reads the Schreier walks and
+    # H mod 5, never a closure modulo 25.  K_1 is generated by 1 + 5W for
+    # W = diag(1, -1), E12 and E21
     calls = []
     true_fn = sys.modules["sl2genus.groups"]._closure_codes
 
@@ -869,7 +870,9 @@ def test_deciding_minus_one_closes_nothing_at_level_n(monkeypatch):
         if vars(mod).get("_closure_codes") is true_fn:
             monkeypatch.setattr(mod, "_closure_codes", recording)
     ctx = make_ctx(5, 2)
-    for gens, inside in (((sigma(ctx),), True), ((upper_u(ctx),), False), ((upper_u(ctx), lower_u(ctx)), True)):
+    kernel = ((6, 0, 0, 21), (1, 5, 0, 1), (1, 0, 5, 1))
+    cases = (((sigma(ctx),) + kernel, True), ((upper_u(ctx),) + kernel, False), ((upper_u(ctx), lower_u(ctx)), True))
+    for gens, inside in cases:
         h = Subgroup(ctx, gens)
         got = adjoin_minus_one(h)
         assert (got is h, got._codes, h._codes) == (inside, None, None)

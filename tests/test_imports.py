@@ -729,12 +729,12 @@ def test_every_pragma_names_its_reason():
 
 
 # ROADMAP item 7 budgets the lines under src/: the library may not grow past
-# its last count of 3,877 lines.  The count per module is printed too, so that
+# its last count of 3,865 lines.  The count per module is printed too, so that
 # a change can read its delta module by module.
 def test_src_stays_within_the_line_budget():
     counts = {p.name: len(p.read_text().splitlines()) for p in MODULES}
     for name, count in counts.items():
         print("src/sl2genus/%s: %d lines" % (name, count))
     total = sum(counts.values())
-    print("src/sl2genus: %d lines, budget 3,877" % total)
-    assert total <= 3_877, "src/sl2genus holds %d lines, above the budget of 3,877" % total
+    print("src/sl2genus: %d lines, budget 3,865" % total)
+    assert total <= 3_865, "src/sl2genus holds %d lines, above the budget of 3,865" % total

@@ -263,7 +263,7 @@ def test_conj_class_matches_conjugation_over_the_group(gl2_class, data):
     for c in _ambient(ctx, ambient):
         g = dec(c)
         want.add(enc(_mul(_inv(g, m), _mul(x, g, m), m)))
-    assert (conj_class_brute(x, ctx).codes if ambient == "SL2" else gl2_class(x, ctx)) == want
+    assert (conj_class_brute(x, ctx) if ambient == "SL2" else gl2_class(x, ctx)) == want
 
 
 @pytest.mark.parametrize("p, n", [(2, 1), (3, 2), (5, 3), (257, 2)])
@@ -324,7 +324,7 @@ def conjugate_inputs(draw):
 def test_centralizer_matches_the_old_body(data):
     h, rep = data
     for group in (h.elements(), enumerate_group(h.ctx)):
-        assert centralizer_brute(rep, group).codes == _old_centralizer(rep, group)
+        assert centralizer_brute(rep, group) == _old_centralizer(rep, group)
 
 
 def _old_primitive_root_mod_p(p):

@@ -110,10 +110,9 @@ def test_membership_rejects_unreduced_matrices():
     ctx = make_ctx(5, 2)
     h = closure([upper_u(ctx), minus_one(ctx)], ctx)
     for x in ((33, 0, 0, 1), (-1, 0, 0, -1)):
-        for where in (h, h.elements()):
-            with pytest.raises(ContextMismatchError, match="not reduced modulo 25"):
-                x in where
-    assert upper_u(ctx) in h and minus_one(ctx) in h.elements()
+        with pytest.raises(ContextMismatchError, match="not reduced modulo 25"):
+            x in h
+    assert upper_u(ctx) in h and minus_one(ctx) in h
 
 
 def test_standard_subgroup_orders():
@@ -857,7 +856,7 @@ def test_derived_subgroups_keep_the_cap(builds):
     ctx = make_ctx(5, 2)
     h = closure([upper_u(ctx)], ctx, cap=1000)
     derived = [adjoin_minus_one(h), filtration_level(h, 1)]
-    derived += [preimage(borel(5), ctx, cap=2500), full_group(make_ctx(5, 1), cap=1000)]
+    derived += [preimage(borel(5, cap=2500), ctx), full_group(make_ctx(5, 1), cap=1000)]
     assert [d.cap for d in derived] == [1000, 1000, 2500, 1000]
     # the reports walk a table of 25^2 vector slots and close nothing, not G =
     # SL2(Z/25Z) (15,000 elements): under 1000 they equal the uncapped ones,
