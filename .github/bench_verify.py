@@ -52,17 +52,22 @@ each metric by its `better` and `bound` in BENCHMARK.json, prints the verdict
 and records it under "judged".
 
 `judged` maps each metric to {"wins", "pairs", "parent_iqr", "change_iqr",
-"verdict"}: how many pairs the change won (pair i sets the i-th run of each
-side against each other; a tie counts for neither side), the interquartile
-spread of each side's runs (inclusive quartiles) and one of three verdicts.
-"not worse" when every change run beats every parent run; else "unresolved"
-when either side's IQR is wider than the bound times that side's median, as
-the runs then cannot tell a change of the bound from the host's spread; else
-"worse" when the change's median is worse than the parent's by more than the
-bound, a fraction of the parent's median, and "not worse" otherwise.  Every
-verdict is printed, under its row's command in `verify`, and recorded.
+"verdict", "gain"}: how many pairs the change won (pair i sets the i-th run of
+each side against each other; a tie counts for neither side), the
+interquartile spread of each side's runs (inclusive quartiles), one of three
+verdicts and the claim test.  "not worse" when every change run beats every
+parent run; else "unresolved" when either side's IQR is wider than the bound
+times that side's median, as the runs then cannot tell a change of the bound
+from the host's spread; else "worse" when the change's median is worse than
+the parent's by more than the bound, a fraction of the parent's median, and
+"not worse" otherwise.  "gain" is "resolved" when the change won at least nine
+tenths of the pairs (9 of 10) and its median moved past the parent's by more
+than the parent's IQR, both in the metric's better direction, and "not
+resolved" otherwise: a claimed gain counts only when resolved.  Every verdict
+and gain is printed, under its row's command in `verify`, and recorded.
 (Records before this schema hold "worse_than_bound", true or false, in place
-of the IQR of the change and the verdict.)  Either mode exits non-zero when a
+of the IQR of the change and the verdict, and records before the claim test
+hold no "gain".)  Either mode exits non-zero when a
 command fails, and then appends nothing.  Each BENCH_*.json file is a JSON
 list with one record per line.
 """
@@ -241,9 +246,11 @@ def judge(parent, change, metrics):
             verdict = "unresolved"
         else:
             verdict = "worse" if worse else "not worse"
-        out[name] = {"wins": wins, "pairs": len(a), "parent_iqr": spread[0], "change_iqr": spread[1], "verdict": verdict}
-        print("%-13s change won %d of %d pairs; medians %g -> %g; IQR %g parent, %g change; bound %g: %s"
-              % (name, wins, len(a), base, got, spread[0], spread[1], bound, verdict))
+        moved = got - base if higher else base - got
+        gain = "resolved" if 10 * wins >= 9 * len(a) and moved > spread[0] else "not resolved"
+        out[name] = dict(wins=wins, pairs=len(a), parent_iqr=spread[0], change_iqr=spread[1], verdict=verdict, gain=gain)
+        print("%-13s change won %d of %d pairs; medians %g -> %g; IQR %g parent, %g change; bound %g: %s; gain %s"
+              % (name, wins, len(a), base, got, spread[0], spread[1], bound, verdict, gain))
     return out
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import repeat
+from math import lcm
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
@@ -59,39 +61,50 @@ def count_in_subgroup(h: Subgroup, ref: ConjClassRef) -> int:
 # -------------------- the double cosets H g<u> --------------------
 
 
-def _orbits(hmats: List[Mat], ctx: GroupCtx) -> Iterator[Tuple[Tuple[int, int], int]]:
-    """(a vector v of O, #O) for each orbit O = {x v : x in H} on the primitive vectors of (Z/p^n)^2."""
+def _line_orbits(hmats: List[Mat], ctx: GroupCtx) -> Iterator[Tuple[Tuple[int, int], int, int]]:
+    """(v, #(H L), #Lambda_L) for each H-orbit H L of the lines L = [v] of P^1(Z/p^n),
+    v = (1, y), or (x, 1) with p | x, and Lambda_L = {lam : h v = lam v for some h in H}:
+    the vectors h v lie #Lambda_L on each line of H L."""
     p, m = ctx.p, ctx.modulus
-    seen = bytearray(m * m)  # (x, y) at x + m y
-    for y in range(m):
-        for x in range(m):
-            if not seen[x + m * y] and (x % p or y % p):
-                orbit = {(a * x + b * y) % m + m * ((c * x + d * y) % m) for a, b, c, d in hmats}
-                for i in orbit:
-                    seen[i] = 1
-                yield (x, y), len(orbit)
+    inv = [pow(a, -1, m) if a % p else 0 for a in range(m)]
+    seen = bytearray(m + m // p)  # [1 : y] at y, [x : 1] at m + x/p
+    for i in range(m + m // p):
+        if not seen[i]:
+            x, y = (1, i) if i < m else (p * (i - m), 1)
+            orbit = {(a * x + b * y) % m + m * ((c * x + d * y) % m) for a, b, c, d in hmats}
+            lines = range(m + m // p)  # every line, when H v holds every primitive vector
+            if len(orbit) < m * m - (m // p) ** 2:
+                lines = {t * inv[s] % m if s % p else m + s * inv[t] % m // p for t, s in map(divmod, orbit, repeat(m))}
+            for j in lines:
+                seen[j] = 1
+            yield (x, y), len(lines), len(orbit) // len(lines)
 
 
 def coset_space(h: Subgroup) -> Tuple[List[int], List[int]]:
-    """(l per double coset H g<u>, [Fix_sigma, Fix_tau]) on the H-orbits O of the
-    primitive vectors v = g e1 = (x, y): H g<u> holds l = p^n #O / #H right cosets,
-    and a fixes l N(v) / p^n of them, N(v) = #{h in H : tr h = tr a, det(v, hv) = -1}
-    (the u^j a u^-j are the x with x21 = -1 and trace tr a, and (g^-1 h g)21 =
-    det(v, hv)).  ConsistencyError unless the orbits cover the primitive vectors,
-    each l divides p^n and is the index in <u> of the stabilizer of H g, and p^n
-    divides each l N(v); the l then sum to p^n (p^(2n) - p^(2n-2)) / #H = [G:H].
-    The walk's table holds a slot per vector, p^(2n), refused above h.cap before it is built."""
+    """(l per double coset H g<u>, [Fix_sigma, Fix_tau]) on the H-orbits H L of the lines
+    L = [v] of P^1(Z/p^n), v = g e1: above H L lie the phi(p^n) / #Lambda_L double cosets
+    of the mu v, mu over the units mod Lambda_L (_line_orbits), each of l = p^n #(H L)
+    #Lambda_L / #H right cosets, and a fixes l N(mu v) / p^n of them, N(mu v) = #{h in H :
+    tr h = tr a, det(v, hv) = -mu^-2} (the u^j a u^-j are the x with x21 = -1 and trace
+    tr a, and (g^-1 h g)21 = det(v, hv)).  ConsistencyError unless the orbits cover the
+    lines, each l divides p^n and is the index in <u> of the stabilizer of H g (and of
+    H mu g: mu^2 is a unit), and p^n divides each l N(mu v); the l then sum to [G:H].
+    The line table and the #H matrices it decodes are refused above h.cap before they are built."""
     ctx = h.ctx
     p, m, enc = ctx.p, ctx.modulus, encoder(ctx)
-    if m * m > h.cap:
-        raise _above_cap("the vector table modulo %d holds %d" % (m, m * m), h.cap)
+    held = m + m // p + h.order
+    if held > h.cap:
+        raise _above_cap("the line table modulo %d and the matrices of H hold %d" % (m, held), h.cap)
     hm = h.codes()
     hmats = list(map(decoder(ctx), hm))
     # det(v, hv) = c x^2 + (d - a) x y - b y^2, for the h of trace tr sigma = 0 and tr tau = 1
     forms = [[(c, d - a, -b) for a, b, c, d in hmats if (a + d - t) % m == 0] for t in (0, 1)]
+    # per d, the double cosets H mu g<u> with N(mu v) = #{h : det(v, hv) = d}: #{mu : -mu^-2 = d} = #{mu : -mu^2 = d}
+    roots = Counter(-mu * mu % m for mu in range(m) if mu % p)
     lengths, fixed, covered = [], [0, 0], 0
-    for (x, y), size in _orbits(hmats, ctx):
-        covered += size
+    for (x, y), lines, lam in _line_orbits(hmats, ctx):
+        covered += lines
+        size = lines * lam  # the vectors of H v
         ell, rest = divmod(m * size, len(hm))
         if rest or not ell or m % ell:
             raise ConsistencyError("an orbit of %d vectors gives %d/%d right cosets" % (size, m * size, len(hm)))
@@ -100,14 +113,19 @@ def coset_space(h: Subgroup) -> Tuple[List[int], List[int]]:
         if not stab[0] or ell > 1 and stab[1]:
             raise ConsistencyError("the stabilizer of H g in <u> is not %dZ, g e1 = %r" % (ell, (x, y)))
         for i, rows in enumerate(forms):
-            got = ell * sum((c * x * x + e * x * y + f * y * y) % m == m - 1 for c, e, f in rows)
-            if got % m:
-                kind = ("sigma", "tau")[i]
-                raise ConsistencyError("%s fixes %d/%d cosets of H g<u>, g e1 = %r" % (kind, got, m, (x, y)))
-            fixed[i] += got // m
-        lengths.append(ell)
-    if covered != m * m - (m // p) ** 2:
-        raise ConsistencyError("the orbits covered %d of %d primitive vectors" % (covered, m * m - (m // p) ** 2))
+            total = 0
+            dets = [(c * x * x + e * x * y + f * y * y) % m for c, e, f in rows]
+            for d, k in roots.items():
+                got = ell * dets.count(d)
+                if got % m:
+                    mu = next(mu for mu in range(m) if (d * mu * mu + 1) % m == 0)  # g e1 = mu v
+                    kind, v = ("sigma", "tau")[i], (mu * x % m, mu * y % m)
+                    raise ConsistencyError("%s fixes %d/%d cosets of H g<u>, g e1 = %r" % (kind, got, m, v))
+                total += got // m * k
+            fixed[i] += total // lam  # each double coset once per mu of its class mu Lambda_L
+        lengths += [ell] * ((m - m // p) // lam)
+    if covered != m + m // p:
+        raise ConsistencyError("the line orbits covered %d of %d lines" % (covered, m + m // p))
     return lengths, fixed
 
 
@@ -119,26 +137,29 @@ def _class_ratio(h: Subgroup, ref: ConjClassRef) -> Fraction:
 def fix_points(h: Subgroup, ref: ConjClassRef) -> int:
     """#{gH : a gH = gH} for a in the class ref names, through #Fix_a / [G:H] =
     #(H n Conj(a)) / #Conj(a); genus_report checks it on the right cosets."""
-    via_identity = h.ctx.order // h.order * _class_ratio(h, ref)
-    if via_identity.denominator != 1:
+    fixed, rest = divmod(h.ctx.order // h.order * count_in_subgroup(h, ref), conj_class_size_formula(ref))
+    if rest:
         raise ConsistencyError("fixed-point identity gave a non-integer")
-    return int(via_identity)
+    return fixed
 
 
 def cusp_series(p: int, ratios: Sequence[Fraction]) -> Fraction:
     """1/p^t + sum_s (p-1)/p^(s+1) r_s over r_0..r_(t-1), with t = len(ratios).
     With r_s = #(H n Conj(u^(p^s))) / #Conj(u^(p^s)) and t = n this is the cusp
-    ratio; with upper bounds for the r_s it bounds the cusp ratio from above."""
-    out = Fraction(1, p ** len(ratios))
-    for s, r in enumerate(ratios):
-        out += Fraction(p - 1, p ** (s + 1)) * r
-    return out
+    ratio; with upper bounds for the r_s it bounds the cusp ratio from above.
+    Summed as integers over the one denominator p^t lcm(den r_s)."""
+    t, den = len(ratios), lcm(*(r.denominator for r in ratios))
+    num = den + sum((p - 1) * p ** (t - s - 1) * r.numerator * (den // r.denominator) for s, r in enumerate(ratios))
+    return Fraction(num, p**t * den)
 
 
 def delta_from_ratios(r_sigma: Fraction, r_tau: Fraction, cusp: Fraction) -> Fraction:
     """delta_H = 1 - 3 r_sigma - 4 r_tau - 6 cusp, from the class ratios #(H n Conj) / #Conj
-    of sigma and tau and the cusp ratio; upper bounds for them give a lower bound for delta_H."""
-    return 1 - 3 * r_sigma - 4 * r_tau - 6 * cusp
+    of sigma and tau and the cusp ratio; upper bounds for them give a lower bound for delta_H.
+    Summed as integers over the one denominator lcm(den r_sigma, den r_tau, den cusp)."""
+    den = lcm(r_sigma.denominator, r_tau.denominator, cusp.denominator)
+    weighted = 3 * r_sigma.numerator * (den // r_sigma.denominator) + 4 * r_tau.numerator * (den // r_tau.denominator)
+    return Fraction(den - weighted - 6 * cusp.numerator * (den // cusp.denominator), den)
 
 
 def cusp_orbit_ratio(h: Subgroup) -> Fraction:
@@ -189,15 +210,17 @@ def genus_report(h: Subgroup) -> GenusReport:
         for direct, via_identity in zip(direct_fixed, fixed):
             if direct != via_identity:
                 raise ConsistencyError("fixed-point count mismatch: direct %d vs identity %d" % (direct, via_identity))
-        direct = Fraction(len(lengths), index)  # the <u>-orbits on H\G are the double cosets H_m g<u>
-        if direct != cusp:
-            raise ConsistencyError("cusp ratio mismatch: direct %s vs formula %s" % (direct, cusp))
+        orbits = len(lengths)  # the <u>-orbits on H\G are the double cosets H_m g<u>
+        if orbits * cusp.denominator != index * cusp.numerator:
+            raise ConsistencyError("cusp ratio mismatch: direct %s vs formula %s" % (Fraction(orbits, index), cusp))
     counts = [count_in_subgroup(h, ref) for ref in refs]
     d = delta_from_ratios(*(_class_ratio(h, ref) for ref in refs), cusp)
-    g = 1 + Fraction(index, 12) * d if minus_one(low.ctx) in low else None  # K_m <= H
-    if g is not None and (g.denominator != 1 or g < 0):
-        raise ConsistencyError("genus %s is not a non-negative integer" % g)
-    return GenusReport(index, *counts, cusp, d, None if g is None else int(g), *fixed)
+    g = None
+    if minus_one(low.ctx) in low:  # K_m <= H; g = 1 + [G:H] delta / 12
+        g, rest = divmod(12 * d.denominator + index * d.numerator, 12 * d.denominator)
+        if rest or g < 0:
+            raise ConsistencyError("genus %s is not a non-negative integer" % (1 + Fraction(index, 12) * d))
+    return GenusReport(index, *counts, cusp, d, g, *fixed)
 
 
 # -------------------- closed-form genera at level p --------------------

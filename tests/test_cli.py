@@ -280,22 +280,22 @@ def test_usage_errors(capsys, builds):
         assert "--case" in _run(capsys, "verify", "--suite", suite, "--case", "3")[2], suite
     # the cap refuses what a call builds, not a number it reads: count labels
     # the 5 elements of H = <(1 5; 0 1)> and builds no orbit of Conj(sigma)
-    # (750 elements), genus walks a table of 25^2 vector slots and never builds
-    # G = SL2(Z/25Z) (15,000), and preimage:B@1 (2,500 elements) is reported
-    # on B mod 5 (20 elements) with a table of 5^2 slots, its Schreier walk
-    # holding at most those 20 lifts; below a table or B mod 5, the cap still
-    # refuses them
+    # (750 elements), genus walks a table of the 30 lines of P^1(Z/25) with the
+    # 5 matrices of H and never builds G = SL2(Z/25Z) (15,000), and
+    # preimage:B@1 (2,500 elements) is reported on B mod 5 (20 elements) with a
+    # table of 6 lines, its Schreier walk holding at most those 20 lifts; below
+    # a table and its matrices or B mod 5, the cap still refuses them
     spec = ("--p", "5", "--n", "2", "--subgroup", "gens:1,5;0,1")
     preimage_b = ("genus", "--p", "5", "--n", "2", "--subgroup", "preimage:B@1")
     count = ("count",) + spec + ("--class", "sigma")
-    for argv, cap in ((count, 100), (("genus",) + spec, 625), (preimage_b, 25)):
+    for argv, cap in ((count, 100), (("genus",) + spec, 35), (preimage_b, 26)):
         builds.clear()
         code, capped, _ = _run(capsys, *argv, "--output", "json", "--max-elements", str(cap))
         assert code == EXIT_OK and builds and all(size <= cap for _, size in builds), argv
         assert capped == _run(capsys, *argv, "--output", "json")[1], argv
     for argv, cap, held in (
-        (("genus",) + spec, 624, "vector table modulo 25"),
-        (preimage_b, 24, "vector table modulo 5"),
+        (("genus",) + spec, 34, "line table modulo 25 and the matrices of H hold 35"),
+        (preimage_b, 25, "line table modulo 5 and the matrices of H hold 26"),
         (preimage_b, 19, "B modulo 5 holds 20"),
     ):
         code, _, err = _run(capsys, *argv, "--max-elements", str(cap))
@@ -343,7 +343,7 @@ def test_the_cap_is_a_positive_integer(capsys, monkeypatch):
         assert _run(capsys, *genus, "--max-elements", "1000")[0] == EXIT_OK  # the flag wins
     assert _run(capsys, "bounds", "--kind", "a_sigma_p", "--p", "5", "--n", "3")[0] == EXIT_OK
     assert _run(capsys, "verify", "--suite", "lemma4.5")[0] == EXIT_OK
-    monkeypatch.setenv("SL2_MAX_ELEMENTS", "100")
+    monkeypatch.setenv("SL2_MAX_ELEMENTS", "34")  # the coset walk of <(1 5; 0 1)> holds 35
     code, _, err = _run(capsys, "genus", "--p", "5", "--n", "2", "--subgroup", "gens:1,5;0,1")
     assert code == EXIT_USAGE and "--max-elements" in err  # the variable is the cap
     monkeypatch.delenv("SL2_MAX_ELEMENTS")

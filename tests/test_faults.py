@@ -165,17 +165,17 @@ def test_a_walk_that_understates_h_with_minus_one_does_not_fool_adjoin_minus_one
 
 
 def test_a_dropped_coset_fails_the_coverage_check(monkeypatch):
-    # the orbit walk stops one H-orbit short: on B at 13 (index 14) the 168
-    # primitive vectors split into the orbit of e1 (12 vectors, the one coset
-    # H) and one orbit of 156 (the other 13 cosets), so without the second the
-    # walk covers 12 of them, and coset_space raises before a count reads it.
+    # the line walk stops one H-orbit short: on B at 13 (index 14) the 14 lines
+    # of P^1(F_13) split into [e1] (the one coset H) and one orbit of 13 lines
+    # (the other 13 cosets), so without the second the walk covers 1 of them,
+    # and coset_space raises before a count reads it.
     # A report that raised is not kept: without the fault it is made again.
     genus_mod = sys.modules["sl2genus.genus"]
-    true_orbits = genus_mod._orbits
+    true_orbits = genus_mod._line_orbits
     h = borel(13)
     index = h.ctx.order // h.order
-    monkeypatch.setattr(genus_mod, "_orbits", lambda *args: islice(true_orbits(*args), 1))
-    with pytest.raises(ConsistencyError, match="the orbits covered 12 of 168 primitive vectors"):
+    monkeypatch.setattr(genus_mod, "_line_orbits", lambda *args: islice(true_orbits(*args), 1))
+    with pytest.raises(ConsistencyError, match="the line orbits covered 1 of 14 lines"):
         genus_report(h)
     monkeypatch.undo()
     assert genus_report(h).index == index
@@ -191,21 +191,22 @@ def test_a_dropped_coset_fails_the_coverage_check(monkeypatch):
     ids=["up-B", "down-lower-B", "down-B"],
 )
 def test_a_double_coset_off_by_p_fails_the_stabilizer_or_the_integer_check(monkeypatch, scale, lower, message):
-    # the walk reads each #O, and so l = p^n #O / #H, p times too large or too
-    # small.  On B at 13 the orbit of e1 holds 12 vectors and H is its one
-    # coset (l = 1).  Read as 156, l = 13, yet u lies in B, so the stabilizer
-    # of H in <u> is not 13Z; read as 0, l = 0 divides no p^n.  On the lower
-    # Borel subgroup sigma^-1 B sigma the orbit of e1 holds 156 vectors (l =
-    # 13); read as 12, l = 1, yet u is not in it, so the stabilizer is not 1Z.
+    # the walk reads each #(H L), and so l = p^n #(H L) #Lambda_L / #H, p times
+    # too large or too small.  On B at 13 the line orbit of e1 is [e1] alone,
+    # with Lambda the 12 units, and H is its one coset (l = 1).  Read as 13
+    # lines, l = 13, yet u lies in B, so the stabilizer of H in <u> is not 13Z;
+    # read as 0, l = 0 divides no p^n.  On the lower Borel subgroup
+    # sigma^-1 B sigma the line orbit of e1 holds the 13 lines [1 : y] (l = 13);
+    # read as 1, l = 1, yet u is not in it, so the stabilizer is not 1Z.
     genus_mod = sys.modules["sl2genus.genus"]
-    true_orbits = genus_mod._orbits
+    true_orbits = genus_mod._line_orbits
 
     def scaled(hmats, ctx):
-        return ((v, int(size * scale)) for v, size in true_orbits(hmats, ctx))
+        return ((v, int(lines * scale), lam) for v, lines, lam in true_orbits(hmats, ctx))
 
     c13 = make_ctx(13, 1)
     h = Subgroup.from_codes(c13, map(conjugator(c13, sigma(c13)), borel(13).codes())) if lower else borel(13)
-    monkeypatch.setattr(genus_mod, "_orbits", scaled)
+    monkeypatch.setattr(genus_mod, "_line_orbits", scaled)
     with pytest.raises(ConsistencyError, match=message):
         genus_report(h)
 
@@ -278,12 +279,52 @@ def test_a_coset_filter_off_by_one_in_the_trace_fails_the_fixed_point_check(monk
 
 
 def test_fixed_counts_without_the_double_coset_length_fail_the_integrality_check(monkeypatch):
-    # coset_space adds N(v) / p^n for a double coset, not l N(v) / p^n: p^n
-    # rarely divides N(v), and the check that it divides l N(v) raises first
-    kills = _kills(monkeypatch, "coset_space", "got = ell * sum(", "got = sum(")
+    # coset_space adds N(mu v) / p^n for a double coset, not l N(mu v) / p^n:
+    # p^n rarely divides N(mu v), and the check that it divides l N(mu v) raises first
+    kills = _kills(monkeypatch, "coset_space", "got = ell * dets.count(d)", "got = dets.count(d)")
     pattern = r"(sigma|tau) fixes \d+/\d+ cosets of H g<u>, g e1 = .*"
     integral = sum(k for text, k in kills.items() if re.fullmatch(pattern, text))
     assert (integral, kills["fixed-point count mismatch"]) == (59, 2)
+
+
+def test_a_line_orbit_read_with_lambda_one_fails_the_length_check(monkeypatch):
+    # the walk reads Lambda_L as {1}: each double coset above H L then reads
+    # l / #Lambda_L right cosets.  On the 112 report cases that is no whole
+    # number, or one that divides p^n but is not the stabilizer's index in
+    # <u>; every report that does not raise is one whose every Lambda_L is
+    # {1} already, so its report stands
+    genus_mod = sys.modules["sl2genus.genus"]
+    true_orbits = genus_mod._line_orbits
+    cases = _report_cases()
+    true = _reports(cases)
+    monkeypatch.setattr(genus_mod, "_line_orbits", lambda *args: ((v, k, 1) for v, k, _ in true_orbits(*args)))
+    got = _reports(cases)
+    monkeypatch.undo()
+    kills = Counter(g.split(" ")[1] for g in got if isinstance(g, str))
+    assert kills == {"orbit": 76, "stabilizer": 20}  # "an orbit of ... right cosets", "the stabilizer of H g ..."
+    for (ctx, codes), g, t in zip(cases, got, true):
+        if not isinstance(g, str):
+            h = Subgroup.from_codes(ctx, codes)
+            low = h.reduced(level(h))
+            assert g == t and {lam for _, _, lam in true_orbits(list(low.mats()), low.ctx)} == {1}
+
+
+def test_a_root_count_read_at_plus_d_inverse_is_an_equivalent_mutant(monkeypatch):
+    # the walk files the double coset of mu v under d = mu^-2, not -mu^-2, so
+    # N(mu v) reads #{h : tr h = tr a, det(v, hv) = +mu^-2}.  It survives on
+    # all 112: h -> h^-1 keeps tr h and negates det(v, hv), so the count of
+    # det(v, hv) is even, and each N it reads, and each integrality check, is
+    # the true one (the twin of the det read at +1 above)
+    assert _kills(monkeypatch, "coset_space", "-mu * mu % m", "mu * mu % m") is None
+
+
+def test_a_root_count_read_as_at_odd_p_fails_the_fixed_point_check(monkeypatch):
+    # the walk counts at most two mu per d, as at odd p, where mu^2 = w has two
+    # roots; modulo 2^n, n >= 3, each unit square has four, so the fixed counts
+    # of a line orbit modulo 8 fall short and the class route disagrees
+    assert {pow(mu, 2, 8) for mu in (1, 3, 5, 7)} == {1}
+    kills = _kills(monkeypatch, "coset_space", "total += got // m * k", "total += got // m * min(2, k)")
+    assert kills == {"fixed-point count mismatch": 5}
 
 
 def test_a_subgroup_with_one_member_misfiled_fails_the_integrality_check():

@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import random
 import sys
 import types
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from sl2genus.core import (
     identity,
     lower_u,
     make_ctx,
+    mat,
     mat_pow,
     minus_one,
     reduce_mat,
@@ -30,7 +33,7 @@ from sl2genus.core import (
 )
 from sl2genus.genus import (
     DIRECT_CHECK_CAP,
-    _orbits,
+    _line_orbits,
     closed_form_genus,
     coset_space,
     count_in_subgroup,
@@ -44,6 +47,7 @@ from sl2genus.groups import ConjClassRef, class_labels, conj_class_size_formula,
 from sl2genus.subgroups import (
     Subgroup,
     adjoin_minus_one,
+    all_subgroups,
     borel,
     closure,
     full_group,
@@ -56,6 +60,8 @@ from sl2genus.subgroups import (
 )
 
 from sampling import sample_subgroups
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_legendre_examples():
@@ -606,13 +612,53 @@ def test_row_tables_multiply_packed_codes(p, n):
         assert list(map(right_mul(ctx, s), codes)) == want  # entry by entry, then the table
 
 
+def _orbits(hmats, ctx):
+    """(a vector v of O, #O) for each orbit O = {x v : x in H} on the primitive vectors of (Z/p^n)^2."""
+    p, m = ctx.p, ctx.modulus
+    seen = bytearray(m * m)  # (x, y) at x + m y
+    for y in range(m):
+        for x in range(m):
+            if not seen[x + m * y] and (x % p or y % p):
+                orbit = {(a * x + b * y) % m + m * ((c * x + d * y) % m) for a, b, c, d in hmats}
+                for i in orbit:
+                    seen[i] = 1
+                yield (x, y), len(orbit)
+
+
+def _vector_walk(h):
+    """coset_space's (lengths, fixed) walked on the H-orbits O of the primitive
+    vectors v = g e1, one per double coset H g<u>: l = p^n #O / #H, and a fixes
+    l N(v) / p^n of its cosets, N(v) = #{h : tr h = tr a, det(v, hv) = -1}.  The
+    walk the line walk replaced, kept as its oracle, with its own checks."""
+    ctx = h.ctx
+    p, m, enc = ctx.p, ctx.modulus, encoder(ctx)
+    hm = h.codes()
+    hmats = list(map(decoder(ctx), hm))
+    forms = [[(c, d - a, -b) for a, b, c, d in hmats if (a + d - t) % m == 0] for t in (0, 1)]
+    lengths, fixed, covered = [], [0, 0], 0
+    for (x, y), size in _orbits(hmats, ctx):
+        covered += size
+        ell, rest = divmod(m * size, len(hm))
+        assert not rest and ell and m % ell == 0
+        stab = [enc(mat(1 - j * x * y, j * x * x, -j * y * y, 1 + j * x * y, ctx)) in hm for j in (ell, ell // p)]
+        assert stab[0] and not (ell > 1 and stab[1])
+        for i, rows in enumerate(forms):
+            got = ell * sum((c * x * x + e * x * y + f * y * y) % m == m - 1 for c, e, f in rows)
+            assert got % m == 0
+            fixed[i] += got // m
+        lengths.append(ell)
+    assert covered == m * m - (m // p) ** 2
+    return lengths, fixed
+
+
 @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2)])
 def test_the_walk_splits_g_m_into_right_cosets_of_h_m(p, n):
     # the test enumerates G_m and splits it into right cosets H_m g; the library
-    # walks the H_m-orbits on primitive vectors.  Each <u>-cycle of right cosets
-    # is a double coset H_m g<u>, and the vectors x g e1 (x in H_m, H_m g in the
-    # cycle) are one H_m-orbit: the orbits of the cycles split the primitive
-    # vectors, and the walk meets each once, with its size
+    # walks the H_m-orbits on the lines of P^1(Z/p^m).  Each <u>-cycle of right
+    # cosets is a double coset H_m g<u>, and the vectors x g e1 (x in H_m, H_m g
+    # in the cycle) are one H_m-orbit: the orbits of the cycles split the
+    # primitive vectors, the walk meets each line orbit once, and the vector
+    # orbits above it are mu times one of them, #(H L) #Lambda_L vectors each
     for h in _level_route_subgroups(p, n):
         sub = make_ctx(p, level(h))
         m = sub.modulus
@@ -632,23 +678,31 @@ def test_the_walk_splits_g_m_into_right_cosets_of_h_m(p, n):
         vectors = [v for orbit, _ in orbits for v in orbit]
         assert len(vectors) == len(set(vectors)) == m * m - (m // p) ** 2
         where = {v: k for k, (orbit, _) in enumerate(orbits) for v in orbit}
-        walked = list(_orbits(hmats, sub))
-        assert sorted(where[v] for v, _ in walked) == list(range(len(orbits)))
-        assert all(size == len(orbits[where[v]][0]) for v, size in walked)
-        lengths, fixed = coset_space(h_m)
-        assert lengths == [orbits[where[v]][1] for v, _ in walked]  # l of each double coset, in the walk's order
+        units = [mu for mu in range(m) if mu % p]
+        walked, lengths = list(_line_orbits(hmats, sub)), []
+        for (x, y), lines, lam in walked:
+            above = {where[mu * x % m, mu * y % m] for mu in units}  # the double cosets H_m mu g<u>
+            assert len(above) == len(units) // lam
+            assert all(len(orbits[k][0]) == lines * lam for k in above)
+            lengths += sorted(orbits[k][1] for k in above)
+        assert sum(lines for _, lines, _ in walked) == m + m // p
+        got, fixed = coset_space(h_m)
+        assert got == lengths  # l of each double coset, line orbit by line orbit
         assert fixed == _brute_fixed(reps, coset_of, sub)
 
 
 def test_the_walk_checks_the_cap_before_it_builds_anything(builds):
-    # <u> has level 2 modulo 25; the walk builds a table of 25^2 = 625 vector
-    # slots and <u> itself (25 elements), never G_2 = SL2(Z/25Z) (15,000), so
-    # the cap refuses the table, not #G_2
+    # <u> has level 2 modulo 25; the walk builds a table of the 25 + 5 lines of
+    # P^1(Z/25) and decodes <u> itself (25 elements), never G_2 = SL2(Z/25Z)
+    # (15,000), so the cap refuses 30 + 25 = 55, not #G_2 or the 625 vectors;
+    # the walk's #H is read off the Schreier walk, so the refusal builds nothing
     ctx = make_ctx(5, 2)
     before = list(ctx.memo)
-    with pytest.raises(FeasibilityError, match="vector table modulo 25 holds 625 elements, above the cap of 624"):
-        coset_space(Subgroup(ctx, (upper_u(ctx),), cap=624))
-    lengths, fixed = coset_space(Subgroup(ctx, (upper_u(ctx),), cap=625))
+    held = "line table modulo 25 and the matrices of H hold 55 elements, above the cap of 54"
+    with pytest.raises(FeasibilityError, match=held):
+        coset_space(Subgroup(ctx, (upper_u(ctx),), cap=54))
+    assert builds == []
+    lengths, fixed = coset_space(Subgroup(ctx, (upper_u(ctx),), cap=55))
     assert list(ctx.memo) == before  # the walk stores nothing in the context
     assert builds == [(ctx, 25)]
     assert (lengths, fixed) == coset_space(Subgroup(ctx, (upper_u(ctx),)))
@@ -672,6 +726,44 @@ def test_the_double_coset_walk_matches_the_brute_right_cosets(p, n):
         assert len(lengths) == len(cycles) and sorted(lengths) == cycles
         assert sum(lengths) == len(reps) == ctx.order // h.order
         assert fixed == _brute_fixed(reps, coset_of, ctx)
+
+
+def _genus_sweep_pool():
+    """H_m = H mod p^m, m the level, of each H and <H, -1> of the benchmark's
+    genus_sweep pool (perfbench/workloads.py, loaded from its file)."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = []
+    for (p, n), sizes in workloads.GENUS_POOL.items():
+        ctx = make_ctx(p, n)
+        for gens in (g for k in sizes for g in workloads.genus_pool(p, n, k)):
+            h = Subgroup(ctx, gens)
+            out += [x.reduced(level(x)) for x in (h, adjoin_minus_one(h))]
+    return out
+
+
+def test_the_line_walk_matches_the_vector_walk(sl2_mod9_subgroups):
+    # the same fixed counts, and the same double coset lengths as a multiset,
+    # on every subgroup of SL2(Z/8Z) and of SL2(Z/9Z), on each H_m of the
+    # genus_sweep pool, and on seeded subgroups at 2^4 and 2^5, where each unit
+    # square mod 2^m has four roots
+    c8 = make_ctx(2, 3)
+    lattice8 = all_subgroups(enumerate_group(c8), conjugacy_gens=[upper_u(c8), lower_u(c8)])
+    ctx9, lattice9 = sl2_mod9_subgroups
+    assert (len(lattice8), len(lattice9)) == (673, 456)
+    hs = [Subgroup.from_codes(c8, codes) for codes in lattice8] + [Subgroup.from_codes(ctx9, c) for c in lattice9]
+    pool = _genus_sweep_pool()
+    assert len(pool) == 426
+    hs += pool
+    for n in (4, 5):
+        ctx = make_ctx(2, n)
+        hs += [x for h in sample_subgroups(ctx, 6, random.Random(("roots", n).__repr__())) for x in (h, adjoin_minus_one(h))]
+    assert {pow(mu, 2, 32) for mu in range(1, 32, 2)} == {1, 9, 17, 25}  # 16 units, four roots each
+    for h in hs:
+        lengths, fixed = coset_space(h)
+        want_lengths, want_fixed = _vector_walk(h)
+        assert (sorted(lengths), fixed) == (sorted(want_lengths), want_fixed)
 
 
 @pytest.mark.parametrize("p, n", [(11, 2), (13, 2), (5, 3)])

@@ -858,15 +858,17 @@ def test_derived_subgroups_keep_the_cap(builds):
     derived = [adjoin_minus_one(h), filtration_level(h, 1)]
     derived += [preimage(borel(5, cap=2500), ctx), full_group(make_ctx(5, 1), cap=1000)]
     assert [d.cap for d in derived] == [1000, 1000, 2500, 1000]
-    # the reports walk a table of 25^2 vector slots and close nothing, not G =
-    # SL2(Z/25Z) (15,000 elements): under 1000 they equal the uncapped ones,
-    # and <H, -1> hands on a cap of 624, which refuses the table
+    # the reports walk a table of the 30 lines of P^1(Z/25) and close nothing,
+    # not G = SL2(Z/25Z) (15,000 elements): under 1000 they equal the uncapped
+    # ones, and <H, -1> (50 elements) hands on a cap of 79, which refuses the
+    # table with its 50 matrices
     builds.clear()
     for x in (h, adjoin_minus_one(h)):
         assert genus_report(x) == genus_report(Subgroup.from_codes(ctx, x.codes()))
     assert builds == []
-    with pytest.raises(FeasibilityError, match="vector table modulo 25 holds 625 elements, above the cap of 624"):
-        genus_report(adjoin_minus_one(closure([upper_u(ctx)], ctx, cap=624)))
+    held = "line table modulo 25 and the matrices of H hold 80 elements, above the cap of 79"
+    with pytest.raises(FeasibilityError, match=held):
+        genus_report(adjoin_minus_one(closure([upper_u(ctx)], ctx, cap=79)))
 
 
 def test_section2_checks():
