@@ -4,7 +4,7 @@
     python .github/bench_verify.py pairs --parent CHECKOUT --workload NAME --seed 1009 --pairs 5 [--note TEXT]
 
 `verify` times fresh `python -m sl2genus.cli` processes: every verify suite,
-`verify --suite all`, every part of the main-theorem desk, and the four
+`verify --suite all`, every part of the main-theorem desk, and the five
 commands that .github/workflows/tier1.yml pins.  Each run of a row has its
 own measuring parent, a fresh interpreter that starts the command, waits for
 it and reads getrusage(RUSAGE_CHILDREN).ru_maxrss: that is the largest child
@@ -90,6 +90,7 @@ PINNED = (
     "verify --suite main-theorem-desk --seed 0 --output json",
     "verify --suite section7 --seed 0 --output json",
     "genus --p 2 --n 11 --subgroup preimage:B@1 --output json",
+    "genus --p 7 --n 2 --subgroup full --output json",
 )
 MEASURE = """import resource, subprocess, sys, time
 t = time.perf_counter()

@@ -110,8 +110,8 @@ class GroupCtx:
     and the order #SL2(Z/p^nZ) = (p+1)(p-1)p^(3n-2).
 
     memo holds what derives from the context alone (G, the class orbits,
-    the kernels K_s of reduction, the fiber groups V, the reduction maps and
-    the bound plans of bounds); groups.cached alone reads and writes it.
+    the kernels K_s of reduction, the fiber groups V, the reduction maps, the
+    bound plans of bounds and the genus report of G); groups.cached alone reads and writes it.
     """
 
     def __init__(self, p: int, n: int) -> None:

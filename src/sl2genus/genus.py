@@ -4,7 +4,8 @@ Exact rational arithmetic.  fix_points and cusp_orbit_ratio read #(H n Conj(alph
 from labels of the elements of H_m = H mod p^m (class_labels), m the level of H,
 lifted to level n, over #Conj(alpha) in closed form; genus_report counts again on
 the double cosets H_m g<u> (coset_space), as K_m <= H makes H\\G and H_m\\G_m
-isomorphic G-sets, and raises ConsistencyError on any difference.
+isomorphic G-sets, and raises ConsistencyError on any difference.  A report is kept
+in H's memo; the report of G, a constant of the context, in the context's memo.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from math import lcm
 from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
+    DEFAULT_MAX_ELEMENTS,
     ConsistencyError,
     GroupCtx,
     Mat,
@@ -26,7 +28,7 @@ from .core import (
     minus_one,
     num_to_json,
 )
-from .groups import ConjClassRef, _above_cap, class_labels, conj_class_size_formula, legendre, u_power_ref
+from .groups import ConjClassRef, _above_cap, cached, class_labels, conj_class_size_formula, legendre, u_power_ref
 from .subgroups import Subgroup, kept, level
 
 # Above this order of G_m, m the level of H, genus_report skips its coset
@@ -35,15 +37,15 @@ DIRECT_CHECK_CAP = 130_000
 
 
 @kept("class counts")
-def _class_counts(h: Subgroup) -> Counter:
+def _class_counts(h: Subgroup, mats: Optional[List[Mat]] = None) -> Counter:
     """#(H n Conj(alpha)) keyed (kind, r).  Each element of H_m = h.reduced(m), m
-    the level of H (H_m is H at level n), of trace 0, 1 or 2 is labelled once.  H
-    is the preimage of H_m and Conj_n fibres evenly over Conj_m, so each count of
-    H_m is lifted by #Conj_n / #Conj_m, and Conj(u^(p^r)) with r >= m lies whole
-    in K_r <= K_m <= H."""
+    the level of H (H_m is H at level n), of trace 0, 1 or 2 is labelled once, read
+    from mats, H_m's matrices, when the caller has decoded them.  H is the preimage
+    of H_m and Conj_n fibres evenly over Conj_m, so each count of H_m is lifted by
+    #Conj_n / #Conj_m, and Conj(u^(p^r)) with r >= m lies whole in K_r <= K_m <= H."""
     ctx, low = h.ctx, h.reduced(level(h))
     sub, out = low.ctx, Counter()
-    mats = map(decoder(sub), low.codes())
+    mats = map(decoder(sub), low.codes()) if mats is None else mats
     counts = Counter(label for x in mats if (x[0] + x[3]) % sub.modulus <= 2 for label in class_labels(x, sub))
     for key in [("sigma", 0), ("tau", 0)] + [("u_power", r) for r in range(ctx.n)]:
         size = conj_class_size_formula(ConjClassRef(ctx, *key))
@@ -80,7 +82,14 @@ def _line_orbits(hmats: List[Mat], ctx: GroupCtx) -> Iterator[Tuple[Tuple[int, i
             yield (x, y), len(lines), len(orbit) // len(lines)
 
 
-def coset_space(h: Subgroup) -> Tuple[List[int], List[int]]:
+def _refuse_line_table(h: Subgroup) -> None:
+    """coset_space's refusal: the line table and the #H matrices it reads, above h.cap, before they are built."""
+    held = h.ctx.modulus + h.ctx.modulus // h.ctx.p + h.order
+    if held > h.cap:
+        raise _above_cap("the line table modulo %d and the matrices of H hold %d" % (h.ctx.modulus, held), h.cap)
+
+
+def coset_space(h: Subgroup, hmats: Optional[List[Mat]] = None) -> Tuple[List[int], List[int]]:
     """(l per double coset H g<u>, [Fix_sigma, Fix_tau]) on the H-orbits H L of the lines
     L = [v] of P^1(Z/p^n), v = g e1: above H L lie the phi(p^n) / #Lambda_L double cosets
     of the mu v, mu over the units mod Lambda_L (_line_orbits), each of l = p^n #(H L)
@@ -89,14 +98,12 @@ def coset_space(h: Subgroup) -> Tuple[List[int], List[int]]:
     tr a, and (g^-1 h g)21 = det(v, hv)).  ConsistencyError unless the orbits cover the
     lines, each l divides p^n and is the index in <u> of the stabilizer of H g (and of
     H mu g: mu^2 is a unit), and p^n divides each l N(mu v); the l then sum to [G:H].
-    The line table and the #H matrices it decodes are refused above h.cap before they are built."""
+    hmats, H's matrices, are decoded from its codes unless the caller has them."""
     ctx = h.ctx
     p, m, enc = ctx.p, ctx.modulus, encoder(ctx)
-    held = m + m // p + h.order
-    if held > h.cap:
-        raise _above_cap("the line table modulo %d and the matrices of H hold %d" % (m, held), h.cap)
+    _refuse_line_table(h)
     hm = h.codes()
-    hmats = list(map(decoder(ctx), hm))
+    hmats = list(map(decoder(ctx), hm)) if hmats is None else hmats
     # det(v, hv) = c x^2 + (d - a) x y - b y^2, for the h of trace tr sigma = 0 and tr tau = 1
     forms = [[(c, d - a, -b) for a, b, c, d in hmats if (a + d - t) % m == 0] for t in (0, 1)]
     # per d, the double cosets H mu g<u> with N(mu v) = #{h : det(v, hv) = d}: #{mu : -mu^-2 = d} = #{mu : -mu^2 = d}
@@ -197,16 +204,28 @@ class GenusReport(NamedTuple):
 
 @kept("genus_report")
 def genus_report(h: Subgroup) -> GenusReport:
-    """Every count of H by class counting.  When #G_m <= DIRECT_CHECK_CAP, m the
-    level of H, Fix_sigma, Fix_tau and the <u>-orbits are counted again by
-    coset_space on H_m = h.reduced(m); a difference raises ConsistencyError.
-    Kept in h's memo, so each subgroup is reported once."""
-    ctx, low = h.ctx, h.reduced(level(h))
+    """_build_report of H, kept in h's memo.  H_m = h.reduced(m), m the level of H, of #G_m
+    elements proves H = G (K_m <= H): the report of G is built once per context, kept in its
+    memo and read under h's cap, refused where coset_space would refuse it."""
+    low = h.reduced(level(h))
+    if len(low.codes()) < low.ctx.order:
+        return _build_report(h, low)
+    if low.ctx.order <= DIRECT_CHECK_CAP:
+        _refuse_line_table(low)
+    return cached(h.ctx, "report of G", lambda: _build_report(h, low), DEFAULT_MAX_ELEMENTS)
+
+
+def _build_report(h: Subgroup, low: Subgroup) -> GenusReport:
+    """Every count of H by class counting on H_m = low; when #G_m <= DIRECT_CHECK_CAP, Fix_sigma,
+    Fix_tau and the <u>-orbits again by coset_space, ConsistencyError on a difference."""
+    ctx, walk = h.ctx, low.ctx.order <= DIRECT_CHECK_CAP
+    mats = list(map(decoder(low.ctx), low.codes())) if walk else None  # the walk's list, decoded once for both routes
+    _class_counts(h, mats=mats)  # kept in h's memo, where each count below reads it
     refs = ConjClassRef(ctx, "sigma"), ConjClassRef(ctx, "tau")
     fixed = [fix_points(h, ref) for ref in refs]
     cusp, index = cusp_orbit_ratio(h), ctx.order // h.order
-    if low.ctx.order <= DIRECT_CHECK_CAP:
-        lengths, direct_fixed = coset_space(low)
+    if walk:
+        lengths, direct_fixed = coset_space(low, mats)
         for direct, via_identity in zip(direct_fixed, fixed):
             if direct != via_identity:
                 raise ConsistencyError("fixed-point count mismatch: direct %d vs identity %d" % (direct, via_identity))

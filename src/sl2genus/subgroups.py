@@ -162,16 +162,16 @@ class Subgroup:
 
 def kept(key: str) -> Callable:
     """Decorator for a function f(h, *args) of H alone: its value is built on the
-    first call and kept in h's memo under key, or (key, *args) when it takes
-    args; a call that raises keeps nothing."""
+    first call and kept in h's memo under key, or (key, *args) when it takes args;
+    keyword arguments reach f unkeyed and may not change its value.  A call that raises keeps nothing."""
 
     def decorate(f: Callable) -> Callable:
         @wraps(f)
-        def read(h: Subgroup, *args):
+        def read(h: Subgroup, *args, **given):
             k = (key, *args) if args else key
             got = h._reduced.get(k)
             if got is None:
-                got = h._reduced[k] = f(h, *args)
+                got = h._reduced[k] = f(h, *args, **given)
             return got
 
         return read

@@ -235,6 +235,14 @@ def _reports(cases):
     return out
 
 
+def _set_reports_of_g_aside(monkeypatch, cases):
+    """Take the report of G out of the memo of each context of cases while a
+    fault is planted (the undo restores it), so each report of H = G is built
+    under the fault, as a report of H != G is."""
+    for ctx in {ctx for ctx, _ in cases}:
+        monkeypatch.delitem(ctx.memo, "report of G", raising=False)
+
+
 def _mutate(monkeypatch, module, name, old, new, owner=None):
     """owner.name (module.name by default, a property by its getter) rebuilt from
     its source in module's namespace, with the one occurrence of old written as new.
@@ -260,6 +268,7 @@ def _kills(monkeypatch, name, old, new):
     assert not any(isinstance(r, str) for r in true)
     genus_mod = sys.modules["sl2genus.genus"]
     home = sys.modules[getattr(genus_mod, name).__module__]
+    _set_reports_of_g_aside(monkeypatch, cases)
     _mutate(monkeypatch, home, name, old, new)
     monkeypatch.setattr(genus_mod, name, getattr(home, name))
     got = _reports(cases)
@@ -297,6 +306,7 @@ def test_a_line_orbit_read_with_lambda_one_fails_the_length_check(monkeypatch):
     true_orbits = genus_mod._line_orbits
     cases = _report_cases()
     true = _reports(cases)
+    _set_reports_of_g_aside(monkeypatch, cases)
     monkeypatch.setattr(genus_mod, "_line_orbits", lambda *args: ((v, k, 1) for v, k, _ in true_orbits(*args)))
     got = _reports(cases)
     monkeypatch.undo()

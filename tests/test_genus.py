@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sl2genus.core import (
+    ConsistencyError,
     FeasibilityError,
+    GroupCtx,
     PreconditionError,
     _mul,
     conjugator,
@@ -973,20 +975,83 @@ def test_deciding_minus_one_closes_nothing_at_level_n(monkeypatch):
 
 def test_one_coset_space_per_subgroup(monkeypatch):
     # the genus_sweep pattern: a report of H, then of <H, -1>, then delta and
-    # genus; each distinct subgroup walks its cosets once (every G_m here has
-    # at most DIRECT_CHECK_CAP elements), and delta and genus read the kept report
+    # genus; each distinct subgroup H != G walks its cosets once (every G_m here
+    # has at most DIRECT_CHECK_CAP elements), G once per context, whose memo
+    # keeps its report, and delta and genus read the kept report
     genus_mod = sys.modules["sl2genus.genus"]
     true_walk = genus_mod.coset_space
     walks = []
-    monkeypatch.setattr(genus_mod, "coset_space", lambda h: walks.append(h) or true_walk(h))
-    distinct = 0
+    monkeypatch.setattr(genus_mod, "coset_space", lambda h, *mats: walks.append(h) or true_walk(h, *mats))
+    distinct, full = 0, Counter()
     for p, n in ((2, 3), (3, 2), (5, 2), (7, 2)):
         ctx = make_ctx(p, n)
+        monkeypatch.delitem(ctx.memo, "report of G", raising=False)
         for h0 in sample_subgroups(ctx, 4 if p < 7 else 2, random.Random((p, n, "one-walk").__repr__())):
             h = Subgroup(ctx, h0.gens)
             hh = adjoin_minus_one(h)
             assert genus_report(h) is genus_report(h)
             assert (delta(hh), genus(hh)) == (genus_report(hh).delta, genus_report(hh).genus)
             delta(h)
-            distinct += 1 if hh is h else 2
-    assert len(walks) == distinct
+            for x in (h,) if hh is h else (h, hh):
+                if x.order == ctx.order:
+                    full[p, n] += 1
+                else:
+                    distinct += 1
+        assert genus_report(Subgroup(ctx, (upper_u(ctx), lower_u(ctx)))).index == 1  # G once more
+        full[p, n] += 1
+    assert list(full.values()) == [2, 2, 2, 2]  # a context's second report of G walks nothing
+    assert len(walks) == distinct + len(full)
+
+
+def _full_gens(ctx):
+    """Generator tuples of G = SL2(Z/p^nZ): <u, t(u)>, <t(u), u>, <sigma, tau>, <u, t(u), -1>."""
+    u, t = upper_u(ctx), lower_u(ctx)
+    return [(u, t), (t, u), (sigma(ctx), tau(ctx)), (u, t, minus_one(ctx))]
+
+
+def test_every_report_of_g_is_the_one_report_of_the_context(monkeypatch):
+    # H_m of #G_m elements proves H = G (K_m <= H), and a report is a function
+    # of H: each generator tuple of G reports what a fresh context reports, and
+    # the context's memo gains one entry, the report of G, built once
+    genus_mod = sys.modules["sl2genus.genus"]
+    true_walk, walks = genus_mod.coset_space, []
+    monkeypatch.setattr(genus_mod, "coset_space", lambda h, *mats: walks.append(h) or true_walk(h, *mats))
+    for p, n in ((2, 3), (3, 2), (5, 2), (7, 2)):
+        ctx = make_ctx(p, n)
+        want = genus_report(Subgroup(GroupCtx(p, n), _full_gens(ctx)[0]))
+        assert (want.index, want.genus) == (1, 0)
+        hs = [Subgroup(ctx, gens) for gens in _full_gens(ctx)] + [full_group(ctx)]  # full_group keeps G
+        monkeypatch.delitem(ctx.memo, "report of G", raising=False)
+        before, walks[:] = set(ctx.memo), []
+        assert [genus_report(h) for h in hs] == [want] * len(hs)
+        assert set(ctx.memo) - before == {"report of G"} and ctx.memo["report of G"] == want
+        assert len(walks) == 1
+
+
+def test_a_kept_report_of_g_is_refused_under_the_cap_a_fresh_report_is(monkeypatch):
+    # the walk of G_1 = SL2(F_5) holds the 5 + 1 lines and the 120 matrices of
+    # G_1: a report under a cap of 126 keeps the report of G, and one under 125
+    # is refused with the text a fresh context gives, though nothing is walked
+    ctx = make_ctx(5, 2)
+    gens = (upper_u(ctx), lower_u(ctx))
+    monkeypatch.delitem(ctx.memo, "report of G", raising=False)
+    assert genus_report(Subgroup(ctx, gens, cap=126)) == ctx.memo["report of G"]
+    held = r"^the line table modulo 5 and the matrices of H hold 126 elements, above the cap of 125; "
+    for c in (GroupCtx(5, 2), ctx):
+        with pytest.raises(FeasibilityError, match=held):
+            genus_report(Subgroup(c, gens, cap=125))
+
+
+def test_a_report_of_g_that_raises_keeps_nothing(monkeypatch):
+    # a planted class_labels fault, which files Conj(tau) under sigma, on a fresh
+    # context: the report of G raises, keeps nothing, and so the next one raises too
+    genus_mod = sys.modules["sl2genus.genus"]
+    true_labels = genus_mod.class_labels
+    monkeypatch.setattr(
+        genus_mod, "class_labels", lambda x, c: [("sigma", 0) if k == ("tau", 0) else k for k in true_labels(x, c)]
+    )
+    ctx = GroupCtx(5, 2)
+    for gens in _full_gens(ctx)[:2]:
+        with pytest.raises(ConsistencyError):
+            genus_report(Subgroup(ctx, gens))
+        assert "report of G" not in ctx.memo

@@ -502,11 +502,11 @@ def test_the_check_sees_a_second_coset_walk():
     assert _referrers(src, "coset_space") == found
 
 
-# genus_report is the one coset cross-check of the genus counts: any other
-# reader of coset_space would be a second place where the two routes meet.
+# genus_report's _build_report is the one coset cross-check of the genus counts:
+# any other reader of coset_space would be a second place where the two routes meet.
 def test_only_genus_report_walks_cosets():
     found = {(p.name, fn) for p in SRC.glob("*.py") for fn, _ in _referrers(p.read_text(), "coset_space")}
-    assert found == {("genus.py", "genus_report")}
+    assert found == {("genus.py", "_build_report")}
 
 
 def _growing_walks(source: str):
@@ -651,12 +651,14 @@ def test_the_check_sees_a_read_of_codes():
 
 
 # genus_report reads H at its level: below level n it reports H_m =
-# h.reduced(m), so H's code set is read by the label counter (once per H, on
-# the level-n route) and by coset_space, which genus_report calls only on H at
-# its own level; no other reader can quietly close H at level n inside a report.
+# h.reduced(m).  genus_report reads H_m's code set to decide H = G, and
+# _build_report decodes it once for the walk and hands the matrices to the
+# label counter and to coset_space; those two read codes when called alone,
+# and the label counter when no walk runs.  No other reader can quietly
+# close H at level n inside a report.
 def test_only_the_label_counter_and_the_coset_walk_read_codes_in_genus():
     found = {fn for fn, _ in _referrers((SRC / "genus.py").read_text(), "codes")}
-    assert found == {"_class_counts", "coset_space"}
+    assert found == {"_class_counts", "coset_space", "genus_report", "_build_report"}
 
 
 SPANS = SRC.parent.parent / "perfbench" / "spans.py"
@@ -729,14 +731,15 @@ def test_every_pragma_names_its_reason():
 
 
 # ROADMAP item 7 budgets the lines under src/: the library may not grow past
-# its last count of 3,888 lines (3,865 before the coset walk moved to the
-# lines of P^1 and the report's arithmetic to integers, +23 in genus.py).  The
-# count per module is printed too, so that a change can read its delta module
-# by module.
+# its last count of 3,907 lines (3,865 before the coset walk moved to the
+# lines of P^1 and the report's arithmetic to integers, +23 in genus.py;
+# 3,888 before the report of G moved to the context's memo and a report
+# decoded H_m once, +19 in genus.py).  The count per
+# module is printed too, so that a change can read its delta module by module.
 def test_src_stays_within_the_line_budget():
     counts = {p.name: len(p.read_text().splitlines()) for p in MODULES}
     for name, count in counts.items():
         print("src/sl2genus/%s: %d lines" % (name, count))
     total = sum(counts.values())
-    print("src/sl2genus: %d lines, budget 3,888" % total)
-    assert total <= 3_888, "src/sl2genus holds %d lines, above the budget of 3,888" % total
+    print("src/sl2genus: %d lines, budget 3,907" % total)
+    assert total <= 3_907, "src/sl2genus holds %d lines, above the budget of 3,907" % total
